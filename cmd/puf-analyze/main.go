@@ -39,13 +39,14 @@ func main() {
 	for dev := 0; dev < *devices; dev++ {
 		s := *seed + uint64(dev)*13
 		arr := silicon.NewArray(silicon.DefaultConfig(*rows, *cols), rng.New(s))
-		src := rng.New(s + 1)
+		nm := arr.NewNoise(rng.New(s + 1))
 		env := arr.Config().NominalEnv()
-		ref := pairing.Responses(arr.MeasureAveraged(env, src, 15), pairs)
+		f := make([]float64, arr.N())
+		ref := pairing.Responses(arr.MeasureAveragedInto(f, make([]float64, 2*arr.N()), env, nm, 15), pairs)
 		references = append(references, ref)
 		var regenerations []bitvec.Vector
 		for r := 0; r < *regens; r++ {
-			regenerations = append(regenerations, pairing.Responses(arr.MeasureAll(env, src), pairs))
+			regenerations = append(regenerations, pairing.Responses(arr.MeasureIntoWith(f, env, nm), pairs))
 		}
 		intra, err := metrics.IntraDistance(ref, regenerations)
 		if err != nil {

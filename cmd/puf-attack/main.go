@@ -15,13 +15,6 @@
 //	puf-attack -list
 //	puf-attack -attack seqpair [-seed N] [-strategy sequential|fixed]
 //	puf-attack -attack groupbased -workers 8 -budget 200000 -timeout 2m
-//	puf-attack -attack seqpair -noise counter
-//
-// -noise selects the silicon noise model the simulated device draws
-// its measurement noise from: the legacy sequential stream (default,
-// matching the historical transcript goldens) or the counter-mode
-// model, whose sparse oracle queries draw only the helper-referenced
-// oscillators' noise (O(k)).
 package main
 
 import (
@@ -38,18 +31,15 @@ import (
 	"repro/internal/groupbased"
 	"repro/internal/pairing"
 	"repro/internal/rng"
-	"repro/internal/silicon"
 	"repro/internal/tempco"
 )
 
 func main() {
 	name := flag.String("attack", "seqpair", "registered attack name (see -list)")
-	construction := flag.String("construction", "", "alias for -attack (deprecated)")
 	list := flag.Bool("list", false, "list registered attacks and exit")
 	seed := flag.Uint64("seed", 1, "device manufacturing seed")
 	strategy := flag.String("strategy", "sequential", "distinguisher: sequential or fixed")
 	workers := flag.Int("workers", 1, "batched oracle workers (> 1 wraps the target in attack.BatchTarget)")
-	noiseName := flag.String("noise", "stream", "silicon noise model: stream or counter")
 	budget := flag.Int("budget", 0, "oracle query budget (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "attack wall-time limit (0 = none)")
 	verbose := flag.Bool("v", false, "print per-phase progress lines")
@@ -62,22 +52,6 @@ func main() {
 		}
 		return
 	}
-	if *construction != "" {
-		attackSet := false
-		flag.Visit(func(f *flag.Flag) { attackSet = attackSet || f.Name == "attack" })
-		if attackSet && *construction != *name {
-			fmt.Fprintln(os.Stderr, "puf-attack: -attack and -construction disagree; pass one")
-			os.Exit(2)
-		}
-		*name = *construction
-	}
-
-	noise, err := silicon.ParseNoiseModel(*noiseName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "puf-attack:", err)
-		os.Exit(2)
-	}
-
 	dist := attack.DefaultDistinguisher()
 	if *strategy == "fixed" {
 		dist = attack.Distinguisher{Strategy: attack.FixedSample, Queries: 10}
@@ -90,7 +64,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *name, *seed, noise, attack.Options{
+	if err := run(ctx, *name, *seed, attack.Options{
 		Dist:        dist,
 		QueryBudget: *budget,
 	}, *workers, *verbose); err != nil {
@@ -99,12 +73,12 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, name string, seed uint64, noise silicon.NoiseModelKind, opts attack.Options, workers int, verbose bool) error {
-	target, truth, desc, err := enroll(name, seed, noise)
+func run(ctx context.Context, name string, seed uint64, opts attack.Options, workers int, verbose bool) error {
+	target, truth, desc, err := enroll(name, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s (noise model: %s)\n", desc, target.Spec().Noise)
+	fmt.Println(desc)
 
 	if workers > 1 {
 		bt, err := attack.NewBatchTarget(target, workers, seed^0xba7c4)
@@ -135,7 +109,7 @@ func run(ctx context.Context, name string, seed uint64, noise silicon.NoiseModel
 // enroll builds the standard device population entry for one attack and
 // returns its oracle, the enrolled key when the attack recovers one
 // (empty for relation-only attacks), and a banner line.
-func enroll(name string, seed uint64, noise silicon.NoiseModelKind) (attack.Target, bitvec.Vector, string, error) {
+func enroll(name string, seed uint64) (attack.Target, bitvec.Vector, string, error) {
 	srcMfg, srcRun := rng.New(seed), rng.New(seed+1)
 	switch name {
 	case "seqpair":
@@ -145,7 +119,6 @@ func enroll(name string, seed uint64, noise silicon.NoiseModelKind) (attack.Targ
 			Policy:       pairing.RandomizedStorage,
 			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
 			EnrollReps:   20,
-			Noise:        noise,
 		}, srcMfg, srcRun)
 		if err != nil {
 			return nil, bitvec.Vector{}, "", err
@@ -160,7 +133,6 @@ func enroll(name string, seed uint64, noise silicon.NoiseModelKind) (attack.Targ
 			Policy:     tempco.RandomSelection,
 			Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 			EnrollReps: 25,
-			Noise:      noise,
 		}, srcMfg, srcRun)
 		if err != nil {
 			return nil, bitvec.Vector{}, "", err
@@ -177,7 +149,6 @@ func enroll(name string, seed uint64, noise silicon.NoiseModelKind) (attack.Targ
 			MaxGroupSize: 6,
 			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
 			EnrollReps:   25,
-			Noise:        noise,
 		}, srcMfg, srcRun)
 		if err != nil {
 			return nil, bitvec.Vector{}, "", err
@@ -194,7 +165,6 @@ func enroll(name string, seed uint64, noise silicon.NoiseModelKind) (attack.Targ
 			Degree: 2, Mode: mode, K: 5,
 			Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
 			EnrollReps: 25,
-			Noise:      noise,
 		}, srcMfg, srcRun)
 		if err != nil {
 			return nil, bitvec.Vector{}, "", err

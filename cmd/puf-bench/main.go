@@ -4,23 +4,14 @@
 //
 // Usage:
 //
-//	puf-bench [-seed N] [-experiment all|E1..E12|A1|A2|A4|R1] [-noise counter|stream]
+//	puf-bench [-seed N] [-experiment all|E1..E12|A1|A2|A4|R1]
 //	puf-bench -json [-count N] [-json-out BENCH_attacks.json]
 //	         [-baseline BENCH_attacks.json] [-ns-gate-pct 15]
 //	puf-bench [...] -cpuprofile cpu.out -memprofile mem.out
 //
-// The attack-backed experiments (E5-E9, R1) and the -json benchmarks
-// enroll their devices under the silicon noise model named by -noise;
-// the default is the counter-mode model (O(k) sparse oracle queries),
-// -noise stream selects the legacy sequential-stream model whose
-// transcripts match the historical goldens.
-//
 // With -json the tool instead benchmarks the five end-to-end attacks
-// (the oracle-query hot path) plus three fleet-scale throughput
-// workloads — FleetSweep (batched SoA measurement kernel, reported as
-// fleet_devices_per_sec), PerDeviceSweep (the per-device loop it
-// replaces, devices_per_sec) and CampaignAttacks (a pooled attack
-// campaign, attacks_per_sec_per_core) — via testing.Benchmark and
+// (the oracle-query hot path) plus CampaignAttacks (a pooled attack
+// campaign, reported as attacks_per_sec_per_core) via testing.Benchmark and
 // writes a machine-readable perf artifact — benchmark name → ns/op,
 // allocs/op, B/op and oracle-queries — so the repository accumulates a
 // perf trajectory across PRs instead of anecdotes. Each benchmark runs
@@ -52,8 +43,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/rng"
-	"repro/internal/silicon"
 	"repro/internal/transcript"
 )
 
@@ -66,7 +55,6 @@ type benchConfig struct {
 	baseline   string
 	count      int
 	nsGatePct  float64
-	noise      silicon.NoiseModelKind
 	goldenDir  string
 	cpuProfile string
 	memProfile string
@@ -80,17 +68,10 @@ func main() {
 	count := flag.Int("count", 5, "benchmark repetitions per attack; the artifact records medians")
 	baseline := flag.String("baseline", "", "committed artifact to compare against; >2% allocs/op or >ns-gate-pct ns/op regression fails")
 	nsGatePct := flag.Float64("ns-gate-pct", 15, "median ns/op regression percentage that fails -baseline (0 disables)")
-	noiseName := flag.String("noise", "counter", "silicon noise model for attack-backed runs: counter or stream")
 	goldenDir := flag.String("golden", "", "regenerate the transcript golden matrix into this directory (typically testdata/transcripts) and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-
-	noise, err := silicon.ParseNoiseModel(*noiseName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(2)
-	}
 
 	// All work runs inside run() so its deferred profile writers flush
 	// on EVERY exit path — a failing run is exactly when a profile is
@@ -103,7 +84,6 @@ func main() {
 		baseline:   *baseline,
 		count:      *count,
 		nsGatePct:  *nsGatePct,
-		noise:      noise,
 		goldenDir:  *goldenDir,
 		cpuProfile: *cpuProfile,
 		memProfile: *memProfile,
@@ -287,14 +267,9 @@ func runE4(cfg benchConfig) error {
 }
 
 // attackSpec builds the transcript Spec for one attack-backed
-// experiment under the invocation's noise model.
+// experiment.
 func attackSpec(cfg benchConfig, name string, expurgate bool) transcript.Spec {
-	return transcript.Spec{
-		Attack:    name,
-		Seed:      cfg.seed,
-		Noise:     cfg.noise.String(),
-		Expurgate: expurgate,
-	}
+	return transcript.Spec{Attack: name, Seed: cfg.seed, Expurgate: expurgate}
 }
 
 func runE5(cfg benchConfig) error {
@@ -415,7 +390,7 @@ func runA4(cfg benchConfig) error {
 }
 
 func runR1(cfg benchConfig) error {
-	r, err := experiments.MeasureAttackSuccessNoise(context.Background(), cfg.seed*1000, 5, 0, cfg.noise)
+	r, err := experiments.MeasureAttackSuccessWorkers(context.Background(), cfg.seed*1000, 5, 0)
 	if err != nil {
 		return err
 	}
@@ -438,13 +413,6 @@ type BenchRecord struct {
 	BytesPerOp    int64   `json:"bytes_per_op"`
 	OracleQueries float64 `json:"oracle_queries"`
 	Iterations    int     `json:"iterations"`
-	// FleetDevicesPerSec: devices measured per second by the batched
-	// SoA fleet kernel (FleetSweep record).
-	FleetDevicesPerSec float64 `json:"fleet_devices_per_sec,omitempty"`
-	// DevicesPerSec: the same workload through the single-device
-	// enroll-and-measure path (PerDeviceSweep record) — the denominator
-	// of the fleet speedup.
-	DevicesPerSec float64 `json:"devices_per_sec,omitempty"`
 	// AttacksPerSecPerCore: end-to-end pooled attack campaign
 	// throughput, normalized by core count (CampaignAttacks record).
 	AttacksPerSecPerCore float64 `json:"attacks_per_sec_per_core,omitempty"`
@@ -549,7 +517,7 @@ func checkBaseline(artifact map[string]BenchRecord, path string, nsGatePct float
 }
 
 // runJSONBench measures the five end-to-end attacks with testing.Benchmark
-// under cfg.noise and writes the artifact. Each closure reports the
+// and writes the artifact. Each closure reports the
 // oracle-query count of its last run as a custom metric, mirroring
 // bench_test.go.
 func runJSONBench(cfg benchConfig) error {
@@ -557,7 +525,7 @@ func runJSONBench(cfg benchConfig) error {
 	if count < 1 {
 		count = 1
 	}
-	seed, noise := cfg.seed, cfg.noise
+	seed := cfg.seed
 	ctx := context.Background()
 	// benchAttack measures one attack end to end via RunAttack; only the
 	// seqpair bench runs the expurgated subcode, matching the historical
@@ -569,7 +537,6 @@ func runJSONBench(cfg benchConfig) error {
 				r, err := experiments.RunAttack(ctx, transcript.Spec{
 					Attack:    name,
 					Seed:      seed + uint64(i)*3 + seedOff,
-					Noise:     noise.String(),
 					Expurgate: name == "seqpair",
 				})
 				if err != nil {
@@ -579,52 +546,15 @@ func runJSONBench(cfg benchConfig) error {
 			}
 		}
 	}
-	// Fleet throughput pair: the batched SoA kernel vs the per-device
-	// loop it replaces, on identical 256-device × 8x16 workloads with a
-	// 50 µs counter window. Both run counter noise regardless of -noise:
-	// the fleet kernel exists only for that model.
-	const fleetDevices = 256
-	fleetCfg := silicon.DefaultConfig(8, 16)
-	fleetCfg.Noise = silicon.NoiseCounter
-	fleetCfg.CounterWindowUS = 50
-	fleetSeeds := make([]uint64, fleetDevices)
-	for d := range fleetSeeds {
-		fleetSeeds[d] = rng.StreamSeed(seed, uint64(d))
-	}
-	benchFleetSweep := func(b *testing.B) {
-		fleet := silicon.NewFleet(fleetCfg, fleetSeeds)
-		dst := make([]float64, fleet.Devices()*fleet.NumOsc())
-		env := fleetCfg.NominalEnv()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fleet.MeasureFleetInto(dst, env)
-		}
-	}
-	benchPerDeviceSweep := func(b *testing.B) {
-		env := fleetCfg.NominalEnv()
-		dst := make([]float64, fleetCfg.Rows*fleetCfg.Cols)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for d := 0; d < fleetDevices; d++ {
-				src := rng.New(fleetSeeds[d])
-				arr := silicon.NewArray(fleetCfg, src)
-				nm := arr.NewNoise(src)
-				arr.MeasureIntoWith(dst, env, nm)
-			}
-		}
-	}
 	// CampaignAttacks: one op = a pooled seqpair-attack campaign over
-	// campaignSeeds device populations on every core — the fleet-scale
-	// end-to-end number the per-core throughput field derives from.
+	// campaignSeeds device populations on every core — the end-to-end
+	// number the per-core throughput field derives from.
 	const campaignSeeds = 16
 	benchCampaign := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := campaign.Run(ctx, campaign.Spec{
 				Task: "seqpair-attack", BaseSeed: seed, Seeds: campaignSeeds,
-				Options: campaign.Options{Noise: noise.String()},
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -639,11 +569,8 @@ func runJSONBench(cfg benchConfig) error {
 		{"AttackGroupBased", benchAttack("groupbased", 9)},
 		{"AttackMasking", benchAttack("masking", 11)},
 		{"AttackChain", benchAttack("chain", 13)},
-		{"FleetSweep", benchFleetSweep},
-		{"PerDeviceSweep", benchPerDeviceSweep},
 		{"CampaignAttacks", benchCampaign},
 	}
-	fmt.Printf("noise model: %s\n", noise)
 	artifact := make(map[string]BenchRecord, len(benches))
 	for _, bench := range benches {
 		recs := make([]BenchRecord, 0, count)
@@ -666,12 +593,7 @@ func runJSONBench(cfg benchConfig) error {
 		// Throughput fields derive from the median ns/op so they inherit
 		// its noise rejection instead of adding a second noisy estimate.
 		if rec.NsPerOp > 0 {
-			switch bench.name {
-			case "FleetSweep":
-				rec.FleetDevicesPerSec = fleetDevices * 1e9 / float64(rec.NsPerOp)
-			case "PerDeviceSweep":
-				rec.DevicesPerSec = fleetDevices * 1e9 / float64(rec.NsPerOp)
-			case "CampaignAttacks":
+			if bench.name == "CampaignAttacks" {
 				rec.AttacksPerSecPerCore = campaignSeeds * 1e9 / float64(rec.NsPerOp) / float64(runtime.NumCPU())
 			}
 		}

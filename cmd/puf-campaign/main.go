@@ -19,14 +19,8 @@
 //	puf-campaign -list
 //	puf-campaign -task attack-success -seeds 64 -workers 8
 //	puf-campaign -task seqpair-attack -seeds 100 -base 42 -json
-//	puf-campaign -task groupbased-attack -noise stream -timeout 10m
+//	puf-campaign -task groupbased-attack -timeout 10m
 //	puf-campaign -addr http://localhost:8787 -task fig5 -seeds 256 -v
-//
-// Attack-backed tasks enroll their devices under the silicon noise
-// model named by -noise. The default is the counter-mode model (O(k)
-// sparse oracle queries); -noise stream selects the legacy
-// sequential-stream model whose transcripts match the historical
-// goldens.
 package main
 
 import (
@@ -42,7 +36,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/campaignd"
 	_ "repro/internal/experiments" // registers every experiment task
-	"repro/internal/silicon"
 )
 
 func main() {
@@ -51,7 +44,6 @@ func main() {
 	seeds := flag.Int("seeds", 16, "number of derived seeds (task instances)")
 	base := flag.Uint64("base", 1, "campaign base seed")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	noise := flag.String("noise", "counter", "silicon noise model for attack-backed tasks: counter or stream")
 	timeout := flag.Duration("timeout", 0, "campaign wall-time limit (0 = none)")
 	addr := flag.String("addr", "", "campaignd base URL (e.g. http://localhost:8787); empty = run locally")
 	shardSize := flag.Int("shard-size", 0, "seeds per checkpointed shard in client mode (0 = daemon default)")
@@ -73,7 +65,7 @@ func main() {
 	}
 
 	// Validate the whole spec up front — unknown task, non-positive
-	// seed count, bad noise model — before spinning up a pool or
+	// seed count — before spinning up a pool or
 	// touching the network, with the same exit code the sibling CLIs
 	// use for usage errors.
 	if *task == "" {
@@ -86,10 +78,6 @@ func main() {
 	}
 	if *seeds <= 0 {
 		fmt.Fprintf(os.Stderr, "puf-campaign: -seeds must be > 0 (got %d)\n", *seeds)
-		os.Exit(2)
-	}
-	if _, err := silicon.ParseNoiseModel(*noise); err != nil {
-		fmt.Fprintln(os.Stderr, "puf-campaign:", err)
 		os.Exit(2)
 	}
 
@@ -108,7 +96,6 @@ func main() {
 		BaseSeed:  *base,
 		Seeds:     *seeds,
 		Workers:   *workers,
-		Noise:     *noise,
 		ShardSize: *shardSize,
 	}
 
@@ -139,8 +126,8 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("campaign %s: %d seeds (base %d), %d workers, noise=%s, backend=%s, %s\n",
-		res.Task, res.Seeds, res.BaseSeed, res.Workers, *noise, backend, elapsed.Round(time.Millisecond))
+	fmt.Printf("campaign %s: %d seeds (base %d), %d workers, backend=%s, %s\n",
+		res.Task, res.Seeds, res.BaseSeed, res.Workers, backend, elapsed.Round(time.Millisecond))
 	printAggregates(res.Aggregates)
 }
 
@@ -154,7 +141,6 @@ func runLocal(ctx context.Context, spec campaignd.Spec, verbose bool) (*campaign
 		BaseSeed: spec.BaseSeed,
 		Seeds:    spec.Seeds,
 		Workers:  spec.Workers,
-		Options:  campaign.Options{Noise: spec.Noise},
 	}
 	if verbose {
 		cspec.Progress = func(ev campaign.ProgressEvent) {

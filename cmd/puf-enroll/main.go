@@ -48,7 +48,7 @@ func main() {
 func enrollSeqPair(seed uint64, dumpHex bool) error {
 	arr := silicon.NewArray(silicon.DefaultConfig(8, 16), rng.New(seed))
 	src := rng.New(seed + 1)
-	f := arr.MeasureAveraged(arr.Config().NominalEnv(), src, 20)
+	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), arr.Config().NominalEnv(), arr.NewNoise(src), 20)
 	h := pairing.EnrollSeqPair(f, 0.8, pairing.RandomizedStorage, src)
 	resp := pairing.Responses(f, h.Pairs)
 	fmt.Printf("sequential pairing (LISA) on 8x16 array\n")
@@ -74,7 +74,8 @@ func enrollTempCo(seed uint64, dumpHex bool) error {
 	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 	cfg.TempCoefSigmaMHzPerC = 0.03
 	arr := silicon.NewArray(cfg, rng.New(seed))
-	h, key, err := tempco.Enroll(arr, p, rng.New(seed+1))
+	src := rng.New(seed + 1)
+	h, key, err := tempco.Enroll(arr, p, src, arr.NewNoise(src))
 	if err != nil {
 		return err
 	}
@@ -105,7 +106,8 @@ func enrollGroupBased(seed uint64, dumpHex bool) error {
 		EnrollReps:   15,
 	}
 	arr := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(seed))
-	h, key, err := groupbased.Enroll(arr, p, rng.New(seed+1))
+	src := rng.New(seed + 1)
+	h, key, err := groupbased.Enroll(arr, p, src, arr.NewNoise(src))
 	if err != nil {
 		return err
 	}

@@ -3,12 +3,11 @@ package repro
 // The repository's single determinism contract. Every golden value that
 // used to live in hardcoded Go tables (golden_seed_test.go,
 // golden_counter_test.go) now lives as JSON under testdata/transcripts/,
-// one file per (attack × noise model) cell group, produced by the
-// transcript harness. This test walks every cell and byte-compares the
-// regenerated transcript files against the committed ones, so keys,
+// one file per attack's cell group, produced by the transcript harness.
+// This test walks every cell and byte-compares the regenerated
+// transcript files against the committed ones, so keys,
 // recovery outcomes and the SPRT-driven oracle-query counts (sensitive
-// to every single App() outcome) are pinned bit-for-bit under both the
-// stream and counter silicon noise models.
+// to every single App() outcome) are pinned bit-for-bit.
 //
 // Regenerate after an intentional behavior change with
 //
@@ -89,50 +88,48 @@ func TestGoldenTranscripts(t *testing.T) {
 }
 
 // TestTranscriptWorkerInvariance pins the batched-oracle contract that
-// the ad-hoc BatchTarget invariance tests used to cover: under both
-// noise models, a BatchTarget run is a pure function of the Spec — the
-// worker count only changes scheduling, never the transcript. Workers=1
-// and workers=4 must agree byte-for-byte on every attack.
+// the ad-hoc BatchTarget invariance tests used to cover: a BatchTarget
+// run is a pure function of the Spec — the worker count only changes
+// scheduling, never the transcript. Workers=1 and workers=4 must agree
+// byte-for-byte on every attack.
 func TestTranscriptWorkerInvariance(t *testing.T) {
 	seeds := map[string]uint64{
 		"seqpair": 5, "tempco": 7, "groupbased": 9, "masking": 11, "chain": 13,
 	}
 	for _, name := range transcript.Attacks() {
-		for _, noise := range transcript.NoiseModels {
-			name, noise := name, noise
-			t.Run(name+"_"+noise, func(t *testing.T) {
-				t.Parallel()
-				spec := transcript.Spec{
-					Attack:    name,
-					Seed:      seeds[name],
-					Noise:     noise,
-					Expurgate: name == "seqpair",
-					Workers:   1,
-				}
-				serial, err := transcript.Run(context.Background(), spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec.Workers = 4
-				batched, err := transcript.Run(context.Background(), spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The Workers axis is part of the Spec; blank it so the
-				// byte comparison covers only observable behavior.
-				serial.Spec.Workers, batched.Spec.Workers = 0, 0
-				a, err := transcript.Marshal([]transcript.Transcript{serial})
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := transcript.Marshal([]transcript.Transcript{batched})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(a, b) {
-					t.Errorf("worker-count variance under %s noise:\nworkers=1: %s\nworkers=4: %s", noise, a, b)
-				}
-			})
-		}
+		name := name
+		t.Run(name+"_counter", func(t *testing.T) {
+			t.Parallel()
+			spec := transcript.Spec{
+				Attack:    name,
+				Seed:      seeds[name],
+				Noise:     "counter",
+				Expurgate: name == "seqpair",
+				Workers:   1,
+			}
+			serial, err := transcript.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Workers = 4
+			batched, err := transcript.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The Workers axis is part of the Spec; blank it so the
+			// byte comparison covers only observable behavior.
+			serial.Spec.Workers, batched.Spec.Workers = 0, 0
+			a, err := transcript.Marshal([]transcript.Transcript{serial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := transcript.Marshal([]transcript.Transcript{batched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("worker-count variance:\nworkers=1: %s\nworkers=4: %s", a, b)
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@ import (
 // internal/device as Targets. Each adapter translates between the
 // device's typed helper structs and the sectioned NVM image, inverts
 // App() into the failure convention (Query true = failure), and forks
-// by cloning the device onto an independent noise stream.
+// by cloning the device onto independently keyed noise.
 //
 // Two fast paths keep the adapters off the oracle-query hot loop's
 // allocation profile:
@@ -28,7 +28,7 @@ import (
 //     pipeline. The skip is observable-equivalent: devices with a
 //     re-provision side effect (reprogrammed-key observables) still run
 //     it via ReprovisionKey, so key bindings and the measurement-noise
-//     stream are consumed bit-identically to a full write.
+//     sweeps are consumed bit-identically to a full write.
 
 // writeCache is the shared memoization state of an adapter's WriteImage.
 type writeCache struct {
@@ -116,7 +116,6 @@ func (t *seqPairTarget) Spec() Spec {
 		Construction: "seqpair",
 		Code:         t.d.Code(),
 		AmbientC:     t.d.Environment().TempC,
-		Noise:        t.d.NoiseModel().String(),
 	}
 }
 
@@ -155,7 +154,6 @@ func (t *tempCoTarget) Spec() Spec {
 		Construction: "tempco",
 		Code:         t.d.Params().Code,
 		AmbientC:     t.d.Environment().TempC,
-		Noise:        t.d.NoiseModel().String(),
 	}
 }
 
@@ -193,7 +191,6 @@ func (t *groupBasedTarget) Spec() Spec {
 		Cols:         p.Cols,
 		Code:         p.Code,
 		AmbientC:     t.d.Environment().TempC,
-		Noise:        t.d.NoiseModel().String(),
 	}
 }
 
@@ -239,7 +236,6 @@ func (t *distillerTarget) Spec() Spec {
 		Cols:         p.Cols,
 		Code:         p.Code,
 		AmbientC:     t.d.Environment().TempC,
-		Noise:        t.d.NoiseModel().String(),
 	}
 }
 

@@ -53,12 +53,6 @@ type Spec struct {
 	Code ecc.Code
 	// AmbientC is the current operating temperature the oracle runs at.
 	AmbientC float64
-	// Noise names the silicon noise model the simulated oracle draws
-	// its measurement noise from ("stream" or "counter"; empty for
-	// non-simulated oracles). Informational — attacks never branch on
-	// it; CLIs and reports surface it so transcript goldens are
-	// attributable to a model.
-	Noise string
 }
 
 // Target is the minimal failure oracle shared by all attacks: full

@@ -11,7 +11,6 @@ import (
 	"repro/internal/groupbased"
 	"repro/internal/pairing"
 	"repro/internal/rng"
-	"repro/internal/silicon"
 )
 
 func seqPairDevice(t testing.TB, seed uint64) *device.SeqPairDevice {
@@ -177,7 +176,7 @@ func TestContextCancellationStopsAttack(t *testing.T) {
 
 // TestBatchTargetRecovers confirms the forked-noise oracle still drives
 // the attacks to full recovery (the statistics are unchanged even though
-// the noise streams differ from the serial transcript).
+// the forked noise differs from the serial transcript).
 func TestBatchTargetRecovers(t *testing.T) {
 	d := seqPairDevice(t, 31)
 	bt, err := NewBatchTarget(NewSeqPairTarget(d), 4, 7)
@@ -241,11 +240,11 @@ func benchName(workers int) string {
 	return "workers=numcpu"
 }
 
-// TestBatchTargetCounterSpec pins the counter-mode adapter surface the
-// batched backend exposes: the forked-oracle target reports the
-// device's noise model through Spec() and still drives the attack to
-// recovery. (Worker-count invariance under both noise models is pinned
-// per attack by TestTranscriptWorkerInvariance at the repository root.)
+// TestBatchTargetCounterSpec pins the adapter surface the batched
+// backend exposes: the forked-oracle target reports the wrapped
+// device's Spec() and still drives the attack to recovery.
+// (Worker-count invariance is pinned per attack by
+// TestTranscriptWorkerInvariance at the repository root.)
 func TestBatchTargetCounterSpec(t *testing.T) {
 	d, err := device.EnrollSeqPair(device.SeqPairParams{
 		Rows: 8, Cols: 16,
@@ -253,7 +252,6 @@ func TestBatchTargetCounterSpec(t *testing.T) {
 		Policy:       pairing.RandomizedStorage,
 		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
 		EnrollReps:   20,
-		Noise:        silicon.NoiseCounter,
 	}, rng.New(21), rng.New(22))
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +260,8 @@ func TestBatchTargetCounterSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := bt.Spec().Noise, "counter"; got != want {
-		t.Fatalf("spec noise = %q, want %q", got, want)
+	if got := bt.Spec(); got.Construction != "seqpair" || got.Code.N() != d.Code().N() {
+		t.Fatalf("batched spec = %+v, want the seqpair device's", got)
 	}
 	rep, err := Run(context.Background(), "seqpair", bt, Options{Dist: DefaultDistinguisher()})
 	if err != nil {

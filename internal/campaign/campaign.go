@@ -37,8 +37,9 @@ type Metrics map[string]float64
 // it free of experiment-domain dependencies.
 type Options struct {
 	// Noise names the silicon measurement-noise model attack-backed
-	// tasks should enroll their devices under ("stream" or "counter";
-	// empty = the task default, stream).
+	// tasks enroll their devices under. Single-valued: "" and "counter"
+	// both select the counter model, and attack-backed tasks reject any
+	// other value (the removed "stream" model included) before running.
 	Noise string
 	// Pool is the worker-confined reuse cache for expensive task state
 	// (enrolled devices, attack scratch). Run installs one per worker

@@ -58,8 +58,9 @@ type Spec struct {
 	// run whole shards, so effective parallelism is min(Workers,
 	// remaining shards).
 	Workers int `json:"workers,omitempty"`
-	// Noise names the silicon noise model for attack-backed tasks
-	// ("stream" or "counter"; empty = task default).
+	// Noise names the silicon noise model for attack-backed tasks.
+	// Single-valued: Submit persists "" as "counter", the only accepted
+	// model; "stream" (removed) and unknown names fail validation.
 	Noise string `json:"noise,omitempty"`
 	// ShardSize is the number of seeds per checkpointed shard
 	// (0 = the daemon default). Smaller shards checkpoint more often;
@@ -86,10 +87,8 @@ func (s Spec) Validate() error {
 	if s.ShardSize < 0 {
 		return fmt.Errorf("campaignd: shard_size must be >= 0 (got %d)", s.ShardSize)
 	}
-	if s.Noise != "" {
-		if _, err := silicon.ParseNoiseModel(s.Noise); err != nil {
-			return fmt.Errorf("campaignd: %w", err)
-		}
+	if err := silicon.CheckNoise(s.Noise); err != nil {
+		return fmt.Errorf("campaignd: %w", err)
 	}
 	return nil
 }

@@ -144,6 +144,22 @@ func TestHTTPRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
+// A spec naming the removed stream noise model gets a 400 whose error
+// says the model was removed, so an old client learns why.
+func TestHTTPRejectsRemovedStreamModel(t *testing.T) {
+	ts, _ := newTestServer(t, Options{})
+	resp := postJSON(t, ts.URL+"/v1/campaigns", `{"task": "campaignd-test-walk", "seeds": 4, "noise": "stream"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %s, want 400", resp.Status)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "stream noise model was removed") {
+		t.Fatalf("error payload %q (%v), want the removed-model reason", e.Error, err)
+	}
+}
+
 func TestHTTPUnknownJob(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	for _, probe := range []struct{ method, path string }{

@@ -17,6 +17,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/faultinject"
 	"repro/internal/rng"
+	"repro/internal/silicon"
 )
 
 // Options configures a Manager.
@@ -266,6 +267,9 @@ func (m *Manager) Submit(spec Spec) (JobStatus, error) {
 	if spec.ShardSize == 0 {
 		spec.ShardSize = m.opts.ShardSize
 	}
+	if spec.Noise == "" {
+		spec.Noise = silicon.NoiseCounter.String()
+	}
 	task, _ := campaign.Lookup(spec.Task)
 
 	if m.draining.Load() {
@@ -353,6 +357,13 @@ func (m *Manager) adopt(lj *loadedJob) error {
 		// Pre-normalization record; shard layout must match what the
 		// original run used, so refuse rather than guess.
 		return fmt.Errorf("campaignd: job %s has no shard size", lj.id)
+	}
+	if lj.spec.Noise == "" {
+		// Written before Submit normalized the noise model, when empty
+		// meant the removed stream model: resuming it under counter
+		// noise would finalize a mixed result, so refuse rather than
+		// guess.
+		return fmt.Errorf("campaignd: job %s has no noise model (written when empty meant the removed stream model)", lj.id)
 	}
 	task, _ := campaign.Lookup(lj.spec.Task)
 	j := m.newJob(lj.id, lj.created, lj.spec, task)

@@ -234,6 +234,7 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		{Task: "campaignd-test-walk", Seeds: 4, Workers: -1},
 		{Task: "campaignd-test-walk", Seeds: 4, ShardSize: -2},
 		{Task: "campaignd-test-walk", Seeds: 4, Noise: "quantum"},
+		{Task: "campaignd-test-walk", Seeds: 4, Noise: "stream"},
 	}
 	for i, spec := range bad {
 		if _, err := m.Submit(spec); err == nil {

@@ -3,9 +3,11 @@ package campaignd
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -375,4 +377,106 @@ func TestRecoverCompletedJob(t *testing.T) {
 	if jobs := m2.List(); len(jobs) != 1 {
 		t.Fatalf("junk files became jobs: %+v", jobs)
 	}
+}
+
+// noiseRewrittenCheckpoint leaves an unfinished job on disk whose spec
+// record names the given noise model: it runs a throttled job to its
+// first checkpointed shard, hard-stops the manager, and rewrites the
+// persisted model — "" drops the field, as in a record written before
+// Submit normalized it, when empty meant the removed stream model. It
+// returns the state directory and the job id.
+func noiseRewrittenCheckpoint(t *testing.T, noise string) (string, string) {
+	t.Helper()
+	dir := t.TempDir()
+	m1 := newTestManager(t, Options{StateDir: dir, ShardSize: 2, Throttle: 10 * time.Millisecond})
+	st, err := m1.Submit(Spec{Task: "campaignd-test-walk", BaseSeed: 5, Seeds: 20, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Spec.Noise != "counter" {
+		t.Fatalf("Submit kept noise %q, want it normalized to \"counter\"", st.Spec.Noise)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		cur, _ := m1.Get(st.ID, false)
+		if cur.ShardsDone >= 1 {
+			break
+		}
+		if cur.State != StateRunning || time.Now().After(deadline) {
+			t.Fatalf("job reached %s with %d shards before the kill", cur.State, cur.ShardsDone)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m1.Close()
+	if cur, _ := m1.Get(st.ID, false); cur.ShardsDone >= cur.ShardsTotal {
+		t.Fatal("job finished before the kill; nothing to resume")
+	}
+
+	path := filepath.Join(dir, st.ID+checkpointExt)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitN(string(blob), "\n", 2)
+	const persisted = `"noise":"counter",`
+	if !strings.Contains(lines[0], persisted) {
+		t.Fatalf("spec record %s does not persist the normalized noise model", lines[0])
+	}
+	repl := ""
+	if noise != "" {
+		repl = `"noise":"` + noise + `",`
+	}
+	lines[0] = strings.Replace(lines[0], persisted, repl, 1)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, st.ID
+}
+
+// recoverRefuses restarts a manager over dir and checks that job id was
+// refused — not installed, not resumed — with a logged reason
+// containing want.
+func recoverRefuses(t *testing.T, dir, id, want string) {
+	t.Helper()
+	var mu sync.Mutex
+	var logs []string
+	m, err := New(Options{StateDir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := m.Get(id, false); ok {
+		t.Fatalf("job %s was adopted (state %s); want it refused", id, st.State)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logs {
+		if strings.Contains(line, id) && strings.Contains(line, want) {
+			return
+		}
+	}
+	t.Fatalf("no log line for %s containing %q in %q", id, want, logs)
+}
+
+// An unfinished record without a noise model predates Submit's
+// normalization, so its shards ran under the removed stream model:
+// resuming it under counter noise would finalize a mixed result, so
+// Recover refuses it, like a record without a shard size.
+func TestRecoverRefusesLegacyEmptyNoise(t *testing.T) {
+	dir, id := noiseRewrittenCheckpoint(t, "")
+	recoverRefuses(t, dir, id, "has no noise model")
+}
+
+// A record naming the removed stream model is refused with a reason
+// saying so.
+func TestRecoverRefusesStreamModel(t *testing.T) {
+	dir, id := noiseRewrittenCheckpoint(t, "stream")
+	recoverRefuses(t, dir, id, "stream noise model was removed")
 }

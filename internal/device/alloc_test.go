@@ -7,7 +7,6 @@ import (
 	"repro/internal/groupbased"
 	"repro/internal/pairing"
 	"repro/internal/rng"
-	"repro/internal/silicon"
 	"repro/internal/tempco"
 )
 
@@ -34,23 +33,18 @@ func measureAppAllocs(t *testing.T, app func() bool) float64 {
 }
 
 func TestAppAllocationsSeqPair(t *testing.T) {
-	// The steady-state zero-allocation contract holds under BOTH noise
-	// models: stream (shared source) and counter (sweep-counter state).
-	for _, noise := range []silicon.NoiseModelKind{silicon.NoiseStream, silicon.NoiseCounter} {
-		d, err := EnrollSeqPair(SeqPairParams{
-			Rows: 8, Cols: 16,
-			ThresholdMHz: 0.8,
-			Policy:       pairing.RandomizedStorage,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-			EnrollReps:   20,
-			Noise:        noise,
-		}, rng.New(42), rng.New(43))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := measureAppAllocs(t, d.App); got > appAllocBudget {
-			t.Fatalf("SeqPairDevice.App (%v) allocates %.1f/op, budget %d", noise, got, appAllocBudget)
-		}
+	d, err := EnrollSeqPair(SeqPairParams{
+		Rows: 8, Cols: 16,
+		ThresholdMHz: 0.8,
+		Policy:       pairing.RandomizedStorage,
+		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
+		EnrollReps:   20,
+	}, rng.New(42), rng.New(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := measureAppAllocs(t, d.App); got > appAllocBudget {
+		t.Fatalf("SeqPairDevice.App allocates %.1f/op, budget %d", got, appAllocBudget)
 	}
 }
 
@@ -72,22 +66,19 @@ func TestAppAllocationsTempCo(t *testing.T) {
 }
 
 func TestAppAllocationsGroupBased(t *testing.T) {
-	for _, noise := range []silicon.NoiseModelKind{silicon.NoiseStream, silicon.NoiseCounter} {
-		d, err := EnrollGroupBased(groupbased.Params{
-			Rows: 4, Cols: 10,
-			Degree:       2,
-			ThresholdMHz: 0.5,
-			MaxGroupSize: 6,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
-			EnrollReps:   25,
-			Noise:        noise,
-		}, rng.New(42), rng.New(43))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := measureAppAllocs(t, d.App); got > appAllocBudget {
-			t.Fatalf("GroupBasedDevice.App (%v) allocates %.1f/op, budget %d", noise, got, appAllocBudget)
-		}
+	d, err := EnrollGroupBased(groupbased.Params{
+		Rows: 4, Cols: 10,
+		Degree:       2,
+		ThresholdMHz: 0.5,
+		MaxGroupSize: 6,
+		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
+		EnrollReps:   25,
+	}, rng.New(42), rng.New(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := measureAppAllocs(t, d.App); got > appAllocBudget {
+		t.Fatalf("GroupBasedDevice.App allocates %.1f/op, budget %d", got, appAllocBudget)
 	}
 }
 

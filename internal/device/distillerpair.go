@@ -54,9 +54,9 @@ type DistillerPairParams struct {
 	K          int
 	Code       ecc.Code
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
-	Noise silicon.NoiseModelKind
+	// Noise names the silicon measurement-noise model. Single-valued:
+	// the zero value silicon.NoiseCounter is the only accepted model.
+	Noise silicon.NoiseKind
 }
 
 // DistillerPairHelperNVM is the complete helper NVM of the construction:
@@ -83,7 +83,7 @@ type DistillerPairDevice struct {
 	src      *rng.Source
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
-	noise   silicon.NoiseModel
+	noise   *silicon.Noise
 	scratch distillerScratch
 }
 
@@ -100,8 +100,8 @@ type distillerScratch struct {
 	selBuf      []pairing.Pair
 	selErr      error
 	// idxs lists, ascending, the oscillators the resolved pair list
-	// references — the sparse measurement set (O(k) noise draws under
-	// the counter model). Empty while the masking selection is invalid.
+	// references — the sparse measurement set (O(k) noise draws). Empty
+	// while the masking selection is invalid.
 	idxs []int
 	want []bool
 	// bases caches the noise-free frequency vector per environment.
@@ -210,7 +210,7 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	arr := prevArr.Remanufactured(cfg, srcMfg)
 	env := arr.Config().NominalEnv()
 	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveragedWith(env, noise, p.EnrollReps)
+	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), env, noise, p.EnrollReps)
 	poly, err := distiller.Fit(p.Rows, p.Cols, f, p.Degree)
 	if err != nil {
 		return nil, err
@@ -342,8 +342,6 @@ func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d
 
 // reconstructScratch regenerates the key into the scratch buffers: on
 // success the first respLen bits of d.scratch.recovered hold the key.
-// Bit-identical — outcomes and noise-stream consumption — to the
-// allocating reconstruction it replaced.
 func (d *DistillerPairDevice) reconstructScratch() (respLen int, err error) {
 	sc := &d.scratch
 	if !sc.helperValid {
@@ -370,8 +368,7 @@ func (d *DistillerPairDevice) reconstructScratch() (respLen int, err error) {
 }
 
 // App reconstructs and compares against the bound key, running in the
-// device's scratch buffers (see SeqPairDevice.App for the determinism
-// contract).
+// device's scratch buffers.
 func (d *DistillerPairDevice) App() bool {
 	d.addQuery()
 	n, err := d.reconstructScratch()
@@ -382,7 +379,7 @@ func (d *DistillerPairDevice) App() bool {
 func (d *DistillerPairDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
 
 // Fork returns an independent oracle clone with its own helper NVM copy,
-// key binding, query counter, and noise stream seeded by seed (see
+// key binding, query counter, and noise keyed from seed (see
 // SeqPairDevice.Fork).
 func (d *DistillerPairDevice) Fork(seed uint64) *DistillerPairDevice {
 	f := &DistillerPairDevice{
@@ -398,10 +395,6 @@ func (d *DistillerPairDevice) Fork(seed uint64) *DistillerPairDevice {
 	f.env = d.env
 	return f
 }
-
-// NoiseModel reports the silicon noise model the oracle runs under
-// (public device specification).
-func (d *DistillerPairDevice) NoiseModel() silicon.NoiseModelKind { return d.params.Noise }
 
 // Params exposes the public device specification.
 func (d *DistillerPairDevice) Params() DistillerPairParams { return d.params }

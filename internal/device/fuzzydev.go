@@ -24,7 +24,7 @@ type FuzzyDevice struct {
 	key    []byte
 	src    *rng.Source
 	// noise is the per-oracle measurement-noise state.
-	noise silicon.NoiseModel
+	noise *silicon.Noise
 }
 
 // FuzzyParams configures a fuzzy-extractor device.
@@ -32,9 +32,6 @@ type FuzzyParams struct {
 	Rows, Cols int
 	Extractor  fuzzy.Params
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
-	Noise silicon.NoiseModelKind
 }
 
 // EnrollFuzzy manufactures and enrolls a device.
@@ -42,13 +39,11 @@ func EnrollFuzzy(p FuzzyParams, srcMfg, srcRun *rng.Source) (*FuzzyDevice, error
 	if p.EnrollReps < 1 {
 		return nil, fmt.Errorf("device: enrollment reps %d < 1", p.EnrollReps)
 	}
-	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
-	cfg.Noise = p.Noise
-	arr := silicon.NewArray(cfg, srcMfg)
+	arr := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), srcMfg)
 	env := arr.Config().NominalEnv()
 	pairs := pairing.ChainPairs(p.Rows, p.Cols, false)
 	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveragedWith(env, noise, p.EnrollReps)
+	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), env, noise, p.EnrollReps)
 	resp := pairing.Responses(f, pairs)
 	h, key, err := fuzzy.Enroll(resp, p.Extractor, srcRun)
 	if err != nil {
@@ -83,7 +78,7 @@ func (d *FuzzyDevice) WriteHelper(h fuzzy.Helper) error {
 // App reconstructs and compares against the enrolled key.
 func (d *FuzzyDevice) App() bool {
 	d.addQuery()
-	f := d.arr.MeasureAllWith(d.env, d.noise)
+	f := d.arr.MeasureIntoWith(make([]float64, d.arr.N()), d.env, d.noise)
 	resp := pairing.Responses(f, d.pairs)
 	got, err := fuzzy.Reconstruct(resp, d.params.Extractor, d.nvm)
 	return err == nil && bytes.Equal(got, d.key)

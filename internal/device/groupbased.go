@@ -35,7 +35,7 @@ type GroupBasedDevice struct {
 	src      *rng.Source
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
-	noise silicon.NoiseModel
+	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see
 	// groupbased.Scratch); per-device, not concurrency-safe — Fork
 	// clones the device so each concurrent arm owns its own.
@@ -60,7 +60,7 @@ func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, 
 	}
 	arr := prevArr.Remanufactured(cfg, srcMfg)
 	noise := arr.NewNoise(srcRun)
-	h, key, err := groupbased.EnrollWith(arr, p, srcRun, noise)
+	h, key, err := groupbased.Enroll(arr, p, srcRun, noise)
 	if err != nil {
 		return nil, err
 	}
@@ -124,14 +124,14 @@ func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
 
 // ReprovisionKey re-binds the application to whatever key the CURRENT
 // helper reconstructs, exactly as a helper write does: one fresh
-// reconstruction, consuming one measurement's noise from the device
-// stream; a failure leaves the binding unusable (zero-length), so every
+// reconstruction, consuming one measurement sweep of the device's
+// noise; a failure leaves the binding unusable (zero-length), so every
 // App fails until a working helper is written — observable either way.
 // Adapters re-installing an identical helper image call this directly to
-// keep the write's observable side effects (binding and noise-stream
-// consumption) without re-parsing the image.
+// keep the write's observable side effects (binding and the noise
+// sweep) without re-parsing the image.
 func (d *GroupBasedDevice) ReprovisionKey() {
-	if key, err := groupbased.ReconstructWith(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch); err == nil {
+	if key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch); err == nil {
 		d.bound = setBound(&d.boundBuf, key)
 	} else {
 		d.bound = bitvec.Vector{}
@@ -145,10 +145,10 @@ func (d *GroupBasedDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d.bo
 
 // App reconstructs with the current helper and compares against the
 // currently bound application key, running in the device's scratch
-// buffers (see SeqPairDevice.App for the determinism contract).
+// buffers.
 func (d *GroupBasedDevice) App() bool {
 	d.addQuery()
-	got, err := groupbased.ReconstructWith(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
+	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
 	return err == nil && d.bound.Len() > 0 && keysEqual(got, d.bound)
 }
 
@@ -156,7 +156,7 @@ func (d *GroupBasedDevice) App() bool {
 // original enrollment key.
 func (d *GroupBasedDevice) AppOriginal() bool {
 	d.addQuery()
-	got, err := groupbased.ReconstructWith(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
+	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
 	return err == nil && keysEqual(got, d.enrolled)
 }
 
@@ -164,7 +164,7 @@ func (d *GroupBasedDevice) AppOriginal() bool {
 func (d *GroupBasedDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
 
 // Fork returns an independent oracle clone with its own helper NVM copy,
-// key binding, query counter, and noise stream seeded by seed (see
+// key binding, query counter, and noise keyed from seed (see
 // SeqPairDevice.Fork).
 func (d *GroupBasedDevice) Fork(seed uint64) *GroupBasedDevice {
 	f := &GroupBasedDevice{
@@ -179,10 +179,6 @@ func (d *GroupBasedDevice) Fork(seed uint64) *GroupBasedDevice {
 	f.env = d.env
 	return f
 }
-
-// NoiseModel reports the silicon noise model the oracle runs under
-// (public device specification).
-func (d *GroupBasedDevice) NoiseModel() silicon.NoiseModelKind { return d.params.Noise }
 
 // Params exposes the public device specification.
 func (d *GroupBasedDevice) Params() groupbased.Params { return d.params }

@@ -103,39 +103,37 @@ func TestForkDeterminism(t *testing.T) {
 }
 
 // TestForkQueryIsolationBothNoiseModels pins the fork contract under
-// each silicon noise model: a fork's queries succeed at a healthy
-// enrollment, accrue on the fork's own counter, and never leak into the
-// parent's — the invariant attack.BatchTarget's accounting relies on.
+// the silicon noise model (the counter model, now the only one): a
+// fork's queries succeed at a healthy enrollment, accrue on the fork's
+// own counter, and never leak into the parent's — the invariant
+// attack.BatchTarget's accounting relies on.
 func TestForkQueryIsolationBothNoiseModels(t *testing.T) {
-	for _, noise := range []silicon.NoiseModelKind{silicon.NoiseStream, silicon.NoiseCounter} {
-		t.Run(noise.String(), func(t *testing.T) {
-			d, err := EnrollSeqPair(SeqPairParams{
-				Rows: 8, Cols: 16,
-				ThresholdMHz: 0.8,
-				Policy:       pairing.RandomizedStorage,
-				Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
-				EnrollReps:   20,
-				Noise:        noise,
-			}, rng.New(42), rng.New(43))
-			if err != nil {
-				t.Fatal(err)
+	t.Run(silicon.NoiseCounter.String(), func(t *testing.T) {
+		d, err := EnrollSeqPair(SeqPairParams{
+			Rows: 8, Cols: 16,
+			ThresholdMHz: 0.8,
+			Policy:       pairing.RandomizedStorage,
+			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
+			EnrollReps:   20,
+		}, rng.New(42), rng.New(43))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := d.Fork(777)
+		ok := 0
+		for i := 0; i < 32; i++ {
+			if f.App() {
+				ok++
 			}
-			f := d.Fork(777)
-			ok := 0
-			for i := 0; i < 32; i++ {
-				if f.App() {
-					ok++
-				}
-			}
-			if ok < 30 {
-				t.Fatalf("forked device unhealthy: %d/32 reconstructions", ok)
-			}
-			if f.Queries() != 32 {
-				t.Fatalf("fork counted %d queries, want 32", f.Queries())
-			}
-			if d.Queries() != 0 {
-				t.Fatalf("fork queries leaked into parent: %d", d.Queries())
-			}
-		})
-	}
+		}
+		if ok < 30 {
+			t.Fatalf("forked device unhealthy: %d/32 reconstructions", ok)
+		}
+		if f.Queries() != 32 {
+			t.Fatalf("fork counted %d queries, want 32", f.Queries())
+		}
+		if d.Queries() != 0 {
+			t.Fatalf("fork queries leaked into parent: %d", d.Queries())
+		}
+	})
 }

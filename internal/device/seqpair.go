@@ -17,9 +17,9 @@ type SeqPairParams struct {
 	Policy       pairing.StoragePolicy
 	Code         ecc.Code
 	EnrollReps   int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
-	Noise silicon.NoiseModelKind
+	// Noise names the silicon measurement-noise model. Single-valued:
+	// the zero value silicon.NoiseCounter is the only accepted model.
+	Noise silicon.NoiseKind
 }
 
 // SeqPairHelperNVM is the construction's complete helper NVM content.
@@ -36,9 +36,9 @@ type SeqPairDevice struct {
 	nvm    SeqPairHelperNVM
 	key    bitvec.Vector // enrolled key (secret, drives the observable)
 	src    *rng.Source
-	// noise is the per-oracle measurement-noise state (stream source or
-	// counter-mode sweep counter); Fork builds a fresh one per clone.
-	noise   silicon.NoiseModel
+	// noise is the per-oracle measurement-noise state (the counter-mode
+	// sweep counter); Fork builds a fresh one per clone.
+	noise   *silicon.Noise
 	scratch seqPairScratch
 }
 
@@ -128,7 +128,7 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 	arr := prevArr.Remanufactured(cfg, srcMfg)
 	env := arr.Config().NominalEnv()
 	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveragedWith(env, noise, p.EnrollReps)
+	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), env, noise, p.EnrollReps)
 	helper := pairing.EnrollSeqPair(f, p.ThresholdMHz, p.Policy, srcRun)
 	if len(helper.Pairs) == 0 {
 		return nil, fmt.Errorf("device: enrollment selected no pairs (threshold %v too high)", p.ThresholdMHz)
@@ -204,8 +204,7 @@ func (d *SeqPairDevice) Code() ecc.Code { return d.params.Code }
 // compares it with the enrolled reference. The reconstruction runs
 // entirely in the device's scratch buffers (sparse measurement of the
 // helper-referenced oscillators, decode-into ECC), allocation-free in
-// steady state and bit-identical — keys, outcomes and noise-stream
-// consumption — to the allocating path it replaced.
+// steady state.
 func (d *SeqPairDevice) App() bool {
 	d.addQuery()
 	sc := &d.scratch
@@ -237,10 +236,9 @@ func (d *SeqPairDevice) App() bool {
 func (d *SeqPairDevice) TrueKey() bitvec.Vector { return d.key.Clone() }
 
 // Fork returns an independent oracle clone: same silicon and enrollment,
-// its own helper NVM copy and query counter, and measurement noise drawn
-// from a fresh stream seeded by seed. Batched attack backends fork one
-// clone per hypothesis arm so concurrent queries neither race nor
-// entangle their noise streams.
+// its own helper NVM copy and query counter, and measurement noise keyed
+// from seed. Batched attack backends fork one clone per hypothesis arm
+// so concurrent queries neither race nor share noise.
 func (d *SeqPairDevice) Fork(seed uint64) *SeqPairDevice {
 	f := &SeqPairDevice{
 		arr:    d.arr,
@@ -253,10 +251,6 @@ func (d *SeqPairDevice) Fork(seed uint64) *SeqPairDevice {
 	f.env = d.env
 	return f
 }
-
-// NoiseModel reports the silicon noise model the oracle runs under
-// (public device specification).
-func (d *SeqPairDevice) NoiseModel() silicon.NoiseModelKind { return d.params.Noise }
 
 func padToBlocks(resp bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
 	n := code.N()

@@ -19,7 +19,7 @@ type TempCoDevice struct {
 	src    *rng.Source
 	// noise is the per-oracle measurement-noise state; Fork builds a
 	// fresh one per clone.
-	noise silicon.NoiseModel
+	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see tempco.Scratch);
 	// per-device, not concurrency-safe — Fork clones the device so each
 	// concurrent arm owns its own.
@@ -48,7 +48,7 @@ func EnrollTempCoReuse(prev *TempCoDevice, p tempco.Params, srcMfg, srcRun *rng.
 	}
 	arr := prevArr.Remanufactured(cfg, srcMfg)
 	noise := arr.NewNoise(srcRun)
-	h, key, err := tempco.EnrollWith(arr, p, srcRun, noise)
+	h, key, err := tempco.Enroll(arr, p, srcRun, noise)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func (d *TempCoDevice) WriteHelper(h tempco.Helper) error {
 // SeqPairDevice.App for the determinism contract).
 func (d *TempCoDevice) App() bool {
 	d.addQuery()
-	got, err := tempco.ReconstructWith(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
+	got, err := tempco.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
 	return err == nil && keysEqual(got, d.key)
 }
 
@@ -112,7 +112,7 @@ func (d *TempCoDevice) App() bool {
 func (d *TempCoDevice) TrueKey() bitvec.Vector { return d.key.Clone() }
 
 // Fork returns an independent oracle clone with its own helper NVM copy,
-// query counter, and noise stream seeded by seed (see SeqPairDevice.Fork).
+// query counter, and noise keyed from seed (see SeqPairDevice.Fork).
 func (d *TempCoDevice) Fork(seed uint64) *TempCoDevice {
 	f := &TempCoDevice{
 		arr:    d.arr,
@@ -125,10 +125,6 @@ func (d *TempCoDevice) Fork(seed uint64) *TempCoDevice {
 	f.env = d.env
 	return f
 }
-
-// NoiseModel reports the silicon noise model the oracle runs under
-// (public device specification).
-func (d *TempCoDevice) NoiseModel() silicon.NoiseModelKind { return d.params.Noise }
 
 // Params exposes the public device specification.
 func (d *TempCoDevice) Params() tempco.Params { return d.params }

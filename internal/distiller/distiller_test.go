@@ -123,7 +123,7 @@ func TestDistillerRemovesSystematicVariation(t *testing.T) {
 	cfg.GradientYMHz = 4
 	cfg.BowlMHz = 3
 	a := silicon.NewArray(cfg, rng.New(7))
-	f := a.MeasureAveraged(cfg.NominalEnv(), rng.New(8), 9)
+	f := a.MeasureAveragedInto(make([]float64, a.N()), make([]float64, 2*a.N()), cfg.NominalEnv(), a.NewNoise(rng.New(8)), 9)
 
 	fit, err := Fit(cfg.Rows, cfg.Cols, f, 2)
 	if err != nil {
@@ -256,7 +256,7 @@ func TestVariance(t *testing.T) {
 func BenchmarkFit16x32Degree3(b *testing.B) {
 	cfg := silicon.DefaultConfig(16, 32)
 	a := silicon.NewArray(cfg, rng.New(1))
-	f := a.MeasureAll(cfg.NominalEnv(), rng.New(2))
+	f := a.MeasureIntoWith(make([]float64, a.N()), cfg.NominalEnv(), a.NewNoise(rng.New(2)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Fit(16, 32, f, 3); err != nil {

@@ -53,6 +53,13 @@ func TableI() []TableIRow {
 	return rows
 }
 
+// measureAveraged is the experiments' enrollment-time averaging: reps
+// dense sweeps under noise keyed from src's next draw.
+func measureAveraged(arr *silicon.Array, env silicon.Environment, src *rng.Source, reps int) []float64 {
+	n := arr.N()
+	return arr.MeasureAveragedInto(make([]float64, n), make([]float64, 2*n), env, arr.NewNoise(src), reps)
+}
+
 // ---------------------------------------------------------------- E2 --
 
 // Fig2Result is the variance decomposition of the frequency topology.
@@ -74,7 +81,7 @@ func Fig2(seed uint64) (Fig2Result, error) {
 	cfg.BowlMHz = 3
 	arr := silicon.NewArray(cfg, rng.New(seed))
 	src := rng.New(seed + 1)
-	f := arr.MeasureAveraged(cfg.NominalEnv(), src, 9)
+	f := measureAveraged(arr, cfg.NominalEnv(), src, 9)
 	fit, err := distiller.Fit(cfg.Rows, cfg.Cols, f, 2)
 	if err != nil {
 		return Fig2Result{}, err
@@ -120,7 +127,8 @@ func Fig3(seed uint64, thresholds []float64) ([]Fig3Row, error) {
 		cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 		cfg.TempCoefSigmaMHzPerC = 0.03
 		arr := silicon.NewArray(cfg, rng.New(seed))
-		h, _, err := tempco.Enroll(arr, p, rng.New(seed+1))
+		src := rng.New(seed + 1)
+		h, _, err := tempco.Enroll(arr, p, src, arr.NewNoise(src))
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +182,7 @@ func Fig5(seed uint64, samples int) (Fig5Result, error) {
 	cfg.NoiseSigmaMHz = 1.2
 	arr := silicon.NewArray(cfg, srcMfg)
 	env := cfg.NominalEnv()
-	f := arr.MeasureAveraged(env, srcRun, p.EnrollReps)
+	f := measureAveraged(arr, env, srcRun, p.EnrollReps)
 	helper := pairing.EnrollSeqPair(f, p.ThresholdMHz, p.Policy, srcRun)
 	enrolled := pairing.Responses(f, helper.Pairs)
 	m := len(helper.Pairs)
@@ -203,9 +211,10 @@ func Fig5(seed uint64, samples int) (Fig5Result, error) {
 		}
 	}
 
-	noisier := rng.New(seed + 2)
+	noisier := arr.NewNoise(rng.New(seed + 2))
+	fNow := make([]float64, arr.N())
 	countErrors := func(pairsList []pairing.Pair, inverted []int) int {
-		fNow := arr.MeasureAll(env, noisier)
+		arr.MeasureIntoWith(fNow, env, noisier)
 		resp := pairing.Responses(fNow, pairsList)
 		for _, pos := range inverted {
 			resp.Flip(pos)
@@ -243,9 +252,9 @@ func Fig5(seed uint64, samples int) (Fig5Result, error) {
 // ----------------------------------------------------------- E5–E10 --
 
 // RunAttack is the single attack entry point of the experiments layer:
-// it executes one transcript Spec (attack × seed × noise model ×
-// options) through the attack registry against a freshly enrolled
-// reference device and returns its canonical Transcript. Every
+// it executes one transcript Spec (attack × seed × options) through
+// the attack registry against a freshly enrolled reference device and
+// returns its canonical Transcript. Every
 // attack-backed experiment — campaign tasks, benchmarks, goldens,
 // cmd/puf-bench — goes through this one function; the per-attack
 // Run*Attack/Run*AttackNoise wrappers it replaces are gone.
@@ -285,7 +294,7 @@ func EntropyAccounting(seed uint64, thresholds []float64) []EntropyRow {
 	cfg := silicon.DefaultConfig(8, 16)
 	arr := silicon.NewArray(cfg, rng.New(seed))
 	src := rng.New(seed + 1)
-	f := arr.MeasureAveraged(cfg.NominalEnv(), src, 9)
+	f := measureAveraged(arr, cfg.NominalEnv(), src, 9)
 	poly, err := distiller.Fit(cfg.Rows, cfg.Cols, f, 2)
 	if err != nil {
 		return nil
@@ -458,7 +467,7 @@ func AblationStoragePolicyWorkers(ctx context.Context, seed uint64, devices, wor
 		s := seed + uint64(i)*7
 		arr := silicon.NewArray(silicon.DefaultConfig(8, 16), rng.New(s))
 		src := rng.New(s + 1)
-		f := arr.MeasureAveraged(arr.Config().NominalEnv(), src, 9)
+		f := measureAveraged(arr, arr.Config().NominalEnv(), src, 9)
 		hs := pairing.EnrollSeqPair(f, 0.8, pairing.SortedStorage, src)
 		hr := pairing.EnrollSeqPair(f, 0.8, pairing.RandomizedStorage, src)
 		rs := pairing.Responses(f, hs.Pairs)
@@ -619,18 +628,17 @@ type seedAttackOutcome struct {
 }
 
 // attackAllOnSeed runs every attack against devices manufactured from
-// one seed under the given noise model. It is a pure function of
-// (seed, noise) and therefore safe to evaluate from any worker in any
-// order; the pool (nil OK) only recycles enrollment scratch and never
-// changes the outcome. One seed touches five distinct enrollment
-// fingerprints, so a shared worker pool holds five slots.
-func attackAllOnSeed(ctx context.Context, s uint64, noise silicon.NoiseModelKind, pool *campaign.Pool) (seedAttackOutcome, error) {
+// one seed. It is a pure function of the seed and therefore safe to
+// evaluate from any worker in any order; the pool (nil OK) only
+// recycles enrollment scratch and never changes the outcome. One seed
+// touches five distinct enrollment fingerprints, so a shared worker
+// pool holds five slots.
+func attackAllOnSeed(ctx context.Context, s uint64, pool *campaign.Pool) (seedAttackOutcome, error) {
 	var o seedAttackOutcome
 	run := func(name string) (transcript.Transcript, error) {
 		tr, err := RunAttackPooled(ctx, transcript.Spec{
 			Attack:    name,
 			Seed:      s,
-			Noise:     noise.String(),
 			Expurgate: name == "seqpair",
 		}, pool)
 		if err != nil {
@@ -675,20 +683,13 @@ func MeasureAttackSuccess(base uint64, seeds int) (AttackSuccessRates, error) {
 }
 
 // MeasureAttackSuccessWorkers is MeasureAttackSuccess with an explicit
-// worker-pool bound (0 = GOMAXPROCS) and campaign cancellation, under
-// the legacy stream noise model.
+// worker-pool bound (0 = GOMAXPROCS) and campaign cancellation.
 func MeasureAttackSuccessWorkers(ctx context.Context, base uint64, seeds, workers int) (AttackSuccessRates, error) {
-	return MeasureAttackSuccessNoise(ctx, base, seeds, workers, silicon.NoiseStream)
-}
-
-// MeasureAttackSuccessNoise is MeasureAttackSuccessWorkers under an
-// explicit silicon noise model.
-func MeasureAttackSuccessNoise(ctx context.Context, base uint64, seeds, workers int, noise silicon.NoiseModelKind) (AttackSuccessRates, error) {
 	var r AttackSuccessRates
 	r.Seeds = seeds
 	outcomes := make([]seedAttackOutcome, seeds)
 	err := campaign.ForEach(ctx, seeds, workers, func(taskCtx context.Context, i int) error {
-		o, err := attackAllOnSeed(taskCtx, base+uint64(i)*101, noise, nil)
+		o, err := attackAllOnSeed(taskCtx, base+uint64(i)*101, nil)
 		if err != nil {
 			return err
 		}

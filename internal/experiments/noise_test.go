@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/silicon"
 )
 
 // TestCampaignNoiseOptionThreads runs an attack-backed campaign task
-// under the counter noise model and checks (a) the option actually
-// changes the transcripts relative to the stream default, and (b) the
-// counter-mode campaign stays bit-identical across worker counts — the
+// under the noise option and checks (a) the single-valued option's two
+// spellings, "" and "counter", give identical outcomes, and (b) the
+// campaign stays bit-identical across worker counts — the
 // "embarrassingly parallel per-query noise" property the counter
 // contract promises.
 func TestCampaignNoiseOptionThreads(t *testing.T) {
@@ -28,38 +27,40 @@ func TestCampaignNoiseOptionThreads(t *testing.T) {
 		return res
 	}
 	counterSerial := run("counter", 1)
-	counterPool := run("counter", 4)
-	if !reflect.DeepEqual(counterSerial.Outcomes, counterPool.Outcomes) {
+	if !reflect.DeepEqual(counterSerial.Outcomes, run("counter", 4).Outcomes) {
 		t.Fatal("counter-mode campaign diverges across worker counts")
 	}
-	stream := run("stream", 1)
-	same := true
-	for i := range stream.Outcomes {
-		if stream.Outcomes[i].Metrics["oracle-queries"] != counterSerial.Outcomes[i].Metrics["oracle-queries"] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("counter option did not change any transcript; option likely not threaded")
+	if !reflect.DeepEqual(counterSerial.Outcomes, run("", 1).Outcomes) {
+		t.Fatal("empty noise option does not run the counter model")
 	}
 }
 
-// TestCampaignNoiseOptionRejectsUnknown pins the error path for a typo'd
-// model name.
+// TestCampaignNoiseOptionRejectsUnknown pins the error paths of the
+// noise option on every attack-backed task: a typo'd model name, and
+// the removed stream model — refused before any device is enrolled, so
+// an old spec cannot silently run under different noise.
 func TestCampaignNoiseOptionRejectsUnknown(t *testing.T) {
-	_, err := campaign.Run(context.Background(), campaign.Spec{
-		Task: "seqpair-attack", BaseSeed: 1, Seeds: 1,
-		Options: campaign.Options{Noise: "quantum"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "unknown noise model") {
-		t.Fatalf("err = %v, want unknown noise model", err)
+	tasks := []string{"attack-success", "seqpair-attack", "tempco-attack", "groupbased-attack", "masking-attack", "chain-attack"}
+	for _, task := range tasks {
+		for noise, want := range map[string]string{
+			"quantum": "unknown noise model",
+			"stream":  "stream noise model was removed",
+		} {
+			_, err := campaign.Run(context.Background(), campaign.Spec{
+				Task: task, BaseSeed: 1, Seeds: 1,
+				Options: campaign.Options{Noise: noise},
+			})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s noise=%q: err = %v, want %q", task, noise, err, want)
+			}
+		}
 	}
 }
 
 // TestRunAttacksCounterRecover is the end-to-end counter-mode soundness
 // check across all five attacks on one device population.
 func TestRunAttacksCounterRecover(t *testing.T) {
-	o, err := attackAllOnSeed(context.Background(), 3, silicon.NoiseCounter, nil)
+	o, err := attackAllOnSeed(context.Background(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
@@ -40,31 +39,5 @@ func TestPooledCampaignMatchesFreshAttacks(t *testing.T) {
 		if got, want := out.Metrics["key-bits"], float64(fresh.EnrolledKeyBits); got != want {
 			t.Fatalf("seed %d: pooled key-bits=%v fresh=%v", seed, got, want)
 		}
-	}
-}
-
-// TestFleetSweepTaskWorkerInvariance runs the fleet-sweep task across
-// worker counts: per-seed fleets are pure functions of the seed, and the
-// pooled scratch matrix must not leak state between instances.
-func TestFleetSweepTaskWorkerInvariance(t *testing.T) {
-	run := func(workers int) []campaign.Outcome {
-		res, err := campaign.Run(context.Background(), campaign.Spec{
-			Task: "fleet-sweep", BaseSeed: 11, Seeds: 6, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Outcomes
-	}
-	serial := run(1)
-	if !reflect.DeepEqual(serial, run(4)) {
-		t.Fatal("fleet-sweep outcomes diverge across worker counts")
-	}
-	m := serial[0].Metrics
-	if m["devices"] != 64 || m["sweeps"] != 9 {
-		t.Fatalf("fleet-sweep shape metrics off: %+v", m)
-	}
-	if m["device-spread-MHz"] <= 0 {
-		t.Fatalf("fleet-sweep reports no process variation: %+v", m)
 	}
 }

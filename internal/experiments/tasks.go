@@ -10,22 +10,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/campaign"
-	"repro/internal/rng"
 	"repro/internal/silicon"
 	"repro/internal/transcript"
 )
-
-// taskNoise resolves the campaign-wide noise-model option for the
-// attack-backed tasks; empty means the legacy stream model.
-func taskNoise(opt campaign.Options) (silicon.NoiseModelKind, error) {
-	if opt.Noise == "" {
-		return silicon.NoiseStream, nil
-	}
-	return silicon.ParseNoiseModel(opt.Noise)
-}
 
 func init() {
 	campaign.Register(campaign.Task{
@@ -275,11 +264,13 @@ func init() {
 			"masking-recovered", "chain-recovered",
 		},
 		Run: func(ctx context.Context, seed uint64, opt campaign.Options) (campaign.Metrics, error) {
-			noise, err := taskNoise(opt)
-			if err != nil {
+			// The per-attack tasks validate opt.Noise through their
+			// transcript spec; this one runs canonical specs, so check
+			// the option before enrolling anything.
+			if err := silicon.CheckNoise(opt.Noise); err != nil {
 				return nil, err
 			}
-			o, err := attackAllOnSeed(ctx, seed, noise, opt.Pool)
+			o, err := attackAllOnSeed(ctx, seed, opt.Pool)
 			if err != nil {
 				return nil, err
 			}
@@ -293,62 +284,6 @@ func init() {
 				m["tempco-relation-accuracy"] = float64(o.relRight) / float64(o.relFound)
 			}
 			return m, nil
-		},
-	})
-
-	campaign.Register(campaign.Task{
-		Name: "fleet-sweep", Desc: "SoA fleet measurement: 64 counter-noise devices, interleaved env sweeps",
-		Run: func(_ context.Context, seed uint64, opt campaign.Options) (campaign.Metrics, error) {
-			const devices, sweeps = 64, 8
-			cfg := silicon.DefaultConfig(8, 16)
-			cfg.Noise = silicon.NoiseCounter
-			seeds := make([]uint64, devices)
-			for d := range seeds {
-				seeds[d] = rng.StreamSeed(seed, uint64(d))
-			}
-			fleet := silicon.NewFleet(cfg, seeds)
-			// The measurement matrix is seed-independent scratch; reuse it
-			// across the worker's task instances when a pool is installed.
-			rows := devices * fleet.NumOsc()
-			dst, _ := opt.Pool.Get("fleet-sweep:scratch", func() any {
-				return make([]float64, rows)
-			}).([]float64)
-			if len(dst) != rows {
-				dst = make([]float64, rows)
-			}
-			envs := [2]silicon.Environment{cfg.NominalEnv(), {TempC: 80, VoltageV: 1.1}}
-			var sum [2]float64
-			for s := 0; s < sweeps; s++ {
-				fleet.MeasureFleetInto(dst, envs[s%2])
-				for _, f := range dst {
-					sum[s%2] += f
-				}
-			}
-			perEnv := float64(sweeps / 2 * rows)
-			meanNom := sum[0] / perEnv
-			meanHot := sum[1] / perEnv
-			// Device-to-device spread of per-device means on one final
-			// nominal sweep — the fleet-level process-variation figure.
-			fleet.MeasureFleetInto(dst, envs[0])
-			n := fleet.NumOsc()
-			var acc, acc2 float64
-			for d := 0; d < devices; d++ {
-				var dm float64
-				for _, f := range dst[d*n : (d+1)*n] {
-					dm += f
-				}
-				dm /= float64(n)
-				acc += dm
-				acc2 += dm * dm
-			}
-			mean := acc / devices
-			return campaign.Metrics{
-				"devices":           devices,
-				"sweeps":            float64(fleet.Sweep()),
-				"mean-MHz":          meanNom,
-				"hot-shift-MHz":     meanHot - meanNom,
-				"device-spread-MHz": math.Sqrt(acc2/devices - mean*mean),
-			}, nil
 		},
 	})
 }

@@ -14,6 +14,18 @@ import (
 	"repro/internal/silicon"
 )
 
+// enroll runs Enroll the way the devices do: the noise key is src's
+// first draw, and src then drives the enrollment randomness.
+func enroll(a *silicon.Array, p Params, src *rng.Source) (Helper, bitvec.Vector, error) {
+	return Enroll(a, p, src, a.NewNoise(src))
+}
+
+// reconstruct runs one Reconstruct against fresh scratch, so each call
+// revalidates h exactly as a device does after a helper write.
+func reconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environment, nm *silicon.Noise) (bitvec.Vector, error) {
+	return Reconstruct(a, p, &h, env, nm, new(Scratch))
+}
+
 func TestGroupRespectsThreshold(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -182,7 +194,7 @@ func testParams() Params {
 func TestEnrollReconstructRoundTrip(t *testing.T) {
 	p := testParams()
 	a := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(100))
-	h, key, err := Enroll(a, p, rng.New(101))
+	h, key, err := enroll(a, p, rng.New(101))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +203,9 @@ func TestEnrollReconstructRoundTrip(t *testing.T) {
 	}
 	env := a.Config().NominalEnv()
 	okCount := 0
-	src := rng.New(102)
+	nm := a.NewNoise(rng.New(102))
 	for trial := 0; trial < 20; trial++ {
-		got, err := Reconstruct(a, p, h, env, src)
+		got, err := reconstruct(a, p, h, env, nm)
 		if err == nil && got.Equal(key) {
 			okCount++
 		}
@@ -208,15 +220,15 @@ func TestReconstructAcrossTemperature(t *testing.T) {
 	// alive under moderate temperature excursions.
 	p := testParams()
 	a := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(200))
-	h, key, err := Enroll(a, p, rng.New(201))
+	h, key, err := enroll(a, p, rng.New(201))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rng.New(202)
+	nm := a.NewNoise(rng.New(202))
 	ok := 0
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
-		got, err := Reconstruct(a, p, h, silicon.Environment{TempC: 32, VoltageV: 1.2}, src)
+		got, err := reconstruct(a, p, h, silicon.Environment{TempC: 32, VoltageV: 1.2}, nm)
 		if err == nil && got.Equal(key) {
 			ok++
 		}
@@ -229,22 +241,22 @@ func TestReconstructAcrossTemperature(t *testing.T) {
 func TestReconstructRejectsMalformedHelper(t *testing.T) {
 	p := testParams()
 	a := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(300))
-	h, _, err := Enroll(a, p, rng.New(301))
+	h, _, err := enroll(a, p, rng.New(301))
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := a.Config().NominalEnv()
-	src := rng.New(302)
+	nm := a.NewNoise(rng.New(302))
 
 	bad := h
 	bad.Grouping = Grouping{Assign: make([]int, 5)}
-	if _, err := Reconstruct(a, p, bad, env, src); err == nil {
+	if _, err := reconstruct(a, p, bad, env, nm); err == nil {
 		t.Error("wrong-size grouping must fail validation")
 	}
 
 	bad2 := h
 	bad2.Offset = bitvec.New(7) // not a block multiple
-	if _, err := Reconstruct(a, p, bad2, env, src); err == nil {
+	if _, err := reconstruct(a, p, bad2, env, nm); err == nil {
 		t.Error("bad offset length must fail validation")
 	}
 }
@@ -255,7 +267,7 @@ func TestManipulatedOffsetCausesObservableFailure(t *testing.T) {
 	// basic observable.
 	p := testParams()
 	a := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(400))
-	h, key, err := Enroll(a, p, rng.New(401))
+	h, key, err := enroll(a, p, rng.New(401))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +276,11 @@ func TestManipulatedOffsetCausesObservableFailure(t *testing.T) {
 	for i := 0; i < p.Code.T()+1; i++ {
 		manip.Offset.Flip(i)
 	}
-	src := rng.New(402)
+	nm := a.NewNoise(rng.New(402))
 	env := a.Config().NominalEnv()
 	failures := 0
 	for trial := 0; trial < 10; trial++ {
-		got, err := Reconstruct(a, p, manip, env, src)
+		got, err := reconstruct(a, p, manip, env, nm)
 		if err != nil || !got.Equal(key) {
 			failures++
 		}
@@ -285,7 +297,7 @@ func TestAttackerRepartitionReprogramsKey(t *testing.T) {
 	// attacker's key.
 	p := testParams()
 	a := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(500))
-	h, _, err := Enroll(a, p, rng.New(501))
+	h, _, err := enroll(a, p, rng.New(501))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +327,7 @@ func TestAttackerRepartitionReprogramsKey(t *testing.T) {
 	block := ecc.NewBlock(p.Code, blocks)
 	attack.Offset = ecc.EnrollOffset(block, padded, rng.New(502)).W
 
-	got, err := Reconstruct(a, p, attack, a.Config().NominalEnv(), rng.New(503))
+	got, err := reconstruct(a, p, attack, a.Config().NominalEnv(), a.NewNoise(rng.New(503)))
 	if err != nil {
 		t.Fatalf("attacker-programmed reconstruction failed: %v", err)
 	}
@@ -345,9 +357,10 @@ func BenchmarkEnroll8x16(b *testing.B) {
 	p := testParams()
 	a := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(1))
 	src := rng.New(2)
+	nm := a.NewNoise(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Enroll(a, p, src); err != nil {
+		if _, _, err := Enroll(a, p, src, nm); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,9 +29,9 @@ type Params struct {
 	Code ecc.Code
 	// EnrollReps is the measurement-averaging factor at enrollment.
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
-	Noise silicon.NoiseModelKind
+	// Noise names the silicon measurement-noise model. Single-valued:
+	// the zero value silicon.NoiseCounter is the only accepted model.
+	Noise silicon.NoiseKind
 }
 
 // Validate reports parameter errors.
@@ -191,21 +191,13 @@ func padToBlocks(stream bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
 }
 
 // Enroll manufactures the helper data and enrolled key of a device.
-// Randomness for the code-offset draw comes from src; measurement noise
-// follows the legacy sequential-stream model over the same source.
-func Enroll(a *silicon.Array, p Params, src *rng.Source) (Helper, bitvec.Vector, error) {
-	return EnrollWith(a, p, src, silicon.StreamNoise(src))
-}
-
-// EnrollWith is Enroll with the measurement noise drawn from an
-// explicit noise model; src still drives the code-offset draw. Under
-// silicon.StreamNoise(src) it is bit-identical to Enroll.
-func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseModel) (Helper, bitvec.Vector, error) {
+// Measurement noise comes from nm; src drives the code-offset draw.
+func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Helper, bitvec.Vector, error) {
 	if err := p.Validate(); err != nil {
 		return Helper{}, bitvec.Vector{}, err
 	}
 	env := a.Config().NominalEnv()
-	f := a.MeasureAveragedWith(env, nm, p.EnrollReps)
+	f := a.MeasureAveragedInto(make([]float64, a.N()), make([]float64, 2*a.N()), env, nm, p.EnrollReps)
 	poly, err := distiller.Fit(p.Rows, p.Cols, f, p.Degree)
 	if err != nil {
 		return Helper{}, bitvec.Vector{}, err
@@ -223,20 +215,7 @@ func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseMod
 	return Helper{Poly: poly, Grouping: grouping, Offset: offset.W}, key, nil
 }
 
-// Reconstruct regenerates the key from one fresh measurement in the given
-// environment using (possibly attacker-controlled) helper data. It
-// performs the honest device's structural validation, then follows the
-// helper blindly — the paper's threat model.
-func Reconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environment, src *rng.Source) (bitvec.Vector, error) {
-	var sc Scratch
-	key, err := ReconstructInto(a, p, &h, env, src, &sc)
-	if err != nil {
-		return bitvec.Vector{}, err
-	}
-	return key, nil
-}
-
-// Scratch carries the reusable buffers of ReconstructInto. A zero value
+// Scratch carries the reusable buffers of Reconstruct. A zero value
 // is ready; a device keeps one per oracle and calls Invalidate whenever
 // its helper NVM changes so the helper-derived caches (validation,
 // member lists, distiller surface, stream geometry) are rebuilt. Not
@@ -250,7 +229,7 @@ type Scratch struct {
 	// idxs lists, ascending, the oscillators belonging to groups of two
 	// or more members — the only cells whose residuals the Kendall
 	// coding reads, and therefore the sparse measurement set (O(k)
-	// noise draws under the counter model).
+	// noise draws).
 	idxs []int
 	// helper-derived caches, valid while helperValid is set.
 	helperValid bool
@@ -348,22 +327,17 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	return nil
 }
 
-// ReconstructInto is Reconstruct against caller-owned scratch state: the
-// reconstruction hot path the devices run per oracle query, free of
-// steady-state allocations. The returned key is scratch-owned and valid
-// until the next call; clone it to retain it. Keys, failure outcomes and
-// the measurement-noise stream consumption are bit-identical to
-// Reconstruct.
-func ReconstructInto(a *silicon.Array, p Params, h *Helper, env silicon.Environment, src *rng.Source, sc *Scratch) (bitvec.Vector, error) {
-	return ReconstructWith(a, p, h, env, silicon.StreamNoise(src), sc)
-}
-
-// ReconstructWith is ReconstructInto with the measurement noise drawn
-// from an explicit noise model. Only the oscillators in groups of two
-// or more members are measured and distilled (MeasureSparse +
-// DistillSparse): O(k) noise draws under the counter model, a
-// bit-identical draw-and-discard sweep under the stream model.
-func ReconstructWith(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm silicon.NoiseModel, sc *Scratch) (bitvec.Vector, error) {
+// Reconstruct regenerates the key from one fresh measurement in the given
+// environment using (possibly attacker-controlled) helper data. It
+// performs the honest device's structural validation, then follows the
+// helper blindly — the paper's threat model.
+//
+// Only the oscillators in groups of two or more members are measured
+// and distilled (MeasureSparseBase + DistillSparse, O(k) noise draws).
+// This is the hot path the devices run per oracle query, free of
+// steady-state allocations, in caller-owned scratch: the returned key
+// is scratch-owned and valid until the next call; clone it to retain it.
+func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
 	if !sc.helperValid {
 		if err := sc.refresh(a, p, h); err != nil {
 			return bitvec.Vector{}, err

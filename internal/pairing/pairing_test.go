@@ -116,7 +116,7 @@ func TestEnrollMaskingReliabilityGain(t *testing.T) {
 	// The selected pairs must have a larger mean |∆f| than the base
 	// pairs — the whole point of 1-out-of-k (paper §IV-B).
 	a := silicon.NewArray(silicon.DefaultConfig(8, 16), rng.New(3))
-	f := a.MeasureAll(a.Config().NominalEnv(), rng.New(4))
+	f := a.MeasureIntoWith(make([]float64, a.N()), a.Config().NominalEnv(), a.NewNoise(rng.New(4)))
 	base := ChainPairs(8, 16, true)
 	h, err := EnrollMasking(f, base, 4)
 	if err != nil {

@@ -102,67 +102,6 @@ func (s BlockSweep) FillNorm(dst []float64) {
 	}
 }
 
-// FillNormAt writes the sweep's variates for indices [start,
-// start+len(dst)) into dst: dst[j] is bit-identical to Norm(start+j)
-// for every j. The pairing is anchored to the absolute index — block
-// a>>1 always serves indices (2k, 2k+1) of the sweep, never of the
-// slice — so a fill split at any boundary produces exactly the bytes of
-// one contiguous fill. Batched fleet kernels use it to fill one
-// device's slice of a shared row without re-deriving per-oscillator
-// scalar draws.
-func (s BlockSweep) FillNormAt(dst []float64, start uint64) {
-	if len(dst) == 0 {
-		return
-	}
-	i := 0
-	if start&1 == 1 {
-		// Odd start: the first index is the second half of a block
-		// shared with index start-1, which is outside the fill.
-		dst[0] = s.Norm(start)
-		i = 1
-	}
-	for ; i+1 < len(dst); i += 2 {
-		w := blockMix(uint64(s) + blockGolden + (start+uint64(i))>>1)
-		for {
-			u := float64(w>>11)*(2.0/(1<<53)) - 1
-			w = blockMix(w + blockGolden)
-			v := float64(w>>11)*(2.0/(1<<53)) - 1
-			w = blockMix(w + blockGolden)
-			r2 := u*u + v*v
-			if r2 >= 1 || r2 == 0 {
-				continue
-			}
-			f := math.Sqrt(-2 * math.Log(r2) / r2)
-			dst[i], dst[i+1] = u*f, v*f
-			break
-		}
-	}
-	if i < len(dst) {
-		dst[i] = s.Norm(start + uint64(i))
-	}
-}
-
-// FillNormRows fills a row-major matrix of Gaussian variates with one
-// counter chain per row: row r (of length len(dst)/len(keys)) receives
-// NewBlockSweep(keys[r], ctr).FillNorm — the multi-device form of a
-// measurement sweep, where each device owns a key and all devices share
-// the sweep counter. len(dst) must be an exact multiple of len(keys).
-func FillNormRows(dst []float64, keys []uint64, ctr uint64) {
-	if len(keys) == 0 {
-		if len(dst) != 0 {
-			panic("rng: FillNormRows with no keys and non-empty dst")
-		}
-		return
-	}
-	if len(dst)%len(keys) != 0 {
-		panic("rng: FillNormRows dst length not a multiple of key count")
-	}
-	rowLen := len(dst) / len(keys)
-	for r, key := range keys {
-		NewBlockSweep(key, ctr).FillNorm(dst[r*rowLen : (r+1)*rowLen])
-	}
-}
-
 // BlockNorm returns the standard Gaussian variate keyed by (key, ctr,
 // idx): element idx of the infinite Gaussian field addressed by (ctr,
 // idx). Adjacent even/odd indices share a polar block; callers filling

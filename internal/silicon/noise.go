@@ -1,28 +1,16 @@
-// Noise models. Every frequency measurement adds a standard Gaussian
-// variate per oscillator scaled by Config.NoiseSigmaMHz; HOW those
-// variates are produced is a determinism contract of its own, and this
-// file pins the two contracts the repository supports behind the
-// NoiseModel interface:
+// Measurement noise. Every frequency measurement adds a standard
+// Gaussian variate per oscillator scaled by Config.NoiseSigmaMHz, and
+// each variate is keyed by the identity triple (noise seed, measurement
+// sweep counter, oscillator index) through the counter-block generator
+// of rng.BlockNorm. There is no stream to keep aligned, so subset
+// measurement draws exactly the k variates it needs (genuinely O(k)),
+// forked oracles are independent by key, and per-sweep noise is
+// embarrassingly parallel. Transcripts are pinned by the goldens under
+// testdata/transcripts/.
 //
-//   - NoiseStream (the legacy parity model): variates come from a
-//     sequential rng.Source stream in oscillator-index order. Subset
-//     measurement must draw-and-discard the noise of every skipped
-//     oscillator to keep the stream position — and therefore every
-//     later draw — bit-identical to a full measurement. All pre-existing
-//     seed goldens are pinned against this model.
-//
-//   - NoiseCounter: each variate is keyed by the identity triple
-//     (noise seed, measurement sweep counter, oscillator index) through
-//     the counter-block generator of rng.BlockNorm. There is no stream
-//     to keep aligned, so subset measurement draws exactly the k
-//     variates it needs (genuinely O(k)), forked oracles are
-//     independent by key instead of by stream replay, and per-sweep
-//     noise is embarrassingly parallel. Counter-mode transcripts are
-//     pinned by their own goldens.
-//
-// A NoiseModel instance carries the per-oracle noise state (the stream
-// source or the sweep counter) and is NOT safe for concurrent use;
-// forked devices construct their own via NewNoise.
+// A Noise carries the per-oracle sweep counter and is NOT safe for
+// concurrent use; forked devices construct their own via
+// Array.NewNoise.
 package silicon
 
 import (
@@ -31,124 +19,64 @@ import (
 	"repro/internal/rng"
 )
 
-// NoiseModelKind selects a noise determinism contract.
-type NoiseModelKind int
+// NoiseKind names the measurement-noise contract. It is single-valued:
+// NoiseCounter (the zero value) is the only model, and Config.Validate
+// rejects anything else. The type survives so configs and device
+// parameters that name the model keep compiling.
+type NoiseKind int
 
-const (
-	// NoiseStream is the sequential-stream parity model (the zero value,
-	// so existing configs and goldens are untouched).
-	NoiseStream NoiseModelKind = iota
-	// NoiseCounter keys each variate by (seed, sweep, oscillator).
-	NoiseCounter
-)
+// NoiseCounter keys each variate by (seed, sweep, oscillator).
+const NoiseCounter NoiseKind = 0
 
 // String implements fmt.Stringer.
-func (k NoiseModelKind) String() string {
-	switch k {
-	case NoiseStream:
-		return "stream"
-	case NoiseCounter:
+func (k NoiseKind) String() string {
+	if k == NoiseCounter {
 		return "counter"
 	}
-	return fmt.Sprintf("NoiseModelKind(%d)", int(k))
+	return fmt.Sprintf("NoiseKind(%d)", int(k))
 }
 
-// ParseNoiseModel resolves a CLI/task-option model name.
-func ParseNoiseModel(s string) (NoiseModelKind, error) {
-	switch s {
+// CheckNoise validates a noise-model name from a task option or wire
+// spec. Empty and "counter" both name the counter model; "stream"
+// names the sequential-stream model that no longer exists and gets an
+// error saying so, so an old spec fails loudly instead of silently
+// running under different noise.
+func CheckNoise(name string) error {
+	switch name {
+	case "", "counter":
+		return nil
 	case "stream":
-		return NoiseStream, nil
-	case "counter":
-		return NoiseCounter, nil
+		return fmt.Errorf("silicon: the stream noise model was removed; only \"counter\" is supported")
 	}
-	return 0, fmt.Errorf("silicon: unknown noise model %q (have stream, counter)", s)
+	return fmt.Errorf("silicon: unknown noise model %q (only \"counter\" is supported)", name)
 }
 
-// NoiseModel produces the standard Gaussian variates of frequency
-// measurements. Each Fill* call is one measurement sweep: the stream
-// model consumes its source, the counter model advances its sweep
-// counter — either way two sweeps never share noise.
-type NoiseModel interface {
-	// Kind reports the determinism contract.
-	Kind() NoiseModelKind
-	// FillAll writes one variate per oscillator (len(dst) = N).
-	FillAll(dst []float64)
-	// FillIndices writes the variates of the listed oscillators into
-	// dst (len(dst) = N; idxs ascending); entries outside idxs are
-	// model-defined scratch. The stream model still draws every
-	// oscillator's variate to hold its parity contract; the counter
-	// model draws only len(idxs).
-	FillIndices(dst []float64, idxs []int)
-	// Fork returns an independent model of the same kind whose variates
-	// derive deterministically from seed.
-	Fork(seed uint64) NoiseModel
-}
-
-// NewNoise builds the per-oracle noise state for a model kind. The
-// stream model wraps src itself (zero extra stream consumption, so
-// legacy callers stay bit-identical); the counter model draws its key
-// as src's next Uint64 and never touches src again. Devices should
-// prefer Array.NewNoise, which keys the choice off the array's own
-// config so model selection lives in one place.
-func NewNoise(kind NoiseModelKind, src *rng.Source) NoiseModel {
-	switch kind {
-	case NoiseStream:
-		return StreamNoise(src)
-	case NoiseCounter:
-		return CounterNoise(src.Uint64())
-	}
-	panic(fmt.Sprintf("silicon: NewNoise with unknown kind %d", int(kind)))
-}
-
-// ------------------------------------------------------------ stream --
-
-// streamNoise adapts a sequential rng.Source to the NoiseModel
-// interface. It is a type conversion of the source pointer, not a
-// wrapper allocation, so per-call adaptation (MeasureInto and friends
-// wrapping their src argument) stays allocation-free.
-type streamNoise rng.Source
-
-// StreamNoise returns the sequential-stream model over src. The model
-// shares src's state: draws through the model and direct draws from src
-// interleave exactly as they always have.
-func StreamNoise(src *rng.Source) NoiseModel { return (*streamNoise)(src) }
-
-func (sn *streamNoise) src() *rng.Source { return (*rng.Source)(sn) }
-
-func (sn *streamNoise) Kind() NoiseModelKind { return NoiseStream }
-
-func (sn *streamNoise) FillAll(dst []float64) { sn.src().NormFill(dst) }
-
-// FillIndices draws every oscillator's variate regardless of idxs: the
-// stream parity contract (draw-and-discard) documented on
-// Array.MeasureSubset.
-func (sn *streamNoise) FillIndices(dst []float64, _ []int) { sn.src().NormFill(dst) }
-
-func (sn *streamNoise) Fork(seed uint64) NoiseModel { return StreamNoise(rng.New(seed)) }
-
-// ----------------------------------------------------------- counter --
-
-// counterNoise derives every variate from (key, sweep, index) via
-// rng.BlockNorm; its only mutable state is the sweep counter.
-type counterNoise struct {
+// Noise derives every variate from (key, sweep, index) via
+// rng.BlockNorm; its only mutable state is the sweep counter. Each
+// Fill* call is one measurement sweep, so two sweeps never share noise.
+type Noise struct {
 	key   uint64
 	sweep uint64
 }
 
-// CounterNoise returns the counter-mode model keyed by seed.
-func CounterNoise(seed uint64) NoiseModel { return &counterNoise{key: seed} }
+// NewNoise builds the per-oracle noise state: its key is src's next
+// Uint64, and src is never touched again.
+func (a *Array) NewNoise(src *rng.Source) *Noise { return &Noise{key: src.Uint64()} }
 
-func (cn *counterNoise) Kind() NoiseModelKind { return NoiseCounter }
-
-func (cn *counterNoise) FillAll(dst []float64) {
-	sw := rng.NewBlockSweep(cn.key, cn.sweep)
-	cn.sweep++
+// FillAll writes one sweep's variate per oscillator (len(dst) = N).
+func (nm *Noise) FillAll(dst []float64) {
+	sw := rng.NewBlockSweep(nm.key, nm.sweep)
+	nm.sweep++
 	sw.FillNorm(dst)
 }
 
-func (cn *counterNoise) FillIndices(dst []float64, idxs []int) {
-	sw := rng.NewBlockSweep(cn.key, cn.sweep)
-	cn.sweep++
+// FillIndices writes one sweep's variates of the listed oscillators
+// into dst (len(dst) = N; idxs ascending); entries outside idxs are
+// untouched. Each value equals what FillAll would write at that index
+// for the same sweep.
+func (nm *Noise) FillIndices(dst []float64, idxs []int) {
+	sw := rng.NewBlockSweep(nm.key, nm.sweep)
+	nm.sweep++
 	// A subset that is in fact the whole array (seqpair and tempco
 	// helpers reference every oscillator) takes the branch-free bulk
 	// fill; values are identical either way.
@@ -169,11 +97,3 @@ func (cn *counterNoise) FillIndices(dst []float64, idxs []int) {
 		dst[i] = sw.Norm(uint64(i))
 	}
 }
-
-func (cn *counterNoise) Fork(seed uint64) NoiseModel { return NewNoise(NoiseCounter, rng.New(seed)) }
-
-// NewNoise builds the per-oracle noise state for the array's configured
-// model (Config.Noise) — the one construction point devices use, so the
-// declared model and the model actually measured under cannot drift
-// apart.
-func (a *Array) NewNoise(src *rng.Source) NoiseModel { return NewNoise(a.cfg.Noise, src) }

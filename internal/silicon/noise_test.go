@@ -8,36 +8,29 @@ import (
 	"repro/internal/rng"
 )
 
-func noiseTestArray(rows, cols int, noise NoiseModelKind) *Array {
-	cfg := DefaultConfig(rows, cols)
-	cfg.Noise = noise
-	return NewArray(cfg, rng.New(1))
+func noiseTestArray(rows, cols int) *Array {
+	return NewArray(DefaultConfig(rows, cols), rng.New(1))
 }
 
-// TestMeasureSparseStreamParity pins the stream model's draw-and-discard
-// contract: MeasureSparse over an index list is bit-identical — values
-// and stream state — to MeasureSubset over the equivalent mask, and to
-// MeasureInto at the wanted indices.
-func TestMeasureSparseStreamParity(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseStream)
-	env := Environment{TempC: 40, VoltageV: 1.15}
-	want := make([]bool, a.N())
-	var idxs []int
-	for i := 0; i < a.N(); i += 3 {
-		want[i] = true
-		idxs = append(idxs, i)
-	}
-	srcA, srcB, srcC := rng.New(9), rng.New(9), rng.New(9)
-	ref := make([]float64, a.N())
-	sub := make([]float64, a.N())
-	spr := make([]float64, a.N())
-	for round := 0; round < 5; round++ {
-		a.MeasureInto(ref, env, srcA)
-		a.MeasureSubset(sub, want, env, srcB)
-		a.MeasureSparse(spr, idxs, env, StreamNoise(srcC))
-		for _, i := range idxs {
-			if spr[i] != ref[i] || spr[i] != sub[i] {
-				t.Fatalf("round %d osc %d: sparse %v subset %v full %v", round, i, spr[i], sub[i], ref[i])
+// TestMeasureIntoWithMatchesScalar pins the dense sweep to the counter
+// definition: oscillator i of sweep s reads the variate keyed by
+// (noise key, s, i), with and without counter quantization.
+func TestMeasureIntoWithMatchesScalar(t *testing.T) {
+	for _, window := range []float64{0, 2.5} {
+		cfg := DefaultConfig(6, 7)
+		cfg.CounterWindowUS = window
+		a := NewArray(cfg, rng.New(1))
+		env := Environment{TempC: 40, VoltageV: 1.15}
+		nm := a.NewNoise(rng.New(99))
+		dst := make([]float64, a.N())
+		for sweep := uint64(0); sweep < 3; sweep++ {
+			a.MeasureIntoWith(dst, env, nm)
+			for i, got := range dst {
+				z := rng.BlockNorm(nm.key, sweep, uint64(i))
+				want := quantizeWindow(a.TrueFreq(i, env)+cfg.NoiseSigmaMHz*z, window)
+				if got != want {
+					t.Fatalf("window=%v sweep %d osc %d: dense %v != scalar %v", window, sweep, i, got, want)
+				}
 			}
 		}
 	}
@@ -46,21 +39,24 @@ func TestMeasureSparseStreamParity(t *testing.T) {
 // TestMeasureSparseCounterMatchesFull pins the counter identity
 // contract: a sparse sweep reproduces exactly the values a full sweep
 // with the same (key, sweep counter) would produce at those indices —
-// while drawing only the subset's noise.
+// while drawing only the subset's noise — and MeasureSparseBase over
+// the cached noise-free vector agrees with both.
 func TestMeasureSparseCounterMatchesFull(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseCounter)
-	env := a.Config().NominalEnv()
-	full := CounterNoise(77)
-	sparse := CounterNoise(77)
+	a := noiseTestArray(8, 16)
+	env := Environment{TempC: 40, VoltageV: 1.15}
+	full, sparse, based := a.NewNoise(rng.New(77)), a.NewNoise(rng.New(77)), a.NewNoise(rng.New(77))
+	var bc BaseCache
 	idxs := []int{0, 1, 5, 17, 18, 19, 42, 127}
 	ref := make([]float64, a.N())
 	got := make([]float64, a.N())
+	gotBase := make([]float64, a.N())
 	for round := 0; round < 5; round++ {
 		a.MeasureIntoWith(ref, env, full)
 		a.MeasureSparse(got, idxs, env, sparse)
+		a.MeasureSparseBase(gotBase, idxs, bc.For(a, env), based)
 		for _, i := range idxs {
-			if got[i] != ref[i] {
-				t.Fatalf("round %d osc %d: sparse %v != full %v", round, i, got[i], ref[i])
+			if got[i] != ref[i] || gotBase[i] != ref[i] {
+				t.Fatalf("round %d osc %d: sparse %v base %v != full %v", round, i, got[i], gotBase[i], ref[i])
 			}
 		}
 	}
@@ -70,12 +66,12 @@ func TestMeasureSparseCounterMatchesFull(t *testing.T) {
 // noise and that a dedicated model reproduces any sweep from scratch
 // (per-(query, index) determinism).
 func TestCounterSweepAdvances(t *testing.T) {
-	a := noiseTestArray(4, 8, NoiseCounter)
+	a := noiseTestArray(4, 8)
 	env := a.Config().NominalEnv()
-	nm := CounterNoise(5)
+	nm := a.NewNoise(rng.New(5))
 	sweeps := make([][]float64, 4)
 	for r := range sweeps {
-		sweeps[r] = append([]float64(nil), a.MeasureIntoWith(make([]float64, a.N()), env, nm)...)
+		sweeps[r] = a.MeasureIntoWith(make([]float64, a.N()), env, nm)
 	}
 	for r := 1; r < len(sweeps); r++ {
 		same := 0
@@ -90,7 +86,7 @@ func TestCounterSweepAdvances(t *testing.T) {
 	}
 	// Replaying from a fresh model with the same key reproduces sweep 0
 	// onward bit for bit.
-	replay := CounterNoise(5)
+	replay := a.NewNoise(rng.New(5))
 	for r := range sweeps {
 		got := a.MeasureIntoWith(make([]float64, a.N()), env, replay)
 		for i := range got {
@@ -101,83 +97,90 @@ func TestCounterSweepAdvances(t *testing.T) {
 	}
 }
 
-// TestNoiseForkIndependence checks Fork determinism and independence
-// for both models: same seed → identical variates, different seeds →
-// distinct variates.
+// TestNoiseForkIndependence checks the fork contract devices rely on
+// (each clone keys its noise from rng.New(forkSeed)): equal seeds give
+// identical variates, different seeds give distinct variates.
 func TestNoiseForkIndependence(t *testing.T) {
-	for _, kind := range []NoiseModelKind{NoiseStream, NoiseCounter} {
-		parent := NewNoise(kind, rng.New(3))
-		a, b, c := parent.Fork(10), parent.Fork(10), parent.Fork(11)
-		bufA := make([]float64, 64)
-		bufB := make([]float64, 64)
-		bufC := make([]float64, 64)
-		a.FillAll(bufA)
-		b.FillAll(bufB)
-		c.FillAll(bufC)
-		same := 0
-		for i := range bufA {
-			if bufA[i] != bufB[i] {
-				t.Fatalf("%v: forks with equal seeds diverge at %d", kind, i)
-			}
-			if bufA[i] == bufC[i] {
-				same++
-			}
+	a := noiseTestArray(8, 8)
+	fa, fb, fc := a.NewNoise(rng.New(10)), a.NewNoise(rng.New(10)), a.NewNoise(rng.New(11))
+	bufA := make([]float64, a.N())
+	bufB := make([]float64, a.N())
+	bufC := make([]float64, a.N())
+	fa.FillAll(bufA)
+	fb.FillAll(bufB)
+	fc.FillAll(bufC)
+	same := 0
+	for i := range bufA {
+		if bufA[i] != bufB[i] {
+			t.Fatalf("forks with equal seeds diverge at %d", i)
 		}
-		if same > 0 {
-			t.Fatalf("%v: forks with different seeds share %d values", kind, same)
+		if bufA[i] == bufC[i] {
+			same++
 		}
+	}
+	if same > 0 {
+		t.Fatalf("forks with different seeds share %d values", same)
 	}
 }
 
-// TestMeasureAveragedIntoMatchesScalar pins the bulk enrollment path to
-// the scalar draw order it replaced: oscillator-major, repetition-minor
-// sequential Measure calls.
+// TestMeasureAveragedIntoMatchesScalar pins the enrollment averaging
+// arithmetic: per oscillator, the sum of reps consecutive dense sweeps
+// accumulated in sweep order, then multiplied (not divided) by 1/reps.
 func TestMeasureAveragedIntoMatchesScalar(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseStream)
+	a := noiseTestArray(8, 16)
 	env := Environment{TempC: 60, VoltageV: 1.22}
-	for _, reps := range []int{1, 3, 64, 65, 130} {
-		srcA, srcB := rng.New(uint64(reps)), rng.New(uint64(reps))
+	for _, reps := range []int{1, 3, 25, 64} {
+		twin := a.NewNoise(rng.New(uint64(reps)))
 		ref := make([]float64, a.N())
-		for i := range ref {
-			var s float64
-			for r := 0; r < reps; r++ {
-				s += a.Measure(i, env, srcA)
+		sweep := make([]float64, a.N())
+		for r := 0; r < reps; r++ {
+			a.MeasureIntoWith(sweep, env, twin)
+			for i := range ref {
+				ref[i] += sweep[i]
 			}
-			ref[i] = s / float64(reps)
 		}
-		got := a.MeasureAveragedInto(make([]float64, a.N()), env, srcB, reps)
+		inv := 1 / float64(reps)
+		for i := range ref {
+			ref[i] *= inv
+		}
+		nm := a.NewNoise(rng.New(uint64(reps)))
+		dst := make([]float64, a.N())
+		for i := range dst {
+			dst[i] = math.NaN() // stale contents must not leak into the sums
+		}
+		got := a.MeasureAveragedInto(dst, make([]float64, 2*a.N()), env, nm, reps)
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Fatalf("reps %d osc %d: %v != scalar %v", reps, i, got[i], ref[i])
+				t.Fatalf("reps %d osc %d: %v != reference %v", reps, i, got[i], ref[i])
 			}
 		}
-		if sA, sB := srcA.Uint64(), srcB.Uint64(); sA != sB {
-			t.Fatalf("reps %d: stream positions diverge after averaging", reps)
+		if nm.sweep != twin.sweep {
+			t.Fatalf("reps %d: averaging consumed %d sweeps, want %d", reps, nm.sweep, twin.sweep)
 		}
 	}
 }
 
 // TestMeasureAveragedIntoAllocFree is the enrollment-path allocs fence.
 func TestMeasureAveragedIntoAllocFree(t *testing.T) {
-	a := noiseTestArray(8, 16, NoiseStream)
+	a := noiseTestArray(8, 16)
 	env := a.Config().NominalEnv()
-	src := rng.New(2)
+	nm := a.NewNoise(rng.New(2))
 	dst := make([]float64, a.N())
+	scratch := make([]float64, 2*a.N())
 	if allocs := testing.AllocsPerRun(20, func() {
-		a.MeasureAveragedInto(dst, env, src, 25)
+		a.MeasureAveragedInto(dst, scratch, env, nm, 25)
 	}); allocs != 0 {
 		t.Fatalf("MeasureAveragedInto allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestMeasureAveragedWithCounterMoments sanity-checks the counter-mode
-// enrollment averaging: the per-oscillator mean over many sweeps must
-// converge to the true frequency.
-func TestMeasureAveragedWithCounterMoments(t *testing.T) {
-	a := noiseTestArray(4, 8, NoiseCounter)
+// TestMeasureAveragedIntoMoments sanity-checks the enrollment
+// averaging: the per-oscillator mean over many sweeps must converge to
+// the true frequency.
+func TestMeasureAveragedIntoMoments(t *testing.T) {
+	a := noiseTestArray(4, 8)
 	env := a.Config().NominalEnv()
-	nm := CounterNoise(123)
-	got := a.MeasureAveragedWith(env, nm, 400)
+	got := a.MeasureAveragedInto(make([]float64, a.N()), make([]float64, 2*a.N()), env, a.NewNoise(rng.New(123)), 400)
 	sigma := a.Config().NoiseSigmaMHz
 	for i := range got {
 		if diff := math.Abs(got[i] - a.TrueFreq(i, env)); diff > 4*sigma/20 {
@@ -186,31 +189,19 @@ func TestMeasureAveragedWithCounterMoments(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasureSubsetModels is the sparse-vs-dense crossover: the
-// stream model pays the full-array noise tax at every subset fraction,
-// while the counter model's cost scales with k. The acceptance target
-// is a ≥3x counter-over-stream speedup at fraction ≤ 1/8.
-func BenchmarkMeasureSubsetModels(b *testing.B) {
+// BenchmarkMeasureSparse is the sparse-vs-dense crossover: the cost of
+// a sparse sweep scales with the subset size k, not the array size.
+func BenchmarkMeasureSparse(b *testing.B) {
 	const rows, cols = 16, 32
 	for _, frac := range []int{1, 4, 8, 32} {
 		var idxs []int
 		for i := 0; i < rows*cols; i += frac {
 			idxs = append(idxs, i)
 		}
-		b.Run(fmt.Sprintf("stream/frac-1of%d", frac), func(b *testing.B) {
-			a := noiseTestArray(rows, cols, NoiseStream)
+		b.Run(fmt.Sprintf("frac-1of%d", frac), func(b *testing.B) {
+			a := noiseTestArray(rows, cols)
 			env := a.Config().NominalEnv()
-			nm := StreamNoise(rng.New(1))
-			dst := make([]float64, a.N())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.MeasureSparse(dst, idxs, env, nm)
-			}
-		})
-		b.Run(fmt.Sprintf("counter/frac-1of%d", frac), func(b *testing.B) {
-			a := noiseTestArray(rows, cols, NoiseCounter)
-			env := a.Config().NominalEnv()
-			nm := CounterNoise(1)
+			nm := a.NewNoise(rng.New(1))
 			dst := make([]float64, a.N())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

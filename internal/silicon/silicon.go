@@ -84,10 +84,10 @@ type Config struct {
 	// values are discrete" remark, the root of the ∆f = 0 bias).
 	CounterWindowUS float64
 
-	// Noise selects the measurement-noise determinism contract (see
-	// noise.go). The zero value is the legacy sequential-stream model,
-	// so existing configs and their seed goldens are untouched.
-	Noise NoiseModelKind
+	// Noise names the measurement-noise contract (see noise.go). It is
+	// single-valued: the zero value NoiseCounter is the only accepted
+	// model.
+	Noise NoiseKind
 }
 
 // DefaultConfig returns a parameterization representative of the FPGA RO
@@ -124,7 +124,7 @@ func (c Config) Validate() error {
 	if c.ProcessSigmaMHz < 0 || c.NoiseSigmaMHz < 0 || c.TempCoefSigmaMHzPerC < 0 {
 		return fmt.Errorf("silicon: negative sigma in config")
 	}
-	if c.Noise != NoiseStream && c.Noise != NoiseCounter {
+	if c.Noise != NoiseCounter {
 		return fmt.Errorf("silicon: unknown noise model %d", int(c.Noise))
 	}
 	return nil
@@ -178,8 +178,8 @@ func NewArray(cfg Config, src *rng.Source) *Array {
 
 // manufactureInto draws one array instance's variability into
 // caller-owned component vectors (all of length Rows*Cols) — the single
-// manufacture loop shared by NewArray, Array.Remanufactured, and
-// fleet rows, so every construction path consumes src identically:
+// manufacture loop shared by NewArray and Array.Remanufactured, so
+// both construction paths consume src identically:
 // per oscillator, the random process component then the temperature
 // slope.
 func (c Config) manufactureInto(src *rng.Source, base, systematic, random, tempCoef []float64) {
@@ -264,37 +264,13 @@ func (a *Array) TrueFreq(i int, env Environment) float64 {
 		a.cfg.VoltCoefMHzPerV*(env.VoltageV-a.cfg.NominalVoltageV)
 }
 
-// Measure performs one noisy frequency measurement of oscillator i,
-// applying counter quantization when configured.
-func (a *Array) Measure(i int, env Environment, src *rng.Source) float64 {
-	return quantizeWindow(a.TrueFreq(i, env)+src.NormScaled(0, a.cfg.NoiseSigmaMHz), a.cfg.CounterWindowUS)
-}
-
-// MeasureAll measures every oscillator once in the given environment.
-func (a *Array) MeasureAll(env Environment, src *rng.Source) []float64 {
-	return a.MeasureInto(make([]float64, a.N()), env, src)
-}
-
-// MeasureAllWith is MeasureAll under an explicit noise model.
-func (a *Array) MeasureAllWith(env Environment, nm NoiseModel) []float64 {
-	return a.MeasureIntoWith(make([]float64, a.N()), env, nm)
-}
-
-// MeasureInto is MeasureAll into a caller-owned buffer of length N: the
-// hot-loop variant the devices' scratch state feeds with a reused slice.
-// Noise is drawn in bulk (rng.NormFill), consuming the source exactly as
-// N sequential Measure calls would, so MeasureAll and MeasureInto are
-// interchangeable on the same stream. It returns dst.
-func (a *Array) MeasureInto(dst []float64, env Environment, src *rng.Source) []float64 {
-	return a.MeasureIntoWith(dst, env, StreamNoise(src))
-}
-
-// MeasureIntoWith is MeasureInto under an explicit noise model: one
-// sweep of variates (nm.FillAll), then the per-oscillator frequency
-// model and quantization. It returns dst.
-func (a *Array) MeasureIntoWith(dst []float64, env Environment, nm NoiseModel) []float64 {
+// MeasureIntoWith measures every oscillator once into a caller-owned
+// buffer of length N: one sweep of variates (nm.FillAll), then the
+// per-oscillator frequency model and counter quantization. It returns
+// dst.
+func (a *Array) MeasureIntoWith(dst []float64, env Environment, nm *Noise) []float64 {
 	if len(dst) != a.N() {
-		panic(fmt.Sprintf("silicon: MeasureInto buffer length %d, want %d", len(dst), a.N()))
+		panic(fmt.Sprintf("silicon: MeasureIntoWith buffer length %d, want %d", len(dst), a.N()))
 	}
 	nm.FillAll(dst)
 	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
@@ -304,40 +280,13 @@ func (a *Array) MeasureIntoWith(dst []float64, env Environment, nm NoiseModel) [
 	return dst
 }
 
-// MeasureSubset measures only the oscillators with want[i] set, writing
-// their frequencies into dst; entries of dst outside the subset are
-// scratch garbage the caller must not read. Pinned determinism contract
-// of the stream model: the noise draw for every oscillator — wanted or
-// not — is still consumed from src in index order (draw-and-discard), so
-// a device that measures a helper-referenced subset produces
-// bit-identical frequencies, and leaves the stream in a bit-identical
-// state, to one that calls MeasureAll. The saved work is the
-// per-oscillator frequency model and counter quantization, not the
-// noise sampling; MeasureSparse under the counter model saves both.
-func (a *Array) MeasureSubset(dst []float64, want []bool, env Environment, src *rng.Source) []float64 {
-	if len(dst) != a.N() || len(want) != a.N() {
-		panic(fmt.Sprintf("silicon: MeasureSubset buffers %d/%d, want %d", len(dst), len(want), a.N()))
-	}
-	src.NormFill(dst)
-	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
-	for i := range dst {
-		if !want[i] {
-			continue
-		}
-		dst[i] = quantizeWindow(a.TrueFreq(i, env)+sigma*dst[i], window)
-	}
-	return dst
-}
-
 // MeasureSparse measures only the oscillators listed in idxs (ascending,
 // no duplicates), writing their frequencies into dst (length N); entries
-// outside the subset are scratch garbage the caller must not read. The
-// per-variate cost contract is the noise model's: the stream model
-// draws-and-discards every oscillator's noise to hold its parity
-// contract (making MeasureSparse bit-identical to MeasureSubset with
-// the equivalent mask), while the counter model draws exactly len(idxs)
-// variates — the genuinely O(k) subset path sparse oracle queries ride.
-func (a *Array) MeasureSparse(dst []float64, idxs []int, env Environment, nm NoiseModel) []float64 {
+// outside the subset are scratch garbage the caller must not read. It
+// draws exactly len(idxs) variates — the O(k) subset path sparse oracle
+// queries ride — and each wanted entry is bit-identical to what
+// MeasureIntoWith would produce for the same sweep.
+func (a *Array) MeasureSparse(dst []float64, idxs []int, env Environment, nm *Noise) []float64 {
 	if len(dst) != a.N() {
 		panic(fmt.Sprintf("silicon: MeasureSparse buffer length %d, want %d", len(dst), a.N()))
 	}
@@ -356,7 +305,7 @@ func (a *Array) MeasureSparse(dst []float64, idxs []int, env Environment, nm Noi
 // query is pure waste. base[i] must equal TrueFreq(i, env) for the
 // environment the noise belongs to; the result is then bit-identical
 // to MeasureSparse.
-func (a *Array) MeasureSparseBase(dst []float64, idxs []int, base []float64, nm NoiseModel) []float64 {
+func (a *Array) MeasureSparseBase(dst []float64, idxs []int, base []float64, nm *Noise) []float64 {
 	if len(dst) != a.N() || len(base) != a.N() {
 		panic(fmt.Sprintf("silicon: MeasureSparseBase buffers %d/%d, want %d", len(dst), len(base), a.N()))
 	}
@@ -413,74 +362,36 @@ func (bc *BaseCache) For(a *Array, env Environment) []float64 {
 // change, so the owner of the scratch must invalidate explicitly.
 func (bc *BaseCache) Invalidate() { bc.valid = false }
 
-// MeasureAveraged measures every oscillator `reps` times and returns the
-// per-oscillator means — the standard enrollment-time noise reduction.
-func (a *Array) MeasureAveraged(env Environment, src *rng.Source, reps int) []float64 {
-	return a.MeasureAveragedInto(make([]float64, a.N()), env, src, reps)
-}
-
-// MeasureAveragedInto is MeasureAveraged into a caller-owned buffer of
-// length N, allocation-free. Noise is drawn in per-oscillator bulk
-// chunks (rng.NormFill into a stack buffer), consuming the source
-// exactly as the reps*N sequential scalar Measure calls it replaced —
-// oscillator-major, repetition-minor — so enrolled keys and every draw
-// after enrollment stay bit-identical. The per-oscillator true
-// frequency is evaluated once instead of once per repetition.
-func (a *Array) MeasureAveragedInto(dst []float64, env Environment, src *rng.Source, reps int) []float64 {
+// MeasureAveragedInto measures every oscillator `reps` times and writes
+// the per-oscillator means into dst — the standard enrollment-time
+// noise reduction. It performs reps whole-array sweeps, each keyed by
+// its own sweep counter, accumulating per sweep and scaling by 1/reps.
+// dst has length N; scratch is caller-owned working space of length 2N
+// (one sweep's variates and the noise-free frequencies in env, computed
+// once rather than once per sweep), so the call is allocation-free. It
+// returns dst.
+func (a *Array) MeasureAveragedInto(dst, scratch []float64, env Environment, nm *Noise, reps int) []float64 {
 	if reps < 1 {
-		panic("silicon: MeasureAveraged needs reps >= 1")
+		panic("silicon: MeasureAveragedInto needs reps >= 1")
 	}
-	if len(dst) != a.N() {
-		panic(fmt.Sprintf("silicon: MeasureAveragedInto buffer length %d, want %d", len(dst), a.N()))
+	n := a.N()
+	if len(dst) != n || len(scratch) != 2*n {
+		panic(fmt.Sprintf("silicon: MeasureAveragedInto buffers %d/%d, want %d/%d", len(dst), len(scratch), n, 2*n))
 	}
-	var buf [64]float64
-	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
-	for i := range dst {
-		base := a.TrueFreq(i, env)
-		var s float64
-		for rem := reps; rem > 0; {
-			n := min(rem, len(buf))
-			src.NormFill(buf[:n])
-			for _, z := range buf[:n] {
-				s += quantizeWindow(base+sigma*z, window)
-			}
-			rem -= n
-		}
-		dst[i] = s / float64(reps)
-	}
-	return dst
-}
-
-// MeasureAveragedWith is the enrollment-time averaging under an explicit
-// noise model. The stream model keeps the legacy oscillator-major draw
-// order (bit-identical to MeasureAveraged on the same source); the
-// counter model performs reps whole-array sweeps, each keyed by its own
-// sweep counter — the natural counter-mode contract.
-func (a *Array) MeasureAveragedWith(env Environment, nm NoiseModel, reps int) []float64 {
-	if sn, ok := nm.(*streamNoise); ok {
-		return a.MeasureAveraged(env, sn.src(), reps)
-	}
-	if reps < 1 {
-		panic("silicon: MeasureAveraged needs reps >= 1")
-	}
-	out := make([]float64, a.N())
-	row := make([]float64, a.N())
-	base := make([]float64, a.N())
-	for i := range base {
-		base[i] = a.TrueFreq(i, env)
-	}
+	row, base := scratch[:n], a.TrueFreqInto(scratch[n:], env)
+	clear(dst)
 	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
 	for r := 0; r < reps; r++ {
 		nm.FillAll(row)
-		for i := range out {
-			out[i] += quantizeWindow(base[i]+sigma*row[i], window)
+		for i := range dst {
+			dst[i] += quantizeWindow(base[i]+sigma*row[i], window)
 		}
 	}
 	inv := 1 / float64(reps)
-	for i := range out {
-		out[i] *= inv
+	for i := range dst {
+		dst[i] *= inv
 	}
-	return out
+	return dst
 }
 
 // TempCoef returns the per-RO temperature slope (exposed for analysis and

@@ -77,6 +77,39 @@ func TestManufacturingReproducible(t *testing.T) {
 	}
 }
 
+// TestRemanufacturedMatchesNewArray pins the pool remanufacture path:
+// re-drawing an existing array is bit-identical to NewArray — same
+// components, same source consumption afterward — and preserves pointer
+// identity when the size matches.
+func TestRemanufacturedMatchesNewArray(t *testing.T) {
+	cfg := DefaultConfig(8, 16)
+	srcFresh, srcReuse := rng.New(5), rng.New(5)
+	fresh := NewArray(cfg, srcFresh)
+	prev := NewArray(cfg, rng.New(999))
+	re := prev.Remanufactured(cfg, srcReuse)
+	if re != prev {
+		t.Fatalf("same-size Remanufactured did not reuse the receiver")
+	}
+	for i := 0; i < fresh.N(); i++ {
+		if re.base[i] != fresh.base[i] || re.systematic[i] != fresh.systematic[i] ||
+			re.random[i] != fresh.random[i] || re.tempCoef[i] != fresh.tempCoef[i] {
+			t.Fatalf("osc %d: Remanufactured components diverge from NewArray", i)
+		}
+	}
+	if a, b := srcFresh.Uint64(), srcReuse.Uint64(); a != b {
+		t.Fatalf("source state diverges after remanufacture: %#x vs %#x", a, b)
+	}
+
+	// Size change and nil receiver both fall back to fresh manufacture.
+	if got := re.Remanufactured(DefaultConfig(2, 2), rng.New(5)); got == re || got.N() != 4 {
+		t.Fatalf("size-changing Remanufactured did not fall back to NewArray")
+	}
+	var nilArr *Array
+	if got := nilArr.Remanufactured(cfg, rng.New(5)); got == nil || got.N() != cfg.Rows*cfg.Cols {
+		t.Fatalf("nil-receiver Remanufactured did not manufacture")
+	}
+}
+
 func TestFrequencyDecomposition(t *testing.T) {
 	a := testArray(7)
 	cfg := a.Config()
@@ -192,17 +225,21 @@ func TestLinearityInTemperature(t *testing.T) {
 func TestMeasurementNoise(t *testing.T) {
 	a := testArray(17)
 	env := a.Config().NominalEnv()
-	src := rng.New(99)
-	const reps = 20000
+	nm := a.NewNoise(rng.New(99))
+	buf := make([]float64, a.N())
+	const sweeps = 160
 	var sum, sumSq float64
-	truth := a.TrueFreq(0, env)
-	for r := 0; r < reps; r++ {
-		m := a.Measure(0, env, src)
-		sum += m - truth
-		sumSq += (m - truth) * (m - truth)
+	for r := 0; r < sweeps; r++ {
+		a.MeasureIntoWith(buf, env, nm)
+		for i, m := range buf {
+			e := m - a.TrueFreq(i, env)
+			sum += e
+			sumSq += e * e
+		}
 	}
-	mean := sum / reps
-	sd := math.Sqrt(sumSq/reps - mean*mean)
+	n := float64(sweeps * a.N())
+	mean := sum / n
+	sd := math.Sqrt(sumSq/n - mean*mean)
 	if math.Abs(mean) > 0.005 {
 		t.Errorf("noise mean %v, want ~0", mean)
 	}
@@ -214,13 +251,16 @@ func TestMeasurementNoise(t *testing.T) {
 func TestMeasureAveragedReducesNoise(t *testing.T) {
 	a := testArray(19)
 	env := a.Config().NominalEnv()
-	src := rng.New(1)
+	nm := a.NewNoise(rng.New(1))
+	single := make([]float64, a.N())
+	avg := make([]float64, a.N())
+	scratch := make([]float64, 2*a.N())
 	truth := a.TrueFreq(3, env)
 	var errSingle, errAvg float64
 	const trials = 500
 	for i := 0; i < trials; i++ {
-		errSingle += math.Abs(a.Measure(3, env, src) - truth)
-		errAvg += math.Abs(a.MeasureAveraged(env, src, 16)[3] - truth)
+		errSingle += math.Abs(a.MeasureIntoWith(single, env, nm)[3] - truth)
+		errAvg += math.Abs(a.MeasureAveragedInto(avg, scratch, env, nm, 16)[3] - truth)
 	}
 	if errAvg >= errSingle/2 {
 		t.Fatalf("averaging did not reduce error: single %v avg %v", errSingle/trials, errAvg/trials)
@@ -232,10 +272,8 @@ func TestCounterQuantization(t *testing.T) {
 	cfg.NoiseSigmaMHz = 0
 	cfg.CounterWindowUS = 10 // resolution 0.1 MHz
 	a := NewArray(cfg, rng.New(3))
-	src := rng.New(4)
 	env := cfg.NominalEnv()
-	for i := 0; i < a.N(); i++ {
-		m := a.Measure(i, env, src)
+	for i, m := range a.MeasureIntoWith(make([]float64, a.N()), env, a.NewNoise(rng.New(4))) {
 		scaled := m * cfg.CounterWindowUS
 		if math.Abs(scaled-math.Round(scaled)) > 1e-9 {
 			t.Fatalf("measurement %v not on the counter grid", m)
@@ -288,12 +326,13 @@ func TestPairDeltaFAntisymmetry(t *testing.T) {
 	}
 }
 
-func BenchmarkMeasureAll128(b *testing.B) {
+func BenchmarkMeasureDense128(b *testing.B) {
 	a := testArray(1)
 	env := a.Config().NominalEnv()
-	src := rng.New(2)
+	nm := a.NewNoise(rng.New(2))
+	dst := make([]float64, a.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.MeasureAll(env, src)
+		a.MeasureIntoWith(dst, env, nm)
 	}
 }

@@ -99,9 +99,9 @@ type Params struct {
 	Code ecc.Code
 	// EnrollReps is the per-extreme measurement averaging factor.
 	EnrollReps int
-	// Noise selects the silicon measurement-noise model; the zero value
-	// is the legacy sequential-stream model.
-	Noise silicon.NoiseModelKind
+	// Noise names the silicon measurement-noise model. Single-valued:
+	// the zero value silicon.NoiseCounter is the only accepted model.
+	Noise silicon.NoiseKind
 }
 
 // Validate reports parameter errors.
@@ -170,25 +170,17 @@ func classify(d0, d1, t0, t1, th, tmin, tmax float64) (PairClass, float64, float
 // Enroll measures the array at both operating extremes (the original
 // proposal's procedure), classifies every disjoint neighbor pair, wires
 // up the cooperation helper records, and computes the ECC offset over
-// the reference response. Measurement noise comes from the legacy
-// sequential-stream model over src; devices that run another noise
-// model enroll through EnrollWith.
-func Enroll(a *silicon.Array, p Params, src *rng.Source) (Helper, bitvec.Vector, error) {
-	return EnrollWith(a, p, src, silicon.StreamNoise(src))
-}
-
-// EnrollWith is Enroll with the measurement noise drawn from an
-// explicit noise model; src still drives the non-measurement enrollment
-// randomness (mask-order permutation, helping-pair selection, ECC
-// offset draw). Under silicon.StreamNoise(src) it is bit-identical to
-// Enroll.
-func EnrollWith(a *silicon.Array, p Params, src *rng.Source, nm silicon.NoiseModel) (Helper, bitvec.Vector, error) {
+// the reference response. Measurement noise comes from nm; src drives
+// the non-measurement enrollment randomness (mask-order permutation,
+// helping-pair selection, ECC offset draw).
+func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Helper, bitvec.Vector, error) {
 	if err := p.Validate(); err != nil {
 		return Helper{}, bitvec.Vector{}, err
 	}
 	v := a.Config().NominalVoltageV
-	fMin := a.MeasureAveragedWith(silicon.Environment{TempC: p.TminC, VoltageV: v}, nm, p.EnrollReps)
-	fMax := a.MeasureAveragedWith(silicon.Environment{TempC: p.TmaxC, VoltageV: v}, nm, p.EnrollReps)
+	scratch := make([]float64, 2*a.N())
+	fMin := a.MeasureAveragedInto(make([]float64, a.N()), scratch, silicon.Environment{TempC: p.TminC, VoltageV: v}, nm, p.EnrollReps)
+	fMax := a.MeasureAveragedInto(make([]float64, a.N()), scratch, silicon.Environment{TempC: p.TmaxC, VoltageV: v}, nm, p.EnrollReps)
 
 	pairs := pairing.ChainPairs(p.Rows, p.Cols, true)
 	infos := make([]PairInfo, len(pairs))
@@ -312,22 +304,7 @@ func resolveBit(info PairInfo, f []float64, tempC float64) bool {
 	return b
 }
 
-// Reconstruct regenerates the key at the given environment temperature
-// from (possibly manipulated) helper data. Structural validation mirrors
-// an honest device: index ranges and class tags are checked; the helping
-// pair must be outside its own declared interval at the current
-// temperature. Values of Tl/Th themselves are trusted — they are helper
-// data, and that trust is what the paper's acceleration trick abuses.
-func Reconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environment, src *rng.Source) (bitvec.Vector, error) {
-	var sc Scratch
-	key, err := ReconstructInto(a, p, &h, env, src, &sc)
-	if err != nil {
-		return bitvec.Vector{}, err
-	}
-	return key, nil
-}
-
-// Scratch carries the reusable buffers of ReconstructInto. A zero value
+// Scratch carries the reusable buffers of Reconstruct. A zero value
 // is ready; a device keeps one per oracle and calls Invalidate when its
 // helper NVM changes. Not safe for concurrent use — forks get their own
 // zero Scratch.
@@ -335,8 +312,7 @@ type Scratch struct {
 	freq []float64
 	want []bool
 	// idxs is the ascending index list equivalent of want — the sparse
-	// measurement order MeasureSparse consumes, O(k) under the counter
-	// noise model.
+	// measurement set, O(k) noise draws.
 	idxs []int
 	// bases caches the noise-free frequency vector per environment; the
 	// §VI-B attack sweeps temperature, so the cache keys on env.
@@ -367,8 +343,7 @@ func (sc *Scratch) InvalidateSilicon() {
 
 // refresh (re)builds the helper-derived caches: validation, the subset
 // of oscillators the helper actually references (bad pairs contribute no
-// bits, so their oscillators are never measured — only their noise draws
-// are consumed, see silicon.MeasureSubset), and the ECC geometry.
+// bits, so their oscillators are never measured), and the ECC geometry.
 func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	if err := ValidateHelper(*h, a.N()); err != nil {
 		return err
@@ -421,20 +396,18 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	return nil
 }
 
-// ReconstructInto is Reconstruct against caller-owned scratch state, the
-// devices' per-query hot path. The returned key is scratch-owned and
-// valid until the next call. Keys, failure outcomes and the noise-stream
-// consumption are bit-identical to Reconstruct.
-func ReconstructInto(a *silicon.Array, p Params, h *Helper, env silicon.Environment, src *rng.Source, sc *Scratch) (bitvec.Vector, error) {
-	return ReconstructWith(a, p, h, env, silicon.StreamNoise(src), sc)
-}
-
-// ReconstructWith is ReconstructInto with the measurement noise drawn
-// from an explicit noise model: only the helper-referenced oscillators
-// are measured (MeasureSparse), which is O(k) draws under the counter
-// model and a bit-identical draw-and-discard full sweep under the
-// stream model.
-func ReconstructWith(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm silicon.NoiseModel, sc *Scratch) (bitvec.Vector, error) {
+// Reconstruct regenerates the key at the given environment temperature
+// from (possibly manipulated) helper data. Structural validation mirrors
+// an honest device: index ranges and class tags are checked; the helping
+// pair must be outside its own declared interval at the current
+// temperature. Values of Tl/Th themselves are trusted — they are helper
+// data, and that trust is what the paper's acceleration trick abuses.
+//
+// Only the helper-referenced oscillators are measured (O(k) noise
+// draws). The reconstruction runs in caller-owned scratch, the devices'
+// per-query hot path: the returned key is scratch-owned and valid until
+// the next call.
+func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
 	if !sc.helperValid {
 		if err := sc.refresh(a, p, h); err != nil {
 			return bitvec.Vector{}, err

@@ -4,10 +4,23 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/ecc"
 	"repro/internal/rng"
 	"repro/internal/silicon"
 )
+
+// enroll runs Enroll the way the devices do: the noise key is src's
+// first draw, and src then drives the enrollment randomness.
+func enroll(a *silicon.Array, p Params, src *rng.Source) (Helper, bitvec.Vector, error) {
+	return Enroll(a, p, src, a.NewNoise(src))
+}
+
+// reconstruct runs one Reconstruct against fresh scratch, so each call
+// revalidates h exactly as a device does after a helper write.
+func reconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environment, nm *silicon.Noise) (bitvec.Vector, error) {
+	return Reconstruct(a, p, &h, env, nm, new(Scratch))
+}
 
 func testParams() Params {
 	return Params{
@@ -67,7 +80,7 @@ func TestClassifyDirect(t *testing.T) {
 func TestEnrollClassifiesAllThreeKinds(t *testing.T) {
 	p := testParams()
 	a := testArray(1, p)
-	h, _, err := Enroll(a, p, rng.New(2))
+	h, _, err := enroll(a, p, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +96,7 @@ func TestEnrollClassifiesAllThreeKinds(t *testing.T) {
 func TestCooperationWiringInvariants(t *testing.T) {
 	p := testParams()
 	a := testArray(3, p)
-	h, _, err := Enroll(a, p, rng.New(4))
+	h, _, err := enroll(a, p, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +121,7 @@ func TestMaskingConstraintHolds(t *testing.T) {
 	// rc XOR rg must equal rci at enrollment reference conditions.
 	p := testParams()
 	a := testArray(5, p)
-	h, _, err := Enroll(a, p, rng.New(6))
+	h, _, err := enroll(a, p, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +147,17 @@ func TestMaskingConstraintHolds(t *testing.T) {
 func TestReconstructStableAcrossRange(t *testing.T) {
 	p := testParams()
 	a := testArray(7, p)
-	h, key, err := Enroll(a, p, rng.New(8))
+	h, key, err := enroll(a, p, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rng.New(9)
+	nm := a.NewNoise(rng.New(9))
 	v := a.Config().NominalVoltageV
 	for _, temp := range []float64{-20, -5, 10, 25, 40, 55, 70, 80} {
 		ok := 0
 		const trials = 10
 		for trial := 0; trial < trials; trial++ {
-			got, err := Reconstruct(a, p, h, silicon.Environment{TempC: temp, VoltageV: v}, src)
+			got, err := reconstruct(a, p, h, silicon.Environment{TempC: temp, VoltageV: v}, nm)
 			if err == nil && got.Equal(key) {
 				ok++
 			}
@@ -161,7 +174,7 @@ func TestHelperSubstitutionFlipsBitWhenBitsDiffer(t *testing.T) {
 	// pair reconstruct wrongly at an in-interval temperature.
 	p := testParams()
 	a := testArray(11, p)
-	h, key, err := Enroll(a, p, rng.New(12))
+	h, key, err := enroll(a, p, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +216,11 @@ func TestHelperSubstitutionFlipsBitWhenBitsDiffer(t *testing.T) {
 	manip.Pairs[target].HelpIdx = substitute
 
 	env := silicon.Environment{TempC: midT, VoltageV: v}
-	src := rng.New(13)
+	nm := a.NewNoise(rng.New(13))
 	failures := 0
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
-		got, err := Reconstruct(a, p, manip, env, src)
+		got, err := reconstruct(a, p, manip, env, nm)
 		if err != nil || !got.Equal(key) {
 			failures++
 		}
@@ -229,7 +242,7 @@ func TestThManipulationInjectsDeterministicError(t *testing.T) {
 	// reconstruction must fail almost always.
 	p := testParams()
 	a := testArray(21, p)
-	h, key, err := Enroll(a, p, rng.New(22))
+	h, key, err := enroll(a, p, rng.New(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +266,11 @@ func TestThManipulationInjectsDeterministicError(t *testing.T) {
 	if injected <= p.Code.T() {
 		t.Skipf("only %d injectable pairs on this instance", injected)
 	}
-	src := rng.New(23)
+	nm := a.NewNoise(rng.New(23))
 	failures := 0
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
-		got, err := Reconstruct(a, p, manip, silicon.Environment{TempC: temp, VoltageV: v}, src)
+		got, err := reconstruct(a, p, manip, silicon.Environment{TempC: temp, VoltageV: v}, nm)
 		if err != nil || !got.Equal(key) {
 			failures++
 		}
@@ -270,7 +283,7 @@ func TestThManipulationInjectsDeterministicError(t *testing.T) {
 func TestValidateHelperRejects(t *testing.T) {
 	p := testParams()
 	a := testArray(31, p)
-	h, _, err := Enroll(a, p, rng.New(32))
+	h, _, err := enroll(a, p, rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +327,7 @@ func TestValidateHelperRejects(t *testing.T) {
 func TestHelperMarshalRoundTrip(t *testing.T) {
 	p := testParams()
 	a := testArray(41, p)
-	h, _, err := Enroll(a, p, rng.New(42))
+	h, _, err := enroll(a, p, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +361,7 @@ func TestDeterministicSelectionIsFirstCandidate(t *testing.T) {
 	p := testParams()
 	p.Policy = DeterministicSelection
 	a := testArray(51, p)
-	h, _, err := Enroll(a, p, rng.New(52))
+	h, _, err := enroll(a, p, rng.New(52))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,9 +400,10 @@ func BenchmarkEnroll8x16(b *testing.B) {
 	p := testParams()
 	a := testArray(1, p)
 	src := rng.New(2)
+	nm := a.NewNoise(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Enroll(a, p, src); err != nil {
+		if _, _, err := Enroll(a, p, src, nm); err != nil {
 			b.Fatal(err)
 		}
 	}

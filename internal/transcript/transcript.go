@@ -1,15 +1,15 @@
 // Package transcript is the repository's single determinism contract.
 // A Spec names one cell of the attack evaluation matrix — attack name ×
-// device seed × silicon noise model × the device/attack options the
-// golden suites vary — and Run executes it through the attack registry
-// against a freshly enrolled reference device, recording a canonical
-// Transcript: the enrolled-key digest, the recovered key, the recovery
-// outcome, the oracle-query count and the per-phase query costs.
+// device seed × the device/attack options the golden suites vary — and
+// Run executes it through the attack registry against a freshly
+// enrolled reference device, recording a canonical Transcript: the
+// enrolled-key digest, the recovered key, the recovery outcome, the
+// oracle-query count and the per-phase query costs.
 //
 // Transcripts are the unit of golden testing: the committed files under
-// testdata/transcripts/ each hold the []Transcript of one
-// (attack × noise model) cell group, regenerated by exactly one entry
-// point (`go test -run TestGoldenTranscripts -update` at the repo root,
+// testdata/transcripts/ each hold the []Transcript of one attack's cell
+// group, regenerated by exactly one entry point
+// (`go test -run TestGoldenTranscripts -update` at the repo root,
 // or `puf-bench -golden testdata/transcripts` for CI). Everything a
 // transcript records is a pure function of its Spec, so a golden drift
 // always means observable behavior changed — never "just speed".
@@ -34,9 +34,8 @@ import (
 )
 
 // Spec selects one evaluation-matrix cell. The zero values of the
-// optional axes reproduce the historical golden configuration: stream
-// noise, plain (non-expurgated) code where the attack has the choice,
-// and the serial in-process oracle.
+// optional axes select plain (non-expurgated) code where the attack has
+// the choice and the serial in-process oracle.
 type Spec struct {
 	// Attack is the registry name: seqpair, tempco, groupbased,
 	// masking or chain.
@@ -44,8 +43,10 @@ type Spec struct {
 	// Seed derives the device: manufacturing RNG rng.New(Seed),
 	// enrollment/runtime RNG rng.New(Seed+1).
 	Seed uint64 `json:"seed"`
-	// Noise names the silicon noise model ("stream" or "counter";
-	// empty = stream).
+	// Noise names the silicon noise model. Single-valued: "" and
+	// "counter" both select the counter model; any other value (the
+	// removed "stream" model included) is rejected by Run. It is kept
+	// so existing specs and golden files decode unchanged.
 	Noise string `json:"noise,omitempty"`
 	// Expurgate selects the even-weight BCH subcode on the seqpair
 	// device, removing the complement ambiguity.
@@ -53,8 +54,8 @@ type Spec struct {
 	// Workers > 0 runs the attack through a BatchTarget with that many
 	// workers (forked oracles per hypothesis arm); 0 keeps the serial
 	// in-process oracle. Batched transcripts are worker-count invariant
-	// but legitimately differ from serial ones: arms run on forked
-	// noise streams.
+	// but legitimately differ from serial ones: arms run on forked,
+	// independently keyed noise.
 	Workers int `json:"workers,omitempty"`
 	// ForkSeed is the BatchTarget fork-seed base (0 = 99, the value the
 	// historical invariance tests pinned). Ignored when Workers == 0.
@@ -127,7 +128,7 @@ type Cache interface {
 	Get(key string, build func() any) any
 }
 
-// enrollPool is the per-(attack, noise, options) pooled enrollment
+// enrollPool is the per-(attack, options) pooled enrollment
 // state: the ECC code tables (immutable, shared across seeds) and the
 // previously enrolled device, whose backing storage the next seed's
 // enrollment adopts via the device layer's Enroll*Reuse path.
@@ -167,14 +168,10 @@ func Run(ctx context.Context, spec Spec) (Transcript, error) {
 // and, transitively, by the golden suites over pooled campaigns); a nil
 // cache is exactly Run.
 func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
-	noise := silicon.NoiseStream
-	if spec.Noise != "" {
-		var err error
-		if noise, err = silicon.ParseNoiseModel(spec.Noise); err != nil {
-			return Transcript{}, err
-		}
+	if err := silicon.CheckNoise(spec.Noise); err != nil {
+		return Transcript{}, err
 	}
-	c, err := enroll(spec, noise, cache)
+	c, err := enroll(spec, cache)
 	if err != nil {
 		return Transcript{}, err
 	}
@@ -215,14 +212,14 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 // per-attack evaluation configuration (the paper's array geometries),
 // shared by experiments, benchmarks and goldens. With a non-nil cache,
 // enrollment adopts the pooled device for the spec's fingerprint (the
-// attack × noise × code-option axes — everything that shapes the device
+// attack × code-option axes — everything that shapes the device
 // besides the seed); a reuse-enrollment error drops the pooled carcass
 // so a retry cannot adopt half-remanufactured state.
-func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) {
+func enroll(spec Spec, cache Cache) (cell, error) {
 	mfg, run := rng.New(spec.Seed), rng.New(spec.Seed+1)
 	switch spec.Attack {
 	case "seqpair":
-		key := "transcript:seqpair:" + noise.String()
+		key := "transcript:seqpair"
 		if spec.Expurgate {
 			key += ":exp"
 		}
@@ -236,7 +233,6 @@ func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) 
 				return ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: spec.Expurgate})
 			}),
 			EnrollReps: 20,
-			Noise:      noise,
 		}, mfg, run)
 		if err != nil {
 			ep.dev = nil
@@ -250,7 +246,7 @@ func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) 
 			}}, nil
 
 	case "tempco":
-		ep := spec.poolFor(cache, "transcript:tempco:"+noise.String())
+		ep := spec.poolFor(cache, "transcript:tempco")
 		p := tempco.Params{
 			Rows: 8, Cols: 16,
 			ThresholdMHz: 0.6,
@@ -258,7 +254,6 @@ func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) 
 			Policy:     tempco.RandomSelection,
 			Code:       ep.codeOf(func() ecc.Code { return ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}) }),
 			EnrollReps: 25,
-			Noise:      noise,
 		}
 		prev, _ := ep.dev.(*device.TempCoDevice)
 		d, err := device.EnrollTempCoReuse(prev, p, mfg, run)
@@ -273,7 +268,7 @@ func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) 
 			}}, nil
 
 	case "groupbased":
-		ep := spec.poolFor(cache, "transcript:groupbased:"+noise.String())
+		ep := spec.poolFor(cache, "transcript:groupbased")
 		prev, _ := ep.dev.(*device.GroupBasedDevice)
 		d, err := device.EnrollGroupBasedReuse(prev, groupbased.Params{
 			Rows: 4, Cols: 10,
@@ -282,7 +277,6 @@ func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) 
 			MaxGroupSize: 6,
 			Code:         ep.codeOf(func() ecc.Code { return ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}) }),
 			EnrollReps:   25,
-			Noise:        noise,
 		}, mfg, run)
 		if err != nil {
 			ep.dev = nil
@@ -297,7 +291,7 @@ func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) 
 			}}, nil
 
 	case "masking", "chain":
-		ep := spec.poolFor(cache, "transcript:"+spec.Attack+":"+noise.String())
+		ep := spec.poolFor(cache, "transcript:"+spec.Attack)
 		p := device.DistillerPairParams{
 			Rows: 4, Cols: 10,
 			Degree:     2,
@@ -305,7 +299,6 @@ func enroll(spec Spec, noise silicon.NoiseModelKind, cache Cache) (cell, error) 
 			K:          5,
 			Code:       ep.codeOf(func() ecc.Code { return ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}) }),
 			EnrollReps: 25,
-			Noise:      noise,
 		}
 		if spec.Attack == "chain" {
 			p.Mode, p.K = device.OverlappingChain, 0
@@ -375,28 +368,23 @@ var goldenSeeds = map[string][]uint64{
 	"chain":      {13, 16, 19},
 }
 
-// NoiseModels lists the golden matrix's noise-model axis.
-var NoiseModels = []string{"stream", "counter"}
-
 // GoldenFiles returns the canonical golden matrix grouped by file name:
-// "<attack>_<noise>.json" → the specs of that cell group, in seed
+// "<attack>_counter.json" → the specs of that cell group, in seed
 // order. The seqpair cells run the expurgated subcode (full recovery,
 // matching the historical goldens).
 func GoldenFiles() map[string][]Spec {
-	out := make(map[string][]Spec, len(goldenSeeds)*len(NoiseModels))
+	out := make(map[string][]Spec, len(goldenSeeds))
 	for _, name := range Attacks() {
-		for _, noise := range NoiseModels {
-			specs := make([]Spec, 0, len(goldenSeeds[name]))
-			for _, seed := range goldenSeeds[name] {
-				specs = append(specs, Spec{
-					Attack:    name,
-					Seed:      seed,
-					Noise:     noise,
-					Expurgate: name == "seqpair",
-				})
-			}
-			out[fmt.Sprintf("%s_%s.json", name, noise)] = specs
+		specs := make([]Spec, 0, len(goldenSeeds[name]))
+		for _, seed := range goldenSeeds[name] {
+			specs = append(specs, Spec{
+				Attack:    name,
+				Seed:      seed,
+				Noise:     "counter",
+				Expurgate: name == "seqpair",
+			})
 		}
+		out[name+"_counter.json"] = specs
 	}
 	return out
 }
@@ -417,7 +405,7 @@ func RunAll(ctx context.Context, specs []Spec) ([]Transcript, error) {
 	for _, spec := range specs {
 		tr, err := Run(ctx, spec)
 		if err != nil {
-			return nil, fmt.Errorf("transcript: %s seed %d noise %s: %w", spec.Attack, spec.Seed, spec.Noise, err)
+			return nil, fmt.Errorf("transcript: %s seed %d: %w", spec.Attack, spec.Seed, err)
 		}
 		out = append(out, tr)
 	}

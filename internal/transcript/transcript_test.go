@@ -2,6 +2,7 @@ package transcript
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,34 @@ func TestRunRejectsUnknownNoiseModel(t *testing.T) {
 	_, err := Run(context.Background(), Spec{Attack: "seqpair", Seed: 1, Noise: "thermal"})
 	if err == nil || !strings.Contains(err.Error(), "unknown noise model") {
 		t.Fatalf("err = %v, want unknown-noise-model error", err)
+	}
+}
+
+// TestRunRejectsRemovedStreamModel pins that a spec naming the removed
+// sequential-stream model fails with an error saying so, instead of
+// silently running under counter noise.
+func TestRunRejectsRemovedStreamModel(t *testing.T) {
+	_, err := Run(context.Background(), Spec{Attack: "seqpair", Seed: 1, Noise: "stream"})
+	if err == nil || !strings.Contains(err.Error(), "stream noise model was removed") {
+		t.Fatalf("err = %v, want removed-model error", err)
+	}
+}
+
+// TestRunEmptyNoiseIsCounter pins the single-valued Noise axis: an
+// empty model name runs exactly the counter cell.
+func TestRunEmptyNoiseIsCounter(t *testing.T) {
+	ctx := context.Background()
+	empty, err := Run(ctx, Spec{Attack: "masking", Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, err := Run(ctx, Spec{Attack: "masking", Seed: 11, Noise: "counter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty.Spec.Noise = "counter"
+	if !reflect.DeepEqual(empty, counter) {
+		t.Fatalf("empty-noise transcript differs from counter:\nempty:   %+v\ncounter: %+v", empty, counter)
 	}
 }
 
@@ -56,26 +85,23 @@ func TestMarshalRoundTrips(t *testing.T) {
 func TestGoldenFilesCoverTheFullMatrix(t *testing.T) {
 	files := GoldenFiles()
 	attacks := Attacks()
-	if len(files) != len(attacks)*len(NoiseModels) {
-		t.Fatalf("%d golden files, want %d (attacks %v x noise %v)",
-			len(files), len(attacks)*len(NoiseModels), attacks, NoiseModels)
+	if len(files) != len(attacks) {
+		t.Fatalf("%d golden files, want one per attack %v", len(files), attacks)
 	}
 	for _, a := range attacks {
-		for _, n := range NoiseModels {
-			specs, ok := files[a+"_"+n+".json"]
-			if !ok {
-				t.Fatalf("matrix cell %s x %s missing", a, n)
+		specs, ok := files[a+"_counter.json"]
+		if !ok {
+			t.Fatalf("matrix cell %s missing", a)
+		}
+		if len(specs) == 0 {
+			t.Fatalf("cell %s has no seeds", a)
+		}
+		for _, s := range specs {
+			if s.Attack != a || s.Noise != "counter" {
+				t.Fatalf("spec %+v filed under %s", s, a)
 			}
-			if len(specs) == 0 {
-				t.Fatalf("cell %s x %s has no seeds", a, n)
-			}
-			for _, s := range specs {
-				if s.Attack != a || s.Noise != n {
-					t.Fatalf("spec %+v filed under %s x %s", s, a, n)
-				}
-				if s.Attack == "seqpair" && !s.Expurgate {
-					t.Fatal("seqpair golden cells must use the expurgated code")
-				}
+			if s.Attack == "seqpair" && !s.Expurgate {
+				t.Fatal("seqpair golden cells must use the expurgated code")
 			}
 		}
 	}
