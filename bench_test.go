@@ -1,9 +1,9 @@
 // Package repro's bench harness regenerates every table and figure of
-// the paper (see DESIGN.md §4 for the E1-E12 experiment index and
-// EXPERIMENTS.md for paper-vs-measured outcomes). Each benchmark reports
-// the experiment's headline quantities as custom metrics so that
-// `go test -bench=. -benchmem` reproduces the evaluation in one run; the
-// cmd/puf-bench tool prints the same results as human-readable tables.
+// the paper (see the README's "Experiment ↔ paper mapping" for the
+// experiment index). Each benchmark reports the experiment's headline
+// quantities as custom metrics so that `go test -bench=. -benchmem`
+// reproduces the evaluation in one run; the cmd/puf-bench tool prints
+// the same results as human-readable tables.
 package repro
 
 import (

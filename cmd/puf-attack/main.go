@@ -4,17 +4,14 @@
 // and per-phase breakdown.
 //
 // The attack is resolved through the attack registry, so a newly
-// registered fifth attack shows up here with no CLI changes. With
-// -workers > 1 the oracle is wrapped in the batched backend
-// (attack.BatchTarget), which evaluates the arms of each hypothesis
-// test concurrently on forked oracles — bit-identical results for any
-// worker count.
+// registered fifth attack shows up here with no CLI changes. An
+// unknown -strategy is a usage error (exit 2).
 //
 // Usage:
 //
 //	puf-attack -list
 //	puf-attack -attack seqpair [-seed N] [-strategy sequential|fixed]
-//	puf-attack -attack groupbased -workers 8 -budget 200000 -timeout 2m
+//	puf-attack -attack groupbased -budget 200000 -timeout 2m
 package main
 
 import (
@@ -39,7 +36,6 @@ func main() {
 	list := flag.Bool("list", false, "list registered attacks and exit")
 	seed := flag.Uint64("seed", 1, "device manufacturing seed")
 	strategy := flag.String("strategy", "sequential", "distinguisher: sequential or fixed")
-	workers := flag.Int("workers", 1, "batched oracle workers (> 1 wraps the target in attack.BatchTarget)")
 	budget := flag.Int("budget", 0, "oracle query budget (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "attack wall-time limit (0 = none)")
 	verbose := flag.Bool("v", false, "print per-phase progress lines")
@@ -52,9 +48,10 @@ func main() {
 		}
 		return
 	}
-	dist := attack.DefaultDistinguisher()
-	if *strategy == "fixed" {
-		dist = attack.Distinguisher{Strategy: attack.FixedSample, Queries: 10}
+	dist, err := distinguisher(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "puf-attack:", err)
+		os.Exit(2)
 	}
 
 	ctx := context.Background()
@@ -67,27 +64,31 @@ func main() {
 	if err := run(ctx, *name, *seed, attack.Options{
 		Dist:        dist,
 		QueryBudget: *budget,
-	}, *workers, *verbose); err != nil {
+	}, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "puf-attack:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, name string, seed uint64, opts attack.Options, workers int, verbose bool) error {
+// distinguisher maps a -strategy value to its distinguisher; any value
+// but "sequential" and "fixed" is an error.
+func distinguisher(strategy string) (attack.Distinguisher, error) {
+	switch strategy {
+	case "sequential":
+		return attack.DefaultDistinguisher(), nil
+	case "fixed":
+		return attack.Distinguisher{Strategy: attack.FixedSample, Queries: 10}, nil
+	}
+	return attack.Distinguisher{}, fmt.Errorf("unknown -strategy %q (want sequential or fixed)", strategy)
+}
+
+func run(ctx context.Context, name string, seed uint64, opts attack.Options, verbose bool) error {
 	target, truth, desc, err := enroll(name, seed)
 	if err != nil {
 		return err
 	}
 	fmt.Println(desc)
 
-	if workers > 1 {
-		bt, err := attack.NewBatchTarget(target, workers, seed^0xba7c4)
-		if err != nil {
-			return err
-		}
-		target = bt
-		fmt.Printf("oracle backend: batched, %d workers\n", workers)
-	}
 	if verbose {
 		last := ""
 		opts.Progress = func(p attack.Progress) {

@@ -1,6 +1,7 @@
 // Command puf-bench regenerates every table and figure of the paper as
 // human-readable text (the numeric counterpart of the bench targets in
-// bench_test.go; see DESIGN.md §4 for the experiment index).
+// bench_test.go; see the README's "Experiment ↔ paper mapping" for the
+// experiment index).
 //
 // Usage:
 //

@@ -86,50 +86,3 @@ func TestGoldenTranscripts(t *testing.T) {
 		}
 	}
 }
-
-// TestTranscriptWorkerInvariance pins the batched-oracle contract that
-// the ad-hoc BatchTarget invariance tests used to cover: a BatchTarget
-// run is a pure function of the Spec — the worker count only changes
-// scheduling, never the transcript. Workers=1 and workers=4 must agree
-// byte-for-byte on every attack.
-func TestTranscriptWorkerInvariance(t *testing.T) {
-	seeds := map[string]uint64{
-		"seqpair": 5, "tempco": 7, "groupbased": 9, "masking": 11, "chain": 13,
-	}
-	for _, name := range transcript.Attacks() {
-		name := name
-		t.Run(name+"_counter", func(t *testing.T) {
-			t.Parallel()
-			spec := transcript.Spec{
-				Attack:    name,
-				Seed:      seeds[name],
-				Noise:     "counter",
-				Expurgate: name == "seqpair",
-				Workers:   1,
-			}
-			serial, err := transcript.Run(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec.Workers = 4
-			batched, err := transcript.Run(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The Workers axis is part of the Spec; blank it so the
-			// byte comparison covers only observable behavior.
-			serial.Spec.Workers, batched.Spec.Workers = 0, 0
-			a, err := transcript.Marshal([]transcript.Transcript{serial})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := transcript.Marshal([]transcript.Transcript{batched})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Errorf("worker-count variance:\nworkers=1: %s\nworkers=4: %s", a, b)
-			}
-		})
-	}
-}

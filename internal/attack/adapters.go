@@ -10,9 +10,8 @@ import (
 
 // In-process adapters presenting the simulated devices of
 // internal/device as Targets. Each adapter translates between the
-// device's typed helper structs and the sectioned NVM image, inverts
-// App() into the failure convention (Query true = failure), and forks
-// by cloning the device onto independently keyed noise.
+// device's typed helper structs and the sectioned NVM image and inverts
+// App() into the failure convention (Query true = failure).
 //
 // Two fast paths keep the adapters off the oracle-query hot loop's
 // allocation profile:
@@ -136,10 +135,6 @@ func (t *seqPairTarget) WriteImage(im *helperdata.Image) error {
 func (t *seqPairTarget) Query() bool  { return !t.d.App() }
 func (t *seqPairTarget) Queries() int { return t.d.Queries() }
 
-func (t *seqPairTarget) Fork(seed uint64) (Target, error) {
-	return NewSeqPairTarget(t.d.Fork(seed)), nil
-}
-
 // NewTempCoTarget adapts a deployed temperature-aware cooperative device.
 func NewTempCoTarget(d *device.TempCoDevice) Target { return &tempCoTarget{d: d} }
 
@@ -168,10 +163,6 @@ func (t *tempCoTarget) WriteImage(im *helperdata.Image) error {
 
 func (t *tempCoTarget) Query() bool  { return !t.d.App() }
 func (t *tempCoTarget) Queries() int { return t.d.Queries() }
-
-func (t *tempCoTarget) Fork(seed uint64) (Target, error) {
-	return NewTempCoTarget(t.d.Fork(seed)), nil
-}
 
 // NewGroupBasedTarget adapts a deployed group-based device (the
 // reprogrammed-key observable: it also implements KeyBinder).
@@ -208,10 +199,6 @@ func (t *groupBasedTarget) WriteImage(im *helperdata.Image) error {
 func (t *groupBasedTarget) Query() bool               { return !t.d.App() }
 func (t *groupBasedTarget) Queries() int              { return t.d.Queries() }
 func (t *groupBasedTarget) BindKey(key bitvec.Vector) { t.d.BindKey(key) }
-
-func (t *groupBasedTarget) Fork(seed uint64) (Target, error) {
-	return NewGroupBasedTarget(t.d.Fork(seed)), nil
-}
 
 // NewDistillerTarget adapts a deployed distiller + pairing device
 // (reprogrammed-key observable; the Spec construction is "masking" or
@@ -263,7 +250,3 @@ func (t *distillerTarget) WriteImage(im *helperdata.Image) error {
 func (t *distillerTarget) Query() bool               { return !t.d.App() }
 func (t *distillerTarget) Queries() int              { return t.d.Queries() }
 func (t *distillerTarget) BindKey(key bitvec.Vector) { t.d.BindKey(key) }
-
-func (t *distillerTarget) Fork(seed uint64) (Target, error) {
-	return NewDistillerTarget(t.d.Fork(seed)), nil
-}

@@ -14,8 +14,7 @@
 //	   ▼
 //	Target — helperdata.Image read/write + failure oracle + query count
 //	   │
-//	   ├─ device adapters (in-process simulated devices)
-//	   └─ BatchTarget    (bounded worker pool over forked oracles)
+//	   └─ device adapters (in-process simulated devices)
 //
 // Anything that can serve the Target interface — an in-process simulator,
 // a lab bench over a serial link, a remote fleet — runs every registered
@@ -80,13 +79,6 @@ type Target interface {
 // to a predicted key (data encrypted under it) before querying.
 type KeyBinder interface {
 	BindKey(key bitvec.Vector)
-}
-
-// Forker is implemented by targets that can produce independent oracle
-// clones whose measurement noise derives deterministically from seed.
-// BatchTarget requires it to pipeline hypothesis arms concurrently.
-type Forker interface {
-	Fork(seed uint64) (Target, error)
 }
 
 // Options is the unified attack configuration.
@@ -181,7 +173,9 @@ type Attack interface {
 var ErrBudgetExhausted = errors.New("attack: query budget exhausted")
 
 // Budget meters oracle queries. The zero value and the nil pointer are
-// both unlimited. It is safe for concurrent use (batched arms share it).
+// both unlimited. It is safe for concurrent use, so a caller may share
+// one budget across goroutines; the attacks themselves spend it from
+// one goroutine.
 type Budget struct {
 	limited   bool
 	remaining atomic.Int64
@@ -331,14 +325,4 @@ func (tr *tracer) report(startQueries int) Report {
 		Elapsed: time.Since(tr.began),
 		Phases:  tr.phases,
 	}
-}
-
-// binderFor unwraps batch targets and reports whether the underlying
-// oracle supports the reprogrammed-key observable.
-func binderFor(t Target) bool {
-	if bt, ok := t.(*BatchTarget); ok {
-		return binderFor(bt.inner)
-	}
-	_, ok := t.(KeyBinder)
-	return ok
 }

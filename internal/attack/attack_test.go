@@ -3,7 +3,6 @@ package attack
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 
 	"repro/internal/device"
@@ -171,103 +170,5 @@ func TestContextCancellationStopsAttack(t *testing.T) {
 	}
 	if q := d.Queries(); q > 0 {
 		t.Fatalf("cancelled attack still spent %d queries", q)
-	}
-}
-
-// TestBatchTargetRecovers confirms the forked-noise oracle still drives
-// the attacks to full recovery (the statistics are unchanged even though
-// the forked noise differs from the serial transcript).
-func TestBatchTargetRecovers(t *testing.T) {
-	d := seqPairDevice(t, 31)
-	bt, err := NewBatchTarget(NewSeqPairTarget(d), 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), "seqpair", bt, Options{Dist: DefaultDistinguisher()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Key.Equal(d.TrueKey()) {
-		t.Fatalf("batched attack failed:\n got %s\nwant %s", rep.Key, d.TrueKey())
-	}
-	if rep.Queries <= 0 {
-		t.Fatal("no queries accounted")
-	}
-}
-
-func TestBatchTargetRequiresForker(t *testing.T) {
-	if _, err := NewBatchTarget(fakeTarget{}, 2, 1); err == nil {
-		t.Fatal("non-forkable target accepted")
-	}
-}
-
-type fakeTarget struct{ Target }
-
-// BenchmarkBatchDistinguisher measures the distinguisher hot path
-// through the batched backend at 1 worker versus all cores. The >1
-// worker speedup materializes on multi-core hosts; the results are
-// bit-identical either way (TestTranscriptWorkerInvariance at the
-// repository root pins that contract per attack and noise model).
-func BenchmarkBatchDistinguisher(b *testing.B) {
-	counts := []int{1}
-	if runtime.NumCPU() > 1 {
-		counts = append(counts, runtime.NumCPU())
-	}
-	for _, workers := range counts {
-		b.Run(benchName(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d := seqPairDevice(b, 41)
-				bt, err := NewBatchTarget(NewSeqPairTarget(d), workers, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := Run(context.Background(), "seqpair", bt, Options{
-					Dist: Distinguisher{Strategy: FixedSample, Queries: 12},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func benchName(workers int) string {
-	if workers == 1 {
-		return "workers=1"
-	}
-	return "workers=numcpu"
-}
-
-// TestBatchTargetCounterSpec pins the adapter surface the batched
-// backend exposes: the forked-oracle target reports the wrapped
-// device's Spec() and still drives the attack to recovery.
-// (Worker-count invariance is pinned per attack by
-// TestTranscriptWorkerInvariance at the repository root.)
-func TestBatchTargetCounterSpec(t *testing.T) {
-	d, err := device.EnrollSeqPair(device.SeqPairParams{
-		Rows: 8, Cols: 16,
-		ThresholdMHz: 0.8,
-		Policy:       pairing.RandomizedStorage,
-		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-		EnrollReps:   20,
-	}, rng.New(21), rng.New(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, err := NewBatchTarget(NewSeqPairTarget(d), 4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bt.Spec(); got.Construction != "seqpair" || got.Code.N() != d.Code().N() {
-		t.Fatalf("batched spec = %+v, want the seqpair device's", got)
-	}
-	rep, err := Run(context.Background(), "seqpair", bt, Options{Dist: DefaultDistinguisher()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Key.Equal(d.TrueKey()) {
-		t.Fatal("counter-mode batched attack failed")
 	}
 }

@@ -101,7 +101,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	if spec.Rows <= 0 || spec.Cols <= 0 {
 		return Report{}, fmt.Errorf("attack: masking needs array geometry in the spec, got %dx%d", spec.Rows, spec.Cols)
 	}
-	if !binderFor(t) {
+	if _, ok := t.(KeyBinder); !ok {
 		return Report{}, fmt.Errorf("attack: masking needs a reprogrammed-key target (KeyBinder)")
 	}
 	originalImage, err := t.ReadImage()
@@ -293,7 +293,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	if spec.Rows <= 0 || spec.Cols <= 0 {
 		return Report{}, fmt.Errorf("attack: chain needs array geometry in the spec, got %dx%d", spec.Rows, spec.Cols)
 	}
-	if !binderFor(t) {
+	if _, ok := t.(KeyBinder); !ok {
 		return Report{}, fmt.Errorf("attack: chain needs a reprogrammed-key target (KeyBinder)")
 	}
 	originalImage, err := t.ReadImage()

@@ -13,24 +13,26 @@ import (
 // common offset of deterministic errors pushes the ECC to the edge of
 // its correction radius; the hypothesis whose failure rate stays nominal
 // wins. Attacks and distinguisher live together behind the same
-// oracle-agnostic Target surface.
+// oracle-agnostic Target surface, and every hypothesis test runs through
+// one serial path, Distinguisher.BestHypotheses, against the one device
+// the adversary holds.
 
 // ErrNoArms reports a hypothesis test over an empty arm set — a malformed
 // attack configuration rather than a statistical outcome. Attacks return
 // it (wrapped) instead of crashing a long-running campaign.
 var ErrNoArms = errors.New("attack: no hypothesis arms to distinguish")
 
-// Arm is one hypothesis under test: a closure that installs the
-// hypothesis's helper manipulation, then performs one oracle query and
-// reports FAILURE (true = the key-dependent application misbehaved).
+// Arm is one observation source for failure-rate estimation: a closure
+// that performs one oracle query (after whatever manipulation it needs)
+// and reports FAILURE (true = the key-dependent application misbehaved).
+// Calibration and EstimateFailureRate take arms; hypothesis tests take
+// Hypothesis values instead.
 type Arm func() bool
 
-// Hypothesis is one arm of a test expressed target-generically: Install
-// writes the arm's manipulated helper (and, for reprogrammed-key
-// targets, binds the predicted key) into whatever oracle it is given.
-// One Query on that oracle then yields one observation. Expressing arms
-// this way — rather than as closures over a fixed oracle — is what lets
-// BatchTarget evaluate them concurrently against independent forks.
+// Hypothesis is one arm of a hypothesis test: it writes the arm's
+// manipulated helper (and, for reprogrammed-key targets, binds the
+// predicted key) into the oracle it is given. One Query on that oracle
+// then yields one observation.
 type Hypothesis func(t Target) error
 
 // Strategy selects how the distinguisher spends queries.
@@ -116,75 +118,17 @@ func (d Distinguisher) normalized() Distinguisher {
 	return d
 }
 
-// Best returns the index of the arm with the lowest failure rate and the
-// total number of queries spent. An empty arm set returns (-1, 0);
-// callers treat that as ErrNoArms.
-func (d Distinguisher) Best(arms []Arm) (best, queries int) {
-	best, queries, _ = d.BestContext(context.Background(), arms, nil)
-	return best, queries
-}
-
-// BestContext is Best with cooperative cancellation and query metering:
-// ctx is checked and the budget is charged before every oracle query.
-// On cancellation or exhaustion it returns (-1, queries so far, err).
-func (d Distinguisher) BestContext(ctx context.Context, arms []Arm, b *Budget) (best, queries int, err error) {
-	if len(arms) == 0 {
-		return -1, 0, nil
-	}
-	d = d.normalized()
-	if len(arms) == 1 {
-		return 0, 0, nil
-	}
-	if d.Strategy == Sequential {
-		total := 0
-		for i, arm := range arms {
-			r := d.sprtArm(ctx, arm, b)
-			total += r.n
-			if r.err != nil {
-				return -1, total, r.err
-			}
-			if r.accepted {
-				return i, total, nil
-			}
-		}
-		// No arm accepted at the nominal rate: fall back.
-		best, extra, err := d.fixedBest(ctx, arms, b)
-		return best, total + extra, err
-	}
-	return d.fixedBest(ctx, arms, b)
-}
-
-// fixedBest is the serial fixed-sample pass; the per-arm loop is the
-// same fixedArm the batched backend runs on forks, so serial and
-// batched paths cannot drift apart semantically.
-func (d Distinguisher) fixedBest(ctx context.Context, arms []Arm, b *Budget) (int, int, error) {
-	best, bestFails := 0, int(^uint(0)>>1)
-	total := 0
-	for i, arm := range arms {
-		r := d.fixedArm(ctx, arm, b)
-		total += r.n
-		if r.err != nil {
-			return -1, total, r.err
-		}
-		if r.fails < bestFails {
-			best, bestFails = i, r.fails
-		}
-	}
-	return best, total, nil
-}
-
-// BestHypotheses evaluates target-generic arms. Against a BatchTarget it
-// pipelines the arms concurrently over forked oracles (bit-identical at
-// any worker count); against any other target it runs the exact serial
-// transcript of BestContext, installing each hypothesis before every
-// query, so in-process results match the legacy closure-based path. The
-// serial path evaluates hypotheses directly rather than binding them
-// into Arm closures: attacks run one call per recovered key bit, so the
-// per-decision closure churn matters.
+// BestHypotheses returns the index of the hypothesis with the lowest
+// failure rate on t and the number of queries spent, installing each
+// hypothesis before every query. ctx is checked and the budget charged
+// before every query; on cancellation or exhaustion it returns (-1,
+// queries so far, err). An empty set returns (-1, 0, nil), which callers
+// treat as ErrNoArms; a single hypothesis wins without a query.
+//
+// Sequential runs the arms' SPRTs one after another and stops at the
+// first arm accepted at the nominal rate — Wald's early exit — falling
+// back to a fixed-sample pass when none is.
 func (d Distinguisher) BestHypotheses(ctx context.Context, t Target, hyps []Hypothesis, b *Budget) (best, queries int, err error) {
-	if bt, ok := t.(*BatchTarget); ok && len(hyps) > 1 {
-		return d.bestBatched(ctx, bt, hyps, b)
-	}
 	if len(hyps) == 0 {
 		return -1, 0, nil
 	}
@@ -195,12 +139,12 @@ func (d Distinguisher) BestHypotheses(ctx context.Context, t Target, hyps []Hypo
 	if d.Strategy == Sequential {
 		total := 0
 		for i := range hyps {
-			r := d.sprtHyp(ctx, t, hyps[i], b)
-			total += r.n
-			if r.err != nil {
-				return -1, total, r.err
+			accepted, n, err := d.sprtHyp(ctx, t, hyps[i], b)
+			total += n
+			if err != nil {
+				return -1, total, err
 			}
-			if r.accepted {
+			if accepted {
 				return i, total, nil
 			}
 		}
@@ -212,8 +156,8 @@ func (d Distinguisher) BestHypotheses(ctx context.Context, t Target, hyps []Hypo
 }
 
 // observe installs a hypothesis and performs one oracle query. An
-// install failure counts as an observed failure, matching bindArm (a
-// helper the device rejects can never look nominal).
+// install failure counts as an observed failure (a helper the device
+// rejects can never look nominal).
 func observe(t Target, h Hypothesis) bool {
 	if err := h(t); err != nil {
 		return true
@@ -221,21 +165,22 @@ func observe(t Target, h Hypothesis) bool {
 	return t.Query()
 }
 
-// sprtHyp is sprtArm evaluating a hypothesis in place, without an Arm
-// closure.
-func (d Distinguisher) sprtHyp(ctx context.Context, t Target, h Hypothesis, b *Budget) armResult {
+// sprtHyp runs one hypothesis's SPRT to a decision (or MaxQueries) and
+// reports whether it accepted the nominal rate and the queries spent.
+func (d Distinguisher) sprtHyp(ctx context.Context, t Target, h Hypothesis, b *Budget) (accepted bool, n int, err error) {
 	s := stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta)
 	decision := stats.SPRTContinue
 	for decision == stats.SPRTContinue && s.N() < d.MaxQueries {
 		if err := queryGate(ctx, b); err != nil {
-			return armResult{n: s.N(), err: err}
+			return false, s.N(), err
 		}
 		decision = s.Observe(observe(t, h))
 	}
-	return armResult{accepted: decision == stats.SPRTAcceptH0, n: s.N()}
+	return decision == stats.SPRTAcceptH0, s.N(), nil
 }
 
-// fixedBestHyp is fixedBest evaluating hypotheses in place.
+// fixedBestHyp queries every hypothesis d.Queries times and returns the
+// one with the fewest failures.
 func (d Distinguisher) fixedBestHyp(ctx context.Context, t Target, hyps []Hypothesis, b *Budget) (int, int, error) {
 	best, bestFails := 0, int(^uint(0)>>1)
 	total := 0
@@ -255,18 +200,6 @@ func (d Distinguisher) fixedBestHyp(ctx context.Context, t Target, hyps []Hypoth
 		}
 	}
 	return best, total, nil
-}
-
-// bindArm fixes a hypothesis to a concrete oracle. An install failure
-// counts as an observed failure, matching the legacy attacks' behavior
-// (a helper the device rejects can never look nominal).
-func bindArm(t Target, h Hypothesis) Arm {
-	return func() bool {
-		if err := h(t); err != nil {
-			return true
-		}
-		return t.Query()
-	}
 }
 
 // queryGate enforces cancellation and budget before one oracle query.

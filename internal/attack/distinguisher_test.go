@@ -1,8 +1,10 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/helperdata"
 	"repro/internal/rng"
 )
 
@@ -11,18 +13,64 @@ func bernoulliArm(r *rng.Source, p float64) Arm {
 	return func() bool { return r.Float64() < p }
 }
 
+// bernoulliTarget is a failure oracle whose installed hypothesis sets
+// the probability that the next query fails. Only Query and Queries are
+// exercised by the distinguisher; the image methods are inert.
+type bernoulliTarget struct {
+	r       *rng.Source
+	p       float64
+	queries int
+}
+
+func (b *bernoulliTarget) Spec() Spec                            { return Spec{} }
+func (b *bernoulliTarget) ReadImage() (*helperdata.Image, error) { return nil, nil }
+func (b *bernoulliTarget) WriteImage(*helperdata.Image) error    { return nil }
+func (b *bernoulliTarget) Queries() int                          { return b.queries }
+
+func (b *bernoulliTarget) Query() bool {
+	b.queries++
+	return b.r.Float64() < b.p
+}
+
+// rates returns one hypothesis per failure rate: installing hypothesis i
+// makes the target fail with probability ps[i].
+func rates(ps ...float64) []Hypothesis {
+	hyps := make([]Hypothesis, len(ps))
+	for i, p := range ps {
+		hyps[i] = func(t Target) error {
+			t.(*bernoulliTarget).p = p
+			return nil
+		}
+	}
+	return hyps
+}
+
+// best runs one hypothesis test and checks that the reported query
+// count matches the queries the target actually served.
+func best(t *testing.T, d Distinguisher, tgt *bernoulliTarget, hyps []Hypothesis) (int, int) {
+	t.Helper()
+	before := tgt.queries
+	i, q, err := d.BestHypotheses(context.Background(), tgt, hyps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := tgt.queries - before; served != q {
+		t.Fatalf("reported %d queries, target served %d", q, served)
+	}
+	return i, q
+}
+
 func TestBestFixedSample(t *testing.T) {
-	r := rng.New(1)
+	tgt := &bernoulliTarget{r: rng.New(1)}
 	d := Distinguisher{Strategy: FixedSample, Queries: 60}
 	correct := 0
 	const trials = 100
 	for trial := 0; trial < trials; trial++ {
-		arms := []Arm{bernoulliArm(r, 0.9), bernoulliArm(r, 0.1), bernoulliArm(r, 0.9)}
-		best, q := d.Best(arms)
+		i, q := best(t, d, tgt, rates(0.9, 0.1, 0.9))
 		if q != 3*60 {
 			t.Fatalf("queries %d", q)
 		}
-		if best == 1 {
+		if i == 1 {
 			correct++
 		}
 	}
@@ -32,15 +80,14 @@ func TestBestFixedSample(t *testing.T) {
 }
 
 func TestBestSequential(t *testing.T) {
-	r := rng.New(2)
+	tgt := &bernoulliTarget{r: rng.New(2)}
 	d := Distinguisher{Strategy: Sequential, Queries: 40, P0: 0.1, P1: 0.9, Alpha: 0.01, Beta: 0.01}
 	correct, totalQ := 0, 0
 	const trials = 100
 	for trial := 0; trial < trials; trial++ {
-		arms := []Arm{bernoulliArm(r, 0.9), bernoulliArm(r, 0.1)}
-		best, q := d.Best(arms)
+		i, q := best(t, d, tgt, rates(0.9, 0.1))
 		totalQ += q
-		if best == 1 {
+		if i == 1 {
 			correct++
 		}
 	}
@@ -57,30 +104,32 @@ func TestBestSequential(t *testing.T) {
 func TestBestSequentialFallsBack(t *testing.T) {
 	// Two arms both failing often: no arm accepted at the nominal rate,
 	// the fallback must still return a decision.
-	r := rng.New(3)
+	tgt := &bernoulliTarget{r: rng.New(3)}
 	d := Distinguisher{Strategy: Sequential, Queries: 10, P0: 0.02, P1: 0.5, Alpha: 0.01, Beta: 0.01, MaxQueries: 50}
-	arms := []Arm{bernoulliArm(r, 0.95), bernoulliArm(r, 0.95)}
-	best, q := d.Best(arms)
-	if best != 0 && best != 1 {
-		t.Fatalf("best = %d", best)
+	i, q := best(t, d, tgt, rates(0.95, 0.95))
+	if i != 0 && i != 1 {
+		t.Fatalf("best = %d", i)
 	}
-	if q == 0 {
-		t.Fatal("no queries spent")
+	// Each SPRT rejects or runs to MaxQueries, then the fallback spends
+	// its fixed 2*Queries on top.
+	if q <= 2*10 {
+		t.Fatalf("queries %d: the fallback ran without the SPRT round", q)
 	}
 }
 
 func TestBestSingleArm(t *testing.T) {
-	d := DefaultDistinguisher()
-	best, q := d.Best([]Arm{func() bool { return false }})
-	if best != 0 || q != 0 {
-		t.Fatalf("single arm: best=%d q=%d", best, q)
+	tgt := &bernoulliTarget{r: rng.New(4)}
+	i, q := best(t, DefaultDistinguisher(), tgt, rates(0))
+	if i != 0 || q != 0 {
+		t.Fatalf("single arm: best=%d q=%d", i, q)
 	}
 }
 
 func TestBestEmptyArmSet(t *testing.T) {
-	best, q := DefaultDistinguisher().Best(nil)
-	if best != -1 || q != 0 {
-		t.Fatalf("empty arm set: best=%d q=%d, want (-1, 0)", best, q)
+	tgt := &bernoulliTarget{r: rng.New(5)}
+	i, q := best(t, DefaultDistinguisher(), tgt, nil)
+	if i != -1 || q != 0 {
+		t.Fatalf("empty arm set: best=%d q=%d, want (-1, 0)", i, q)
 	}
 }
 

@@ -53,7 +53,7 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	if spec.Rows <= 0 || spec.Cols <= 0 {
 		return Report{}, fmt.Errorf("attack: groupbased needs array geometry in the spec, got %dx%d", spec.Rows, spec.Cols)
 	}
-	if !binderFor(t) {
+	if _, ok := t.(KeyBinder); !ok {
 		return Report{}, fmt.Errorf("attack: groupbased needs a reprogrammed-key target (KeyBinder)")
 	}
 	originalImage, err := t.ReadImage()

@@ -11,6 +11,11 @@
 // reference key the application's data is bound to. Every App() call
 // consumes fresh measurement noise and increments the query counter the
 // attack-cost experiments report.
+//
+// A device is one oracle driven by one goroutine, as the adversary holds
+// one device: its scratch and noise state are not concurrency-safe.
+// Concurrency comes from running many devices at once (campaign
+// workers), never from sharing or cloning one.
 package device
 
 import (
@@ -38,9 +43,8 @@ type Device interface {
 }
 
 // base carries the bookkeeping shared by every concrete device. The
-// query counter is atomic so that readers (progress displays, batched
-// oracle backends summing costs across forks) never race with an App
-// call in flight on another goroutine.
+// query counter is atomic so that readers on other goroutines (progress
+// displays) never race with an App call in flight.
 type base struct {
 	env     silicon.Environment
 	queries atomic.Int64

@@ -81,16 +81,14 @@ type DistillerPairDevice struct {
 	bound    bitvec.Vector
 	boundBuf bitvec.Vector
 	src      *rng.Source
-	// noise is the per-oracle measurement-noise state; Fork builds a
-	// fresh one per clone.
+	// noise is the per-oracle measurement-noise state.
 	noise   *silicon.Noise
 	scratch distillerScratch
 }
 
 // distillerScratch is the device's reusable reconstruction state:
 // the distiller surface evaluated on the grid, the resolved pair list,
-// and the measurement/codeword buffers. Per-device, not concurrency-safe
-// — Fork clones the device so each concurrent arm owns its own.
+// and the measurement/codeword buffers. Per-device, not concurrency-safe.
 type distillerScratch struct {
 	helperValid bool
 	freq        []float64
@@ -377,24 +375,6 @@ func (d *DistillerPairDevice) App() bool {
 
 // TrueKey returns the original enrolled key (evaluation-only).
 func (d *DistillerPairDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
-
-// Fork returns an independent oracle clone with its own helper NVM copy,
-// key binding, query counter, and noise keyed from seed (see
-// SeqPairDevice.Fork).
-func (d *DistillerPairDevice) Fork(seed uint64) *DistillerPairDevice {
-	f := &DistillerPairDevice{
-		arr:      d.arr,
-		params:   d.params,
-		basePair: append([]pairing.Pair(nil), d.basePair...),
-		nvm:      d.ReadHelper(),
-		enrolled: d.enrolled.Clone(),
-		bound:    d.bound.Clone(),
-		src:      rng.New(seed),
-	}
-	f.noise = d.arr.NewNoise(f.src)
-	f.env = d.env
-	return f
-}
 
 // Params exposes the public device specification.
 func (d *DistillerPairDevice) Params() DistillerPairParams { return d.params }

@@ -33,12 +33,10 @@ type GroupBasedDevice struct {
 	bound    bitvec.Vector
 	boundBuf bitvec.Vector
 	src      *rng.Source
-	// noise is the per-oracle measurement-noise state; Fork builds a
-	// fresh one per clone.
+	// noise is the per-oracle measurement-noise state.
 	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see
-	// groupbased.Scratch); per-device, not concurrency-safe — Fork
-	// clones the device so each concurrent arm owns its own.
+	// groupbased.Scratch); per-device, not concurrency-safe.
 	scratch groupbased.Scratch
 }
 
@@ -162,23 +160,6 @@ func (d *GroupBasedDevice) AppOriginal() bool {
 
 // TrueKey returns the original enrolled key (evaluation-only).
 func (d *GroupBasedDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
-
-// Fork returns an independent oracle clone with its own helper NVM copy,
-// key binding, query counter, and noise keyed from seed (see
-// SeqPairDevice.Fork).
-func (d *GroupBasedDevice) Fork(seed uint64) *GroupBasedDevice {
-	f := &GroupBasedDevice{
-		arr:      d.arr,
-		params:   d.params,
-		nvm:      d.ReadHelper(),
-		enrolled: d.enrolled.Clone(),
-		bound:    d.bound.Clone(),
-		src:      rng.New(seed),
-	}
-	f.noise = d.arr.NewNoise(f.src)
-	f.env = d.env
-	return f
-}
 
 // Params exposes the public device specification.
 func (d *GroupBasedDevice) Params() groupbased.Params { return d.params }

@@ -37,7 +37,7 @@ type SeqPairDevice struct {
 	key    bitvec.Vector // enrolled key (secret, drives the observable)
 	src    *rng.Source
 	// noise is the per-oracle measurement-noise state (the counter-mode
-	// sweep counter); Fork builds a fresh one per clone.
+	// sweep counter).
 	noise   *silicon.Noise
 	scratch seqPairScratch
 }
@@ -46,8 +46,7 @@ type SeqPairDevice struct {
 // sparse-measurement mask derived from the stored pair list, the
 // frequency and codeword buffers, and the ECC decode workspace. It makes
 // a steady-state App call allocation-free; WriteHelper invalidates it.
-// Scratch is per-device state, NOT concurrency-safe — Fork clones a
-// device precisely so each concurrent arm owns its own scratch.
+// Scratch is per-device state, NOT concurrency-safe.
 type seqPairScratch struct {
 	helperValid bool
 	freq        []float64
@@ -234,23 +233,6 @@ func (d *SeqPairDevice) App() bool {
 // TrueKey returns the enrolled key. Evaluation-only: attacks never call
 // it; benches use it to score recovery.
 func (d *SeqPairDevice) TrueKey() bitvec.Vector { return d.key.Clone() }
-
-// Fork returns an independent oracle clone: same silicon and enrollment,
-// its own helper NVM copy and query counter, and measurement noise keyed
-// from seed. Batched attack backends fork one clone per hypothesis arm
-// so concurrent queries neither race nor share noise.
-func (d *SeqPairDevice) Fork(seed uint64) *SeqPairDevice {
-	f := &SeqPairDevice{
-		arr:    d.arr,
-		params: d.params,
-		nvm:    d.ReadHelper(),
-		key:    d.key.Clone(),
-		src:    rng.New(seed),
-	}
-	f.noise = d.arr.NewNoise(f.src)
-	f.env = d.env
-	return f
-}
 
 func padToBlocks(resp bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
 	n := code.N()

@@ -17,12 +17,10 @@ type TempCoDevice struct {
 	nvm    tempco.Helper
 	key    bitvec.Vector
 	src    *rng.Source
-	// noise is the per-oracle measurement-noise state; Fork builds a
-	// fresh one per clone.
+	// noise is the per-oracle measurement-noise state.
 	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see tempco.Scratch);
-	// per-device, not concurrency-safe — Fork clones the device so each
-	// concurrent arm owns its own.
+	// per-device, not concurrency-safe.
 	scratch tempco.Scratch
 }
 
@@ -110,21 +108,6 @@ func (d *TempCoDevice) App() bool {
 
 // TrueKey returns the enrolled key (evaluation-only).
 func (d *TempCoDevice) TrueKey() bitvec.Vector { return d.key.Clone() }
-
-// Fork returns an independent oracle clone with its own helper NVM copy,
-// query counter, and noise keyed from seed (see SeqPairDevice.Fork).
-func (d *TempCoDevice) Fork(seed uint64) *TempCoDevice {
-	f := &TempCoDevice{
-		arr:    d.arr,
-		params: d.params,
-		nvm:    d.ReadHelper(),
-		key:    d.key.Clone(),
-		src:    rng.New(seed),
-	}
-	f.noise = d.arr.NewNoise(f.src)
-	f.env = d.env
-	return f
-}
 
 // Params exposes the public device specification.
 func (d *TempCoDevice) Params() tempco.Params { return d.params }

@@ -207,8 +207,8 @@ func (b *BCH) Encode(msg bitvec.Vector) bitvec.Vector {
 	return out
 }
 
-// EncodeInto implements IntoEncoder: systematic encoding into a
-// caller-owned dst of length N with no steady-state allocations. The
+// EncodeInto implements Code: systematic encoding into a caller-owned
+// dst of length N with no steady-state allocations. The
 // parity computation reduces x^(deg g) * u(x) modulo g in the workspace's
 // polynomial buffer — GF(2) coefficients, so cancellation is an XOR over
 // the generator's support. Output is bit-identical to Encode.
@@ -289,8 +289,8 @@ func (b *BCH) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
 	return dst, corrected, true
 }
 
-// DecodeInto implements IntoDecoder: Decode into a caller-owned dst of
-// length N using workspace scratch, with no steady-state allocations.
+// DecodeInto implements Code: Decode into a caller-owned dst of length
+// N using workspace scratch, with no steady-state allocations.
 func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.n)
 	checkLen("decode buffer", dst.Len(), b.n)

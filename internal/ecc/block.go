@@ -14,12 +14,6 @@ import (
 type Block struct {
 	inner  Code
 	blocks int
-	// innerInto is the inner code's allocation-free decoder, cached at
-	// construction; nil when the inner code only implements Decode.
-	innerInto IntoDecoder
-	// innerEnc is the inner code's allocation-free encoder, cached at
-	// construction; nil when the inner code only implements Encode.
-	innerEnc IntoEncoder
 }
 
 // NewBlock wraps inner over the given number of blocks. It panics if
@@ -32,10 +26,7 @@ func NewBlock(inner Code, blocks int) *Block {
 	if _, nested := inner.(*Block); nested {
 		panic("ecc: Block cannot nest another Block")
 	}
-	b := &Block{inner: inner, blocks: blocks}
-	b.innerInto, _ = inner.(IntoDecoder)
-	b.innerEnc, _ = inner.(IntoEncoder)
-	return b
+	return &Block{inner: inner, blocks: blocks}
 }
 
 // Inner returns the per-block code.
@@ -67,10 +58,9 @@ func (b *Block) Encode(msg bitvec.Vector) bitvec.Vector {
 	return out
 }
 
-// EncodeInto implements IntoEncoder block by block: each K-bit message
-// slice is extracted into a workspace buffer, encoded (through the inner
-// code's own EncodeInto when it has one), and written back into dst
-// word-level.
+// EncodeInto encodes block by block: each K-bit message slice is
+// extracted into a workspace buffer, encoded by the inner code's
+// EncodeInto, and written back into dst word-level.
 func (b *Block) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), b.K())
 	checkLen("encode buffer", dst.Len(), b.N())
@@ -79,12 +69,8 @@ func (b *Block) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 	out := ws.vec(&ws.blockOut, in)
 	for i := 0; i < b.blocks; i++ {
 		msg.SliceInto(i*ik, (i+1)*ik, m)
-		if b.innerEnc != nil {
-			b.innerEnc.EncodeInto(ws, m, out)
-			dst.PutAt(i*in, out)
-		} else {
-			dst.PutAt(i*in, b.inner.Encode(m))
-		}
+		b.inner.EncodeInto(ws, m, out)
+		dst.PutAt(i*in, out)
 	}
 }
 
@@ -98,11 +84,10 @@ func (b *Block) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
 	return out, total, allOK
 }
 
-// DecodeInto implements IntoDecoder block by block: each inner block is
-// sliced into a workspace buffer, decoded (through the inner code's own
-// DecodeInto when it has one), and written back into dst word-level. As
-// in Decode, a failed block contributes its received bits to dst and
-// decoding continues.
+// DecodeInto decodes block by block: each inner block is sliced into a
+// workspace buffer, decoded by the inner code's DecodeInto, and written
+// back into dst word-level. As in Decode, a failed block contributes its
+// received bits to dst and decoding continues.
 func (b *Block) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.N())
 	checkLen("decode buffer", dst.Len(), b.N())
@@ -113,16 +98,8 @@ func (b *Block) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, boo
 	allOK := true
 	for i := 0; i < b.blocks; i++ {
 		received.SliceInto(i*in, (i+1)*in, recv)
-		var corrected int
-		var ok bool
-		if b.innerInto != nil {
-			corrected, ok = b.innerInto.DecodeInto(ws, recv, out)
-			dst.PutAt(i*in, out)
-		} else {
-			var cw bitvec.Vector
-			cw, corrected, ok = b.inner.Decode(recv)
-			dst.PutAt(i*in, cw)
-		}
+		corrected, ok := b.inner.DecodeInto(ws, recv, out)
+		dst.PutAt(i*in, out)
 		total += corrected
 		allOK = allOK && ok
 	}

@@ -45,6 +45,15 @@ type Code interface {
 	// pattern exceeds T; both outcomes count as key-reconstruction
 	// failure at the system level.
 	Decode(received bitvec.Vector) (codeword bitvec.Vector, corrected int, ok bool)
+	// EncodeInto is Encode into a caller-owned N-bit dst using
+	// workspace scratch: bit-identical output, no steady-state
+	// allocations.
+	EncodeInto(ws *Workspace, msg, dst bitvec.Vector)
+	// DecodeInto is Decode into a caller-owned N-bit dst using
+	// workspace scratch, with identical (corrected, ok). dst holds the
+	// corrected codeword on ok and the received word on !ok (what
+	// Decode returns as its first value either way).
+	DecodeInto(ws *Workspace, received, dst bitvec.Vector) (corrected int, ok bool)
 	// Message extracts the K message bits from a codeword.
 	Message(codeword bitvec.Vector) bitvec.Vector
 	// ContainsAllOnes reports whether the all-ones word is a codeword.

@@ -104,8 +104,8 @@ func (g *Golay) Encode(msg bitvec.Vector) bitvec.Vector {
 	return out
 }
 
-// EncodeInto implements IntoEncoder; the arithmetic runs in packed
-// uint16 halves, so ws may be nil.
+// EncodeInto implements Code; the arithmetic runs in packed uint16
+// halves, so ws may be nil.
 func (g *Golay) EncodeInto(_ *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), 12)
 	checkLen("encode buffer", dst.Len(), 23)
@@ -173,8 +173,8 @@ func (g *Golay) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
 	return out, corrected, true
 }
 
-// DecodeInto implements IntoDecoder; the arithmetic decoder works in
-// packed uint16 halves, so ws may be nil.
+// DecodeInto implements Code; the arithmetic decoder works in packed
+// uint16 halves, so ws may be nil.
 func (g *Golay) DecodeInto(_ *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), 23)
 	checkLen("decode buffer", dst.Len(), 23)

@@ -46,7 +46,7 @@ func OffsetFor(c Code, response, msg bitvec.Vector) Offset {
 // allocate; output is bit-identical to OffsetFor.
 func OffsetForInto(c Code, response, msg bitvec.Vector, ws *Workspace, dst bitvec.Vector) {
 	checkLen("response", response.Len(), c.N())
-	EncodeTo(c, ws, msg, dst)
+	c.EncodeInto(ws, msg, dst)
 	response.XorInto(dst, dst)
 }
 

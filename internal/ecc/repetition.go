@@ -42,8 +42,8 @@ func (r *Repetition) Encode(msg bitvec.Vector) bitvec.Vector {
 	return out
 }
 
-// EncodeInto implements IntoEncoder; the repeated bit is written with
-// word-level fills, so ws may be nil.
+// EncodeInto implements Code; the repeated bit is written with word-level
+// fills, so ws may be nil.
 func (r *Repetition) EncodeInto(_ *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), 1)
 	checkLen("encode buffer", dst.Len(), r.N())
@@ -65,8 +65,8 @@ func (r *Repetition) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
 	return cw, corrected, ok
 }
 
-// DecodeInto implements IntoDecoder; the majority vote needs no
-// workspace scratch, so ws may be nil.
+// DecodeInto implements Code; the majority vote needs no workspace
+// scratch, so ws may be nil.
 func (r *Repetition) DecodeInto(_ *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), r.N())
 	checkLen("decode buffer", dst.Len(), r.N())

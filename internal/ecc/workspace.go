@@ -5,14 +5,13 @@ import (
 	"repro/internal/galois"
 )
 
-// Workspace is caller-owned scratch state for the allocation-free decode
-// path. A zero Workspace is ready to use; buffers grow on first use and
-// are reused afterwards, so a steady-state Reproduce/Decode cycle over a
-// fixed code performs no heap allocations. A Workspace serves one decode
-// call at a time: it is not safe for concurrent use, and a Block must
+// Workspace is caller-owned scratch state for the allocation-free
+// EncodeInto, DecodeInto and ReproduceInto paths. A zero Workspace is
+// ready to use; buffers grow on first use and are reused afterwards, so
+// a steady-state ReproduceInto cycle over a fixed code performs no heap
+// allocations. A Workspace serves one call at a time: it is not safe for concurrent use, and a Block must
 // not nest another Block as its inner code (the per-block buffers would
-// be reentered). Devices keep one Workspace per oracle and clone none of
-// it on Fork — every field is rebuilt from scratch deterministically.
+// be reentered). Devices keep one Workspace per oracle.
 type Workspace struct {
 	// code-offset buffer: offset XOR response, full composite length.
 	xorBuf bitvec.Vector
@@ -54,40 +53,6 @@ func elems(buf []galois.Elem, n int) []galois.Elem {
 	return buf
 }
 
-// IntoDecoder is the optional fast path of a Code: decode an N-bit word
-// into a caller-owned destination using workspace scratch. The contract
-// mirrors Decode exactly — bit-identical corrected output and identical
-// (corrected, ok) — with dst holding the corrected codeword on ok and
-// the received word on !ok (what Decode returns as its first value
-// either way). All codes in this package implement it; Block uses it
-// per inner block when available and falls back to Decode otherwise.
-type IntoDecoder interface {
-	Code
-	DecodeInto(ws *Workspace, received, dst bitvec.Vector) (corrected int, ok bool)
-}
-
-// IntoEncoder is the optional encoding fast path of a Code: encode a
-// K-bit message into a caller-owned N-bit destination using workspace
-// scratch, bit-identical to Encode with no steady-state allocations. All
-// codes in this package implement it; Block uses it per inner block when
-// available and falls back to Encode otherwise.
-type IntoEncoder interface {
-	Code
-	EncodeInto(ws *Workspace, msg, dst bitvec.Vector)
-}
-
-// EncodeTo encodes msg into dst (length c.N()) through the code's
-// EncodeInto fast path when it has one, copying an Encode result
-// otherwise. The workspace-reusing primitive behind OffsetForInto.
-func EncodeTo(c Code, ws *Workspace, msg, dst bitvec.Vector) {
-	checkLen("encode buffer", dst.Len(), c.N())
-	if ie, fast := c.(IntoEncoder); fast {
-		ie.EncodeInto(ws, msg, dst)
-		return
-	}
-	c.Encode(msg).CopyInto(dst)
-}
-
 // ReproduceInto is Reproduce with caller-owned scratch: dst (length
 // c.N()) receives the recovered response on ok=true and holds
 // unspecified scratch on ok=false. Output is bit-identical to Reproduce
@@ -98,16 +63,7 @@ func ReproduceInto(c Code, o Offset, response bitvec.Vector, ws *Workspace, dst 
 	checkLen("reproduce buffer", dst.Len(), c.N())
 	buf := ws.vec(&ws.xorBuf, c.N())
 	o.W.XorInto(response, buf)
-	if id, fast := c.(IntoDecoder); fast {
-		corrected, ok = id.DecodeInto(ws, buf, dst)
-	} else {
-		var cw bitvec.Vector
-		cw, corrected, ok = c.Decode(buf)
-		if ok {
-			cw.CopyInto(dst)
-		}
-	}
-	if !ok {
+	if corrected, ok = c.DecodeInto(ws, buf, dst); !ok {
 		return corrected, false
 	}
 	o.W.XorInto(dst, dst)

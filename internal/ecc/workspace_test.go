@@ -22,13 +22,11 @@ func noisyCodeword(t *testing.T, c Code, src *rng.Source, flips int) bitvec.Vect
 	return w
 }
 
-// TestDecodeIntoMatchesDecode sweeps every code family across error
-// weights from zero to beyond the radius and checks that the workspace
-// decoder reproduces Decode bit-for-bit: same corrected count, same ok,
-// same output word (received echoed on failure), with a SHARED workspace
-// across calls so buffer-reuse bugs cannot hide.
-func TestDecodeIntoMatchesDecode(t *testing.T) {
-	codes := []Code{
+// workspaceCodes is one instance of every code family and variant: the
+// repetition code, Golay, plain, expurgated and shortened BCH, and Block
+// over BCH and over Golay.
+func workspaceCodes() []Code {
+	return []Code{
 		NewRepetition(3),
 		NewGolay(),
 		MustBCH(BCHConfig{M: 5, T: 3}),
@@ -37,19 +35,23 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 3),
 		NewBlock(NewGolay(), 2),
 	}
+}
+
+// TestDecodeIntoMatchesDecode sweeps every code family across error
+// weights from zero to beyond the radius and checks that the workspace
+// decoder reproduces Decode bit-for-bit: same corrected count, same ok,
+// same output word (received echoed on failure), with a SHARED workspace
+// across calls so buffer-reuse bugs cannot hide.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
 	src := rng.New(2024)
-	for _, c := range codes {
-		id, ok := c.(IntoDecoder)
-		if !ok {
-			t.Fatalf("%s does not implement IntoDecoder", c)
-		}
+	for _, c := range workspaceCodes() {
 		var ws Workspace
 		dst := bitvec.New(c.N())
 		for flips := 0; flips <= c.T()+2; flips++ {
 			for trial := 0; trial < 25; trial++ {
 				w := noisyCodeword(t, c, src, flips)
 				wantCW, wantCorr, wantOK := c.Decode(w)
-				gotCorr, gotOK := id.DecodeInto(&ws, w, dst)
+				gotCorr, gotOK := c.DecodeInto(&ws, w, dst)
 				if gotCorr != wantCorr || gotOK != wantOK {
 					t.Fatalf("%s flips=%d: DecodeInto (%d,%v) != Decode (%d,%v)",
 						c, flips, gotCorr, gotOK, wantCorr, wantOK)
@@ -97,21 +99,8 @@ func TestReproduceIntoMatchesReproduce(t *testing.T) {
 // messages and checks the workspace encoder against Encode bit-for-bit,
 // with a SHARED workspace across calls so buffer-reuse bugs cannot hide.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
-	codes := []Code{
-		NewRepetition(3),
-		NewGolay(),
-		MustBCH(BCHConfig{M: 5, T: 3}),
-		MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}),
-		MustBCH(BCHConfig{M: 6, T: 4, Shorten: 5}),
-		NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 3),
-		NewBlock(NewGolay(), 2),
-	}
 	src := rng.New(4096)
-	for _, c := range codes {
-		ie, ok := c.(IntoEncoder)
-		if !ok {
-			t.Fatalf("%s does not implement IntoEncoder", c)
-		}
+	for _, c := range workspaceCodes() {
 		var ws Workspace
 		dst := bitvec.New(c.N())
 		for trial := 0; trial < 50; trial++ {
@@ -120,7 +109,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 				msg.Set(i, src.Bool())
 			}
 			want := c.Encode(msg)
-			ie.EncodeInto(&ws, msg, dst)
+			c.EncodeInto(&ws, msg, dst)
 			if !dst.Equal(want) {
 				t.Fatalf("%s trial %d: EncodeInto differs from Encode", c, trial)
 			}

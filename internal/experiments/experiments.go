@@ -1,9 +1,9 @@
 // Package experiments implements the reproduction of every table and
-// figure of the paper's evaluation (see DESIGN.md §4 for the experiment
-// index E1-E12). Each experiment is a pure function from a seed (and a
-// few shape parameters) to a structured result, so the bench harness in
-// bench_test.go, the cmd/puf-bench generator and EXPERIMENTS.md all draw
-// from the same code.
+// figure of the paper's evaluation (see the README's "Experiment ↔ paper
+// mapping" for the experiment index). Each experiment is a pure function
+// from a seed (and a few shape parameters) to a structured result, so
+// the bench harness in bench_test.go, the cmd/puf-bench generator and
+// the campaign tasks all draw from the same code.
 package experiments
 
 import (

@@ -4,7 +4,7 @@
 // Reproducibility is a first-class requirement for this code base: every
 // Monte-Carlo experiment (device populations, measurement noise, attack
 // transcripts) must be replayable from a single 64-bit seed so that the
-// tables and figures of EXPERIMENTS.md can be regenerated bit-for-bit.
+// experiment tables and figures can be regenerated bit-for-bit.
 // The standard library's math/rand is seedable too, but its generator and
 // stream-splitting behaviour are not guaranteed stable across Go releases;
 // this package pins the algorithm.

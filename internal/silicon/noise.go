@@ -4,13 +4,12 @@
 // sweep counter, oscillator index) through the counter-block generator
 // of rng.BlockNorm. There is no stream to keep aligned, so subset
 // measurement draws exactly the k variates it needs (genuinely O(k)),
-// forked oracles are independent by key, and per-sweep noise is
-// embarrassingly parallel. Transcripts are pinned by the goldens under
+// devices are independent by key, and per-sweep noise is embarrassingly
+// parallel. Transcripts are pinned by the goldens under
 // testdata/transcripts/.
 //
 // A Noise carries the per-oracle sweep counter and is NOT safe for
-// concurrent use; forked devices construct their own via
-// Array.NewNoise.
+// concurrent use; each device constructs its own via Array.NewNoise.
 package silicon
 
 import (

@@ -33,9 +33,9 @@ import (
 	"repro/internal/tempco"
 )
 
-// Spec selects one evaluation-matrix cell. The zero values of the
-// optional axes select plain (non-expurgated) code where the attack has
-// the choice and the serial in-process oracle.
+// Spec selects one evaluation-matrix cell. The zero value of the
+// optional axis selects the plain (non-expurgated) code where the attack
+// has the choice.
 type Spec struct {
 	// Attack is the registry name: seqpair, tempco, groupbased,
 	// masking or chain.
@@ -51,15 +51,6 @@ type Spec struct {
 	// Expurgate selects the even-weight BCH subcode on the seqpair
 	// device, removing the complement ambiguity.
 	Expurgate bool `json:"expurgate,omitempty"`
-	// Workers > 0 runs the attack through a BatchTarget with that many
-	// workers (forked oracles per hypothesis arm); 0 keeps the serial
-	// in-process oracle. Batched transcripts are worker-count invariant
-	// but legitimately differ from serial ones: arms run on forked,
-	// independently keyed noise.
-	Workers int `json:"workers,omitempty"`
-	// ForkSeed is the BatchTarget fork-seed base (0 = 99, the value the
-	// historical invariance tests pinned). Ignored when Workers == 0.
-	ForkSeed uint64 `json:"fork_seed,omitempty"`
 }
 
 // PhaseCost is one phase of the attack's query-cost breakdown. Wall
@@ -175,17 +166,7 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 	if err != nil {
 		return Transcript{}, err
 	}
-	target := c.target
-	if spec.Workers > 0 {
-		forkSeed := spec.ForkSeed
-		if forkSeed == 0 {
-			forkSeed = 99
-		}
-		if target, err = attack.NewBatchTarget(c.target, spec.Workers, forkSeed); err != nil {
-			return Transcript{}, err
-		}
-	}
-	rep, err := attack.Run(ctx, spec.Attack, target, attack.Options{Dist: attack.DefaultDistinguisher()})
+	rep, err := attack.Run(ctx, spec.Attack, c.target, attack.Options{Dist: attack.DefaultDistinguisher()})
 	if err != nil {
 		return Transcript{}, err
 	}
