@@ -191,7 +191,7 @@ func (t *groupBasedTarget) ReadImage() (*helperdata.Image, error) {
 
 func (t *groupBasedTarget) WriteImage(im *helperdata.Image) error {
 	// The re-provision hook keeps a skipped identical write's observable
-	// side effects: key re-binding plus one reconstruction's noise draws.
+	// side effects: key re-binding and the reconstruction's noise sweep.
 	return installImage(&t.cache, &t.parsed, im, t.d.NVMGeneration,
 		GroupBasedFromImage, t.d.WriteHelper, t.d.ReprovisionKey)
 }

@@ -12,6 +12,14 @@
 // consumes fresh measurement noise and increments the query counter the
 // attack-cost experiments report.
 //
+// The group-based and distiller-pair devices use the paper's
+// reprogrammed-key observable: App compares against the key bound at
+// the last helper write (or BindKey), not the enrolled one. A write
+// re-binds by reserving one measurement sweep for the reconstruction
+// and running it in the App that first compares against it — skipped
+// when a BindKey replaces the binding first — with outcomes
+// bit-identical to reconstructing at write time (see binding).
+//
 // A device is one oracle driven by one goroutine, as the adversary holds
 // one device: its scratch and noise state are not concurrency-safe.
 // Concurrency comes from running many devices at once (campaign
@@ -96,15 +104,69 @@ func copyOffset(dst, src bitvec.Vector) bitvec.Vector {
 	return dst
 }
 
-// setBound copies key into the device-owned bound-key buffer behind buf,
-// reallocating only on length change, and returns the buffer. Key
-// (re)binding happens on every helper write and every BindKey — once per
-// oracle query on the reprogrammed-key attack path — so it must not
-// clone per call.
-func setBound(buf *bitvec.Vector, key bitvec.Vector) bitvec.Vector {
-	if buf.Len() != key.Len() {
-		*buf = bitvec.New(key.Len())
+// binding is the application key of a reprogrammed-key device (the key
+// its application data is bound to), plus a re-binding the device has
+// reserved but not yet run.
+//
+// A helper write re-binds the key to whatever the new helper
+// reconstructs. Only the next App observes that reconstruction, and an
+// attack arm binds its predicted key right after nearly every write, so
+// the write does not run it: it reserves the measurement sweep the
+// reconstruction would have drawn and records the operating condition,
+// and the App that observes the binding runs it at exactly those (see
+// due). Noise is keyed by (seed, sweep, oscillator), so the outcome is
+// bit-identical to reconstructing at write time, and a BindKey or a
+// later write simply drops the reservation.
+type binding struct {
+	// key is the bound key; zero length makes every App fail. buf is the
+	// reusable storage behind copied keys.
+	key bitvec.Vector
+	buf bitvec.Vector
+	// pending marks a reserved re-binding: reconstruct at env with
+	// noise, whose next sweep is the reserved one.
+	pending bool
+	env     silicon.Environment
+	noise   silicon.Noise
+}
+
+// reset binds key without copying it (the device-owned enrolled key)
+// and drops any reservation.
+func (b *binding) reset(key bitvec.Vector) { b.key, b.pending = key, false }
+
+// set binds a copy of the first n bits of src, reallocating its storage
+// only on length change: BindKey runs once per oracle query on the
+// reprogrammed-key attack path, so binding must not clone per call.
+func (b *binding) set(src bitvec.Vector, n int) {
+	if b.buf.Len() != n {
+		b.buf = bitvec.New(n)
 	}
-	key.CopyInto(*buf)
-	return *buf
+	src.SliceInto(0, n, b.buf)
+	b.reset(b.buf)
+}
+
+// reserve replaces the binding with a re-binding reconstruction at env
+// on nm's next sweep, which it claims.
+func (b *binding) reserve(nm *silicon.Noise, env silicon.Environment) {
+	b.noise, b.env, b.pending = nm.Reserve(), env, true
+}
+
+// due hands a reserved re-binding to the App about to compare against
+// the key: ok reports one, which the caller reconstructs at env with nm
+// and passes to settle before its own reconstruction.
+func (b *binding) due() (env silicon.Environment, nm *silicon.Noise, ok bool) {
+	if !b.pending {
+		return silicon.Environment{}, nil, false
+	}
+	b.pending = false
+	return b.env, &b.noise, true
+}
+
+// settle binds a re-binding reconstruction's outcome: the first n bits
+// of src on success, an unusable key on failure.
+func (b *binding) settle(src bitvec.Vector, n int, err error) {
+	if err != nil {
+		b.reset(bitvec.Vector{})
+		return
+	}
+	b.set(src, n)
 }

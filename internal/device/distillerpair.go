@@ -78,8 +78,7 @@ type DistillerPairDevice struct {
 	basePair []pairing.Pair // fixed by the architecture, not helper data
 	nvm      DistillerPairHelperNVM
 	enrolled bitvec.Vector
-	bound    bitvec.Vector
-	boundBuf bitvec.Vector
+	bind     binding
 	src      *rng.Source
 	// noise is the per-oracle measurement-noise state.
 	noise   *silicon.Noise
@@ -256,7 +255,7 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	off := ecc.EnrollOffset(block, padded, srcRun)
 	d.nvm = DistillerPairHelperNVM{Poly: poly, Masking: mask, Offset: off.W}
 	d.enrolled = resp
-	d.bound = resp
+	d.bind.reset(resp)
 	d.scratch.helperValid = false
 	d.scratch.bases.Invalidate()
 	return d, nil
@@ -297,7 +296,8 @@ func (d *DistillerPairDevice) ReadHelper() DistillerPairHelperNVM {
 func (d *DistillerPairDevice) HelperView() DistillerPairHelperNVM { return d.nvm }
 
 // WriteHelper overwrites the helper NVM after structural validation and
-// re-binds the application key as in GroupBasedDevice.
+// re-binds the application key through ReprovisionKey, as in
+// GroupBasedDevice.
 func (d *DistillerPairDevice) WriteHelper(h DistillerPairHelperNVM) error {
 	if d.params.Mode == MaskedChain {
 		if err := h.Masking.Validate(d.basePair); err != nil {
@@ -322,30 +322,24 @@ func (d *DistillerPairDevice) WriteHelper(h DistillerPairHelperNVM) error {
 
 // ReprovisionKey re-binds the application to whatever key the CURRENT
 // helper reconstructs, exactly as a helper write does (see
-// GroupBasedDevice.ReprovisionKey for the contract).
-func (d *DistillerPairDevice) ReprovisionKey() {
-	if n, err := d.reconstructScratch(); err == nil {
-		if d.boundBuf.Len() != n {
-			d.boundBuf = bitvec.New(n)
-		}
-		d.scratch.recovered.SliceInto(0, n, d.boundBuf)
-		d.bound = d.boundBuf
-	} else {
-		d.bound = bitvec.Vector{}
-	}
-}
+// GroupBasedDevice.ReprovisionKey for the contract). Every helper this
+// device accepts is measured before anything can fail, so the sweep is
+// always reserved; the helper-derived caches are rebuilt by the
+// reconstruction that first needs them.
+func (d *DistillerPairDevice) ReprovisionKey() { d.bind.reserve(d.noise, d.env) }
 
 // BindKey binds the application to a predicted key.
-func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d.boundBuf, key) }
+func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bind.set(key, key.Len()) }
 
-// reconstructScratch regenerates the key into the scratch buffers: on
-// success the first respLen bits of d.scratch.recovered hold the key.
-func (d *DistillerPairDevice) reconstructScratch() (respLen int, err error) {
+// reconstructScratch regenerates the key at env with noise nm into the
+// scratch buffers: on success the first respLen bits of
+// d.scratch.recovered hold the key.
+func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *silicon.Noise) (respLen int, err error) {
 	sc := &d.scratch
 	if !sc.helperValid {
 		d.refreshScratch()
 	}
-	f := d.arr.MeasureSparseBase(sc.freq, sc.idxs, sc.bases.For(d.arr, d.env), d.noise)
+	f := d.arr.MeasureSparseBase(sc.freq, sc.idxs, sc.bases.For(d.arr, env), nm)
 	sc.resid = distiller.DistillSparse(sc.resid, f, sc.grid, sc.idxs)
 	if sc.selErr != nil {
 		return 0, sc.selErr
@@ -365,12 +359,17 @@ func (d *DistillerPairDevice) reconstructScratch() (respLen int, err error) {
 	return len(sc.sel), nil
 }
 
-// App reconstructs and compares against the bound key, running in the
-// device's scratch buffers.
+// App reconstructs and compares against the bound key (settling a
+// reserved re-binding first), running in the device's scratch buffers.
 func (d *DistillerPairDevice) App() bool {
 	d.addQuery()
-	n, err := d.reconstructScratch()
-	return err == nil && n > 0 && d.bound.Len() == n && d.scratch.recovered.HasPrefix(d.bound)
+	if env, nm, ok := d.bind.due(); ok {
+		n, err := d.reconstructScratch(env, nm)
+		d.bind.settle(d.scratch.recovered, n, err)
+	}
+	n, err := d.reconstructScratch(d.env, d.noise)
+	key := d.bind.key
+	return err == nil && n > 0 && key.Len() == n && d.scratch.recovered.HasPrefix(key)
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).

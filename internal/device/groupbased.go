@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/distiller"
@@ -25,13 +26,11 @@ type GroupBasedDevice struct {
 	arr    *silicon.Array
 	params groupbased.Params
 	nvm    groupbased.Helper
-	// enrolled is the original key; bound is the key the application
+	// enrolled is the original key; bind holds the key the application
 	// currently operates with (re-provisioned after a key change, the
-	// paper's "maliciously reprogrammed keys" scenario). boundBuf is the
-	// reusable storage behind bound.
+	// paper's "maliciously reprogrammed keys" scenario).
 	enrolled bitvec.Vector
-	bound    bitvec.Vector
-	boundBuf bitvec.Vector
+	bind     binding
 	src      *rng.Source
 	// noise is the per-oracle measurement-noise state.
 	noise *silicon.Noise
@@ -71,7 +70,7 @@ func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, 
 	d.params = p
 	d.nvm = h
 	d.enrolled = key
-	d.bound = key
+	d.bind.reset(key)
 	d.src = srcRun
 	d.noise = noise
 	d.scratch.InvalidateSilicon()
@@ -93,13 +92,18 @@ func (d *GroupBasedDevice) ReadHelper() groupbased.Helper {
 func (d *GroupBasedDevice) HelperView() groupbased.Helper { return d.nvm }
 
 // WriteHelper overwrites the helper NVM after the honest device's
-// structural validation, and re-binds the application key: the next
-// successful reconstruction defines what the application data is
-// encrypted under (the re-provisioning step of the reprogrammed-key
-// scenario).
+// structural validation, and re-binds the application key through
+// ReprovisionKey: the next successful reconstruction defines what the
+// application data is encrypted under (the re-provisioning step of the
+// reprogrammed-key scenario).
 func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
-	if err := h.Grouping.Validate(d.arr.N()); err != nil {
-		return err
+	// The grouping in NVM passed this check when it was written (or was
+	// enrolled), so a write repeating it — an arm sweep varies only the
+	// offset — skips the check and its allocation.
+	if !slices.Equal(h.Grouping.Assign, d.nvm.Grouping.Assign) {
+		if err := h.Grouping.Validate(d.arr.N()); err != nil {
+			return err
+		}
 	}
 	if h.Offset.Len()%d.params.Code.N() != 0 || h.Offset.Len() == 0 {
 		return fmt.Errorf("device: offset length %d not a block multiple", h.Offset.Len())
@@ -122,32 +126,42 @@ func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
 
 // ReprovisionKey re-binds the application to whatever key the CURRENT
 // helper reconstructs, exactly as a helper write does: one fresh
-// reconstruction, consuming one measurement sweep of the device's
-// noise; a failure leaves the binding unusable (zero-length), so every
-// App fails until a working helper is written — observable either way.
-// Adapters re-installing an identical helper image call this directly to
-// keep the write's observable side effects (binding and the noise
-// sweep) without re-parsing the image.
+// reconstruction at the current operating condition, consuming one
+// measurement sweep of the device's noise; a failure leaves the binding
+// unusable (zero-length), so every App fails until a working helper is
+// written — observable either way. Adapters re-installing an identical
+// helper image call this directly to keep the write's observable side
+// effects without re-parsing the image.
+//
+// Only the structural checks run here: a helper failing them fails the
+// reconstruction before it measures, so it draws no sweep. Otherwise
+// the sweep is reserved and the reconstruction deferred to the next
+// App, which runs it at the reserved sweep and this condition unless a
+// BindKey or another write replaced the binding first (see binding).
 func (d *GroupBasedDevice) ReprovisionKey() {
-	if key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch); err == nil {
-		d.bound = setBound(&d.boundBuf, key)
-	} else {
-		d.bound = bitvec.Vector{}
+	if err := groupbased.Prepare(d.arr, d.params, &d.nvm, &d.scratch); err != nil {
+		d.bind.reset(bitvec.Vector{})
+		return
 	}
+	d.bind.reserve(d.noise, d.env)
 }
 
 // BindKey lets the attacker bind the application to a predicted key
 // directly (e.g. by presenting data encrypted under it), the cleanest
 // reading of the paper's reprogrammed-key observable.
-func (d *GroupBasedDevice) BindKey(key bitvec.Vector) { d.bound = setBound(&d.boundBuf, key) }
+func (d *GroupBasedDevice) BindKey(key bitvec.Vector) { d.bind.set(key, key.Len()) }
 
 // App reconstructs with the current helper and compares against the
-// currently bound application key, running in the device's scratch
-// buffers.
+// currently bound application key (settling a reserved re-binding
+// first), running in the device's scratch buffers.
 func (d *GroupBasedDevice) App() bool {
 	d.addQuery()
+	if env, nm, ok := d.bind.due(); ok {
+		key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, env, nm, &d.scratch)
+		d.bind.settle(key, key.Len(), err)
+	}
 	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
-	return err == nil && d.bound.Len() > 0 && keysEqual(got, d.bound)
+	return err == nil && d.bind.key.Len() > 0 && keysEqual(got, d.bind.key)
 }
 
 // AppOriginal is the honest observable: reconstruction must match the

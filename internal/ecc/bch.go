@@ -25,12 +25,13 @@ type BCH struct {
 	gen        galois.Poly   // generator over GF(2), coefficients 0/1
 	genSupport []int         // indices of the generator's nonzero coefficients
 	chienStep  []galois.Elem // chienStep[j] = alpha^(-j), j in [0, t]
-	// syndTable[j-1][i] = alpha^(i*j): the per-bit syndrome
-	// contributions, precomputed so the decoder's inner loop is a table
-	// XOR instead of exponent arithmetic. Nil when the table would be
-	// unreasonably large (huge fields), falling back to Exp.
-	syndTable [][]galois.Elem
-	numSynd   int // syndromes evaluated during decoding
+	// oddSynd[i*t+r] = alpha^(i*(2r+1)): the per-bit contributions to
+	// the odd syndromes S_1, S_3, .., S_(2t-1), precomputed so the
+	// decoder's inner loop is a table XOR instead of exponent
+	// arithmetic, with one bit's t entries adjacent. The even syndromes
+	// are squares of lower ones. Nil when the table would be unreasonably
+	// large (huge fields), falling back to Exp.
+	oddSynd []galois.Elem
 }
 
 // BCHConfig selects a BCH code.
@@ -94,12 +95,6 @@ func NewBCH(cfg BCHConfig) (*BCH, error) {
 	if cfg.Shorten < 0 || cfg.Shorten >= k {
 		return nil, fmt.Errorf("ecc: shortening %d outside [0,%d)", cfg.Shorten, k)
 	}
-	numSynd := 2 * cfg.T
-	if cfg.Expurgate {
-		// Designed distance grows by one; the extra syndrome S_0 is the
-		// overall parity, checked separately in Decode.
-		numSynd = 2 * cfg.T
-	}
 	// Precompute the generator's support (EncodeInto reduces modulo g
 	// with XORs over it) and the Chien-search step table alpha^(-j) for
 	// every locator coefficient (the locator degree never exceeds t).
@@ -113,17 +108,13 @@ func NewBCH(cfg BCHConfig) (*BCH, error) {
 	for j := range steps {
 		steps[j] = f.Exp(-j)
 	}
-	var syndTable [][]galois.Elem
-	if fullN*numSynd <= 1<<20 {
-		syndTable = make([][]galois.Elem, numSynd)
-		for j := 1; j <= numSynd; j++ {
-			row := make([]galois.Elem, fullN)
-			step := f.Exp(j)
-			row[0] = 1
-			for i := 1; i < fullN; i++ {
-				row[i] = f.Mul(row[i-1], step)
+	var oddSynd []galois.Elem
+	if fullN*cfg.T <= 1<<20 {
+		oddSynd = make([]galois.Elem, fullN*cfg.T)
+		for i := 0; i < fullN; i++ {
+			for r := 0; r < cfg.T; r++ {
+				oddSynd[i*cfg.T+r] = f.Exp(i * (2*r + 1))
 			}
-			syndTable[j-1] = row
 		}
 	}
 	return &BCH{
@@ -137,8 +128,7 @@ func NewBCH(cfg BCHConfig) (*BCH, error) {
 		gen:        gen,
 		genSupport: support,
 		chienStep:  steps,
-		syndTable:  syndTable,
-		numSynd:    numSynd,
+		oddSynd:    oddSynd,
 	}, nil
 }
 
@@ -251,25 +241,29 @@ func (b *BCH) Message(codeword bitvec.Vector) bitvec.Vector {
 	return codeword.Slice(parityLen, b.n)
 }
 
-// syndromesInto computes S_1..S_numSynd where S_j = r(alpha^j) into the
-// caller's buffer, growing it only when too small. With the precomputed
-// power table the per-set-bit work is numSynd table XORs; the Exp
-// fallback covers fields too large to table.
+// syndromesInto computes S_1..S_2t where S_j = r(alpha^j) into the
+// caller's buffer, growing it only when too small. Only the odd
+// syndromes are summed over the set bits — t table XORs per bit with
+// the precomputed power table, Exp for fields too large to table. The
+// received word is binary, so r(x)^2 = r(x^2) and every even syndrome
+// is a square: S_2j = S_j^2.
 func (b *BCH) syndromesInto(buf []galois.Elem, received bitvec.Vector) []galois.Elem {
-	synd := elems(buf, b.numSynd)
-	if b.syndTable != nil {
-		for i := received.NextSet(0); i >= 0; i = received.NextSet(i + 1) {
-			for j := range synd {
-				synd[j] ^= b.syndTable[j][i]
-			}
-		}
-		return synd
-	}
+	synd := elems(buf, 2*b.t)
 	f := b.field
 	for i := received.NextSet(0); i >= 0; i = received.NextSet(i + 1) {
-		for j := 1; j <= b.numSynd; j++ {
-			synd[j-1] = f.Add(synd[j-1], f.Exp(i*j))
+		if b.oddSynd != nil {
+			for r, v := range b.oddSynd[i*b.t : (i+1)*b.t] {
+				synd[2*r] ^= v
+			}
+			continue
 		}
+		for j := 1; j < 2*b.t; j += 2 {
+			synd[j-1] ^= f.Exp(i * j)
+		}
+	}
+	for j := 2; j <= 2*b.t; j += 2 {
+		s := synd[j/2-1]
+		synd[j-1] = f.Mul(s, s)
 	}
 	return synd
 }
@@ -321,8 +315,9 @@ func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool)
 
 	// Chien search over the transmitted positions only: an error located
 	// in a shortened (always-zero) position proves the pattern exceeded
-	// the radius. More roots than the locator degree is failure either
-	// way, so the search stops at degree+1 roots. The evaluation is
+	// the radius. The positions are distinct field elements alpha^(-i)
+	// and a degree-d locator has at most d roots, so the search stops at
+	// the d-th root; fewer is failure. The evaluation is
 	// incremental: term j holds lambda_j * alpha^(-i*j), so stepping from
 	// position i to i+1 is one multiply by the precomputed alpha^(-j) per
 	// coefficient instead of a full Horner pass with Pow-style exponent
@@ -332,7 +327,7 @@ func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool)
 	ws.chien = terms
 	copy(terms, lambda)
 	positions := ws.positions[:0]
-	for i := 0; i < b.fullN && len(positions) <= degree; i++ {
+	for i := 0; i < b.fullN && len(positions) < degree; i++ {
 		var sum galois.Elem
 		for _, tm := range terms {
 			sum ^= tm

@@ -219,7 +219,7 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 // is ready; a device keeps one per oracle and calls Invalidate whenever
 // its helper NVM changes so the helper-derived caches (validation,
 // member lists, distiller surface, stream geometry) are rebuilt. Not
-// safe for concurrent use — forks get their own zero Scratch.
+// safe for concurrent use.
 type Scratch struct {
 	freq  []float64
 	resid []float64
@@ -256,8 +256,8 @@ type Scratch struct {
 	lastBeta    []float64
 }
 
-// Invalidate drops the helper-derived caches; the next ReconstructInto
-// revalidates and rebuilds them.
+// Invalidate drops the helper-derived caches; the next Prepare or
+// Reconstruct revalidates and rebuilds them.
 func (sc *Scratch) Invalidate() { sc.helperValid = false }
 
 // InvalidateSilicon additionally drops the caches derived from the
@@ -327,6 +327,18 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	return nil
 }
 
+// Prepare runs the part of Reconstruct that needs no measurement: the
+// honest device's structural validation of the helper and the rebuild of
+// the helper-derived caches in sc. A helper that fails here fails every
+// Reconstruct without drawing noise; one that passes makes the next
+// Reconstruct measure.
+func Prepare(a *silicon.Array, p Params, h *Helper, sc *Scratch) error {
+	if sc.helperValid {
+		return nil
+	}
+	return sc.refresh(a, p, h)
+}
+
 // Reconstruct regenerates the key from one fresh measurement in the given
 // environment using (possibly attacker-controlled) helper data. It
 // performs the honest device's structural validation, then follows the
@@ -338,10 +350,8 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 // steady-state allocations, in caller-owned scratch: the returned key
 // is scratch-owned and valid until the next call; clone it to retain it.
 func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
-	if !sc.helperValid {
-		if err := sc.refresh(a, p, h); err != nil {
-			return bitvec.Vector{}, err
-		}
+	if err := Prepare(a, p, h, sc); err != nil {
+		return bitvec.Vector{}, err
 	}
 	if cap(sc.freq) < a.N() {
 		sc.freq = make([]float64, a.N())

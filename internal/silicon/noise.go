@@ -62,6 +62,17 @@ type Noise struct {
 // Uint64, and src is never touched again.
 func (a *Array) NewNoise(src *rng.Source) *Noise { return &Noise{key: src.Uint64()} }
 
+// Reserve claims the next measurement sweep without drawing it: the
+// receiver moves past the sweep, and the returned copy's first Fill*
+// draws exactly what the receiver's next Fill* would have drawn. A
+// device uses it to defer a reconstruction to a later point in its
+// query sequence without shifting the noise of the queries in between.
+func (nm *Noise) Reserve() Noise {
+	r := *nm
+	nm.sweep++
+	return r
+}
+
 // FillAll writes one sweep's variate per oscillator (len(dst) = N).
 func (nm *Noise) FillAll(dst []float64) {
 	sw := rng.NewBlockSweep(nm.key, nm.sweep)

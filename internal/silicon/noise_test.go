@@ -36,6 +36,31 @@ func TestMeasureIntoWithMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestNoiseReserve pins the deferral contract devices rely on: a
+// reserved copy draws exactly the sweep the receiver would have drawn
+// next, and the receiver carries on with the sweep after it, as if it
+// had drawn the reserved one itself.
+func TestNoiseReserve(t *testing.T) {
+	a := noiseTestArray(4, 8)
+	ref, nm := a.NewNoise(rng.New(5)), a.NewNoise(rng.New(5))
+	want := make([][]float64, 3)
+	for s := range want {
+		want[s] = make([]float64, a.N())
+		ref.FillAll(want[s])
+	}
+	nm.FillAll(make([]float64, a.N()))
+	reserved := nm.Reserve()
+	after := make([]float64, a.N())
+	nm.FillAll(after)
+	got := make([]float64, a.N())
+	reserved.FillAll(got)
+	for i := range got {
+		if got[i] != want[1][i] || after[i] != want[2][i] {
+			t.Fatalf("osc %d: reserved %v after %v, want sweeps 1 and 2: %v %v", i, got[i], after[i], want[1][i], want[2][i])
+		}
+	}
+}
+
 // TestMeasureSparseCounterMatchesFull pins the counter identity
 // contract: a sparse sweep reproduces exactly the values a full sweep
 // with the same (key, sweep counter) would produce at those indices —
