@@ -90,7 +90,7 @@ func BenchmarkFig6a_GroupBasedAttack(b *testing.B) {
 	var err error
 	recovered := 0
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.RunAttack(context.Background(),
+		r, err = transcript.Run(context.Background(),
 			transcript.Spec{Attack: "groupbased", Seed: uint64(i)*3 + 9})
 		if err != nil {
 			b.Fatal(err)
@@ -111,7 +111,7 @@ func BenchmarkFig6b_MaskingAttack(b *testing.B) {
 	var err error
 	recovered := 0
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.RunAttack(context.Background(),
+		r, err = transcript.Run(context.Background(),
 			transcript.Spec{Attack: "masking", Seed: uint64(i)*3 + 11})
 		if err != nil {
 			b.Fatal(err)
@@ -132,7 +132,7 @@ func BenchmarkFig6c_NeighborChainAttack(b *testing.B) {
 	var err error
 	recovered := 0
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.RunAttack(context.Background(),
+		r, err = transcript.Run(context.Background(),
 			transcript.Spec{Attack: "chain", Seed: uint64(i)*3 + 13})
 		if err != nil {
 			b.Fatal(err)
@@ -154,7 +154,7 @@ func BenchmarkAttackSeqPair(b *testing.B) {
 	var err error
 	recovered := 0
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.RunAttack(context.Background(),
+		r, err = transcript.Run(context.Background(),
 			transcript.Spec{Attack: "seqpair", Seed: uint64(i)*3 + 5, Expurgate: true})
 		if err != nil {
 			b.Fatal(err)
@@ -175,7 +175,7 @@ func BenchmarkAttackTempCo(b *testing.B) {
 	var r transcript.Transcript
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.RunAttack(context.Background(),
+		r, err = transcript.Run(context.Background(),
 			transcript.Spec{Attack: "tempco", Seed: uint64(i)*3 + 7})
 		if err != nil {
 			b.Fatal(err)
@@ -223,7 +223,7 @@ func BenchmarkAblationStoragePolicy(b *testing.B) {
 	var r experiments.StorageLeakage
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.AblationStoragePolicy(uint64(i)+19, 5)
+		r, err = experiments.AblationStoragePolicy(context.Background(), uint64(i)+19, 5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func BenchmarkAblationStrategy(b *testing.B) {
 	var r experiments.StrategyCost
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.AblationStrategy(uint64(i)*2 + 21)
+		r, err = experiments.AblationStrategy(context.Background(), uint64(i)*2+21)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func BenchmarkAblationOffsetSize(b *testing.B) {
 	var rows []experiments.OffsetSizeRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationOffsetSize(uint64(i) + 23)
+		rows, err = experiments.AblationOffsetSize(context.Background(), uint64(i)+23, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,14 +285,14 @@ func BenchmarkAblationOffsetSize(b *testing.B) {
 // worker counts on every iteration.
 func BenchmarkCampaignAttackSuccess(b *testing.B) {
 	const seeds = 8
-	baseline, err := experiments.MeasureAttackSuccessWorkers(context.Background(), 1000, seeds, 1)
+	baseline, err := experiments.MeasureAttackSuccess(context.Background(), 1000, seeds, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.MeasureAttackSuccessWorkers(context.Background(), 1000, seeds, workers)
+				r, err := experiments.MeasureAttackSuccess(context.Background(), 1000, seeds, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -330,7 +330,7 @@ func BenchmarkAttackSuccessRates(b *testing.B) {
 	var r experiments.AttackSuccessRates
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.MeasureAttackSuccess(uint64(i)*997+1000, 3)
+		r, err = experiments.MeasureAttackSuccess(context.Background(), uint64(i)*997+1000, 3, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

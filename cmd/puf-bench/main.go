@@ -274,7 +274,7 @@ func attackSpec(cfg benchConfig, name string, expurgate bool) transcript.Spec {
 }
 
 func runE5(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "groupbased", false))
+	r, err := transcript.Run(context.Background(), attackSpec(cfg, "groupbased", false))
 	if err != nil {
 		return err
 	}
@@ -285,7 +285,7 @@ func runE5(cfg benchConfig) error {
 }
 
 func runE6(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "masking", false))
+	r, err := transcript.Run(context.Background(), attackSpec(cfg, "masking", false))
 	if err != nil {
 		return err
 	}
@@ -295,7 +295,7 @@ func runE6(cfg benchConfig) error {
 }
 
 func runE7(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "chain", false))
+	r, err := transcript.Run(context.Background(), attackSpec(cfg, "chain", false))
 	if err != nil {
 		return err
 	}
@@ -306,7 +306,7 @@ func runE7(cfg benchConfig) error {
 
 func runE8(cfg benchConfig) error {
 	for _, exp := range []bool{false, true} {
-		r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "seqpair", exp))
+		r, err := transcript.Run(context.Background(), attackSpec(cfg, "seqpair", exp))
 		if err != nil {
 			return err
 		}
@@ -321,7 +321,7 @@ func runE8(cfg benchConfig) error {
 }
 
 func runE9(cfg benchConfig) error {
-	r, err := experiments.RunAttack(context.Background(), attackSpec(cfg, "tempco", false))
+	r, err := transcript.Run(context.Background(), attackSpec(cfg, "tempco", false))
 	if err != nil {
 		return err
 	}
@@ -358,7 +358,7 @@ func runE12(cfg benchConfig) error {
 }
 
 func runA1(cfg benchConfig) error {
-	r, err := experiments.AblationStoragePolicy(cfg.seed, 20)
+	r, err := experiments.AblationStoragePolicy(context.Background(), cfg.seed, 20, 0)
 	if err != nil {
 		return err
 	}
@@ -368,7 +368,7 @@ func runA1(cfg benchConfig) error {
 }
 
 func runA2(cfg benchConfig) error {
-	r, err := experiments.AblationStrategy(cfg.seed)
+	r, err := experiments.AblationStrategy(context.Background(), cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -379,7 +379,7 @@ func runA2(cfg benchConfig) error {
 }
 
 func runA4(cfg benchConfig) error {
-	rows, err := experiments.AblationOffsetSize(cfg.seed)
+	rows, err := experiments.AblationOffsetSize(context.Background(), cfg.seed, 0)
 	if err != nil {
 		return err
 	}
@@ -391,7 +391,7 @@ func runA4(cfg benchConfig) error {
 }
 
 func runR1(cfg benchConfig) error {
-	r, err := experiments.MeasureAttackSuccessWorkers(context.Background(), cfg.seed*1000, 5, 0)
+	r, err := experiments.MeasureAttackSuccess(context.Background(), cfg.seed*1000, 5, 0)
 	if err != nil {
 		return err
 	}
@@ -528,14 +528,14 @@ func runJSONBench(cfg benchConfig) error {
 	}
 	seed := cfg.seed
 	ctx := context.Background()
-	// benchAttack measures one attack end to end via RunAttack; only the
+	// benchAttack measures one attack end to end via transcript.Run; only the
 	// seqpair bench runs the expurgated subcode, matching the historical
 	// artifact.
 	benchAttack := func(name string, seedOff uint64) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunAttack(ctx, transcript.Spec{
+				r, err := transcript.Run(ctx, transcript.Spec{
 					Attack:    name,
 					Seed:      seed + uint64(i)*3 + seedOff,
 					Expurgate: name == "seqpair",

@@ -84,7 +84,8 @@ type KeyBinder interface {
 // Options is the unified attack configuration.
 type Options struct {
 	// Dist selects and tunes the hypothesis distinguisher; the zero
-	// value gets conservative defaults (see Distinguisher.normalized).
+	// value behaves as DefaultDistinguisher (see
+	// Distinguisher.normalized).
 	Dist Distinguisher
 	// CalibrationQueries sizes the up-front failure-rate calibration
 	// for attacks that calibrate (0 = 24).

@@ -172,3 +172,30 @@ func TestContextCancellationStopsAttack(t *testing.T) {
 		t.Fatalf("cancelled attack still spent %d queries", q)
 	}
 }
+
+// The zero Options.Dist is the sequential default: on each attack's
+// first golden seed it recovers the same key with the same queries as
+// an explicit DefaultDistinguisher.
+func TestZeroDistinguisherIsDefault(t *testing.T) {
+	targets := map[string]func() Target{
+		"seqpair":    func() Target { return NewSeqPairTarget(seqPairDevice(t, 5)) },
+		"tempco":     func() Target { return NewTempCoTarget(tempcoDevice(t, 7)) },
+		"groupbased": func() Target { return NewGroupBasedTarget(groupBasedDevice(t, 9)) },
+		"masking":    func() Target { return NewDistillerTarget(maskingDevice(t, 11)) },
+		"chain":      func() Target { return NewDistillerTarget(chainDevice(t, 13)) },
+	}
+	for _, name := range Names() {
+		zero, err := Run(context.Background(), name, targets[name](), Options{})
+		if err != nil {
+			t.Fatalf("%s zero Dist: %v", name, err)
+		}
+		def, err := Run(context.Background(), name, targets[name](), Options{Dist: DefaultDistinguisher()})
+		if err != nil {
+			t.Fatalf("%s default Dist: %v", name, err)
+		}
+		if !zero.Key.Equal(def.Key) || zero.Queries != def.Queries {
+			t.Fatalf("%s: zero Dist gave key %s in %d queries, default gave %s in %d",
+				name, zero.Key, zero.Queries, def.Key, def.Queries)
+		}
+	}
+}

@@ -25,7 +25,7 @@ var ErrNoArms = errors.New("attack: no hypothesis arms to distinguish")
 // Arm is one observation source for failure-rate estimation: a closure
 // that performs one oracle query (after whatever manipulation it needs)
 // and reports FAILURE (true = the key-dependent application misbehaved).
-// Calibration and EstimateFailureRate take arms; hypothesis tests take
+// EstimateFailureRate takes arms; calibration and hypothesis tests take
 // Hypothesis values instead.
 type Arm func() bool
 
@@ -39,15 +39,16 @@ type Hypothesis func(t Target) error
 type Strategy int
 
 const (
-	// FixedSample queries every arm the same number of times and takes
-	// the arm with the fewest failures.
-	FixedSample Strategy = iota
 	// Sequential runs Wald's SPRT per arm against calibrated nominal
 	// and elevated failure rates, returning the first arm accepted at
 	// the nominal rate. Falls back to FixedSample when no arm is
 	// accepted. Substantially cheaper at equal error probability — one
-	// of the repository's ablations.
-	Sequential
+	// of the repository's ablations. It is the zero value, so a zero
+	// Distinguisher normalizes to DefaultDistinguisher.
+	Sequential Strategy = iota
+	// FixedSample queries every arm the same number of times and takes
+	// the arm with the fewest failures.
+	FixedSample
 )
 
 // String implements fmt.Stringer.
@@ -247,15 +248,23 @@ type Calibration struct {
 	Queries int
 }
 
-// Calibrate measures the two reference rates. nominal and elevated are
-// arms with the attack's common offset and offset+1 deterministic errors
-// respectively, built with value-independent manipulations.
-func Calibrate(nominal, elevated Arm, queriesEach int) Calibration {
-	return Calibration{
-		PNominal:  EstimateFailureRate(nominal, queriesEach),
-		PElevated: EstimateFailureRate(elevated, queriesEach),
-		Queries:   2 * queriesEach,
+// calibrate measures the two reference rates. nominal and elevated
+// install the attack's common offset and offset+1 deterministic errors
+// respectively, built with value-independent manipulations; each is
+// installed once and then queried n times. An install failure aborts.
+func calibrate(ctx context.Context, t Target, nominal, elevated Hypothesis, n int, b *Budget) (Calibration, error) {
+	var rates [2]float64
+	for i, h := range [2]Hypothesis{nominal, elevated} {
+		if err := h(t); err != nil {
+			return Calibration{}, err
+		}
+		p, err := estimateRate(ctx, t.Query, n, b)
+		if err != nil {
+			return Calibration{}, err
+		}
+		rates[i] = p
 	}
+	return Calibration{PNominal: rates[0], PElevated: rates[1], Queries: 2 * n}, nil
 }
 
 // Apply transfers calibrated rates onto a distinguisher.
@@ -264,6 +273,3 @@ func (c Calibration) Apply(d Distinguisher) Distinguisher {
 	d.P1 = c.PElevated
 	return d.normalized()
 }
-
-// Separation returns the rate gap; attacks abort when it collapses.
-func (c Calibration) Separation() float64 { return c.PElevated - c.PNominal }

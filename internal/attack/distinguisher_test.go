@@ -2,6 +2,7 @@ package attack
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/helperdata"
@@ -145,21 +146,37 @@ func TestNormalizedClamps(t *testing.T) {
 	}
 }
 
+// calibrate installs each reference hypothesis once, queries it n
+// times, and reports the two empirical rates; Apply then orders them
+// into the distinguisher.
 func TestCalibrate(t *testing.T) {
-	r := rng.New(4)
-	cal := Calibrate(bernoulliArm(r, 0.05), bernoulliArm(r, 0.8), 400)
+	tgt := &bernoulliTarget{r: rng.New(4)}
+	ref := rates(0.05, 0.8)
+	cal, err := calibrate(context.Background(), tgt, ref[0], ref[1], 400, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cal.PNominal > 0.12 || cal.PElevated < 0.7 {
 		t.Fatalf("calibration %+v", cal)
 	}
-	if cal.Queries != 800 {
-		t.Fatalf("queries %d", cal.Queries)
+	if cal.Queries != 800 || tgt.queries != 800 {
+		t.Fatalf("queries: reported %d, served %d", cal.Queries, tgt.queries)
 	}
-	if cal.Separation() < 0.5 {
-		t.Fatalf("separation %v", cal.Separation())
+	d := cal.Apply(Distinguisher{})
+	if d.P0 != cal.PNominal || d.P1 != cal.PElevated {
+		t.Fatalf("apply: P0/P1 = %v/%v, want %v/%v", d.P0, d.P1, cal.PNominal, cal.PElevated)
 	}
-	d := cal.Apply(Distinguisher{Strategy: Sequential})
-	if d.P0 >= d.P1 {
-		t.Fatal("apply did not order the rates")
+
+	// An install failure aborts before any query; cancellation stops
+	// calibration at its next query.
+	fail := Hypothesis(func(Target) error { return errors.New("rejected") })
+	if _, err := calibrate(context.Background(), tgt, fail, ref[1], 10, nil); err == nil || tgt.queries != 800 {
+		t.Fatalf("install failure: err %v after %d queries", err, tgt.queries-800)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := calibrate(ctx, tgt, ref[0], ref[1], 10, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled calibration: err %v", err)
 	}
 }
 

@@ -162,22 +162,10 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			break
 		}
 	}
-	queryArm := Arm(t.Query)
-	if err := install(calNom, 0, 0)(t); err != nil {
-		return Report{}, err
-	}
-	pNom, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
+	cal, err := calibrate(ctx, t, install(calNom, 0, 0), install(calElev, 0, 0), opts.CalibrationQueries, budget)
 	if err != nil {
 		return Report{}, err
 	}
-	if err := install(calElev, 0, 0)(t); err != nil {
-		return Report{}, err
-	}
-	pElev, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
-	if err != nil {
-		return Report{}, err
-	}
-	cal := Calibration{PNominal: pNom, PElevated: pElev, Queries: 2 * opts.CalibrationQueries}
 	dist := cal.Apply(opts.Dist)
 
 	// Relation recovery: for each j, arm A = injections + position swap

@@ -229,22 +229,13 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 
 	// Calibration: offset and offset+1 rates.
 	tr.phase("calibrate")
-	queryArm := Arm(t.Query)
-	if err := install(requester, refHelper, basePool[:opts.InjectErrors])(t); err != nil {
-		return Report{}, err
-	}
-	pNom, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
+	cal, err := calibrate(ctx, t,
+		install(requester, refHelper, basePool[:opts.InjectErrors]),
+		install(requester, refHelper, basePool[:opts.InjectErrors+1]),
+		opts.CalibrationQueries, budget)
 	if err != nil {
 		return Report{}, err
 	}
-	if err := install(requester, refHelper, basePool[:opts.InjectErrors+1])(t); err != nil {
-		return Report{}, err
-	}
-	pElev, err := estimateRate(ctx, queryArm, opts.CalibrationQueries, budget)
-	if err != nil {
-		return Report{}, err
-	}
-	cal := Calibration{PNominal: pNom, PElevated: pElev, Queries: 2 * opts.CalibrationQueries}
 	dist := cal.Apply(opts.Dist)
 
 	// Relation recovery: rel(x) = [r_x != r_refHelper] for every other

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // Metrics is one task execution's output: named scalar results (a
@@ -394,12 +393,12 @@ func normalize(spec *Spec) {
 }
 
 // Finalize assembles a completed campaign's Result from its full
-// outcome list, exactly as Run would have: the per-metric aggregates
-// are computed in task-index order with the batch aggregate, so a
-// result finalized from sharded or checkpoint-restored outcomes is
-// bit-identical to an uninterrupted Run of the same spec. Outcomes must
-// be the complete list, indexed 0..len-1 (one per task instance, in
-// index order); len(outcomes) must match the normalized spec.Seeds.
+// outcome list, exactly as Run would have: the outcomes are folded
+// through one Partial in task-index order, so a result finalized from
+// sharded or checkpoint-restored outcomes is bit-identical to an
+// uninterrupted Run of the same spec. Outcomes must be the complete
+// list, indexed 0..len-1 (one per task instance, in index order);
+// len(outcomes) must match the normalized spec.Seeds.
 func Finalize(spec Spec, outcomes []Outcome) (*Result, error) {
 	task, ok := Lookup(spec.Task)
 	if !ok {
@@ -415,9 +414,9 @@ func Finalize(spec Spec, outcomes []Outcome) (*Result, error) {
 		}
 	}
 
-	binary := make(map[string]bool, len(task.Binary))
-	for _, name := range task.Binary {
-		binary[name] = true
+	p := NewPartial(task.Binary)
+	for _, o := range outcomes {
+		p.Observe(o)
 	}
 	return &Result{
 		Task:       task.Name,
@@ -425,7 +424,7 @@ func Finalize(spec Spec, outcomes []Outcome) (*Result, error) {
 		Seeds:      spec.Seeds,
 		Workers:    spec.Workers,
 		Outcomes:   outcomes,
-		Aggregates: aggregate(outcomes, binary),
+		Aggregates: p.Aggregates(),
 	}, nil
 }
 
@@ -436,65 +435,6 @@ func taskNames() []string {
 		names[i] = t.Name
 	}
 	return names
-}
-
-// aggregate summarizes each metric across outcomes. Metric names are
-// sorted and values are visited in task-index order, so the result is a
-// pure function of the outcome set. Metrics in the binary set get Wilson
-// intervals — unless a value outside {0, 1} shows up, which demotes the
-// metric rather than report a nonsensical proportion.
-func aggregate(outcomes []Outcome, binary map[string]bool) []Aggregate {
-	names := make(map[string]bool)
-	for _, o := range outcomes {
-		for k := range o.Metrics {
-			names[k] = true
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for k := range names {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-
-	aggs := make([]Aggregate, 0, len(sorted))
-	for _, name := range sorted {
-		var vals []float64
-		for _, o := range outcomes {
-			if v, ok := o.Metrics[name]; ok {
-				vals = append(vals, v)
-			}
-		}
-		a := Aggregate{
-			Metric: name,
-			N:      len(vals),
-			Mean:   stats.Mean(vals),
-			Stddev: stats.Stddev(vals),
-			Binary: binary[name],
-		}
-		a.Min, a.Max = vals[0], vals[0]
-		for _, v := range vals {
-			if v < a.Min {
-				a.Min = v
-			}
-			if v > a.Max {
-				a.Max = v
-			}
-			switch v {
-			case 0:
-			case 1:
-				a.Successes++
-			default:
-				a.Binary = false
-			}
-		}
-		if a.Binary {
-			a.WilsonLo, a.WilsonHi = stats.WilsonInterval(a.Successes, a.N, 0.95)
-		} else {
-			a.Successes = 0
-		}
-		aggs = append(aggs, a)
-	}
-	return aggs
 }
 
 // Bool converts a success indicator to the 0/1 metric convention that

@@ -6,19 +6,15 @@ import (
 	"repro/internal/stats"
 )
 
-// Partial is a mergeable streaming aggregate over a subset of a
-// campaign's outcomes. It is the campaign-layer counterpart of
-// stats.Welford: each metric gets a Welford accumulator plus the
-// min/max and binary-success bookkeeping the batch aggregate tracks,
-// and Wilson intervals are computed at read time (Aggregates), never
-// stored — so partials combine associatively.
+// Partial is the campaign's one aggregator: a streaming fold of
+// outcomes into per-metric statistics. Each metric gets a Welford
+// accumulator plus min/max and binary-success bookkeeping, and Wilson
+// intervals are computed at read time (Aggregates), never stored.
 //
-// Partials exist for streaming: the daemon folds each completed shard
-// into one and serves the running aggregates over SSE, and the CLI's
-// progress output reads the same numbers. They are deliberately NOT the
-// source of a campaign's final aggregates — those are recomputed by
-// Finalize over the full outcome list in task-index order, which is
-// what makes sharded, resumed, and one-shot runs bit-identical.
+// Run and the daemon observe outcomes in completion order for progress
+// (SSE events, the CLI's -v output); Finalize observes the full outcome
+// list in task-index order for the final aggregates, which is what makes
+// sharded, resumed, and one-shot runs bit-identical.
 //
 // Partial is not safe for concurrent use; callers serialize access.
 type Partial struct {
@@ -29,14 +25,13 @@ type Partial struct {
 
 // metricPartial accumulates one metric.
 type metricPartial struct {
-	W         stats.Welford `json:"w"`
-	Min       float64       `json:"min"`
-	Max       float64       `json:"max"`
-	Successes int           `json:"successes"`
+	W         stats.Welford
+	Min, Max  float64
+	Successes int
 	// Binary starts as the task's declaration and is demoted for good
-	// the first time a value outside {0, 1} is observed — mirroring the
-	// batch aggregate's rule.
-	Binary bool `json:"binary"`
+	// the first time a value outside {0, 1} is observed, rather than
+	// report a nonsensical proportion.
+	Binary bool
 }
 
 // NewPartial returns an empty partial for a task whose declared binary
@@ -52,7 +47,7 @@ func NewPartial(binary []string) *Partial {
 	return p
 }
 
-// Done returns the number of outcomes observed (directly or via Merge).
+// Done returns the number of outcomes observed.
 func (p *Partial) Done() int { return p.done }
 
 // Observe folds one completed outcome into the partial.
@@ -81,38 +76,10 @@ func (p *Partial) Observe(o Outcome) {
 	}
 }
 
-// Merge folds another partial into p, as if every outcome observed by q
-// had been observed by p. The two must come from the same task (same
-// binary declarations); merging is associative and commutative up to
-// floating-point rounding in the per-metric moments.
-func (p *Partial) Merge(q *Partial) {
-	if q == nil {
-		return
-	}
-	p.done += q.done
-	for name, qm := range q.metrics {
-		mp, ok := p.metrics[name]
-		if !ok {
-			cp := *qm
-			p.metrics[name] = &cp
-			continue
-		}
-		mp.W.Merge(qm.W)
-		if qm.Min < mp.Min {
-			mp.Min = qm.Min
-		}
-		if qm.Max > mp.Max {
-			mp.Max = qm.Max
-		}
-		mp.Successes += qm.Successes
-		mp.Binary = mp.Binary && qm.Binary
-	}
-}
-
-// Aggregates summarizes the observed outcomes in the same shape the
-// batch aggregate produces, computing Wilson intervals at read time.
-// Metric names are sorted, so the slice is a pure function of the
-// observed multiset.
+// Aggregates summarizes the observed outcomes, one entry per metric in
+// sorted name order, computing Wilson intervals at read time. Each
+// metric's values are folded in observation order, so observing the
+// same outcomes in the same order gives bit-identical aggregates.
 func (p *Partial) Aggregates() []Aggregate {
 	names := make([]string, 0, len(p.metrics))
 	for name := range p.metrics {

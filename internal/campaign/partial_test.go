@@ -4,8 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func runWalk(t *testing.T, spec Spec) *Result {
@@ -17,8 +21,8 @@ func runWalk(t *testing.T, spec Spec) *Result {
 	return res
 }
 
-// aggregatesAlmostEqual compares streaming aggregates against batch
-// ones: everything integer-exact must match exactly; the floating-point
+// aggregatesAlmostEqual compares two aggregates of the same outcomes:
+// everything integer-exact must match exactly; the floating-point
 // moments must agree to within rounding noise.
 func aggregatesAlmostEqual(t *testing.T, streaming, batch []Aggregate) {
 	t.Helper()
@@ -41,86 +45,67 @@ func aggregatesAlmostEqual(t *testing.T, streaming, batch []Aggregate) {
 	}
 }
 
-// A partial fed every outcome sequentially in index order must
-// reproduce the batch aggregate exactly for everything except the
-// second moment (Welford vs two-pass), which agrees to rounding noise.
-// In particular Mean is bit-identical: both are sum/n over the same
-// addition order.
+// Finalize's aggregates must match a two-pass batch reference over the
+// same outcomes: exactly for everything but the second moment (Welford
+// vs two-pass), which agrees to rounding noise. In particular Mean is
+// bit-identical: both are sum/n over the same addition order.
 func TestPartialSequentialMatchesBatchAggregate(t *testing.T) {
 	res := runWalk(t, Spec{Task: "test-walk", BaseSeed: 99, Seeds: 48, Workers: 4})
 	task, _ := Lookup("test-walk")
+	declared := map[string]bool{}
+	for _, name := range task.Binary {
+		declared[name] = true
+	}
 
-	p := NewPartial(task.Binary)
-	for _, o := range res.Outcomes {
-		p.Observe(o)
-	}
-	if p.Done() != len(res.Outcomes) {
-		t.Fatalf("Done() = %d, want %d", p.Done(), len(res.Outcomes))
-	}
-	streaming := p.Aggregates()
-	aggregatesAlmostEqual(t, streaming, res.Aggregates)
-	for i, s := range streaming {
-		if s.Mean != res.Aggregates[i].Mean {
-			t.Fatalf("aggregate %q: sequential streaming mean %v not bit-identical to batch %v",
-				s.Metric, s.Mean, res.Aggregates[i].Mean)
+	var batch []Aggregate
+	for _, name := range []string{"recovered", "walk-sum", "zero-count"} {
+		var vals []float64
+		for _, o := range res.Outcomes {
+			vals = append(vals, o.Metrics[name])
 		}
-	}
-}
-
-// Merging per-shard partials — at several shard sizes, including the
-// daemon's out-of-order completion (simulated by merging shards in
-// reverse) — must agree with the batch aggregate.
-func TestPartialMergeMatchesBatchAggregate(t *testing.T) {
-	res := runWalk(t, Spec{Task: "test-walk", BaseSeed: 4711, Seeds: 50, Workers: 4})
-	task, _ := Lookup("test-walk")
-
-	for _, shard := range []int{1, 3, 16, 50} {
-		var parts []*Partial
-		for lo := 0; lo < len(res.Outcomes); lo += shard {
-			p := NewPartial(task.Binary)
-			for _, o := range res.Outcomes[lo:min(lo+shard, len(res.Outcomes))] {
-				p.Observe(o)
+		a := Aggregate{
+			Metric: name, N: len(vals), Binary: declared[name],
+			Mean: stats.Mean(vals), Stddev: stats.Stddev(vals),
+			Min: slices.Min(vals), Max: slices.Max(vals),
+		}
+		if a.Binary {
+			for _, v := range vals {
+				a.Successes += int(v)
 			}
-			parts = append(parts, p)
+			a.WilsonLo, a.WilsonHi = stats.WilsonInterval(a.Successes, a.N, 0.95)
 		}
-		// Merge in reverse completion order to model a racy pool.
-		merged := NewPartial(task.Binary)
-		for i := len(parts) - 1; i >= 0; i-- {
-			merged.Merge(parts[i])
+		batch = append(batch, a)
+	}
+	aggregatesAlmostEqual(t, res.Aggregates, batch)
+	for i, s := range res.Aggregates {
+		if s.Mean != batch[i].Mean {
+			t.Fatalf("aggregate %q: mean %v not bit-identical to batch %v", s.Metric, s.Mean, batch[i].Mean)
 		}
-		if merged.Done() != len(res.Outcomes) {
-			t.Fatalf("shard=%d: Done() = %d", shard, merged.Done())
-		}
-		aggregatesAlmostEqual(t, merged.Aggregates(), res.Aggregates)
 	}
 }
 
-// The binary demotion rule must survive merging: a metric declared
-// binary but observed outside {0,1} in ONE shard is non-binary in the
-// merged whole, even when other shards saw only {0,1}.
-func TestPartialMergeDemotesBinary(t *testing.T) {
-	clean := NewPartial([]string{"m"})
-	clean.Observe(Outcome{Index: 0, Metrics: Metrics{"m": 1}})
-	dirty := NewPartial([]string{"m"})
-	dirty.Observe(Outcome{Index: 1, Metrics: Metrics{"m": 0.5}})
-
-	for _, order := range [][]*Partial{{clean, dirty}, {dirty, clean}} {
-		merged := NewPartial([]string{"m"})
-		merged.Merge(order[0])
-		merged.Merge(order[1])
-		aggs := merged.Aggregates()
+// A metric declared binary but observed outside {0,1} is non-binary for
+// good, whichever order the values arrive in.
+func TestPartialDemotesBinary(t *testing.T) {
+	for _, order := range [][]float64{{1, 0.5}, {0.5, 1}} {
+		p := NewPartial([]string{"m"})
+		for i, v := range order {
+			p.Observe(Outcome{Index: i, Metrics: Metrics{"m": v}})
+		}
+		aggs := p.Aggregates()
 		if len(aggs) != 1 || aggs[0].Binary {
-			t.Fatalf("demotion lost in merge: %+v", aggs)
+			t.Fatalf("order %v: demotion lost: %+v", order, aggs)
 		}
 		if aggs[0].Successes != 0 {
-			t.Fatalf("demoted metric kept successes: %+v", aggs[0])
+			t.Fatalf("order %v: demoted metric kept successes: %+v", order, aggs[0])
 		}
 	}
 }
 
 // Spec.Progress must fire once per task instance, serialized, with
-// monotonically increasing Done and partial aggregates that end exactly
-// at the final streaming aggregate — at any worker count.
+// monotonically increasing Done and partial aggregates that end at the
+// final aggregate: exactly with one worker, which observes in index
+// order as Finalize does, and to rounding noise in completion order.
 func TestRunProgressCallback(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var (
@@ -149,7 +134,14 @@ func TestRunProgressCallback(t *testing.T) {
 			seen[ev.Outcome.Index] = true
 		}
 		// The last event's streaming aggregates cover every outcome.
-		aggregatesAlmostEqual(t, events[len(events)-1].Aggregates, res.Aggregates)
+		last := events[len(events)-1].Aggregates
+		if workers == 1 {
+			if !reflect.DeepEqual(last, res.Aggregates) {
+				t.Fatalf("workers=1: last progress aggregates %+v != result %+v", last, res.Aggregates)
+			}
+			continue
+		}
+		aggregatesAlmostEqual(t, last, res.Aggregates)
 	}
 }
 

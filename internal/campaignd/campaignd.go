@@ -11,11 +11,11 @@
 // sharding, retry, and crash-resume trivially safe — a daemon killed
 // mid-sweep and restarted from its state directory finishes with final
 // aggregates bit-identical to an uninterrupted one-shot campaign.Run of
-// the same spec, at any worker count. The final Result is deliberately
-// NOT assembled from the streaming partials: once every shard is
-// checkpointed, the full outcome list is reassembled in task-index
-// order and handed to campaign.Finalize, the same batch aggregation an
-// uninterrupted run uses.
+// the same spec, at any worker count. The streaming partial folds
+// outcomes in shard-completion order and serves progress only: once
+// every shard is checkpointed, the full outcome list is reassembled in
+// task-index order and handed to campaign.Finalize, which folds it
+// through a fresh campaign.Partial exactly as an uninterrupted run does.
 //
 // Layout: this file defines the wire types (Spec, State, JobStatus,
 // Event); manager.go runs jobs; checkpoint.go owns the JSONL state

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/faultinject"
@@ -89,11 +90,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // and invalid specs are all 400s: the daemon never creates state for a
 // request it cannot execute.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var spec Spec
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("campaignd: bad spec: %w", err))
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	st, err := s.m.Submit(spec)
@@ -110,6 +109,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// decodeSpec reads one submitted Spec, refusing fields the wire form
+// does not define. Validation is left to Manager.Submit.
+func decodeSpec(r io.Reader) (Spec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec Spec
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, fmt.Errorf("campaignd: bad spec: %w", err)
+	}
+	return spec, nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -19,8 +19,8 @@ import (
 // device that re-encrypts known data under whatever key it regenerates.
 // App therefore reports reconstruction success against the key bound at
 // the LAST successful helper write (the attacker's predicted key), not
-// against the original enrollment. AppOriginal preserves the strict
-// matches-enrollment observable for honest-use experiments.
+// against the original enrollment; until the first write that key is
+// the enrolled one.
 type GroupBasedDevice struct {
 	base
 	arr    *silicon.Array
@@ -162,14 +162,6 @@ func (d *GroupBasedDevice) App() bool {
 	}
 	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
 	return err == nil && d.bind.key.Len() > 0 && keysEqual(got, d.bind.key)
-}
-
-// AppOriginal is the honest observable: reconstruction must match the
-// original enrollment key.
-func (d *GroupBasedDevice) AppOriginal() bool {
-	d.addQuery()
-	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
-	return err == nil && keysEqual(got, d.enrolled)
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).

@@ -251,22 +251,11 @@ func Fig5(seed uint64, samples int) (Fig5Result, error) {
 
 // ----------------------------------------------------------- E5–E10 --
 
-// RunAttack is the single attack entry point of the experiments layer:
-// it executes one transcript Spec (attack × seed × options) through
-// the attack registry against a freshly enrolled reference device and
-// returns its canonical Transcript. Every
-// attack-backed experiment — campaign tasks, benchmarks, goldens,
-// cmd/puf-bench — goes through this one function; the per-attack
-// Run*Attack/Run*AttackNoise wrappers it replaces are gone.
-func RunAttack(ctx context.Context, spec transcript.Spec) (transcript.Transcript, error) {
-	return transcript.Run(ctx, spec)
-}
-
-// RunAttackPooled is RunAttack with a campaign device pool: enrollment
-// scratch (device carcass, ECC code tables) is adopted from the pool
-// slot keyed by the spec's enrollment fingerprint and returned to it
-// afterwards. A nil pool degrades to RunAttack. Transcripts are
-// bit-identical either way — the pool only recycles allocations.
+// RunAttackPooled is transcript.Run with a campaign device pool:
+// enrollment scratch (device carcass, ECC code tables) is adopted from
+// the pool slot keyed by the spec's enrollment fingerprint and returned
+// to it afterwards. A nil pool degrades to transcript.Run. Transcripts
+// are bit-identical either way — the pool only recycles allocations.
 func RunAttackPooled(ctx context.Context, spec transcript.Spec, pool *campaign.Pool) (transcript.Transcript, error) {
 	// A typed-nil *campaign.Pool must not become a non-nil Cache
 	// interface, or transcript.RunWith would call methods on it.
@@ -448,16 +437,11 @@ type StorageLeakage struct {
 }
 
 // AblationStoragePolicy measures the direct helper leakage of the two
-// storage policies over many devices, one device per pool worker.
-func AblationStoragePolicy(seed uint64, devices int) (StorageLeakage, error) {
-	return AblationStoragePolicyWorkers(context.Background(), seed, devices, 0)
-}
-
-// AblationStoragePolicyWorkers is AblationStoragePolicy with an explicit
-// worker bound and cancellation. Callers already running inside a
+// storage policies over many devices, one device per pool worker
+// (workers = 0 means GOMAXPROCS). Callers already running inside a
 // campaign pool should pass workers = 1 to avoid oversubscribing the
 // host with nested pools.
-func AblationStoragePolicyWorkers(ctx context.Context, seed uint64, devices, workers int) (StorageLeakage, error) {
+func AblationStoragePolicy(ctx context.Context, seed uint64, devices, workers int) (StorageLeakage, error) {
 	var res StorageLeakage
 	type deviceCounts struct {
 		sortedOnes, sortedTotal, randOnes, randTotal int
@@ -505,7 +489,7 @@ type StrategyCost struct {
 
 // AblationStrategy runs the seqpair attack twice on identically
 // manufactured devices, once per strategy.
-func AblationStrategy(seed uint64) (StrategyCost, error) {
+func AblationStrategy(ctx context.Context, seed uint64) (StrategyCost, error) {
 	run := func(dist attack.Distinguisher) (int, bool, error) {
 		d, err := device.EnrollSeqPair(device.SeqPairParams{
 			Rows: 8, Cols: 16,
@@ -518,7 +502,7 @@ func AblationStrategy(seed uint64) (StrategyCost, error) {
 			return 0, false, err
 		}
 		truth := d.TrueKey()
-		res, err := attack.Run(context.Background(), "seqpair", attack.NewSeqPairTarget(d),
+		res, err := attack.Run(ctx, "seqpair", attack.NewSeqPairTarget(d),
 			attack.Options{Dist: dist})
 		if err != nil {
 			return 0, false, err
@@ -555,14 +539,9 @@ type OffsetSizeRow struct {
 // AblationOffsetSize sweeps the common offset from 0 to the code radius
 // on the sequential-pairing attack. Below t the swap's extra errors stay
 // inside the correction radius and the rates collapse; at t the single
-// extra error becomes fully visible.
-func AblationOffsetSize(seed uint64) ([]OffsetSizeRow, error) {
-	return AblationOffsetSizeWorkers(context.Background(), seed, 0)
-}
-
-// AblationOffsetSizeWorkers is AblationOffsetSize with an explicit
-// worker bound and cancellation (workers = 1 inside an outer pool).
-func AblationOffsetSizeWorkers(ctx context.Context, seed uint64, workers int) ([]OffsetSizeRow, error) {
+// extra error becomes fully visible. workers bounds the level fan-out
+// (0 = GOMAXPROCS; 1 inside an outer pool).
+func AblationOffsetSize(ctx context.Context, seed uint64, workers int) ([]OffsetSizeRow, error) {
 	params := device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
@@ -575,14 +554,14 @@ func AblationOffsetSizeWorkers(ctx context.Context, seed uint64, workers int) ([
 	// levels are independent and fan out across the pool; the row order
 	// is fixed by the level index.
 	out := make([]OffsetSizeRow, tcap)
-	err := campaign.ForEach(ctx, tcap, workers, func(_ context.Context, i int) error {
+	err := campaign.ForEach(ctx, tcap, workers, func(taskCtx context.Context, i int) error {
 		inject := i + 1
 		d, err := device.EnrollSeqPair(params, rng.New(seed), rng.New(seed+1))
 		if err != nil {
 			return err
 		}
 		truth := d.TrueKey()
-		res, err := attack.Run(context.Background(), "seqpair", attack.NewSeqPairTarget(d),
+		res, err := attack.Run(taskCtx, "seqpair", attack.NewSeqPairTarget(d),
 			attack.Options{
 				Dist:         attack.DefaultDistinguisher(),
 				InjectErrors: inject,
@@ -675,16 +654,11 @@ func attackAllOnSeed(ctx context.Context, s uint64, pool *campaign.Pool) (seedAt
 	return o, nil
 }
 
-// MeasureAttackSuccess runs all attacks over `seeds` devices each, using
-// every available core. The rates are aggregated in seed order from
-// per-seed deterministic outcomes, so they are identical to a serial run.
-func MeasureAttackSuccess(base uint64, seeds int) (AttackSuccessRates, error) {
-	return MeasureAttackSuccessWorkers(context.Background(), base, seeds, 0)
-}
-
-// MeasureAttackSuccessWorkers is MeasureAttackSuccess with an explicit
-// worker-pool bound (0 = GOMAXPROCS) and campaign cancellation.
-func MeasureAttackSuccessWorkers(ctx context.Context, base uint64, seeds, workers int) (AttackSuccessRates, error) {
+// MeasureAttackSuccess runs all attacks over `seeds` devices each on a
+// pool of `workers` goroutines (0 = GOMAXPROCS). The rates are
+// aggregated in seed order from per-seed deterministic outcomes, so
+// they are identical at any worker count.
+func MeasureAttackSuccess(ctx context.Context, base uint64, seeds, workers int) (AttackSuccessRates, error) {
 	var r AttackSuccessRates
 	r.Seeds = seeds
 	outcomes := make([]seedAttackOutcome, seeds)

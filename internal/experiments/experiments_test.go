@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/transcript"
@@ -91,7 +92,7 @@ func TestFig5Separation(t *testing.T) {
 }
 
 func TestRunSeqPairAttackE8(t *testing.T) {
-	tr, err := RunAttack(context.Background(), transcript.Spec{Attack: "seqpair", Seed: 5, Expurgate: true})
+	tr, err := transcript.Run(context.Background(), transcript.Spec{Attack: "seqpair", Seed: 5, Expurgate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestRunSeqPairAttackE8(t *testing.T) {
 }
 
 func TestRunTempCoAttackE9(t *testing.T) {
-	tr, err := RunAttack(context.Background(), transcript.Spec{Attack: "tempco", Seed: 7})
+	tr, err := transcript.Run(context.Background(), transcript.Spec{Attack: "tempco", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRunTempCoAttackE9(t *testing.T) {
 }
 
 func TestRunGroupBasedAttackE5(t *testing.T) {
-	tr, err := RunAttack(context.Background(), transcript.Spec{Attack: "groupbased", Seed: 9})
+	tr, err := transcript.Run(context.Background(), transcript.Spec{Attack: "groupbased", Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRunGroupBasedAttackE5(t *testing.T) {
 }
 
 func TestRunMaskingAttackE6(t *testing.T) {
-	tr, err := RunAttack(context.Background(), transcript.Spec{Attack: "masking", Seed: 11})
+	tr, err := transcript.Run(context.Background(), transcript.Spec{Attack: "masking", Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestRunMaskingAttackE6(t *testing.T) {
 }
 
 func TestRunChainAttackE7(t *testing.T) {
-	tr, err := RunAttack(context.Background(), transcript.Spec{Attack: "chain", Seed: 13})
+	tr, err := transcript.Run(context.Background(), transcript.Spec{Attack: "chain", Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestFuzzyResistanceE12(t *testing.T) {
 }
 
 func TestAblationStoragePolicyA1(t *testing.T) {
-	r, err := AblationStoragePolicy(19, 10)
+	r, err := AblationStoragePolicy(context.Background(), 19, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestAblationStoragePolicyA1(t *testing.T) {
 }
 
 func TestAblationStrategyA2(t *testing.T) {
-	r, err := AblationStrategy(21)
+	r, err := AblationStrategy(context.Background(), 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestAblationStrategyA2(t *testing.T) {
 }
 
 func TestAblationOffsetSizeA4(t *testing.T) {
-	rows, err := AblationOffsetSize(23)
+	rows, err := AblationOffsetSize(context.Background(), 23, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestMeasureAttackSuccessMultiSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep")
 	}
-	r, err := MeasureAttackSuccess(1000, 5)
+	r, err := MeasureAttackSuccess(context.Background(), 1000, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,4 +260,23 @@ func TestMeasureAttackSuccessMultiSeed(t *testing.T) {
 	}
 	t.Logf("success over %d seeds: seqpair=%.2f groupbased=%.2f masking=%.2f chain=%.2f tempco-rel=%.2f",
 		r.Seeds, r.SeqPair, r.GroupBased, r.Masking, r.Chain, r.TempCoRel)
+}
+
+// Every ctx-first experiment entry point must stop on a cancelled
+// context with an error that says so, rather than run its attacks to
+// completion.
+func TestExperimentsHonorCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	runs := map[string]func() error{
+		"A1": func() error { _, err := AblationStoragePolicy(ctx, 19, 4, 1); return err },
+		"A2": func() error { _, err := AblationStrategy(ctx, 21); return err },
+		"A4": func() error { _, err := AblationOffsetSize(ctx, 23, 1); return err },
+		"R1": func() error { _, err := MeasureAttackSuccess(ctx, 1000, 2, 1); return err },
+	}
+	for name, run := range runs {
+		if err := run(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+	}
 }

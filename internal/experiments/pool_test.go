@@ -13,7 +13,7 @@ import (
 // determinism contract at the experiments layer: a campaign run (which
 // installs per-worker device pools, so every seed after a worker's
 // first reuses a warm device carcass) reports exactly the metrics of a
-// fresh, unpooled RunAttack per seed.
+// fresh, unpooled transcript.Run per seed.
 func TestPooledCampaignMatchesFreshAttacks(t *testing.T) {
 	ctx := context.Background()
 	const base, seeds = 5, 4
@@ -26,7 +26,7 @@ func TestPooledCampaignMatchesFreshAttacks(t *testing.T) {
 	}
 	for i, out := range res.Outcomes {
 		seed := rng.StreamSeed(base, uint64(i))
-		fresh, err := RunAttack(ctx, transcript.Spec{Attack: "masking", Seed: seed, Noise: "counter"})
+		fresh, err := transcript.Run(ctx, transcript.Spec{Attack: "masking", Seed: seed, Noise: "counter"})
 		if err != nil {
 			t.Fatalf("seed %d fresh: %v", seed, err)
 		}

@@ -211,7 +211,7 @@ func init() {
 		Run: func(ctx context.Context, seed uint64, _ campaign.Options) (campaign.Metrics, error) {
 			// workers = 1: the campaign pool already parallelizes across
 			// seeds; a nested pool would oversubscribe the host.
-			r, err := AblationStoragePolicyWorkers(ctx, seed, 5, 1)
+			r, err := AblationStoragePolicy(ctx, seed, 5, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -225,8 +225,8 @@ func init() {
 	campaign.Register(campaign.Task{
 		Name: "ablation-strategy", Desc: "sequential vs fixed-sample distinguisher oracle cost",
 		Binary: []string{"both-recovered"},
-		Run: func(_ context.Context, seed uint64, _ campaign.Options) (campaign.Metrics, error) {
-			r, err := AblationStrategy(seed)
+		Run: func(ctx context.Context, seed uint64, _ campaign.Options) (campaign.Metrics, error) {
+			r, err := AblationStrategy(ctx, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -242,7 +242,7 @@ func init() {
 		Name: "ablation-offset", Desc: "common-offset sweep from 1 to the code radius",
 		Binary: []string{"recovered-at-t"},
 		Run: func(ctx context.Context, seed uint64, _ campaign.Options) (campaign.Metrics, error) {
-			rows, err := AblationOffsetSizeWorkers(ctx, seed, 1)
+			rows, err := AblationOffsetSize(ctx, seed, 1)
 			if err != nil {
 				return nil, err
 			}

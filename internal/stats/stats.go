@@ -222,17 +222,16 @@ func (h *Histogram) Support() []int {
 
 // TotalVariationDistance returns the TV distance between two empirical
 // distributions — the distinguishability measure for the H0/H1 PDFs of
-// Figure 5 (advantage of a single-query distinguisher).
+// Figure 5 (advantage of a single-query distinguisher). The terms are
+// summed in increasing value order, so the result is bit-reproducible.
 func TotalVariationDistance(a, b *Histogram) float64 {
-	seen := make(map[int]bool)
-	for v := range a.counts {
-		seen[v] = true
-	}
-	for v := range b.counts {
-		seen[v] = true
-	}
+	vals := append(a.Support(), b.Support()...)
+	sort.Ints(vals)
 	var d float64
-	for v := range seen {
+	for i, v := range vals {
+		if i > 0 && v == vals[i-1] {
+			continue
+		}
 		d += math.Abs(a.P(v) - b.P(v))
 	}
 	return d / 2

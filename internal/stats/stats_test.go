@@ -203,6 +203,21 @@ func TestTotalVariationDistance(t *testing.T) {
 	if d := TotalVariationDistance(a, c); d != 0 {
 		t.Fatalf("identical TV = %v", d)
 	}
+
+	// Campaign outcomes are compared bit for bit, so the sum must not
+	// depend on map iteration order.
+	r := rng.New(9)
+	h0, h1 := NewHistogram(), NewHistogram()
+	for i := 0; i < 300; i++ {
+		h0.Add(r.Intn(40))
+		h1.Add(r.Intn(40) + 7)
+	}
+	want := TotalVariationDistance(h0, h1)
+	for i := 0; i < 50; i++ {
+		if d := TotalVariationDistance(h0, h1); d != want {
+			t.Fatalf("TV not reproducible: %v then %v", want, d)
+		}
+	}
 }
 
 func TestSPRTDecidesCorrectly(t *testing.T) {

@@ -1,24 +1,17 @@
 package stats
 
-import (
-	"encoding/json"
-	"math"
-)
+import "math"
 
-// Welford is a mergeable streaming accumulator for count, mean, and
-// sample standard deviation. It exists for the campaign layer's
-// streaming aggregation: shards of a sharded campaign each fold their
-// outcomes into a Welford, and partial aggregates are combined with
-// Merge as shards complete — in any order — without retaining the raw
-// per-seed values.
+// Welford is a streaming accumulator for count, mean, and sample
+// standard deviation: the campaign layer folds every metric's values
+// through one, without retaining them.
 //
 // Internally it keeps the running raw sum (not the running mean), so a
 // sequence of Add calls yields a Mean that is bit-identical to the
 // batch Mean over the same values in the same order: sum/n is computed
 // the same way in both places. The second central moment is maintained
-// with Welford's update (and Chan et al.'s pairwise form under Merge),
-// which keeps Stddev numerically stable for the long one-pass sweeps
-// the daemon runs.
+// with Welford's update (Technometrics 4(3), 1962), which keeps Stddev
+// numerically stable in one pass.
 //
 // The zero value is an empty accumulator, ready for Add.
 type Welford struct {
@@ -35,30 +28,8 @@ func (w *Welford) Add(x float64) {
 	w.m2 += (x - oldMean) * (x - w.Mean())
 }
 
-// Merge folds another accumulator into w, as if every observation added
-// to o had been added to w. Merging partials of a partition of the data
-// in any order yields the same count and raw sum; the second moment is
-// combined with the pairwise (Chan et al.) update.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	delta := o.Mean() - w.Mean()
-	nw, no := float64(w.n), float64(o.n)
-	w.m2 += o.m2 + delta*delta*nw*no/(nw+no)
-	w.n += o.n
-	w.sum += o.sum
-}
-
 // N returns the number of observations.
 func (w *Welford) N() int { return int(w.n) }
-
-// Sum returns the raw sum of observations.
-func (w *Welford) Sum() float64 { return w.sum }
 
 // Mean returns the arithmetic mean (0 for an empty accumulator),
 // computed as sum/n — the same expression as the batch Mean, so
@@ -76,33 +47,9 @@ func (w *Welford) Stddev() float64 {
 	if w.n < 2 {
 		return 0
 	}
-	// Guard tiny negative residue from cancellation in Merge.
+	// Guard a tiny negative residue from rounding.
 	if w.m2 < 0 {
 		return 0
 	}
 	return math.Sqrt(w.m2 / float64(w.n-1))
-}
-
-// welfordJSON is the wire form of a Welford accumulator: the exact
-// internal state, so a checkpointed accumulator resumes with the same
-// future behavior it would have had uninterrupted.
-type welfordJSON struct {
-	N   int64   `json:"n"`
-	Sum float64 `json:"sum"`
-	M2  float64 `json:"m2"`
-}
-
-// MarshalJSON encodes the accumulator state.
-func (w Welford) MarshalJSON() ([]byte, error) {
-	return json.Marshal(welfordJSON{N: w.n, Sum: w.sum, M2: w.m2})
-}
-
-// UnmarshalJSON restores accumulator state written by MarshalJSON.
-func (w *Welford) UnmarshalJSON(b []byte) error {
-	var j welfordJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	w.n, w.sum, w.m2 = j.N, j.Sum, j.M2
-	return nil
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -38,78 +37,5 @@ func TestWelfordMatchesBatchAggregate(t *testing.T) {
 		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 			t.Fatalf("n=%d: Stddev() = %v, batch Stddev = %v", n, got, want)
 		}
-	}
-}
-
-// Merging a partition of the data must agree with one sequential pass:
-// count and raw sum exactly (addition of per-shard sums), mean and
-// stddev to within floating-point noise.
-func TestWelfordMergePartition(t *testing.T) {
-	xs := welfordValues(1003, 7)
-	var whole Welford
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	for _, shard := range []int{1, 2, 7, 64, 500, 1003} {
-		var merged Welford
-		for lo := 0; lo < len(xs); lo += shard {
-			hi := min(lo+shard, len(xs))
-			var part Welford
-			for _, x := range xs[lo:hi] {
-				part.Add(x)
-			}
-			merged.Merge(part)
-		}
-		if merged.N() != whole.N() {
-			t.Fatalf("shard=%d: N = %d, want %d", shard, merged.N(), whole.N())
-		}
-		if math.Abs(merged.Mean()-whole.Mean()) > 1e-9*math.Abs(whole.Mean()) {
-			t.Fatalf("shard=%d: Mean = %v, want %v", shard, merged.Mean(), whole.Mean())
-		}
-		if math.Abs(merged.Stddev()-whole.Stddev()) > 1e-9*whole.Stddev() {
-			t.Fatalf("shard=%d: Stddev = %v, want %v", shard, merged.Stddev(), whole.Stddev())
-		}
-	}
-}
-
-// Merge must treat empty accumulators as identities on both sides.
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, empty Welford
-	a.Add(3)
-	a.Add(5)
-	before := a
-	a.Merge(empty)
-	if a != before {
-		t.Fatalf("merge with empty changed state: %+v -> %+v", before, a)
-	}
-	var b Welford
-	b.Merge(before)
-	if b != before {
-		t.Fatalf("merge into empty did not copy state: %+v", b)
-	}
-}
-
-// A checkpointed accumulator must resume with bit-identical state.
-func TestWelfordJSONRoundTrip(t *testing.T) {
-	var w Welford
-	for _, x := range welfordValues(37, 3) {
-		w.Add(x)
-	}
-	blob, err := json.Marshal(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Welford
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != w {
-		t.Fatalf("round trip changed state: %+v -> %+v (json %s)", w, back, blob)
-	}
-	// Future Adds behave identically after the round trip.
-	w.Add(1.5)
-	back.Add(1.5)
-	if back != w {
-		t.Fatalf("post-round-trip Add diverged: %+v vs %+v", w, back)
 	}
 }
