@@ -100,6 +100,21 @@ func (v Vector) Flip(i int) {
 	v.words[i>>6] ^= 1 << (uint(i) & 63)
 }
 
+// Word returns bits [64i, 64i+64) packed little-endian, bit 64i in the
+// least significant position; bits at or beyond Len read as zero. It is
+// the read side of the word-at-a-time ECC kernels (BCH syndromes and
+// parity by byte table).
+func (v Vector) Word(i int) uint64 { return v.words[i] }
+
+// SetWord overwrites bits [64i, 64i+64) with w, dropping the bits of w
+// at or beyond Len; the store side of Word.
+func (v Vector) SetWord(i int, w uint64) {
+	v.words[i] = w
+	if i == len(v.words)-1 {
+		v.maskTail()
+	}
+}
+
 func (v Vector) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))

@@ -349,6 +349,29 @@ func TestWordLevelOpsMatchBitLevel(t *testing.T) {
 			}
 		}
 
+		// Word reads and SetWord writes bits 64i.. against per-bit
+		// references; SetWord drops bits beyond the length.
+		w := New(n)
+		for i := 0; i < (n+63)/64; i++ {
+			var ref uint64
+			for b := 0; b < 64 && 64*i+b < n; b++ {
+				if v.Get(64*i + b) {
+					ref |= 1 << uint(b)
+				}
+			}
+			if got := v.Word(i); got != ref {
+				t.Fatalf("n=%d: Word(%d) = %#x, want %#x", n, i, got, ref)
+			}
+			stray := uint64(0)
+			if valid := n - 64*i; valid < 64 {
+				stray = ^uint64(0) << uint(valid)
+			}
+			w.SetWord(i, ref|stray)
+		}
+		if !w.Equal(v) || w.Weight() != v.Weight() {
+			t.Fatalf("n=%d: SetWord round trip mismatch", n)
+		}
+
 		// HasPrefix against Slice+Equal.
 		for _, plen := range []int{0, 1, n / 2, n} {
 			if plen > n {

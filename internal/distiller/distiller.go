@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/linalg"
 )
@@ -64,13 +65,50 @@ func (q Poly2D) checkIJ(i, j int) {
 
 // Eval evaluates the polynomial at (x, y).
 func (q Poly2D) Eval(x, y float64) float64 {
+	// Degrees below 8 keep both power tables on the stack.
+	var stack [2 * 8]float64
+	buf := stack[:]
+	if 2*(q.P+1) > len(buf) {
+		buf = make([]float64, 2*(q.P+1))
+	}
+	xp, yp := buf[:q.P+1], buf[q.P+1:2*(q.P+1)]
+	powers(xp, x)
+	powers(yp, y)
+	return q.sum(xp, yp)
+}
+
+// sum adds up beta[i,j] * x^(i-j) * y^j over the triangle, given the
+// powers xp[k] = x^k and yp[k] = y^k for k <= P.
+func (q Poly2D) sum(xp, yp []float64) float64 {
 	var s float64
 	for i := 0; i <= q.P; i++ {
 		for j := 0; j <= i; j++ {
-			s += q.Beta[term(i, j)] * math.Pow(x, float64(i-j)) * math.Pow(y, float64(j))
+			s += q.Beta[term(i, j)] * xp[i-j] * yp[j]
 		}
 	}
 	return s
+}
+
+// powers fills dst[k] = x^k for k < len(dst), one multiply per entry, in
+// the square-and-multiply order of the standard library's Pow: x^(2^j)
+// is the square of x^(2^(j-1)), and any other x^k is x^(k-top) * x^top
+// for top the highest power of two below k. Pow runs the same products
+// on the mantissa with the exponent kept apart, so every entry is
+// bit-identical to Pow(x, k) wherever the powers stay normal.
+func powers(dst []float64, x float64) {
+	for k := range dst {
+		switch {
+		case k == 0:
+			dst[k] = 1
+		case k == 1:
+			dst[k] = x
+		case k&(k-1) == 0:
+			dst[k] = dst[k/2] * dst[k/2]
+		default:
+			top := 1 << (bits.Len(uint(k)) - 1)
+			dst[k] = dst[k-top] * dst[top]
+		}
+	}
 }
 
 // Add returns the superposition q + r, promoted to the larger degree.
@@ -143,12 +181,19 @@ func Fit(rows, cols int, f []float64, degree int) (Poly2D, error) {
 		return Poly2D{}, fmt.Errorf("distiller: %d samples cannot determine %d coefficients", len(f), terms)
 	}
 	a := linalg.NewMatrix(len(f), terms)
+	np := degree + 1
+	xp, yp := make([]float64, cols*np), make([]float64, rows*np)
+	for c := 0; c < cols; c++ {
+		powers(xp[c*np:(c+1)*np], float64(c))
+	}
+	for r := 0; r < rows; r++ {
+		powers(yp[r*np:(r+1)*np], float64(r))
+	}
 	for idx := range f {
-		x := float64(idx % cols)
-		y := float64(idx / cols)
+		x, y := xp[idx%cols*np:], yp[idx/cols*np:]
 		for i := 0; i <= degree; i++ {
 			for j := 0; j <= i; j++ {
-				a.Set(idx, term(i, j), math.Pow(x, float64(i-j))*math.Pow(y, float64(j)))
+				a.Set(idx, term(i, j), x[i-j]*y[j])
 			}
 		}
 	}
@@ -173,15 +218,32 @@ func Distill(rows, cols int, f []float64, q Poly2D) []float64 {
 // (row-major, x = column, y = row) into dst, allocating only when dst is
 // too small. The surface depends solely on the helper coefficients, so
 // reconstruction hot loops evaluate it once per helper write and reuse
-// the grid across measurements.
+// the grid across measurements. The x powers are computed once per
+// column and the y powers once per row; every cell is bit-identical to
+// Eval at its coordinates.
 func (q Poly2D) EvalGrid(rows, cols int, dst []float64) []float64 {
 	n := rows * cols
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	for idx := range dst {
-		dst[idx] = q.Eval(float64(idx%cols), float64(idx/cols))
+	// The power tables of the array sizes in use, (cols+1)(P+1) <= 256,
+	// stay on the stack: a reused dst makes EvalGrid allocation-free.
+	np := q.P + 1
+	var stack [256]float64
+	buf := stack[:]
+	if (cols+1)*np > len(buf) {
+		buf = make([]float64, (cols+1)*np)
+	}
+	xp, yp := buf[:cols*np], buf[cols*np:(cols+1)*np]
+	for c := 0; c < cols; c++ {
+		powers(xp[c*np:(c+1)*np], float64(c))
+	}
+	for r := 0; r < rows; r++ {
+		powers(yp, float64(r))
+		for c := 0; c < cols; c++ {
+			dst[r*cols+c] = q.sum(xp[c*np:(c+1)*np], yp)
+		}
 	}
 	return dst
 }

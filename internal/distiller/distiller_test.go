@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/linalg"
 	"repro/internal/rng"
 	"repro/internal/silicon"
 )
@@ -66,6 +67,122 @@ func TestEvalKnownPolynomial(t *testing.T) {
 	want := 2 + 3*2 + 4*3 + 5*4 + 6*2*3 + 7*9
 	if math.Abs(got-float64(want)) > 1e-12 {
 		t.Fatalf("Eval = %v, want %v", got, want)
+	}
+}
+
+// powMonomial is the math.Pow monomial beta * x^a * y^b that Eval, EvalGrid
+// and Fit computed before the powers table, kept as the bit-level
+// reference.
+func powMonomial(beta, x, y float64, a, b int) float64 {
+	return beta * math.Pow(x, float64(a)) * math.Pow(y, float64(b))
+}
+
+// powEval is Eval as a sum of powMonomial terms, in Eval's order.
+func powEval(q Poly2D, x, y float64) float64 {
+	var s float64
+	for i := 0; i <= q.P; i++ {
+		for j := 0; j <= i; j++ {
+			s += powMonomial(q.Beta[term(i, j)], x, y, i-j, j)
+		}
+	}
+	return s
+}
+
+// TestEvalBitIdenticalToPow pins the powers table against math.Pow bit
+// for bit: powers itself, Eval at integer grid coordinates and at random
+// reals in [-1e3, 1e3] (zero, negative zero and negatives included) for
+// degrees 0..7, and EvalGrid against Eval cell by cell.
+func TestEvalBitIdenticalToPow(t *testing.T) {
+	r := rng.New(17)
+	uniform := func() float64 { return 2e3*r.Float64() - 1e3 }
+	var pts [][2]float64
+	for y := 0; y < 16; y++ {
+		for x := 0; x < 32; x++ {
+			pts = append(pts, [2]float64{float64(x), float64(y)})
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), -1, -7, 1e3, -1e3, 0.5, -0.1} {
+		pts = append(pts, [2]float64{v, v}, [2]float64{v, uniform()}, [2]float64{uniform(), v})
+	}
+	for i := 0; i < 300; i++ {
+		pts = append(pts, [2]float64{uniform(), uniform()})
+	}
+	for p := 0; p <= 7; p++ {
+		pw := make([]float64, p+1)
+		for _, pt := range pts {
+			powers(pw, pt[0])
+			for k, got := range pw {
+				if want := math.Pow(pt[0], float64(k)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("powers(%v)[%d] = %v, math.Pow = %v", pt[0], k, got, want)
+				}
+			}
+		}
+		q := NewPoly2D(p)
+		for i := range q.Beta {
+			q.Beta[i] = uniform()
+		}
+		for _, pt := range pts {
+			got, want := q.Eval(pt[0], pt[1]), powEval(q, pt[0], pt[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("degree %d Eval(%v, %v) = %v, math.Pow reference %v", p, pt[0], pt[1], got, want)
+			}
+		}
+		const rows, cols = 16, 32
+		for idx, got := range q.EvalGrid(rows, cols, nil) {
+			want := q.Eval(float64(idx%cols), float64(idx/cols))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("degree %d EvalGrid cell %d = %v, Eval %v", p, idx, got, want)
+			}
+		}
+	}
+}
+
+// TestEvalAllocationFree pins the stack-resident power tables: the
+// attack loops call Eval per oscillator and devices call EvalGrid into a
+// reused grid after every helper write.
+func TestEvalAllocationFree(t *testing.T) {
+	q := QuadraticValleyX(7, 3).Add(Plane(1, 2, -1))
+	grid := q.EvalGrid(16, 32, nil)
+	if got := testing.AllocsPerRun(20, func() { _ = q.Eval(3, 4) }); got > 0 {
+		t.Errorf("Eval allocates %.1f/op", got)
+	}
+	if got := testing.AllocsPerRun(20, func() { grid = q.EvalGrid(16, 32, grid) }); got > 0 {
+		t.Errorf("EvalGrid into a reused grid allocates %.1f/op", got)
+	}
+}
+
+// TestFitBitIdenticalToPowDesign pins Fit's coefficients on a fixed
+// 16x32 map against least squares over a math.Pow-built design matrix.
+func TestFitBitIdenticalToPowDesign(t *testing.T) {
+	const rows, cols = 16, 32
+	r := rng.New(23)
+	f := make([]float64, rows*cols)
+	for i := range f {
+		f[i] = 200 + 0.3*float64(i%cols) - 0.2*float64(i/cols) + r.Norm()
+	}
+	for degree := 0; degree <= 4; degree++ {
+		fit, err := Fit(rows, cols, f, degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := linalg.NewMatrix(len(f), NumTerms(degree))
+		for idx := range f {
+			x, y := float64(idx%cols), float64(idx/cols)
+			for i := 0; i <= degree; i++ {
+				for j := 0; j <= i; j++ {
+					a.Set(idx, term(i, j), powMonomial(1, x, y, i-j, j))
+				}
+			}
+		}
+		want, err := linalg.LeastSquares(a, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(fit.Beta[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("degree %d coefficient %d = %v, math.Pow design %v", degree, i, fit.Beta[i], want[i])
+			}
+		}
 	}
 }
 

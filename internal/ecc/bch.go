@@ -16,23 +16,41 @@ import (
 // minimal polynomial of alpha^0 = 1, i.e. (x + 1), unless it is already a
 // factor. Decoding computes 2t syndromes, runs Berlekamp-Massey to find
 // the error-locator polynomial and locates errors with a Chien search.
+//
+// The odd syndromes and the systematic parity are GF(2)-linear in the
+// input bits, so both are computed a byte at a time (Lin & Costello,
+// Error Control Coding, ch. 6): each is the XOR of one precomputed table
+// row per nonzero input byte, indexed by (byte position, byte value) and
+// read from the vector's packed words. The tables are built once per code
+// and shared read-only by every Workspace. Fields too large to table
+// fall back to bit-serial loops: Exp per set bit for the syndromes and a
+// generator LFSR for the parity.
 type BCH struct {
 	field      *galois.Field
 	fullN      int // 2^m - 1
 	n, k, t    int // transmitted parameters (after shortening)
 	shorten    int
 	expurgated bool
-	gen        galois.Poly   // generator over GF(2), coefficients 0/1
-	genSupport []int         // indices of the generator's nonzero coefficients
-	chienStep  []galois.Elem // chienStep[j] = alpha^(-j), j in [0, t]
-	// oddSynd[i*t+r] = alpha^(i*(2r+1)): the per-bit contributions to
-	// the odd syndromes S_1, S_3, .., S_(2t-1), precomputed so the
-	// decoder's inner loop is a table XOR instead of exponent
-	// arithmetic, with one bit's t entries adjacent. The even syndromes
-	// are squares of lower ones. Nil when the table would be unreasonably
-	// large (huge fields), falling back to Exp.
-	oddSynd []galois.Elem
+	gen        galois.Poly // generator over GF(2), coefficients 0/1
+	// genLow packs g(x) - x^(deg g), the LFSR feedback taps: x^(deg g)
+	// is congruent to it modulo g. Its word count is the parity's.
+	genLow []uint64
+	// syndTab[(p*256+v)*t+r] is the odd syndrome S_(2r+1) of the word
+	// whose only nonzero byte is v at byte p: one row of t elements per
+	// (position, value), so a received byte costs t XORs. The even
+	// syndromes are squares of lower ones.
+	syndTab []galois.Elem
+	// parTab[(q*256+v)*pw:][:pw] packs the parity of the message whose
+	// only nonzero byte is v at byte q: the remainder of
+	// x^(deg g) * v(x) * x^(8q) modulo g, pw = len(genLow) words.
+	// Both tables are nil for fields too large to table.
+	parTab []uint64
 }
+
+// maxTableBytes bounds the byte tables of one code (4 MiB); larger
+// codes use the bit-serial fallbacks. Every code this repository
+// instantiates needs a few KiB.
+const maxTableBytes = 4 << 20
 
 // BCHConfig selects a BCH code.
 type BCHConfig struct {
@@ -95,29 +113,15 @@ func NewBCH(cfg BCHConfig) (*BCH, error) {
 	if cfg.Shorten < 0 || cfg.Shorten >= k {
 		return nil, fmt.Errorf("ecc: shortening %d outside [0,%d)", cfg.Shorten, k)
 	}
-	// Precompute the generator's support (EncodeInto reduces modulo g
-	// with XORs over it) and the Chien-search step table alpha^(-j) for
-	// every locator coefficient (the locator degree never exceeds t).
-	support := make([]int, 0, len(gen))
-	for i, c := range gen {
+	// Pack the generator's feedback taps.
+	parityLen := gen.Degree()
+	genLow := make([]uint64, (parityLen+63)/64)
+	for i, c := range gen[:parityLen] {
 		if c != 0 {
-			support = append(support, i)
+			genLow[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	steps := make([]galois.Elem, cfg.T+1)
-	for j := range steps {
-		steps[j] = f.Exp(-j)
-	}
-	var oddSynd []galois.Elem
-	if fullN*cfg.T <= 1<<20 {
-		oddSynd = make([]galois.Elem, fullN*cfg.T)
-		for i := 0; i < fullN; i++ {
-			for r := 0; r < cfg.T; r++ {
-				oddSynd[i*cfg.T+r] = f.Exp(i * (2*r + 1))
-			}
-		}
-	}
-	return &BCH{
+	b := &BCH{
 		field:      f,
 		fullN:      fullN,
 		n:          fullN - cfg.Shorten,
@@ -126,10 +130,79 @@ func NewBCH(cfg BCHConfig) (*BCH, error) {
 		shorten:    cfg.Shorten,
 		expurgated: cfg.Expurgate,
 		gen:        gen,
-		genSupport: support,
-		chienStep:  steps,
-		oddSynd:    oddSynd,
-	}, nil
+		genLow:     genLow,
+	}
+	// One row per (byte position, byte value); elements are 4 bytes,
+	// parity words 8.
+	synRows, parRows := (b.n+7)/8*256, (b.k+7)/8*256
+	if 4*synRows*b.t+8*parRows*len(genLow) <= maxTableBytes {
+		b.buildTables()
+	}
+	return b, nil
+}
+
+// buildTables fills syndTab and parTab. The single-bit rows are direct:
+// alpha^(i*(2r+1)) for codeword position i, and x^(deg g + i) mod g for
+// message bit i, stepped by the generator LFSR. Every other row is
+// derived incrementally by fillByteTable.
+func (b *BCH) buildTables() {
+	t, pw := b.t, len(b.genLow)
+	b.syndTab = make([]galois.Elem, (b.n+7)/8*256*t)
+	for p := 0; p*8 < b.n; p++ {
+		tab := b.syndTab[p*256*t : (p+1)*256*t]
+		for bit := 0; bit < 8; bit++ {
+			for r := 0; r < t; r++ {
+				tab[(1<<bit)*t+r] = b.field.Exp((8*p + bit) * (2*r + 1))
+			}
+		}
+		fillByteTable(tab, t)
+	}
+	b.parTab = make([]uint64, (b.k+7)/8*256*pw)
+	rem := make([]uint64, pw)
+	b.shiftIn(rem, 1) // x^(deg g) mod g
+	for q := 0; q*8 < b.k; q++ {
+		tab := b.parTab[q*256*pw : (q+1)*256*pw]
+		for bit := 0; bit < 8; bit++ {
+			copy(tab[(1<<bit)*pw:], rem)
+			b.shiftIn(rem, 0)
+		}
+		fillByteTable(tab, pw)
+	}
+}
+
+// fillByteTable completes a 256-row table of width-w rows whose
+// single-bit rows are set: row v is row (v without its lowest set bit)
+// XOR row (lowest set bit of v), one XOR pass per row.
+func fillByteTable[E galois.Elem | uint64](tab []E, w int) {
+	for v := 3; v < 256; v++ {
+		low := v & -v
+		if low == v {
+			continue
+		}
+		row, rest, bit := tab[v*w:(v+1)*w], tab[(v^low)*w:], tab[low*w:]
+		for i := range row {
+			row[i] = rest[i] ^ bit[i]
+		}
+	}
+}
+
+// shiftIn advances the generator LFSR one step: r <- x*r + in*x^(deg g)
+// modulo g, on deg g bits packed in len(genLow) words.
+func (b *BCH) shiftIn(r []uint64, in uint64) {
+	deg := b.n - b.k
+	fb := r[(deg-1)>>6]>>uint((deg-1)&63)&1 ^ in
+	for w := len(r) - 1; w > 0; w-- {
+		r[w] = r[w]<<1 | r[w-1]>>63
+	}
+	r[0] <<= 1
+	if deg&63 != 0 {
+		r[len(r)-1] &= 1<<uint(deg&63) - 1
+	}
+	if fb != 0 {
+		for w, g := range b.genLow {
+			r[w] ^= g
+		}
+	}
 }
 
 // MustBCH is NewBCH for statically known-good parameters; it panics on error.
@@ -171,67 +244,46 @@ func (b *BCH) Generator() galois.Poly { return b.gen.Clone() }
 // Encode performs systematic encoding: the message occupies coefficient
 // positions n-k..n-1 of the transmitted word and the parity, the remainder
 // of x^(fullN-fullK) * u(x) modulo g(x), occupies positions 0..n-k-1.
+// It is EncodeInto with a fresh Workspace.
 func (b *BCH) Encode(msg bitvec.Vector) bitvec.Vector {
-	checkLen("message", msg.Len(), b.k)
-	parityLen := b.fullN - (b.k + b.shorten) // = deg g
-	// Build x^(deg g) * u(x) over the full length; shortened positions
-	// (the top b.shorten message slots) are implicitly zero.
-	shifted := make(galois.Poly, b.fullN)
-	for i := 0; i < b.k; i++ {
-		if msg.Get(i) {
-			shifted[parityLen+i] = 1
-		}
-	}
-	_, rem := b.field.PolyDivMod(shifted, b.gen)
-	out := bitvec.New(b.n)
-	for i := 0; i < parityLen && i < len(rem); i++ {
-		if rem[i] != 0 {
-			out.Set(i, true)
-		}
-	}
-	for i := 0; i < b.k; i++ {
-		if msg.Get(i) {
-			out.Set(parityLen+i, true)
-		}
-	}
-	return out
+	var ws Workspace
+	dst := bitvec.New(b.n)
+	b.EncodeInto(&ws, msg, dst)
+	return dst
 }
 
 // EncodeInto implements Code: systematic encoding into a caller-owned
-// dst of length N with no steady-state allocations. The
-// parity computation reduces x^(deg g) * u(x) modulo g in the workspace's
-// polynomial buffer — GF(2) coefficients, so cancellation is an XOR over
-// the generator's support. Output is bit-identical to Encode.
+// dst of length N with no steady-state allocations. The parity is the
+// XOR of one parTab row per nonzero message byte, accumulated in the
+// workspace's parity words and stored into dst a word at a time; the
+// message follows it with one word-level PutAt. Untabled fields clock
+// the message through the generator LFSR bit by bit instead.
 func (b *BCH) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 	checkLen("message", msg.Len(), b.k)
 	checkLen("encode buffer", dst.Len(), b.n)
-	parityLen := b.fullN - (b.k + b.shorten) // = deg g
-	buf := elems(ws.encBuf, b.fullN)
-	ws.encBuf = buf
-	for i := 0; i < b.k; i++ {
-		if msg.Get(i) {
-			buf[parityLen+i] = 1
+	pw := len(b.genLow)
+	par := zeroed(ws.parity, pw)
+	ws.parity = par
+	if b.parTab != nil {
+		for w := 0; w*64 < b.k; w++ {
+			word := msg.Word(w)
+			for q := 8 * w; word != 0; q, word = q+1, word>>8 {
+				if v := int(word & 0xff); v != 0 {
+					for i, x := range b.parTab[(q*256+v)*pw : (q*256+v+1)*pw] {
+						par[i] ^= x
+					}
+				}
+			}
+		}
+	} else {
+		for i := b.k - 1; i >= 0; i-- {
+			b.shiftIn(par, uint64(msg.Bit(i)))
 		}
 	}
-	for d := b.fullN - 1; d >= parityLen; d-- {
-		if buf[d] == 0 {
-			continue
-		}
-		for _, j := range b.genSupport {
-			buf[d-parityLen+j] ^= 1
-		}
+	for i, x := range par {
+		dst.SetWord(i, x)
 	}
-	dst.Zero()
-	for i := 0; i < parityLen; i++ {
-		if buf[i] != 0 {
-			dst.Set(i, true)
-		}
-	}
-	for i := 0; i < b.k; i++ {
-		if msg.Get(i) {
-			dst.Set(parityLen+i, true)
-		}
-	}
+	dst.PutAt(b.n-b.k, msg)
 }
 
 // Message extracts the systematic message bits from a codeword.
@@ -242,23 +294,31 @@ func (b *BCH) Message(codeword bitvec.Vector) bitvec.Vector {
 }
 
 // syndromesInto computes S_1..S_2t where S_j = r(alpha^j) into the
-// caller's buffer, growing it only when too small. Only the odd
-// syndromes are summed over the set bits — t table XORs per bit with
-// the precomputed power table, Exp for fields too large to table. The
+// caller's buffer, growing it only when too small. The odd syndromes
+// are the XOR of one syndTab row per nonzero received byte, read from
+// the packed words (Exp per set bit for fields too large to table). The
 // received word is binary, so r(x)^2 = r(x^2) and every even syndrome
 // is a square: S_2j = S_j^2.
 func (b *BCH) syndromesInto(buf []galois.Elem, received bitvec.Vector) []galois.Elem {
-	synd := elems(buf, 2*b.t)
+	synd := zeroed(buf, 2*b.t)
 	f := b.field
-	for i := received.NextSet(0); i >= 0; i = received.NextSet(i + 1) {
-		if b.oddSynd != nil {
-			for r, v := range b.oddSynd[i*b.t : (i+1)*b.t] {
-				synd[2*r] ^= v
+	if b.syndTab != nil {
+		t := b.t
+		for w := 0; w*64 < b.n; w++ {
+			word := received.Word(w)
+			for p := 8 * w; word != 0; p, word = p+1, word>>8 {
+				if v := int(word & 0xff); v != 0 {
+					for r, s := range b.syndTab[(p*256+v)*t : (p*256+v+1)*t] {
+						synd[2*r] ^= s
+					}
+				}
 			}
-			continue
 		}
-		for j := 1; j < 2*b.t; j += 2 {
-			synd[j-1] ^= f.Exp(i * j)
+	} else {
+		for i := received.NextSet(0); i >= 0; i = received.NextSet(i + 1) {
+			for j := 1; j < 2*b.t; j += 2 {
+				synd[j-1] ^= f.Exp(i * j)
+			}
 		}
 	}
 	for j := 2; j <= 2*b.t; j += 2 {
@@ -317,26 +377,32 @@ func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool)
 	// in a shortened (always-zero) position proves the pattern exceeded
 	// the radius. The positions are distinct field elements alpha^(-i)
 	// and a degree-d locator has at most d roots, so the search stops at
-	// the d-th root; fewer is failure. The evaluation is
-	// incremental: term j holds lambda_j * alpha^(-i*j), so stepping from
-	// position i to i+1 is one multiply by the precomputed alpha^(-j) per
-	// coefficient instead of a full Horner pass with Pow-style exponent
-	// arithmetic.
-	f := b.field
-	terms := elems(ws.chien, len(lambda))
+	// the d-th root; fewer is failure. The evaluation is incremental and
+	// runs in the log domain: for each nonzero coefficient lambda_j the
+	// workspace holds the pair (log lambda_j - i*j mod 2^m-1, j), so
+	// stepping from position i to i+1 is one subtraction per term and
+	// the sum one antilog per term. lambda_0 = 1 throughout.
+	f, order := b.field, galois.Elem(b.fullN)
+	terms := ws.chien[:0]
+	for j := 1; j < len(lambda); j++ {
+		if lambda[j] != 0 {
+			terms = append(terms, galois.Elem(f.Log(lambda[j])), galois.Elem(j))
+		}
+	}
 	ws.chien = terms
-	copy(terms, lambda)
 	positions := ws.positions[:0]
 	for i := 0; i < b.fullN && len(positions) < degree; i++ {
-		var sum galois.Elem
-		for _, tm := range terms {
-			sum ^= tm
+		sum := lambda[0]
+		for a := 0; a+1 < len(terms); a += 2 {
+			lg, j := terms[a], terms[a+1]
+			sum ^= f.Exp(int(lg))
+			if lg < j {
+				lg += order
+			}
+			terms[a] = lg - j
 		}
 		if sum == 0 {
 			positions = append(positions, i)
-		}
-		for j := 1; j < len(terms); j++ {
-			terms[j] = f.Mul(terms[j], b.chienStep[j])
 		}
 	}
 	ws.positions = positions

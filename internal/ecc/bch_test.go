@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitvec"
+	"repro/internal/galois"
 	"repro/internal/rng"
 )
 
@@ -21,6 +22,99 @@ func flipRandom(r *rng.Source, v bitvec.Vector, count int) {
 	perm := r.Perm(v.Len())
 	for i := 0; i < count; i++ {
 		v.Flip(perm[i])
+	}
+}
+
+// referenceEncode is the textbook systematic encoder, independent of the
+// byte tables and the LFSR: the parity is the remainder of
+// x^(deg g) * u(x) modulo g by polynomial long division over the field.
+func referenceEncode(b *BCH, msg bitvec.Vector) bitvec.Vector {
+	parityLen := b.n - b.k
+	shifted := make(galois.Poly, b.fullN)
+	for i := 0; i < b.k; i++ {
+		shifted[parityLen+i] = galois.Elem(msg.Bit(i))
+	}
+	_, rem := b.field.PolyDivMod(shifted, b.gen)
+	out := bitvec.New(b.n)
+	for i := 0; i < parityLen && i < len(rem); i++ {
+		out.Set(i, rem[i] != 0)
+	}
+	for i := 0; i < b.k; i++ {
+		out.Set(parityLen+i, msg.Get(i))
+	}
+	return out
+}
+
+// checkAgainstReference compares b's syndromes with direct evaluation
+// r(alpha^j), j = 1..2t, on random received words, and EncodeInto with
+// referenceEncode on random messages, sharing one workspace.
+func checkAgainstReference(t *testing.T, b *BCH, r *rng.Source, trials int) {
+	t.Helper()
+	var ws Workspace
+	dst := bitvec.New(b.n)
+	for trial := 0; trial < trials; trial++ {
+		recv := randMsg(r, b.n)
+		poly := make(galois.Poly, b.n)
+		for i := range poly {
+			poly[i] = galois.Elem(recv.Bit(i))
+		}
+		synd := b.syndromesInto(ws.synd, recv)
+		ws.synd = synd
+		for j := 1; j <= 2*b.t; j++ {
+			if want := b.field.Eval(poly, b.field.Exp(j)); synd[j-1] != want {
+				t.Fatalf("%s: S_%d = %d, want r(alpha^%d) = %d", b, j, synd[j-1], j, want)
+			}
+		}
+		msg := randMsg(r, b.k)
+		b.EncodeInto(&ws, msg, dst)
+		if want := referenceEncode(b, msg); !dst.Equal(want) {
+			t.Fatalf("%s: EncodeInto differs from the reference encoder", b)
+		}
+	}
+}
+
+// TestBCHTablesMatchReference pins the byte-table syndromes and parity
+// against direct evaluation and long division across M = 3..8 and
+// t = 1..4, plain, expurgated and shortened, including the multi-word
+// lengths 127 and 255. The same codes with their tables dropped pin the
+// bit-serial fallback (Exp per set bit, generator LFSR).
+func TestBCHTablesMatchReference(t *testing.T) {
+	r := rng.New(6)
+	for m := 3; m <= 8; m++ {
+		for tt := 1; tt <= 4; tt++ {
+			for _, exp := range []bool{false, true} {
+				for _, short := range []int{0, 1, 3} {
+					b, err := NewBCH(BCHConfig{M: m, T: tt, Expurgate: exp, Shorten: short})
+					if err != nil {
+						continue // t too large, or shortening past k
+					}
+					if b.syndTab == nil || b.parTab == nil {
+						t.Fatalf("%s: small code built no byte tables", b)
+					}
+					checkAgainstReference(t, b, r, 20)
+					serial := *b
+					serial.syndTab, serial.parTab = nil, nil
+					checkAgainstReference(t, &serial, r, 5)
+				}
+			}
+		}
+	}
+}
+
+// TestBCHHugeFieldFallback pins a code past the table size bound: it
+// must build no tables and still agree with the references and decode.
+func TestBCHHugeFieldFallback(t *testing.T) {
+	b := MustBCH(BCHConfig{M: 13, T: 5, Shorten: 7})
+	if b.syndTab != nil || b.parTab != nil {
+		t.Fatalf("%s: tabled past the size bound", b)
+	}
+	r := rng.New(7)
+	checkAgainstReference(t, b, r, 2)
+	cw := b.Encode(randMsg(r, b.K()))
+	recv := cw.Clone()
+	flipRandom(r, recv, b.T())
+	if dec, corrected, ok := b.Decode(recv); !ok || corrected != b.T() || !dec.Equal(cw) {
+		t.Fatalf("%s: fallback decode of t errors failed", b)
 	}
 }
 

@@ -19,11 +19,11 @@ type Workspace struct {
 	blockRecv, blockOut bitvec.Vector
 	// per-block message buffer of a Block encode.
 	blockMsg bitvec.Vector
-	// BCH encoder state: the shifted-message polynomial reduced in place.
-	encBuf []galois.Elem
+	// BCH encoder state: the parity accumulator, packed in words.
+	parity []uint64
 	// BCH decoder state: syndromes, the three rotating Berlekamp-Massey
-	// polynomial buffers, the Chien-search per-coefficient running terms,
-	// and the root list.
+	// polynomial buffers, the Chien-search (running log, step) pair per
+	// nonzero locator coefficient, and the root list.
 	synd      []galois.Elem
 	bmC       galois.Poly
 	bmPrev    galois.Poly
@@ -41,15 +41,14 @@ func (ws *Workspace) vec(v *bitvec.Vector, n int) bitvec.Vector {
 	return *v
 }
 
-// elems returns buf resized to n elements, zeroed.
-func elems(buf []galois.Elem, n int) []galois.Elem {
+// zeroed returns buf resized to n entries, zeroed, reallocating only
+// when its capacity is too small.
+func zeroed[E galois.Elem | uint64](buf []E, n int) []E {
 	if cap(buf) < n {
-		return make([]galois.Elem, n)
+		return make([]E, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return buf
 }
 

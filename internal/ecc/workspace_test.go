@@ -23,8 +23,9 @@ func noisyCodeword(t *testing.T, c Code, src *rng.Source, flips int) bitvec.Vect
 }
 
 // workspaceCodes is one instance of every code family and variant: the
-// repetition code, Golay, plain, expurgated and shortened BCH, and Block
-// over BCH and over Golay.
+// repetition code, Golay, plain, expurgated and shortened BCH (single-
+// and multi-word lengths, so the byte tables cross word boundaries and
+// end in a shortened tail), and Block over BCH and over Golay.
 func workspaceCodes() []Code {
 	return []Code{
 		NewRepetition(3),
@@ -32,6 +33,8 @@ func workspaceCodes() []Code {
 		MustBCH(BCHConfig{M: 5, T: 3}),
 		MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}),
 		MustBCH(BCHConfig{M: 6, T: 4, Shorten: 5}),
+		MustBCH(BCHConfig{M: 7, T: 5}),
+		MustBCH(BCHConfig{M: 8, T: 4, Shorten: 3}),
 		NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 3),
 		NewBlock(NewGolay(), 2),
 	}
@@ -142,19 +145,20 @@ func TestOffsetForIntoMatchesOffsetFor(t *testing.T) {
 }
 
 // TestEncodeIntoSteadyStateAllocs pins the encode fast path's
-// allocation-free steady state (the attack layer calls it once per
-// hypothesis arm).
+// allocation-free steady state for every code family (the attack layer
+// calls it once per hypothesis arm).
 func TestEncodeIntoSteadyStateAllocs(t *testing.T) {
-	c := NewBlock(MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}), 2)
 	src := rng.New(99)
-	msg := bitvec.New(c.K())
-	for i := 0; i < msg.Len(); i++ {
-		msg.Set(i, src.Bool())
-	}
-	var ws Workspace
-	dst := bitvec.New(c.N())
-	c.EncodeInto(&ws, msg, dst) // grow the workspace
-	if got := testing.AllocsPerRun(50, func() { c.EncodeInto(&ws, msg, dst) }); got > 0 {
-		t.Fatalf("EncodeInto allocates %.1f/op in steady state", got)
+	for _, c := range append(workspaceCodes(), NewBlock(MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}), 2)) {
+		msg := bitvec.New(c.K())
+		for i := 0; i < msg.Len(); i++ {
+			msg.Set(i, src.Bool())
+		}
+		var ws Workspace
+		dst := bitvec.New(c.N())
+		c.EncodeInto(&ws, msg, dst) // grow the workspace
+		if got := testing.AllocsPerRun(50, func() { c.EncodeInto(&ws, msg, dst) }); got > 0 {
+			t.Fatalf("%s: EncodeInto allocates %.1f/op in steady state", c, got)
+		}
 	}
 }

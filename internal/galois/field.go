@@ -104,8 +104,12 @@ func (f *Field) Order() int { return f.n }
 // Alpha returns the primitive element alpha (the class of x).
 func (f *Field) Alpha() Elem { return f.exp[1] }
 
-// Exp returns alpha^i for any integer i (negative allowed).
+// Exp returns alpha^i for any integer i (negative allowed). Exponents
+// in [0, 2^(m+1)-2) are a plain table read, without the reduction.
 func (f *Field) Exp(i int) Elem {
+	if uint(i) < uint(len(f.exp)) {
+		return f.exp[i]
+	}
 	i %= f.n
 	if i < 0 {
 		i += f.n

@@ -1,0 +1,31 @@
+package groupbased
+
+import (
+	"slices"
+	"testing"
+)
+
+// FuzzUnmarshalGrouping feeds arbitrary bytes, standing in for
+// attacker-written NVM, to the grouping parser: it must never panic, and
+// any input it accepts must re-marshal to bytes that decode to an equal
+// grouping.
+func FuzzUnmarshalGrouping(f *testing.F) {
+	f.Add((&Grouping{Assign: []int{}}).Marshal())
+	f.Add((&Grouping{Assign: []int{0, 0, 1, 2, 1, 65535}}).Marshal())
+	f.Add([]byte{3, 0, 1, 0, 2, 0}) // count claims more entries than present
+	f.Add([]byte{0, 0, 4})          // trailing byte
+	f.Add([]byte{5})                // truncated count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := UnmarshalGrouping(data)
+		if err != nil {
+			return
+		}
+		back, err := UnmarshalGrouping(g.Marshal())
+		if err != nil {
+			t.Fatalf("re-marshaled grouping rejected: %v", err)
+		}
+		if !slices.Equal(back.Assign, g.Assign) {
+			t.Fatalf("round trip changed the grouping: %v -> %v", g.Assign, back.Assign)
+		}
+	})
+}

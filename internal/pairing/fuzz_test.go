@@ -1,0 +1,53 @@
+package pairing
+
+import (
+	"reflect"
+	"testing"
+)
+
+// The pairing helpers arrive from attacker-writable NVM. The fuzz
+// targets feed arbitrary bytes to their parsers: a parser must never
+// panic, and any input it accepts must re-marshal to bytes that decode
+// to an equal value.
+
+func FuzzUnmarshalSeqPair(f *testing.F) {
+	f.Add(SeqPairHelper{Pairs: []Pair{}}.Marshal())
+	f.Add(SeqPairHelper{Pairs: []Pair{{A: 0, B: 5}, {A: 7, B: 2}, {A: 65535, B: 1}}}.Marshal())
+	f.Add([]byte{2, 0, 1, 0, 2, 0}) // count claims more pairs than present
+	f.Add([]byte{0, 0, 9})          // trailing byte
+	f.Add([]byte{1})                // truncated count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := UnmarshalSeqPair(data)
+		if err != nil {
+			return
+		}
+		back, err := UnmarshalSeqPair(h.Marshal())
+		if err != nil {
+			t.Fatalf("re-marshaled helper rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, h) {
+			t.Fatalf("round trip changed the helper: %+v -> %+v", h, back)
+		}
+	})
+}
+
+func FuzzUnmarshalMasking(f *testing.F) {
+	f.Add(MaskingHelper{K: 4, Selected: []int{}}.Marshal())
+	f.Add(MaskingHelper{K: 3, Selected: []int{0, 2, 1, 65535}}.Marshal())
+	f.Add([]byte{2, 0, 3, 0, 1, 0}) // count claims more selections than present
+	f.Add([]byte{2, 0, 0, 0, 7})    // trailing byte
+	f.Add([]byte{2, 0, 1})          // truncated header
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := UnmarshalMasking(data)
+		if err != nil {
+			return
+		}
+		back, err := UnmarshalMasking(h.Marshal())
+		if err != nil {
+			t.Fatalf("re-marshaled helper rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, h) {
+			t.Fatalf("round trip changed the helper: %+v -> %+v", h, back)
+		}
+	})
+}
