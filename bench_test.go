@@ -9,6 +9,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
@@ -216,14 +217,12 @@ func BenchmarkFuzzyExtractorResistance(b *testing.B) {
 }
 
 // BenchmarkAblationStoragePolicy (A1, §VII-C) quantifies the direct
-// leakage of sorted versus randomized within-pair storage. The sweep
-// fans out over the campaign pool (timing is pooled on multi-core
-// hosts; the reported fractions are worker-count invariant).
+// leakage of sorted versus randomized within-pair storage.
 func BenchmarkAblationStoragePolicy(b *testing.B) {
 	var r experiments.StorageLeakage
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.AblationStoragePolicy(context.Background(), uint64(i)+19, 5, 0)
+		r, err = experiments.AblationStoragePolicy(context.Background(), uint64(i)+19, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,13 +258,11 @@ func BenchmarkEntropyLog2Factorial(b *testing.B) {
 
 // BenchmarkAblationOffsetSize (A4) sweeps the common offset of Fig. 5
 // from 1 to the code radius, reporting the calibrated rate separation.
-// The offset levels fan out over the campaign pool (timing is pooled on
-// multi-core hosts; the reported metrics are worker-count invariant).
 func BenchmarkAblationOffsetSize(b *testing.B) {
 	var rows []experiments.OffsetSizeRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationOffsetSize(context.Background(), uint64(i)+23, 0)
+		rows, err = experiments.AblationOffsetSize(context.Background(), uint64(i)+23)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,31 +273,35 @@ func BenchmarkAblationOffsetSize(b *testing.B) {
 	b.ReportMetric(float64(last.Queries), "queries-at-t")
 }
 
-// BenchmarkCampaignAttackSuccess measures the campaign engine's
-// parallel-vs-serial wall clock on the heaviest registered task: all
-// five attacks per seed over an 8-seed population. The workers-1 run is
-// the serial baseline; on an N-core host the workers-8 run approaches
-// min(8, N)x speedup (the per-seed work is embarrassingly parallel and
-// allocation-light). Aggregates are asserted bit-identical across
-// worker counts on every iteration.
+// BenchmarkCampaignAttackSuccess (R1) runs the attack-success campaign,
+// all five attacks per seed over an 8-seed population, at 1, 2, 4 and 8
+// workers. The workers-1 run is the serial baseline; on an N-core host
+// the workers-8 run approaches min(8, N)x speedup. Outcomes are
+// asserted identical to the serial run on every iteration, and the
+// per-attack recovery rates are reported.
 func BenchmarkCampaignAttackSuccess(b *testing.B) {
 	const seeds = 8
-	baseline, err := experiments.MeasureAttackSuccess(context.Background(), 1000, seeds, 1)
+	spec := campaign.Spec{Task: "attack-success", BaseSeed: 1000, Seeds: seeds, Workers: 1}
+	baseline, err := campaign.Run(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			spec := spec
+			spec.Workers = workers
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.MeasureAttackSuccess(context.Background(), 1000, seeds, workers)
+				r, err := campaign.Run(context.Background(), spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if r != baseline {
-					b.Fatalf("workers=%d diverged from serial: %+v vs %+v", workers, r, baseline)
+				if !reflect.DeepEqual(r.Outcomes, baseline.Outcomes) {
+					b.Fatalf("workers=%d diverged from serial", workers)
 				}
 			}
-			b.ReportMetric(float64(seeds), "seeds")
+			for _, a := range baseline.Aggregates {
+				b.ReportMetric(a.Mean, a.Metric)
+			}
 		})
 	}
 }
@@ -319,25 +320,4 @@ func BenchmarkCampaignEngine(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAttackSuccessRates (R1) measures exact-recovery rates of all
-// attacks over a device population. MeasureAttackSuccess fans out over
-// the campaign pool, so this timing reflects the pooled path on
-// multi-core hosts; BenchmarkCampaignAttackSuccess/workers-1 is the
-// serial baseline.
-func BenchmarkAttackSuccessRates(b *testing.B) {
-	var r experiments.AttackSuccessRates
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.MeasureAttackSuccess(context.Background(), uint64(i)*997+1000, 3, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.SeqPair, "seqpair-success")
-	b.ReportMetric(r.GroupBased, "groupbased-success")
-	b.ReportMetric(r.Masking, "masking-success")
-	b.ReportMetric(r.Chain, "chain-success")
-	b.ReportMetric(r.TempCoRel, "tempco-rel-accuracy")
 }

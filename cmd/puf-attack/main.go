@@ -1,11 +1,13 @@
 // Command puf-attack runs any registered helper-data manipulation
-// attack end to end against a freshly enrolled simulated device and
-// reports the unified attack.Report: recovery outcome, oracle cost,
-// and per-phase breakdown.
+// attack end to end against the attack's canonical simulated device
+// (transcript.Enroll, the device its goldens attack) and reports the
+// unified attack.Report: recovery outcome, oracle cost, and per-phase
+// breakdown.
 //
 // The attack is resolved through the attack registry, so a newly
-// registered fifth attack shows up here with no CLI changes. An
-// unknown -strategy is a usage error (exit 2).
+// registered attack shows up here with no CLI changes once
+// transcript.Enroll has a device for it. An unknown -strategy is a
+// usage error (exit 2).
 //
 // Usage:
 //
@@ -18,17 +20,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/bitvec"
-	"repro/internal/device"
-	"repro/internal/ecc"
-	"repro/internal/groupbased"
-	"repro/internal/pairing"
-	"repro/internal/rng"
-	"repro/internal/tempco"
+	"repro/internal/transcript"
 )
 
 func main() {
@@ -61,7 +59,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *name, *seed, attack.Options{
+	if err := run(ctx, os.Stdout, *name, *seed, attack.Options{
 		Dist:        dist,
 		QueryBudget: *budget,
 	}, *verbose); err != nil {
@@ -82,18 +80,26 @@ func distinguisher(strategy string) (attack.Distinguisher, error) {
 	return attack.Distinguisher{}, fmt.Errorf("unknown -strategy %q (want sequential or fixed)", strategy)
 }
 
-func run(ctx context.Context, name string, seed uint64, opts attack.Options, verbose bool) error {
-	target, truth, desc, err := enroll(name, seed)
+// run enrolls the canonical device for the named attack (the one its
+// goldens attack), runs the attack under opts and writes the report to
+// w.
+func run(ctx context.Context, w io.Writer, name string, seed uint64, opts attack.Options, verbose bool) error {
+	target, truth, err := transcript.Enroll(transcript.Spec{Attack: name, Seed: seed, Expurgate: name == "seqpair"})
 	if err != nil {
 		return err
 	}
-	fmt.Println(desc)
+	spec := target.Spec()
+	geometry := ""
+	if spec.Rows > 0 {
+		geometry = fmt.Sprintf(" %dx%d array,", spec.Rows, spec.Cols)
+	}
+	fmt.Fprintf(w, "enrolled %s device:%s code %s, key %d bits\n", spec.Construction, geometry, spec.Code, truth.Len())
 
 	if verbose {
 		last := ""
 		opts.Progress = func(p attack.Progress) {
 			if p.Phase != last {
-				fmt.Printf("  phase %s...\n", p.Phase)
+				fmt.Fprintf(w, "  phase %s...\n", p.Phase)
 				last = p.Phase
 			}
 		}
@@ -103,104 +109,36 @@ func run(ctx context.Context, name string, seed uint64, opts attack.Options, ver
 	if err != nil {
 		return err
 	}
-	printReport(rep, truth)
+	printReport(w, rep, truth)
 	return nil
 }
 
-// enroll builds the standard device population entry for one attack and
-// returns its oracle, the enrolled key when the attack recovers one
-// (empty for relation-only attacks), and a banner line.
-func enroll(name string, seed uint64) (attack.Target, bitvec.Vector, string, error) {
-	srcMfg, srcRun := rng.New(seed), rng.New(seed+1)
-	switch name {
-	case "seqpair":
-		d, err := device.EnrollSeqPair(device.SeqPairParams{
-			Rows: 8, Cols: 16,
-			ThresholdMHz: 0.8,
-			Policy:       pairing.RandomizedStorage,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-			EnrollReps:   20,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		desc := fmt.Sprintf("enrolled LISA device: %d pairs, code %s", d.NumPairs(), d.Code())
-		return attack.NewSeqPairTarget(d), d.TrueKey(), desc, nil
-	case "tempco":
-		d, err := device.EnrollTempCo(tempco.Params{
-			Rows: 8, Cols: 16,
-			ThresholdMHz: 0.6,
-			TminC:        -20, TmaxC: 80,
-			Policy:     tempco.RandomSelection,
-			Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
-			EnrollReps: 25,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		good, bad, coop := tempco.CountClasses(d.ReadHelper())
-		desc := fmt.Sprintf("enrolled temperature-aware device: %d good / %d bad / %d cooperating pairs", good, bad, coop)
-		// Relation-only attack: no single recovered key to score.
-		return attack.NewTempCoTarget(d), bitvec.Vector{}, desc, nil
-	case "groupbased":
-		d, err := device.EnrollGroupBased(groupbased.Params{
-			Rows: 4, Cols: 10,
-			Degree:       2,
-			ThresholdMHz: 0.5,
-			MaxGroupSize: 6,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
-			EnrollReps:   25,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		desc := fmt.Sprintf("enrolled group-based device (Fig. 6a array): key %d bits", d.TrueKey().Len())
-		return attack.NewGroupBasedTarget(d), d.TrueKey(), desc, nil
-	case "masking", "chain":
-		mode := device.MaskedChain
-		if name == "chain" {
-			mode = device.OverlappingChain
-		}
-		d, err := device.EnrollDistillerPair(device.DistillerPairParams{
-			Rows: 4, Cols: 10,
-			Degree: 2, Mode: mode, K: 5,
-			Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
-			EnrollReps: 25,
-		}, srcMfg, srcRun)
-		if err != nil {
-			return nil, bitvec.Vector{}, "", err
-		}
-		desc := fmt.Sprintf("enrolled distiller device (%v): key %d bits", mode, d.TrueKey().Len())
-		return attack.NewDistillerTarget(d), d.TrueKey(), desc, nil
-	}
-	return nil, bitvec.Vector{}, "", fmt.Errorf("no standard device for attack %q (registry has %v)", name, attack.Names())
-}
-
-func printReport(rep attack.Report, truth bitvec.Vector) {
+// printReport writes the report; the true key and the exact-recovery
+// verdict appear only when the attack recovers a key (tempco recovers
+// relations).
+func printReport(w io.Writer, rep attack.Report, truth bitvec.Vector) {
 	if rep.Key.Len() > 0 {
-		fmt.Printf("recovered key : %s\n", rep.Key)
-	}
-	if truth.Len() > 0 {
-		fmt.Printf("true key      : %s\n", truth)
-		fmt.Printf("exact=%v ambiguous=%v\n", rep.Key.Equal(truth), rep.Ambiguous)
+		fmt.Fprintf(w, "recovered key : %s\n", rep.Key)
+		fmt.Fprintf(w, "true key      : %s\n", truth)
+		fmt.Fprintf(w, "exact=%v ambiguous=%v\n", rep.Key.Equal(truth), rep.Ambiguous)
 	}
 	switch det := rep.Details.(type) {
 	case attack.SeqPairDetails:
-		fmt.Printf("calibration   : p(offset)=%.3f p(offset+1)=%.3f over %d queries\n",
+		fmt.Fprintf(w, "calibration   : p(offset)=%.3f p(offset+1)=%.3f over %d queries\n",
 			det.Calibration.PNominal, det.Calibration.PElevated, det.Calibration.Queries)
 	case attack.TempCoDetails:
-		fmt.Printf("reference pair: %d\n", det.RefIdx)
-		fmt.Printf("relations     : %d recovered (skipped %d unstable at ambient)\n", len(det.XorWithRef), len(det.Skipped))
-		fmt.Printf("mask bits     : %d absolute\n", len(det.MaskBits))
+		fmt.Fprintf(w, "reference pair: %d\n", det.RefIdx)
+		fmt.Fprintf(w, "relations     : %d recovered (skipped %d unstable at ambient)\n", len(det.XorWithRef), len(det.Skipped))
+		fmt.Fprintf(w, "mask bits     : %d absolute\n", len(det.MaskBits))
 	case attack.GroupBasedDetails:
-		fmt.Printf("groups        : %d/%d resolved\n", det.Resolved, len(det.Orders))
+		fmt.Fprintf(w, "groups        : %d/%d resolved\n", det.Resolved, len(det.Orders))
 	case attack.MaskingDetails:
-		fmt.Printf("base bits     : %d recovered\n", len(det.BaseBits))
+		fmt.Fprintf(w, "base bits     : %d recovered\n", len(det.BaseBits))
 	case attack.ChainDetails:
-		fmt.Printf("hypotheses    : max %d simultaneous\n", det.MaxHypotheses)
+		fmt.Fprintf(w, "hypotheses    : max %d simultaneous\n", det.MaxHypotheses)
 	}
-	fmt.Printf("oracle queries: %d in %s\n", rep.Queries, rep.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "oracle queries: %d in %s\n", rep.Queries, rep.Elapsed.Round(time.Millisecond))
 	for _, ph := range rep.Phases {
-		fmt.Printf("  %-12s %6d queries  %s\n", ph.Name, ph.Queries, ph.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(w, "  %-12s %6d queries  %s\n", ph.Name, ph.Queries, ph.Elapsed.Round(time.Millisecond))
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
@@ -50,5 +51,30 @@ func TestUnknownStrategyExitsUsage(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "want sequential or fixed") || strings.Contains(string(out), "enrolled") {
 		t.Fatalf("output is not a usage error:\n%s", out)
+	}
+}
+
+// TestRunEveryRegisteredAttack runs every registered attack against its
+// canonical device: an attack registered without a device fails here.
+// Attacks that recover a key report an exact recovery; a relation-only
+// attack prints no key verdict.
+func TestRunEveryRegisteredAttack(t *testing.T) {
+	for _, name := range attack.Names() {
+		var out strings.Builder
+		if err := run(context.Background(), &out, name, 1, attack.Options{}, false); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		text := out.String()
+		if !strings.HasPrefix(text, "enrolled "+name+" device:") {
+			t.Errorf("%s: banner missing:\n%s", name, text)
+		}
+		switch {
+		case strings.Contains(text, "recovered key"):
+			if !strings.Contains(text, "exact=true") {
+				t.Errorf("%s: key not recovered exactly:\n%s", name, text)
+			}
+		case strings.Contains(text, "exact="):
+			t.Errorf("%s: keyless report prints a key verdict:\n%s", name, text)
+		}
 	}
 }

@@ -358,7 +358,7 @@ func runE12(cfg benchConfig) error {
 }
 
 func runA1(cfg benchConfig) error {
-	r, err := experiments.AblationStoragePolicy(context.Background(), cfg.seed, 20, 0)
+	r, err := experiments.AblationStoragePolicy(context.Background(), cfg.seed, 20)
 	if err != nil {
 		return err
 	}
@@ -379,7 +379,7 @@ func runA2(cfg benchConfig) error {
 }
 
 func runA4(cfg benchConfig) error {
-	rows, err := experiments.AblationOffsetSize(context.Background(), cfg.seed, 0)
+	rows, err := experiments.AblationOffsetSize(context.Background(), cfg.seed)
 	if err != nil {
 		return err
 	}
@@ -390,17 +390,34 @@ func runA4(cfg benchConfig) error {
 	return nil
 }
 
+// runR1 prints the per-attack means of the attack-success campaign
+// over five seeds: `puf-campaign -task attack-success -base <seed*1000>
+// -seeds 5` reports the same numbers.
 func runR1(cfg benchConfig) error {
-	r, err := experiments.MeasureAttackSuccess(context.Background(), cfg.seed*1000, 5, 0)
+	res, err := campaign.Run(context.Background(), campaign.Spec{
+		Task: "attack-success", BaseSeed: cfg.seed * 1000, Seeds: 5,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("exact-recovery rates over %d devices per attack:\n", r.Seeds)
-	fmt.Printf("  §VI-A sequential pairing : %.2f\n", r.SeqPair)
-	fmt.Printf("  §VI-C group-based        : %.2f\n", r.GroupBased)
-	fmt.Printf("  §VI-D distiller+masking  : %.2f\n", r.Masking)
-	fmt.Printf("  §VI-D distiller+chain    : %.2f\n", r.Chain)
-	fmt.Printf("  §VI-B relation accuracy  : %.2f\n", r.TempCoRel)
+	means := make(map[string]float64, len(res.Aggregates))
+	for _, a := range res.Aggregates {
+		means[a.Metric] = a.Mean
+	}
+	fmt.Printf("means of campaign attack-success over %d seeds (base %d):\n", res.Seeds, res.BaseSeed)
+	for _, row := range []struct{ label, metric string }{
+		{"§VI-A sequential pairing", "seqpair-recovered"},
+		{"§VI-C group-based       ", "groupbased-recovered"},
+		{"§VI-D distiller+masking ", "masking-recovered"},
+		{"§VI-D distiller+chain   ", "chain-recovered"},
+		{"§VI-B relation accuracy ", "tempco-relation-accuracy"},
+	} {
+		if m, ok := means[row.metric]; ok {
+			fmt.Printf("  %s : %.2f\n", row.label, m)
+		} else {
+			fmt.Printf("  %s : n/a\n", row.label)
+		}
+	}
 	return nil
 }
 

@@ -33,7 +33,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
 	"repro/internal/helperdata"
-	"repro/internal/rng"
 )
 
 // Spec is the public datasheet of the device under attack: everything
@@ -87,36 +86,15 @@ type Options struct {
 	// value behaves as DefaultDistinguisher (see
 	// Distinguisher.normalized).
 	Dist Distinguisher
-	// CalibrationQueries sizes the up-front failure-rate calibration
-	// for attacks that calibrate (0 = 24).
-	CalibrationQueries int
 	// InjectErrors is the common deterministic error offset; 0 means
 	// the code's full radius t, the most aggressive choice.
 	InjectErrors int
-	// PatternAmpMHz is the injected-pattern steepness of the
-	// distiller-facing attacks (0 = attack default).
-	PatternAmpMHz float64
-	// TiltMHz is the secondary gradient of the distiller attacks
-	// (0 = attack default).
-	TiltMHz float64
-	// Src drives the attack's own randomness (codeword draws). Nil
-	// means a deterministic per-attack default seed, so two runs with
-	// equal Options consume identical attack-side randomness.
-	Src *rng.Source
 	// QueryBudget caps total oracle queries; 0 means unlimited. When
 	// the budget runs out mid-attack, Run returns ErrBudgetExhausted.
 	QueryBudget int
 	// Progress, when non-nil, receives phase-granular notifications.
 	// It is called from the attack's goroutine and must be cheap.
 	Progress func(Progress)
-}
-
-// source returns the attack-side randomness, defaulting deterministically.
-func (o Options) source(defaultSeed uint64) *rng.Source {
-	if o.Src != nil {
-		return o.Src
-	}
-	return rng.New(defaultSeed)
 }
 
 // Progress is one attack progress notification.

@@ -55,14 +55,17 @@ func init() {
 	Register(chainAttack{})
 }
 
-// distillerDefaults fills the §VI-D tuning defaults.
+// The §VI-D tuning: the injected pattern's steepness, the secondary
+// gradient that pins every pair the pattern does not target, and the
+// seed of the attack's own randomness (codeword draws).
+const (
+	distillerPatternMHz = 500
+	distillerTiltMHz    = 80
+	distillerSeed       = 0xd15711
+)
+
+// distillerDefaults fills the §VI-D option defaults.
 func distillerDefaults(opts Options, t int) Options {
-	if opts.PatternAmpMHz <= 0 {
-		opts.PatternAmpMHz = 500
-	}
-	if opts.TiltMHz <= 0 {
-		opts.TiltMHz = 80
-	}
 	if opts.InjectErrors <= 0 || opts.InjectErrors > t {
 		opts.InjectErrors = t
 	}
@@ -118,7 +121,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	defer func() { _ = t.WriteImage(originalImage) }()
 
 	opts = distillerDefaults(opts, spec.Code.T())
-	src := opts.source(0xd15711)
+	src := rng.New(distillerSeed)
 	budget := NewBudget(opts.QueryBudget)
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
@@ -167,7 +170,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly distiller.Poly2D, k int, base []pairing.Pair, opts Options, src *rng.Source, budget *Budget, sc *dsScratch, target int) (bool, error) {
 	pos := func(ro int) (int, int) { return ro % spec.Cols, ro / spec.Cols }
 	tp := base[target]
-	pattern := valleyForPair(pos, tp, opts)
+	pattern := valleyForPair(pos, tp)
 
 	pval := func(ro int) float64 {
 		x, y := pos(ro)
@@ -307,7 +310,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	defer func() { _ = t.WriteImage(originalImage) }()
 
 	opts = distillerDefaults(opts, spec.Code.T())
-	src := opts.source(0xd15711)
+	src := rng.New(distillerSeed)
 	budget := NewBudget(opts.QueryBudget)
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
@@ -335,9 +338,9 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	for bi, bd := range bounds {
 		var pattern distiller.Poly2D
 		if bd.vertical {
-			pattern = distiller.QuadraticValleyX(bd.at, opts.PatternAmpMHz).Add(distiller.Plane(0, 0, opts.TiltMHz))
+			pattern = distiller.QuadraticValleyX(bd.at, distillerPatternMHz).Add(distiller.Plane(0, 0, distillerTiltMHz))
 		} else {
-			pattern = distiller.QuadraticValleyY(bd.at, opts.PatternAmpMHz).Add(distiller.Plane(0, opts.TiltMHz, 0))
+			pattern = distiller.QuadraticValleyY(bd.at, distillerPatternMHz).Add(distiller.Plane(0, distillerTiltMHz, 0))
 		}
 		pval := func(ro int) float64 {
 			x, y := pos(ro)
@@ -506,19 +509,19 @@ func (sc *dsScratch) offsetWithInjection(arm int, stream bitvec.Vector, targetPo
 // valleyForPair builds the Fig. 6b pattern for one target pair: a
 // quadratic valley centered between the pair's oscillators along their
 // separation axis plus an orthogonal tilt.
-func valleyForPair(pos func(int) (int, int), tp pairing.Pair, opts Options) distiller.Poly2D {
+func valleyForPair(pos func(int) (int, int), tp pairing.Pair) distiller.Poly2D {
 	xa, ya := pos(tp.A)
 	xb, yb := pos(tp.B)
 	if ya == yb {
 		// Horizontal pair: valley in x centered between them, tilt in y.
-		return distiller.QuadraticValleyX((float64(xa)+float64(xb))/2, opts.PatternAmpMHz).
-			Add(distiller.Plane(0, 0, opts.TiltMHz))
+		return distiller.QuadraticValleyX((float64(xa)+float64(xb))/2, distillerPatternMHz).
+			Add(distiller.Plane(0, 0, distillerTiltMHz))
 	}
 	if xa == xb {
-		return distiller.QuadraticValleyY((float64(ya)+float64(yb))/2, opts.PatternAmpMHz).
-			Add(distiller.Plane(0, opts.TiltMHz, 0))
+		return distiller.QuadraticValleyY((float64(ya)+float64(yb))/2, distillerPatternMHz).
+			Add(distiller.Plane(0, distillerTiltMHz, 0))
 	}
 	// Diagonal pairs do not occur on neighbor chains; fall back to the
 	// perpendicular plane (levels tie along the perpendicular axis).
-	return distiller.PerpendicularPlane(xa, ya, xb, yb, opts.PatternAmpMHz)
+	return distiller.PerpendicularPlane(xa, ya, xb, yb, distillerPatternMHz)
 }

@@ -248,6 +248,10 @@ type Calibration struct {
 	Queries int
 }
 
+// calibrationQueries sizes the up-front failure-rate calibration of
+// the attacks that calibrate (seqpair, tempco), per reference rate.
+const calibrationQueries = 24
+
 // calibrate measures the two reference rates. nominal and elevated
 // install the attack's common offset and offset+1 deterministic errors
 // respectively, built with value-independent manipulations; each is

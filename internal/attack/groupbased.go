@@ -17,6 +17,13 @@ import (
 
 func init() { Register(groupBasedAttack{}) }
 
+// The §VI-C tuning: the injected level plane's steepness and the seed
+// of the attack's own randomness (codeword draws).
+const (
+	groupBasedPatternMHz = 1000
+	groupBasedSeed       = 0xa77ac4
+)
+
 // GroupBasedDetails is the groupbased attack's Report payload.
 type GroupBasedDetails struct {
 	// Orders[g] is the recovered descending-residual order of original
@@ -72,10 +79,7 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
 
-	if opts.PatternAmpMHz <= 0 {
-		opts.PatternAmpMHz = 1000
-	}
-	src := opts.source(0xa77ac4)
+	src := rng.New(groupBasedSeed)
 	tcap := spec.Code.T()
 	if opts.InjectErrors <= 0 || opts.InjectErrors > tcap {
 		opts.InjectErrors = tcap
@@ -246,7 +250,7 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 	xa, ya := a%cols, a/cols
 	xb, yb := b%cols, b/cols
 
-	pattern, levels := levelPlane(sc, cols, rows, xa, ya, xb, yb, opts.PatternAmpMHz)
+	pattern, levels := levelPlane(sc, cols, rows, xa, ya, xb, yb, groupBasedPatternMHz)
 	designPartition(sc, n, a, b, levels)
 
 	// The partition covers every oscillator exactly once by

@@ -59,9 +59,6 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	if opts.InjectErrors <= 0 || opts.InjectErrors > radius {
 		opts.InjectErrors = radius
 	}
-	if opts.CalibrationQueries <= 0 {
-		opts.CalibrationQueries = 24
-	}
 	blockLen := code.N()
 	// Every test focuses on ECC block 0: the reference pair 0 lives
 	// there, and injections must share its block to add up.
@@ -162,7 +159,7 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			break
 		}
 	}
-	cal, err := calibrate(ctx, t, install(calNom, 0, 0), install(calElev, 0, 0), opts.CalibrationQueries, budget)
+	cal, err := calibrate(ctx, t, install(calNom, 0, 0), install(calElev, 0, 0), calibrationQueries, budget)
 	if err != nil {
 		return Report{}, err
 	}

@@ -71,9 +71,6 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 	if opts.InjectErrors <= 0 || opts.InjectErrors > tcap {
 		opts.InjectErrors = tcap
 	}
-	if opts.CalibrationQueries <= 0 {
-		opts.CalibrationQueries = 24
-	}
 	ambient := spec.AmbientC
 	blockLen := spec.Code.N()
 	budget := NewBudget(opts.QueryBudget)
@@ -232,7 +229,7 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 	cal, err := calibrate(ctx, t,
 		install(requester, refHelper, basePool[:opts.InjectErrors]),
 		install(requester, refHelper, basePool[:opts.InjectErrors+1]),
-		opts.CalibrationQueries, budget)
+		calibrationQueries, budget)
 	if err != nil {
 		return Report{}, err
 	}

@@ -65,11 +65,12 @@ type Task struct {
 	// and 1s over a small campaign must not masquerade as a proportion.
 	Binary []string
 	// Run executes the experiment for one derived seed under the
-	// campaign's options. The context is the campaign's: long tasks
-	// that fan out internally should pass it down so cancellation
-	// reaches them mid-task. Run must be safe to call concurrently from
-	// multiple goroutines (all repository experiments are: their state
-	// is rooted in per-call rng.Sources).
+	// campaign's options, serially: the engine's pool is the only
+	// fan-out. The context is the campaign's; long tasks check it
+	// between steps so cancellation reaches them mid-task. Run must be
+	// safe to call concurrently from multiple goroutines (all
+	// repository experiments are: their state is rooted in per-call
+	// rng.Sources).
 	Run func(ctx context.Context, seed uint64, opt Options) (Metrics, error)
 }
 
@@ -214,46 +215,30 @@ func Call(f func() error) (err error) {
 	return f()
 }
 
-// ErrDrained is returned by ForEachDrain when the drain signal stopped
-// the feed before every index ran: the indices that were in flight
+// ErrDrained is returned by ForEach when the drain signal stopped the
+// feed before every index ran: the indices that were in flight
 // completed normally, the rest were never started.
 var ErrDrained = errors.New("campaign: drained before completion")
 
-// ForEach runs fn(i) for every i in [0, n) on a pool of `workers`
-// goroutines (0 or negative = GOMAXPROCS, capped at n). The first error
-// cancels all pending work (fail-fast); in-flight tasks finish. A
-// panicking fn is recovered into a *PanicError and treated as that
-// index's failure — a berserk task cannot take down the pool. The
-// returned error is the failure with the lowest index — deterministic
-// even when several workers fail concurrently — or the parent context's
-// error when the campaign was cancelled from outside.
+// ForEach runs fn for every index i in [0, n) on a pool of `workers`
+// goroutines (0 or negative = GOMAXPROCS, capped at n). fn also
+// receives the stable index of the worker goroutine running it, the
+// hook Run uses to hand each worker its own reuse Pool. It is the
+// engine's one worker pool: Run fans task instances out over it, and
+// campaignd fans out shards.
 //
-// This is the primitive under Run; the experiments package also uses it
-// directly to fan out multi-seed sweeps whose aggregation does not fit
-// the Metrics shape.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	return ForEachDrain(ctx, nil, n, workers, fn)
-}
-
-// ForEachDrain is ForEach with a graceful-drain signal: when drain is
-// closed, the feed loop stops handing out new indices while the
-// in-flight fn calls run to completion under a live context — the
-// behavior a SIGTERM'd daemon wants, finish what you started but take
-// nothing new. If the drain left indices unstarted, the pool returns
-// ErrDrained (after any real fn error, which still wins); if every
-// index had already been fed, the run completes as if never drained. A
-// nil drain channel makes ForEachDrain exactly ForEach.
-func ForEachDrain(ctx context.Context, drain <-chan struct{}, n, workers int, fn func(ctx context.Context, i int) error) error {
-	return forEachWorkers(ctx, drain, n, workers, func(ctx context.Context, _, i int) error {
-		return fn(ctx, i)
-	})
-}
-
-// forEachWorkers is the pool primitive under ForEachDrain: identical
-// semantics, but fn additionally receives the stable index of the
-// worker goroutine running it — the hook Run uses to hand each worker
-// its own reuse Pool without sharing state across goroutines.
-func forEachWorkers(ctx context.Context, drain <-chan struct{}, n, workers int, fn func(ctx context.Context, worker, i int) error) error {
+//   - Fail-fast: the first error cancels all pending work; in-flight
+//     calls finish. A panicking fn is recovered into a *PanicError and
+//     treated as that index's failure. The returned error is the
+//     failure with the lowest index, deterministic even when several
+//     workers fail concurrently, or the parent context's error when
+//     the pool was cancelled from outside.
+//   - Drain: when drain is closed, the feed stops handing out new
+//     indices while in-flight calls run to completion under a live
+//     context (what a SIGTERM'd daemon wants). If indices were left
+//     unstarted the pool returns ErrDrained (after any real fn error,
+//     which still wins). A nil drain never fires.
+func ForEach(ctx context.Context, drain <-chan struct{}, n, workers int, fn func(ctx context.Context, worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -342,12 +327,12 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 
 	// One reuse pool per worker goroutine (lazily built: the slice is
-	// sized for the normalized worker count, forEachWorkers never runs
-	// more). A caller-supplied Options.Pool wins — campaigns embedded in
-	// a larger pooled context (a daemon shard loop) keep their own.
+	// sized for the normalized worker count, ForEach never runs more).
+	// A caller-supplied Options.Pool wins — campaigns embedded in a
+	// larger pooled context (a daemon shard loop) keep their own.
 	pools := make([]*Pool, spec.Workers)
 	outcomes := make([]Outcome, spec.Seeds)
-	err := forEachWorkers(ctx, nil, spec.Seeds, spec.Workers, func(taskCtx context.Context, w, i int) error {
+	err := ForEach(ctx, nil, spec.Seeds, spec.Workers, func(taskCtx context.Context, w, i int) error {
 		opt := spec.Options
 		if opt.Pool == nil {
 			if pools[w] == nil {

@@ -110,7 +110,7 @@ func TestForEachCancellationMidCampaign(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEach(ctx, 1000, 2, func(ctx context.Context, i int) error {
+		done <- ForEach(ctx, nil, 1000, 2, func(ctx context.Context, _, i int) error {
 			started.Add(1)
 			select {
 			case <-release:
@@ -140,7 +140,7 @@ func TestForEachCancellationMidCampaign(t *testing.T) {
 
 func TestForEachFailFastSkipsPendingWork(t *testing.T) {
 	var ran atomic.Int64
-	err := ForEach(context.Background(), 10000, 2, func(_ context.Context, i int) error {
+	err := ForEach(context.Background(), nil, 10000, 2, func(_ context.Context, _, i int) error {
 		ran.Add(1)
 		if i == 3 {
 			return errors.New("boom")
@@ -158,16 +158,31 @@ func TestForEachFailFastSkipsPendingWork(t *testing.T) {
 	}
 }
 
+// Every index runs exactly once, on a worker index in [0, workers).
 func TestForEachCompletesAllWithoutError(t *testing.T) {
-	var ran atomic.Int64
-	if err := ForEach(context.Background(), 257, 8, func(_ context.Context, i int) error {
+	const n, workers = 257, 8
+	var ran, badWorker atomic.Int64
+	runs := make([]atomic.Int64, n)
+	if err := ForEach(context.Background(), nil, n, workers, func(_ context.Context, w, i int) error {
 		ran.Add(1)
+		runs[i].Add(1)
+		if w < 0 || w >= workers {
+			badWorker.Add(1)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ran.Load() != 257 {
-		t.Fatalf("ran %d of 257 tasks", ran.Load())
+	if ran.Load() != n {
+		t.Fatalf("ran %d of %d tasks", ran.Load(), n)
+	}
+	for i := range runs {
+		if got := runs[i].Load(); got != 1 {
+			t.Fatalf("index %d ran %d times", i, got)
+		}
+	}
+	if badWorker.Load() != 0 {
+		t.Fatalf("%d calls got a worker index outside [0, %d)", badWorker.Load(), workers)
 	}
 }
 
@@ -228,7 +243,7 @@ func TestCallRecoversPanics(t *testing.T) {
 	}
 }
 
-// ForEachDrain: a drain signal stops the feed, lets in-flight indices
+// ForEach drain: a drain signal stops the feed, lets in-flight indices
 // finish, and reports ErrDrained when indices never started; a drain
 // that arrives after the last index was fed changes nothing.
 func TestForEachDrainStopsFeedingButFinishesInFlight(t *testing.T) {
@@ -238,7 +253,7 @@ func TestForEachDrainStopsFeedingButFinishesInFlight(t *testing.T) {
 	var completed atomic.Int64
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEachDrain(context.Background(), drain, 16, 2, func(ctx context.Context, i int) error {
+		done <- ForEach(context.Background(), drain, 16, 2, func(ctx context.Context, _, i int) error {
 			started <- i
 			<-release
 			completed.Add(1)
@@ -260,7 +275,7 @@ func TestForEachDrainStopsFeedingButFinishesInFlight(t *testing.T) {
 
 	// Already-closed drain: nothing runs at all.
 	var ran atomic.Int64
-	err = ForEachDrain(context.Background(), drain, 8, 4, func(ctx context.Context, i int) error {
+	err = ForEach(context.Background(), drain, 8, 4, func(ctx context.Context, _, i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -268,9 +283,9 @@ func TestForEachDrainStopsFeedingButFinishesInFlight(t *testing.T) {
 		t.Fatalf("pre-drained pool: err=%v ran=%d", err, ran.Load())
 	}
 
-	// Nil drain is plain ForEach: everything runs, no error.
+	// A nil drain never fires: everything runs, no error.
 	var all atomic.Int64
-	if err := ForEachDrain(context.Background(), nil, 8, 4, func(ctx context.Context, i int) error {
+	if err := ForEach(context.Background(), nil, 8, 4, func(ctx context.Context, _, i int) error {
 		all.Add(1)
 		return nil
 	}); err != nil || all.Load() != 8 {

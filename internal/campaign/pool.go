@@ -41,15 +41,6 @@ func (p *Pool) Get(key string, build func() any) any {
 	return v
 }
 
-// Drop removes the value cached under key — for state that failed
-// mid-reuse and must not be adopted again (a device left
-// mid-remanufacture by an enrollment error).
-func (p *Pool) Drop(key string) {
-	if p != nil {
-		delete(p.slots, key)
-	}
-}
-
 // Len reports the number of cached entries (diagnostics and tests).
 func (p *Pool) Len() int {
 	if p == nil {

@@ -20,14 +20,6 @@ func TestPoolGetCachesPerKey(t *testing.T) {
 	if builds != 2 || p.Len() != 2 {
 		t.Fatalf("distinct keys share a slot: builds=%d len=%d", builds, p.Len())
 	}
-	p.Drop("a")
-	if p.Len() != 1 {
-		t.Fatalf("Drop left %d entries", p.Len())
-	}
-	p.Get("a", build)
-	if builds != 3 {
-		t.Fatal("Drop did not force a rebuild")
-	}
 }
 
 func TestNilPoolAlwaysBuilds(t *testing.T) {
@@ -39,7 +31,6 @@ func TestNilPoolAlwaysBuilds(t *testing.T) {
 	if builds != 2 {
 		t.Fatalf("nil pool cached: %d builds", builds)
 	}
-	p.Drop("a") // must not panic
 	if p.Len() != 0 {
 		t.Fatal("nil pool reports entries")
 	}

@@ -455,7 +455,7 @@ func (m *Manager) start(j *job) {
 	go func() {
 		defer m.wg.Done()
 		defer cancel()
-		err := campaign.ForEachDrain(ctx, m.drainCh, len(pending), j.spec.Workers, func(shardCtx context.Context, k int) error {
+		err := campaign.ForEach(ctx, m.drainCh, len(pending), j.spec.Workers, func(shardCtx context.Context, _, k int) error {
 			s := pending[k]
 			if err := m.runShardResilient(shardCtx, j, s); err != nil {
 				return err

@@ -32,9 +32,6 @@ func NewBlock(inner Code, blocks int) *Block {
 // Inner returns the per-block code.
 func (b *Block) Inner() Code { return b.inner }
 
-// Blocks returns the block count.
-func (b *Block) Blocks() int { return b.blocks }
-
 // N returns blocks * inner.N().
 func (b *Block) N() int { return b.blocks * b.inner.N() }
 

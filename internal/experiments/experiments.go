@@ -1,9 +1,10 @@
 // Package experiments implements the reproduction of every table and
 // figure of the paper's evaluation (see the README's "Experiment ↔ paper
-// mapping" for the experiment index). Each experiment is a pure function
-// from a seed (and a few shape parameters) to a structured result, so
-// the bench harness in bench_test.go, the cmd/puf-bench generator and
-// the campaign tasks all draw from the same code.
+// mapping" for the experiment index). Each experiment is a serial, pure
+// function from a seed (and a few shape parameters) to a structured
+// result, so the bench harness in bench_test.go, the cmd/puf-bench
+// generator and the campaign tasks all draw from the same code. R1 is
+// not a function here: it is the attack-success campaign task.
 package experiments
 
 import (
@@ -437,37 +438,24 @@ type StorageLeakage struct {
 }
 
 // AblationStoragePolicy measures the direct helper leakage of the two
-// storage policies over many devices, one device per pool worker
-// (workers = 0 means GOMAXPROCS). Callers already running inside a
-// campaign pool should pass workers = 1 to avoid oversubscribing the
-// host with nested pools.
-func AblationStoragePolicy(ctx context.Context, seed uint64, devices, workers int) (StorageLeakage, error) {
+// storage policies over `devices` devices derived from seed.
+func AblationStoragePolicy(ctx context.Context, seed uint64, devices int) (StorageLeakage, error) {
 	var res StorageLeakage
-	type deviceCounts struct {
-		sortedOnes, sortedTotal, randOnes, randTotal int
-	}
-	counts := make([]deviceCounts, devices)
-	err := campaign.ForEach(ctx, devices, workers, func(_ context.Context, i int) error {
+	var sortedOnes, sortedTotal, randOnes, randTotal int
+	for i := 0; i < devices; i++ {
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
 		s := seed + uint64(i)*7
 		arr := silicon.NewArray(silicon.DefaultConfig(8, 16), rng.New(s))
 		src := rng.New(s + 1)
 		f := measureAveraged(arr, arr.Config().NominalEnv(), src, 9)
-		hs := pairing.EnrollSeqPair(f, 0.8, pairing.SortedStorage, src)
-		hr := pairing.EnrollSeqPair(f, 0.8, pairing.RandomizedStorage, src)
-		rs := pairing.Responses(f, hs.Pairs)
-		rr := pairing.Responses(f, hr.Pairs)
-		counts[i] = deviceCounts{rs.Weight(), rs.Len(), rr.Weight(), rr.Len()}
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-	var sortedOnes, sortedTotal, randOnes, randTotal int
-	for _, c := range counts {
-		sortedOnes += c.sortedOnes
-		sortedTotal += c.sortedTotal
-		randOnes += c.randOnes
-		randTotal += c.randTotal
+		rs := pairing.Responses(f, pairing.EnrollSeqPair(f, 0.8, pairing.SortedStorage, src).Pairs)
+		rr := pairing.Responses(f, pairing.EnrollSeqPair(f, 0.8, pairing.RandomizedStorage, src).Pairs)
+		sortedOnes += rs.Weight()
+		sortedTotal += rs.Len()
+		randOnes += rr.Weight()
+		randTotal += rr.Len()
 	}
 	if sortedTotal == 0 || randTotal == 0 {
 		return res, fmt.Errorf("experiments: no pairs enrolled")
@@ -487,23 +475,21 @@ type StrategyCost struct {
 	BothRecovered      bool
 }
 
+// seqPairSpec is the canonical expurgated sequential-pairing device the
+// A2 and A4 ablations attack: the same device as the seqpair goldens.
+func seqPairSpec(seed uint64) transcript.Spec {
+	return transcript.Spec{Attack: "seqpair", Seed: seed, Expurgate: true}
+}
+
 // AblationStrategy runs the seqpair attack twice on identically
 // manufactured devices, once per strategy.
 func AblationStrategy(ctx context.Context, seed uint64) (StrategyCost, error) {
 	run := func(dist attack.Distinguisher) (int, bool, error) {
-		d, err := device.EnrollSeqPair(device.SeqPairParams{
-			Rows: 8, Cols: 16,
-			ThresholdMHz: 0.8,
-			Policy:       pairing.RandomizedStorage,
-			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-			EnrollReps:   20,
-		}, rng.New(seed), rng.New(seed+1))
+		target, truth, err := transcript.Enroll(seqPairSpec(seed))
 		if err != nil {
 			return 0, false, err
 		}
-		truth := d.TrueKey()
-		res, err := attack.Run(ctx, "seqpair", attack.NewSeqPairTarget(d),
-			attack.Options{Dist: dist})
+		res, err := attack.Run(ctx, "seqpair", target, attack.Options{Dist: dist})
 		if err != nil {
 			return 0, false, err
 		}
@@ -536,167 +522,35 @@ type OffsetSizeRow struct {
 	Recovered    bool
 }
 
-// AblationOffsetSize sweeps the common offset from 0 to the code radius
+// AblationOffsetSize sweeps the common offset from 1 to the code radius
 // on the sequential-pairing attack. Below t the swap's extra errors stay
 // inside the correction radius and the rates collapse; at t the single
-// extra error becomes fully visible. workers bounds the level fan-out
-// (0 = GOMAXPROCS; 1 inside an outer pool).
-func AblationOffsetSize(ctx context.Context, seed uint64, workers int) ([]OffsetSizeRow, error) {
-	params := device.SeqPairParams{
-		Rows: 8, Cols: 16,
-		ThresholdMHz: 0.8,
-		Policy:       pairing.RandomizedStorage,
-		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
-		EnrollReps:   20,
-	}
-	tcap := params.Code.T()
-	// Each offset level enrolls its own device from the same seed, so the
-	// levels are independent and fan out across the pool; the row order
-	// is fixed by the level index.
-	out := make([]OffsetSizeRow, tcap)
-	err := campaign.ForEach(ctx, tcap, workers, func(taskCtx context.Context, i int) error {
-		inject := i + 1
-		d, err := device.EnrollSeqPair(params, rng.New(seed), rng.New(seed+1))
-		if err != nil {
-			return err
+// extra error becomes fully visible. Each level attacks a fresh copy of
+// the same device.
+func AblationOffsetSize(ctx context.Context, seed uint64) ([]OffsetSizeRow, error) {
+	var out []OffsetSizeRow
+	// The first enrollment reveals the code radius t, the last level.
+	for inject, tcap := 1, 1; inject <= tcap; inject++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		truth := d.TrueKey()
-		res, err := attack.Run(taskCtx, "seqpair", attack.NewSeqPairTarget(d),
-			attack.Options{
-				Dist:         attack.DefaultDistinguisher(),
-				InjectErrors: inject,
-			})
+		target, truth, err := transcript.Enroll(seqPairSpec(seed))
 		if err != nil {
-			return err
+			return nil, err
+		}
+		tcap = target.Spec().Code.T()
+		res, err := attack.Run(ctx, "seqpair", target, attack.Options{InjectErrors: inject})
+		if err != nil {
+			return nil, err
 		}
 		cal := res.Details.(attack.SeqPairDetails).Calibration
-		out[i] = OffsetSizeRow{
+		out = append(out, OffsetSizeRow{
 			InjectErrors: inject,
 			PNominal:     cal.PNominal,
 			PElevated:    cal.PElevated,
 			Queries:      res.Queries,
 			Recovered:    res.Key.Equal(truth) || res.Key.Equal(truth.Not()),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
 	return out, nil
-}
-
-// ------------------------------------------------------- robustness --
-
-// AttackSuccessRates runs every attack across a seed range and reports
-// the per-attack exact-recovery fraction — the repository's top-level
-// soundness figure.
-type AttackSuccessRates struct {
-	Seeds      int
-	SeqPair    float64
-	GroupBased float64
-	Masking    float64
-	Chain      float64
-	TempCoRel  float64 // fraction of recovered relations that are correct
-}
-
-// seedAttackOutcome is one device population's worth of attack results —
-// the unit of work MeasureAttackSuccess fans out over the campaign pool.
-type seedAttackOutcome struct {
-	seqPair, groupBased, masking, chain bool
-	relFound, relRight                  int
-}
-
-// attackAllOnSeed runs every attack against devices manufactured from
-// one seed. It is a pure function of the seed and therefore safe to
-// evaluate from any worker in any order; the pool (nil OK) only
-// recycles enrollment scratch and never changes the outcome. One seed
-// touches five distinct enrollment fingerprints, so a shared worker
-// pool holds five slots.
-func attackAllOnSeed(ctx context.Context, s uint64, pool *campaign.Pool) (seedAttackOutcome, error) {
-	var o seedAttackOutcome
-	run := func(name string) (transcript.Transcript, error) {
-		tr, err := RunAttackPooled(ctx, transcript.Spec{
-			Attack:    name,
-			Seed:      s,
-			Expurgate: name == "seqpair",
-		}, pool)
-		if err != nil {
-			return tr, fmt.Errorf("%s seed %d: %w", name, s, err)
-		}
-		return tr, nil
-	}
-	sp, err := run("seqpair")
-	if err != nil {
-		return o, err
-	}
-	o.seqPair = sp.Recovered
-	gb, err := run("groupbased")
-	if err != nil {
-		return o, err
-	}
-	o.groupBased = gb.Recovered
-	mk, err := run("masking")
-	if err != nil {
-		return o, err
-	}
-	o.masking = mk.Recovered
-	ch, err := run("chain")
-	if err != nil {
-		return o, err
-	}
-	o.chain = ch.Recovered
-	tc, err := run("tempco")
-	if err != nil {
-		return o, err
-	}
-	o.relFound = tc.RelationsFound
-	o.relRight = tc.RelationsRight
-	return o, nil
-}
-
-// MeasureAttackSuccess runs all attacks over `seeds` devices each on a
-// pool of `workers` goroutines (0 = GOMAXPROCS). The rates are
-// aggregated in seed order from per-seed deterministic outcomes, so
-// they are identical at any worker count.
-func MeasureAttackSuccess(ctx context.Context, base uint64, seeds, workers int) (AttackSuccessRates, error) {
-	var r AttackSuccessRates
-	r.Seeds = seeds
-	outcomes := make([]seedAttackOutcome, seeds)
-	err := campaign.ForEach(ctx, seeds, workers, func(taskCtx context.Context, i int) error {
-		o, err := attackAllOnSeed(taskCtx, base+uint64(i)*101, nil)
-		if err != nil {
-			return err
-		}
-		outcomes[i] = o
-		return nil
-	})
-	if err != nil {
-		return r, err
-	}
-	var relFound, relRight int
-	for _, o := range outcomes {
-		if o.seqPair {
-			r.SeqPair++
-		}
-		if o.groupBased {
-			r.GroupBased++
-		}
-		if o.masking {
-			r.Masking++
-		}
-		if o.chain {
-			r.Chain++
-		}
-		relFound += o.relFound
-		relRight += o.relRight
-	}
-	n := float64(seeds)
-	r.SeqPair /= n
-	r.GroupBased /= n
-	r.Masking /= n
-	r.Chain /= n
-	if relFound > 0 {
-		r.TempCoRel = float64(relRight) / float64(relFound)
-	}
-	return r, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/transcript"
 )
 
@@ -185,7 +186,7 @@ func TestFuzzyResistanceE12(t *testing.T) {
 }
 
 func TestAblationStoragePolicyA1(t *testing.T) {
-	r, err := AblationStoragePolicy(context.Background(), 19, 10, 0)
+	r, err := AblationStoragePolicy(context.Background(), 19, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestAblationStrategyA2(t *testing.T) {
 }
 
 func TestAblationOffsetSizeA4(t *testing.T) {
-	rows, err := AblationOffsetSize(context.Background(), 23, 0)
+	rows, err := AblationOffsetSize(context.Background(), 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,31 +236,34 @@ func TestAblationOffsetSizeA4(t *testing.T) {
 	}
 }
 
-func TestMeasureAttackSuccessMultiSeed(t *testing.T) {
+// TestAttackSuccessCampaignMultiSeed is the R1 soundness figure: the
+// attack-success campaign recovers every key and every tempco relation
+// over five seeds.
+func TestAttackSuccessCampaignMultiSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep")
 	}
-	r, err := MeasureAttackSuccess(context.Background(), 1000, 5, 0)
+	res, err := campaign.Run(context.Background(), campaign.Spec{
+		Task: "attack-success", BaseSeed: 1000, Seeds: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SeqPair < 0.99 {
-		t.Errorf("seqpair success %v", r.SeqPair)
+	want := []string{
+		"chain-recovered", "groupbased-recovered", "masking-recovered",
+		"seqpair-recovered", "tempco-relation-accuracy",
 	}
-	if r.GroupBased < 0.99 {
-		t.Errorf("groupbased success %v", r.GroupBased)
+	if len(res.Aggregates) != len(want) {
+		t.Fatalf("aggregates %+v, want metrics %v", res.Aggregates, want)
 	}
-	if r.Masking < 0.99 {
-		t.Errorf("masking success %v", r.Masking)
+	for i, a := range res.Aggregates {
+		if a.Metric != want[i] || a.N != 5 {
+			t.Fatalf("aggregate %d: %s over %d seeds, want %s over 5", i, a.Metric, a.N, want[i])
+		}
+		if a.Mean < 0.99 {
+			t.Errorf("%s mean %v", a.Metric, a.Mean)
+		}
 	}
-	if r.Chain < 0.99 {
-		t.Errorf("chain success %v", r.Chain)
-	}
-	if r.TempCoRel < 0.99 {
-		t.Errorf("tempco relation accuracy %v", r.TempCoRel)
-	}
-	t.Logf("success over %d seeds: seqpair=%.2f groupbased=%.2f masking=%.2f chain=%.2f tempco-rel=%.2f",
-		r.Seeds, r.SeqPair, r.GroupBased, r.Masking, r.Chain, r.TempCoRel)
 }
 
 // Every ctx-first experiment entry point must stop on a cancelled
@@ -269,10 +273,9 @@ func TestExperimentsHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	runs := map[string]func() error{
-		"A1": func() error { _, err := AblationStoragePolicy(ctx, 19, 4, 1); return err },
+		"A1": func() error { _, err := AblationStoragePolicy(ctx, 19, 4); return err },
 		"A2": func() error { _, err := AblationStrategy(ctx, 21); return err },
-		"A4": func() error { _, err := AblationOffsetSize(ctx, 23, 1); return err },
-		"R1": func() error { _, err := MeasureAttackSuccess(ctx, 1000, 2, 1); return err },
+		"A4": func() error { _, err := AblationOffsetSize(ctx, 23); return err },
 	}
 	for name, run := range runs {
 		if err := run(); !errors.Is(err, context.Canceled) {

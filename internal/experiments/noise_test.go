@@ -58,16 +58,20 @@ func TestCampaignNoiseOptionRejectsUnknown(t *testing.T) {
 }
 
 // TestRunAttacksCounterRecover is the end-to-end counter-mode soundness
-// check across all five attacks on one device population.
+// check across all five attacks on one device population: one
+// attack-success task instance.
 func TestRunAttacksCounterRecover(t *testing.T) {
-	o, err := attackAllOnSeed(context.Background(), 3, nil)
+	task, _ := campaign.Lookup("attack-success")
+	m, err := task.Run(context.Background(), 3, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.seqPair || !o.groupBased || !o.masking || !o.chain {
-		t.Fatalf("counter-mode recovery failed: %+v", o)
+	for _, metric := range task.Binary {
+		if m[metric] != 1 {
+			t.Fatalf("counter-mode recovery failed: %v", m)
+		}
 	}
-	if o.relFound == 0 || o.relRight != o.relFound {
-		t.Fatalf("counter-mode tempco relations: %d/%d", o.relRight, o.relFound)
+	if m["tempco-relation-accuracy"] != 1 {
+		t.Fatalf("counter-mode tempco relations: %v", m)
 	}
 }

@@ -3,16 +3,17 @@ package experiments
 // This file exposes every experiment entry point as a registered
 // campaign.Task behind the uniform Spec → Result interface, so
 // cmd/puf-campaign (and any future sharding/batching layer) can fan any
-// of them out over seed ranges without bespoke glue. Registration
-// happens at init time; the campaign package itself stays free of
-// experiment dependencies.
+// of them out over seed ranges without bespoke glue. Every task is
+// serial per seed: the campaign engine's pool is the only fan-out, so
+// no task keeps a worker count of its own. Registration happens at
+// init time; the campaign package itself stays free of experiment
+// dependencies.
 
 import (
 	"context"
 	"fmt"
 
 	"repro/internal/campaign"
-	"repro/internal/silicon"
 	"repro/internal/transcript"
 )
 
@@ -209,9 +210,7 @@ func init() {
 	campaign.Register(campaign.Task{
 		Name: "ablation-storage", Desc: "direct helper leakage of sorted vs randomized storage", Figure: "§VII-C",
 		Run: func(ctx context.Context, seed uint64, _ campaign.Options) (campaign.Metrics, error) {
-			// workers = 1: the campaign pool already parallelizes across
-			// seeds; a nested pool would oversubscribe the host.
-			r, err := AblationStoragePolicy(ctx, seed, 5, 1)
+			r, err := AblationStoragePolicy(ctx, seed, 5)
 			if err != nil {
 				return nil, err
 			}
@@ -242,7 +241,7 @@ func init() {
 		Name: "ablation-offset", Desc: "common-offset sweep from 1 to the code radius",
 		Binary: []string{"recovered-at-t"},
 		Run: func(ctx context.Context, seed uint64, _ campaign.Options) (campaign.Metrics, error) {
-			rows, err := AblationOffsetSize(ctx, seed, 1)
+			rows, err := AblationOffsetSize(ctx, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -264,24 +263,20 @@ func init() {
 			"masking-recovered", "chain-recovered",
 		},
 		Run: func(ctx context.Context, seed uint64, opt campaign.Options) (campaign.Metrics, error) {
-			// The per-attack tasks validate opt.Noise through their
-			// transcript spec; this one runs canonical specs, so check
-			// the option before enrolling anything.
-			if err := silicon.CheckNoise(opt.Noise); err != nil {
-				return nil, err
-			}
-			o, err := attackAllOnSeed(ctx, seed, opt.Pool)
-			if err != nil {
-				return nil, err
-			}
-			m := campaign.Metrics{
-				"seqpair-recovered":    campaign.Bool(o.seqPair),
-				"groupbased-recovered": campaign.Bool(o.groupBased),
-				"masking-recovered":    campaign.Bool(o.masking),
-				"chain-recovered":      campaign.Bool(o.chain),
-			}
-			if o.relFound > 0 {
-				m["tempco-relation-accuracy"] = float64(o.relRight) / float64(o.relFound)
+			m := make(campaign.Metrics, 5)
+			for _, name := range []string{"seqpair", "groupbased", "masking", "chain", "tempco"} {
+				tr, err := RunAttackPooled(ctx, transcript.Spec{
+					Attack: name, Seed: seed, Noise: opt.Noise, Expurgate: name == "seqpair",
+				}, opt.Pool)
+				if err != nil {
+					return nil, fmt.Errorf("%s seed %d: %w", name, seed, err)
+				}
+				switch {
+				case name != "tempco":
+					m[name+"-recovered"] = campaign.Bool(tr.Recovered)
+				case tr.RelationsFound > 0:
+					m["tempco-relation-accuracy"] = float64(tr.RelationsRight) / float64(tr.RelationsFound)
+				}
 			}
 			return m, nil
 		},

@@ -44,7 +44,6 @@ const (
 	SectionGrouping   = "grouping"
 	SectionOffset     = "ecc-offset"
 	SectionTempCo     = "tempco-pairs"
-	SectionTag        = "robust-tag"
 )
 
 // Image is an in-memory helper NVM image: named byte sections. The

@@ -68,12 +68,6 @@ func InterDistance(responses []bitvec.Vector) (float64, error) {
 	return s / float64(pairs), nil
 }
 
-// BitErrorRate returns the per-bit flip probability estimated from
-// repeated regenerations against a reference.
-func BitErrorRate(reference bitvec.Vector, regenerations []bitvec.Vector) (float64, error) {
-	return IntraDistance(reference, regenerations)
-}
-
 // ShannonEntropyPerBit estimates the per-bit Shannon entropy from the
 // observed bias: H(p) = -p log2 p - (1-p) log2 (1-p).
 func ShannonEntropyPerBit(bias float64) float64 {

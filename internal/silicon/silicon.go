@@ -394,11 +394,6 @@ func (a *Array) MeasureAveragedInto(dst, scratch []float64, env Environment, nm 
 	return dst
 }
 
-// TempCoef returns the per-RO temperature slope (exposed for analysis and
-// for the temperature-aware construction's enrollment, which the original
-// proposal performs with measurements at two environmental extremes).
-func (a *Array) TempCoef(i int) float64 { return a.tempCoef[i] }
-
 // SystematicComponent returns the systematic part of oscillator i's base
 // frequency; analysis-only (a real attacker cannot read this directly,
 // but the entropy distiller estimates it).

@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/attack"
+	"repro/internal/bitvec"
 	"repro/internal/device"
 	"repro/internal/ecc"
 	"repro/internal/groupbased"
@@ -106,7 +107,7 @@ type Transcript struct {
 // the attack-specific transcript fields from the report.
 type cell struct {
 	target attack.Target
-	truth  string // enrolled key bit string
+	truth  bitvec.Vector // enrolled key
 	score  func(attack.Report, *Transcript)
 }
 
@@ -159,9 +160,6 @@ func Run(ctx context.Context, spec Spec) (Transcript, error) {
 // and, transitively, by the golden suites over pooled campaigns); a nil
 // cache is exactly Run.
 func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
-	if err := silicon.CheckNoise(spec.Noise); err != nil {
-		return Transcript{}, err
-	}
 	c, err := enroll(spec, cache)
 	if err != nil {
 		return Transcript{}, err
@@ -170,10 +168,11 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 	if err != nil {
 		return Transcript{}, err
 	}
-	sum := sha256.Sum256([]byte(c.truth))
+	truth := c.truth.String()
+	sum := sha256.Sum256([]byte(truth))
 	tr := Transcript{
 		Spec:              spec,
-		EnrolledKeyBits:   len(c.truth),
+		EnrolledKeyBits:   len(truth),
 		EnrolledKeyDigest: hex.EncodeToString(sum[:]),
 		Key:               rep.Key.String(),
 		Ambiguous:         rep.Ambiguous,
@@ -183,20 +182,33 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 	for _, ph := range rep.Phases {
 		tr.Phases = append(tr.Phases, PhaseCost{Name: ph.Name, Queries: ph.Queries})
 	}
-	tr.Recovered = tr.Key != "" && tr.Key == c.truth
+	tr.Recovered = tr.Key != "" && tr.Key == truth
 	c.score(rep, &tr)
 	return tr, nil
+}
+
+// Enroll manufactures spec's canonical reference device, the one Run
+// attacks, and returns it as an attack target together with its
+// enrolled key. Callers that run an attack under their own options (a
+// CLI, an ablation) start here instead of copying the device table.
+func Enroll(spec Spec) (attack.Target, bitvec.Vector, error) {
+	c, err := enroll(spec, nil)
+	return c.target, c.truth, err
 }
 
 // enroll manufactures the reference device for spec and wraps it as a
 // scored cell. The device parameters are the repository's canonical
 // per-attack evaluation configuration (the paper's array geometries),
-// shared by experiments, benchmarks and goldens. With a non-nil cache,
+// shared by experiments, benchmarks, goldens and puf-attack. With a
+// non-nil cache,
 // enrollment adopts the pooled device for the spec's fingerprint (the
 // attack × code-option axes — everything that shapes the device
 // besides the seed); a reuse-enrollment error drops the pooled carcass
 // so a retry cannot adopt half-remanufactured state.
 func enroll(spec Spec, cache Cache) (cell, error) {
+	if err := silicon.CheckNoise(spec.Noise); err != nil {
+		return cell{}, err
+	}
 	mfg, run := rng.New(spec.Seed), rng.New(spec.Seed+1)
 	switch spec.Attack {
 	case "seqpair":
@@ -220,10 +232,10 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		truth := d.TrueKey().String()
+		truth := d.TrueKey()
 		return cell{target: attack.NewSeqPairTarget(d), truth: truth,
 			score: func(rep attack.Report, tr *Transcript) {
-				tr.UpToComplement = tr.Recovered || rep.Key.Equal(d.TrueKey().Not())
+				tr.UpToComplement = tr.Recovered || rep.Key.Equal(truth.Not())
 			}}, nil
 
 	case "tempco":
@@ -243,7 +255,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		return cell{target: attack.NewTempCoTarget(d), truth: d.TrueKey().String(),
+		return cell{target: attack.NewTempCoTarget(d), truth: d.TrueKey(),
 			score: func(rep attack.Report, tr *Transcript) {
 				scoreTempCo(d, p, rep, tr)
 			}}, nil
@@ -264,7 +276,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		return cell{target: attack.NewGroupBasedTarget(d), truth: d.TrueKey().String(),
+		return cell{target: attack.NewGroupBasedTarget(d), truth: d.TrueKey(),
 			score: func(rep attack.Report, tr *Transcript) {
 				det := rep.Details.(attack.GroupBasedDetails)
 				tr.Groups = len(det.Orders)
@@ -291,7 +303,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			return cell{}, err
 		}
 		ep.dev = d
-		return cell{target: attack.NewDistillerTarget(d), truth: d.TrueKey().String(),
+		return cell{target: attack.NewDistillerTarget(d), truth: d.TrueKey(),
 			score: func(rep attack.Report, tr *Transcript) {
 				switch det := rep.Details.(type) {
 				case attack.MaskingDetails:

@@ -2,9 +2,15 @@ package transcript
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/attack"
 )
 
 // The bit-exact values a Run produces are pinned by the golden matrix in
@@ -103,6 +109,42 @@ func TestGoldenFilesCoverTheFullMatrix(t *testing.T) {
 			if s.Attack == "seqpair" && !s.Expurgate {
 				t.Fatal("seqpair golden cells must use the expurgated code")
 			}
+		}
+	}
+}
+
+// TestEnrollMatchesRun pins Enroll to the device Run attacks: for the
+// first golden spec of each attack, the default attack against the
+// Enroll'd target reproduces the golden transcript's key, query count
+// and enrolled-key digest.
+func TestEnrollMatchesRun(t *testing.T) {
+	for file, specs := range GoldenFiles() {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "transcripts", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := Unmarshal(data)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		spec, want := specs[0], golden[0]
+		if !reflect.DeepEqual(want.Spec, spec) {
+			t.Fatalf("%s: first golden spec %+v, want %+v", file, want.Spec, spec)
+		}
+		target, truth, err := Enroll(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		rep, err := attack.Run(context.Background(), spec.Attack, target, attack.Options{Dist: attack.DefaultDistinguisher()})
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		sum := sha256.Sum256([]byte(truth.String()))
+		if got := hex.EncodeToString(sum[:]); got != want.EnrolledKeyDigest {
+			t.Errorf("%s: enrolled key digest %s, want %s", file, got, want.EnrolledKeyDigest)
+		}
+		if rep.Key.String() != want.Key || rep.Queries != want.Queries {
+			t.Errorf("%s: key %q in %d queries, want %q in %d", file, rep.Key, rep.Queries, want.Key, want.Queries)
 		}
 	}
 }
