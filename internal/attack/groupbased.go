@@ -1,9 +1,9 @@
 package attack
 
 import (
-	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitvec"
@@ -190,13 +190,9 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 // invariant that makes blob reuse safe.
 type gbScratch struct {
 	levels    []int
-	ros       []int
-	classes   []gbClass
 	assign    []int
 	predicted []bool
 	polyBeta  []float64
-	stream    bitvec.Vector
-	injected  bitvec.Vector
 	padded    bitvec.Vector
 	msg       bitvec.Vector
 	offsetW   bitvec.Vector
@@ -205,20 +201,31 @@ type gbScratch struct {
 	blocks    int
 	block     *ecc.Block
 	ws        ecc.Workspace
-	perm      perm.Scratch
+	part      partitionScratch
 }
 
-// gbClass is one level class of the rainbow matching.
-type gbClass struct {
-	level int
+// partitionScratch holds designPartition's level classes and its
+// size-bucketed selection state.
+type partitionScratch struct {
+	// ros lists the non-target oscillators by ascending level, ascending
+	// index within a level; class c owns ros[start[c]:start[c]+size[c]]
+	// and gives up its highest index first.
 	ros   []int
+	start []int
+	size  []int
+	// bySize[s*words:(s+1)*words] is the bitset of the classes holding s
+	// members; count[s] is its population.
+	bySize []uint64
+	count  []int
+	// levelAt counts, then indexes, the oscillators per level.
+	levelAt []int
 }
 
-// vec returns *v resized to n bits, reallocating only on length change.
+// scratchVec returns *v resized to n bits, reallocating only on growth.
 // Contents are unspecified; callers overwrite the buffer fully.
 func scratchVec(v *bitvec.Vector, n int) bitvec.Vector {
 	if v.Len() != n {
-		*v = bitvec.New(n)
+		*v = v.Resized(n)
 	}
 	return *v
 }
@@ -251,7 +258,7 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 	xb, yb := b%cols, b/cols
 
 	pattern, levels := levelPlane(sc, cols, rows, xa, ya, xb, yb, groupBasedPatternMHz)
-	designPartition(sc, n, a, b, levels)
+	pairs := designPartition(sc, n, a, b, levels)
 
 	// The partition covers every oscillator exactly once by
 	// construction, so the legacy PairsToGrouping validation cannot
@@ -262,41 +269,36 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 	poly := original.Poly.AddInto(pattern, sc.polyBeta)
 	sc.polyBeta = poly.Beta
 
-	// Build the predicted Kendall stream. Group 0 is the target pair,
-	// its bit is the hypothesis; groups follow in id order, one bit per
-	// two-member group, no bits for singletons. The polynomial and
-	// grouping blobs are shared by both arm images (read-only once set).
-	streamLen := groupbased.StreamLen(&grouping)
-	members := grouping.Members()
+	// The attacker's grouping is groups 0..pairs-1 of two members
+	// followed by singletons, so its Kendall stream has one bit per
+	// pair, group id's bit at position id: group 0 is the target pair,
+	// its bit the hypothesis. A two-member group's Kendall bit is also
+	// its compact coding, so the key the device packs is the stream
+	// itself. The polynomial and grouping blobs are shared by both arm
+	// images (read-only once set).
 	polyBlob := poly.Marshal()
 	groupBlob := grouping.Marshal()
 	makeArm := func(hyp int, hypBit bool) (Hypothesis, error) {
-		stream := scratchVec(&sc.stream, streamLen)
-		at := 0
-		for id, g := range members {
-			if len(g) < 2 {
-				continue
-			}
-			if id == 0 {
-				stream.Set(at, hypBit)
-			} else {
-				stream.Set(at, sc.predicted[id])
-			}
-			at++
+		// The application key the attacker predicts for this arm: the
+		// code-offset recovers the stream the offset was GENERATED for,
+		// i.e. the injected stream. Targets copy the key at BindKey, so
+		// the per-arm buffer can be reused across pairs.
+		injected := scratchVec(&sc.predKey[hyp], pairs)
+		injected.Set(0, hypBit)
+		for id := 1; id < pairs; id++ {
+			injected.Set(id, sc.predicted[id])
 		}
 		// Common offset: flip InjectErrors forced bits inside the
 		// target bit's ECC block (positions 1.. within block 0).
-		injected := scratchVec(&sc.injected, streamLen)
-		stream.CopyInto(injected)
 		count := 0
-		for pos := 1; pos < min(spec.Code.N(), streamLen) && count < opts.InjectErrors; pos++ {
+		for pos := 1; pos < min(spec.Code.N(), pairs) && count < opts.InjectErrors; pos++ {
 			injected.Flip(pos)
 			count++
 		}
 		if count < opts.InjectErrors {
 			return nil, fmt.Errorf("attack: only %d injectable bits in block", count)
 		}
-		padLen := paddedLen(streamLen, spec.Code)
+		padLen := paddedLen(pairs, spec.Code)
 		padded := scratchVec(&sc.padded, padLen)
 		padded.Zero()
 		padded.PutAt(0, injected)
@@ -312,20 +314,6 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 		offsetW := scratchVec(&sc.offsetW, padLen)
 		ecc.OffsetForInto(sc.block, padded, msg, &sc.ws, offsetW)
 
-		// The application key the attacker predicts for this arm: the
-		// code-offset recovers the stream the offset was GENERATED for,
-		// i.e. the injected stream — the device's key is its packing.
-		// (All attacker groups have at most two members, so any bit
-		// pattern is a valid Kendall coding and packing cannot fail.)
-		// Targets copy the key at BindKey, so the per-arm buffer can be
-		// reused across pairs.
-		keyLen := groupbased.KeyLen(&grouping)
-		if sc.predKey[hyp].Len() != keyLen {
-			sc.predKey[hyp] = bitvec.New(keyLen)
-		}
-		if err := groupbased.PackKeyInto(&grouping, padded, &sc.perm, sc.predKey[hyp]); err != nil {
-			return nil, err
-		}
 		blob, err := offsetW.AppendBinary(sc.offBlob[hyp][:0])
 		if err != nil {
 			return nil, err
@@ -335,7 +323,7 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 		im.SetOwned(helperdata.SectionPolynomial, polyBlob)
 		im.SetOwned(helperdata.SectionGrouping, groupBlob)
 		im.SetOwned(helperdata.SectionOffset, blob)
-		return bindingHypothesis(im, sc.predKey[hyp]), nil
+		return bindingHypothesis(im, injected), nil
 	}
 
 	arm0, err := makeArm(0, false)
@@ -378,86 +366,136 @@ func levelPlane(sc *gbScratch, cols, rows, xa, ya, xb, yb int, amp float64) (dis
 // land in sc.assign and sc.predicted[id] gives the forced Kendall bit of
 // two-member group id: with labels ordered by ascending RO index, the
 // bit is 1 when the higher-index member has the LOWER pattern level (its
-// distilled residual is larger). Ids are issued in the same order as the
-// legacy group-list construction, so the partition is bit-identical.
-func designPartition(sc *gbScratch, n, a, b int, levels []int) {
+// distilled residual is larger). It returns the number of two-member
+// groups p: ids 0..p-1 are the pairs, ids p.. the singletons.
+//
+// Pairing repeatedly takes the highest remaining index of the two
+// currently largest level classes, ties going to the lower level; this
+// admits a perfect rainbow matching whenever no class holds more than
+// half the remainder, and gracefully leaves singletons otherwise. The
+// classes come from a counting sort by level and the two largest from
+// per-size bitsets of classes, so a partition costs O(n) plus a word
+// scan per pair.
+func designPartition(sc *gbScratch, n, a, b int, levels []int) int {
+	ps := &sc.part
 	assign := resizeInts(&sc.assign, n)
 	// predicted[id] is written for every two-member group id before it
 	// is read, so stale entries from the previous pair are never seen.
 	predicted := resizeBools(&sc.predicted, n)
 	assign[a], assign[b] = 0, 0
 
-	// Bucket the remaining oscillators by level: one stable sort over
-	// (level, ascending index) yields the same per-level lists as a
-	// map of appends, without the per-call map churn of this inner-loop
-	// helper (one call per recovered key bit decision).
-	ros := sc.ros[:0]
-	for i := 0; i < n; i++ {
+	// Counting sort of the remaining oscillators by level, stable in
+	// ascending index; every non-empty level becomes one class.
+	lo, hi := levels[0], levels[0]
+	for _, l := range levels {
+		lo, hi = min(lo, l), max(hi, l)
+	}
+	levelAt := resizeInts(&ps.levelAt, hi-lo+1)
+	clear(levelAt)
+	for i, l := range levels {
 		if i != a && i != b {
-			ros = append(ros, i)
+			levelAt[l-lo]++
 		}
 	}
-	sc.ros = ros
-	slices.SortStableFunc(ros, func(x, y int) int { return cmp.Compare(levels[x], levels[y]) })
+	ps.start, ps.size = ps.start[:0], ps.size[:0]
+	largest, at := 0, 0
+	for l, c := range levelAt {
+		levelAt[l] = at
+		if c > 0 {
+			ps.start = append(ps.start, at)
+			ps.size = append(ps.size, c)
+			largest = max(largest, c)
+		}
+		at += c
+	}
+	ros := resizeInts(&ps.ros, at)
+	for i, l := range levels {
+		if i != a && i != b {
+			ros[levelAt[l-lo]] = i
+			levelAt[l-lo]++
+		}
+	}
 
-	// Repeatedly pair one member from the two currently largest level
-	// classes; this admits a perfect rainbow matching whenever no class
-	// holds more than half the remainder, and gracefully leaves
-	// singletons otherwise.
-	classes := sc.classes[:0]
-	for at := 0; at < len(ros); {
-		lvl := levels[ros[at]]
-		end := at
-		for end < len(ros) && levels[ros[end]] == lvl {
-			end++
-		}
-		classes = append(classes, gbClass{level: lvl, ros: ros[at:end:end]})
-		at = end
+	// Bucket the classes by size.
+	words := (len(ps.size) + 63) / 64
+	bySize := slices.Grow(ps.bySize[:0], (largest+1)*words)[:(largest+1)*words]
+	clear(bySize)
+	ps.bySize = bySize
+	count := resizeInts(&ps.count, largest+1)
+	clear(count)
+	for c, s := range ps.size {
+		bySize[s*words+c/64] |= 1 << (c % 64)
+		count[s]++
 	}
-	sc.classes = classes
-	largestTwo := func() (int, int) {
-		i1, i2 := -1, -1
-		for i := range classes {
-			if len(classes[i].ros) == 0 {
-				continue
-			}
-			if i1 == -1 || len(classes[i].ros) > len(classes[i1].ros) {
-				i2 = i1
-				i1 = i
-			} else if i2 == -1 || len(classes[i].ros) > len(classes[i2].ros) {
-				i2 = i
-			}
+	bucket := func(s int) []uint64 { return bySize[s*words : (s+1)*words] }
+	// take pops class c's highest remaining index and moves the class
+	// one size bucket down.
+	take := func(c int) int {
+		s := ps.size[c]
+		bucket(s)[c/64] &^= 1 << (c % 64)
+		count[s]--
+		s--
+		ps.size[c] = s
+		if s > 0 {
+			bucket(s)[c/64] |= 1 << (c % 64)
+			count[s]++
 		}
-		return i1, i2
+		return ros[ps.start[c]+s]
 	}
-	id := 1
+
+	// top bounds the largest class size and second the second-largest;
+	// both only shrink, so their downward scans are amortised O(n).
+	id, top, second := 1, largest, largest
 	for {
-		i1, i2 := largestTwo()
-		if i1 == -1 || i2 == -1 {
+		for top > 0 && count[top] == 0 {
+			top--
+		}
+		if top == 0 {
 			break
 		}
-		c1, c2 := &classes[i1], &classes[i2]
-		ro1 := c1.ros[len(c1.ros)-1]
-		ro2 := c2.ros[len(c2.ros)-1]
-		c1.ros = c1.ros[:len(c1.ros)-1]
-		c2.ros = c2.ros[:len(c2.ros)-1]
+		c1 := firstClass(bucket(top), 0)
+		var c2 int
+		if count[top] >= 2 {
+			c2 = firstClass(bucket(top), c1+1)
+		} else {
+			second = min(second, top-1)
+			for second > 0 && count[second] == 0 {
+				second--
+			}
+			if second == 0 {
+				break
+			}
+			c2 = firstClass(bucket(second), 0)
+		}
+		ro1, ro2 := take(c1), take(c2)
 		assign[ro1], assign[ro2] = id, id
 		// Canonical label order is ascending RO index; label B (the
 		// higher index) precedes when its pattern value is lower.
-		low, high := ro1, ro2
-		if low > high {
-			low, high = high, low
-		}
+		low, high := min(ro1, ro2), max(ro1, ro2)
 		predicted[id] = levels[high] < levels[low]
 		id++
 	}
-	// Leftovers become singleton groups.
-	for ci := range classes {
-		for _, ro := range classes[ci].ros {
+	pairs := id
+	// Leftovers become singleton groups, by level then index.
+	for c, start := range ps.start {
+		for _, ro := range ros[start : start+ps.size[c]] {
 			assign[ro] = id
 			id++
 		}
 	}
+	return pairs
+}
+
+// firstClass returns the lowest class index at or above from in a class
+// bitset; the caller guarantees one exists.
+func firstClass(set []uint64, from int) int {
+	w := from / 64
+	word := set[w] &^ (1<<(from%64) - 1)
+	for word == 0 {
+		w++
+		word = set[w]
+	}
+	return w*64 + bits.TrailingZeros64(word)
 }
 
 // orderFromRelations reconstructs a group's descending order (in label

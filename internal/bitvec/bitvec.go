@@ -27,6 +27,20 @@ func New(n int) Vector {
 	return Vector{n: n, words: make([]uint64, (n+63)/64)}
 }
 
+// Resized returns an all-zero vector of length n that reuses v's word
+// storage when its capacity suffices and allocates only on growth; the
+// result then aliases v. Scratch buffers whose length changes from use
+// to use resize through it. It panics if n is negative.
+func (v Vector) Resized(n int) Vector {
+	words := (n + 63) / 64
+	if n < 0 || cap(v.words) < words {
+		return New(n)
+	}
+	out := Vector{n: n, words: v.words[:words]}
+	out.Zero()
+	return out
+}
+
 // FromBits builds a vector from a slice of bits given as 0/1 bytes.
 func FromBits(bits []byte) Vector {
 	v := New(len(bits))

@@ -177,6 +177,27 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+func TestResizedReusesStorage(t *testing.T) {
+	v := Ones(130)
+	for _, n := range []int{130, 70, 3, 0, 128} {
+		r := v.Resized(n)
+		if r.Len() != n || !r.IsZero() || r.Weight() != 0 {
+			t.Fatalf("Resized(%d): len %d weight %d, want an all-zero vector of %d bits", n, r.Len(), r.Weight(), n)
+		}
+		r.SetAll()
+		if r.Weight() != n {
+			t.Fatalf("Resized(%d): SetAll weight %d", n, r.Weight())
+		}
+		v = r
+	}
+	if allocs := testing.AllocsPerRun(10, func() { v = v.Resized(65).Resized(128) }); allocs != 0 {
+		t.Fatalf("resizing within capacity allocates %.0f/op", allocs)
+	}
+	if g := v.Resized(200); g.Len() != 200 || !g.IsZero() {
+		t.Fatal("growing beyond capacity must return a fresh zero vector")
+	}
+}
+
 // Property: XOR is an involution and distance is XOR weight.
 func TestXorProperties(t *testing.T) {
 	f := func(seed uint64, size uint8) bool {

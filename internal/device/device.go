@@ -134,11 +134,11 @@ type binding struct {
 func (b *binding) reset(key bitvec.Vector) { b.key, b.pending = key, false }
 
 // set binds a copy of the first n bits of src, reallocating its storage
-// only on length change: BindKey runs once per oracle query on the
+// only on growth: BindKey runs once per oracle query on the
 // reprogrammed-key attack path, so binding must not clone per call.
 func (b *binding) set(src bitvec.Vector, n int) {
 	if b.buf.Len() != n {
-		b.buf = bitvec.New(n)
+		b.buf = b.buf.Resized(n)
 	}
 	src.SliceInto(0, n, b.buf)
 	b.reset(b.buf)

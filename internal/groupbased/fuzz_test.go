@@ -1,6 +1,7 @@
 package groupbased
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -8,7 +9,9 @@ import (
 // FuzzUnmarshalGrouping feeds arbitrary bytes, standing in for
 // attacker-written NVM, to the grouping parser: it must never panic, and
 // any input it accepts must re-marshal to bytes that decode to an equal
-// grouping.
+// grouping. The device scratch's folded validation must then agree with
+// Validate, and lay out a grouping Validate accepts exactly as Members
+// does.
 func FuzzUnmarshalGrouping(f *testing.F) {
 	f.Add((&Grouping{Assign: []int{}}).Marshal())
 	f.Add((&Grouping{Assign: []int{0, 0, 1, 2, 1, 65535}}).Marshal())
@@ -26,6 +29,15 @@ func FuzzUnmarshalGrouping(f *testing.F) {
 		}
 		if !slices.Equal(back.Assign, g.Assign) {
 			t.Fatalf("round trip changed the grouping: %v -> %v", g.Assign, back.Assign)
+		}
+		var sc Scratch
+		n := len(g.Assign)
+		err, want := sc.layout(g.Assign, n), g.Validate(n)
+		if fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("scratch layout error %v, Validate %v", err, want)
+		}
+		if err == nil {
+			checkLayout(t, &sc, &g)
 		}
 	})
 }

@@ -21,7 +21,6 @@ import (
 // exactly one group.
 type Grouping struct {
 	Assign []int
-	groups [][]int // lazily built member lists, ascending RO index
 }
 
 // Group runs Algorithm 2 of the paper on a frequency (or residual)
@@ -86,13 +85,9 @@ func (g *Grouping) NumGroups() int {
 // oscillators appear in ascending index order, which is the canonical
 // label order used by the Kendall and compact codings.
 func (g *Grouping) Members() [][]int {
-	if g.groups != nil {
-		return g.groups
-	}
 	// Two passes over one shared backing array: count, carve slice
 	// headers, fill in ascending RO order. Member lists come out
-	// identical to per-group appends at two allocations total — this
-	// runs on every helper re-parse of the attack loops.
+	// identical to per-group appends at three allocations total.
 	num := g.NumGroups()
 	counts := make([]int, num+1)
 	for _, a := range g.Assign {
@@ -109,7 +104,6 @@ func (g *Grouping) Members() [][]int {
 	for ro, a := range g.Assign {
 		out[a] = append(out[a], ro)
 	}
-	g.groups = out
 	return out
 }
 

@@ -110,43 +110,30 @@ func groupOrder(members []int, residuals []float64) []int {
 // PackKey converts an error-corrected Kendall stream into the secret key:
 // per group, decode the Kendall bits to an order and append its compact
 // coding (the entropy-packing step of Fig. 4). An invalid (non-
-// transitive) group coding fails the whole reconstruction. The key is
-// assembled into one preallocated vector through scratch codecs — attack
-// arms call this per hypothesis, so the per-group allocation churn of
-// the naive decode/concat loop matters.
+// transitive) group coding fails the whole reconstruction.
 func PackKey(g *Grouping, stream bitvec.Vector) (bitvec.Vector, error) {
 	var sc perm.Scratch
-	key := bitvec.New(KeyLen(g))
-	if err := PackKeyInto(g, stream, &sc, key); err != nil {
-		return bitvec.Vector{}, err
-	}
-	return key, nil
-}
-
-// PackKeyInto is PackKey into a caller-owned key buffer of length
-// KeyLen(g) through the caller's permutation scratch — the attack layer
-// packs one predicted key per hypothesis arm, so the codec buffers and
-// the key itself must be reusable.
-func PackKeyInto(g *Grouping, stream bitvec.Vector, sc *perm.Scratch, dst bitvec.Vector) error {
+	members := g.Members()
+	key := bitvec.New(keyLen(members))
 	at, keyAt := 0, 0
-	for id, members := range g.Members() {
-		n := len(members)
+	for id, group := range members {
+		n := len(group)
 		if n < 2 {
 			continue
 		}
 		bits := perm.KendallBits(n)
 		if at+bits > stream.Len() {
-			return fmt.Errorf("groupbased: stream exhausted at group %d: %w", id, ErrReconstructFailed)
+			return bitvec.Vector{}, fmt.Errorf("groupbased: stream exhausted at group %d: %w", id, ErrReconstructFailed)
 		}
 		order, err := sc.KendallDecodeAt(stream, at, n)
 		if err != nil {
-			return fmt.Errorf("groupbased: group %d: %v: %w", id, err, ErrReconstructFailed)
+			return bitvec.Vector{}, fmt.Errorf("groupbased: group %d: %v: %w", id, err, ErrReconstructFailed)
 		}
-		sc.CompactEncodeAt(dst, keyAt, order)
+		sc.CompactEncodeAt(key, keyAt, order)
 		keyAt += perm.CompactBits(n)
 		at += bits
 	}
-	return nil
+	return key, nil
 }
 
 // StreamLen returns the Kendall bitstream length of a grouping.
@@ -159,11 +146,13 @@ func StreamLen(g *Grouping) int {
 }
 
 // KeyLen returns the packed key length of a grouping.
-func KeyLen(g *Grouping) int {
+func KeyLen(g *Grouping) int { return keyLen(g.Members()) }
+
+func keyLen(members [][]int) int {
 	total := 0
-	for _, members := range g.Members() {
-		if len(members) >= 2 {
-			total += perm.CompactBits(len(members))
+	for _, group := range members {
+		if len(group) >= 2 {
+			total += perm.CompactBits(len(group))
 		}
 	}
 	return total
@@ -233,11 +222,17 @@ type Scratch struct {
 	idxs []int
 	// helper-derived caches, valid while helperValid is set.
 	helperValid bool
-	members     [][]int
-	streamLen   int
-	keyLen      int
-	blocks      int
-	block       *ecc.Block
+	// members holds every group's members, group after group in id
+	// order and ascending RO index within a group (the canonical label
+	// order); group id is members[starts[id]:starts[id+1]]. next is the
+	// fill cursor of layout.
+	members   []int
+	starts    []int
+	next      []int
+	streamLen int
+	keyLen    int
+	blocks    int
+	block     *ecc.Block
 	// per-measurement buffers.
 	padded    bitvec.Vector
 	corrected bitvec.Vector
@@ -271,32 +266,97 @@ func (sc *Scratch) InvalidateSilicon() {
 	sc.bases.Invalidate()
 }
 
+// group returns the members of group id, ascending.
+func (sc *Scratch) group(id int) []int { return sc.members[sc.starts[id]:sc.starts[id+1]] }
+
+// numGroups returns the group count of the laid-out grouping.
+func (sc *Scratch) numGroups() int { return len(sc.starts) - 1 }
+
+// layout validates a grouping of n oscillators and rebuilds, in
+// scratch-owned buffers, everything Reconstruct derives from it: the
+// member lists, the sparse measurement set and the stream and key
+// lengths. Its passes detect every fault Grouping.Validate checks for
+// and return Validate's error for it; a valid grouping costs no
+// allocation once the buffers have grown. On error the grouping caches
+// are left invalid.
+func (sc *Scratch) layout(assign []int, n int) error {
+	sc.groupsValid = false
+	num := 0
+	for _, id := range assign {
+		num = max(num, id+1)
+	}
+	// n oscillators fill at most n groups, so num > n means a fault —
+	// caught before the buffers below grow to an untrusted id.
+	if len(assign) != n || num == 0 || num > n {
+		return validateGrouping(assign, n)
+	}
+	// Counting sort by group id: sizes into starts[id+1], checked and
+	// summed into stream and key lengths, then prefix-summed.
+	starts := resizeInts(&sc.starts, num+1)
+	clear(starts)
+	for _, id := range assign {
+		if id < 0 {
+			return validateGrouping(assign, n)
+		}
+		starts[id+1]++
+	}
+	sc.streamLen, sc.keyLen = 0, 0
+	for id := range num {
+		size := starts[id+1]
+		if size == 0 {
+			return validateGrouping(assign, n)
+		}
+		if size >= 2 {
+			sc.streamLen += perm.KendallBits(size)
+			sc.keyLen += perm.CompactBits(size)
+		}
+		starts[id+1] += starts[id]
+	}
+	// One ascending pass fills the member lists and the measurement set
+	// in RO order.
+	members := resizeInts(&sc.members, n)
+	next := append(sc.next[:0], starts[:num]...)
+	sc.next = next
+	sc.idxs = sc.idxs[:0]
+	for ro, id := range assign {
+		members[next[id]] = ro
+		next[id]++
+		if starts[id+1]-starts[id] >= 2 {
+			sc.idxs = append(sc.idxs, ro)
+		}
+	}
+	sc.lastAssign = append(sc.lastAssign[:0], assign...)
+	sc.groupsValid = true
+	return nil
+}
+
+// validateGrouping reports the fault of a malformed assignment.
+func validateGrouping(assign []int, n int) error {
+	g := Grouping{Assign: assign}
+	return g.Validate(n)
+}
+
+// resizeInts returns *buf resized to n elements, reallocating only on
+// growth. Contents are unspecified.
+func resizeInts(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // refresh (re)builds the helper-derived caches, mirroring the structural
 // validation order of the legacy Reconstruct so failure modes and their
 // errors are unchanged.
 func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
-	groupsSame := sc.groupsValid && slices.Equal(sc.lastAssign, h.Grouping.Assign)
-	if !groupsSame {
-		if err := h.Grouping.Validate(a.N()); err != nil {
+	if !sc.groupsValid || !slices.Equal(sc.lastAssign, h.Grouping.Assign) {
+		if err := sc.layout(h.Grouping.Assign, a.N()); err != nil {
 			return err
 		}
 	}
 	if h.Offset.Len()%p.Code.N() != 0 || h.Offset.Len() == 0 {
 		return fmt.Errorf("groupbased: offset length %d not a block multiple", h.Offset.Len())
-	}
-	if !groupsSame {
-		sc.members = h.Grouping.Members()
-		sc.streamLen = StreamLen(&h.Grouping)
-		sc.keyLen = KeyLen(&h.Grouping)
-		sc.idxs = sc.idxs[:0]
-		for _, members := range sc.members {
-			if len(members) >= 2 {
-				sc.idxs = append(sc.idxs, members...)
-			}
-		}
-		slices.Sort(sc.idxs)
-		sc.lastAssign = append(sc.lastAssign[:0], h.Grouping.Assign...)
-		sc.groupsValid = true
 	}
 	if sc.streamLen > h.Offset.Len() {
 		return fmt.Errorf("groupbased: offset too short for grouping stream")
@@ -317,11 +377,11 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	}
 	padLen := blocks * p.Code.N()
 	if sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.corrected = bitvec.New(padLen)
+		sc.padded = sc.padded.Resized(padLen)
+		sc.corrected = sc.corrected.Resized(padLen)
 	}
 	if sc.key.Len() != sc.keyLen {
-		sc.key = bitvec.New(sc.keyLen)
+		sc.key = sc.key.Resized(sc.keyLen)
 	}
 	sc.helperValid = true
 	return nil
@@ -362,8 +422,15 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 	// block buffer (the fusion of KendallStream and padToBlocks).
 	sc.padded.Zero()
 	at := 0
-	for _, members := range sc.members {
-		if len(members) < 2 {
+	for id := range sc.numGroups() {
+		members := sc.group(id)
+		switch len(members) {
+		case 0, 1:
+			continue
+		case 2:
+			// The pair's one Kendall bit: label 1 precedes label 0.
+			sc.padded.Set(at, sc.resid[members[1]] > sc.resid[members[0]])
+			at++
 			continue
 		}
 		vals := sc.groupVals
@@ -385,21 +452,28 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: h.Offset}, sc.padded, &sc.ws, sc.corrected); !ok {
 		return bitvec.Vector{}, ErrReconstructFailed
 	}
-	return sc.packKeyInto(h, sc.corrected)
+	return sc.packKeyInto(sc.corrected)
 }
 
 // packKeyInto is PackKey into the scratch key buffer, using the cached
-// member lists and stream offsets.
-func (sc *Scratch) packKeyInto(h *Helper, stream bitvec.Vector) (bitvec.Vector, error) {
+// member lists and stream offsets. A two-member group's Kendall bit is
+// its compact coding, so it is copied as the key bit.
+func (sc *Scratch) packKeyInto(stream bitvec.Vector) (bitvec.Vector, error) {
 	at, keyAt := 0, 0
-	for id, members := range sc.members {
-		n := len(members)
+	for id := range sc.numGroups() {
+		n := sc.starts[id+1] - sc.starts[id]
 		if n < 2 {
 			continue
 		}
 		bits := perm.KendallBits(n)
 		if at+bits > stream.Len() {
 			return bitvec.Vector{}, fmt.Errorf("groupbased: stream exhausted at group %d: %w", id, ErrReconstructFailed)
+		}
+		if n == 2 {
+			sc.key.Set(keyAt, stream.Get(at))
+			keyAt++
+			at++
+			continue
 		}
 		order, err := sc.perm.KendallDecodeAt(stream, at, n)
 		if err != nil {

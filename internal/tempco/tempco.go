@@ -499,9 +499,17 @@ func CountClasses(h Helper) (good, bad, coop int) {
 
 // --- NVM serialization ---
 
-// Marshal serializes the helper for NVM.
+// helperRecord is the NVM size of one pair record: A and B (uint16),
+// class (one byte), Tl and Th (float64 bits), MaskIdx and HelpIdx
+// (int16).
+const helperRecord = 2 + 2 + 1 + 8 + 8 + 2 + 2
+
+// Marshal serializes the helper for NVM: the pair count, one record per
+// pair, then the offset as a uint32 bit length and its packed bytes,
+// into one buffer sized up front.
 func (h Helper) Marshal() []byte {
-	buf := binary.LittleEndian.AppendUint16(nil, uint16(len(h.Pairs)))
+	buf := make([]byte, 0, 2+len(h.Pairs)*helperRecord+4+(h.Offset.Len()+7)/8)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.Pairs)))
 	for _, info := range h.Pairs {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(info.Pair.A))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(info.Pair.B))
@@ -511,20 +519,19 @@ func (h Helper) Marshal() []byte {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(info.MaskIdx)))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(info.HelpIdx)))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Offset.Len()))
-	buf = append(buf, h.Offset.Bytes()...)
+	// bitvec's binary format is exactly the length-prefixed packing.
+	buf, _ = h.Offset.AppendBinary(buf)
 	return buf
 }
 
 // UnmarshalHelper parses NVM bytes into a helper.
 func UnmarshalHelper(data []byte) (Helper, error) {
-	const rec = 2 + 2 + 1 + 8 + 8 + 2 + 2
 	if len(data) < 2 {
 		return Helper{}, errors.New("tempco: helper truncated")
 	}
 	n := int(binary.LittleEndian.Uint16(data))
 	at := 2
-	if len(data) < at+n*rec+4 {
+	if len(data) < at+n*helperRecord+4 {
 		return Helper{}, errors.New("tempco: helper truncated")
 	}
 	h := Helper{Pairs: make([]PairInfo, n)}
@@ -537,7 +544,7 @@ func UnmarshalHelper(data []byte) (Helper, error) {
 		p.Th = math.Float64frombits(binary.LittleEndian.Uint64(data[at+13:]))
 		p.MaskIdx = int(int16(binary.LittleEndian.Uint16(data[at+21:])))
 		p.HelpIdx = int(int16(binary.LittleEndian.Uint16(data[at+23:])))
-		at += rec
+		at += helperRecord
 	}
 	obits := int(binary.LittleEndian.Uint32(data[at:]))
 	at += 4

@@ -1,6 +1,8 @@
 package tempco
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -352,6 +354,45 @@ func TestHelperMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalHelper(h.Marshal()[:10]); err == nil {
 		t.Fatal("truncated helper must fail")
+	}
+}
+
+// TestHelperMarshalBytesUnchanged pins the presized Marshal to the
+// field-by-field append encoding it replaced, and checks that it
+// allocates its buffer exactly once.
+func TestHelperMarshalBytesUnchanged(t *testing.T) {
+	reference := func(h Helper) []byte {
+		buf := binary.LittleEndian.AppendUint16(nil, uint16(len(h.Pairs)))
+		for _, info := range h.Pairs {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(info.Pair.A))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(info.Pair.B))
+			buf = append(buf, byte(info.Class))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(info.Tl))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(info.Th))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(info.MaskIdx)))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(info.HelpIdx)))
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(h.Offset.Len()))
+		return append(buf, h.Offset.Bytes()...)
+	}
+	p := testParams()
+	for seed := uint64(0); seed < 4; seed++ {
+		h, _, err := enroll(testArray(50+seed, p), p, rng.New(60+seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, trim := range []int{0, 1, 9} {
+			h.Offset = h.Offset.Slice(0, h.Offset.Len()-trim)
+			if got, want := h.Marshal(), reference(h); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d trim %d: Marshal differs from the reference encoding", seed, trim)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { h.Marshal() }); allocs != 1 {
+			t.Fatalf("Marshal allocates %.0f/op, want 1", allocs)
+		}
+	}
+	if got := (Helper{}).Marshal(); !bytes.Equal(got, reference(Helper{})) {
+		t.Fatalf("empty helper: %x", got)
 	}
 }
 
