@@ -33,7 +33,7 @@ func TestDeterministicSelectionLeaksForFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		bit := refBits(d)
-		cons := AnalyzeDeterministicSelectionLeakage(d.ReadHelper())
+		cons := analyzeDeterministicSelectionLeakage(d.ReadHelper())
 		for _, c := range cons {
 			totalConstraints++
 			if (bit(c.PairA) != bit(c.PairB)) == c.Differ {
@@ -66,7 +66,7 @@ func TestRandomSelectionDefeatsTheLeakage(t *testing.T) {
 			t.Fatal(err)
 		}
 		bit := refBits(d)
-		for _, c := range AnalyzeDeterministicSelectionLeakage(d.ReadHelper()) {
+		for _, c := range analyzeDeterministicSelectionLeakage(d.ReadHelper()) {
 			totalConstraints++
 			if (bit(c.PairA) != bit(c.PairB)) == c.Differ {
 				correct++
@@ -81,4 +81,65 @@ func TestRandomSelectionDefeatsTheLeakage(t *testing.T) {
 		t.Fatalf("random selection still leaks: %.2f of pseudo-constraints hold", frac)
 	}
 	t.Logf("random selection: only %.2f of pseudo-constraints hold (%d/%d)", frac, correct, totalConstraints)
+}
+
+// The paper's §IV-D remark, implemented: "The second cooperating pair
+// should be selected at random and hence not with a deterministic
+// procedure that iterates over all candidates until the masking
+// constraint is met. Otherwise, one exposes the following information
+// for all non-selected candidates: rcj != rci."
+//
+// analyzeDeterministicSelectionLeakage turns that observation into a
+// ZERO-QUERY attack step: reading the helper data of a device enrolled
+// with tempco.DeterministicSelection yields hard XOR constraints between
+// cooperating-pair bits before the first oracle query is spent.
+
+// leakageConstraint is one bit relation extracted from helper data alone.
+type leakageConstraint struct {
+	// PairA, PairB index the helper's pair list.
+	PairA, PairB int
+	// Differ reports r_A != r_B.
+	Differ bool
+}
+
+// analyzeDeterministicSelectionLeakage extracts the §IV-D constraints
+// from a temperature-aware helper enrolled with first-fit selection.
+//
+// For every cooperating pair c whose helper record designates pair ci:
+//   - the selected candidate satisfies the masking constraint, giving
+//     r_c XOR r_g = r_ci — a three-way constraint the attack framework
+//     uses elsewhere; and
+//   - every LOWER-INDEXED cooperating pair j that was eligible (valid
+//     class, non-intersecting crossover interval) but NOT selected must
+//     have failed the constraint: r_j != r_ci. That inequality is the
+//     free leakage this function returns.
+//
+// With RandomSelection the same scan produces constraints that are wrong
+// about half the time — the tests above use that contrast to demonstrate
+// why the paper demands randomized selection.
+func analyzeDeterministicSelectionLeakage(h tempco.Helper) []leakageConstraint {
+	var out []leakageConstraint
+	for _, info := range h.Pairs {
+		if info.Class != tempco.Cooperating || info.HelpIdx < 0 {
+			continue
+		}
+		ci := info.HelpIdx
+		for j := 0; j < ci; j++ {
+			cand := h.Pairs[j]
+			if cand.Class != tempco.Cooperating {
+				continue
+			}
+			if intervalsOverlap(info.Tl, info.Th, cand.Tl, cand.Th) {
+				continue // ineligible, reveals nothing
+			}
+			// Eligible but skipped by the first-fit scan: its bit must
+			// differ from the selected pair's bit.
+			out = append(out, leakageConstraint{PairA: j, PairB: ci, Differ: true})
+		}
+	}
+	return out
+}
+
+func intervalsOverlap(al, ah, bl, bh float64) bool {
+	return al <= bh && bl <= ah
 }

@@ -378,8 +378,8 @@ func (m *Manager) adopt(lj *loadedJob) error {
 			continue
 		}
 		from, to := shardBounds(s, j.spec.Seeds, j.spec.ShardSize)
-		if len(outs) != to-from || outs[0].Index != from {
-			m.logf("campaignd: job %s: shard %d bounds mismatch, re-running", lj.id, s)
+		if len(outs) != to-from || !shardMatches(outs, from, j.spec.BaseSeed) {
+			m.logf("campaignd: job %s: shard %d does not match the spec, re-running", lj.id, s)
 			continue
 		}
 		j.done[s] = true
@@ -430,6 +430,20 @@ func (m *Manager) adopt(lj *loadedJob) error {
 		m.start(j)
 	}
 	return nil
+}
+
+// shardMatches reports whether outs are the outcomes of the task
+// indices from, from+1, ... of a campaign with base seed base. A shard
+// record's digest covers only its outcomes, so a record that outlived a
+// change to the spec record (a corrupted base seed) passes its digest
+// check and is caught here.
+func shardMatches(outs []campaign.Outcome, from int, base uint64) bool {
+	for k, o := range outs {
+		if o.Index != from+k || o.Seed != rng.StreamSeed(base, uint64(from+k)) {
+			return false
+		}
+	}
+	return true
 }
 
 func (m *Manager) install(j *job) {

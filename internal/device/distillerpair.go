@@ -87,22 +87,18 @@ type DistillerPairDevice struct {
 
 // distillerScratch is the device's reusable reconstruction state:
 // the distiller surface evaluated on the grid, the resolved pair list,
-// and the measurement/codeword buffers. Per-device, not concurrency-safe.
+// the readout and the codeword buffers. Per-device, not
+// concurrency-safe.
 type distillerScratch struct {
 	helperValid bool
-	freq        []float64
-	resid       []float64
 	grid        []float64
 	sel         []pairing.Pair
 	selBuf      []pairing.Pair
 	selErr      error
-	// idxs lists, ascending, the oscillators the resolved pair list
-	// references — the sparse measurement set (O(k) noise draws). Empty
-	// while the masking selection is invalid.
-	idxs []int
-	want []bool
-	// bases caches the noise-free frequency vector per environment.
-	bases     silicon.BaseCache
+	// ro reads the distilled residuals (frequency minus the grid) and
+	// draws noise only where it can change a pair's comparison; it
+	// compares no pair while the masking selection is invalid.
+	ro        silicon.Readout
 	blocks    int
 	block     *ecc.Block
 	padded    bitvec.Vector
@@ -124,16 +120,12 @@ type distillerScratch struct {
 // build (outcomes are pure functions of that content).
 func (d *DistillerPairDevice) refreshScratch() {
 	sc := &d.scratch
-	n := d.arr.N()
-	if cap(sc.freq) < n {
-		sc.freq = make([]float64, n)
-	}
-	sc.freq = sc.freq[:n]
 	if !sc.gridValid || d.nvm.Poly.P != sc.lastP || !slices.Equal(sc.lastBeta, d.nvm.Poly.Beta) {
 		sc.grid = d.nvm.Poly.EvalGrid(d.params.Rows, d.params.Cols, sc.grid)
 		sc.lastP = d.nvm.Poly.P
 		sc.lastBeta = append(sc.lastBeta[:0], d.nvm.Poly.Beta...)
 		sc.gridValid = true
+		sc.ro.SetOffsets(sc.grid)
 	}
 	switch d.params.Mode {
 	case MaskedChain:
@@ -146,28 +138,10 @@ func (d *DistillerPairDevice) refreshScratch() {
 			sc.lastK = d.nvm.Masking.K
 			sc.lastSelected = append(sc.lastSelected[:0], d.nvm.Masking.Selected...)
 			sc.selValid = true
+			sc.ro.Invalidate()
 		}
 	default:
 		sc.sel, sc.selErr = d.basePair, nil
-	}
-	if cap(sc.want) < n {
-		sc.want = make([]bool, n)
-	}
-	sc.want = sc.want[:n]
-	for i := range sc.want {
-		sc.want[i] = false
-	}
-	sc.idxs = sc.idxs[:0]
-	if sc.selErr == nil {
-		for _, p := range sc.sel {
-			sc.want[p.A] = true
-			sc.want[p.B] = true
-		}
-		for i, wanted := range sc.want {
-			if wanted {
-				sc.idxs = append(sc.idxs, i)
-			}
-		}
 	}
 	cn := d.params.Code.N()
 	blocks := (len(sc.sel) + cn - 1) / cn
@@ -257,7 +231,7 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	d.enrolled = resp
 	d.bind.reset(resp)
 	d.scratch.helperValid = false
-	d.scratch.bases.Invalidate()
+	d.scratch.ro.Reset()
 	return d, nil
 }
 
@@ -339,8 +313,15 @@ func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *si
 	if !sc.helperValid {
 		d.refreshScratch()
 	}
-	f := d.arr.MeasureSparseBase(sc.freq, sc.idxs, sc.bases.For(d.arr, env), nm)
-	sc.resid = distiller.DistillSparse(sc.resid, f, sc.grid, sc.idxs)
+	if sc.ro.Stale(d.arr, env) {
+		if sc.selErr == nil {
+			for _, p := range sc.sel {
+				sc.ro.Compare(p.A, p.B)
+			}
+		}
+		sc.ro.Split()
+	}
+	resid := sc.ro.Measure(nm)
 	if sc.selErr != nil {
 		return 0, sc.selErr
 	}
@@ -349,7 +330,7 @@ func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *si
 	}
 	sc.padded.Zero()
 	for i, p := range sc.sel {
-		if pairing.ResponseBit(sc.resid, p) {
+		if pairing.ResponseBit(resid, p) {
 			sc.padded.Set(i, true)
 		}
 	}

@@ -91,9 +91,9 @@ func TestEnrollReuseMatchesFresh(t *testing.T) {
 				if !pooled.TrueKey().Equal(fresh.TrueKey()) {
 					t.Fatalf("seeds %v: reuse enrolled a different key", seeds)
 				}
-				// Warm the BaseCache at one environment, then move the
-				// operating point: a stale noise-free frequency cache
-				// from the previous silicon diverges immediately.
+				// Move the operating point: a readout holding the
+				// previous silicon's noise-free frequencies or split
+				// diverges immediately.
 				fresh.SetEnvironment(silicon.Environment{TempC: 60, VoltageV: 1.2})
 				pooled.SetEnvironment(silicon.Environment{TempC: 60, VoltageV: 1.2})
 				if !tracesEqual(appTrace(fresh, queries), appTrace(pooled, queries)) {

@@ -43,16 +43,13 @@ type SeqPairDevice struct {
 }
 
 // seqPairScratch is the device's reusable reconstruction state: the
-// sparse-measurement mask derived from the stored pair list, the
-// frequency and codeword buffers, and the ECC decode workspace. It makes
-// a steady-state App call allocation-free; WriteHelper invalidates it.
-// Scratch is per-device state, NOT concurrency-safe.
+// readout of the stored pairs' oscillators, the codeword buffers, and
+// the ECC decode workspace. It makes a steady-state App call
+// allocation-free; WriteHelper invalidates it. Scratch is per-device
+// state, NOT concurrency-safe.
 type seqPairScratch struct {
 	helperValid bool
-	freq        []float64
-	want        []bool
-	idxs        []int
-	bases       silicon.BaseCache
+	ro          silicon.Readout
 	blocks      int
 	block       *ecc.Block
 	padded      bitvec.Vector
@@ -63,26 +60,7 @@ type seqPairScratch struct {
 // refresh rebuilds the helper-derived caches from the current NVM.
 func (d *SeqPairDevice) refreshScratch() {
 	sc := &d.scratch
-	n := d.arr.N()
-	if cap(sc.want) < n {
-		sc.want = make([]bool, n)
-		sc.freq = make([]float64, n)
-	}
-	sc.want = sc.want[:n]
-	sc.freq = sc.freq[:n]
-	for i := range sc.want {
-		sc.want[i] = false
-	}
-	for _, p := range d.nvm.Pairs.Pairs {
-		sc.want[p.A] = true
-		sc.want[p.B] = true
-	}
-	sc.idxs = sc.idxs[:0]
-	for i, wanted := range sc.want {
-		if wanted {
-			sc.idxs = append(sc.idxs, i)
-		}
-	}
+	sc.ro.Invalidate()
 	cn := d.params.Code.N()
 	blocks := (len(d.nvm.Pairs.Pairs) + cn - 1) / cn
 	if blocks == 0 {
@@ -148,11 +126,10 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 	d.src = srcRun
 	d.noise = noise
 	// The remanufactured array lives at the same pointer, so the
-	// env+length check of the scratch's BaseCache cannot detect the
-	// content change — invalidate explicitly along with the
-	// helper-derived caches.
+	// readout cannot detect the content change: reset it explicitly
+	// along with the helper-derived caches.
 	d.scratch.helperValid = false
-	d.scratch.bases.Invalidate()
+	d.scratch.ro.Reset()
 	return d, nil
 }
 
@@ -201,17 +178,23 @@ func (d *SeqPairDevice) Code() ecc.Code { return d.params.Code }
 
 // App reconstructs the key from current NVM and fresh measurements and
 // compares it with the enrolled reference. The reconstruction runs
-// entirely in the device's scratch buffers (sparse measurement of the
-// helper-referenced oscillators, decode-into ECC), allocation-free in
-// steady state.
+// entirely in the device's scratch buffers (a readout of the stored
+// pairs' oscillators, decode-into ECC), allocation-free in steady
+// state.
 func (d *SeqPairDevice) App() bool {
 	d.addQuery()
 	sc := &d.scratch
 	if !sc.helperValid {
 		d.refreshScratch()
 	}
-	f := d.arr.MeasureSparseBase(sc.freq, sc.idxs, sc.bases.For(d.arr, d.env), d.noise)
 	pairs := d.nvm.Pairs.Pairs
+	if sc.ro.Stale(d.arr, d.env) {
+		for _, p := range pairs {
+			sc.ro.Compare(p.A, p.B)
+		}
+		sc.ro.Split()
+	}
+	f := sc.ro.Measure(d.noise)
 	if len(pairs) != d.key.Len() {
 		return false
 	}

@@ -265,24 +265,6 @@ func DistillWithGrid(dst, f, grid []float64) []float64 {
 	return dst
 }
 
-// DistillSparse subtracts the surface only at the listed cells — the
-// companion of silicon.MeasureSparse for reconstructions whose helper
-// references a subset of the array. Entries of dst outside idxs are
-// scratch garbage the caller must not read.
-func DistillSparse(dst, f, grid []float64, idxs []int) []float64 {
-	if len(f) != len(grid) {
-		panic(fmt.Sprintf("distiller: %d samples for %d-cell grid", len(f), len(grid)))
-	}
-	if cap(dst) < len(f) {
-		dst = make([]float64, len(f))
-	}
-	dst = dst[:len(f)]
-	for _, idx := range idxs {
-		dst[idx] = f[idx] - grid[idx]
-	}
-	return dst
-}
-
 // Variance returns the population variance of a sample set; used to
 // report the systematic/random decomposition of experiment E2 (Fig. 2).
 func Variance(xs []float64) float64 {

@@ -46,26 +46,18 @@ func pairsGrouping(src *rng.Source, n, p int) Grouping {
 	return shapedGrouping(src, n, slices.Repeat([]int{2}, p)...)
 }
 
-// checkLayout compares the scratch's member lists, measurement set and
-// lengths against the Grouping methods they replace.
+// checkLayout compares the scratch's member lists and lengths against
+// the Grouping methods they replace.
 func checkLayout(t *testing.T, sc *Scratch, g *Grouping) {
 	t.Helper()
 	members := g.Members()
 	if sc.numGroups() != len(members) {
 		t.Fatalf("scratch has %d groups, Members %d", sc.numGroups(), len(members))
 	}
-	var idxs []int
 	for id, group := range members {
 		if !slices.Equal(sc.group(id), group) {
 			t.Fatalf("group %d: scratch members %v, Members %v", id, sc.group(id), group)
 		}
-		if len(group) >= 2 {
-			idxs = append(idxs, group...)
-		}
-	}
-	slices.Sort(idxs)
-	if !slices.Equal(sc.idxs, idxs) {
-		t.Fatalf("scratch idxs %v, want %v", sc.idxs, idxs)
 	}
 	if sc.streamLen != StreamLen(g) || sc.keyLen != KeyLen(g) {
 		t.Fatalf("scratch lengths stream %d key %d, want %d and %d", sc.streamLen, sc.keyLen, StreamLen(g), KeyLen(g))
@@ -236,5 +228,90 @@ func TestPrepareNewGroupingAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, prepare); allocs != 0 {
 		t.Fatalf("Prepare on a new grouping allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// noisyReconstruct is the reference Reconstruct: every oscillator
+// measured with noise, the residuals distilled, and the Grouping-method
+// pipeline KendallStream → ecc.Reproduce → PackKey. It also returns
+// the padded stream before error correction.
+func noisyReconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise) (bitvec.Vector, bitvec.Vector, error) {
+	f := a.MeasureIntoWith(make([]float64, a.N()), env, nm)
+	resid := distiller.Distill(p.Rows, p.Cols, f, h.Poly)
+	stream, blocks := padToBlocks(KendallStream(&h.Grouping, resid), p.Code)
+	corrected, _, ok := ecc.Reproduce(ecc.NewBlock(p.Code, blocks), ecc.Offset{W: h.Offset}, stream)
+	if !ok {
+		return bitvec.Vector{}, stream, ErrReconstructFailed
+	}
+	key, err := PackKey(&h.Grouping, corrected)
+	return key, stream, err
+}
+
+// TestReconstructMatchesNoisyReference checks that reading only the
+// oscillators whose noise can change an order (silicon.Readout) is
+// exact: at σ = 0.05, 0.3 and 0.5, across temperatures, random
+// groupings of up to 8 members and offsets pushed past the ECC radius,
+// Reconstruct returns the key and error of a reconstruction that
+// measures every oscillator with the same noise, from the same stream
+// before error correction.
+func TestReconstructMatchesNoisyReference(t *testing.T) {
+	p := testParams()
+	noisy, quiet, failures, queries := 0, 0, 0, 0
+	for _, sigma := range []float64{0.05, 0.3, 0.5} {
+		cfg := silicon.DefaultConfig(p.Rows, p.Cols)
+		cfg.NoiseSigmaMHz = sigma
+		a := silicon.NewArray(cfg, rng.New(1000))
+		h, _, err := enroll(a, p, rng.New(1001))
+		if err != nil {
+			t.Fatal(err)
+		}
+		enrolled := distiller.Distill(p.Rows, p.Cols, a.TrueFreqInto(make([]float64, a.N()), cfg.NominalEnv()), h.Poly)
+		nm := a.NewNoise(rng.New(1002))
+		src := rng.New(1003)
+		var sc Scratch
+		for trial := 0; trial < 40; trial++ {
+			if trial > 0 {
+				g := randomGrouping(src, a.N(), 6)
+				padded, blocks := padToBlocks(KendallStream(&g, enrolled), p.Code)
+				h.Grouping = g
+				h.Offset = ecc.EnrollOffset(ecc.NewBlock(p.Code, blocks), padded, src).W
+				if trial%4 == 3 {
+					for i := 0; i <= p.Code.T(); i++ {
+						h.Offset.Flip(src.Intn(p.Code.N()))
+					}
+				}
+				sc.Invalidate()
+			}
+			env := cfg.NominalEnv()
+			env.TempC += float64(src.Intn(20)) - 10
+			for range 5 {
+				ref := *nm
+				key, err := Reconstruct(a, p, &h, env, nm, &sc)
+				wantKey, wantStream, wantErr := noisyReconstruct(a, p, &h, env, &ref)
+				if !sc.padded.Equal(wantStream) {
+					t.Fatalf("σ=%v trial %d: stream %s, reference %s", sigma, trial, sc.padded, wantStream)
+				}
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("σ=%v trial %d: err %v, reference %v", sigma, trial, err, wantErr)
+				}
+				if err == nil && !key.Equal(wantKey) {
+					t.Fatalf("σ=%v trial %d: key %s, reference %s", sigma, trial, key, wantKey)
+				}
+				if err != nil {
+					failures++
+				}
+				queries++
+				noisy += sc.ro.Noisy()
+				for _, g := range h.Grouping.Members() {
+					if len(g) >= 2 {
+						quiet += len(g)
+					}
+				}
+				quiet -= sc.ro.Noisy()
+			}
+		}
+	}
+	if noisy == 0 || quiet == 0 || failures == 0 || failures == queries {
+		t.Fatalf("%d noisy and %d quiet reads, %d of %d failed: every path must be exercised", noisy, quiet, failures, queries)
 	}
 }

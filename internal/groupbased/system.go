@@ -210,16 +210,13 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 // member lists, distiller surface, stream geometry) are rebuilt. Not
 // safe for concurrent use.
 type Scratch struct {
-	freq  []float64
+	grid []float64
+	// ro reads the distilled residuals and draws noise only where it
+	// can change an order within a group of two or more members (the
+	// only residuals the Kendall coding reads); resid is the last
+	// reading.
+	ro    silicon.Readout
 	resid []float64
-	grid  []float64
-	// bases caches the noise-free frequency vector per environment.
-	bases silicon.BaseCache
-	// idxs lists, ascending, the oscillators belonging to groups of two
-	// or more members — the only cells whose residuals the Kendall
-	// coding reads, and therefore the sparse measurement set (O(k)
-	// noise draws).
-	idxs []int
 	// helper-derived caches, valid while helperValid is set.
 	helperValid bool
 	// members holds every group's members, group after group in id
@@ -256,14 +253,14 @@ type Scratch struct {
 func (sc *Scratch) Invalidate() { sc.helperValid = false }
 
 // InvalidateSilicon additionally drops the caches derived from the
-// silicon array's contents (the noise-free frequency vectors). Required
-// on the device-pool path, where Array.Remanufactured changes the
-// array's contents under the same pointer; buffer capacity and the
+// silicon array's contents (the readout's noise-free frequencies).
+// Required on the device-pool path, where Array.Remanufactured changes
+// the array's contents under the same pointer; buffer capacity and the
 // helper-content fingerprints are kept (those are pure functions of
 // helper content, not of the silicon).
 func (sc *Scratch) InvalidateSilicon() {
 	sc.helperValid = false
-	sc.bases.Invalidate()
+	sc.ro.Reset()
 }
 
 // group returns the members of group id, ascending.
@@ -274,11 +271,10 @@ func (sc *Scratch) numGroups() int { return len(sc.starts) - 1 }
 
 // layout validates a grouping of n oscillators and rebuilds, in
 // scratch-owned buffers, everything Reconstruct derives from it: the
-// member lists, the sparse measurement set and the stream and key
-// lengths. Its passes detect every fault Grouping.Validate checks for
-// and return Validate's error for it; a valid grouping costs no
-// allocation once the buffers have grown. On error the grouping caches
-// are left invalid.
+// member lists and the stream and key lengths. Its passes detect every
+// fault Grouping.Validate checks for and return Validate's error for
+// it; a valid grouping costs no allocation once the buffers have grown.
+// On error the grouping caches are left invalid.
 func (sc *Scratch) layout(assign []int, n int) error {
 	sc.groupsValid = false
 	num := 0
@@ -312,18 +308,13 @@ func (sc *Scratch) layout(assign []int, n int) error {
 		}
 		starts[id+1] += starts[id]
 	}
-	// One ascending pass fills the member lists and the measurement set
-	// in RO order.
+	// One ascending pass fills the member lists in RO order.
 	members := resizeInts(&sc.members, n)
 	next := append(sc.next[:0], starts[:num]...)
 	sc.next = next
-	sc.idxs = sc.idxs[:0]
 	for ro, id := range assign {
 		members[next[id]] = ro
 		next[id]++
-		if starts[id+1]-starts[id] >= 2 {
-			sc.idxs = append(sc.idxs, ro)
-		}
 	}
 	sc.lastAssign = append(sc.lastAssign[:0], assign...)
 	sc.groupsValid = true
@@ -351,6 +342,7 @@ func resizeInts(buf *[]int, n int) []int {
 // errors are unchanged.
 func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	if !sc.groupsValid || !slices.Equal(sc.lastAssign, h.Grouping.Assign) {
+		sc.ro.Invalidate()
 		if err := sc.layout(h.Grouping.Assign, a.N()); err != nil {
 			return err
 		}
@@ -366,6 +358,7 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 		sc.lastP = h.Poly.P
 		sc.lastBeta = append(sc.lastBeta[:0], h.Poly.Beta...)
 		sc.gridValid = true
+		sc.ro.SetOffsets(sc.grid)
 	}
 	blocks := (sc.streamLen + p.Code.N() - 1) / p.Code.N()
 	if blocks == 0 {
@@ -404,20 +397,26 @@ func Prepare(a *silicon.Array, p Params, h *Helper, sc *Scratch) error {
 // performs the honest device's structural validation, then follows the
 // helper blindly — the paper's threat model.
 //
-// Only the oscillators in groups of two or more members are measured
-// and distilled (MeasureSparseBase + DistillSparse, O(k) noise draws).
-// This is the hot path the devices run per oracle query, free of
-// steady-state allocations, in caller-owned scratch: the returned key
-// is scratch-owned and valid until the next call; clone it to retain it.
+// The residuals come from a silicon.Readout, which draws noise only
+// for the oscillators whose noise can change an order within their
+// group of two or more members: the order comes from a comparison sort
+// (perm.OrderInto), so fixed pairwise outcomes fix it. This is the hot
+// path the devices run per oracle query, free of steady-state
+// allocations, in caller-owned scratch: the returned key is
+// scratch-owned and valid until the next call; clone it to retain it.
 func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
 	if err := Prepare(a, p, h, sc); err != nil {
 		return bitvec.Vector{}, err
 	}
-	if cap(sc.freq) < a.N() {
-		sc.freq = make([]float64, a.N())
+	if sc.ro.Stale(a, env) {
+		for id := range sc.numGroups() {
+			if members := sc.group(id); len(members) >= 2 {
+				sc.ro.CompareAll(members)
+			}
+		}
+		sc.ro.Split()
 	}
-	f := a.MeasureSparseBase(sc.freq[:a.N()], sc.idxs, sc.bases.For(a, env), nm)
-	sc.resid = distiller.DistillSparse(sc.resid, f, sc.grid, sc.idxs)
+	sc.resid = sc.ro.Measure(nm)
 	// Kendall-code the per-group orders straight into the zero-padded
 	// block buffer (the fusion of KendallStream and padToBlocks).
 	sc.padded.Zero()

@@ -74,6 +74,18 @@ func (s BlockSweep) NormPair(blk uint64) (z0, z1 float64) {
 	}
 }
 
+// NormMax bounds every variate of the counter-mode sampler: |z| <
+// NormMax for each value NormPair, Norm and FillNorm return. The
+// uniforms are u = k·2⁻⁵² − 1 for a 53-bit integer k, so u and v are
+// exact multiples of 2⁻⁵² and an accepted r2 = u² + v² is at least
+// 2⁻¹⁰⁴. With u² ≤ r2, |z| = |u|·√(−2 ln r2 / r2) ≤ √(−2 ln r2) ≤
+// √(208 ln 2) ≈ 12.00714, and the few roundings of the transform move
+// that by a few ulps, far inside the 12.01 margin. silicon.Readout
+// relies on the bound to prove that noise cannot change a comparison,
+// so a change of sampler must move this constant together with its
+// test (TestNormMaxBoundsPolar).
+const NormMax = 12.01
+
 // FillNorm writes the sweep's variates for indices [0, len(dst)) into
 // dst — the whole-array measurement fast path. It is exactly equivalent
 // to calling Norm(i) for every i, with the polar transform inlined and

@@ -134,3 +134,30 @@ func BenchmarkBlockSweepFillNorm(b *testing.B) {
 		NewBlockSweep(1, uint64(i)).FillNorm(dst)
 	}
 }
+
+// TestNormMaxBoundsPolar checks rng.NormMax at the extreme accepted
+// inputs of the polar transform, evaluated with exactly the arithmetic
+// of BlockSweep.NormPair: the smallest r2 (|u| = 2⁻⁵², v = 0) and the
+// smallest r2 with both uniforms nonzero (|u| = |v| = 2⁻⁵²). It also
+// pins the margin of the constant over the analytic bound √(208 ln 2).
+func TestNormMaxBoundsPolar(t *testing.T) {
+	const ulp = 1.0 / (1 << 52)
+	for _, in := range [][2]float64{
+		{ulp, 0}, {-ulp, 0}, {0, ulp}, {0, -ulp},
+		{ulp, ulp}, {-ulp, ulp}, {ulp, -ulp}, {-ulp, -ulp},
+	} {
+		u, v := in[0], in[1]
+		r2 := u*u + v*v
+		if r2 >= 1 || r2 == 0 {
+			t.Fatalf("(%g, %g) is not an accepted pair", u, v)
+		}
+		f := math.Sqrt(-2 * math.Log(r2) / r2)
+		z0, z1 := u*f, v*f
+		if math.Abs(z0) >= NormMax || math.Abs(z1) >= NormMax {
+			t.Fatalf("polar(%g, %g) = (%v, %v) reaches NormMax %v", u, v, z0, z1, NormMax)
+		}
+	}
+	if margin := NormMax - math.Sqrt(208*math.Ln2); margin <= 1e-3 {
+		t.Fatalf("NormMax %v is only %g above sqrt(208 ln 2)", NormMax, margin)
+	}
+}

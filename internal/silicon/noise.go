@@ -2,11 +2,12 @@
 // Gaussian variate per oscillator scaled by Config.NoiseSigmaMHz, and
 // each variate is keyed by the identity triple (noise seed, measurement
 // sweep counter, oscillator index) through the counter-block generator
-// of rng.BlockNorm. There is no stream to keep aligned, so subset
-// measurement draws exactly the k variates it needs (genuinely O(k)),
-// devices are independent by key, and per-sweep noise is embarrassingly
-// parallel. Transcripts are pinned by the goldens under
-// testdata/transcripts/.
+// of rng.BlockNorm. There is no stream to keep aligned, so a subset
+// measurement draws only the variates it needs: MeasureSparse the k
+// listed ones, and a device's Readout only those that can change a
+// comparison (see Readout). Devices are independent by key, and
+// per-sweep noise is embarrassingly parallel. Transcripts are pinned by
+// the goldens under testdata/transcripts/.
 //
 // A Noise carries the per-oracle sweep counter and is NOT safe for
 // concurrent use; each device constructs its own via Array.NewNoise.

@@ -64,24 +64,20 @@ func TestNoiseReserve(t *testing.T) {
 // TestMeasureSparseCounterMatchesFull pins the counter identity
 // contract: a sparse sweep reproduces exactly the values a full sweep
 // with the same (key, sweep counter) would produce at those indices —
-// while drawing only the subset's noise — and MeasureSparseBase over
-// the cached noise-free vector agrees with both.
+// while drawing only the subset's noise.
 func TestMeasureSparseCounterMatchesFull(t *testing.T) {
 	a := noiseTestArray(8, 16)
 	env := Environment{TempC: 40, VoltageV: 1.15}
-	full, sparse, based := a.NewNoise(rng.New(77)), a.NewNoise(rng.New(77)), a.NewNoise(rng.New(77))
-	var bc BaseCache
+	full, sparse := a.NewNoise(rng.New(77)), a.NewNoise(rng.New(77))
 	idxs := []int{0, 1, 5, 17, 18, 19, 42, 127}
 	ref := make([]float64, a.N())
 	got := make([]float64, a.N())
-	gotBase := make([]float64, a.N())
 	for round := 0; round < 5; round++ {
 		a.MeasureIntoWith(ref, env, full)
 		a.MeasureSparse(got, idxs, env, sparse)
-		a.MeasureSparseBase(gotBase, idxs, bc.For(a, env), based)
 		for _, i := range idxs {
-			if got[i] != ref[i] || gotBase[i] != ref[i] {
-				t.Fatalf("round %d osc %d: sparse %v base %v != full %v", round, i, got[i], gotBase[i], ref[i])
+			if got[i] != ref[i] {
+				t.Fatalf("round %d osc %d: sparse %v != full %v", round, i, got[i], ref[i])
 			}
 		}
 	}

@@ -113,10 +113,33 @@ func DefaultConfig(rows, cols int) Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be
+// finite: the comparisons below pass NaN silently, and a Readout's
+// noise bound needs a finite sigma.
 func (c Config) Validate() error {
 	if c.Rows < 1 || c.Cols < 1 {
 		return fmt.Errorf("silicon: array %dx%d has no oscillators", c.Rows, c.Cols)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"NominalMHz", c.NominalMHz},
+		{"ProcessSigmaMHz", c.ProcessSigmaMHz},
+		{"GradientXMHz", c.GradientXMHz},
+		{"GradientYMHz", c.GradientYMHz},
+		{"BowlMHz", c.BowlMHz},
+		{"NoiseSigmaMHz", c.NoiseSigmaMHz},
+		{"TempCoefMeanMHzPerC", c.TempCoefMeanMHzPerC},
+		{"TempCoefSigmaMHzPerC", c.TempCoefSigmaMHzPerC},
+		{"VoltCoefMHzPerV", c.VoltCoefMHzPerV},
+		{"ReferenceTempC", c.ReferenceTempC},
+		{"NominalVoltageV", c.NominalVoltageV},
+		{"CounterWindowUS", c.CounterWindowUS},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("silicon: %s = %v is not finite", f.name, f.v)
+		}
 	}
 	if c.NominalMHz <= 0 {
 		return fmt.Errorf("silicon: nominal frequency %v <= 0", c.NominalMHz)
@@ -283,9 +306,11 @@ func (a *Array) MeasureIntoWith(dst []float64, env Environment, nm *Noise) []flo
 // MeasureSparse measures only the oscillators listed in idxs (ascending,
 // no duplicates), writing their frequencies into dst (length N); entries
 // outside the subset are scratch garbage the caller must not read. It
-// draws exactly len(idxs) variates — the O(k) subset path sparse oracle
-// queries ride — and each wanted entry is bit-identical to what
-// MeasureIntoWith would produce for the same sweep.
+// draws exactly len(idxs) variates, and each wanted entry is
+// bit-identical to what MeasureIntoWith would produce for the same
+// sweep. Devices measure through a Readout instead, which draws only
+// the variates that can change a comparison; MeasureSparse is its
+// reference.
 func (a *Array) MeasureSparse(dst []float64, idxs []int, env Environment, nm *Noise) []float64 {
 	if len(dst) != a.N() {
 		panic(fmt.Sprintf("silicon: MeasureSparse buffer length %d, want %d", len(dst), a.N()))
@@ -294,25 +319,6 @@ func (a *Array) MeasureSparse(dst []float64, idxs []int, env Environment, nm *No
 	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
 	for _, i := range idxs {
 		dst[i] = quantizeWindow(a.TrueFreq(i, env)+sigma*dst[i], window)
-	}
-	return dst
-}
-
-// MeasureSparseBase is MeasureSparse over a precomputed noise-free
-// frequency vector (BaseCache.For): the per-query hot path of devices
-// whose operating environment is stable across queries, where
-// re-evaluating the three-term frequency model per oscillator per
-// query is pure waste. base[i] must equal TrueFreq(i, env) for the
-// environment the noise belongs to; the result is then bit-identical
-// to MeasureSparse.
-func (a *Array) MeasureSparseBase(dst []float64, idxs []int, base []float64, nm *Noise) []float64 {
-	if len(dst) != a.N() || len(base) != a.N() {
-		panic(fmt.Sprintf("silicon: MeasureSparseBase buffers %d/%d, want %d", len(dst), len(base), a.N()))
-	}
-	nm.FillIndices(dst, idxs)
-	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
-	for _, i := range idxs {
-		dst[i] = quantizeWindow(base[i]+sigma*dst[i], window)
 	}
 	return dst
 }
@@ -328,39 +334,6 @@ func (a *Array) TrueFreqInto(dst []float64, env Environment) []float64 {
 	}
 	return dst
 }
-
-// BaseCache memoizes the noise-free frequency vector of one
-// environment. Devices keep one in their per-oracle scratch: the
-// vector is a pure function of (array, environment), so it stays valid
-// across queries and helper writes, and is rebuilt only when the
-// attacker actually moves the operating point (the tempco attack's
-// temperature sweeps). The zero value is ready; not concurrency-safe.
-type BaseCache struct {
-	env   Environment
-	valid bool
-	base  []float64
-}
-
-// For returns the cached vector for env, rebuilding it on first use or
-// an environment change.
-func (bc *BaseCache) For(a *Array, env Environment) []float64 {
-	if !bc.valid || bc.env != env || len(bc.base) != a.N() {
-		if cap(bc.base) < a.N() {
-			bc.base = make([]float64, a.N())
-		}
-		bc.base = bc.base[:a.N()]
-		a.TrueFreqInto(bc.base, env)
-		bc.env = env
-		bc.valid = true
-	}
-	return bc.base
-}
-
-// Invalidate forces the next For to rebuild. Required when the array's
-// CONTENTS changed under the same pointer (Array.Remanufactured on the
-// device-pool path): For's env+length check cannot see a content
-// change, so the owner of the scratch must invalidate explicitly.
-func (bc *BaseCache) Invalidate() { bc.valid = false }
 
 // MeasureAveragedInto measures every oscillator `reps` times and writes
 // the per-oscillator means into dst — the standard enrollment-time

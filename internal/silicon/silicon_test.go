@@ -49,9 +49,41 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Rows: 4, Cols: 4, NominalMHz: 0},
 		{Rows: 4, Cols: 4, NominalMHz: 100, ProcessSigmaMHz: -1},
 	}
+	// Non-finite values pass every ordered comparison, so each float
+	// field gets NaN and both infinities on top of a valid config.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, set := range []func(c *Config, v float64){
+		func(c *Config, v float64) { c.NominalMHz = v },
+		func(c *Config, v float64) { c.ProcessSigmaMHz = v },
+		func(c *Config, v float64) { c.GradientXMHz = v },
+		func(c *Config, v float64) { c.GradientYMHz = v },
+		func(c *Config, v float64) { c.BowlMHz = v },
+		func(c *Config, v float64) { c.NoiseSigmaMHz = v },
+		func(c *Config, v float64) { c.TempCoefMeanMHzPerC = v },
+		func(c *Config, v float64) { c.TempCoefSigmaMHzPerC = v },
+		func(c *Config, v float64) { c.VoltCoefMHzPerV = v },
+		func(c *Config, v float64) { c.ReferenceTempC = v },
+		func(c *Config, v float64) { c.NominalVoltageV = v },
+		func(c *Config, v float64) { c.CounterWindowUS = v },
+	} {
+		for _, v := range []float64{nan, inf, -inf} {
+			cfg := DefaultConfig(4, 4)
+			set(&cfg, v)
+			bad = append(bad, cfg)
+		}
+	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {
-			t.Errorf("case %d: expected validation error", i)
+			t.Errorf("case %d: expected validation error for %+v", i, cfg)
+		}
+	}
+	// The default validates, and a non-positive counter window still
+	// means "no quantization".
+	for _, w := range []float64{0, -1, 0.37} {
+		cfg := DefaultConfig(8, 16)
+		cfg.CounterWindowUS = w
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("window %v: %v", w, err)
 		}
 	}
 }

@@ -309,14 +309,10 @@ func resolveBit(info PairInfo, f []float64, tempC float64) bool {
 // helper NVM changes. Not safe for concurrent use — forks get their own
 // zero Scratch.
 type Scratch struct {
-	freq []float64
-	want []bool
-	// idxs is the ascending index list equivalent of want — the sparse
-	// measurement set, O(k) noise draws.
-	idxs []int
-	// bases caches the noise-free frequency vector per environment; the
-	// §VI-B attack sweeps temperature, so the cache keys on env.
-	bases silicon.BaseCache
+	// ro measures the oscillators of every pair a bit can derive from
+	// (see compare); the §VI-B attack sweeps temperature, and the
+	// readout follows the environment.
+	ro silicon.Readout
 	// helper-derived caches, valid while helperValid is set.
 	helperValid bool
 	keyLen      int
@@ -333,49 +329,27 @@ type Scratch struct {
 func (sc *Scratch) Invalidate() { sc.helperValid = false }
 
 // InvalidateSilicon additionally drops the caches derived from the
-// silicon array's contents (the noise-free frequency vectors). Required
-// on the device-pool path, where Array.Remanufactured changes the
-// array's contents under the same pointer; buffer capacity is kept.
+// silicon array's contents (the readout's noise-free frequencies).
+// Required on the device-pool path, where Array.Remanufactured changes
+// the array's contents under the same pointer; buffer capacity is kept.
 func (sc *Scratch) InvalidateSilicon() {
 	sc.helperValid = false
-	sc.bases.Invalidate()
+	sc.ro.Reset()
 }
 
-// refresh (re)builds the helper-derived caches: validation, the subset
-// of oscillators the helper actually references (bad pairs contribute no
-// bits, so their oscillators are never measured), and the ECC geometry.
+// refresh (re)builds the helper-derived caches: validation, the key
+// length, and the ECC geometry. The readout's split follows the helper.
 func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	if err := ValidateHelper(*h, a.N()); err != nil {
 		return err
 	}
-	if cap(sc.want) < a.N() {
-		sc.want = make([]bool, a.N())
-	}
-	sc.want = sc.want[:a.N()]
-	for i := range sc.want {
-		sc.want[i] = false
-	}
 	sc.keyLen = 0
 	for _, info := range h.Pairs {
-		if info.Class == Bad {
-			continue
-		}
-		sc.keyLen++
-		sc.want[info.Pair.A] = true
-		sc.want[info.Pair.B] = true
-		if info.Class == Cooperating {
-			for _, ref := range []PairInfo{h.Pairs[info.MaskIdx], h.Pairs[info.HelpIdx]} {
-				sc.want[ref.Pair.A] = true
-				sc.want[ref.Pair.B] = true
-			}
+		if info.Class != Bad {
+			sc.keyLen++
 		}
 	}
-	sc.idxs = sc.idxs[:0]
-	for i, wanted := range sc.want {
-		if wanted {
-			sc.idxs = append(sc.idxs, i)
-		}
-	}
+	sc.ro.Invalidate()
 	n := p.Code.N()
 	blocks := (len(h.Pairs) + n - 1) / n
 	if blocks == 0 {
@@ -396,6 +370,25 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	return nil
 }
 
+// compare records in the readout every comparison a bit can derive
+// from: each non-bad pair, and the mask and helping pairs of each
+// cooperating pair. Bad pairs contribute no bits, so their oscillators
+// are never measured.
+func (sc *Scratch) compare(h *Helper) {
+	for _, info := range h.Pairs {
+		if info.Class == Bad {
+			continue
+		}
+		sc.ro.Compare(info.Pair.A, info.Pair.B)
+		if info.Class == Cooperating {
+			for _, ref := range [2]int{info.MaskIdx, info.HelpIdx} {
+				sc.ro.Compare(h.Pairs[ref].Pair.A, h.Pairs[ref].Pair.B)
+			}
+		}
+	}
+	sc.ro.Split()
+}
+
 // Reconstruct regenerates the key at the given environment temperature
 // from (possibly manipulated) helper data. Structural validation mirrors
 // an honest device: index ranges and class tags are checked; the helping
@@ -403,8 +396,9 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 // temperature. Values of Tl/Th themselves are trusted — they are helper
 // data, and that trust is what the paper's acceleration trick abuses.
 //
-// Only the helper-referenced oscillators are measured (O(k) noise
-// draws). The reconstruction runs in caller-owned scratch, the devices'
+// Only the helper-referenced oscillators are read, and noise is drawn
+// only for those whose noise can change a comparison (silicon.Readout).
+// The reconstruction runs in caller-owned scratch, the devices'
 // per-query hot path: the returned key is scratch-owned and valid until
 // the next call.
 func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise, sc *Scratch) (bitvec.Vector, error) {
@@ -413,10 +407,10 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			return bitvec.Vector{}, err
 		}
 	}
-	if cap(sc.freq) < a.N() {
-		sc.freq = make([]float64, a.N())
+	if sc.ro.Stale(a, env) {
+		sc.compare(h)
 	}
-	f := a.MeasureSparseBase(sc.freq[:a.N()], sc.idxs, sc.bases.For(a, env), nm)
+	f := sc.ro.Measure(nm)
 	t := env.TempC
 	sc.padded.Zero()
 	bits := sc.padded

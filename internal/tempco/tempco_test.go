@@ -3,11 +3,13 @@ package tempco
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
+	"repro/internal/pairing"
 	"repro/internal/rng"
 	"repro/internal/silicon"
 )
@@ -167,6 +169,119 @@ func TestReconstructStableAcrossRange(t *testing.T) {
 		if ok < trials-2 {
 			t.Fatalf("T=%v: only %d of %d reconstructions matched", temp, ok, trials)
 		}
+	}
+}
+
+// noisyReconstruct is the reference Reconstruct: every oscillator
+// measured with noise, then the bit rules written out pair by pair. It
+// also returns the padded stream before error correction (zero length
+// when a helping pair is unreliable).
+func noisyReconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environment, nm *silicon.Noise) (bitvec.Vector, bitvec.Vector, error) {
+	f := a.MeasureIntoWith(make([]float64, a.N()), env, nm)
+	temp := env.TempC
+	bits := make([]bool, len(h.Pairs))
+	for i, info := range h.Pairs {
+		switch info.Class {
+		case Good:
+			bits[i] = pairing.ResponseBit(f, info.Pair)
+		case Cooperating:
+			if temp < info.Tl || temp > info.Th {
+				bits[i] = resolveBit(info, f, temp)
+				continue
+			}
+			help := h.Pairs[info.HelpIdx]
+			if temp >= help.Tl && temp <= help.Th {
+				return bitvec.Vector{}, bitvec.Vector{}, ErrReconstructFailed
+			}
+			bits[i] = resolveBit(help, f, temp) != pairing.ResponseBit(f, h.Pairs[info.MaskIdx].Pair)
+		}
+	}
+	stream, blocks := padToBlocks(responseFromBits(h.Pairs, bits), p.Code)
+	corrected, _, ok := ecc.Reproduce(ecc.NewBlock(p.Code, blocks), ecc.Offset{W: h.Offset}, stream)
+	if !ok {
+		return bitvec.Vector{}, stream, ErrReconstructFailed
+	}
+	return keyBits(h.Pairs, corrected), stream, nil
+}
+
+// referenced returns the oscillators a reconstruction compares: those
+// of every non-bad pair and of each cooperating pair's mask and
+// helping pairs.
+func referenced(h Helper) map[int]bool {
+	out := map[int]bool{}
+	for _, info := range h.Pairs {
+		if info.Class == Bad {
+			continue
+		}
+		out[info.Pair.A], out[info.Pair.B] = true, true
+		if info.Class == Cooperating {
+			for _, ref := range []int{info.MaskIdx, info.HelpIdx} {
+				out[h.Pairs[ref].Pair.A], out[h.Pairs[ref].Pair.B] = true, true
+			}
+		}
+	}
+	return out
+}
+
+// TestReconstructMatchesNoisyReference checks that reading only the
+// oscillators whose noise can change a comparison (silicon.Readout) is
+// exact: at σ = 0.05, 0.3 and 0.5, across the operating range and with
+// crossover intervals moved under the current temperature, Reconstruct
+// returns the key and error of a reconstruction that measures every
+// oscillator with the same noise, from the same bits before error
+// correction.
+func TestReconstructMatchesNoisyReference(t *testing.T) {
+	p := testParams()
+	noisy, quiet, failures, queries := 0, 0, 0, 0
+	for _, sigma := range []float64{0.05, 0.3, 0.5} {
+		cfg := silicon.DefaultConfig(p.Rows, p.Cols)
+		cfg.TempCoefSigmaMHzPerC = 0.03
+		cfg.NoiseSigmaMHz = sigma
+		a := silicon.NewArray(cfg, rng.New(31))
+		h, _, err := enroll(a, p, rng.New(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nm := a.NewNoise(rng.New(33))
+		src := rng.New(34)
+		var sc Scratch
+		v := cfg.NominalVoltageV
+		for trial := 0; trial < 40; trial++ {
+			temp := p.TminC - 10 + float64(src.Intn(int(p.TmaxC-p.TminC)+20))
+			hh := Helper{Pairs: append([]PairInfo(nil), h.Pairs...), Offset: h.Offset}
+			// Move some crossover intervals onto temp: their pairs
+			// borrow, or their helping pairs turn unreliable.
+			for i, info := range hh.Pairs {
+				if info.Class == Cooperating && src.Intn(8) == 0 {
+					hh.Pairs[i].Tl, hh.Pairs[i].Th = temp-5, temp+5
+				}
+			}
+			sc.Invalidate()
+			for range 5 {
+				env := silicon.Environment{TempC: temp, VoltageV: v}
+				ref := *nm
+				key, err := Reconstruct(a, p, &hh, env, nm, &sc)
+				wantKey, wantStream, wantErr := noisyReconstruct(a, p, hh, env, &ref)
+				if wantStream.Len() > 0 && !sc.padded.Equal(wantStream) {
+					t.Fatalf("σ=%v trial %d: stream %s, reference %s", sigma, trial, sc.padded, wantStream)
+				}
+				if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrReconstructFailed)) {
+					t.Fatalf("σ=%v trial %d: err %v, reference %v", sigma, trial, err, wantErr)
+				}
+				if err == nil && !key.Equal(wantKey) {
+					t.Fatalf("σ=%v trial %d: key %s, reference %s", sigma, trial, key, wantKey)
+				}
+				if err != nil {
+					failures++
+				}
+				queries++
+				noisy += sc.ro.Noisy()
+				quiet += len(referenced(hh)) - sc.ro.Noisy()
+			}
+		}
+	}
+	if noisy == 0 || quiet == 0 || failures == 0 || failures == queries {
+		t.Fatalf("%d noisy and %d quiet reads, %d of %d failed: every path must be exercised", noisy, quiet, failures, queries)
 	}
 }
 
