@@ -9,6 +9,7 @@
 //	puf-bench -json [-count N] [-json-out BENCH_attacks.json]
 //	         [-baseline BENCH_attacks.json] [-ns-gate-pct 15]
 //	puf-bench [...] -cpuprofile cpu.out -memprofile mem.out
+//	puf-bench -golden testdata
 //
 // With -json the tool instead benchmarks the five end-to-end attacks
 // (the oracle-query hot path) plus CampaignAttacks (a pooled attack
@@ -69,7 +70,7 @@ func main() {
 	count := flag.Int("count", 5, "benchmark repetitions per attack; the artifact records medians")
 	baseline := flag.String("baseline", "", "committed artifact to compare against; >2% allocs/op or >ns-gate-pct ns/op regression fails")
 	nsGatePct := flag.Float64("ns-gate-pct", 15, "median ns/op regression percentage that fails -baseline (0 disables)")
-	goldenDir := flag.String("golden", "", "regenerate the transcript golden matrix into this directory (typically testdata/transcripts) and exit")
+	goldenDir := flag.String("golden", "", "regenerate the transcript and campaign goldens under this directory (typically testdata) and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -91,11 +92,13 @@ func main() {
 	}))
 }
 
-// runGolden regenerates every transcript golden file into dir — the
-// same bytes `go test -run TestGoldenTranscripts -update` writes, so CI
-// can regenerate and `git diff` for staleness without invoking the test
-// binary.
-func runGolden(dir string) error {
+// runGolden regenerates both golden directories under root: every
+// transcript golden file into root/transcripts and every campaign golden
+// into root/campaigns. They are the same bytes `go test -run TestGolden
+// -update` writes, so CI can regenerate and `git diff` for staleness
+// without invoking the test binary.
+func runGolden(root string) error {
+	dir := filepath.Join(root, "transcripts")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -119,6 +122,22 @@ func runGolden(dir string) error {
 			return err
 		}
 		fmt.Printf("wrote %s (%d transcripts)\n", path, len(trs))
+	}
+
+	dir = filepath.Join(root, "campaigns")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, task := range campaign.Tasks() {
+		data, err := campaign.Golden(context.Background(), task.Name, 0)
+		if err != nil {
+			return err
+		}
+		path := filepath.Join(dir, task.Name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", path)
 	}
 	return nil
 }

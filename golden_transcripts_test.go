@@ -13,8 +13,8 @@ package repro
 //
 //	go test -run TestGoldenTranscripts -update
 //
-// (CI regenerates via `puf-bench -golden testdata/transcripts` and fails
-// on `git diff` — goldens can never silently drift from the harness.)
+// (CI regenerates via `puf-bench -golden testdata` and fails on
+// `git diff` — goldens can never silently drift from the harness.)
 
 import (
 	"bytes"
@@ -28,7 +28,7 @@ import (
 	"repro/internal/transcript"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/transcripts/ golden files")
+var updateGolden = flag.Bool("update", false, "regenerate the golden files under testdata/transcripts/ and testdata/campaigns/")
 
 func TestGoldenTranscripts(t *testing.T) {
 	dir := filepath.Join("testdata", "transcripts")

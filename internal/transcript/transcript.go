@@ -10,7 +10,7 @@
 // testdata/transcripts/ each hold the []Transcript of one attack's cell
 // group, regenerated by exactly one entry point
 // (`go test -run TestGoldenTranscripts -update` at the repo root,
-// or `puf-bench -golden testdata/transcripts` for CI). Everything a
+// or `puf-bench -golden testdata` for CI). Everything a
 // transcript records is a pure function of its Spec, so a golden drift
 // always means observable behavior changed — never "just speed".
 package transcript
