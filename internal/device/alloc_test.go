@@ -3,6 +3,7 @@ package device
 import (
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/ecc"
 	"repro/internal/groupbased"
 	"repro/internal/pairing"
@@ -100,6 +101,45 @@ func TestAppAllocationsDistillerPair(t *testing.T) {
 		}
 		if got := measureAppAllocs(t, d.App); got > appAllocBudget {
 			t.Fatalf("DistillerPairDevice(%v).App allocates %.1f/op, budget %d", mode, got, appAllocBudget)
+		}
+	}
+}
+
+// TestAppAllocationsAcrossBlockCounts alternates a group-based device
+// between its enrolled helper (three ECC blocks) and a pairs-only
+// grouping (one block). After every write, once one query has rebuilt
+// the helper-derived scratch, a steady-state App must allocate nothing:
+// the decode workspace and its per-block memo keep their storage across
+// block-count changes and only grow.
+func TestAppAllocationsAcrossBlockCounts(t *testing.T) {
+	code := ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})
+	d, err := EnrollGroupBased(groupbased.Params{
+		Rows: 4, Cols: 10,
+		Degree:       2,
+		ThresholdMHz: 0.5,
+		MaxGroupSize: 6,
+		Code:         code,
+		EnrollReps:   25,
+	}, rng.New(42), rng.New(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enrolled := d.ReadHelper()
+	pairs := d.ReadHelper()
+	for i := range pairs.Grouping.Assign {
+		pairs.Grouping.Assign[i] = i / 2
+	}
+	pairs.Offset = bitvec.New(code.N())
+	if enrolled.Offset.Len() == pairs.Offset.Len() {
+		t.Fatalf("enrolled helper has %d bits, want more than one block", enrolled.Offset.Len())
+	}
+	for i, h := range []groupbased.Helper{pairs, enrolled, pairs, enrolled} {
+		if err := d.WriteHelper(h); err != nil {
+			t.Fatal(err)
+		}
+		d.App()
+		if got := testing.AllocsPerRun(20, func() { d.App() }); got != 0 {
+			t.Fatalf("write %d (%d-bit offset): steady-state App allocates %.1f/op, want 0", i, h.Offset.Len(), got)
 		}
 	}
 }

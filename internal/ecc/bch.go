@@ -2,6 +2,7 @@ package ecc
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/galois"
@@ -65,10 +66,36 @@ type BCHConfig struct {
 	Expurgate bool
 }
 
-// NewBCH constructs the BCH code described by cfg. It returns an error if
-// the parameters are inconsistent (t too large for the length, shortening
-// beyond the message length, and so on).
+// bchCache interns one *BCH per BCHConfig, as galois interns one Field
+// per degree: every device and attack of one configuration shares the
+// generator and byte tables instead of rebuilding them.
+var bchCache sync.Map // BCHConfig -> *BCH
+
+// NewBCH returns the BCH code described by cfg. It returns an error if
+// the parameters are inconsistent (t too large for the length,
+// shortening beyond the message length, and so on).
+//
+// A *BCH is immutable: its fields are written only while NewBCH builds
+// it, and every piece of mutable decoder state lives in the caller's
+// Workspace. So NewBCH builds each configuration once per process and
+// returns the same shared instance afterwards, safe for concurrent use
+// by any number of goroutines (each with its own Workspace). Only
+// successful constructions are cached; an invalid cfg is rejected
+// again on every call.
 func NewBCH(cfg BCHConfig) (*BCH, error) {
+	if b, ok := bchCache.Load(cfg); ok {
+		return b.(*BCH), nil
+	}
+	b, err := newBCH(cfg)
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := bchCache.LoadOrStore(cfg, b)
+	return actual.(*BCH), nil
+}
+
+// newBCH constructs the code NewBCH interns.
+func newBCH(cfg BCHConfig) (*BCH, error) {
 	if cfg.M < 3 || cfg.M > 16 {
 		return nil, fmt.Errorf("ecc: BCH extension degree %d outside [3,16]", cfg.M)
 	}
@@ -205,7 +232,8 @@ func (b *BCH) shiftIn(r []uint64, in uint64) {
 	}
 }
 
-// MustBCH is NewBCH for statically known-good parameters; it panics on error.
+// MustBCH is NewBCH for statically known-good parameters; it panics on
+// error. Like NewBCH it returns the shared instance for cfg.
 func MustBCH(cfg BCHConfig) *BCH {
 	b, err := NewBCH(cfg)
 	if err != nil {

@@ -85,17 +85,36 @@ func (b *Block) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
 // workspace buffer, decoded by the inner code's DecodeInto, and written
 // back into dst word-level. As in Decode, a failed block contributes its
 // received bits to dst and decoding continues.
+//
+// The inner decode is skipped for a block whose word equals the last
+// word the workspace decoded at the same block index under the same
+// inner code: the stored output word and (corrected, ok) are used
+// instead. A decode is a pure function of (inner code, word), so the
+// result is bit-identical with or without the memo; the attacks' SPRT
+// re-asks the same helper image until it decides, which is why most
+// blocks repeat. See Workspace for the storage.
 func (b *Block) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.N())
 	checkLen("decode buffer", dst.Len(), b.N())
 	in := b.inner.N()
 	recv := ws.vec(&ws.blockRecv, in)
 	out := ws.vec(&ws.blockOut, in)
+	memo := ws.memo.prepare(b)
 	total := 0
 	allOK := true
 	for i := 0; i < b.blocks; i++ {
 		received.SliceInto(i*in, (i+1)*in, recv)
-		corrected, ok := b.inner.DecodeInto(ws, recv, out)
+		var corrected int
+		var ok, hit bool
+		if memo != nil {
+			corrected, ok, hit = memo.get(i, recv, out)
+		}
+		if !hit {
+			corrected, ok = b.inner.DecodeInto(ws, recv, out)
+			if memo != nil {
+				memo.put(i, recv, out, corrected, ok)
+			}
+		}
 		dst.PutAt(i*in, out)
 		total += corrected
 		allOK = allOK && ok

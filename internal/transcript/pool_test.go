@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/device"
 )
 
 // TestRunWithPoolMatchesFresh pins the device-pool determinism
@@ -48,8 +49,9 @@ func TestRunWithPoolMatchesFresh(t *testing.T) {
 
 // TestRunWithPoolReusesDevice is the steady-state fence at this layer:
 // consecutive task executions under one Cache adopt the SAME device
-// object (pointer identity) and the same ECC code tables — no new
-// device per seed.
+// object (pointer identity), and every run, pooled or not, decodes
+// under the same shared ECC code instance: no new device per seed and
+// no rebuilt code tables.
 func TestRunWithPoolReusesDevice(t *testing.T) {
 	ctx := context.Background()
 	pool := campaign.NewPool()
@@ -58,18 +60,27 @@ func TestRunWithPoolReusesDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := pool.Get("transcript:seqpair:exp", func() any { t.Fatal("slot missing"); return nil }).(*enrollPool)
-	dev0, code0 := ep.dev, ep.code
-	if dev0 == nil || code0 == nil {
+	dev0, _ := ep.dev.(*device.SeqPairDevice)
+	if dev0 == nil {
 		t.Fatal("pooled slot not populated")
 	}
+	code0 := dev0.Code()
 	spec.Seed = 8
 	if _, err := RunWith(ctx, spec, pool); err != nil {
 		t.Fatal(err)
 	}
-	if ep.dev != dev0 {
+	if ep.dev != any(dev0) {
 		t.Fatal("second seed enrolled a new device instead of adopting the pooled one")
 	}
-	if ep.code != code0 {
+	if dev0.Code() != code0 {
 		t.Fatal("second seed rebuilt the ECC code tables")
+	}
+	other := campaign.NewPool()
+	if _, err := RunWith(ctx, spec, other); err != nil {
+		t.Fatal(err)
+	}
+	dev1 := other.Get("transcript:seqpair:exp", func() any { return nil }).(*enrollPool).dev.(*device.SeqPairDevice)
+	if dev1 == dev0 || dev1.Code() != code0 {
+		t.Fatal("an independent enrollment built its own ECC code instead of the shared one")
 	}
 }

@@ -120,16 +120,16 @@ type Cache interface {
 	Get(key string, build func() any) any
 }
 
-// enrollPool is the per-(attack, options) pooled enrollment
-// state: the ECC code tables (immutable, shared across seeds) and the
+// enrollPool is the per-(attack, options) pooled enrollment state: the
 // previously enrolled device, whose backing storage the next seed's
-// enrollment adopts via the device layer's Enroll*Reuse path.
+// enrollment adopts via the device layer's Enroll*Reuse path. The ECC
+// code needs no pooling: ecc.NewBCH returns one shared instance per
+// configuration, so pooled and unpooled runs build it the same way.
 type enrollPool struct {
-	code ecc.Code
-	dev  any
+	dev any
 }
 
-// forSpec returns the pooled state under cache for one fingerprint,
+// poolFor returns the pooled state under cache for one fingerprint,
 // or fresh throwaway state when cache is nil. The fingerprint must
 // cover every enrollment axis the Spec can vary for that attack.
 func (Spec) poolFor(cache Cache, key string) *enrollPool {
@@ -139,23 +139,14 @@ func (Spec) poolFor(cache Cache, key string) *enrollPool {
 	return cache.Get(key, func() any { return new(enrollPool) }).(*enrollPool)
 }
 
-// codeOf memoizes the ECC code construction (BCH table generation) in
-// the pooled state.
-func (ep *enrollPool) codeOf(build func() ecc.Code) ecc.Code {
-	if ep.code == nil {
-		ep.code = build()
-	}
-	return ep.code
-}
-
 // Run executes one Spec and returns its Transcript.
 func Run(ctx context.Context, spec Spec) (Transcript, error) {
 	return RunWith(ctx, spec, nil)
 }
 
 // RunWith is Run with a reuse Cache: enrollment adopts the pooled
-// device carcass and ECC tables for the spec's fingerprint instead of
-// allocating fresh ones — the campaign device-pool path. The transcript
+// device carcass for the spec's fingerprint instead of allocating a
+// fresh one — the campaign device-pool path. The transcript
 // is bit-identical to Run's (enforced by TestRunWithPoolMatchesFresh
 // and, transitively, by the golden suites over pooled campaigns); a nil
 // cache is exactly Run.
@@ -222,10 +213,8 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			Rows: 8, Cols: 16,
 			ThresholdMHz: 0.8,
 			Policy:       pairing.RandomizedStorage,
-			Code: ep.codeOf(func() ecc.Code {
-				return ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: spec.Expurgate})
-			}),
-			EnrollReps: 20,
+			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: spec.Expurgate}),
+			EnrollReps:   20,
 		}, mfg, run)
 		if err != nil {
 			ep.dev = nil
@@ -245,7 +234,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			ThresholdMHz: 0.6,
 			TminC:        -20, TmaxC: 80,
 			Policy:     tempco.RandomSelection,
-			Code:       ep.codeOf(func() ecc.Code { return ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}) }),
+			Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 			EnrollReps: 25,
 		}
 		prev, _ := ep.dev.(*device.TempCoDevice)
@@ -268,7 +257,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			Degree:       2,
 			ThresholdMHz: 0.5,
 			MaxGroupSize: 6,
-			Code:         ep.codeOf(func() ecc.Code { return ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}) }),
+			Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
 			EnrollReps:   25,
 		}, mfg, run)
 		if err != nil {
@@ -290,7 +279,7 @@ func enroll(spec Spec, cache Cache) (cell, error) {
 			Degree:     2,
 			Mode:       device.MaskedChain,
 			K:          5,
-			Code:       ep.codeOf(func() ecc.Code { return ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}) }),
+			Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
 			EnrollReps: 25,
 		}
 		if spec.Attack == "chain" {
