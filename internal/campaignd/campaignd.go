@@ -52,7 +52,7 @@ type Spec struct {
 	// BaseSeed is the campaign base seed; task i runs with
 	// rng.StreamSeed(BaseSeed, i).
 	BaseSeed uint64 `json:"base_seed"`
-	// Seeds is the number of task instances (must be > 0).
+	// Seeds is the number of task instances, in [1, 2^20].
 	Seeds int `json:"seeds"`
 	// Workers bounds the job's worker pool (0 = GOMAXPROCS). Workers
 	// run whole shards, so effective parallelism is min(Workers,
@@ -68,6 +68,15 @@ type Spec struct {
 	ShardSize int `json:"shard_size,omitempty"`
 }
 
+// maxSeeds bounds a job's seed count. A job allocates its outcome
+// table up front, one campaign.Outcome (24 bytes) per seed: 24 MiB at
+// the cap before any seed runs. Each completed seed then holds its
+// metrics map, a few hundred bytes, so a finished job at the cap keeps
+// about 0.25 GiB. Without a bound one request for 2^40 seeds ends the
+// daemon in an out-of-memory runtime fatal that no recover catches,
+// and again on every restart that recovers its checkpoint.
+const maxSeeds = 1 << 20
+
 // Validate rejects specs the daemon could not execute. It is the
 // single gate between the HTTP layer and the job manager, so malformed
 // submissions fail with a 4xx before any state is created.
@@ -80,6 +89,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Seeds <= 0 {
 		return fmt.Errorf("campaignd: seeds must be > 0 (got %d)", s.Seeds)
+	}
+	if s.Seeds > maxSeeds {
+		return fmt.Errorf("campaignd: seeds must be at most %d (got %d)", maxSeeds, s.Seeds)
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("campaignd: workers must be >= 0 (got %d)", s.Workers)

@@ -27,6 +27,7 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"task":"no-such-task","seeds":4}`,
 		`{"task":"campaignd-test-walk","seeds":-1,"workers":-2}`,
 		`{"task":"campaignd-test-walk","seeds":1e3}`,
+		`{"task":"campaignd-test-walk","seeds":1099511627776}`,
 		`{"task":"campaignd-test-walk","seeds":4} trailing`,
 		`null`,
 		`[]`,
@@ -59,15 +60,19 @@ func FuzzSpecDecode(f *testing.F) {
 // fuzzCheckpointSeeds bounds the jobs FuzzCheckpointRecover lets run:
 // a checkpoint may name any seed count, and the harness only resumes
 // campaigns it can afford to finish and re-run one-shot per input.
+// Records over the daemon's maxSeeds still go through Recover, which
+// must refuse them.
 const fuzzCheckpointSeeds = 64
 
 // FuzzCheckpointRecover feeds arbitrary JSONL as a job's checkpoint
 // file into Manager.Recover. Recovery must never panic; every shard the
 // loader keeps must come from a record whose digest matches its
 // outcomes; and a job it completes must finish with a result
-// byte-identical to a one-shot campaign.Run of the job's spec. The seed
-// corpus is a real checkpoint, complete, with a torn tail, and with a
-// tampered shard record (the resume_test.go fixtures); testdata holds
+// byte-identical to a one-shot campaign.Run of the job's spec; a job
+// naming more than maxSeeds seeds must not be adopted. The seed corpus
+// is a real checkpoint, complete, with a torn tail, with a tampered
+// shard record (the resume_test.go fixtures) and with 2^40 seeds in
+// its spec record; testdata holds
 // a checkpoint whose spec record names another base seed than its
 // intact shard records.
 func FuzzCheckpointRecover(f *testing.F) {
@@ -101,6 +106,11 @@ func FuzzCheckpointRecover(f *testing.F) {
 	tampered := strings.Replace(lines[1], `"walk-sum":`, `"walk-sum":1`, 1)
 	f.Add([]byte(strings.Join(append([]string{lines[0], tampered}, lines[2:len(lines)-1]...), "\n") + "\n"))
 	f.Add([]byte(lines[0] + "\n"))
+	overCap := strings.Replace(lines[0], `"seeds":8,`, `"seeds":1099511627776,`, 1)
+	if overCap == lines[0] {
+		f.Fatalf("spec record %s has no seeds field to rewrite", lines[0])
+	}
+	f.Add([]byte(strings.Join(append([]string{overCap}, lines[1:]...), "\n") + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		id := fuzzJobName(data)
@@ -113,7 +123,9 @@ func FuzzCheckpointRecover(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if lj.spec.Seeds > fuzzCheckpointSeeds {
+		// Over-cap records go through Recover, which must refuse them
+		// without allocating for their seeds.
+		if lj.spec.Seeds > fuzzCheckpointSeeds && lj.spec.Seeds <= maxSeeds {
 			return
 		}
 		checkKeptShards(t, data, lj)
@@ -129,6 +141,9 @@ func FuzzCheckpointRecover(f *testing.F) {
 			t.Fatal(err)
 		}
 		st, ok := m.Get(id, false)
+		if lj.spec.Seeds > maxSeeds && ok {
+			t.Fatalf("job %s with %d seeds was adopted; want it refused", id, lj.spec.Seeds)
+		}
 		if !ok {
 			return
 		}

@@ -111,6 +111,7 @@ func TestHTTPRejectsMalformedSpecs(t *testing.T) {
 		`{"task": "nope", "seeds": 4}`, // unknown task
 		`{"task": "campaignd-test-walk", "seeds": 0}`,                   // zero seeds
 		`{"task": "campaignd-test-walk", "seeds": -1}`,                  // negative seeds
+		`{"task": "campaignd-test-walk", "seeds": 1099511627776}`,       // seeds over the cap
 		`{"task": "campaignd-test-walk", "seeds": 4, "noise": "wat"}`,   // bad noise model
 		`{"task": "campaignd-test-walk", "seeds": 4, "frobnicate": 1}`,  // unknown field
 		`{"task": "campaignd-test-walk", "seeds": 4, "shard_size": -1}`, // bad shard size

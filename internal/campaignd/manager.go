@@ -350,6 +350,9 @@ func (m *Manager) Recover() error {
 
 // adopt installs one replayed job and resumes it if unfinished.
 func (m *Manager) adopt(lj *loadedJob) error {
+	// Validate also bounds the seed count before newJob sizes the
+	// outcome table by it: a record naming more than maxSeeds seeds is
+	// refused here, not allocated.
 	if err := lj.spec.Validate(); err != nil {
 		return err
 	}

@@ -380,12 +380,23 @@ func TestRecoverCompletedJob(t *testing.T) {
 }
 
 // noiseRewrittenCheckpoint leaves an unfinished job on disk whose spec
-// record names the given noise model: it runs a throttled job to its
-// first checkpointed shard, hard-stops the manager, and rewrites the
-// persisted model — "" drops the field, as in a record written before
-// Submit normalized it, when empty meant the removed stream model. It
-// returns the state directory and the job id.
+// record names the given noise model — "" drops the field, as in a
+// record written before Submit normalized it, when empty meant the
+// removed stream model. It returns the state directory and the job id.
 func noiseRewrittenCheckpoint(t *testing.T, noise string) (string, string) {
+	repl := ""
+	if noise != "" {
+		repl = `"noise":"` + noise + `",`
+	}
+	return specRewrittenCheckpoint(t, `"noise":"counter",`, repl)
+}
+
+// specRewrittenCheckpoint leaves an unfinished job on disk whose spec
+// record has the field text from replaced by to: it runs a throttled
+// job to its first checkpointed shard, hard-stops the manager, and
+// rewrites the persisted spec record. It returns the state directory
+// and the job id.
+func specRewrittenCheckpoint(t *testing.T, from, to string) (string, string) {
 	t.Helper()
 	dir := t.TempDir()
 	m1 := newTestManager(t, Options{StateDir: dir, ShardSize: 2, Throttle: 10 * time.Millisecond})
@@ -418,15 +429,10 @@ func noiseRewrittenCheckpoint(t *testing.T, noise string) (string, string) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitN(string(blob), "\n", 2)
-	const persisted = `"noise":"counter",`
-	if !strings.Contains(lines[0], persisted) {
-		t.Fatalf("spec record %s does not persist the normalized noise model", lines[0])
+	if !strings.Contains(lines[0], from) {
+		t.Fatalf("spec record %s does not contain %s", lines[0], from)
 	}
-	repl := ""
-	if noise != "" {
-		repl = `"noise":"` + noise + `",`
-	}
-	lines[0] = strings.Replace(lines[0], persisted, repl, 1)
+	lines[0] = strings.Replace(lines[0], from, to, 1)
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -479,4 +485,24 @@ func TestRecoverRefusesLegacyEmptyNoise(t *testing.T) {
 func TestRecoverRefusesStreamModel(t *testing.T) {
 	dir, id := noiseRewrittenCheckpoint(t, "stream")
 	recoverRefuses(t, dir, id, "stream noise model was removed")
+}
+
+// A record naming more seeds than the daemon accepts is refused with a
+// reason, before a job's outcome table is sized by it: recovering 2^40
+// seeds would otherwise end in an out-of-memory fatal on every start.
+func TestRecoverRefusesOverCapSeeds(t *testing.T) {
+	dir, id := specRewrittenCheckpoint(t, `"seeds":20,`, `"seeds":1099511627776,`)
+	recoverRefuses(t, dir, id, "seeds must be at most")
+}
+
+// The seeds cap is inclusive: maxSeeds validates, one more does not.
+func TestSpecValidateSeedsCap(t *testing.T) {
+	spec := Spec{Task: "campaignd-test-walk", Seeds: maxSeeds}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("seeds at the cap: %v", err)
+	}
+	spec.Seeds++
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "seeds must be at most") {
+		t.Fatalf("seeds over the cap: %v, want the cap error", err)
+	}
 }
