@@ -1,7 +1,7 @@
 package repro
 
 // Campaign goldens: every registered campaign task is pinned at one
-// campaign cell (campaign.GoldenBaseSeed, campaign.GoldenSeeds) by a
+// campaign cell (base seed 1, 8 seeds; see campaign.Golden) by a
 // JSON file under testdata/campaigns/ holding its outcomes and
 // aggregates. The test regenerates each file at two worker counts and
 // byte-compares both against the committed bytes, so a change to any

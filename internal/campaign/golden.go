@@ -6,10 +6,10 @@ import (
 )
 
 // The campaign goldens under testdata/campaigns/ pin every registered
-// task at one campaign cell: GoldenSeeds instances from GoldenBaseSeed.
+// task at one campaign cell: goldenSeeds instances from goldenBaseSeed.
 const (
-	GoldenBaseSeed = 1
-	GoldenSeeds    = 8
+	goldenBaseSeed = 1
+	goldenSeeds    = 8
 )
 
 // Golden runs task's golden campaign on workers goroutines and renders
@@ -19,7 +19,7 @@ const (
 // is what the golden test checks at two of them. Both the root test's
 // -update flag and `puf-bench -golden` write exactly these bytes.
 func Golden(ctx context.Context, task string, workers int) ([]byte, error) {
-	res, err := Run(ctx, Spec{Task: task, BaseSeed: GoldenBaseSeed, Seeds: GoldenSeeds, Workers: workers})
+	res, err := Run(ctx, Spec{Task: task, BaseSeed: goldenBaseSeed, Seeds: goldenSeeds, Workers: workers})
 	if err != nil {
 		return nil, err
 	}

@@ -104,16 +104,10 @@ func (b *Block) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, boo
 	allOK := true
 	for i := 0; i < b.blocks; i++ {
 		received.SliceInto(i*in, (i+1)*in, recv)
-		var corrected int
-		var ok, hit bool
-		if memo != nil {
-			corrected, ok, hit = memo.get(i, recv, out)
-		}
+		corrected, ok, hit := memo.get(i, recv, out)
 		if !hit {
 			corrected, ok = b.inner.DecodeInto(ws, recv, out)
-			if memo != nil {
-				memo.put(i, recv, out, corrected, ok)
-			}
+			memo.put(i, recv, out, corrected, ok)
 		}
 		dst.PutAt(i*in, out)
 		total += corrected

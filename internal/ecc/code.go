@@ -28,6 +28,11 @@ import (
 )
 
 // Code is a binary block code with bounded-distance decoding.
+//
+// Implementations must be comparable with == (every code here is a
+// pointer type), and DecodeInto must be a pure function of the received
+// word: a Block's decode memo keys its entries on the inner code's
+// identity and the word's content alone.
 type Code interface {
 	// N returns the codeword length in bits.
 	N() int

@@ -80,8 +80,12 @@ func (m *decodeMemo) prepare(b *Block) *decodeMemo {
 }
 
 // get copies entry i's output into out and returns its (corrected, ok)
-// when the entry holds recv as its input word; hit is false otherwise.
+// when the entry holds recv as its input word; hit is false otherwise,
+// and always on a nil memo.
 func (m *decodeMemo) get(i int, recv, out bitvec.Vector) (corrected int, ok, hit bool) {
+	if m == nil {
+		return 0, false, false
+	}
 	e := m.words[i*(1+2*m.n):][:1+2*m.n]
 	if e[0] == 0 {
 		return 0, false, false
@@ -97,8 +101,12 @@ func (m *decodeMemo) get(i int, recv, out bitvec.Vector) (corrected int, ok, hit
 	return int(e[0] >> 2), e[0]&2 != 0, true
 }
 
-// put stores recv's decode (out, corrected, ok) as entry i.
+// put stores recv's decode (out, corrected, ok) as entry i; a nil memo
+// stores nothing.
 func (m *decodeMemo) put(i int, recv, out bitvec.Vector, corrected int, ok bool) {
+	if m == nil {
+		return
+	}
 	e := m.words[i*(1+2*m.n):][:1+2*m.n]
 	e[0] = uint64(corrected)<<2 | 1
 	if ok {
