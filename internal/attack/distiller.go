@@ -23,19 +23,13 @@ import (
 // because an arm's image is never re-installed after its decision.
 type dsScratch struct {
 	stream    bitvec.Vector
-	injected  bitvec.Vector
-	padded    bitvec.Vector
-	msg       bitvec.Vector
-	offsetW   bitvec.Vector
 	needBlk   []bool
 	selected  []int
 	predicted []bool
 	polyBeta  []float64
 	offBlob   [][]byte
 	predKey   []bitvec.Vector
-	blocks    int
-	block     *ecc.Block
-	ws        ecc.Workspace
+	sketch    ecc.Sketch
 	// chain-only buffers.
 	unknownIdx []int
 	determined []bool
@@ -156,7 +150,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	for g, sel := range origMask.Selected {
 		key.Set(g, bits[g*origMask.K+sel])
 	}
-	key = polishWithOriginalOffset(key, origOffset, spec.Code)
+	key = polishWithOriginalOffset(&sc.sketch, key, origOffset, spec.Code)
 
 	rep := tr.report(startQueries)
 	rep.Key = key
@@ -426,7 +420,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 			return Report{}, fmt.Errorf("attack: chain bit %d never isolated", i)
 		}
 	}
-	key = polishWithOriginalOffset(key, origOffset, spec.Code)
+	key = polishWithOriginalOffset(&sc.sketch, key, origOffset, spec.Code)
 
 	rep := tr.report(startQueries)
 	rep.Key = key
@@ -445,13 +439,11 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 // ascending order here is observably identical.
 func (sc *dsScratch) offsetWithInjection(arm int, stream bitvec.Vector, targetPos int, code ecc.Code, opts Options, src *rng.Source, hypBits []int) ([]byte, bitvec.Vector, error) {
 	n := code.N()
-	blocks := (stream.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	padded := scratchVec(&sc.padded, blocks*n)
-	padded.Zero()
-	padded.PutAt(0, stream)
+	sk := &sc.sketch
+	sk.Size(code, stream.Len())
+	blocks := sk.Blocks()
+	injected := sk.Stream()
+	injected.PutAt(0, stream)
 
 	// Blocks needing the offset.
 	needBlk := resizeBools(&sc.needBlk, blocks)
@@ -463,8 +455,6 @@ func (sc *dsScratch) offsetWithInjection(arm int, stream bitvec.Vector, targetPo
 		needBlk[hb/n] = true
 	}
 	avoid := func(pos int) bool { return pos == targetPos || slices.Contains(hypBits, pos) }
-	injected := scratchVec(&sc.injected, padded.Len())
-	padded.CopyInto(injected)
 	for blk := 0; blk < blocks; blk++ {
 		if !needBlk[blk] {
 			continue
@@ -481,16 +471,7 @@ func (sc *dsScratch) offsetWithInjection(arm int, stream bitvec.Vector, targetPo
 			return nil, bitvec.Vector{}, fmt.Errorf("attack: block %d lacks injectable bits", blk)
 		}
 	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(code, blocks)
-		sc.blocks = blocks
-	}
-	msg := scratchVec(&sc.msg, sc.block.K())
-	for i := 0; i < msg.Len(); i++ {
-		msg.Set(i, src.Bool())
-	}
-	offsetW := scratchVec(&sc.offsetW, padded.Len())
-	ecc.OffsetForInto(sc.block, injected, msg, &sc.ws, offsetW)
+	offsetW := sk.Enroll(src)
 	sc.armSlot(arm)
 	blob, err := offsetW.AppendBinary(sc.offBlob[arm][:0])
 	if err != nil {

@@ -145,7 +145,7 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 				stream = stream.Concat(perm.KendallEncode(det.Orders[g]))
 			}
 		}
-		stream = polishWithOriginalOffset(stream, original.Offset, spec.Code)
+		stream = polishWithOriginalOffset(&sc.sketch, stream, original.Offset, spec.Code)
 		if packed, err := groupbased.PackKey(&original.Grouping, stream); err == nil {
 			key = packed
 			// Re-derive the polished orders for reporting.
@@ -193,14 +193,9 @@ type gbScratch struct {
 	assign    []int
 	predicted []bool
 	polyBeta  []float64
-	padded    bitvec.Vector
-	msg       bitvec.Vector
-	offsetW   bitvec.Vector
 	predKey   [2]bitvec.Vector
 	offBlob   [2][]byte
-	blocks    int
-	block     *ecc.Block
-	ws        ecc.Workspace
+	sketch    ecc.Sketch
 	part      partitionScratch
 }
 
@@ -298,21 +293,9 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbas
 		if count < opts.InjectErrors {
 			return nil, fmt.Errorf("attack: only %d injectable bits in block", count)
 		}
-		padLen := paddedLen(pairs, spec.Code)
-		padded := scratchVec(&sc.padded, padLen)
-		padded.Zero()
-		padded.PutAt(0, injected)
-		blocks := padLen / spec.Code.N()
-		if sc.block == nil || sc.blocks != blocks {
-			sc.block = ecc.NewBlock(spec.Code, blocks)
-			sc.blocks = blocks
-		}
-		msg := scratchVec(&sc.msg, sc.block.K())
-		for i := 0; i < msg.Len(); i++ {
-			msg.Set(i, src.Bool())
-		}
-		offsetW := scratchVec(&sc.offsetW, padLen)
-		ecc.OffsetForInto(sc.block, padded, msg, &sc.ws, offsetW)
+		sc.sketch.Size(spec.Code, pairs)
+		sc.sketch.Stream().PutAt(0, injected)
+		offsetW := sc.sketch.Enroll(src)
 
 		blob, err := offsetW.AppendBinary(sc.offBlob[hyp][:0])
 		if err != nil {
@@ -532,24 +515,16 @@ func orderFromRelations(group []int, rel map[[2]int]bool) ([]int, bool) {
 // helper as a free offline oracle: it binds the enrolled response, so
 // decoding the recovered key against it corrects any residual
 // majority-vs-enrollment discrepancies on noise-marginal bits (up to t
-// per block) without a single extra device query.
-func polishWithOriginalOffset(key, offset bitvec.Vector, code ecc.Code) bitvec.Vector {
+// per block) without a single extra device query. It runs in the
+// attack's sketch, sized to the offset's blocks.
+func polishWithOriginalOffset(sk *ecc.Sketch, key, offset bitvec.Vector, code ecc.Code) bitvec.Vector {
 	if offset.Len() == 0 || offset.Len()%code.N() != 0 || key.Len() > offset.Len() {
 		return key
 	}
-	padded := key.Concat(bitvec.New(offset.Len() - key.Len()))
-	block := ecc.NewBlock(code, offset.Len()/code.N())
-	if corrected, _, ok := ecc.Reproduce(block, ecc.Offset{W: offset}, padded); ok {
+	sk.Size(code, offset.Len())
+	sk.Stream().PutAt(0, key)
+	if corrected, _, ok := sk.Reproduce(offset); ok {
 		return corrected.Slice(0, key.Len())
 	}
 	return key
-}
-
-func paddedLen(streamLen int, code ecc.Code) int {
-	n := code.N()
-	blocks := (streamLen + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return blocks * n
 }

@@ -224,14 +224,10 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 // pattern; otherwise the two candidates are information-theoretically
 // indistinguishable through this oracle and the result stays ambiguous.
 func resolveComplement(code ecc.Code, offset bitvec.Vector, cand0, cand1 bitvec.Vector) (bitvec.Vector, bool) {
-	blocks := offset.Len() / code.N()
-	block := ecc.NewBlock(code, blocks)
-	pad := func(v bitvec.Vector) bitvec.Vector {
-		return v.Concat(bitvec.New(offset.Len() - v.Len()))
-	}
-	off := ecc.Offset{W: offset}
-	ok0 := ecc.ConsistentWith(block, off, pad(cand0))
-	ok1 := ecc.ConsistentWith(block, off, pad(cand1))
+	var sk ecc.Sketch
+	sk.Size(code, offset.Len())
+	ok0 := consistent(&sk, offset, cand0)
+	ok1 := consistent(&sk, offset, cand1)
 	switch {
 	case ok0 && !ok1:
 		return cand0, false
@@ -244,4 +240,19 @@ func resolveComplement(code ecc.Code, offset bitvec.Vector, cand0, cand1 bitvec.
 		// return the r_0=0 candidate and flag it.
 		return cand0, true
 	}
+}
+
+// consistent reports whether candidate could be the enrolled response
+// for offset, which sk is sized for: offset XOR the zero-padded
+// candidate must be a codeword, i.e. decode to itself with zero
+// corrections. An offset that is not a whole number of blocks, or is
+// shorter than the candidate, binds no candidate.
+func consistent(sk *ecc.Sketch, offset, candidate bitvec.Vector) bool {
+	if sk.Len() != offset.Len() || candidate.Len() > offset.Len() {
+		return false
+	}
+	stream := sk.Stream()
+	stream.PutAt(0, candidate)
+	recovered, corrected, ok := sk.Reproduce(offset)
+	return ok && corrected == 0 && recovered.Equal(stream)
 }

@@ -110,7 +110,10 @@ func TestAppAllocationsDistillerPair(t *testing.T) {
 // grouping (one block). After every write, once one query has rebuilt
 // the helper-derived scratch, a steady-state App must allocate nothing:
 // the decode workspace and its per-block memo keep their storage across
-// block-count changes and only grow.
+// block-count changes and only grow. A whole write/App/write/App round
+// allocates at most 4 times: the sketch holds its block composite by
+// value, so only the NVM offset copy on a length change and the
+// validation of a grouping that differs from the stored one remain.
 func TestAppAllocationsAcrossBlockCounts(t *testing.T) {
 	code := ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})
 	d, err := EnrollGroupBased(groupbased.Params{
@@ -141,5 +144,16 @@ func TestAppAllocationsAcrossBlockCounts(t *testing.T) {
 		if got := testing.AllocsPerRun(20, func() { d.App() }); got != 0 {
 			t.Fatalf("write %d (%d-bit offset): steady-state App allocates %.1f/op, want 0", i, h.Offset.Len(), got)
 		}
+	}
+	round := func() {
+		for _, h := range []groupbased.Helper{pairs, enrolled} {
+			if err := d.WriteHelper(h); err != nil {
+				t.Fatal(err)
+			}
+			d.App()
+		}
+	}
+	if got := testing.AllocsPerRun(20, round); got > 4 {
+		t.Fatalf("a write/App/write/App round across block counts allocates %.1f, want at most 4", got)
 	}
 }

@@ -87,7 +87,7 @@ type DistillerPairDevice struct {
 
 // distillerScratch is the device's reusable reconstruction state:
 // the distiller surface evaluated on the grid, the resolved pair list,
-// the readout and the codeword buffers. Per-device, not
+// the readout and the code-offset sketch. Per-device, not
 // concurrency-safe.
 type distillerScratch struct {
 	helperValid bool
@@ -98,12 +98,8 @@ type distillerScratch struct {
 	// ro reads the distilled residuals (frequency minus the grid) and
 	// draws noise only where it can change a pair's comparison; it
 	// compares no pair while the masking selection is invalid.
-	ro        silicon.Readout
-	blocks    int
-	block     *ecc.Block
-	padded    bitvec.Vector
-	recovered bitvec.Vector
-	ws        ecc.Workspace
+	ro     silicon.Readout
+	sketch ecc.Sketch
 	// content fingerprints of the helper-derived caches: a helper write
 	// that changes only the ECC offset (an attack arm's hypothesis sweep)
 	// skips the grid evaluation and masking resolution entirely.
@@ -143,19 +139,7 @@ func (d *DistillerPairDevice) refreshScratch() {
 	default:
 		sc.sel, sc.selErr = d.basePair, nil
 	}
-	cn := d.params.Code.N()
-	blocks := (len(sc.sel) + cn - 1) / cn
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(d.params.Code, blocks)
-		sc.blocks = blocks
-	}
-	if padLen := blocks * cn; sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.recovered = bitvec.New(padLen)
-	}
+	sc.sketch.Size(d.params.Code, len(sc.sel))
 	sc.helperValid = true
 }
 
@@ -224,10 +208,11 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	if err != nil {
 		return nil, err
 	}
-	padded, blocks := padToBlocks(resp, p.Code)
-	block := ecc.NewBlock(p.Code, blocks)
-	off := ecc.EnrollOffset(block, padded, srcRun)
-	d.nvm = DistillerPairHelperNVM{Poly: poly, Masking: mask, Offset: off.W}
+	sk := &d.scratch.sketch
+	sk.Size(p.Code, resp.Len())
+	sk.Stream().PutAt(0, resp)
+	off := sk.Enroll(srcRun).Clone()
+	d.nvm = DistillerPairHelperNVM{Poly: poly, Masking: mask, Offset: off}
 	d.enrolled = resp
 	d.bind.reset(resp)
 	d.scratch.helperValid = false
@@ -305,10 +290,10 @@ func (d *DistillerPairDevice) ReprovisionKey() { d.bind.reserve(d.noise, d.env) 
 // BindKey binds the application to a predicted key.
 func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bind.set(key, key.Len()) }
 
-// reconstructScratch regenerates the key at env with noise nm into the
-// scratch buffers: on success the first respLen bits of
-// d.scratch.recovered hold the key.
-func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *silicon.Noise) (respLen int, err error) {
+// reconstructScratch regenerates the key at env with noise nm in the
+// scratch sketch: on success the first respLen bits of the
+// sketch-owned recovered stream hold the key.
+func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *silicon.Noise) (recovered bitvec.Vector, respLen int, err error) {
 	sc := &d.scratch
 	if !sc.helperValid {
 		d.refreshScratch()
@@ -323,21 +308,22 @@ func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *si
 	}
 	resid := sc.ro.Measure(nm)
 	if sc.selErr != nil {
-		return 0, sc.selErr
+		return bitvec.Vector{}, 0, sc.selErr
 	}
-	if sc.padded.Len() != d.nvm.Offset.Len() {
-		return 0, errOffsetMismatch
+	if sc.sketch.Len() != d.nvm.Offset.Len() {
+		return bitvec.Vector{}, 0, errOffsetMismatch
 	}
-	sc.padded.Zero()
+	stream := sc.sketch.Stream()
 	for i, p := range sc.sel {
 		if pairing.ResponseBit(resid, p) {
-			sc.padded.Set(i, true)
+			stream.Set(i, true)
 		}
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: d.nvm.Offset}, sc.padded, &sc.ws, sc.recovered); !ok {
-		return 0, errECCFailure
+	recovered, _, ok := sc.sketch.Reproduce(d.nvm.Offset)
+	if !ok {
+		return bitvec.Vector{}, 0, errECCFailure
 	}
-	return len(sc.sel), nil
+	return recovered, len(sc.sel), nil
 }
 
 // App reconstructs and compares against the bound key (settling a
@@ -345,12 +331,12 @@ func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *si
 func (d *DistillerPairDevice) App() bool {
 	d.addQuery()
 	if env, nm, ok := d.bind.due(); ok {
-		n, err := d.reconstructScratch(env, nm)
-		d.bind.settle(d.scratch.recovered, n, err)
+		recovered, n, err := d.reconstructScratch(env, nm)
+		d.bind.settle(recovered, n, err)
 	}
-	n, err := d.reconstructScratch(d.env, d.noise)
+	recovered, n, err := d.reconstructScratch(d.env, d.noise)
 	key := d.bind.key
-	return err == nil && n > 0 && key.Len() == n && d.scratch.recovered.HasPrefix(key)
+	return err == nil && n > 0 && key.Len() == n && recovered.HasPrefix(key)
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).

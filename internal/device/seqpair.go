@@ -43,37 +43,20 @@ type SeqPairDevice struct {
 }
 
 // seqPairScratch is the device's reusable reconstruction state: the
-// readout of the stored pairs' oscillators, the codeword buffers, and
-// the ECC decode workspace. It makes a steady-state App call
-// allocation-free; WriteHelper invalidates it. Scratch is per-device
-// state, NOT concurrency-safe.
+// readout of the stored pairs' oscillators and the code-offset sketch.
+// It makes a steady-state App call allocation-free; WriteHelper
+// invalidates it. Scratch is per-device state, NOT concurrency-safe.
 type seqPairScratch struct {
 	helperValid bool
 	ro          silicon.Readout
-	blocks      int
-	block       *ecc.Block
-	padded      bitvec.Vector
-	recovered   bitvec.Vector
-	ws          ecc.Workspace
+	sketch      ecc.Sketch
 }
 
 // refresh rebuilds the helper-derived caches from the current NVM.
 func (d *SeqPairDevice) refreshScratch() {
 	sc := &d.scratch
 	sc.ro.Invalidate()
-	cn := d.params.Code.N()
-	blocks := (len(d.nvm.Pairs.Pairs) + cn - 1) / cn
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(d.params.Code, blocks)
-		sc.blocks = blocks
-	}
-	if padLen := blocks * cn; sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.recovered = bitvec.New(padLen)
-	}
+	sc.sketch.Size(d.params.Code, len(d.nvm.Pairs.Pairs))
 	sc.helperValid = true
 }
 
@@ -111,17 +94,18 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 		return nil, fmt.Errorf("device: enrollment selected no pairs (threshold %v too high)", p.ThresholdMHz)
 	}
 	resp := pairing.Responses(f, helper.Pairs)
-	padded, blocks := padToBlocks(resp, p.Code)
-	block := ecc.NewBlock(p.Code, blocks)
-	off := ecc.EnrollOffset(block, padded, srcRun)
 	d := prev
 	if d == nil {
 		d = &SeqPairDevice{}
 	}
+	sk := &d.scratch.sketch
+	sk.Size(p.Code, resp.Len())
+	sk.Stream().PutAt(0, resp)
+	off := sk.Enroll(srcRun).Clone()
 	d.base.reset(env)
 	d.arr = arr
 	d.params = p
-	d.nvm = SeqPairHelperNVM{Pairs: helper, Offset: off.W}
+	d.nvm = SeqPairHelperNVM{Pairs: helper, Offset: off}
 	d.key = resp
 	d.src = srcRun
 	d.noise = noise
@@ -198,30 +182,19 @@ func (d *SeqPairDevice) App() bool {
 	if len(pairs) != d.key.Len() {
 		return false
 	}
-	if sc.padded.Len() != d.nvm.Offset.Len() {
+	if sc.sketch.Len() != d.nvm.Offset.Len() {
 		return false
 	}
-	sc.padded.Zero()
+	stream := sc.sketch.Stream()
 	for i, p := range pairs {
 		if pairing.ResponseBit(f, p) {
-			sc.padded.Set(i, true)
+			stream.Set(i, true)
 		}
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: d.nvm.Offset}, sc.padded, &sc.ws, sc.recovered); !ok {
-		return false
-	}
-	return sc.recovered.HasPrefix(d.key)
+	recovered, _, ok := sc.sketch.Reproduce(d.nvm.Offset)
+	return ok && recovered.HasPrefix(d.key)
 }
 
 // TrueKey returns the enrolled key. Evaluation-only: attacks never call
 // it; benches use it to score recovery.
 func (d *SeqPairDevice) TrueKey() bitvec.Vector { return d.key.Clone() }
-
-func padToBlocks(resp bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (resp.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return resp.Concat(bitvec.New(blocks*n - resp.Len())), blocks
-}

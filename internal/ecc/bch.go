@@ -269,10 +269,8 @@ func (b *BCH) T() int { return b.t }
 // Generator returns a copy of the generator polynomial (GF(2) coefficients).
 func (b *BCH) Generator() galois.Poly { return b.gen.Clone() }
 
-// Encode performs systematic encoding: the message occupies coefficient
-// positions n-k..n-1 of the transmitted word and the parity, the remainder
-// of x^(fullN-fullK) * u(x) modulo g(x), occupies positions 0..n-k-1.
-// It is EncodeInto with a fresh Workspace.
+// Encode returns the codeword of msg in a fresh vector. It is
+// EncodeInto with a fresh Workspace.
 func (b *BCH) Encode(msg bitvec.Vector) bitvec.Vector {
 	var ws Workspace
 	dst := bitvec.New(b.n)
@@ -280,8 +278,10 @@ func (b *BCH) Encode(msg bitvec.Vector) bitvec.Vector {
 	return dst
 }
 
-// EncodeInto implements Code: systematic encoding into a caller-owned
-// dst of length N with no steady-state allocations. The parity is the
+// EncodeInto implements Code with systematic encoding: the message
+// occupies coefficient positions n-k..n-1 of the transmitted word and
+// the parity, the remainder of x^(fullN-fullK) * u(x) modulo g(x),
+// occupies positions 0..n-k-1. The parity is the
 // XOR of one parTab row per nonzero message byte, accumulated in the
 // workspace's parity words and stored into dst a word at a time; the
 // message follows it with one word-level PutAt. Untabled fields clock
@@ -312,13 +312,6 @@ func (b *BCH) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 		dst.SetWord(i, x)
 	}
 	dst.PutAt(b.n-b.k, msg)
-}
-
-// Message extracts the systematic message bits from a codeword.
-func (b *BCH) Message(codeword bitvec.Vector) bitvec.Vector {
-	checkLen("codeword", codeword.Len(), b.n)
-	parityLen := b.fullN - (b.k + b.shorten)
-	return codeword.Slice(parityLen, b.n)
 }
 
 // syndromesInto computes S_1..S_2t where S_j = r(alpha^j) into the
@@ -356,23 +349,13 @@ func (b *BCH) syndromesInto(buf []galois.Elem, received bitvec.Vector) []galois.
 	return synd
 }
 
-// Decode corrects up to t errors. Failure (ok=false) is returned when the
+// DecodeInto implements Code: it corrects up to t errors into a
+// caller-owned dst of length N using workspace scratch, with no
+// steady-state allocations. Failure (ok=false) is returned when the
 // Berlekamp-Massey locator is inconsistent with the Chien-search root
 // count, when an error lands in a shortened position, or when the
-// corrected word still has nonzero syndromes. Expurgated codes also check
-// overall parity, which detects one extra error.
-func (b *BCH) Decode(received bitvec.Vector) (bitvec.Vector, int, bool) {
-	var ws Workspace
-	dst := bitvec.New(b.n)
-	corrected, ok := b.DecodeInto(&ws, received, dst)
-	if !ok {
-		return received, corrected, false
-	}
-	return dst, corrected, true
-}
-
-// DecodeInto implements Code: Decode into a caller-owned dst of length
-// N using workspace scratch, with no steady-state allocations.
+// corrected word still has nonzero syndromes. Expurgated codes also
+// check overall parity, which detects one extra error.
 func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.n)
 	checkLen("decode buffer", dst.Len(), b.n)
@@ -498,14 +481,6 @@ func (b *BCH) berlekampMassey(ws *Workspace, synd []galois.Elem) galois.Poly {
 	}
 	ws.bmC, ws.bmPrev, ws.bmSpare = c, prev, spare
 	return c
-}
-
-// ContainsAllOnes reports whether the all-ones transmitted word is a
-// codeword. For the full-length narrow-sense code this is always true;
-// expurgation removes it; shortening generally removes it as well. The
-// check is performed directly on the transmitted-length word.
-func (b *BCH) ContainsAllOnes() bool {
-	return IsCodeword(b, bitvec.Ones(b.n))
 }
 
 // String implements fmt.Stringer.

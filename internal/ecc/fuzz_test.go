@@ -10,7 +10,8 @@ import (
 // pattern. code picks the code; msg supplies the message bits (cycled,
 // so any length works); each byte of flips toggles received bit
 // flips[i] mod N, so short inputs give sparse patterns. Every pattern
-// must decode without panicking and DecodeInto must agree with Decode;
+// must decode without panicking, the same on a fresh workspace as on
+// one that decoded the sent codeword first;
 // a pattern of at most t errors in every block must decode to the sent
 // codeword with exactly wt(e) corrections.
 func FuzzDecode(f *testing.F) {
@@ -42,15 +43,16 @@ func FuzzDecode(f *testing.F) {
 		for _, b := range flips {
 			e.Flip(int(b) % c.N())
 		}
-		sent := c.Encode(m)
+		sent := encode(c, m)
 		recv := sent.Xor(e)
 
-		cw, corrected, ok := c.Decode(recv)
+		cw, corrected, ok := decode(c, recv)
 		var ws Workspace
 		dst := bitvec.New(c.N())
+		c.DecodeInto(&ws, sent, dst)
 		gotCorrected, gotOK := c.DecodeInto(&ws, recv, dst)
 		if gotCorrected != corrected || gotOK != ok || !dst.Equal(cw) {
-			t.Fatalf("%s: DecodeInto (%d, %v) disagrees with Decode (%d, %v)", c, gotCorrected, gotOK, corrected, ok)
+			t.Fatalf("%s: reused workspace (%d, %v) disagrees with a fresh one (%d, %v)", c, gotCorrected, gotOK, corrected, ok)
 		}
 
 		if !withinRadius(c, e) {
@@ -64,11 +66,12 @@ func FuzzDecode(f *testing.F) {
 }
 
 // withinRadius reports whether the error pattern e puts at most t errors
-// in every block of c (a non-Block code is one block).
+// in every block of c (a code other than a block composite is one
+// block).
 func withinRadius(c Code, e bitvec.Vector) bool {
 	n := c.N()
-	if b, ok := c.(*Block); ok {
-		n = b.Inner().N()
+	if b, ok := c.(*block); ok {
+		n = b.inner.N()
 	}
 	for at := 0; at < e.Len(); at += n {
 		if e.Slice(at, at+n).Weight() > c.T() {

@@ -39,7 +39,7 @@ func TestGolayWeightDistribution(t *testing.T) {
 				msg.Set(i, true)
 			}
 		}
-		w := g.Encode(msg).Weight()
+		w := encode(g, msg).Weight()
 		counts[w]++
 		if w != 0 && w < minW {
 			minW = w
@@ -61,13 +61,13 @@ func TestGolayCorrectsAllThreeErrorPatterns(t *testing.T) {
 	r := rng.New(1)
 	for trial := 0; trial < 5; trial++ {
 		msg := randMsg(r, 12)
-		cw := g.Encode(msg)
+		cw := encode(g, msg)
 		check := func(positions ...int) {
 			recv := cw.Clone()
 			for _, p := range positions {
 				recv.Flip(p)
 			}
-			dec, corrected, ok := g.Decode(recv)
+			dec, corrected, ok := decode(g, recv)
 			if !ok || !dec.Equal(cw) || corrected != len(positions) {
 				t.Fatalf("pattern %v: ok=%v corrected=%d equal=%v",
 					positions, ok, corrected, dec.Equal(cw))
@@ -93,17 +93,17 @@ func TestGolayPerfectCodeMiscorrects(t *testing.T) {
 	g := NewGolay()
 	r := rng.New(2)
 	for trial := 0; trial < 50; trial++ {
-		cw := g.Encode(randMsg(r, 12))
+		cw := encode(g, randMsg(r, 12))
 		recv := cw.Clone()
 		flipRandom(r, recv, 4)
-		dec, _, ok := g.Decode(recv)
+		dec, _, ok := decode(g, recv)
 		if !ok {
 			t.Fatal("perfect code reported failure")
 		}
 		if dec.Equal(cw) {
 			t.Fatal("4 errors decoded back to the original codeword")
 		}
-		if !IsCodeword(g, dec) {
+		if !isCodeword(g, dec) {
 			t.Fatal("decode output is not a codeword")
 		}
 	}
@@ -114,7 +114,8 @@ func TestGolayMessageRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		msg := randMsg(r, 12)
-		return g.Message(g.Encode(msg)).Equal(msg)
+		// Systematic: the message is the codeword's first 12 bits.
+		return encode(g, msg).Slice(0, 12).Equal(msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -122,7 +123,7 @@ func TestGolayMessageRoundTrip(t *testing.T) {
 }
 
 func TestGolayContainsAllOnes(t *testing.T) {
-	if !NewGolay().ContainsAllOnes() {
+	if !isCodeword(NewGolay(), bitvec.Ones(23)) {
 		t.Fatal("the perfect Golay code is complement-closed; all-ones must be a codeword")
 	}
 }
@@ -132,7 +133,7 @@ func TestGolayLinearity(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		m1, m2 := randMsg(r, 12), randMsg(r, 12)
-		return g.Encode(m1).Xor(g.Encode(m2)).Equal(g.Encode(m1.Xor(m2)))
+		return encode(g, m1).Xor(encode(g, m2)).Equal(encode(g, m1.Xor(m2)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -145,10 +146,14 @@ func TestGolayInCodeOffset(t *testing.T) {
 	r := rng.New(3)
 	g := NewGolay()
 	resp := randMsg(r, 23)
-	off := EnrollOffset(g, resp, r)
-	noisy := resp.Clone()
+	var sk Sketch
+	sk.Size(g, resp.Len())
+	sk.Stream().PutAt(0, resp)
+	off := sk.Enroll(r).Clone()
+	noisy := sk.Stream()
+	noisy.PutAt(0, resp)
 	flipRandom(r, noisy, 3)
-	got, corrected, ok := Reproduce(g, off, noisy)
+	got, corrected, ok := sk.Reproduce(off)
 	if !ok || corrected != 3 || !got.Equal(resp) {
 		t.Fatalf("code-offset reproduce failed: ok=%v corrected=%d", ok, corrected)
 	}
@@ -157,11 +162,11 @@ func TestGolayInCodeOffset(t *testing.T) {
 func BenchmarkGolayDecode(b *testing.B) {
 	g := NewGolay()
 	r := rng.New(1)
-	cw := g.Encode(randMsg(r, 12))
+	cw := encode(g, randMsg(r, 12))
 	recv := cw.Clone()
 	flipRandom(r, recv, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = g.Decode(recv)
+		_, _, _ = decode(g, recv)
 	}
 }

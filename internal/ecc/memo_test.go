@@ -20,31 +20,40 @@ func memoInners() []Code {
 	}
 }
 
-// memoCase is one Block decode the memo fuzz target replays: the code,
-// the helper offset and the response, decoded either through
-// ReproduceInto or straight through Block.DecodeInto.
+// memoCase is one block decode the memo fuzz target replays: the code,
+// the helper offset and the response, decoded either through a
+// Sketch's Reproduce or straight through block.DecodeInto.
 type memoCase struct {
-	block     *Block
+	block     *block
 	off, resp bitvec.Vector
 	reproduce bool
 }
 
-// checkAgainstFresh runs mc on the shared workspace and on a fresh one
-// and fails unless (dst, corrected, ok) agree. A direct decode is also
-// checked against the inner code's allocating Decode, block by block:
-// a failed block must hold its received bits.
-func checkAgainstFresh(t *testing.T, ws *Workspace, mc memoCase) {
+// reproduceCase runs mc through sk, sized to mc's block geometry.
+func reproduceCase(sk *Sketch, mc memoCase) (bitvec.Vector, int, bool) {
+	sk.Size(mc.block.inner, mc.block.N())
+	return reproduceFrom(sk, mc.off, mc.resp)
+}
+
+// checkAgainstFresh runs mc on the shared sketch (a direct decode on
+// its workspace) and on a fresh one and fails unless (output,
+// corrected, ok) agree. A direct decode is also checked against the
+// inner code's decode on a fresh workspace, block by block: a failed
+// block must hold its received bits.
+func checkAgainstFresh(t *testing.T, sk *Sketch, mc memoCase) {
 	t.Helper()
 	b := mc.block
-	got, want := bitvec.New(b.N()), bitvec.New(b.N())
-	var fresh Workspace
+	var got, want bitvec.Vector
 	var gotC, wantC int
 	var gotOK, wantOK bool
 	if mc.reproduce {
-		gotC, gotOK = ReproduceInto(b, Offset{W: mc.off}, mc.resp, ws, got)
-		wantC, wantOK = ReproduceInto(b, Offset{W: mc.off}, mc.resp, &fresh, want)
+		var fresh Sketch
+		got, gotC, gotOK = reproduceCase(sk, mc)
+		want, wantC, wantOK = reproduceCase(&fresh, mc)
 	} else {
-		gotC, gotOK = b.DecodeInto(ws, mc.resp, got)
+		var fresh Workspace
+		got, want = bitvec.New(b.N()), bitvec.New(b.N())
+		gotC, gotOK = b.DecodeInto(&sk.ws, mc.resp, got)
 		wantC, wantOK = b.DecodeInto(&fresh, mc.resp, want)
 	}
 	if gotC != wantC || gotOK != wantOK || !got.Equal(want) {
@@ -54,25 +63,25 @@ func checkAgainstFresh(t *testing.T, ws *Workspace, mc memoCase) {
 	if mc.reproduce {
 		return
 	}
-	in := b.Inner().N()
+	in := b.inner.N()
 	total, allOK := 0, true
 	for i := 0; i < b.blocks; i++ {
 		recv := mc.resp.Slice(i*in, (i+1)*in)
-		cw, c, ok := b.Inner().Decode(recv)
+		cw, c, ok := decode(b.inner, recv)
 		if !got.Slice(i*in, (i+1)*in).Equal(cw) {
-			t.Fatalf("%s block %d (ok=%v): output differs from the inner Decode", b, i, ok)
+			t.Fatalf("%s block %d (ok=%v): output differs from the inner decode", b, i, ok)
 		}
 		total += c
 		allOK = allOK && ok
 	}
 	if gotC != total || gotOK != allOK {
-		t.Fatalf("%s: (%d, %v) differs from the per-block Decode (%d, %v)", b, gotC, gotOK, total, allOK)
+		t.Fatalf("%s: (%d, %v) differs from the per-block decode (%d, %v)", b, gotC, gotOK, total, allOK)
 	}
 }
 
-// FuzzDecodeMemo drives one Workspace through a fuzzer-chosen sequence
-// of ReproduceInto and Block.DecodeInto calls and checks every result
-// against a fresh Workspace's. seed draws the initial words; each op
+// FuzzDecodeMemo drives one Sketch through a fuzzer-chosen sequence of
+// Reproduce calls and block.DecodeInto calls on its workspace, and
+// checks every result against a fresh Sketch's or Workspace's. seed draws the initial words; each op
 // byte picks an action from its low three bits, with its high bits as
 // the argument:
 //
@@ -81,7 +90,7 @@ func checkAgainstFresh(t *testing.T, ws *Workspace, mc memoCase) {
 //	2: change the offset, same response
 //	3: switch the inner code
 //	4: switch the block count
-//	5: toggle ReproduceInto / direct Block.DecodeInto
+//	5: toggle Sketch.Reproduce / direct block.DecodeInto
 //	6: put t+1 errors into one block (ok=false for the BCH codes)
 //	7: go back to the previous response
 func FuzzDecodeMemo(f *testing.F) {
@@ -110,18 +119,18 @@ func FuzzDecodeMemo(f *testing.F) {
 		// rebuild draws a fresh offset and a response within a few
 		// errors of it on the current code.
 		rebuild := func() {
-			mc.block = NewBlock(inners[inner], blocks)
+			mc.block = &block{inner: inners[inner], blocks: blocks}
 			mc.off = randWord(mc.block.N())
 			msg := randWord(mc.block.K())
-			mc.resp = mc.off.Xor(mc.block.Encode(msg))
+			mc.resp = mc.off.Xor(encode(mc.block, msg))
 			for e := src.Intn(3); e > 0; e-- {
 				mc.resp.Flip(src.Intn(mc.resp.Len()))
 			}
 			prev = mc
 		}
 		rebuild()
-		var ws Workspace
-		checkAgainstFresh(t, &ws, mc)
+		var sk Sketch
+		checkAgainstFresh(t, &sk, mc)
 		for _, op := range ops {
 			arg := int(op >> 3)
 			switch op & 7 {
@@ -143,7 +152,7 @@ func FuzzDecodeMemo(f *testing.F) {
 			case 6:
 				prev = mc
 				mc.resp = mc.resp.Clone()
-				in := mc.block.Inner().N()
+				in := mc.block.inner.N()
 				at := arg % mc.block.blocks * in
 				for e := 0; e <= mc.block.T(); e++ {
 					mc.resp.Flip(at + (e*7+arg)%in)
@@ -153,36 +162,37 @@ func FuzzDecodeMemo(f *testing.F) {
 					mc.resp, prev.resp = prev.resp, mc.resp
 				}
 			}
-			checkAgainstFresh(t, &ws, mc)
+			checkAgainstFresh(t, &sk, mc)
 		}
 	})
 }
 
-// TestDecodeMemoSteadyStateAllocs is the memo's allocation fence: one
-// Workspace decoding Blocks of 1 to 4 blocks over two inner codes in
-// turn allocates nothing once it has seen the largest shape, whether
-// the words repeat or change.
+// TestDecodeMemoSteadyStateAllocs is the memo's and the sketch's
+// allocation fence: one Sketch re-sized to 1 to 4 blocks of two inner
+// codes in turn, enrolling, reproducing and decoding blocks directly on
+// its workspace, allocates nothing once it has seen the largest shape,
+// whether the words repeat or change.
 func TestDecodeMemoSteadyStateAllocs(t *testing.T) {
 	src := rng.New(3)
 	var cases []memoCase
 	for _, inner := range []Code{MustBCH(BCHConfig{M: 5, T: 3}), MustBCH(BCHConfig{M: 6, T: 3})} {
 		for blocks := 1; blocks <= 4; blocks++ {
-			b := NewBlock(inner, blocks)
+			b := &block{inner: inner, blocks: blocks}
 			resp := bitvec.New(b.N())
 			for i := 0; i < resp.Len(); i++ {
 				resp.Set(i, src.Bool())
 			}
-			cases = append(cases, memoCase{block: b, off: b.Encode(bitvec.New(b.K())), resp: resp, reproduce: true})
+			cases = append(cases, memoCase{block: b, off: encode(b, bitvec.New(b.K())), resp: resp, reproduce: true})
 		}
 	}
-	var ws Workspace
+	var sk Sketch
 	dst := bitvec.New(4 * 63)
 	run := func() {
 		for _, mc := range cases {
-			d := dst.Resized(mc.block.N())
-			ReproduceInto(mc.block, Offset{W: mc.off}, mc.resp, &ws, d)
+			reproduceCase(&sk, mc)
+			sk.Enroll(src)
 			mc.resp.Flip(0)
-			mc.block.DecodeInto(&ws, mc.resp, d)
+			mc.block.DecodeInto(&sk.ws, mc.resp, dst.Resized(mc.block.N()))
 		}
 	}
 	run()
@@ -192,42 +202,48 @@ func TestDecodeMemoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeMemoThrowawayAllocs pins what a one-shot decode costs: the
-// allocating Decode, IsCodeword and ConsistentWith each run on a
-// throwaway Workspace, which must pay nothing for the memo. The counts
-// are those measured before the memo existed.
+// TestDecodeMemoThrowawayAllocs pins what a one-shot sketch costs, the
+// shape of fuzzy.Reconstruct, the enrollments and the attacks' offline
+// checks: a fresh Sketch sized, enrolled and reproduced once. The
+// bounds are the counts measured when the sketch replaced the
+// allocating code-offset functions.
 func TestDecodeMemoThrowawayAllocs(t *testing.T) {
 	for _, c := range []struct {
-		code                        Code
-		codeword, noisy, consistent float64
+		code          Code
+		streamLen     int
+		enroll, reprd float64
 	}{
-		{NewBlock(MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}), 3), 5, 10, 6},
-		{NewBlock(MustBCH(BCHConfig{M: 6, T: 3}), 2), 5, 10, 6},
-		{NewBlock(NewGolay(), 2), 4, 4, 5},
-		{NewBlock(NewRepetition(2), 4), 4, 4, 5},
-		{MustBCH(BCHConfig{M: 5, T: 3}), 2, 7, 3},
+		{MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}), 93, 7, 8},
+		{MustBCH(BCHConfig{M: 6, T: 3}), 126, 7, 8},
+		{NewGolay(), 46, 6, 7},
+		{NewRepetition(2), 20, 6, 7},
+		{MustBCH(BCHConfig{M: 5, T: 3}), 31, 7, 8},
 	} {
 		src := rng.New(1)
-		msg := bitvec.New(c.code.K())
-		for i := 0; i < msg.Len(); i++ {
-			msg.Set(i, src.Bool())
+		resp := randMsg(src, c.streamLen)
+		var off bitvec.Vector
+		enroll := func() {
+			var sk Sketch
+			sk.Size(c.code, c.streamLen)
+			sk.Stream().PutAt(0, resp)
+			off = sk.Enroll(src)
 		}
-		cw := c.code.Encode(msg)
-		noisy := cw.Clone()
-		noisy.Flip(1)
-		zero := bitvec.New(c.code.N())
+		reproduce := func() {
+			var sk Sketch
+			sk.Size(c.code, c.streamLen)
+			reproduceFrom(&sk, off, resp)
+		}
+		enroll()
 		for _, m := range []struct {
 			name string
 			want float64
 			fn   func()
 		}{
-			{"IsCodeword", c.codeword, func() { IsCodeword(c.code, cw) }},
-			{"Decode", c.codeword, func() { c.code.Decode(cw) }},
-			{"Decode(noisy)", c.noisy, func() { c.code.Decode(noisy) }},
-			{"ConsistentWith", c.consistent, func() { ConsistentWith(c.code, Offset{W: cw}, zero) }},
+			{"enroll", c.enroll, enroll},
+			{"reproduce", c.reprd, reproduce},
 		} {
 			if got := testing.AllocsPerRun(20, m.fn); got > m.want {
-				t.Errorf("%s: %s allocates %.1f, want at most %.0f", c.code, m.name, got, m.want)
+				t.Errorf("%s over %d bits: a one-shot %s allocates %.1f, want at most %.0f", c.code, c.streamLen, m.name, got, m.want)
 			}
 		}
 	}
@@ -281,7 +297,7 @@ func TestBCHSharedConcurrent(t *testing.T) {
 			dst := bitvec.New(b.N())
 			for round := 0; round < 20; round++ {
 				for _, w := range words {
-					wantCW, wantC, wantOK := ref.Decode(w)
+					wantCW, wantC, wantOK := decode(ref, w)
 					gotC, gotOK := b.DecodeInto(&ws, w, dst)
 					if gotC != wantC || gotOK != wantOK || !dst.Equal(wantCW) {
 						t.Errorf("goroutine %d: shared decode differs from the reference", g)

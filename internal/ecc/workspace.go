@@ -6,28 +6,21 @@ import (
 )
 
 // Workspace is caller-owned scratch state for the allocation-free
-// EncodeInto, DecodeInto and ReproduceInto paths. A zero Workspace is
-// ready to use; buffers grow on first use and are reused afterwards, so
-// a steady-state ReproduceInto cycle over a fixed code performs no heap
+// EncodeInto and DecodeInto paths. A zero Workspace is ready to use;
+// buffers grow on first use and are reused afterwards, so a
+// steady-state decode cycle over a fixed code performs no heap
 // allocations. A Workspace serves one call at a time: it is not safe
-// for concurrent use, and a Block must not nest another Block as its
-// inner code (the per-block buffers would be reentered). Devices keep
-// one Workspace per oracle.
+// for concurrent use. Every Sketch holds one.
 //
-// A Workspace also remembers, per block index, the last word a Block
+// A Workspace also remembers, per block index, the last word a block
 // decode handed to its inner code and what that decode returned (see
-// Block.DecodeInto). The key is the word's content under the same inner
+// block.DecodeInto). The key is the word's content under the same inner
 // code, and a decode is a pure function of exactly that, so an entry
-// never goes stale and nothing invalidates it. A throwaway Workspace
-// (Block.Decode, IsCodeword, ConsistentWith) serves a single Block
-// decode and allocates nothing for it: the memo's storage is made on a
-// Workspace's second Block decode.
+// never goes stale and nothing invalidates it.
 type Workspace struct {
-	// code-offset buffer: offset XOR response, full composite length.
-	xorBuf bitvec.Vector
-	// per-block buffers of a Block decode.
+	// per-block buffers of a block decode.
 	blockRecv, blockOut bitvec.Vector
-	// per-block message buffer of a Block encode.
+	// per-block message buffer of a block encode.
 	blockMsg bitvec.Vector
 	// BCH encoder state: the parity accumulator, packed in words.
 	parity []uint64
@@ -40,7 +33,7 @@ type Workspace struct {
 	bmSpare   galois.Poly
 	chien     []galois.Elem
 	positions []int
-	// memo is the Block decode's per-block-index memo.
+	// memo is the block decode's per-block-index memo.
 	memo decodeMemo
 }
 
@@ -51,21 +44,15 @@ type Workspace struct {
 // of 0 marks an empty entry; otherwise it packs 1 | ok<<1 |
 // corrected<<2.
 type decodeMemo struct {
-	armed bool // a Block decode has run on this Workspace before
 	code  Code
 	n     int // words per stored word
 	words []uint64
 }
 
-// prepare readies the memo for a decode of b and returns it, or nil on
-// the first Block decode a Workspace serves. A change of inner code
-// empties every entry; a larger block count or inner length grows the
-// backing slice, and nothing else allocates.
-func (m *decodeMemo) prepare(b *Block) *decodeMemo {
-	if !m.armed {
-		m.armed = true
-		return nil
-	}
+// prepare readies the memo for a decode of b and returns it. A change
+// of inner code empties every entry; a larger block count or inner
+// length grows the backing slice, and nothing else allocates.
+func (m *decodeMemo) prepare(b *block) *decodeMemo {
 	n := (b.inner.N() + 63) / 64
 	if m.code != b.inner || m.n != n {
 		m.code, m.n = b.inner, n
@@ -80,12 +67,8 @@ func (m *decodeMemo) prepare(b *Block) *decodeMemo {
 }
 
 // get copies entry i's output into out and returns its (corrected, ok)
-// when the entry holds recv as its input word; hit is false otherwise,
-// and always on a nil memo.
+// when the entry holds recv as its input word; hit is false otherwise.
 func (m *decodeMemo) get(i int, recv, out bitvec.Vector) (corrected int, ok, hit bool) {
-	if m == nil {
-		return 0, false, false
-	}
 	e := m.words[i*(1+2*m.n):][:1+2*m.n]
 	if e[0] == 0 {
 		return 0, false, false
@@ -101,12 +84,8 @@ func (m *decodeMemo) get(i int, recv, out bitvec.Vector) (corrected int, ok, hit
 	return int(e[0] >> 2), e[0]&2 != 0, true
 }
 
-// put stores recv's decode (out, corrected, ok) as entry i; a nil memo
-// stores nothing.
+// put stores recv's decode (out, corrected, ok) as entry i.
 func (m *decodeMemo) put(i int, recv, out bitvec.Vector, corrected int, ok bool) {
-	if m == nil {
-		return
-	}
 	e := m.words[i*(1+2*m.n):][:1+2*m.n]
 	e[0] = uint64(corrected)<<2 | 1
 	if ok {
@@ -117,11 +96,12 @@ func (m *decodeMemo) put(i int, recv, out bitvec.Vector, corrected int, ok bool)
 	}
 }
 
-// vec returns *v resized to n bits, reallocating only when its
-// capacity is too small, so a workspace that alternates between block
-// counts or inner lengths stops allocating once it has seen the
-// largest. Contents are unspecified; callers overwrite the buffer fully.
-func (ws *Workspace) vec(v *bitvec.Vector, n int) bitvec.Vector {
+// resize returns *v resized to n bits, reallocating only when its
+// capacity is too small, so a workspace or sketch that alternates
+// between block counts or inner lengths stops allocating once it has
+// seen the largest. Contents are unspecified; callers overwrite the
+// buffer fully.
+func resize(v *bitvec.Vector, n int) bitvec.Vector {
 	if v.Len() != n {
 		*v = v.Resized(n)
 	}
@@ -137,21 +117,4 @@ func zeroed[E galois.Elem | uint64](buf []E, n int) []E {
 	buf = buf[:n]
 	clear(buf)
 	return buf
-}
-
-// ReproduceInto is Reproduce with caller-owned scratch: dst (length
-// c.N()) receives the recovered response on ok=true and holds
-// unspecified scratch on ok=false. Output is bit-identical to Reproduce
-// on the same inputs.
-func ReproduceInto(c Code, o Offset, response bitvec.Vector, ws *Workspace, dst bitvec.Vector) (corrected int, ok bool) {
-	checkLen("response", response.Len(), c.N())
-	checkLen("offset", o.W.Len(), c.N())
-	checkLen("reproduce buffer", dst.Len(), c.N())
-	buf := ws.vec(&ws.xorBuf, c.N())
-	o.W.XorInto(response, buf)
-	if corrected, ok = c.DecodeInto(ws, buf, dst); !ok {
-		return corrected, false
-	}
-	o.W.XorInto(dst, dst)
-	return corrected, true
 }

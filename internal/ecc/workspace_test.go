@@ -7,15 +7,39 @@ import (
 	"repro/internal/rng"
 )
 
-// randomWord returns an n-bit vector with each bit set with probability
-// roughly errRate-ish noise applied to a random codeword of c.
+// encode is EncodeInto into a fresh vector on a fresh Workspace.
+func encode(c Code, msg bitvec.Vector) bitvec.Vector {
+	var ws Workspace
+	dst := bitvec.New(c.N())
+	c.EncodeInto(&ws, msg, dst)
+	return dst
+}
+
+// decode is DecodeInto into a fresh vector on a fresh Workspace: the
+// corrected word on ok, the received word (per failed block, for a
+// block composite) on !ok.
+func decode(c Code, received bitvec.Vector) (bitvec.Vector, int, bool) {
+	var ws Workspace
+	dst := bitvec.New(c.N())
+	corrected, ok := c.DecodeInto(&ws, received, dst)
+	return dst, corrected, ok
+}
+
+// isCodeword reports whether w decodes to itself with zero corrections.
+func isCodeword(c Code, w bitvec.Vector) bool {
+	cw, corrected, ok := decode(c, w)
+	return ok && corrected == 0 && cw.Equal(w)
+}
+
+// noisyCodeword returns a random codeword of c with flips random bit
+// flips applied.
 func noisyCodeword(t *testing.T, c Code, src *rng.Source, flips int) bitvec.Vector {
 	t.Helper()
 	msg := bitvec.New(c.K())
 	for i := 0; i < msg.Len(); i++ {
 		msg.Set(i, src.Bool())
 	}
-	w := c.Encode(msg)
+	w := encode(c, msg)
 	for f := 0; f < flips; f++ {
 		w.Flip(src.Intn(w.Len()))
 	}
@@ -25,7 +49,7 @@ func noisyCodeword(t *testing.T, c Code, src *rng.Source, flips int) bitvec.Vect
 // workspaceCodes is one instance of every code family and variant: the
 // repetition code, Golay, plain, expurgated and shortened BCH (single-
 // and multi-word lengths, so the byte tables cross word boundaries and
-// end in a shortened tail), and Block over BCH and over Golay.
+// end in a shortened tail), and block composites over BCH and Golay.
 func workspaceCodes() []Code {
 	return []Code{
 		NewRepetition(3),
@@ -35,16 +59,16 @@ func workspaceCodes() []Code {
 		MustBCH(BCHConfig{M: 6, T: 4, Shorten: 5}),
 		MustBCH(BCHConfig{M: 7, T: 5}),
 		MustBCH(BCHConfig{M: 8, T: 4, Shorten: 3}),
-		NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 3),
-		NewBlock(NewGolay(), 2),
+		&block{inner: MustBCH(BCHConfig{M: 5, T: 3}), blocks: 3},
+		&block{inner: NewGolay(), blocks: 2},
 	}
 }
 
 // TestDecodeIntoMatchesDecode sweeps every code family across error
-// weights from zero to beyond the radius and checks that the workspace
-// decoder reproduces Decode bit-for-bit: same corrected count, same ok,
-// same output word (received echoed on failure), with a SHARED workspace
-// across calls so buffer-reuse bugs cannot hide.
+// weights from zero to beyond the radius and checks that a workspace
+// SHARED across calls decodes bit-for-bit like a fresh one per call:
+// same corrected count, same ok, same output word (received echoed on
+// failure), so buffer-reuse bugs cannot hide.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	src := rng.New(2024)
 	for _, c := range workspaceCodes() {
@@ -53,15 +77,12 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		for flips := 0; flips <= c.T()+2; flips++ {
 			for trial := 0; trial < 25; trial++ {
 				w := noisyCodeword(t, c, src, flips)
-				wantCW, wantCorr, wantOK := c.Decode(w)
+				wantCW, wantCorr, wantOK := decode(c, w)
 				gotCorr, gotOK := c.DecodeInto(&ws, w, dst)
 				if gotCorr != wantCorr || gotOK != wantOK {
-					t.Fatalf("%s flips=%d: DecodeInto (%d,%v) != Decode (%d,%v)",
+					t.Fatalf("%s flips=%d: shared workspace (%d,%v) != fresh (%d,%v)",
 						c, flips, gotCorr, gotOK, wantCorr, wantOK)
 				}
-				// Decode's first return is the corrected word on ok and
-				// the received word (per failed block, for Block) on
-				// failure; DecodeInto must reproduce it either way.
 				if !dst.Equal(wantCW) {
 					t.Fatalf("%s flips=%d ok=%v: output words differ", c, flips, wantOK)
 				}
@@ -70,37 +91,45 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestReproduceIntoMatchesReproduce pins the code-offset scratch path.
+// TestReproduceIntoMatchesReproduce pins the sketch's reconstruction
+// path: one sketch SHARED across calls, re-sized between two
+// geometries, reproduces like a fresh sketch per call.
 func TestReproduceIntoMatchesReproduce(t *testing.T) {
 	src := rng.New(77)
-	c := NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 2)
-	resp := bitvec.New(c.N())
-	for i := 0; i < resp.Len(); i++ {
-		resp.Set(i, src.Bool())
-	}
-	o := EnrollOffset(c, resp, src)
-	var ws Workspace
-	dst := bitvec.New(c.N())
-	for flips := 0; flips <= c.T()+2; flips++ {
-		noisy := resp.Clone()
-		for f := 0; f < flips; f++ {
-			noisy.Flip(src.Intn(noisy.Len()))
-		}
-		wantRec, wantCorr, wantOK := Reproduce(c, o, noisy)
-		gotCorr, gotOK := ReproduceInto(c, o, noisy, &ws, dst)
-		if gotCorr != wantCorr || gotOK != wantOK {
-			t.Fatalf("flips=%d: ReproduceInto (%d,%v) != Reproduce (%d,%v)",
-				flips, gotCorr, gotOK, wantCorr, wantOK)
-		}
-		if wantOK && !dst.Equal(wantRec) {
-			t.Fatalf("flips=%d: recovered responses differ", flips)
+	code := MustBCH(BCHConfig{M: 5, T: 3})
+	var shared Sketch
+	for _, streamLen := range []int{40, 93, 40, 62} {
+		var enroll Sketch
+		enroll.Size(code, streamLen)
+		resp := randMsg(src, streamLen)
+		enroll.Stream().PutAt(0, resp)
+		off := enroll.Enroll(src).Clone()
+		for flips := 0; flips <= code.T()+2; flips++ {
+			noisy := resp.Clone()
+			for f := 0; f < flips; f++ {
+				noisy.Flip(src.Intn(noisy.Len()))
+			}
+			var fresh Sketch
+			fresh.Size(code, streamLen)
+			fresh.Stream().PutAt(0, noisy)
+			wantRec, wantCorr, wantOK := fresh.Reproduce(off)
+			shared.Size(code, streamLen)
+			shared.Stream().PutAt(0, noisy)
+			gotRec, gotCorr, gotOK := shared.Reproduce(off)
+			if gotCorr != wantCorr || gotOK != wantOK {
+				t.Fatalf("len=%d flips=%d: shared sketch (%d,%v) != fresh (%d,%v)",
+					streamLen, flips, gotCorr, gotOK, wantCorr, wantOK)
+			}
+			if wantOK && !gotRec.Equal(wantRec) {
+				t.Fatalf("len=%d flips=%d: recovered streams differ", streamLen, flips)
+			}
 		}
 	}
 }
 
 // TestEncodeIntoMatchesEncode sweeps every code family over random
-// messages and checks the workspace encoder against Encode bit-for-bit,
-// with a SHARED workspace across calls so buffer-reuse bugs cannot hide.
+// messages and checks a workspace SHARED across calls against a fresh
+// one per call, bit-for-bit, so buffer-reuse bugs cannot hide.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	src := rng.New(4096)
 	for _, c := range workspaceCodes() {
@@ -111,35 +140,42 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 			for i := 0; i < msg.Len(); i++ {
 				msg.Set(i, src.Bool())
 			}
-			want := c.Encode(msg)
+			want := encode(c, msg)
 			c.EncodeInto(&ws, msg, dst)
 			if !dst.Equal(want) {
-				t.Fatalf("%s trial %d: EncodeInto differs from Encode", c, trial)
+				t.Fatalf("%s trial %d: shared workspace encodes differently", c, trial)
 			}
 		}
 	}
 }
 
-// TestOffsetForIntoMatchesOffsetFor pins the attack layer's crafted
-// offset fast path against the allocating original.
+// TestOffsetForIntoMatchesOffsetFor pins the offset Enroll draws, the
+// computation enrollment and the attacks' forged helpers share: one
+// sketch SHARED across calls and geometries must return, bit for bit,
+// the padded stream XOR the block encoding of a message drawn one
+// src.Bool() per message bit, computed on a fresh workspace.
 func TestOffsetForIntoMatchesOffsetFor(t *testing.T) {
 	src := rng.New(88)
-	c := NewBlock(MustBCH(BCHConfig{M: 5, T: 3}), 2)
-	var ws Workspace
-	dst := bitvec.New(c.N())
+	code := MustBCH(BCHConfig{M: 5, T: 3})
+	var shared Sketch
 	for trial := 0; trial < 25; trial++ {
-		resp := bitvec.New(c.N())
-		for i := 0; i < resp.Len(); i++ {
-			resp.Set(i, src.Bool())
-		}
-		msg := bitvec.New(c.K())
+		streamLen := []int{62, 31, 1, 100}[trial%4]
+		resp := randMsg(src, streamLen)
+		seed := uint64(trial) + 1000
+		shared.Size(code, streamLen)
+		shared.Stream().PutAt(0, resp)
+		got := shared.Enroll(rng.New(seed))
+
+		blk := &block{inner: code, blocks: max(1, (streamLen+code.N()-1)/code.N())}
+		draw := rng.New(seed)
+		msg := bitvec.New(blk.K())
 		for i := 0; i < msg.Len(); i++ {
-			msg.Set(i, src.Bool())
+			msg.Set(i, draw.Bool())
 		}
-		want := OffsetFor(c, resp, msg)
-		OffsetForInto(c, resp, msg, &ws, dst)
-		if !dst.Equal(want.W) {
-			t.Fatalf("trial %d: OffsetForInto differs from OffsetFor", trial)
+		padded := bitvec.New(blk.N())
+		padded.PutAt(0, resp)
+		if want := padded.Xor(encode(blk, msg)); !got.Equal(want) {
+			t.Fatalf("trial %d (len %d): shared sketch's offset differs from the reference", trial, streamLen)
 		}
 	}
 }
@@ -149,7 +185,7 @@ func TestOffsetForIntoMatchesOffsetFor(t *testing.T) {
 // calls it once per hypothesis arm).
 func TestEncodeIntoSteadyStateAllocs(t *testing.T) {
 	src := rng.New(99)
-	for _, c := range append(workspaceCodes(), NewBlock(MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}), 2)) {
+	for _, c := range append(workspaceCodes(), &block{inner: MustBCH(BCHConfig{M: 5, T: 3, Expurgate: true}), blocks: 2}) {
 		msg := bitvec.New(c.K())
 		for i := 0; i < msg.Len(); i++ {
 			msg.Set(i, src.Bool())

@@ -52,28 +52,21 @@ var ErrReconstructFailed = errors.New("fuzzy: key reconstruction failed")
 // commitment check fails.
 var ErrManipulationDetected = errors.New("fuzzy: helper-data manipulation detected")
 
-func padToBlocks(resp bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (resp.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return resp.Concat(bitvec.New(blocks*n - resp.Len())), blocks
-}
-
 // Enroll builds helper data and derives the key from an enrollment
 // response of arbitrary length (padded internally to ECC blocks).
 func Enroll(response bitvec.Vector, p Params, src *rng.Source) (Helper, []byte, error) {
 	if p.Code == nil {
 		return Helper{}, nil, errors.New("fuzzy: nil ECC")
 	}
-	padded, blocks := padToBlocks(response, p.Code)
-	block := ecc.NewBlock(p.Code, blocks)
-	off := ecc.EnrollOffset(block, padded, src)
-	key := deriveKey(padded, off.W, p.Robust)
-	h := Helper{W: off.W}
+	var sk ecc.Sketch
+	sk.Size(p.Code, response.Len())
+	padded := sk.Stream()
+	padded.PutAt(0, response)
+	w := sk.Enroll(src)
+	key := deriveKey(padded, w, p.Robust)
+	h := Helper{W: w}
 	if p.Robust {
-		h.Tag = commitment(padded, off.W)
+		h.Tag = commitment(padded, w)
 	}
 	return h, key, nil
 }
@@ -83,12 +76,13 @@ func Reconstruct(response bitvec.Vector, p Params, h Helper) ([]byte, error) {
 	if p.Code == nil {
 		return nil, errors.New("fuzzy: nil ECC")
 	}
-	padded, blocks := padToBlocks(response, p.Code)
-	if padded.Len() != h.W.Len() {
-		return nil, fmt.Errorf("fuzzy: helper length %d, response padded %d", h.W.Len(), padded.Len())
+	var sk ecc.Sketch
+	sk.Size(p.Code, response.Len())
+	if sk.Len() != h.W.Len() {
+		return nil, fmt.Errorf("fuzzy: helper length %d, response padded %d", h.W.Len(), sk.Len())
 	}
-	block := ecc.NewBlock(p.Code, blocks)
-	recovered, _, ok := ecc.Reproduce(block, ecc.Offset{W: h.W}, padded)
+	sk.Stream().PutAt(0, response)
+	recovered, _, ok := sk.Reproduce(h.W)
 	if !ok {
 		return nil, ErrReconstructFailed
 	}

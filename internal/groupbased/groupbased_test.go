@@ -322,10 +322,8 @@ func TestAttackerRepartitionReprogramsKey(t *testing.T) {
 	// Predicted stream: residual = f - poly' = residual_orig - 1000x;
 	// within each pair the left RO (smaller x) has the larger residual,
 	// so label A precedes B -> Kendall bit 0 everywhere.
-	stream := bitvec.New(StreamLen(&g))
-	padded, blocks := padToBlocksForTest(stream, p.Code)
-	block := ecc.NewBlock(p.Code, blocks)
-	attack.Offset = ecc.EnrollOffset(block, padded, rng.New(502)).W
+	sk, _ := sketchFor(p.Code, bitvec.New(StreamLen(&g)))
+	attack.Offset = sk.Enroll(rng.New(502))
 
 	got, err := reconstruct(a, p, attack, a.Config().NominalEnv(), a.NewNoise(rng.New(503)))
 	if err != nil {
@@ -335,10 +333,6 @@ func TestAttackerRepartitionReprogramsKey(t *testing.T) {
 	if got.Weight() != 0 {
 		t.Fatalf("attacker key %s, want all zeros", got)
 	}
-}
-
-func padToBlocksForTest(stream bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	return padToBlocks(stream, code)
 }
 
 func BenchmarkGroup512(b *testing.B) {

@@ -68,7 +68,7 @@ func checkLayout(t *testing.T, sc *Scratch, g *Grouping) {
 // random groupings with group sizes 1..6. The scratch layout must equal
 // the Grouping methods, and every Reconstruct — offsets bound to the
 // grouping, some with a block corrupted past t — must return the key or
-// the error of the KendallStream → ecc.Reproduce → PackKey reference on
+// the error of the KendallStream → ecc.Sketch → PackKey reference on
 // the residuals it measured.
 func TestScratchMatchesGroupingReference(t *testing.T) {
 	p := testParams()
@@ -87,10 +87,9 @@ func TestScratchMatchesGroupingReference(t *testing.T) {
 	failures := 0
 	for trial := 0; trial < trials; trial++ {
 		g := randomGrouping(src, a.N(), 6)
-		padded, blocks := padToBlocks(KendallStream(&g, enrolled), p.Code)
-		block := ecc.NewBlock(p.Code, blocks)
+		sk, _ := sketchFor(p.Code, KendallStream(&g, enrolled))
 		h.Grouping = g
-		h.Offset = ecc.EnrollOffset(block, padded, src).W
+		h.Offset = sk.Enroll(src)
 		if trial%3 == 2 {
 			for i := 0; i <= p.Code.T(); i++ {
 				h.Offset.Flip(src.Intn(p.Code.N()))
@@ -103,10 +102,10 @@ func TestScratchMatchesGroupingReference(t *testing.T) {
 		checkLayout(t, &sc, &g)
 		for range queries {
 			key, err := Reconstruct(a, p, &h, env, nm, &sc)
-			stream, _ := padToBlocks(KendallStream(&g, sc.resid), p.Code)
+			ref, _ := sketchFor(p.Code, KendallStream(&g, sc.resid))
 			var wantKey bitvec.Vector
 			wantErr := error(ErrReconstructFailed)
-			if corrected, _, ok := ecc.Reproduce(block, ecc.Offset{W: h.Offset}, stream); ok {
+			if corrected, _, ok := ref.Reproduce(h.Offset); ok {
 				wantKey, wantErr = PackKey(&g, corrected)
 			}
 			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
@@ -231,15 +230,25 @@ func TestPrepareNewGroupingAllocFree(t *testing.T) {
 	}
 }
 
+// sketchFor returns a fresh sketch over code holding stream, and the
+// zero-padded stream it holds.
+func sketchFor(code ecc.Code, stream bitvec.Vector) (*ecc.Sketch, bitvec.Vector) {
+	sk := new(ecc.Sketch)
+	sk.Size(code, stream.Len())
+	padded := sk.Stream()
+	padded.PutAt(0, stream)
+	return sk, padded
+}
+
 // noisyReconstruct is the reference Reconstruct: every oscillator
 // measured with noise, the residuals distilled, and the Grouping-method
-// pipeline KendallStream → ecc.Reproduce → PackKey. It also returns
-// the padded stream before error correction.
+// pipeline KendallStream → ecc.Sketch → PackKey, in a fresh sketch. It
+// also returns the padded stream before error correction.
 func noisyReconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise) (bitvec.Vector, bitvec.Vector, error) {
 	f := a.MeasureIntoWith(make([]float64, a.N()), env, nm)
 	resid := distiller.Distill(p.Rows, p.Cols, f, h.Poly)
-	stream, blocks := padToBlocks(KendallStream(&h.Grouping, resid), p.Code)
-	corrected, _, ok := ecc.Reproduce(ecc.NewBlock(p.Code, blocks), ecc.Offset{W: h.Offset}, stream)
+	sk, stream := sketchFor(p.Code, KendallStream(&h.Grouping, resid))
+	corrected, _, ok := sk.Reproduce(h.Offset)
 	if !ok {
 		return bitvec.Vector{}, stream, ErrReconstructFailed
 	}
@@ -272,9 +281,9 @@ func TestReconstructMatchesNoisyReference(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			if trial > 0 {
 				g := randomGrouping(src, a.N(), 6)
-				padded, blocks := padToBlocks(KendallStream(&g, enrolled), p.Code)
+				sk, _ := sketchFor(p.Code, KendallStream(&g, enrolled))
 				h.Grouping = g
-				h.Offset = ecc.EnrollOffset(ecc.NewBlock(p.Code, blocks), padded, src).W
+				h.Offset = sk.Enroll(src)
 				if trial%4 == 3 {
 					for i := 0; i <= p.Code.T(); i++ {
 						h.Offset.Flip(src.Intn(p.Code.N()))
@@ -288,8 +297,8 @@ func TestReconstructMatchesNoisyReference(t *testing.T) {
 				ref := *nm
 				key, err := Reconstruct(a, p, &h, env, nm, &sc)
 				wantKey, wantStream, wantErr := noisyReconstruct(a, p, &h, env, &ref)
-				if !sc.padded.Equal(wantStream) {
-					t.Fatalf("σ=%v trial %d: stream %s, reference %s", sigma, trial, sc.padded, wantStream)
+				if !sc.stream.Equal(wantStream) {
+					t.Fatalf("σ=%v trial %d: stream %s, reference %s", sigma, trial, sc.stream, wantStream)
 				}
 				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 					t.Fatalf("σ=%v trial %d: err %v, reference %v", sigma, trial, err, wantErr)

@@ -168,17 +168,6 @@ func Entropy(g *Grouping) float64 {
 	return s
 }
 
-// padToBlocks zero-pads a stream to a whole number of code blocks and
-// returns it with the block count.
-func padToBlocks(stream bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (stream.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return stream.Concat(bitvec.New(blocks*n - stream.Len())), blocks
-}
-
 // Enroll manufactures the helper data and enrolled key of a device.
 // Measurement noise comes from nm; src drives the code-offset draw.
 func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Helper, bitvec.Vector, error) {
@@ -194,14 +183,16 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	residuals := distiller.Distill(p.Rows, p.Cols, f, poly)
 	grouping := GroupLimited(residuals, p.ThresholdMHz, p.maxGroupSize())
 	stream := KendallStream(&grouping, residuals)
-	padded, blocks := padToBlocks(stream, p.Code)
-	block := ecc.NewBlock(p.Code, blocks)
-	offset := ecc.EnrollOffset(block, padded, src)
+	var sk ecc.Sketch
+	sk.Size(p.Code, stream.Len())
+	padded := sk.Stream()
+	padded.PutAt(0, stream)
+	offset := sk.Enroll(src)
 	key, err := PackKey(&grouping, padded)
 	if err != nil {
 		return Helper{}, bitvec.Vector{}, fmt.Errorf("groupbased: enrollment self-check: %w", err)
 	}
-	return Helper{Poly: poly, Grouping: grouping, Offset: offset.W}, key, nil
+	return Helper{Poly: poly, Grouping: grouping, Offset: offset}, key, nil
 }
 
 // Scratch carries the reusable buffers of Reconstruct. A zero value
@@ -228,13 +219,11 @@ type Scratch struct {
 	next      []int
 	streamLen int
 	keyLen    int
-	blocks    int
-	block     *ecc.Block
-	// per-measurement buffers.
-	padded    bitvec.Vector
-	corrected bitvec.Vector
+	// per-measurement state: the code-offset sketch, the padded stream
+	// of the last reading (sketch-owned) and the key buffer.
+	sketch    ecc.Sketch
+	stream    bitvec.Vector
 	key       bitvec.Vector
-	ws        ecc.Workspace
 	perm      perm.Scratch
 	groupVals []float64
 	// content fingerprints: a helper write that repeats the previous
@@ -360,19 +349,7 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 		sc.gridValid = true
 		sc.ro.SetOffsets(sc.grid)
 	}
-	blocks := (sc.streamLen + p.Code.N() - 1) / p.Code.N()
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(p.Code, blocks)
-		sc.blocks = blocks
-	}
-	padLen := blocks * p.Code.N()
-	if sc.padded.Len() != padLen {
-		sc.padded = sc.padded.Resized(padLen)
-		sc.corrected = sc.corrected.Resized(padLen)
-	}
+	sc.sketch.Size(p.Code, sc.streamLen)
 	if sc.key.Len() != sc.keyLen {
 		sc.key = sc.key.Resized(sc.keyLen)
 	}
@@ -417,9 +394,10 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 		sc.ro.Split()
 	}
 	sc.resid = sc.ro.Measure(nm)
-	// Kendall-code the per-group orders straight into the zero-padded
-	// block buffer (the fusion of KendallStream and padToBlocks).
-	sc.padded.Zero()
+	// Kendall-code the per-group orders straight into the sketch's
+	// zero-padded stream (KendallStream without its allocation).
+	stream := sc.sketch.Stream()
+	sc.stream = stream
 	at := 0
 	for id := range sc.numGroups() {
 		members := sc.group(id)
@@ -428,7 +406,7 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			continue
 		case 2:
 			// The pair's one Kendall bit: label 1 precedes label 0.
-			sc.padded.Set(at, sc.resid[members[1]] > sc.resid[members[0]])
+			stream.Set(at, sc.resid[members[1]] > sc.resid[members[0]])
 			at++
 			continue
 		}
@@ -442,16 +420,17 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			vals[l] = sc.resid[ro]
 		}
 		order := sc.perm.OrderInto(vals)
-		sc.perm.KendallEncodeAt(sc.padded, at, order)
+		sc.perm.KendallEncodeAt(stream, at, order)
 		at += perm.KendallBits(len(members))
 	}
-	if sc.padded.Len() != h.Offset.Len() {
-		return bitvec.Vector{}, fmt.Errorf("groupbased: stream/offset length mismatch %d vs %d", sc.padded.Len(), h.Offset.Len())
+	if stream.Len() != h.Offset.Len() {
+		return bitvec.Vector{}, fmt.Errorf("groupbased: stream/offset length mismatch %d vs %d", stream.Len(), h.Offset.Len())
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: h.Offset}, sc.padded, &sc.ws, sc.corrected); !ok {
+	corrected, _, ok := sc.sketch.Reproduce(h.Offset)
+	if !ok {
 		return bitvec.Vector{}, ErrReconstructFailed
 	}
-	return sc.packKeyInto(sc.corrected)
+	return sc.packKeyInto(corrected)
 }
 
 // packKeyInto is PackKey into the scratch key buffer, using the cached

@@ -244,11 +244,13 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	}
 
 	resp := responseFromBits(infos, refBits)
-	padded, blocks := padToBlocks(resp, p.Code)
-	block := ecc.NewBlock(p.Code, blocks)
-	offset := ecc.EnrollOffset(block, padded, src)
+	var sk ecc.Sketch
+	sk.Size(p.Code, resp.Len())
+	padded := sk.Stream()
+	padded.PutAt(0, resp)
+	offset := sk.Enroll(src)
 	key := keyBits(infos, padded)
-	return Helper{Pairs: infos, Offset: offset.W}, key, nil
+	return Helper{Pairs: infos, Offset: offset}, key, nil
 }
 
 func intervalsIntersect(al, ah, bl, bh float64) bool {
@@ -284,15 +286,6 @@ func keyBits(infos []PairInfo, stream bitvec.Vector) bitvec.Vector {
 	return key
 }
 
-func padToBlocks(stream bitvec.Vector, code ecc.Code) (bitvec.Vector, int) {
-	n := code.N()
-	blocks := (stream.Len() + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	return stream.Concat(bitvec.New(blocks*n - stream.Len())), blocks
-}
-
 // resolveBit reconstructs the bit of pair i at temperature T from a
 // fresh frequency snapshot, without cooperation (crossover compensation
 // only): measured sign, inverted above Th.
@@ -316,13 +309,11 @@ type Scratch struct {
 	// helper-derived caches, valid while helperValid is set.
 	helperValid bool
 	keyLen      int
-	blocks      int
-	block       *ecc.Block
-	// per-measurement buffers.
-	padded    bitvec.Vector
-	corrected bitvec.Vector
-	key       bitvec.Vector
-	ws        ecc.Workspace
+	// per-measurement state: the code-offset sketch, the padded stream
+	// of the last reading (sketch-owned) and the key buffer.
+	sketch ecc.Sketch
+	stream bitvec.Vector
+	key    bitvec.Vector
 }
 
 // Invalidate drops the helper-derived caches.
@@ -350,19 +341,7 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 		}
 	}
 	sc.ro.Invalidate()
-	n := p.Code.N()
-	blocks := (len(h.Pairs) + n - 1) / n
-	if blocks == 0 {
-		blocks = 1
-	}
-	if sc.block == nil || sc.blocks != blocks {
-		sc.block = ecc.NewBlock(p.Code, blocks)
-		sc.blocks = blocks
-	}
-	if padLen := blocks * n; sc.padded.Len() != padLen {
-		sc.padded = bitvec.New(padLen)
-		sc.corrected = bitvec.New(padLen)
-	}
+	sc.sketch.Size(p.Code, len(h.Pairs))
 	if sc.key.Len() != sc.keyLen {
 		sc.key = bitvec.New(sc.keyLen)
 	}
@@ -412,8 +391,8 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 	}
 	f := sc.ro.Measure(nm)
 	t := env.TempC
-	sc.padded.Zero()
-	bits := sc.padded
+	bits := sc.sketch.Stream()
+	sc.stream = bits
 	for i, info := range h.Pairs {
 		switch info.Class {
 		case Bad:
@@ -436,10 +415,11 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			bits.Set(i, resolveBit(help, f, t) != pairing.ResponseBit(f, mask.Pair))
 		}
 	}
-	if sc.padded.Len() != h.Offset.Len() {
-		return bitvec.Vector{}, fmt.Errorf("tempco: offset length %d, stream %d", h.Offset.Len(), sc.padded.Len())
+	if bits.Len() != h.Offset.Len() {
+		return bitvec.Vector{}, fmt.Errorf("tempco: offset length %d, stream %d", h.Offset.Len(), bits.Len())
 	}
-	if _, ok := ecc.ReproduceInto(sc.block, ecc.Offset{W: h.Offset}, sc.padded, &sc.ws, sc.corrected); !ok {
+	corrected, _, ok := sc.sketch.Reproduce(h.Offset)
+	if !ok {
 		return bitvec.Vector{}, ErrReconstructFailed
 	}
 	keyAt := 0
@@ -447,7 +427,7 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 		if info.Class == Bad {
 			continue
 		}
-		sc.key.Set(keyAt, sc.corrected.Get(i))
+		sc.key.Set(keyAt, corrected.Get(i))
 		keyAt++
 	}
 	return sc.key, nil

@@ -196,8 +196,11 @@ func noisyReconstruct(a *silicon.Array, p Params, h Helper, env silicon.Environm
 			bits[i] = resolveBit(help, f, temp) != pairing.ResponseBit(f, h.Pairs[info.MaskIdx].Pair)
 		}
 	}
-	stream, blocks := padToBlocks(responseFromBits(h.Pairs, bits), p.Code)
-	corrected, _, ok := ecc.Reproduce(ecc.NewBlock(p.Code, blocks), ecc.Offset{W: h.Offset}, stream)
+	var sk ecc.Sketch
+	sk.Size(p.Code, len(h.Pairs))
+	stream := sk.Stream()
+	stream.PutAt(0, responseFromBits(h.Pairs, bits))
+	corrected, _, ok := sk.Reproduce(h.Offset)
 	if !ok {
 		return bitvec.Vector{}, stream, ErrReconstructFailed
 	}
@@ -262,8 +265,8 @@ func TestReconstructMatchesNoisyReference(t *testing.T) {
 				ref := *nm
 				key, err := Reconstruct(a, p, &hh, env, nm, &sc)
 				wantKey, wantStream, wantErr := noisyReconstruct(a, p, hh, env, &ref)
-				if wantStream.Len() > 0 && !sc.padded.Equal(wantStream) {
-					t.Fatalf("σ=%v trial %d: stream %s, reference %s", sigma, trial, sc.padded, wantStream)
+				if wantStream.Len() > 0 && !sc.stream.Equal(wantStream) {
+					t.Fatalf("σ=%v trial %d: stream %s, reference %s", sigma, trial, sc.stream, wantStream)
 				}
 				if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrReconstructFailed)) {
 					t.Fatalf("σ=%v trial %d: err %v, reference %v", sigma, trial, err, wantErr)
