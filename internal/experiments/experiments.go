@@ -150,15 +150,18 @@ func Fig3(seed uint64, thresholds []float64) ([]Fig3Row, error) {
 // helper, under the correct hypothesis (common offset only) and under the
 // wrong hypothesis (offset plus the manipulation-induced error pair).
 type Fig5Result struct {
-	T            int
-	Nominal      *stats.Histogram
-	H0           *stats.Histogram // correct hypothesis: offset only
-	H1           *stats.Histogram // wrong hypothesis: offset + 2 errors
-	FailNominal  float64          // P(#errors > t) per histogram
-	FailH0       float64
-	FailH1       float64
-	TVDistance   float64 // distinguishability of H0 vs H1 in one query
-	FixedSamples int     // fixed-sample queries to separate at 1% error
+	T           int
+	Nominal     *stats.Histogram
+	H0          *stats.Histogram // correct hypothesis: offset only
+	H1          *stats.Histogram // wrong hypothesis: offset + 2 errors
+	FailNominal float64          // P(#errors > t) per histogram
+	FailH0      float64
+	FailH1      float64
+	TVDistance  float64 // distinguishability of H0 vs H1 in one query
+	// FixedSamples is the fixed-sample query count that separates the
+	// two failure rates at 1% error; 0 when they do not separate
+	// (|FailH1 - FailH0| <= 1e-6).
+	FixedSamples int
 }
 
 // Fig5 builds the three PDFs empirically on a sequential-pairing device:
@@ -244,7 +247,7 @@ func Fig5(seed uint64, samples int) (Fig5Result, error) {
 	if p0 > p1 {
 		p0, p1 = p1, p0
 	}
-	if p1-p0 > 1e-6 && p1 < 1 {
+	if p1-p0 > 1e-6 {
 		res.FixedSamples = stats.RequiredSamplesTwoProportions(p0, p1, 0.01, 0.01)
 	}
 	return res, nil

@@ -73,13 +73,18 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return campaign.Metrics{
+			m := campaign.Metrics{
 				"p-fail-nominal": r.FailNominal,
 				"p-fail-H0":      r.FailH0,
 				"p-fail-H1":      r.FailH1,
 				"tv-distance":    r.TVDistance,
-				"fixed-samples":  float64(r.FixedSamples),
-			}, nil
+			}
+			// No sample size exists where the rates do not separate;
+			// the seed contributes nothing to that aggregate.
+			if r.FixedSamples > 0 {
+				m["fixed-samples"] = float64(r.FixedSamples)
+			}
+			return m, nil
 		},
 	})
 
