@@ -14,17 +14,20 @@
 // With -json the tool instead benchmarks the five end-to-end attacks
 // (the oracle-query hot path) plus CampaignAttacks (a pooled attack
 // campaign, reported as attacks_per_sec_per_core) via testing.Benchmark and
-// writes a machine-readable perf artifact — benchmark name → ns/op,
-// allocs/op, B/op and oracle-queries — so the repository accumulates a
-// perf trajectory across PRs instead of anecdotes. Each benchmark runs
-// -count times (default 5) and the artifact records per-field medians,
-// so a noisy neighbor on the measurement host cannot contaminate the
-// committed numbers. With -baseline the run additionally compares
-// against a committed artifact and exits nonzero when any attack's
-// allocs/op — deterministic — regresses by more than 2%, or when its
-// median ns/op regresses by more than -ns-gate-pct percent (default
-// 15; 0 disables the wall-clock gate for hosts that cannot hold a
-// stable clock).
+// writes a machine-readable perf artifact — the host's stamp (Go
+// version, GOOS/GOARCH, CPU model, GOMAXPROCS) and, per benchmark name,
+// ns/op, allocs/op, B/op and oracle-queries — so the repository
+// accumulates a perf trajectory across PRs instead of anecdotes. Each
+// benchmark runs -count times (default 5) and the artifact records
+// per-field medians, so a noisy neighbor on the measurement host cannot
+// contaminate the committed numbers. With -baseline the run
+// additionally compares against a committed artifact and exits nonzero
+// when any attack's allocs/op — deterministic — regresses by more than
+// 2%, or when its median ns/op regresses by more than -ns-gate-pct
+// percent (default 15; 0 disables the wall-clock gate for hosts that
+// cannot hold a stable clock). The ns/op gate is enforced only when the
+// baseline's stamp equals this host's: wall-clock numbers from another
+// machine are printed, marked as not enforced.
 //
 // The -cpuprofile/-memprofile flags wrap either mode in a pprof capture
 // (`go tool pprof` reads the output), the profiling workflow the README
@@ -36,11 +39,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -440,6 +445,54 @@ func runR1(cfg benchConfig) error {
 	return nil
 }
 
+// Artifact is the BENCH_attacks.json file: the stamp of the host that
+// measured it and one record per benchmark name.
+type Artifact struct {
+	Stamp      Stamp                  `json:"stamp"`
+	Benchmarks map[string]BenchRecord `json:"benchmarks"`
+}
+
+// Stamp identifies the host an artifact was measured on. Wall-clock
+// numbers are comparable only between equal stamps.
+type Stamp struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// hostStamp stamps the running host.
+func hostStamp() Stamp {
+	return Stamp{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPU:        cpuModel(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
+// cpuModel returns the first "model name" line of /proc/cpuinfo, or
+// "unknown" on hosts without one.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if key, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return "unknown"
+}
+
+// String implements fmt.Stringer.
+func (s Stamp) String() string {
+	return fmt.Sprintf("%s %s/%s %q GOMAXPROCS=%d", s.GoVersion, s.GOOS, s.GOARCH, s.CPU, s.GOMAXPROCS)
+}
+
 // BenchRecord is one entry of the BENCH_attacks.json artifact. The
 // throughput fields are derived from the median ns/op after reduction,
 // so they carry no extra noise; each is populated only on the record it
@@ -484,71 +537,90 @@ func medianRecord(recs []BenchRecord) BenchRecord {
 	}
 }
 
-// checkBaseline compares a fresh artifact against a committed one.
-// Two gates fail the run: allocs/op beyond 2% of the baseline
-// (deterministic, so the tolerance only absorbs rounding from
-// iteration-count changes), and median ns/op beyond nsGatePct percent
-// — the -count medians on both sides are what make a wall-clock gate
-// tenable at all; nsGatePct <= 0 turns the wall-clock gate back into a
-// report-only column for hosts that cannot hold a stable clock.
-func checkBaseline(artifact map[string]BenchRecord, path string, nsGatePct float64) error {
+// checkBaseline compares a fresh artifact against the committed one
+// at path; see compareBaseline.
+func checkBaseline(cur Artifact, path string, nsGatePct float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var base map[string]BenchRecord
+	var base Artifact
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	names := make([]string, 0, len(base))
-	for name := range base {
+	if len(base.Benchmarks) == 0 {
+		return fmt.Errorf("parse %s: no benchmarks", path)
+	}
+	if err := compareBaseline(os.Stdout, cur, base, nsGatePct); err != nil {
+		return fmt.Errorf("regressed beyond the baseline %s: %w", path, err)
+	}
+	return nil
+}
+
+// compareBaseline prints the comparison of cur against base to w and
+// returns an error naming every failure. Two gates fail: allocs/op
+// beyond 2% of the baseline (deterministic, so the tolerance only
+// absorbs rounding from iteration-count changes), always; and median
+// ns/op beyond nsGatePct percent, only when both artifacts carry the
+// same host stamp — the -count medians on both sides are what make a
+// wall-clock gate tenable at all, and only on one machine. On a stamp
+// mismatch the ns/op column is printed as not enforced, naming both
+// stamps; nsGatePct <= 0 makes it informational on any host.
+func compareBaseline(w io.Writer, cur, base Artifact, nsGatePct float64) error {
+	nsMode := "gated"
+	switch {
+	case nsGatePct <= 0:
+		nsMode = "informational"
+	case cur.Stamp != base.Stamp:
+		nsMode = "not enforced"
+		fmt.Fprintf(w, "ns/op gate not enforced: baseline stamped %v, this run %v\n", base.Stamp, cur.Stamp)
+	}
+	names := make([]string, 0, len(base.Benchmarks))
+	for name := range base.Benchmarks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var failures []string
 	for _, name := range names {
-		b := base[name]
-		cur, ok := artifact[name]
+		b := base.Benchmarks[name]
+		c, ok := cur.Benchmarks[name]
 		if !ok {
-			fmt.Printf("%-18s MISSING from this run (baseline %d allocs/op)\n", name, b.AllocsPerOp)
+			fmt.Fprintf(w, "%-18s MISSING from this run (baseline %d allocs/op)\n", name, b.AllocsPerOp)
 			failures = append(failures, name+" missing")
 			continue
 		}
 		allocLimit := float64(b.AllocsPerOp) * 1.02
 		status := "ok"
-		if float64(cur.AllocsPerOp) > allocLimit {
+		if float64(c.AllocsPerOp) > allocLimit {
 			status = "ALLOC REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s allocs/op %d -> %d", name, b.AllocsPerOp, cur.AllocsPerOp))
+			failures = append(failures, fmt.Sprintf("%s allocs/op %d -> %d", name, b.AllocsPerOp, c.AllocsPerOp))
 		}
-		nsDelta := 100 * float64(cur.NsPerOp-b.NsPerOp) / float64(b.NsPerOp)
-		nsStatus := "gated"
-		if nsGatePct <= 0 {
-			nsStatus = "informational"
-		} else if nsDelta > nsGatePct {
+		nsDelta := 100 * float64(c.NsPerOp-b.NsPerOp) / float64(b.NsPerOp)
+		if nsMode == "gated" && nsDelta > nsGatePct {
 			status = "NS REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s ns/op %d -> %d (%+.1f%%)", name, b.NsPerOp, cur.NsPerOp, nsDelta))
+			failures = append(failures, fmt.Sprintf("%s ns/op %d -> %d (%+.1f%%)", name, b.NsPerOp, c.NsPerOp, nsDelta))
 		}
-		fmt.Printf("%-18s allocs/op %d -> %d (limit %.0f) %-16s ns/op %d -> %d (%+.1f%%, %s)\n",
-			name, b.AllocsPerOp, cur.AllocsPerOp, allocLimit, status,
-			b.NsPerOp, cur.NsPerOp, nsDelta, nsStatus)
+		fmt.Fprintf(w, "%-18s allocs/op %d -> %d (limit %.0f) %-16s ns/op %d -> %d (%+.1f%%, %s)\n",
+			name, b.AllocsPerOp, c.AllocsPerOp, allocLimit, status,
+			b.NsPerOp, c.NsPerOp, nsDelta, nsMode)
 	}
 	// Forward compatibility: a benchmark present in this run but absent
 	// from the committed baseline is informational, never a failure —
 	// new benchmarks land in the same PR that adds them, before any
 	// baseline that knows their names exists.
 	fresh := make([]string, 0)
-	for name := range artifact {
-		if _, ok := base[name]; !ok {
+	for name := range cur.Benchmarks {
+		if _, ok := base.Benchmarks[name]; !ok {
 			fresh = append(fresh, name)
 		}
 	}
 	sort.Strings(fresh)
 	for _, name := range fresh {
-		cur := artifact[name]
-		fmt.Printf("%-18s NEW (no baseline) %d ns/op %d allocs/op\n", name, cur.NsPerOp, cur.AllocsPerOp)
+		rec := cur.Benchmarks[name]
+		fmt.Fprintf(w, "%-18s NEW (no baseline) %d ns/op %d allocs/op\n", name, rec.NsPerOp, rec.AllocsPerOp)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("regressed beyond the baseline %s: %v", path, failures)
+		return fmt.Errorf("%v", failures)
 	}
 	return nil
 }
@@ -608,7 +680,7 @@ func runJSONBench(cfg benchConfig) error {
 		{"AttackChain", benchAttack("chain", 13)},
 		{"CampaignAttacks", benchCampaign},
 	}
-	artifact := make(map[string]BenchRecord, len(benches))
+	artifact := Artifact{Stamp: hostStamp(), Benchmarks: make(map[string]BenchRecord, len(benches))}
 	for _, bench := range benches {
 		recs := make([]BenchRecord, 0, count)
 		for c := 0; c < count; c++ {
@@ -634,7 +706,7 @@ func runJSONBench(cfg benchConfig) error {
 				rec.AttacksPerSecPerCore = campaignSeeds * 1e9 / float64(rec.NsPerOp) / float64(runtime.NumCPU())
 			}
 		}
-		artifact[bench.name] = rec
+		artifact.Benchmarks[bench.name] = rec
 		fmt.Printf("%-18s %12d ns/op %10d allocs/op %10d B/op %8.0f oracle-queries (median of %d)\n",
 			bench.name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, rec.OracleQueries, count)
 	}
@@ -646,7 +718,7 @@ func runJSONBench(cfg benchConfig) error {
 	if err := os.WriteFile(cfg.jsonOut, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", cfg.jsonOut)
+	fmt.Printf("wrote %s (%v)\n", cfg.jsonOut, artifact.Stamp)
 	if cfg.baseline != "" {
 		return checkBaseline(artifact, cfg.baseline, cfg.nsGatePct)
 	}
