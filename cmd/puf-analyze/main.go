@@ -42,7 +42,7 @@ func main() {
 		nm := arr.NewNoise(rng.New(s + 1))
 		env := arr.Config().NominalEnv()
 		f := make([]float64, arr.N())
-		ref := pairing.Responses(arr.MeasureAveragedInto(f, make([]float64, 2*arr.N()), env, nm, 15), pairs)
+		ref := pairing.Responses(arr.MeasureAveraged(env, nm, 15), pairs)
 		references = append(references, ref)
 		var regenerations []bitvec.Vector
 		for r := 0; r < *regens; r++ {

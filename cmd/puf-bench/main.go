@@ -16,7 +16,7 @@
 // campaign, reported as attacks_per_sec_per_core) via testing.Benchmark and
 // writes a machine-readable perf artifact — the host's stamp (Go
 // version, GOOS/GOARCH, CPU model, GOMAXPROCS) and, per benchmark name,
-// ns/op, allocs/op, B/op and oracle-queries — so the repository
+// ns/op, allocs/op and B/op — so the repository
 // accumulates a perf trajectory across PRs instead of anecdotes. Each
 // benchmark runs -count times (default 5) and the artifact records
 // per-field medians, so a noisy neighbor on the measurement host cannot
@@ -498,11 +498,10 @@ func (s Stamp) String() string {
 // so they carry no extra noise; each is populated only on the record it
 // describes (omitempty keeps the attack records unchanged).
 type BenchRecord struct {
-	NsPerOp       int64   `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	OracleQueries float64 `json:"oracle_queries"`
-	Iterations    int     `json:"iterations"`
+	NsPerOp     int64 `json:"ns_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+	Iterations  int   `json:"iterations"`
 	// AttacksPerSecPerCore: end-to-end pooled attack campaign
 	// throughput, normalized by core count (CampaignAttacks record).
 	AttacksPerSecPerCore float64 `json:"attacks_per_sec_per_core,omitempty"`
@@ -517,9 +516,9 @@ func medianInt64(xs []int64) int64 {
 }
 
 // medianRecord reduces repeated measurements of one benchmark to their
-// per-field medians. The deterministic fields (allocs/op, oracle
-// queries) are identical across repetitions; the median protects the
-// timing-derived ones from scheduler noise on the measurement host.
+// per-field medians. The deterministic field (allocs/op) is identical
+// across repetitions; the median protects the timing-derived ones from
+// scheduler noise on the measurement host.
 func medianRecord(recs []BenchRecord) BenchRecord {
 	ns := make([]int64, len(recs))
 	allocs := make([]int64, len(recs))
@@ -529,11 +528,10 @@ func medianRecord(recs []BenchRecord) BenchRecord {
 		ns[i], allocs[i], bytes[i], iters[i] = r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, int64(r.Iterations)
 	}
 	return BenchRecord{
-		NsPerOp:       medianInt64(ns),
-		AllocsPerOp:   medianInt64(allocs),
-		BytesPerOp:    medianInt64(bytes),
-		OracleQueries: recs[len(recs)-1].OracleQueries,
-		Iterations:    int(medianInt64(iters)),
+		NsPerOp:     medianInt64(ns),
+		AllocsPerOp: medianInt64(allocs),
+		BytesPerOp:  medianInt64(bytes),
+		Iterations:  int(medianInt64(iters)),
 	}
 }
 
@@ -626,9 +624,9 @@ func compareBaseline(w io.Writer, cur, base Artifact, nsGatePct float64) error {
 }
 
 // runJSONBench measures the five end-to-end attacks with testing.Benchmark
-// and writes the artifact. Each closure reports the
-// oracle-query count of its last run as a custom metric, mirroring
-// bench_test.go.
+// and writes the artifact. It records no query counts: an iteration's
+// seed depends on b.N, so a count would vary between runs of the same
+// code (the transcript goldens pin query counts).
 func runJSONBench(cfg benchConfig) error {
 	count := cfg.count
 	if count < 1 {
@@ -643,7 +641,7 @@ func runJSONBench(cfg benchConfig) error {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := transcript.Run(ctx, transcript.Spec{
+				_, err := transcript.Run(ctx, transcript.Spec{
 					Attack:    name,
 					Seed:      seed + uint64(i)*3 + seedOff,
 					Expurgate: name == "seqpair",
@@ -651,7 +649,6 @@ func runJSONBench(cfg benchConfig) error {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(r.Queries), "oracle-queries")
 			}
 		}
 	}
@@ -691,11 +688,10 @@ func runJSONBench(cfg benchConfig) error {
 				return fmt.Errorf("%s failed to complete a single iteration", bench.name)
 			}
 			recs = append(recs, BenchRecord{
-				NsPerOp:       res.NsPerOp(),
-				AllocsPerOp:   res.AllocsPerOp(),
-				BytesPerOp:    res.AllocedBytesPerOp(),
-				OracleQueries: res.Extra["oracle-queries"],
-				Iterations:    res.N,
+				NsPerOp:     res.NsPerOp(),
+				AllocsPerOp: res.AllocsPerOp(),
+				BytesPerOp:  res.AllocedBytesPerOp(),
+				Iterations:  res.N,
 			})
 		}
 		rec := medianRecord(recs)
@@ -707,8 +703,8 @@ func runJSONBench(cfg benchConfig) error {
 			}
 		}
 		artifact.Benchmarks[bench.name] = rec
-		fmt.Printf("%-18s %12d ns/op %10d allocs/op %10d B/op %8.0f oracle-queries (median of %d)\n",
-			bench.name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, rec.OracleQueries, count)
+		fmt.Printf("%-18s %12d ns/op %10d allocs/op %10d B/op (median of %d)\n",
+			bench.name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, count)
 	}
 	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {

@@ -48,7 +48,7 @@ func main() {
 func enrollSeqPair(seed uint64, dumpHex bool) error {
 	arr := silicon.NewArray(silicon.DefaultConfig(8, 16), rng.New(seed))
 	src := rng.New(seed + 1)
-	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), arr.Config().NominalEnv(), arr.NewNoise(src), 20)
+	f := arr.MeasureAveraged(arr.Config().NominalEnv(), arr.NewNoise(src), 20)
 	h := pairing.EnrollSeqPair(f, 0.8, pairing.RandomizedStorage, src)
 	resp := pairing.Responses(f, h.Pairs)
 	fmt.Printf("sequential pairing (LISA) on 8x16 array\n")

@@ -332,9 +332,9 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	for bi, bd := range bounds {
 		var pattern distiller.Poly2D
 		if bd.vertical {
-			pattern = distiller.QuadraticValleyX(bd.at, distillerPatternMHz).Add(distiller.Plane(0, 0, distillerTiltMHz))
+			pattern = distiller.QuadraticValleyX(bd.at, distillerPatternMHz).AddInto(distiller.Plane(0, 0, distillerTiltMHz), nil)
 		} else {
-			pattern = distiller.QuadraticValleyY(bd.at, distillerPatternMHz).Add(distiller.Plane(0, distillerTiltMHz, 0))
+			pattern = distiller.QuadraticValleyY(bd.at, distillerPatternMHz).AddInto(distiller.Plane(0, distillerTiltMHz, 0), nil)
 		}
 		pval := func(ro int) float64 {
 			x, y := pos(ro)
@@ -496,11 +496,11 @@ func valleyForPair(pos func(int) (int, int), tp pairing.Pair) distiller.Poly2D {
 	if ya == yb {
 		// Horizontal pair: valley in x centered between them, tilt in y.
 		return distiller.QuadraticValleyX((float64(xa)+float64(xb))/2, distillerPatternMHz).
-			Add(distiller.Plane(0, 0, distillerTiltMHz))
+			AddInto(distiller.Plane(0, 0, distillerTiltMHz), nil)
 	}
 	if xa == xb {
 		return distiller.QuadraticValleyY((float64(ya)+float64(yb))/2, distillerPatternMHz).
-			Add(distiller.Plane(0, distillerTiltMHz, 0))
+			AddInto(distiller.Plane(0, distillerTiltMHz, 0), nil)
 	}
 	// Diagonal pairs do not occur on neighbor chains; fall back to the
 	// perpendicular plane (levels tie along the perpendicular axis).

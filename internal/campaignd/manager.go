@@ -32,24 +32,12 @@ type Options struct {
 	// for operational rate-limiting and for tests that must observe a
 	// job mid-sweep; it has no effect on results.
 	Throttle time.Duration
-	// MaxShardAttempts bounds how many times a failing shard (task
-	// error or recovered panic) is executed before it is quarantined
-	// (0 = DefaultShardAttempts). Because outcomes are pure functions of
-	// (base seed, task index), a retry that succeeds is byte-identical
-	// to a first-try success.
-	MaxShardAttempts int
 	// RetryBackoff is the base of the exponential shard-retry backoff
 	// (0 = DefaultRetryBackoff); successive attempts double it, capped
 	// at RetryMaxBackoff (0 = DefaultRetryMaxBackoff), with
 	// deterministic per-(shard, attempt) jitter in [0.5x, 1.5x).
 	RetryBackoff    time.Duration
 	RetryMaxBackoff time.Duration
-	// CheckpointAttempts bounds the write+fsync attempts per checkpoint
-	// record (0 = DefaultCheckpointAttempts). When the budget is
-	// exhausted the shard's durability is abandoned — the job keeps
-	// running in memory, /healthz turns degraded, and the shard re-runs
-	// after a restart.
-	CheckpointAttempts int
 	// CheckpointBackoff is the pause between checkpoint write attempts
 	// (0 = DefaultCheckpointBackoff).
 	CheckpointBackoff time.Duration
@@ -57,19 +45,25 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Defaults for the knobs Options leaves zero.
+// Defaults for the knobs Options leaves zero, and the fixed retry
+// budgets (DefaultShardAttempts, DefaultCheckpointAttempts).
 const (
 	// DefaultShardSize is the seeds-per-shard used when neither the spec
 	// nor the daemon names one.
 	DefaultShardSize = 8
-	// DefaultShardAttempts is the per-shard execution budget.
+	// DefaultShardAttempts bounds how many times a failing shard (task
+	// error or recovered panic) is executed before it is quarantined.
+	// Because outcomes are pure functions of (base seed, task index), a
+	// retry that succeeds is byte-identical to a first-try success.
 	DefaultShardAttempts = 3
 	// DefaultRetryBackoff / DefaultRetryMaxBackoff shape the shard-retry
 	// exponential backoff.
 	DefaultRetryBackoff    = 25 * time.Millisecond
 	DefaultRetryMaxBackoff = time.Second
 	// DefaultCheckpointAttempts / DefaultCheckpointBackoff shape the
-	// checkpoint-write retry.
+	// checkpoint-write retry. When the attempts are exhausted the
+	// shard's durability is abandoned — the job keeps running in memory,
+	// /healthz turns degraded, and the shard re-runs after a restart.
 	DefaultCheckpointAttempts = 3
 	DefaultCheckpointBackoff  = 10 * time.Millisecond
 )
@@ -137,17 +131,11 @@ func New(opts Options) (*Manager, error) {
 	if opts.ShardSize <= 0 {
 		opts.ShardSize = DefaultShardSize
 	}
-	if opts.MaxShardAttempts <= 0 {
-		opts.MaxShardAttempts = DefaultShardAttempts
-	}
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
 	if opts.RetryMaxBackoff <= 0 {
 		opts.RetryMaxBackoff = DefaultRetryMaxBackoff
-	}
-	if opts.CheckpointAttempts <= 0 {
-		opts.CheckpointAttempts = DefaultCheckpointAttempts
 	}
 	if opts.CheckpointBackoff <= 0 {
 		opts.CheckpointBackoff = DefaultCheckpointBackoff
@@ -499,9 +487,8 @@ func (m *Manager) start(j *job) {
 // silently. Cancellation and shutdown are never retried or quarantined:
 // they propagate so the scheduler can stop.
 func (m *Manager) runShardResilient(ctx context.Context, j *job, s int) error {
-	attempts := m.opts.MaxShardAttempts
 	var last error
-	for attempt := 1; attempt <= attempts; attempt++ {
+	for attempt := 1; attempt <= DefaultShardAttempts; attempt++ {
 		var outs []campaign.Outcome
 		err := campaign.Call(func() error {
 			var rerr error
@@ -521,11 +508,11 @@ func (m *Manager) runShardResilient(ctx context.Context, j *job, s int) error {
 		if errors.As(err, &pe) {
 			m.counters.panicsRecovered.Add(1)
 			m.logf("campaignd: job %s shard %d attempt %d/%d panicked: %v\n%s",
-				j.id, s, attempt, attempts, pe.Value, pe.Stack)
+				j.id, s, attempt, DefaultShardAttempts, pe.Value, pe.Stack)
 		} else {
-			m.logf("campaignd: job %s shard %d attempt %d/%d failed: %v", j.id, s, attempt, attempts, err)
+			m.logf("campaignd: job %s shard %d attempt %d/%d failed: %v", j.id, s, attempt, DefaultShardAttempts, err)
 		}
-		if attempt < attempts {
+		if attempt < DefaultShardAttempts {
 			m.counters.shardRetries.Add(1)
 			if !sleepCtx(ctx, retryBackoff(m.opts.RetryBackoff, m.opts.RetryMaxBackoff, j.spec.BaseSeed, s, attempt)) {
 				return ctx.Err()
@@ -575,7 +562,7 @@ func (m *Manager) quarantineShard(j *job, s int, err error) {
 	j.quarantined[s] = summary
 	j.mu.Unlock()
 	m.counters.shardsQuarantined.Add(1)
-	m.logf("campaignd: job %s shard %d quarantined after %d attempts: %s", j.id, s, m.opts.MaxShardAttempts, summary)
+	m.logf("campaignd: job %s shard %d quarantined after %d attempts: %s", j.id, s, DefaultShardAttempts, summary)
 }
 
 // firstLine trims an error message to its first line — panic errors
@@ -635,7 +622,7 @@ func (m *Manager) completeShard(j *job, s int, outs []campaign.Outcome) error {
 		return fmt.Errorf("campaignd: job %s checkpoint closed", j.id)
 	}
 	durable := false
-	for attempt := 1; attempt <= m.opts.CheckpointAttempts; attempt++ {
+	for attempt := 1; attempt <= DefaultCheckpointAttempts; attempt++ {
 		n, err := j.ckpt.appendShard(s, from, to, outs)
 		if err == nil {
 			m.counters.checkpointBytes.Add(int64(n))
@@ -644,8 +631,8 @@ func (m *Manager) completeShard(j *job, s int, outs []campaign.Outcome) error {
 		}
 		m.counters.checkpointErrors.Add(1)
 		m.logf("campaignd: job %s shard %d checkpoint attempt %d/%d: %v",
-			j.id, s, attempt, m.opts.CheckpointAttempts, err)
-		if attempt < m.opts.CheckpointAttempts {
+			j.id, s, attempt, DefaultCheckpointAttempts, err)
+		if attempt < DefaultCheckpointAttempts {
 			sleepCtx(m.ctx, time.Duration(attempt)*m.opts.CheckpointBackoff)
 		}
 	}
@@ -677,7 +664,7 @@ func (m *Manager) finish(j *job, err error) {
 	switch {
 	case err == nil && len(j.quarantined) > 0:
 		// Every schedulable shard ran; the poison ones are enumerated.
-		j.state, j.errMsg = StateQuarantined, quarantineMessage(j.quarantined, m.opts.MaxShardAttempts)
+		j.state, j.errMsg = StateQuarantined, quarantineMessage(j.quarantined, DefaultShardAttempts)
 	case err == nil:
 		res, ferr := campaign.Finalize(j.spec.campaignSpec(), j.outcomes)
 		if ferr != nil {

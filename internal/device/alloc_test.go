@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
+	"repro/internal/fuzzy"
 	"repro/internal/groupbased"
 	"repro/internal/pairing"
 	"repro/internal/rng"
@@ -14,7 +15,7 @@ import (
 // The scratch-buffer rebuild of the reconstruction hot path promises an
 // allocation-free steady state: after a warm-up call has grown every
 // buffer, App() must stay under a small constant allocation count for
-// all four device types. These tests are the regression fence for that
+// every device type (the fuzzy device at exactly zero). These tests are the regression fence for that
 // contract — any decode-path or measurement-path change that starts
 // allocating per query fails here long before it shows up in the attack
 // benchmarks.
@@ -105,15 +106,34 @@ func TestAppAllocationsDistillerPair(t *testing.T) {
 	}
 }
 
+func TestAppAllocationsFuzzy(t *testing.T) {
+	for _, robust := range []bool{false, true} {
+		d, err := EnrollFuzzy(FuzzyParams{
+			Rows: 8, Cols: 16,
+			Extractor:  fuzzy.Params{Code: ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}), Robust: robust},
+			EnrollReps: 20,
+		}, rng.New(42), rng.New(43))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.App() {
+			t.Fatalf("robust=%v: honest App failed", robust)
+		}
+		if got := measureAppAllocs(t, d.App); got != 0 {
+			t.Fatalf("FuzzyDevice(robust=%v).App allocates %.1f/op, want 0", robust, got)
+		}
+	}
+}
+
 // TestAppAllocationsAcrossBlockCounts alternates a group-based device
 // between its enrolled helper (three ECC blocks) and a pairs-only
 // grouping (one block). After every write, once one query has rebuilt
 // the helper-derived scratch, a steady-state App must allocate nothing:
 // the decode workspace and its per-block memo keep their storage across
 // block-count changes and only grow. A whole write/App/write/App round
-// allocates at most 4 times: the sketch holds its block composite by
-// value, so only the NVM offset copy on a length change and the
-// validation of a grouping that differs from the stored one remain.
+// allocates nothing either: the NVM offset copy resizes within its
+// capacity, and a grouping that differs from the stored one is
+// validated by the scratch layout the reconstruction then reuses.
 func TestAppAllocationsAcrossBlockCounts(t *testing.T) {
 	code := ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})
 	d, err := EnrollGroupBased(groupbased.Params{
@@ -153,7 +173,7 @@ func TestAppAllocationsAcrossBlockCounts(t *testing.T) {
 			d.App()
 		}
 	}
-	if got := testing.AllocsPerRun(20, round); got > 4 {
-		t.Fatalf("a write/App/write/App round across block counts allocates %.1f, want at most 4", got)
+	if got := testing.AllocsPerRun(20, round); got != 0 {
+		t.Fatalf("a write/App/write/App round across block counts allocates %.1f, want 0", got)
 	}
 }

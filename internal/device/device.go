@@ -20,6 +20,15 @@
 // when a BindKey replaces the binding first — with outcomes
 // bit-identical to reconstructing at write time (see binding).
 //
+// Every App reads its response through a silicon.Readout, which draws
+// noise only where it can change a comparison, and reproduces it
+// through an ecc.Sketch, both kept per device so a steady-state query
+// allocates nothing. The devices whose bits compare RO pairs —
+// sequential pairing, the distiller's pairings and the fuzzy
+// extractor's chain — share one read step (pairRead); the group-based
+// and temperature-aware devices read through groupbased.Scratch and
+// tempco.Scratch.
+//
 // A device is one oracle driven by one goroutine, as the adversary holds
 // one device: its scratch and noise state are not concurrency-safe.
 // Concurrency comes from running many devices at once (campaign
@@ -30,6 +39,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitvec"
+	"repro/internal/ecc"
+	"repro/internal/pairing"
 	"repro/internal/silicon"
 )
 
@@ -92,16 +103,58 @@ func (b *base) SetEnvironment(env silicon.Environment) { b.env = env }
 // keysEqual compares a reconstructed key against the enrolled reference.
 func keysEqual(a, b bitvec.Vector) bool { return a.Equal(b) }
 
-// copyOffset copies src into the device-owned offset buffer dst in place
-// when the lengths match (the steady state of an attack's arm sweep) and
-// clones otherwise. Safe under aliasing: copying a vector onto itself is
-// a no-op.
+// copyOffset copies src into the device-owned offset buffer dst,
+// resizing dst within its capacity when the lengths differ (a write that
+// changes the block count), so a device that has held its largest offset
+// copies without allocating. Safe when src is dst itself (a device's
+// own HelperView written back): copying a vector onto itself is a no-op.
 func copyOffset(dst, src bitvec.Vector) bitvec.Vector {
 	if dst.Len() != src.Len() {
-		return src.Clone()
+		dst = dst.Resized(src.Len())
 	}
 	src.CopyInto(dst)
 	return dst
+}
+
+// pairRead is the reconstruction state of a device whose response bits
+// compare RO pairs — sequential pairing, the distiller's pairings and
+// the fuzzy extractor's chain: the readout of the pairs' oscillators and
+// the code-offset sketch of the response stream. A steady-state read is
+// allocation-free. The owner sizes the sketch for its pair count and
+// calls ro.Invalidate when the pair list changes.
+type pairRead struct {
+	ro     silicon.Readout
+	sketch ecc.Sketch
+}
+
+// fill takes one measurement sweep of a at env from nm, through the
+// readout, and writes each pair's response bit into the sketch stream.
+func (r *pairRead) fill(a *silicon.Array, env silicon.Environment, nm *silicon.Noise, pairs []pairing.Pair) {
+	if r.ro.Stale(a, env) {
+		for _, p := range pairs {
+			r.ro.Compare(p.A, p.B)
+		}
+		r.ro.Split()
+	}
+	f := r.ro.Measure(nm)
+	stream := r.sketch.Stream()
+	for i, p := range pairs {
+		if pairing.ResponseBit(f, p) {
+			stream.Set(i, true)
+		}
+	}
+}
+
+// reproduce fills the stream and recovers the response offset binds
+// (sketch-owned); ok is false when offset does not fit the sketch or a
+// block fails to decode.
+func (r *pairRead) reproduce(a *silicon.Array, env silicon.Environment, nm *silicon.Noise, pairs []pairing.Pair, offset bitvec.Vector) (recovered bitvec.Vector, ok bool) {
+	r.fill(a, env, nm, pairs)
+	if r.sketch.Len() != offset.Len() {
+		return bitvec.Vector{}, false
+	}
+	recovered, _, ok = r.sketch.Reproduce(offset)
+	return recovered, ok
 }
 
 // binding is the application key of a reprogrammed-key device (the key
@@ -163,8 +216,8 @@ func (b *binding) due() (env silicon.Environment, nm *silicon.Noise, ok bool) {
 
 // settle binds a re-binding reconstruction's outcome: the first n bits
 // of src on success, an unusable key on failure.
-func (b *binding) settle(src bitvec.Vector, n int, err error) {
-	if err != nil {
+func (b *binding) settle(src bitvec.Vector, n int, ok bool) {
+	if !ok {
 		b.reset(bitvec.Vector{})
 		return
 	}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -177,6 +178,58 @@ func TestGroupBasedDeviceRebinding(t *testing.T) {
 	}
 	if !d.TrueKey().Equal(d.TrueKey()) {
 		t.Fatal("TrueKey not stable")
+	}
+}
+
+// TestGroupBasedRejectedWritesLeaveDeviceIntact: the scratch validates
+// a written grouping by laying it out, so a rejected write — a grouping
+// with an empty group, or a valid new grouping with an offset of the
+// wrong length — has overwritten the scratch's layout of the stored
+// helper. The device must rebuild it: its outcomes match a twin's that
+// never saw the writes, and the NVM is unchanged.
+func TestGroupBasedRejectedWritesLeaveDeviceIntact(t *testing.T) {
+	p := groupbased.Params{
+		Rows: 8, Cols: 16,
+		Degree:       2,
+		ThresholdMHz: 0.4,
+		Code:         ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
+		EnrollReps:   15,
+	}
+	d, err := EnrollGroupBased(p, rng.New(9), rng.New(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := EnrollGroupBased(p, rng.New(9), rng.New(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := appTrace(d, 4), appTrace(twin, 4); !tracesEqual(got, want) {
+		t.Fatalf("twins differ before the writes: %v vs %v", got, want)
+	}
+	enrolled := d.ReadHelper()
+	gaps := d.ReadHelper()
+	for i, id := range gaps.Grouping.Assign {
+		gaps.Grouping.Assign[i] = 2 * id
+	}
+	pairs := d.ReadHelper()
+	for i := range pairs.Grouping.Assign {
+		pairs.Grouping.Assign[i] = i / 2
+	}
+	pairs.Offset = bitvec.New(p.Code.N() + 1)
+	for _, h := range []groupbased.Helper{gaps, pairs} {
+		if err := d.WriteHelper(h); err == nil {
+			t.Fatal("malformed helper accepted")
+		}
+	}
+	if d.NVMGeneration() != 0 || !slices.Equal(d.ReadHelper().Grouping.Assign, enrolled.Grouping.Assign) {
+		t.Fatal("a rejected write reached the NVM")
+	}
+	got, want := appTrace(d, 40), appTrace(twin, 40)
+	if !tracesEqual(got, want) {
+		t.Fatalf("after rejected writes: %v, twin %v", got, want)
+	}
+	if !slices.Contains(got, true) {
+		t.Fatal("no App succeeded; the comparison shows nothing")
 	}
 }
 

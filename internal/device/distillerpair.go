@@ -1,7 +1,6 @@
 package device
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -11,14 +10,6 @@ import (
 	"repro/internal/pairing"
 	"repro/internal/rng"
 	"repro/internal/silicon"
-)
-
-// Reconstruction failures are per-query events on attack arms whose
-// manipulated helpers push the ECC past its radius; sentinel errors keep
-// that hot path allocation-free.
-var (
-	errECCFailure     = errors.New("device: ECC failure")
-	errOffsetMismatch = errors.New("device: offset/stream mismatch")
 )
 
 // PairingMode selects the pair-selection scheme combined with the
@@ -79,33 +70,28 @@ type DistillerPairDevice struct {
 	nvm      DistillerPairHelperNVM
 	enrolled bitvec.Vector
 	bind     binding
-	src      *rng.Source
 	// noise is the per-oracle measurement-noise state.
 	noise   *silicon.Noise
 	scratch distillerScratch
 }
 
 // distillerScratch is the device's reusable reconstruction state:
-// the distiller surface evaluated on the grid, the resolved pair list,
-// the readout and the code-offset sketch. Per-device, not
-// concurrency-safe.
+// the distiller surface evaluated on the grid, the resolved pair list
+// and the pair read. Per-device, not concurrency-safe.
 type distillerScratch struct {
 	helperValid bool
-	grid        []float64
+	grid        distiller.Grid
 	sel         []pairing.Pair
 	selBuf      []pairing.Pair
 	selErr      error
-	// ro reads the distilled residuals (frequency minus the grid) and
-	// draws noise only where it can change a pair's comparison; it
-	// compares no pair while the masking selection is invalid.
-	ro     silicon.Readout
-	sketch ecc.Sketch
-	// content fingerprints of the helper-derived caches: a helper write
-	// that changes only the ECC offset (an attack arm's hypothesis sweep)
-	// skips the grid evaluation and masking resolution entirely.
-	gridValid    bool
-	lastP        int
-	lastBeta     []float64
+	// The readout reads the distilled residuals (frequency minus the
+	// grid) and draws noise only where it can change a pair's
+	// comparison; it compares no pair while the masking selection is
+	// invalid.
+	pairRead
+	// content fingerprint of the masking resolution: a helper write that
+	// changes only the ECC offset (an attack arm's hypothesis sweep)
+	// skips it, as grid skips the surface evaluation.
 	selValid     bool
 	lastK        int
 	lastSelected []int
@@ -116,12 +102,8 @@ type distillerScratch struct {
 // build (outcomes are pure functions of that content).
 func (d *DistillerPairDevice) refreshScratch() {
 	sc := &d.scratch
-	if !sc.gridValid || d.nvm.Poly.P != sc.lastP || !slices.Equal(sc.lastBeta, d.nvm.Poly.Beta) {
-		sc.grid = d.nvm.Poly.EvalGrid(d.params.Rows, d.params.Cols, sc.grid)
-		sc.lastP = d.nvm.Poly.P
-		sc.lastBeta = append(sc.lastBeta[:0], d.nvm.Poly.Beta...)
-		sc.gridValid = true
-		sc.ro.SetOffsets(sc.grid)
+	if grid, changed := sc.grid.Eval(d.nvm.Poly, d.params.Rows, d.params.Cols); changed {
+		sc.ro.SetOffsets(grid)
 	}
 	switch d.params.Mode {
 	case MaskedChain:
@@ -165,7 +147,7 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	arr := prevArr.Remanufactured(cfg, srcMfg)
 	env := arr.Config().NominalEnv()
 	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), env, noise, p.EnrollReps)
+	f := arr.MeasureAveraged(env, noise, p.EnrollReps)
 	poly, err := distiller.Fit(p.Rows, p.Cols, f, p.Degree)
 	if err != nil {
 		return nil, err
@@ -185,7 +167,6 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	d.base.reset(env)
 	d.arr = arr
 	d.params = p
-	d.src = srcRun
 	d.noise = noise
 	var mask pairing.MaskingHelper
 	switch p.Mode {
@@ -225,7 +206,7 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 func (d *DistillerPairDevice) response(resid []float64, mask pairing.MaskingHelper) (bitvec.Vector, error) {
 	switch d.params.Mode {
 	case MaskedChain:
-		sel, err := mask.SelectedPairs(d.basePair)
+		sel, err := mask.SelectedPairsInto(nil, d.basePair)
 		if err != nil {
 			return bitvec.Vector{}, err
 		}
@@ -291,52 +272,28 @@ func (d *DistillerPairDevice) ReprovisionKey() { d.bind.reserve(d.noise, d.env) 
 func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bind.set(key, key.Len()) }
 
 // reconstructScratch regenerates the key at env with noise nm in the
-// scratch sketch: on success the first respLen bits of the
-// sketch-owned recovered stream hold the key.
-func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *silicon.Noise) (recovered bitvec.Vector, respLen int, err error) {
+// scratch sketch: on success the first n bits of the sketch-owned
+// recovered stream hold the key. An invalid masking selection compares
+// no pair (sel is nil) but still takes the sweep.
+func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *silicon.Noise) (recovered bitvec.Vector, n int, ok bool) {
 	sc := &d.scratch
 	if !sc.helperValid {
 		d.refreshScratch()
 	}
-	if sc.ro.Stale(d.arr, env) {
-		if sc.selErr == nil {
-			for _, p := range sc.sel {
-				sc.ro.Compare(p.A, p.B)
-			}
-		}
-		sc.ro.Split()
-	}
-	resid := sc.ro.Measure(nm)
-	if sc.selErr != nil {
-		return bitvec.Vector{}, 0, sc.selErr
-	}
-	if sc.sketch.Len() != d.nvm.Offset.Len() {
-		return bitvec.Vector{}, 0, errOffsetMismatch
-	}
-	stream := sc.sketch.Stream()
-	for i, p := range sc.sel {
-		if pairing.ResponseBit(resid, p) {
-			stream.Set(i, true)
-		}
-	}
-	recovered, _, ok := sc.sketch.Reproduce(d.nvm.Offset)
-	if !ok {
-		return bitvec.Vector{}, 0, errECCFailure
-	}
-	return recovered, len(sc.sel), nil
+	recovered, ok = sc.reproduce(d.arr, env, nm, sc.sel, d.nvm.Offset)
+	return recovered, len(sc.sel), ok && sc.selErr == nil
 }
 
 // App reconstructs and compares against the bound key (settling a
 // reserved re-binding first), running in the device's scratch buffers.
 func (d *DistillerPairDevice) App() bool {
 	d.addQuery()
-	if env, nm, ok := d.bind.due(); ok {
-		recovered, n, err := d.reconstructScratch(env, nm)
-		d.bind.settle(recovered, n, err)
+	if env, nm, due := d.bind.due(); due {
+		d.bind.settle(d.reconstructScratch(env, nm))
 	}
-	recovered, n, err := d.reconstructScratch(d.env, d.noise)
+	recovered, n, ok := d.reconstructScratch(d.env, d.noise)
 	key := d.bind.key
-	return err == nil && n > 0 && key.Len() == n && recovered.HasPrefix(key)
+	return ok && n > 0 && key.Len() == n && recovered.HasPrefix(key)
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/ecc"
@@ -21,10 +20,13 @@ type FuzzyDevice struct {
 	params FuzzyParams
 	pairs  []pairing.Pair
 	nvm    fuzzy.Helper
-	key    []byte
-	src    *rng.Source
+	key    fuzzy.Key
 	// noise is the per-oracle measurement-noise state.
 	noise *silicon.Noise
+	// read is the reusable reconstruction state of the fixed chain,
+	// its sketch sized at enrollment; per-device, not
+	// concurrency-safe.
+	read pairRead
 }
 
 // FuzzyParams configures a fuzzy-extractor device.
@@ -43,22 +45,23 @@ func EnrollFuzzy(p FuzzyParams, srcMfg, srcRun *rng.Source) (*FuzzyDevice, error
 	env := arr.Config().NominalEnv()
 	pairs := pairing.ChainPairs(p.Rows, p.Cols, false)
 	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), env, noise, p.EnrollReps)
+	f := arr.MeasureAveraged(env, noise, p.EnrollReps)
 	resp := pairing.Responses(f, pairs)
 	h, key, err := fuzzy.Enroll(resp, p.Extractor, srcRun)
 	if err != nil {
 		return nil, err
 	}
-	return &FuzzyDevice{
+	d := &FuzzyDevice{
 		base:   base{env: env},
 		arr:    arr,
 		params: p,
 		pairs:  pairs,
 		nvm:    h,
 		key:    key,
-		src:    srcRun,
 		noise:  noise,
-	}, nil
+	}
+	d.read.sketch.Size(p.Extractor.Code, len(pairs))
+	return d, nil
 }
 
 // ReadHelper returns a deep copy of the helper NVM.
@@ -66,26 +69,28 @@ func (d *FuzzyDevice) ReadHelper() fuzzy.Helper {
 	return fuzzy.Helper{W: d.nvm.W.Clone(), Tag: append([]byte(nil), d.nvm.Tag...)}
 }
 
-// WriteHelper overwrites the helper NVM.
+// WriteHelper overwrites the helper NVM, copying into the device-owned
+// buffers in place.
 func (d *FuzzyDevice) WriteHelper(h fuzzy.Helper) error {
 	if h.W.Len() != d.nvm.W.Len() {
 		return fmt.Errorf("device: helper length %d, want %d", h.W.Len(), d.nvm.W.Len())
 	}
-	d.nvm = fuzzy.Helper{W: h.W.Clone(), Tag: append([]byte(nil), h.Tag...)}
+	d.nvm = fuzzy.Helper{W: copyOffset(d.nvm.W, h.W), Tag: append(d.nvm.Tag[:0], h.Tag...)}
 	return nil
 }
 
-// App reconstructs and compares against the enrolled key.
+// App reconstructs and compares against the enrolled key: a readout of
+// the chain's oscillators into the device's sketch, then the fuzzy
+// extractor's reproduce and hash, allocation-free in steady state.
 func (d *FuzzyDevice) App() bool {
 	d.addQuery()
-	f := d.arr.MeasureIntoWith(make([]float64, d.arr.N()), d.env, d.noise)
-	resp := pairing.Responses(f, d.pairs)
-	got, err := fuzzy.Reconstruct(resp, d.params.Extractor, d.nvm)
-	return err == nil && bytes.Equal(got, d.key)
+	d.read.fill(d.arr, d.env, d.noise, d.pairs)
+	got, err := fuzzy.Reconstruct(&d.read.sketch, d.params.Extractor, d.nvm)
+	return err == nil && got == d.key
 }
 
 // TrueKey returns the enrolled key (evaluation-only).
-func (d *FuzzyDevice) TrueKey() []byte { return append([]byte(nil), d.key...) }
+func (d *FuzzyDevice) TrueKey() fuzzy.Key { return d.key }
 
 // Code exposes the ECC of the extractor (public specification).
 func (d *FuzzyDevice) Code() ecc.Code { return d.params.Extractor.Code }

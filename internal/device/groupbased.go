@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/distiller"
@@ -31,7 +30,6 @@ type GroupBasedDevice struct {
 	// paper's "maliciously reprogrammed keys" scenario).
 	enrolled bitvec.Vector
 	bind     binding
-	src      *rng.Source
 	// noise is the per-oracle measurement-noise state.
 	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see
@@ -71,7 +69,6 @@ func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, 
 	d.nvm = h
 	d.enrolled = key
 	d.bind.reset(key)
-	d.src = srcRun
 	d.noise = noise
 	d.scratch.InvalidateSilicon()
 	return d, nil
@@ -97,13 +94,12 @@ func (d *GroupBasedDevice) HelperView() groupbased.Helper { return d.nvm }
 // application data is encrypted under (the re-provisioning step of the
 // reprogrammed-key scenario).
 func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
-	// The grouping in NVM passed this check when it was written (or was
-	// enrolled), so a write repeating it — an arm sweep varies only the
-	// offset — skips the check and its allocation.
-	if !slices.Equal(h.Grouping.Assign, d.nvm.Grouping.Assign) {
-		if err := h.Grouping.Validate(d.arr.N()); err != nil {
-			return err
-		}
+	// The scratch validates the grouping as it lays it out, once: the
+	// reconstruction that follows reuses that layout, and a write
+	// repeating the grouping — an arm sweep varies only the offset —
+	// skips both.
+	if err := d.scratch.Layout(&h.Grouping, d.arr.N()); err != nil {
+		return err
 	}
 	if h.Offset.Len()%d.params.Code.N() != 0 || h.Offset.Len() == 0 {
 		return fmt.Errorf("device: offset length %d not a block multiple", h.Offset.Len())
@@ -158,7 +154,7 @@ func (d *GroupBasedDevice) App() bool {
 	d.addQuery()
 	if env, nm, ok := d.bind.due(); ok {
 		key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, env, nm, &d.scratch)
-		d.bind.settle(key, key.Len(), err)
+		d.bind.settle(key, key.Len(), err == nil)
 	}
 	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
 	return err == nil && d.bind.key.Len() > 0 && keysEqual(got, d.bind.key)

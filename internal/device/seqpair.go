@@ -35,7 +35,6 @@ type SeqPairDevice struct {
 	params SeqPairParams
 	nvm    SeqPairHelperNVM
 	key    bitvec.Vector // enrolled key (secret, drives the observable)
-	src    *rng.Source
 	// noise is the per-oracle measurement-noise state (the counter-mode
 	// sweep counter).
 	noise   *silicon.Noise
@@ -43,13 +42,12 @@ type SeqPairDevice struct {
 }
 
 // seqPairScratch is the device's reusable reconstruction state: the
-// readout of the stored pairs' oscillators and the code-offset sketch.
-// It makes a steady-state App call allocation-free; WriteHelper
-// invalidates it. Scratch is per-device state, NOT concurrency-safe.
+// pair read of the stored pairs. It makes a steady-state App call
+// allocation-free; WriteHelper invalidates it. Scratch is per-device
+// state, NOT concurrency-safe.
 type seqPairScratch struct {
 	helperValid bool
-	ro          silicon.Readout
-	sketch      ecc.Sketch
+	pairRead
 }
 
 // refresh rebuilds the helper-derived caches from the current NVM.
@@ -88,7 +86,7 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 	arr := prevArr.Remanufactured(cfg, srcMfg)
 	env := arr.Config().NominalEnv()
 	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveragedInto(make([]float64, arr.N()), make([]float64, 2*arr.N()), env, noise, p.EnrollReps)
+	f := arr.MeasureAveraged(env, noise, p.EnrollReps)
 	helper := pairing.EnrollSeqPair(f, p.ThresholdMHz, p.Policy, srcRun)
 	if len(helper.Pairs) == 0 {
 		return nil, fmt.Errorf("device: enrollment selected no pairs (threshold %v too high)", p.ThresholdMHz)
@@ -107,7 +105,6 @@ func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rn
 	d.params = p
 	d.nvm = SeqPairHelperNVM{Pairs: helper, Offset: off}
 	d.key = resp
-	d.src = srcRun
 	d.noise = noise
 	// The remanufactured array lives at the same pointer, so the
 	// readout cannot detect the content change: reset it explicitly
@@ -172,27 +169,8 @@ func (d *SeqPairDevice) App() bool {
 		d.refreshScratch()
 	}
 	pairs := d.nvm.Pairs.Pairs
-	if sc.ro.Stale(d.arr, d.env) {
-		for _, p := range pairs {
-			sc.ro.Compare(p.A, p.B)
-		}
-		sc.ro.Split()
-	}
-	f := sc.ro.Measure(d.noise)
-	if len(pairs) != d.key.Len() {
-		return false
-	}
-	if sc.sketch.Len() != d.nvm.Offset.Len() {
-		return false
-	}
-	stream := sc.sketch.Stream()
-	for i, p := range pairs {
-		if pairing.ResponseBit(f, p) {
-			stream.Set(i, true)
-		}
-	}
-	recovered, _, ok := sc.sketch.Reproduce(d.nvm.Offset)
-	return ok && recovered.HasPrefix(d.key)
+	recovered, ok := sc.reproduce(d.arr, d.env, d.noise, pairs, d.nvm.Offset)
+	return ok && len(pairs) == d.key.Len() && recovered.HasPrefix(d.key)
 }
 
 // TrueKey returns the enrolled key. Evaluation-only: attacks never call

@@ -16,7 +16,6 @@ type TempCoDevice struct {
 	params tempco.Params
 	nvm    tempco.Helper
 	key    bitvec.Vector
-	src    *rng.Source
 	// noise is the per-oracle measurement-noise state.
 	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see tempco.Scratch);
@@ -59,7 +58,6 @@ func EnrollTempCoReuse(prev *TempCoDevice, p tempco.Params, srcMfg, srcRun *rng.
 	d.params = p
 	d.nvm = h
 	d.key = key
-	d.src = srcRun
 	d.noise = noise
 	d.scratch.InvalidateSilicon()
 	return d, nil

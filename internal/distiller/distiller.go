@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/linalg"
 )
@@ -111,32 +112,12 @@ func powers(dst []float64, x float64) {
 	}
 }
 
-// Add returns the superposition q + r, promoted to the larger degree.
-// This is the attacker's primitive: "the attacker's intended pattern can
-// be superimposed onto the original spatial correlation map".
-func (q Poly2D) Add(r Poly2D) Poly2D {
-	p := q.P
-	if r.P > p {
-		p = r.P
-	}
-	out := NewPoly2D(p)
-	for i := 0; i <= q.P; i++ {
-		for j := 0; j <= i; j++ {
-			out.Beta[term(i, j)] += q.Beta[term(i, j)]
-		}
-	}
-	for i := 0; i <= r.P; i++ {
-		for j := 0; j <= i; j++ {
-			out.Beta[term(i, j)] += r.Beta[term(i, j)]
-		}
-	}
-	return out
-}
-
-// AddInto is Add with caller-owned coefficient storage: the result's
-// Beta lives in buf (regrown only when too small), so an attack loop
-// superimposing a fresh pattern per hypothesis test reuses one buffer.
-// Coefficients are bit-identical to Add.
+// AddInto returns the superposition q + r, promoted to the larger
+// degree. This is the attacker's primitive: "the attacker's intended
+// pattern can be superimposed onto the original spatial correlation
+// map". The result's Beta lives in buf (regrown only when too small; nil
+// for fresh storage), so an attack loop superimposing a fresh pattern
+// per hypothesis test reuses one buffer.
 func (q Poly2D) AddInto(r Poly2D, buf []float64) Poly2D {
 	p := q.P
 	if r.P > p {
@@ -246,6 +227,34 @@ func (q Poly2D) EvalGrid(rows, cols int, dst []float64) []float64 {
 		}
 	}
 	return dst
+}
+
+// Grid caches a polynomial's surface on a rows × cols array by content.
+// A reconstruction evaluates the surface of the helper it runs; an
+// attack arm's hypothesis sweep rewrites the helper with the same
+// polynomial over and over, and Eval skips those re-evaluations. The
+// zero value is ready; not concurrency-safe.
+type Grid struct {
+	vals       []float64
+	valid      bool
+	rows, cols int
+	p          int
+	beta       []float64
+}
+
+// Eval returns q's surface on the rows × cols array (EvalGrid's values,
+// grid-owned) and whether it re-evaluated it, because q or the geometry
+// differs from the last call's; then anything holding the previous
+// values must take the new ones.
+func (g *Grid) Eval(q Poly2D, rows, cols int) (vals []float64, changed bool) {
+	if g.valid && q.P == g.p && rows == g.rows && cols == g.cols && slices.Equal(g.beta, q.Beta) {
+		return g.vals, false
+	}
+	g.vals = q.EvalGrid(rows, cols, g.vals)
+	g.rows, g.cols, g.p = rows, cols, q.P
+	g.beta = append(g.beta[:0], q.Beta...)
+	g.valid = true
+	return g.vals, true
 }
 
 // DistillWithGrid subtracts a precomputed EvalGrid surface from a

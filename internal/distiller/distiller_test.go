@@ -2,6 +2,7 @@ package distiller
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,7 +142,7 @@ func TestEvalBitIdenticalToPow(t *testing.T) {
 // attack loops call Eval per oscillator and devices call EvalGrid into a
 // reused grid after every helper write.
 func TestEvalAllocationFree(t *testing.T) {
-	q := QuadraticValleyX(7, 3).Add(Plane(1, 2, -1))
+	q := QuadraticValleyX(7, 3).AddInto(Plane(1, 2, -1), nil)
 	grid := q.EvalGrid(16, 32, nil)
 	if got := testing.AllocsPerRun(20, func() { _ = q.Eval(3, 4) }); got > 0 {
 		t.Errorf("Eval allocates %.1f/op", got)
@@ -240,7 +241,7 @@ func TestDistillerRemovesSystematicVariation(t *testing.T) {
 	cfg.GradientYMHz = 4
 	cfg.BowlMHz = 3
 	a := silicon.NewArray(cfg, rng.New(7))
-	f := a.MeasureAveragedInto(make([]float64, a.N()), make([]float64, 2*a.N()), cfg.NominalEnv(), a.NewNoise(rng.New(8)), 9)
+	f := a.MeasureAveraged(cfg.NominalEnv(), a.NewNoise(rng.New(8)), 9)
 
 	fit, err := Fit(cfg.Rows, cfg.Cols, f, 2)
 	if err != nil {
@@ -277,14 +278,14 @@ func TestDistillerRemovesSystematicVariation(t *testing.T) {
 func TestAddSuperimposes(t *testing.T) {
 	fit := Plane(1, 2, 3)
 	attack := QuadraticValleyX(4, 10)
-	sum := fit.Add(attack)
+	sum := fit.AddInto(attack, nil)
 	if sum.P != 2 {
 		t.Fatalf("promoted degree %d", sum.P)
 	}
 	for _, pt := range [][2]float64{{0, 0}, {3, 1}, {9, 2}} {
 		want := fit.Eval(pt[0], pt[1]) + attack.Eval(pt[0], pt[1])
 		if got := sum.Eval(pt[0], pt[1]); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("Add at %v: %v, want %v", pt, got, want)
+			t.Fatalf("AddInto at %v: %v, want %v", pt, got, want)
 		}
 	}
 }
@@ -378,6 +379,38 @@ func BenchmarkFit16x32Degree3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Fit(16, 32, f, 3); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestGridEvalCachesByContent pins the surface cache: Eval returns
+// EvalGrid's values, and re-evaluates exactly when the polynomial's
+// degree or coefficients, or the geometry, differ from the last call's.
+func TestGridEvalCachesByContent(t *testing.T) {
+	var g Grid
+	q := QuadraticValleyX(3, 2)
+	same := Poly2D{P: q.P, Beta: append([]float64(nil), q.Beta...)}
+	moved := QuadraticValleyX(4, 2)
+	for i, c := range []struct {
+		q          Poly2D
+		rows, cols int
+		changed    bool
+	}{
+		{q, 4, 10, true},
+		{same, 4, 10, false},
+		{moved, 4, 10, true},
+		{moved, 4, 10, false},
+		{moved, 5, 8, true},
+		{Plane(1, 0, 0), 5, 8, true},
+		{NewPoly2D(2), 5, 8, true},
+	} {
+		vals, changed := g.Eval(c.q, c.rows, c.cols)
+		if changed != c.changed {
+			t.Fatalf("call %d: changed %v, want %v", i, changed, c.changed)
+		}
+		want := c.q.EvalGrid(c.rows, c.cols, nil)
+		if !slices.Equal(vals, want) {
+			t.Fatalf("call %d: %v, want %v", i, vals, want)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // coefficients compared bit for bit so that NaN payloads count.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(NewPoly2D(0).Marshal())
-	f.Add(QuadraticValleyX(3.5, -2).Add(Plane(1, math.Inf(1), math.NaN())).Marshal())
+	f.Add(QuadraticValleyX(3.5, -2).AddInto(Plane(1, math.Inf(1), math.NaN()), nil).Marshal())
 	raw := NewPoly2D(3).Marshal()
 	f.Add(raw[:len(raw)-1])                   // coefficient truncated
 	f.Add(append(raw[:len(raw):len(raw)], 0)) // trailing byte

@@ -54,13 +54,6 @@ func TableI() []TableIRow {
 	return rows
 }
 
-// measureAveraged is the experiments' enrollment-time averaging: reps
-// dense sweeps under noise keyed from src's next draw.
-func measureAveraged(arr *silicon.Array, env silicon.Environment, src *rng.Source, reps int) []float64 {
-	n := arr.N()
-	return arr.MeasureAveragedInto(make([]float64, n), make([]float64, 2*n), env, arr.NewNoise(src), reps)
-}
-
 // ---------------------------------------------------------------- E2 --
 
 // Fig2Result is the variance decomposition of the frequency topology.
@@ -82,7 +75,7 @@ func Fig2(seed uint64) (Fig2Result, error) {
 	cfg.BowlMHz = 3
 	arr := silicon.NewArray(cfg, rng.New(seed))
 	src := rng.New(seed + 1)
-	f := measureAveraged(arr, cfg.NominalEnv(), src, 9)
+	f := arr.MeasureAveraged(cfg.NominalEnv(), arr.NewNoise(src), 9)
 	fit, err := distiller.Fit(cfg.Rows, cfg.Cols, f, 2)
 	if err != nil {
 		return Fig2Result{}, err
@@ -186,7 +179,7 @@ func Fig5(seed uint64, samples int) (Fig5Result, error) {
 	cfg.NoiseSigmaMHz = 1.2
 	arr := silicon.NewArray(cfg, srcMfg)
 	env := cfg.NominalEnv()
-	f := measureAveraged(arr, env, srcRun, p.EnrollReps)
+	f := arr.MeasureAveraged(env, arr.NewNoise(srcRun), p.EnrollReps)
 	helper := pairing.EnrollSeqPair(f, p.ThresholdMHz, p.Policy, srcRun)
 	enrolled := pairing.Responses(f, helper.Pairs)
 	m := len(helper.Pairs)
@@ -287,7 +280,7 @@ func EntropyAccounting(seed uint64, thresholds []float64) []EntropyRow {
 	cfg := silicon.DefaultConfig(8, 16)
 	arr := silicon.NewArray(cfg, rng.New(seed))
 	src := rng.New(seed + 1)
-	f := measureAveraged(arr, cfg.NominalEnv(), src, 9)
+	f := arr.MeasureAveraged(cfg.NominalEnv(), arr.NewNoise(src), 9)
 	poly, err := distiller.Fit(cfg.Rows, cfg.Cols, f, 2)
 	if err != nil {
 		return nil
@@ -452,7 +445,7 @@ func AblationStoragePolicy(ctx context.Context, seed uint64, devices int) (Stora
 		s := seed + uint64(i)*7
 		arr := silicon.NewArray(silicon.DefaultConfig(8, 16), rng.New(s))
 		src := rng.New(s + 1)
-		f := measureAveraged(arr, arr.Config().NominalEnv(), src, 9)
+		f := arr.MeasureAveraged(arr.Config().NominalEnv(), arr.NewNoise(src), 9)
 		rs := pairing.Responses(f, pairing.EnrollSeqPair(f, 0.8, pairing.SortedStorage, src).Pairs)
 		rr := pairing.Responses(f, pairing.EnrollSeqPair(f, 0.8, pairing.RandomizedStorage, src).Pairs)
 		sortedOnes += rs.Weight()

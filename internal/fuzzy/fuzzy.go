@@ -19,7 +19,9 @@
 package fuzzy
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -45,6 +47,9 @@ type Helper struct {
 	Tag []byte
 }
 
+// Key is a derived key: a SHA-256 digest.
+type Key [sha256.Size]byte
+
 // ErrReconstructFailed is returned when decoding fails.
 var ErrReconstructFailed = errors.New("fuzzy: key reconstruction failed")
 
@@ -54,47 +59,40 @@ var ErrManipulationDetected = errors.New("fuzzy: helper-data manipulation detect
 
 // Enroll builds helper data and derives the key from an enrollment
 // response of arbitrary length (padded internally to ECC blocks).
-func Enroll(response bitvec.Vector, p Params, src *rng.Source) (Helper, []byte, error) {
+func Enroll(response bitvec.Vector, p Params, src *rng.Source) (Helper, Key, error) {
 	if p.Code == nil {
-		return Helper{}, nil, errors.New("fuzzy: nil ECC")
+		return Helper{}, Key{}, errors.New("fuzzy: nil ECC")
 	}
 	var sk ecc.Sketch
 	sk.Size(p.Code, response.Len())
 	padded := sk.Stream()
 	padded.PutAt(0, response)
 	w := sk.Enroll(src)
-	key := deriveKey(padded, w, p.Robust)
 	h := Helper{W: w}
 	if p.Robust {
-		h.Tag = commitment(padded, w)
+		tag := commitment(padded, w)
+		h.Tag = tag[:]
 	}
-	return h, key, nil
+	return h, deriveKey(padded, w, p.Robust), nil
 }
 
-// Reconstruct recovers the key from a fresh noisy response reading.
-func Reconstruct(response bitvec.Vector, p Params, h Helper) ([]byte, error) {
+// Reconstruct recovers the key from a fresh noisy response reading,
+// which the caller has written into the stream of sk, sized for p.Code
+// over the response length. A steady-state call allocates nothing.
+func Reconstruct(sk *ecc.Sketch, p Params, h Helper) (Key, error) {
 	if p.Code == nil {
-		return nil, errors.New("fuzzy: nil ECC")
+		return Key{}, errors.New("fuzzy: nil ECC")
 	}
-	var sk ecc.Sketch
-	sk.Size(p.Code, response.Len())
 	if sk.Len() != h.W.Len() {
-		return nil, fmt.Errorf("fuzzy: helper length %d, response padded %d", h.W.Len(), sk.Len())
+		return Key{}, fmt.Errorf("fuzzy: helper length %d, response padded %d", h.W.Len(), sk.Len())
 	}
-	sk.Stream().PutAt(0, response)
 	recovered, _, ok := sk.Reproduce(h.W)
 	if !ok {
-		return nil, ErrReconstructFailed
+		return Key{}, ErrReconstructFailed
 	}
 	if p.Robust {
-		tag := commitment(recovered, h.W)
-		if len(h.Tag) != len(tag) {
-			return nil, ErrManipulationDetected
-		}
-		for i := range tag {
-			if tag[i] != h.Tag[i] {
-				return nil, ErrManipulationDetected
-			}
+		if tag := commitment(recovered, h.W); !bytes.Equal(h.Tag, tag[:]) {
+			return Key{}, ErrManipulationDetected
 		}
 	}
 	return deriveKey(recovered, h.W, p.Robust), nil
@@ -102,21 +100,32 @@ func Reconstruct(response bitvec.Vector, p Params, h Helper) ([]byte, error) {
 
 // deriveKey hashes the recovered enrollment response into the key. The
 // robust variant binds the helper word into the derivation as well.
-func deriveKey(response, w bitvec.Vector, robust bool) []byte {
-	h := sha256.New()
-	h.Write([]byte("fuzzy-extractor-key/v1"))
-	h.Write(response.Bytes())
+func deriveKey(response, w bitvec.Vector, robust bool) Key {
 	if robust {
-		h.Write(w.Bytes())
+		return digest("fuzzy-extractor-key/v1", response, w)
 	}
-	return h.Sum(nil)
+	return digest("fuzzy-extractor-key/v1", response)
 }
 
 // commitment is the robust variant's manipulation-detection tag.
-func commitment(response, w bitvec.Vector) []byte {
+func commitment(response, w bitvec.Vector) Key {
+	return digest("fuzzy-extractor-tag/v1", response, w)
+}
+
+// digest is SHA-256 over label followed by each vector's bitvec.Bytes
+// packing, written a word at a time so that nothing escapes.
+func digest(label string, vs ...bitvec.Vector) (sum Key) {
 	h := sha256.New()
-	h.Write([]byte("fuzzy-extractor-tag/v1"))
-	h.Write(response.Bytes())
-	h.Write(w.Bytes())
-	return h.Sum(nil)
+	h.Write([]byte(label))
+	var buf [8]byte
+	for _, v := range vs {
+		for i, rem := 0, (v.Len()+7)/8; rem > 0; i++ {
+			binary.LittleEndian.PutUint64(buf[:], v.Word(i))
+			k := min(rem, 8)
+			h.Write(buf[:k])
+			rem -= k
+		}
+	}
+	h.Sum(sum[:0])
+	return sum
 }

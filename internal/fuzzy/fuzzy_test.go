@@ -1,7 +1,6 @@
 package fuzzy
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -19,6 +18,14 @@ func randResp(seed uint64, n int) bitvec.Vector {
 	return v
 }
 
+// reconstruct runs Reconstruct on a sketch holding the reading resp.
+func reconstruct(resp bitvec.Vector, p Params, h Helper) (Key, error) {
+	var sk ecc.Sketch
+	sk.Size(p.Code, resp.Len())
+	sk.Stream().PutAt(0, resp)
+	return Reconstruct(&sk, p, h)
+}
+
 func params() Params {
 	return Params{Code: ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})}
 }
@@ -30,14 +37,11 @@ func TestRoundTripNoiseless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(key) != 32 {
-		t.Fatalf("key length %d", len(key))
-	}
-	got, err := Reconstruct(resp, p, h)
+	got, err := reconstruct(resp, p, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, key) {
+	if got != key {
 		t.Fatal("noiseless reconstruction mismatch")
 	}
 }
@@ -53,11 +57,11 @@ func TestRoundTripWithNoise(t *testing.T) {
 	noisy.Flip(0)
 	noisy.Flip(40)
 	noisy.Flip(41)
-	got, err := Reconstruct(noisy, p, h)
+	got, err := reconstruct(noisy, p, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, key) {
+	if got != key {
 		t.Fatal("noisy reconstruction mismatch")
 	}
 }
@@ -73,8 +77,8 @@ func TestFailureBeyondRadius(t *testing.T) {
 	for i := 0; i < p.Code.T()+1; i++ {
 		noisy.Flip(i)
 	}
-	got, err := Reconstruct(noisy, p, h)
-	if err == nil && bytes.Equal(got, key) {
+	got, err := reconstruct(noisy, p, h)
+	if err == nil && got == key {
 		t.Fatal("beyond-radius noise reconstructed the key")
 	}
 }
@@ -95,11 +99,11 @@ func TestManipulationIndependence(t *testing.T) {
 		}
 		manip := Helper{W: h.W.Clone()}
 		manip.W.Flip(3) // weight-1 delta, always within radius
-		got, err := Reconstruct(resp, p, manip)
+		got, err := reconstruct(resp, p, manip)
 		if err != nil {
 			t.Fatalf("seed %d: in-radius manipulation failed decode: %v", seed, err)
 		}
-		if bytes.Equal(got, key) {
+		if got == key {
 			t.Fatalf("seed %d: manipulated helper still derived the key", seed)
 		}
 	}
@@ -116,20 +120,20 @@ func TestRobustVariantDetectsManipulation(t *testing.T) {
 		t.Fatal("robust variant must store a tag")
 	}
 	// Honest reconstruction works.
-	got, err := Reconstruct(resp, p, h)
-	if err != nil || !bytes.Equal(got, key) {
+	got, err := reconstruct(resp, p, h)
+	if err != nil || got != key {
 		t.Fatalf("honest robust reconstruction failed: %v", err)
 	}
 	// Any helper manipulation is detected.
 	manip := Helper{W: h.W.Clone(), Tag: h.Tag}
 	manip.W.Flip(0)
-	if _, err := Reconstruct(resp, p, manip); !errors.Is(err, ErrManipulationDetected) {
+	if _, err := reconstruct(resp, p, manip); !errors.Is(err, ErrManipulationDetected) {
 		t.Fatalf("err = %v, want ErrManipulationDetected", err)
 	}
 	// Tag manipulation likewise.
 	manip2 := Helper{W: h.W, Tag: append([]byte(nil), h.Tag...)}
 	manip2.Tag[0] ^= 1
-	if _, err := Reconstruct(resp, p, manip2); !errors.Is(err, ErrManipulationDetected) {
+	if _, err := reconstruct(resp, p, manip2); !errors.Is(err, ErrManipulationDetected) {
 		t.Fatalf("err = %v, want ErrManipulationDetected", err)
 	}
 }
@@ -141,7 +145,7 @@ func TestHelperLengthMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Reconstruct(randResp(11, 93), p, h); err == nil {
+	if _, err := reconstruct(randResp(11, 93), p, h); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
 }
@@ -150,7 +154,7 @@ func TestNilCode(t *testing.T) {
 	if _, _, err := Enroll(bitvec.New(8), Params{}, rng.New(1)); err == nil {
 		t.Fatal("nil code must fail enroll")
 	}
-	if _, err := Reconstruct(bitvec.New(8), Params{}, Helper{}); err == nil {
+	if _, err := Reconstruct(&ecc.Sketch{}, Params{}, Helper{}); err == nil {
 		t.Fatal("nil code must fail reconstruct")
 	}
 }
@@ -165,7 +169,33 @@ func TestKeysDifferAcrossResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(k1, k2) {
+	if k1 == k2 {
 		t.Fatal("different responses produced the same key")
+	}
+}
+
+// TestReconstructAllocs pins the steady state of a device's
+// reconstruction: Reproduce on a warm sketch, the commitment check and
+// the key hash allocate nothing, plain and robust.
+func TestReconstructAllocs(t *testing.T) {
+	for _, robust := range []bool{false, true} {
+		p := Params{Code: ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}), Robust: robust}
+		resp := randResp(30, 127)
+		h, key, err := Enroll(resp, p, rng.New(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sk ecc.Sketch
+		sk.Size(p.Code, resp.Len())
+		run := func() {
+			sk.Stream().PutAt(0, resp)
+			if got, err := Reconstruct(&sk, p, h); err != nil || got != key {
+				t.Fatalf("robust=%v: honest reconstruction failed: %v", robust, err)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Fatalf("robust=%v: Reconstruct allocates %.1f/op, want 0", robust, allocs)
+		}
 	}
 }

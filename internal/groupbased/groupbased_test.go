@@ -305,7 +305,7 @@ func TestAttackerRepartitionReprogramsKey(t *testing.T) {
 	// Attacker: superimpose a huge x-gradient so that within every
 	// horizontal pair the right RO is always slower after distillation.
 	attack := h
-	attack.Poly = h.Poly.Add(distiller.Plane(0, 1000, 0))
+	attack.Poly = h.Poly.AddInto(distiller.Plane(0, 1000, 0), nil)
 
 	var groups [][]int
 	for y := 0; y < p.Rows; y++ {

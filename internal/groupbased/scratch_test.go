@@ -79,7 +79,7 @@ func TestScratchMatchesGroupingReference(t *testing.T) {
 	}
 	env := a.Config().NominalEnv()
 	nm := a.NewNoise(rng.New(602))
-	f := a.MeasureAveragedInto(make([]float64, a.N()), make([]float64, 2*a.N()), env, nm, p.EnrollReps)
+	f := a.MeasureAveraged(env, nm, p.EnrollReps)
 	enrolled := distiller.Distill(p.Rows, p.Cols, f, h.Poly)
 	src := rng.New(603)
 	var sc Scratch

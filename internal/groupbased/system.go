@@ -175,7 +175,7 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 		return Helper{}, bitvec.Vector{}, err
 	}
 	env := a.Config().NominalEnv()
-	f := a.MeasureAveragedInto(make([]float64, a.N()), make([]float64, 2*a.N()), env, nm, p.EnrollReps)
+	f := a.MeasureAveraged(env, nm, p.EnrollReps)
 	poly, err := distiller.Fit(p.Rows, p.Cols, f, p.Degree)
 	if err != nil {
 		return Helper{}, bitvec.Vector{}, err
@@ -201,7 +201,7 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 // member lists, distiller surface, stream geometry) are rebuilt. Not
 // safe for concurrent use.
 type Scratch struct {
-	grid []float64
+	grid distiller.Grid
 	// ro reads the distilled residuals and draws noise only where it
 	// can change an order within a group of two or more members (the
 	// only residuals the Kendall coding reads); resid is the last
@@ -226,15 +226,13 @@ type Scratch struct {
 	key       bitvec.Vector
 	perm      perm.Scratch
 	groupVals []float64
-	// content fingerprints: a helper write that repeats the previous
-	// grouping or polynomial (an attack arm's hypothesis sweep varies
-	// only the ECC offset) skips revalidation and cache rebuilds, whose
-	// outcomes are pure functions of that content.
+	// content fingerprint: a helper write that repeats the previous
+	// grouping (an attack arm's hypothesis sweep varies only the ECC
+	// offset) skips revalidation and the member-list rebuild, whose
+	// outcomes are pure functions of that content; grid does the same
+	// for the polynomial.
 	groupsValid bool
 	lastAssign  []int
-	gridValid   bool
-	lastP       int
-	lastBeta    []float64
 }
 
 // Invalidate drops the helper-derived caches; the next Prepare or
@@ -316,6 +314,21 @@ func validateGrouping(assign []int, n int) error {
 	return g.Validate(n)
 }
 
+// Layout validates g for n oscillators, returning Grouping.Validate's
+// error for a malformed one, and lays it out in the scratch unless it
+// is the grouping laid out last. It allocates nothing once the buffers
+// have grown, so a device validates a written grouping through its
+// scratch; the Prepare or Reconstruct of a helper holding g then reuses
+// the layout. A new grouping drops the helper-derived caches.
+func (sc *Scratch) Layout(g *Grouping, n int) error {
+	if sc.groupsValid && slices.Equal(sc.lastAssign, g.Assign) {
+		return nil
+	}
+	sc.helperValid = false
+	sc.ro.Invalidate()
+	return sc.layout(g.Assign, n)
+}
+
 // resizeInts returns *buf resized to n elements, reallocating only on
 // growth. Contents are unspecified.
 func resizeInts(buf *[]int, n int) []int {
@@ -330,11 +343,8 @@ func resizeInts(buf *[]int, n int) []int {
 // validation order of the legacy Reconstruct so failure modes and their
 // errors are unchanged.
 func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
-	if !sc.groupsValid || !slices.Equal(sc.lastAssign, h.Grouping.Assign) {
-		sc.ro.Invalidate()
-		if err := sc.layout(h.Grouping.Assign, a.N()); err != nil {
-			return err
-		}
+	if err := sc.Layout(&h.Grouping, a.N()); err != nil {
+		return err
 	}
 	if h.Offset.Len()%p.Code.N() != 0 || h.Offset.Len() == 0 {
 		return fmt.Errorf("groupbased: offset length %d not a block multiple", h.Offset.Len())
@@ -342,12 +352,8 @@ func (sc *Scratch) refresh(a *silicon.Array, p Params, h *Helper) error {
 	if sc.streamLen > h.Offset.Len() {
 		return fmt.Errorf("groupbased: offset too short for grouping stream")
 	}
-	if !sc.gridValid || h.Poly.P != sc.lastP || !slices.Equal(sc.lastBeta, h.Poly.Beta) {
-		sc.grid = h.Poly.EvalGrid(p.Rows, p.Cols, sc.grid)
-		sc.lastP = h.Poly.P
-		sc.lastBeta = append(sc.lastBeta[:0], h.Poly.Beta...)
-		sc.gridValid = true
-		sc.ro.SetOffsets(sc.grid)
+	if grid, changed := sc.grid.Eval(h.Poly, p.Rows, p.Cols); changed {
+		sc.ro.SetOffsets(grid)
 	}
 	sc.sketch.Size(p.Code, sc.streamLen)
 	if sc.key.Len() != sc.keyLen {

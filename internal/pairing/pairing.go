@@ -154,15 +154,7 @@ func EnrollMasking(f []float64, basePairs []Pair, k int) (MaskingHelper, error) 
 	return h, nil
 }
 
-// SelectedPairs resolves the helper against the fixed base pair list. It
-// validates the helper as an honest device would: selections must index
-// within each group. (The paper's attack on this scheme works through
-// valid selections, so validation does not stop it.)
-func (h MaskingHelper) SelectedPairs(basePairs []Pair) ([]Pair, error) {
-	return h.SelectedPairsInto(nil, basePairs)
-}
-
-// Validate applies SelectedPairs' structural checks without materializing
+// Validate applies SelectedPairsInto's structural checks without materializing
 // the pair list — the allocation-free write-time validation a device runs
 // on every helper install.
 func (h MaskingHelper) Validate(basePairs []Pair) error {
@@ -178,8 +170,12 @@ func (h MaskingHelper) Validate(basePairs []Pair) error {
 	return nil
 }
 
-// SelectedPairsInto is SelectedPairs into a caller-owned buffer, regrown
-// only when its capacity is insufficient.
+// SelectedPairsInto resolves the helper against the fixed base pair list
+// into dst, regrown only when its capacity is insufficient (nil for a
+// fresh list). It validates the helper as an honest device would:
+// selections must index within each group. (The paper's attack on this
+// scheme works through valid selections, so validation does not stop
+// it.)
 func (h MaskingHelper) SelectedPairsInto(dst []Pair, basePairs []Pair) ([]Pair, error) {
 	if err := h.Validate(basePairs); err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func TestEnrollMaskingPicksMaxDelta(t *testing.T) {
 	if len(h.Selected) != 1 || h.Selected[0] != 1 {
 		t.Fatalf("selected %v, want [1]", h.Selected)
 	}
-	sel, err := h.SelectedPairs(base)
+	sel, err := h.SelectedPairsInto(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestEnrollMaskingReliabilityGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, _ := h.SelectedPairs(base)
+	sel, _ := h.SelectedPairsInto(nil, base)
 	meanAbs := func(ps []Pair) float64 {
 		var s float64
 		for _, p := range ps {
@@ -148,11 +148,11 @@ func TestEnrollMaskingErrors(t *testing.T) {
 func TestMaskingHelperValidation(t *testing.T) {
 	base := []Pair{{0, 1}, {2, 3}}
 	bad := MaskingHelper{K: 2, Selected: []int{2}}
-	if _, err := bad.SelectedPairs(base); err == nil {
+	if _, err := bad.SelectedPairsInto(nil, base); err == nil {
 		t.Fatal("selection >= k must fail")
 	}
 	tooMany := MaskingHelper{K: 2, Selected: []int{0, 0}}
-	if _, err := tooMany.SelectedPairs(base); err == nil {
+	if _, err := tooMany.SelectedPairsInto(nil, base); err == nil {
 		t.Fatal("more groups than base pairs must fail")
 	}
 }

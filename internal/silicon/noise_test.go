@@ -144,10 +144,10 @@ func TestNoiseForkIndependence(t *testing.T) {
 	}
 }
 
-// TestMeasureAveragedIntoMatchesScalar pins the enrollment averaging
+// TestMeasureAveragedMatchesScalar pins the enrollment averaging
 // arithmetic: per oscillator, the sum of reps consecutive dense sweeps
 // accumulated in sweep order, then multiplied (not divided) by 1/reps.
-func TestMeasureAveragedIntoMatchesScalar(t *testing.T) {
+func TestMeasureAveragedMatchesScalar(t *testing.T) {
 	a := noiseTestArray(8, 16)
 	env := Environment{TempC: 60, VoltageV: 1.22}
 	for _, reps := range []int{1, 3, 25, 64} {
@@ -165,11 +165,7 @@ func TestMeasureAveragedIntoMatchesScalar(t *testing.T) {
 			ref[i] *= inv
 		}
 		nm := a.NewNoise(rng.New(uint64(reps)))
-		dst := make([]float64, a.N())
-		for i := range dst {
-			dst[i] = math.NaN() // stale contents must not leak into the sums
-		}
-		got := a.MeasureAveragedInto(dst, make([]float64, 2*a.N()), env, nm, reps)
+		got := a.MeasureAveraged(env, nm, reps)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("reps %d osc %d: %v != reference %v", reps, i, got[i], ref[i])
@@ -181,27 +177,29 @@ func TestMeasureAveragedIntoMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestMeasureAveragedIntoAllocFree is the enrollment-path allocs fence.
-func TestMeasureAveragedIntoAllocFree(t *testing.T) {
+// TestMeasureAveragedAllocsIndependentOfReps is the enrollment-path
+// allocs fence: the result and one sweep's working space, whatever the
+// number of sweeps.
+func TestMeasureAveragedAllocsIndependentOfReps(t *testing.T) {
 	a := noiseTestArray(8, 16)
 	env := a.Config().NominalEnv()
 	nm := a.NewNoise(rng.New(2))
-	dst := make([]float64, a.N())
-	scratch := make([]float64, 2*a.N())
-	if allocs := testing.AllocsPerRun(20, func() {
-		a.MeasureAveragedInto(dst, scratch, env, nm, 25)
-	}); allocs != 0 {
-		t.Fatalf("MeasureAveragedInto allocates %.1f/op, want 0", allocs)
+	for _, reps := range []int{1, 25} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			a.MeasureAveraged(env, nm, reps)
+		}); allocs != 2 {
+			t.Fatalf("reps %d: MeasureAveraged allocates %.1f/op, want 2", reps, allocs)
+		}
 	}
 }
 
-// TestMeasureAveragedIntoMoments sanity-checks the enrollment
-// averaging: the per-oscillator mean over many sweeps must converge to
-// the true frequency.
-func TestMeasureAveragedIntoMoments(t *testing.T) {
+// TestMeasureAveragedMoments sanity-checks the enrollment averaging:
+// the per-oscillator mean over many sweeps must converge to the true
+// frequency.
+func TestMeasureAveragedMoments(t *testing.T) {
 	a := noiseTestArray(4, 8)
 	env := a.Config().NominalEnv()
-	got := a.MeasureAveragedInto(make([]float64, a.N()), make([]float64, 2*a.N()), env, a.NewNoise(rng.New(123)), 400)
+	got := a.MeasureAveraged(env, a.NewNoise(rng.New(123)), 400)
 	sigma := a.Config().NoiseSigmaMHz
 	for i := range got {
 		if diff := math.Abs(got[i] - a.TrueFreq(i, env)); diff > 4*sigma/20 {

@@ -335,24 +335,19 @@ func (a *Array) TrueFreqInto(dst []float64, env Environment) []float64 {
 	return dst
 }
 
-// MeasureAveragedInto measures every oscillator `reps` times and writes
-// the per-oscillator means into dst — the standard enrollment-time
-// noise reduction. It performs reps whole-array sweeps, each keyed by
-// its own sweep counter, accumulating per sweep and scaling by 1/reps.
-// dst has length N; scratch is caller-owned working space of length 2N
-// (one sweep's variates and the noise-free frequencies in env, computed
-// once rather than once per sweep), so the call is allocation-free. It
-// returns dst.
-func (a *Array) MeasureAveragedInto(dst, scratch []float64, env Environment, nm *Noise, reps int) []float64 {
+// MeasureAveraged measures every oscillator `reps` times and returns the
+// per-oscillator means — the standard enrollment-time noise reduction.
+// It performs reps whole-array sweeps, each keyed by its own sweep
+// counter, accumulating per sweep and scaling by 1/reps. The noise-free
+// frequencies in env are computed once rather than once per sweep; the
+// result and one sweep's working space are its only allocations.
+func (a *Array) MeasureAveraged(env Environment, nm *Noise, reps int) []float64 {
 	if reps < 1 {
-		panic("silicon: MeasureAveragedInto needs reps >= 1")
+		panic("silicon: MeasureAveraged needs reps >= 1")
 	}
 	n := a.N()
-	if len(dst) != n || len(scratch) != 2*n {
-		panic(fmt.Sprintf("silicon: MeasureAveragedInto buffers %d/%d, want %d/%d", len(dst), len(scratch), n, 2*n))
-	}
+	dst, scratch := make([]float64, n), make([]float64, 2*n)
 	row, base := scratch[:n], a.TrueFreqInto(scratch[n:], env)
-	clear(dst)
 	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
 	for r := 0; r < reps; r++ {
 		nm.FillAll(row)

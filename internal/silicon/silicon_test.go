@@ -285,14 +285,12 @@ func TestMeasureAveragedReducesNoise(t *testing.T) {
 	env := a.Config().NominalEnv()
 	nm := a.NewNoise(rng.New(1))
 	single := make([]float64, a.N())
-	avg := make([]float64, a.N())
-	scratch := make([]float64, 2*a.N())
 	truth := a.TrueFreq(3, env)
 	var errSingle, errAvg float64
 	const trials = 500
 	for i := 0; i < trials; i++ {
 		errSingle += math.Abs(a.MeasureIntoWith(single, env, nm)[3] - truth)
-		errAvg += math.Abs(a.MeasureAveragedInto(avg, scratch, env, nm, 16)[3] - truth)
+		errAvg += math.Abs(a.MeasureAveraged(env, nm, 16)[3] - truth)
 	}
 	if errAvg >= errSingle/2 {
 		t.Fatalf("averaging did not reduce error: single %v avg %v", errSingle/trials, errAvg/trials)

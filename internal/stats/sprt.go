@@ -47,18 +47,12 @@ func (d SPRTDecision) String() string {
 	return fmt.Sprintf("SPRTDecision(%d)", int(d))
 }
 
-// NewSPRT constructs a test of H0: p = p0 against H1: p = p1 with
+// MakeSPRT constructs a test of H0: p = p0 against H1: p = p1 with
 // 0 <= p0 < p1 <= 1 and error probabilities alpha, beta in (0, 1).
 // Degenerate rates (p0 = 0 or p1 = 1) are clamped slightly inward so the
-// log-likelihood ratios stay finite.
-func NewSPRT(p0, p1, alpha, beta float64) *SPRT {
-	s := MakeSPRT(p0, p1, alpha, beta)
-	return &s
-}
-
-// MakeSPRT is NewSPRT returning the test by value, for callers that run
-// one test per hypothesis arm on a hot loop and want the state on their
-// own stack instead of a fresh heap allocation per arm.
+// log-likelihood ratios stay finite. It returns the test by value, so
+// callers that run one test per hypothesis arm on a hot loop keep the
+// state on their own stack.
 func MakeSPRT(p0, p1, alpha, beta float64) SPRT {
 	if !(p0 < p1) || p0 < 0 || p1 > 1 {
 		panic(fmt.Sprintf("stats: invalid SPRT rates p0=%v p1=%v", p0, p1))

@@ -227,7 +227,7 @@ func TestSPRTDecidesCorrectly(t *testing.T) {
 		correct := 0
 		const trials = 400
 		for trial := 0; trial < trials; trial++ {
-			s := NewSPRT(p0, p1, 0.01, 0.01)
+			s := MakeSPRT(p0, p1, 0.01, 0.01)
 			var d SPRTDecision
 			for d = SPRTContinue; d == SPRTContinue; {
 				d = s.Observe(r.Float64() < truth)
@@ -252,7 +252,7 @@ func TestSPRTCheaperThanFixedSample(t *testing.T) {
 	var totalN int
 	const trials = 300
 	for trial := 0; trial < trials; trial++ {
-		s := NewSPRT(p0, p1, alpha, beta)
+		s := MakeSPRT(p0, p1, alpha, beta)
 		for s.Observe(r.Float64() < p1) == SPRTContinue {
 		}
 		totalN += s.N()
@@ -264,7 +264,7 @@ func TestSPRTCheaperThanFixedSample(t *testing.T) {
 }
 
 func TestSPRTReset(t *testing.T) {
-	s := NewSPRT(0.1, 0.5, 0.05, 0.05)
+	s := MakeSPRT(0.1, 0.5, 0.05, 0.05)
 	s.Observe(true)
 	s.Observe(true)
 	s.Reset()
@@ -275,9 +275,9 @@ func TestSPRTReset(t *testing.T) {
 
 func TestSPRTInvalidParams(t *testing.T) {
 	cases := []func(){
-		func() { NewSPRT(0.5, 0.2, 0.05, 0.05) },
-		func() { NewSPRT(0.1, 0.2, 0, 0.05) },
-		func() { NewSPRT(0.1, 0.2, 0.05, 1) },
+		func() { MakeSPRT(0.5, 0.2, 0.05, 0.05) },
+		func() { MakeSPRT(0.1, 0.2, 0, 0.05) },
+		func() { MakeSPRT(0.1, 0.2, 0.05, 1) },
 	}
 	for i, f := range cases {
 		func() {

@@ -178,9 +178,8 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 		return Helper{}, bitvec.Vector{}, err
 	}
 	v := a.Config().NominalVoltageV
-	scratch := make([]float64, 2*a.N())
-	fMin := a.MeasureAveragedInto(make([]float64, a.N()), scratch, silicon.Environment{TempC: p.TminC, VoltageV: v}, nm, p.EnrollReps)
-	fMax := a.MeasureAveragedInto(make([]float64, a.N()), scratch, silicon.Environment{TempC: p.TmaxC, VoltageV: v}, nm, p.EnrollReps)
+	fMin := a.MeasureAveraged(silicon.Environment{TempC: p.TminC, VoltageV: v}, nm, p.EnrollReps)
+	fMax := a.MeasureAveraged(silicon.Environment{TempC: p.TmaxC, VoltageV: v}, nm, p.EnrollReps)
 
 	pairs := pairing.ChainPairs(p.Rows, p.Cols, true)
 	infos := make([]PairInfo, len(pairs))
