@@ -3,7 +3,10 @@
 // experiment index). Each benchmark reports the experiment's headline
 // quantities as custom metrics so that `go test -bench=. -benchmem`
 // reproduces the evaluation in one run; the cmd/puf-bench tool prints
-// the same results as human-readable tables.
+// the same results as human-readable tables. Every iteration runs the
+// same fixed seed (for the attacks, the first golden seed), so the
+// metrics do not depend on b.N: -benchtime 1x and 3x print the same
+// values.
 package repro
 
 import (
@@ -39,8 +42,8 @@ func BenchmarkTableI_KendallCoding(b *testing.B) {
 func BenchmarkFig2_FrequencyTopology(b *testing.B) {
 	var r experiments.Fig2Result
 	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.Fig2(uint64(i) + 1)
+	for b.Loop() {
+		r, err = experiments.Fig2(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,8 +59,8 @@ func BenchmarkFig2_FrequencyTopology(b *testing.B) {
 func BenchmarkFig3_PairClassification(b *testing.B) {
 	var rows []experiments.Fig3Row
 	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Fig3(uint64(i)+1, []float64{0.6})
+	for b.Loop() {
+		rows, err = experiments.Fig3(1, []float64{0.6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,8 +75,8 @@ func BenchmarkFig3_PairClassification(b *testing.B) {
 func BenchmarkFig5_FailureRatePDFs(b *testing.B) {
 	var r experiments.Fig5Result
 	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.Fig5(uint64(i)+3, 300)
+	for b.Loop() {
+		r, err = experiments.Fig5(3, 300)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,113 +90,78 @@ func BenchmarkFig5_FailureRatePDFs(b *testing.B) {
 // BenchmarkFig6a_GroupBasedAttack (E5/E10) runs the §VI-C full key
 // recovery on the paper's 4x10 Fig. 6 array.
 func BenchmarkFig6a_GroupBasedAttack(b *testing.B) {
-	var r transcript.Transcript
-	var err error
-	recovered := 0
-	for i := 0; i < b.N; i++ {
-		r, err = transcript.Run(context.Background(),
-			transcript.Spec{Attack: "groupbased", Seed: uint64(i)*3 + 9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Recovered {
-			recovered++
-		}
-	}
+	r := benchTranscript(b, transcript.Spec{Attack: "groupbased", Seed: 9})
 	b.ReportMetric(float64(r.EnrolledKeyBits), "key-bits")
 	b.ReportMetric(float64(r.Queries), "oracle-queries")
-	b.ReportMetric(float64(recovered)/float64(b.N), "recovery-rate")
+	b.ReportMetric(boolMetric(r.Recovered), "recovered")
 }
 
 // BenchmarkFig6b_MaskingAttack (E6) runs the distiller + 1-out-of-5
 // masking attack.
 func BenchmarkFig6b_MaskingAttack(b *testing.B) {
-	var r transcript.Transcript
-	var err error
-	recovered := 0
-	for i := 0; i < b.N; i++ {
-		r, err = transcript.Run(context.Background(),
-			transcript.Spec{Attack: "masking", Seed: uint64(i)*3 + 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Recovered {
-			recovered++
-		}
-	}
+	r := benchTranscript(b, transcript.Spec{Attack: "masking", Seed: 11})
 	b.ReportMetric(float64(r.EnrolledKeyBits), "key-bits")
 	b.ReportMetric(float64(r.Queries), "oracle-queries")
-	b.ReportMetric(float64(recovered)/float64(b.N), "recovery-rate")
+	b.ReportMetric(boolMetric(r.Recovered), "recovered")
 }
 
 // BenchmarkFig6c_NeighborChainAttack (E7) runs the distiller +
 // overlapping chain attack with its 2^4 hypothesis sets.
 func BenchmarkFig6c_NeighborChainAttack(b *testing.B) {
-	var r transcript.Transcript
-	var err error
-	recovered := 0
-	for i := 0; i < b.N; i++ {
-		r, err = transcript.Run(context.Background(),
-			transcript.Spec{Attack: "chain", Seed: uint64(i)*3 + 13})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Recovered {
-			recovered++
-		}
-	}
+	r := benchTranscript(b, transcript.Spec{Attack: "chain", Seed: 13})
 	b.ReportMetric(float64(r.EnrolledKeyBits), "key-bits")
 	b.ReportMetric(float64(r.MaxHypotheses), "max-hypotheses")
 	b.ReportMetric(float64(r.Queries), "oracle-queries")
-	b.ReportMetric(float64(recovered)/float64(b.N), "recovery-rate")
+	b.ReportMetric(boolMetric(r.Recovered), "recovered")
 }
 
 // BenchmarkAttackSeqPair (E8) runs the §VI-A key recovery end to end
 // with the expurgated code (full recovery including the complement bit).
 func BenchmarkAttackSeqPair(b *testing.B) {
-	var r transcript.Transcript
-	var err error
-	recovered := 0
-	for i := 0; i < b.N; i++ {
-		r, err = transcript.Run(context.Background(),
-			transcript.Spec{Attack: "seqpair", Seed: uint64(i)*3 + 5, Expurgate: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Recovered {
-			recovered++
-		}
-	}
+	r := benchTranscript(b, transcript.Spec{Attack: "seqpair", Seed: 5, Expurgate: true})
 	b.ReportMetric(float64(r.EnrolledKeyBits), "key-bits")
 	b.ReportMetric(float64(r.Queries), "oracle-queries")
 	b.ReportMetric(float64(r.Queries)/float64(r.EnrolledKeyBits), "queries-per-bit")
-	b.ReportMetric(float64(recovered)/float64(b.N), "recovery-rate")
+	b.ReportMetric(boolMetric(r.Recovered), "recovered")
 }
 
 // BenchmarkAttackTempCo (E9) runs the §VI-B relation recovery end to
 // end, scored against silicon ground truth.
 func BenchmarkAttackTempCo(b *testing.B) {
-	var r transcript.Transcript
-	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = transcript.Run(context.Background(),
-			transcript.Spec{Attack: "tempco", Seed: uint64(i)*3 + 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	r := benchTranscript(b, transcript.Spec{Attack: "tempco", Seed: 7})
 	b.ReportMetric(float64(r.RelationsFound), "relations")
 	b.ReportMetric(float64(r.RelationsRight)/float64(r.RelationsFound), "relation-accuracy")
 	b.ReportMetric(float64(r.MaskBitsFound), "absolute-mask-bits")
 	b.ReportMetric(float64(r.Queries), "oracle-queries")
 }
 
+// benchTranscript runs spec once per iteration and returns its
+// transcript, the same on every iteration.
+func benchTranscript(b *testing.B, spec transcript.Spec) transcript.Transcript {
+	var r transcript.Transcript
+	var err error
+	for b.Loop() {
+		if r, err = transcript.Run(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return r
+}
+
+// boolMetric reports a flag as 1 or 0.
+func boolMetric(ok bool) float64 {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
 // BenchmarkEntropyAccounting (E11) reproduces the log2(N!) and
 // sum log2(|Gj|!) entropy figures of §II and §V-B.
 func BenchmarkEntropyAccounting(b *testing.B) {
 	var rows []experiments.EntropyRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.EntropyAccounting(uint64(i)+15, []float64{0.5})
+	for b.Loop() {
+		rows = experiments.EntropyAccounting(15, []float64{0.5})
 	}
 	b.ReportMetric(rows[0].TotalBits, "log2-N!-bits")
 	b.ReportMetric(rows[0].EntropyBits, "grouped-entropy-bits")
@@ -206,8 +174,8 @@ func BenchmarkEntropyAccounting(b *testing.B) {
 func BenchmarkFuzzyExtractorResistance(b *testing.B) {
 	var r experiments.FuzzyResistanceResult
 	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.FuzzyResistance(uint64(i)*2+17, 40)
+	for b.Loop() {
+		r, err = experiments.FuzzyResistance(17, 40)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,8 +189,8 @@ func BenchmarkFuzzyExtractorResistance(b *testing.B) {
 func BenchmarkAblationStoragePolicy(b *testing.B) {
 	var r experiments.StorageLeakage
 	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.AblationStoragePolicy(context.Background(), uint64(i)+19, 5)
+	for b.Loop() {
+		r, err = experiments.AblationStoragePolicy(context.Background(), 19, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,8 +204,8 @@ func BenchmarkAblationStoragePolicy(b *testing.B) {
 func BenchmarkAblationStrategy(b *testing.B) {
 	var r experiments.StrategyCost
 	var err error
-	for i := 0; i < b.N; i++ {
-		r, err = experiments.AblationStrategy(context.Background(), uint64(i)*2+21)
+	for b.Loop() {
+		r, err = experiments.AblationStrategy(context.Background(), 21)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,8 +229,8 @@ func BenchmarkEntropyLog2Factorial(b *testing.B) {
 func BenchmarkAblationOffsetSize(b *testing.B) {
 	var rows []experiments.OffsetSizeRow
 	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.AblationOffsetSize(context.Background(), uint64(i)+23)
+	for b.Loop() {
+		rows, err = experiments.AblationOffsetSize(context.Background(), 23)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func enrollSeqPair(seed uint64, dumpHex bool) error {
 	fmt.Printf("sequential pairing (LISA) on 8x16 array\n")
 	fmt.Printf("pairs selected : %d (max %d)\n", len(h.Pairs), arr.N()/2)
 	fmt.Printf("response       : %s\n", resp)
-	blob := h.Marshal()
+	blob := h.Append(nil)
 	fmt.Printf("helper NVM     : %d bytes (pair list)\n", len(blob))
 	if dumpHex {
 		fmt.Println(hex.EncodeToString(blob))

@@ -142,7 +142,7 @@ func TestAttackSurvivesHelperImageManipulationPath(t *testing.T) {
 	h := d.ReadHelper()
 
 	im := helperdata.NewImage()
-	im.Set(helperdata.SectionSeqPairs, h.Pairs.Marshal())
+	im.Set(helperdata.SectionSeqPairs, h.Pairs.Append(nil))
 	im.Set(helperdata.SectionOffset, h.Offset.Bytes())
 	raw, err := im.Marshal()
 	if err != nil {
@@ -163,7 +163,7 @@ func TestAttackSurvivesHelperImageManipulationPath(t *testing.T) {
 	for i := 0; i <= tcap; i++ {
 		pairsHelper.Pairs[i] = pairsHelper.Pairs[i].Swapped()
 	}
-	parsed.Set(helperdata.SectionSeqPairs, pairsHelper.Marshal())
+	parsed.Set(helperdata.SectionSeqPairs, pairsHelper.Append(nil))
 	raw2, err := parsed.Marshal()
 	if err != nil {
 		t.Fatal(err)

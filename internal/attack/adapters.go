@@ -153,7 +153,7 @@ func (t *tempCoTarget) Spec() Spec {
 }
 
 func (t *tempCoTarget) ReadImage() (*helperdata.Image, error) {
-	return TempCoImage(t.d.HelperView())
+	return TempCoImage(t.d.HelperView()), nil
 }
 
 func (t *tempCoTarget) WriteImage(im *helperdata.Image) error {

@@ -112,24 +112,24 @@ func runAllocs(t *testing.T, f func() Target, name string) float64 {
 
 func TestRunAllocationCeilingGroupBased(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewGroupBasedTarget(groupBasedDevice(t, 9)) }, "groupbased")
-	// Pre-scratch: ~13,000 allocs per run. Measured now: ~2,300.
-	if got > 3300 {
-		t.Fatalf("groupbased enroll+run allocates %.0f, ceiling 3300", got)
+	// Pre-scratch: ~13,000 allocs per run. Measured now: 1,440.
+	if got > 2000 {
+		t.Fatalf("groupbased enroll+run allocates %.0f, ceiling 2000", got)
 	}
 }
 
 func TestRunAllocationCeilingMasking(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewDistillerTarget(maskingDevice(t, 11)) }, "masking")
-	// Pre-scratch: ~1,850 allocs per run. Measured now: ~550.
-	if got > 800 {
-		t.Fatalf("masking enroll+run allocates %.0f, ceiling 800", got)
+	// Pre-scratch: ~1,850 allocs per run. Measured now: 473.
+	if got > 660 {
+		t.Fatalf("masking enroll+run allocates %.0f, ceiling 660", got)
 	}
 }
 
 func TestRunAllocationCeilingChain(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewDistillerTarget(chainDevice(t, 13)) }, "chain")
-	// Pre-scratch: ~6,000 allocs per run. Measured now: ~950.
-	if got > 1400 {
-		t.Fatalf("chain enroll+run allocates %.0f, ceiling 1400", got)
+	// Pre-scratch: ~6,000 allocs per run. Measured now: 801.
+	if got > 1120 {
+		t.Fatalf("chain enroll+run allocates %.0f, ceiling 1120", got)
 	}
 }

@@ -19,6 +19,18 @@
 // Anything that can serve the Target interface — an in-process simulator,
 // a lab bench over a serial link, a remote fleet — runs every registered
 // attack unchanged.
+//
+// Inside the package each mechanism exists once. image.go is the only
+// place that names a helper NVM section: attacks and adapters compose
+// and parse images through it. The arm builder (armScratch, arm.go)
+// makes every arm of the reprogrammed-key attacks (groupbased, masking,
+// chain): it superimposes the decision's pattern on the enrolled
+// polynomial, crafts each hypothesis's code offset with the common
+// error offset folded in, and hands out the bindingHypothesis that
+// writes the image and binds the predicted key. The attacks whose
+// observable is the enrolled key (seqpair, tempco) write plain arms
+// through writeHypothesis. Options.clampInject resolves the common
+// offset's size for all five.
 package attack
 
 import (
@@ -95,6 +107,14 @@ type Options struct {
 	// Progress, when non-nil, receives phase-granular notifications.
 	// It is called from the attack's goroutine and must be cheap.
 	Progress func(Progress)
+}
+
+// clampInject resolves InjectErrors against the deployed code's radius
+// t: unset, negative or above t means t.
+func (o *Options) clampInject(code ecc.Code) {
+	if o.InjectErrors <= 0 || o.InjectErrors > code.T() {
+		o.InjectErrors = code.T()
+	}
 }
 
 // Progress is one attack progress notification.

@@ -8,41 +8,9 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/distiller"
-	"repro/internal/ecc"
-	"repro/internal/helperdata"
 	"repro/internal/pairing"
 	"repro/internal/rng"
 )
-
-// dsScratch carries the reusable buffers of one masking or chain Run:
-// hypothesis streams, padded/injected codewords, the crafted offset, a
-// cached block code + ECC workspace, and pooled per-arm offset blobs and
-// predicted keys (arms of one decision are alive simultaneously, so the
-// pools are indexed by arm). As in gbScratch, images are always fresh —
-// the adapters' caches key on image identity — while blobs may be pooled
-// because an arm's image is never re-installed after its decision.
-type dsScratch struct {
-	stream    bitvec.Vector
-	needBlk   []bool
-	selected  []int
-	predicted []bool
-	polyBeta  []float64
-	offBlob   [][]byte
-	predKey   []bitvec.Vector
-	sketch    ecc.Sketch
-	// chain-only buffers.
-	unknownIdx []int
-	determined []bool
-	arms       []Hypothesis
-}
-
-// armSlot grows the per-arm pools to cover arm index i.
-func (sc *dsScratch) armSlot(i int) {
-	for len(sc.offBlob) <= i {
-		sc.offBlob = append(sc.offBlob, nil)
-		sc.predKey = append(sc.predKey, bitvec.Vector{})
-	}
-}
 
 func init() {
 	Register(maskingAttack{})
@@ -57,14 +25,6 @@ const (
 	distillerTiltMHz    = 80
 	distillerSeed       = 0xd15711
 )
-
-// distillerDefaults fills the §VI-D option defaults.
-func distillerDefaults(opts Options, t int) Options {
-	if opts.InjectErrors <= 0 || opts.InjectErrors > t {
-		opts.InjectErrors = t
-	}
-	return opts
-}
 
 // MaskingDetails is the masking attack's Report payload.
 type MaskingDetails struct {
@@ -114,8 +74,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
 
-	opts = distillerDefaults(opts, spec.Code.T())
-	src := rng.New(distillerSeed)
+	opts.clampInject(spec.Code)
 	budget := NewBudget(opts.QueryBudget)
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
@@ -132,9 +91,11 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			usable, origMask.K, len(base))
 	}
 	bits := make([]bool, len(base))
-	var sc dsScratch
+	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, src: rng.New(distillerSeed), compose: distillerImage}
+	// The rewritten selections cover every k-group of the chain.
+	selected, predicted := make([]int, len(base)/origMask.K), make([]bool, len(base)/origMask.K)
 	for target := 0; target < usable; target++ {
-		bit, err := decideMaskedPairBit(ctx, t, spec, origPoly, origMask.K, base, opts, src, budget, &sc, target)
+		bit, err := decideMaskedPairBit(ctx, t, spec, origPoly, origMask.K, base, opts.Dist, budget, &sc, selected, predicted, target)
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: base pair %d: %w", target, err)
 		}
@@ -150,7 +111,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	for g, sel := range origMask.Selected {
 		key.Set(g, bits[g*origMask.K+sel])
 	}
-	key = polishWithOriginalOffset(&sc.sketch, key, origOffset, spec.Code)
+	key = sc.polish(key, origOffset)
 
 	rep := tr.report(startQueries)
 	rep.Key = key
@@ -160,8 +121,9 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 
 // decideMaskedPairBit isolates one base pair and recovers its residual
 // sign bit. The pattern superimposes onto the ORIGINAL enrollment
-// polynomial (not whatever a previous arm left in NVM).
-func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly distiller.Poly2D, k int, base []pairing.Pair, opts Options, src *rng.Source, budget *Budget, sc *dsScratch, target int) (bool, error) {
+// polynomial (not whatever a previous arm left in NVM). selected and
+// predicted hold one entry per masking group and are overwritten.
+func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly distiller.Poly2D, k int, base []pairing.Pair, dist Distinguisher, budget *Budget, sc *armScratch, selected []int, predicted []bool, target int) (bool, error) {
 	pos := func(ro int) (int, int) { return ro % spec.Cols, ro / spec.Cols }
 	tp := base[target]
 	pattern := valleyForPair(pos, tp)
@@ -174,10 +136,8 @@ func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly dist
 	// Rewrite the masking selections: the target's group selects the
 	// target; every other group selects its pair with the largest
 	// pattern separation (a fully determined bit).
-	groups := len(base) / k
+	groups := len(selected)
 	targetGroup := target / k
-	selected := resizeInts(&sc.selected, groups)
-	predicted := resizeBools(&sc.predicted, groups)
 	for g := 0; g < groups; g++ {
 		if g == targetGroup {
 			selected[g] = target % k
@@ -200,15 +160,10 @@ func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly dist
 		predicted[g] = pval(pr.A) < pval(pr.B)
 	}
 
-	// The superposition reuses the scratch coefficient buffer; its blob
-	// and the masking blob are shared by both arm images.
-	poly := origPoly.AddInto(pattern, sc.polyBeta)
-	sc.polyBeta = poly.Beta
-	mask := pairing.MaskingHelper{K: k, Selected: selected}
-	polyBlob := poly.Marshal()
-	maskBlob := mask.Marshal()
-
-	makeArm := func(hyp int, hypBit bool) (Hypothesis, error) {
+	// Both arms share the superimposed polynomial and the rewritten
+	// masking selections; arm h hypothesizes target bit h.
+	sc.decide(origPoly, pattern, pairing.MaskingHelper{K: k, Selected: selected}.Marshal())
+	for _, hypBit := range [2]bool{false, true} {
 		stream := scratchVec(&sc.stream, groups)
 		for g := 0; g < groups; g++ {
 			if g == targetGroup {
@@ -217,25 +172,11 @@ func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly dist
 				stream.Set(g, predicted[g])
 			}
 		}
-		offBlob, predKey, err := sc.offsetWithInjection(hyp, stream, targetGroup, spec.Code, opts, src, nil)
-		if err != nil {
-			return nil, err
+		if err := sc.add(stream, targetGroup, nil); err != nil {
+			return false, err
 		}
-		im := helperdata.NewImage()
-		im.SetOwned(helperdata.SectionPolynomial, polyBlob)
-		im.SetOwned(helperdata.SectionMasking, maskBlob)
-		im.SetOwned(helperdata.SectionOffset, offBlob)
-		return bindingHypothesis(im, predKey), nil
 	}
-	arm0, err := makeArm(0, false)
-	if err != nil {
-		return false, err
-	}
-	arm1, err := makeArm(1, true)
-	if err != nil {
-		return false, err
-	}
-	best, _, err := opts.Dist.BestHypotheses(ctx, t, []Hypothesis{arm0, arm1}, budget)
+	best, _, err := dist.BestHypotheses(ctx, t, sc.arms, budget)
 	if err != nil {
 		return false, err
 	}
@@ -243,21 +184,6 @@ func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly dist
 		return false, ErrNoArms
 	}
 	return best == 1, nil
-}
-
-// bindingHypothesis writes an image and binds the predicted key — the
-// reprogrammed-key arm shared by the distiller-facing attacks.
-func bindingHypothesis(im *helperdata.Image, predKey bitvec.Vector) Hypothesis {
-	return func(t Target) error {
-		if err := t.WriteImage(im); err != nil {
-			return err
-		}
-		if kb, ok := t.(KeyBinder); ok {
-			kb.BindKey(predKey)
-			return nil
-		}
-		return fmt.Errorf("attack: target %T cannot bind keys", t)
-	}
 }
 
 // ChainDetails is the chain attack's Report payload.
@@ -303,8 +229,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
 
-	opts = distillerDefaults(opts, spec.Code.T())
-	src := rng.New(distillerSeed)
+	opts.clampInject(spec.Code)
 	budget := NewBudget(opts.QueryBudget)
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
@@ -328,7 +253,9 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	}
 
 	tr.phase("boundaries")
-	var sc dsScratch
+	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, src: rng.New(distillerSeed), compose: distillerImage}
+	predicted, determined := make([]bool, len(base)), make([]bool, len(base))
+	var unknownIdx []int
 	for bi, bd := range bounds {
 		var pattern distiller.Poly2D
 		if bd.vertical {
@@ -341,12 +268,8 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 			return pattern.Eval(float64(x), float64(y))
 		}
 		// Classify chain pairs: determined (predicted) vs undetermined.
-		unknownIdx := sc.unknownIdx[:0]
-		predicted := resizeBools(&sc.predicted, len(base))
-		determined := resizeBools(&sc.determined, len(base))
-		for i := range determined {
-			determined[i] = false
-		}
+		unknownIdx = unknownIdx[:0]
+		clear(determined)
 		for i, pr := range base {
 			sep := pval(pr.A) - pval(pr.B)
 			if math.Abs(sep) > 1 {
@@ -356,7 +279,6 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 				unknownIdx = append(unknownIdx, i)
 			}
 		}
-		sc.unknownIdx = unknownIdx
 		if len(unknownIdx) == 0 {
 			continue
 		}
@@ -367,12 +289,8 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 			maxHyp = h
 		}
 
-		// The superposition reuses the scratch coefficient buffer; its
-		// blob is shared by every arm image of this boundary.
-		poly := origPoly.AddInto(pattern, sc.polyBeta)
-		sc.polyBeta = poly.Beta
-		polyBlob := poly.Marshal()
-		arms := sc.arms[:0]
+		// Arm hyp carries undetermined bit p as bit p of hyp.
+		sc.decide(origPoly, pattern, nil)
 		for hyp := 0; hyp < 1<<len(unknownIdx); hyp++ {
 			stream := scratchVec(&sc.stream, len(base))
 			for i := range base {
@@ -388,17 +306,11 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 					stream.Set(i, known[i])
 				}
 			}
-			offBlob, predKey, err := sc.offsetWithInjection(hyp, stream, unknownIdx[0], spec.Code, opts, src, unknownIdx)
-			if err != nil {
+			if err := sc.add(stream, unknownIdx[0], unknownIdx); err != nil {
 				return Report{}, err
 			}
-			im := helperdata.NewImage()
-			im.SetOwned(helperdata.SectionPolynomial, polyBlob)
-			im.SetOwned(helperdata.SectionOffset, offBlob)
-			arms = append(arms, bindingHypothesis(im, predKey))
 		}
-		sc.arms = arms
-		best, _, err := opts.Dist.BestHypotheses(ctx, t, arms, budget)
+		best, _, err := opts.Dist.BestHypotheses(ctx, t, sc.arms, budget)
 		if err != nil {
 			return Report{}, err
 		}
@@ -420,71 +332,12 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 			return Report{}, fmt.Errorf("attack: chain bit %d never isolated", i)
 		}
 	}
-	key = polishWithOriginalOffset(&sc.sketch, key, origOffset, spec.Code)
+	key = sc.polish(key, origOffset)
 
 	rep := tr.report(startQueries)
 	rep.Key = key
 	rep.Details = ChainDetails{MaxHypotheses: maxHyp}
 	return rep, nil
-}
-
-// offsetWithInjection builds the code-offset helper binding the predicted
-// stream with the common error offset folded into every ECC block that
-// contains a hypothesis bit (or block 0 when hypBits is nil, meaning the
-// single hypothesis bit sits at position targetPos). It returns the
-// marshaled offset blob (pooled per arm, ready for SetOwned) and the key
-// the attacker predicts the device will regenerate (pooled per arm;
-// targets copy at BindKey). The legacy version iterated the needed
-// blocks in map order — per-block injections are disjoint, so the
-// ascending order here is observably identical.
-func (sc *dsScratch) offsetWithInjection(arm int, stream bitvec.Vector, targetPos int, code ecc.Code, opts Options, src *rng.Source, hypBits []int) ([]byte, bitvec.Vector, error) {
-	n := code.N()
-	sk := &sc.sketch
-	sk.Size(code, stream.Len())
-	blocks := sk.Blocks()
-	injected := sk.Stream()
-	injected.PutAt(0, stream)
-
-	// Blocks needing the offset.
-	needBlk := resizeBools(&sc.needBlk, blocks)
-	for i := range needBlk {
-		needBlk[i] = false
-	}
-	needBlk[targetPos/n] = true
-	for _, hb := range hypBits {
-		needBlk[hb/n] = true
-	}
-	avoid := func(pos int) bool { return pos == targetPos || slices.Contains(hypBits, pos) }
-	for blk := 0; blk < blocks; blk++ {
-		if !needBlk[blk] {
-			continue
-		}
-		count := 0
-		for pos := blk * n; pos < (blk+1)*n && pos < stream.Len() && count < opts.InjectErrors; pos++ {
-			if avoid(pos) {
-				continue
-			}
-			injected.Flip(pos)
-			count++
-		}
-		if count < opts.InjectErrors {
-			return nil, bitvec.Vector{}, fmt.Errorf("attack: block %d lacks injectable bits", blk)
-		}
-	}
-	offsetW := sk.Enroll(src)
-	sc.armSlot(arm)
-	blob, err := offsetW.AppendBinary(sc.offBlob[arm][:0])
-	if err != nil {
-		return nil, bitvec.Vector{}, err
-	}
-	sc.offBlob[arm] = blob
-	// The device's recovered response is the stream the offset binds —
-	// the INJECTED one — so that is the key the attacker predicts.
-	if sc.predKey[arm].Len() != stream.Len() {
-		sc.predKey[arm] = bitvec.New(stream.Len())
-	}
-	injected.SliceInto(0, stream.Len(), sc.predKey[arm])
-	return blob, sc.predKey[arm], nil
 }
 
 // valleyForPair builds the Fig. 6b pattern for one target pair: a

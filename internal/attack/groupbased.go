@@ -8,9 +8,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/distiller"
-	"repro/internal/ecc"
 	"repro/internal/groupbased"
-	"repro/internal/helperdata"
 	"repro/internal/perm"
 	"repro/internal/rng"
 )
@@ -79,11 +77,7 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
 
-	src := rng.New(groupBasedSeed)
-	tcap := spec.Code.T()
-	if opts.InjectErrors <= 0 || opts.InjectErrors > tcap {
-		opts.InjectErrors = tcap
-	}
+	opts.clampInject(spec.Code)
 	budget := NewBudget(opts.QueryBudget)
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
@@ -97,12 +91,13 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	// rel[a][b] = true when residual(b) > residual(a); keyed a < b.
 	rel := make(map[[2]int]bool)
 	done := 0
-	var sc gbScratch
+	var gb gbScratch
+	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, src: rng.New(groupBasedSeed), compose: groupBasedImage}
 	for _, group := range members {
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
 				a, b := group[i], group[j]
-				bit, err := decidePairOrder(ctx, t, spec, original, opts, src, budget, &sc, a, b)
+				bit, err := decidePairOrder(ctx, t, spec, original.Poly, opts.Dist, budget, &gb, &sc, a, b)
 				if err != nil {
 					return Report{}, fmt.Errorf("attack: pair (%d,%d): %w", a, b, err)
 				}
@@ -145,7 +140,7 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 				stream = stream.Concat(perm.KendallEncode(det.Orders[g]))
 			}
 		}
-		stream = polishWithOriginalOffset(&sc.sketch, stream, original.Offset, spec.Code)
+		stream = sc.polish(stream, original.Offset)
 		if packed, err := groupbased.PackKey(&original.Grouping, stream); err == nil {
 			key = packed
 			// Re-derive the polished orders for reporting.
@@ -179,23 +174,14 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	return rep, nil
 }
 
-// gbScratch carries the reusable buffers of one groupbased Run. Every
-// pair decision rebuilds the same shapes of intermediate state —
-// partition, hypothesis streams, padded codewords, crafted offsets,
-// marshaled blobs — so the run allocates them once and the steady-state
-// pair loop reuses them. Hypothesis images are the exception: the
-// adapters' write/parse caches key on image identity, so every arm gets
-// a fresh Image. Its blobs may still come from the pools below, because
-// an arm's image is never re-installed after its pair's decision — the
-// invariant that makes blob reuse safe.
+// gbScratch carries the attacker's partition state of one groupbased
+// Run: every pair decision rebuilds the same level keys, grouping and
+// forced bits, so the run allocates them once. The arms themselves come
+// from the run's armScratch.
 type gbScratch struct {
 	levels    []int
 	assign    []int
 	predicted []bool
-	polyBeta  []float64
-	predKey   [2]bitvec.Vector
-	offBlob   [2][]byte
-	sketch    ecc.Sketch
 	part      partitionScratch
 }
 
@@ -216,108 +202,39 @@ type partitionScratch struct {
 	levelAt []int
 }
 
-// scratchVec returns *v resized to n bits, reallocating only on growth.
-// Contents are unspecified; callers overwrite the buffer fully.
-func scratchVec(v *bitvec.Vector, n int) bitvec.Vector {
-	if v.Len() != n {
-		*v = v.Resized(n)
-	}
-	return *v
-}
-
-// resizeInts returns *buf resized to n elements, reallocating only on
-// growth. Contents are unspecified.
-func resizeInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// resizeBools is resizeInts for boolean flags.
-func resizeBools(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // decidePairOrder recovers [residual(b) > residual(a)] for one target
 // pair via the two-hypothesis helper manipulation.
-func decidePairOrder(ctx context.Context, t Target, spec Spec, original groupbased.Helper, opts Options, src *rng.Source, budget *Budget, sc *gbScratch, a, b int) (bool, error) {
+func decidePairOrder(ctx context.Context, t Target, spec Spec, origPoly distiller.Poly2D, dist Distinguisher, budget *Budget, gb *gbScratch, sc *armScratch, a, b int) (bool, error) {
 	cols, rows := spec.Cols, spec.Rows
-	n := rows * cols
 	xa, ya := a%cols, a/cols
 	xb, yb := b%cols, b/cols
 
-	pattern, levels := levelPlane(sc, cols, rows, xa, ya, xb, yb, groupBasedPatternMHz)
-	pairs := designPartition(sc, n, a, b, levels)
+	pattern, levels := levelPlane(gb, cols, rows, xa, ya, xb, yb, groupBasedPatternMHz)
+	pairs := designPartition(gb, rows*cols, a, b, levels)
 
 	// The partition covers every oscillator exactly once by
 	// construction, so the legacy PairsToGrouping validation cannot
 	// fire; the grouping borrows the scratch assignment directly.
-	grouping := groupbased.Grouping{Assign: sc.assign}
-	// The superposition reuses the scratch coefficient buffer; the
-	// original enrollment polynomial is only read.
-	poly := original.Poly.AddInto(pattern, sc.polyBeta)
-	sc.polyBeta = poly.Beta
-
+	//
 	// The attacker's grouping is groups 0..pairs-1 of two members
 	// followed by singletons, so its Kendall stream has one bit per
 	// pair, group id's bit at position id: group 0 is the target pair,
 	// its bit the hypothesis. A two-member group's Kendall bit is also
 	// its compact coding, so the key the device packs is the stream
-	// itself. The polynomial and grouping blobs are shared by both arm
-	// images (read-only once set).
-	polyBlob := poly.Marshal()
-	groupBlob := grouping.Marshal()
-	makeArm := func(hyp int, hypBit bool) (Hypothesis, error) {
-		// The application key the attacker predicts for this arm: the
-		// code-offset recovers the stream the offset was GENERATED for,
-		// i.e. the injected stream. Targets copy the key at BindKey, so
-		// the per-arm buffer can be reused across pairs.
-		injected := scratchVec(&sc.predKey[hyp], pairs)
-		injected.Set(0, hypBit)
+	// itself.
+	grouping := groupbased.Grouping{Assign: gb.assign}
+	sc.decide(origPoly, pattern, grouping.Marshal())
+	for _, hypBit := range [2]bool{false, true} {
+		stream := scratchVec(&sc.stream, pairs)
+		stream.Set(0, hypBit)
 		for id := 1; id < pairs; id++ {
-			injected.Set(id, sc.predicted[id])
+			stream.Set(id, gb.predicted[id])
 		}
-		// Common offset: flip InjectErrors forced bits inside the
-		// target bit's ECC block (positions 1.. within block 0).
-		count := 0
-		for pos := 1; pos < min(spec.Code.N(), pairs) && count < opts.InjectErrors; pos++ {
-			injected.Flip(pos)
-			count++
+		if err := sc.add(stream, 0, nil); err != nil {
+			return false, err
 		}
-		if count < opts.InjectErrors {
-			return nil, fmt.Errorf("attack: only %d injectable bits in block", count)
-		}
-		sc.sketch.Size(spec.Code, pairs)
-		sc.sketch.Stream().PutAt(0, injected)
-		offsetW := sc.sketch.Enroll(src)
-
-		blob, err := offsetW.AppendBinary(sc.offBlob[hyp][:0])
-		if err != nil {
-			return nil, err
-		}
-		sc.offBlob[hyp] = blob
-		im := helperdata.NewImage()
-		im.SetOwned(helperdata.SectionPolynomial, polyBlob)
-		im.SetOwned(helperdata.SectionGrouping, groupBlob)
-		im.SetOwned(helperdata.SectionOffset, blob)
-		return bindingHypothesis(im, injected), nil
 	}
-
-	arm0, err := makeArm(0, false)
-	if err != nil {
-		return false, err
-	}
-	arm1, err := makeArm(1, true)
-	if err != nil {
-		return false, err
-	}
-	best, _, err := opts.Dist.BestHypotheses(ctx, t, []Hypothesis{arm0, arm1}, budget)
+	best, _, err := dist.BestHypotheses(ctx, t, sc.arms, budget)
 	if err != nil {
 		return false, err
 	}
@@ -509,22 +426,4 @@ func orderFromRelations(group []int, rel map[[2]int]bool) ([]int, bool) {
 		order[pos] = label
 	}
 	return order, true
-}
-
-// polishWithOriginalOffset exploits the device's ORIGINAL code-offset
-// helper as a free offline oracle: it binds the enrolled response, so
-// decoding the recovered key against it corrects any residual
-// majority-vs-enrollment discrepancies on noise-marginal bits (up to t
-// per block) without a single extra device query. It runs in the
-// attack's sketch, sized to the offset's blocks.
-func polishWithOriginalOffset(sk *ecc.Sketch, key, offset bitvec.Vector, code ecc.Code) bitvec.Vector {
-	if offset.Len() == 0 || offset.Len()%code.N() != 0 || key.Len() > offset.Len() {
-		return key
-	}
-	sk.Size(code, offset.Len())
-	sk.Stream().PutAt(0, key)
-	if corrected, _, ok := sk.Reproduce(offset); ok {
-		return corrected.Slice(0, key.Len())
-	}
-	return key
 }

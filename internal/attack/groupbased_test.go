@@ -120,14 +120,13 @@ func BenchmarkGroupBasedPairDecision(b *testing.B) {
 		}
 	}
 	spec := tgt.Spec()
-	opts := Options{Dist: DefaultDistinguisher(), InjectErrors: spec.Code.T()}
-	src := rng.New(groupBasedSeed)
 	budget := NewBudget(0)
-	var sc gbScratch
+	var gb gbScratch
+	sc := armScratch{code: spec.Code, inject: spec.Code.T(), src: rng.New(groupBasedSeed), compose: groupBasedImage}
 	ctx := context.Background()
 	decide := func(i int) {
 		p := pairs[i%len(pairs)]
-		if _, err := decidePairOrder(ctx, tgt, spec, original, opts, src, budget, &sc, p[0], p[1]); err != nil {
+		if _, err := decidePairOrder(ctx, tgt, spec, original.Poly, DefaultDistinguisher(), budget, &gb, &sc, p[0], p[1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,10 +13,16 @@ import (
 
 // This file pins each construction's helper NVM image layout: which
 // helperdata sections it uses and how each blob is encoded (via the
-// construction packages' own codecs). Attacks and device adapters share
-// these functions, so the bytes an attack writes are exactly the bytes
-// an adapter parses — the paper's §VII-C demand for a precise storage
-// format applies to the attacker's tooling too.
+// construction packages' own codecs). It is the only place in the
+// package that names a section. Attacks and device adapters compose and
+// parse images through these functions, the arms of the hot attack
+// loops included (they pass the blobs they pool to the lower-case
+// composers), so the bytes an attack writes are exactly the bytes an
+// adapter parses — the paper's §VII-C demand for a precise storage
+// format applies to the attacker's tooling too. Every composer hands
+// the image blobs it owns no longer (SetOwned): a freshly marshaled
+// blob, or an arm's pooled blob, whose image is never re-installed
+// after its decision.
 
 // section reads one named section or fails loudly. The read is zero-copy
 // (SectionRO): every consumer below parses the bytes into typed helper
@@ -38,29 +44,24 @@ func offsetFromImage(im *helperdata.Image) (bitvec.Vector, error) {
 	return bitvec.UnmarshalVector(data)
 }
 
-// setOffset marshals the offset into a fresh blob the image takes
-// ownership of (every composer below feeds SetOwned only blobs it just
-// allocated, so no copy is needed).
-func setOffset(im *helperdata.Image, offset bitvec.Vector) error {
-	data, err := offset.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	im.SetOwned(helperdata.SectionOffset, data)
-	return nil
-}
-
 // --- sequential pairing (LISA) ---
 
 // SeqPairImage composes the LISA helper NVM image: the stored pair list
 // and the code-offset redundancy.
 func SeqPairImage(pairs pairing.SeqPairHelper, offset bitvec.Vector) (*helperdata.Image, error) {
-	im := helperdata.NewImage()
-	im.SetOwned(helperdata.SectionSeqPairs, pairs.Marshal())
-	if err := setOffset(im, offset); err != nil {
+	off, err := offset.MarshalBinary()
+	if err != nil {
 		return nil, err
 	}
-	return im, nil
+	return seqPairImage(pairs.Append(nil), off), nil
+}
+
+// seqPairImage composes the LISA image from marshaled blobs.
+func seqPairImage(pairs, offset []byte) *helperdata.Image {
+	im := helperdata.NewImage()
+	im.SetOwned(helperdata.SectionSeqPairs, pairs)
+	im.SetOwned(helperdata.SectionOffset, offset)
+	return im
 }
 
 // SeqPairFromImage decomposes a LISA helper NVM image.
@@ -84,10 +85,10 @@ func SeqPairFromImage(im *helperdata.Image) (pairing.SeqPairHelper, bitvec.Vecto
 
 // TempCoImage composes the temperature-aware helper NVM image. The
 // tempco codec serializes pair records and offset as one blob.
-func TempCoImage(h tempco.Helper) (*helperdata.Image, error) {
+func TempCoImage(h tempco.Helper) *helperdata.Image {
 	im := helperdata.NewImage()
 	im.SetOwned(helperdata.SectionTempCo, h.Marshal())
-	return im, nil
+	return im
 }
 
 // TempCoFromImage decomposes a temperature-aware helper NVM image.
@@ -104,13 +105,21 @@ func TempCoFromImage(im *helperdata.Image) (tempco.Helper, error) {
 // GroupBasedImage composes the group-based helper NVM image: distiller
 // polynomial, group assignment, and code-offset redundancy.
 func GroupBasedImage(h groupbased.Helper) (*helperdata.Image, error) {
-	im := helperdata.NewImage()
-	im.SetOwned(helperdata.SectionPolynomial, h.Poly.Marshal())
-	im.SetOwned(helperdata.SectionGrouping, h.Grouping.Marshal())
-	if err := setOffset(im, h.Offset); err != nil {
+	off, err := h.Offset.MarshalBinary()
+	if err != nil {
 		return nil, err
 	}
-	return im, nil
+	return groupBasedImage(h.Poly.Marshal(), h.Grouping.Marshal(), off), nil
+}
+
+// groupBasedImage composes the group-based image from marshaled blobs
+// (an arm builder's compose function).
+func groupBasedImage(poly, grouping, offset []byte) *helperdata.Image {
+	im := helperdata.NewImage()
+	im.SetOwned(helperdata.SectionPolynomial, poly)
+	im.SetOwned(helperdata.SectionGrouping, grouping)
+	im.SetOwned(helperdata.SectionOffset, offset)
+	return im
 }
 
 // GroupBasedFromImage decomposes a group-based helper NVM image.
@@ -138,15 +147,28 @@ func GroupBasedFromImage(im *helperdata.Image) (groupbased.Helper, error) {
 // DistillerImage composes the distiller + pairing helper NVM image.
 // mask is nil in overlapping-chain mode (no masking section).
 func DistillerImage(poly distiller.Poly2D, mask *pairing.MaskingHelper, offset bitvec.Vector) (*helperdata.Image, error) {
-	im := helperdata.NewImage()
-	im.SetOwned(helperdata.SectionPolynomial, poly.Marshal())
-	if mask != nil {
-		im.SetOwned(helperdata.SectionMasking, mask.Marshal())
-	}
-	if err := setOffset(im, offset); err != nil {
+	off, err := offset.MarshalBinary()
+	if err != nil {
 		return nil, err
 	}
-	return im, nil
+	var maskBlob []byte
+	if mask != nil {
+		maskBlob = mask.Marshal()
+	}
+	return distillerImage(poly.Marshal(), maskBlob, off), nil
+}
+
+// distillerImage composes the distiller + pairing image from marshaled
+// blobs (an arm builder's compose function); a nil mask leaves out the
+// masking section.
+func distillerImage(poly, mask, offset []byte) *helperdata.Image {
+	im := helperdata.NewImage()
+	im.SetOwned(helperdata.SectionPolynomial, poly)
+	if mask != nil {
+		im.SetOwned(helperdata.SectionMasking, mask)
+	}
+	im.SetOwned(helperdata.SectionOffset, offset)
+	return im
 }
 
 // DistillerFromImage decomposes a distiller + pairing helper NVM image;

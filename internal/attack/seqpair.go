@@ -2,13 +2,13 @@ package attack
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
 	"repro/internal/helperdata"
+	"repro/internal/pairing"
 )
 
 func init() { Register(seqPairAttack{}) }
@@ -55,10 +55,7 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 
 	m := len(original.Pairs)
 	code := spec.Code
-	radius := code.T()
-	if opts.InjectErrors <= 0 || opts.InjectErrors > radius {
-		opts.InjectErrors = radius
-	}
+	opts.clampInject(code)
 	blockLen := code.N()
 	// Every test focuses on ECC block 0: the reference pair 0 lives
 	// there, and injections must share its block to add up.
@@ -75,47 +72,27 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	// imageWith derives a helper image from the original by swapping the
 	// within-pair order at positions `invert` and swapping the list
 	// positions of pairs a and b (a == b means no position swap). Every
-	// arm of the sweep shares the untouched offset blob, marshaled once;
-	// the pair list is marshaled into buf (appended from its start), so
-	// the relation sweep can pool one buffer for its transient swap arms.
+	// arm of the sweep shares the untouched offset blob, marshaled once.
+	// The manipulated list is built in one reused slice and encoded into
+	// buf (appended from its start), so the relation sweep can pool one
+	// buffer for its transient swap arms.
 	offsetBytes, err := origOffset.MarshalBinary()
 	if err != nil {
 		return Report{}, err
 	}
+	var list []pairing.Pair
 	imageWith := func(buf []byte, invert []int, a, b int) (*helperdata.Image, []byte) {
-		// Marshal the manipulated pair list directly (same wire format
-		// as SeqPairHelper.Marshal), applying the swaps on the fly
-		// instead of cloning the list first.
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(m))
-		for idx := 0; idx < m; idx++ {
-			src := idx
-			if a != b {
-				if idx == a {
-					src = b
-				} else if idx == b {
-					src = a
-				}
-			}
-			p := original.Pairs[src]
-			if slices.Contains(invert, src) {
-				p = p.Swapped()
-			}
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(p.A))
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(p.B))
+		list = append(list[:0], original.Pairs...)
+		for _, i := range invert {
+			list[i] = list[i].Swapped()
 		}
-		im := helperdata.NewImage()
-		im.SetOwned(helperdata.SectionSeqPairs, buf)
-		im.SetOwned(helperdata.SectionOffset, offsetBytes)
-		return im, buf
+		list[a], list[b] = list[b], list[a]
+		buf = pairing.SeqPairHelper{Pairs: list}.Append(buf)
+		return seqPairImage(buf, offsetBytes), buf
 	}
-	// The image is built once per arm, outside the install closure, so
-	// re-installs across an arm's query run hit the adapters' identical-
-	// image write cache instead of re-marshaling and re-parsing the NVM.
 	install := func(invert []int, a, b int) Hypothesis {
-		im, _ := imageWith(make([]byte, 0, 2+4*m), invert, a, b)
-		return func(t Target) error {
-			return t.WriteImage(im)
-		}
+		im, _ := imageWith(nil, invert, a, b)
+		return writeHypothesis(im)
 	}
 	// The reference arm's injection set — and so its image — repeats
 	// across most relation decisions; memoize it per distinct set so the
@@ -178,7 +155,7 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 		inj = injectionSet(inj, 0, j)
 		swapIm, buf := imageWith(swapBuf[:0], inj, 0, j)
 		swapBuf = buf
-		swapArm := Hypothesis(func(t Target) error { return t.WriteImage(swapIm) })
+		swapArm := writeHypothesis(swapIm)
 		// Arms ordered so index 0 = "bits equal" (swap is a no-op on
 		// the key, failure stays nominal) — for the swap arm. The
 		// reference arm identifies the nominal level; Best picks the

@@ -67,10 +67,7 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
 
-	tcap := spec.Code.T()
-	if opts.InjectErrors <= 0 || opts.InjectErrors > tcap {
-		opts.InjectErrors = tcap
-	}
+	opts.clampInject(spec.Code)
 	ambient := spec.AmbientC
 	blockLen := spec.Code.N()
 	budget := NewBudget(opts.QueryBudget)
@@ -175,11 +172,9 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 
 	// install returns the hypothesis writing a helper with the requester
 	// forced into cooperation via helping pair x plus the listed
-	// injections. The image is built once per arm, outside the closure,
-	// so re-installs across an arm's query run hit the adapters'
-	// identical-image write cache. The manipulated pair list lives in a
-	// pooled buffer: TempCoImage marshals it into the image's own blob
-	// before install returns, so the buffer is free for the next arm.
+	// injections. The manipulated pair list lives in a pooled buffer:
+	// TempCoImage marshals it into the image's own blob before install
+	// returns, so the buffer is free for the next arm.
 	var pairsBuf []tempco.PairInfo
 	install := func(req, x int, inject []int) Hypothesis {
 		pairsBuf = append(pairsBuf[:0], original.Pairs...)
@@ -190,13 +185,7 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 		for _, k := range inject {
 			applyInjection(&h, k)
 		}
-		im, err := TempCoImage(h)
-		return func(t Target) error {
-			if err != nil {
-				return err
-			}
-			return t.WriteImage(im)
-		}
+		return writeHypothesis(TempCoImage(h))
 	}
 
 	// Requester selection, now that pool viability can be evaluated:

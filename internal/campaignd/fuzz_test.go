@@ -16,8 +16,9 @@ import (
 
 // FuzzSpecDecode feeds arbitrary request bodies through the submit
 // path's decode and validation. Neither may panic, and a spec the
-// daemon accepts must survive a JSON round trip unchanged: the job
-// record and the checkpoint header persist specs by re-encoding them.
+// daemon accepts must be one JSON value with nothing after it, and must
+// survive a JSON round trip unchanged: the job record and the checkpoint
+// header persist specs by re-encoding them.
 func FuzzSpecDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"task":"campaignd-test-walk","base_seed":7,"seeds":12}`,
@@ -29,6 +30,8 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"task":"campaignd-test-walk","seeds":1e3}`,
 		`{"task":"campaignd-test-walk","seeds":1099511627776}`,
 		`{"task":"campaignd-test-walk","seeds":4} trailing`,
+		`{"task":"fig2","seeds":2} garbage`,
+		`{"task":"campaignd-test-walk","seeds":4} {}`,
 		`null`,
 		`[]`,
 		``,
@@ -37,6 +40,9 @@ func FuzzSpecDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(bytes.NewReader(body))
+		if err == nil && !json.Valid(body) {
+			t.Fatalf("accepted %q, which is not one JSON value", body)
+		}
 		if err != nil || spec.Validate() != nil {
 			return
 		}

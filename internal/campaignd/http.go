@@ -112,13 +112,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeSpec reads one submitted Spec, refusing fields the wire form
-// does not define. Validation is left to Manager.Submit.
+// does not define and any data after the spec object. Validation is left
+// to Manager.Submit.
 func decodeSpec(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var spec Spec
 	if err := dec.Decode(&spec); err != nil {
 		return Spec{}, fmt.Errorf("campaignd: bad spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("campaignd: bad spec: data after the spec object")
 	}
 	return spec, nil
 }

@@ -115,6 +115,7 @@ func TestHTTPRejectsMalformedSpecs(t *testing.T) {
 		`{"task": "campaignd-test-walk", "seeds": 4, "noise": "wat"}`,   // bad noise model
 		`{"task": "campaignd-test-walk", "seeds": 4, "frobnicate": 1}`,  // unknown field
 		`{"task": "campaignd-test-walk", "seeds": 4, "shard_size": -1}`, // bad shard size
+		`{"task": "campaignd-test-walk", "seeds": 2} garbage`,           // data after the spec
 	}
 	for _, body := range cases {
 		resp := postJSON(t, ts.URL+"/v1/campaigns", body)

@@ -117,7 +117,7 @@ func TestBundlesConstructionHelpers(t *testing.T) {
 	im := NewImage()
 	im.Set(SectionPolynomial, poly.Marshal())
 	im.Set(SectionGrouping, g.Marshal())
-	im.Set(SectionSeqPairs, pairsHelper.Marshal())
+	im.Set(SectionSeqPairs, pairsHelper.Append(nil))
 	raw, err := im.Marshal()
 	if err != nil {
 		t.Fatal(err)

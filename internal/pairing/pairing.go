@@ -15,6 +15,7 @@ package pairing
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -278,15 +279,16 @@ func (h SeqPairHelper) Validate(n int) error {
 	return nil
 }
 
-// Marshal serializes the pair list for NVM.
-func (h SeqPairHelper) Marshal() []byte {
-	buf := make([]byte, 0, 2+4*len(h.Pairs))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.Pairs)))
+// Append appends the pair list's NVM encoding to dst and returns the
+// extended slice; Append(nil) allocates exactly the encoded size.
+func (h SeqPairHelper) Append(dst []byte) []byte {
+	dst = slices.Grow(dst, 2+4*len(h.Pairs))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Pairs)))
 	for _, p := range h.Pairs {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.A))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.B))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.A))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.B))
 	}
-	return buf
+	return dst
 }
 
 // UnmarshalSeqPair parses NVM bytes into a sequential-pairing helper.

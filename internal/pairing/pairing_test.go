@@ -1,6 +1,7 @@
 package pairing
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -270,9 +271,14 @@ func TestSeqPairValidateCatchesManipulation(t *testing.T) {
 
 func TestSeqPairMarshalRoundTrip(t *testing.T) {
 	h := SeqPairHelper{Pairs: []Pair{{3, 7}, {1, 30}, {12, 5}}}
-	back, err := UnmarshalSeqPair(h.Marshal())
+	back, err := UnmarshalSeqPair(h.Append(nil))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Append extends dst in place: a prefix survives, and the encoding
+	// after it is the same bytes.
+	if got := h.Append([]byte{0xee}); got[0] != 0xee || !bytes.Equal(got[1:], h.Append(nil)) {
+		t.Fatalf("Append after a prefix = % x", got)
 	}
 	if len(back.Pairs) != 3 {
 		t.Fatalf("round trip %+v", back)
@@ -285,7 +291,7 @@ func TestSeqPairMarshalRoundTrip(t *testing.T) {
 	if _, err := UnmarshalSeqPair(nil); err == nil {
 		t.Fatal("nil data must fail")
 	}
-	if _, err := UnmarshalSeqPair(h.Marshal()[:7]); err == nil {
+	if _, err := UnmarshalSeqPair(h.Append(nil)[:7]); err == nil {
 		t.Fatal("short data must fail")
 	}
 }

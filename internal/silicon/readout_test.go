@@ -156,6 +156,46 @@ func TestReadoutMatchesMeasureSparse(t *testing.T) {
 	}
 }
 
+// TestReadoutBoundsCoverNormMax pins the width of the readout's
+// intervals to the exactness argument: every oscillator's interval
+// must contain quantize(base ± σ·NormMax) − off, the extreme compared
+// values a variate can produce. A narrower bound passes the
+// differential checks, because draws beyond 3σ are too rare to sample,
+// yet lets a far draw flip a comparison the readout reads noise-free.
+func TestReadoutBoundsCoverNormMax(t *testing.T) {
+	for _, sigma := range readoutSigmas {
+		for _, window := range readoutWindows {
+			cfg := DefaultConfig(8, 16)
+			cfg.NoiseSigmaMHz, cfg.CounterWindowUS = sigma, window
+			a := NewArray(cfg, rng.New(7))
+			n := a.N()
+			env := cfg.NominalEnv()
+			base := make([]float64, n)
+			a.TrueFreqInto(base, env)
+			offs := readoutOffsets(n)
+			for _, name := range []string{"nil", "smooth"} {
+				off := offs[name]
+				var ro Readout
+				ro.SetOffsets(off)
+				ro.Stale(a, env)
+				lo, hi := ro.vals[n:2*n], ro.vals[2*n:3*n]
+				s := sigma * rng.NormMax
+				for i, b := range base {
+					wantLo, wantHi := quantizeWindow(b-s, window), quantizeWindow(b+s, window)
+					if off != nil {
+						wantLo -= off[i]
+						wantHi -= off[i]
+					}
+					if lo[i] > wantLo || hi[i] < wantHi {
+						t.Fatalf("σ=%v window=%v offsets=%s: osc %d interval [%v, %v] misses [%v, %v]",
+							sigma, window, name, i, lo[i], hi[i], wantLo, wantHi)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestReadoutFollowsChanges checks the readout's invalidation: a
 // query reads noise-free values wherever no compared partner overlaps,
 // an oscillator that leaves the noisy set reads its noise-free value
