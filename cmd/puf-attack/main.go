@@ -84,7 +84,7 @@ func distinguisher(strategy string) (attack.Distinguisher, error) {
 // goldens attack), runs the attack under opts and writes the report to
 // w.
 func run(ctx context.Context, w io.Writer, name string, seed uint64, opts attack.Options, verbose bool) error {
-	target, truth, err := transcript.Enroll(transcript.Spec{Attack: name, Seed: seed, Expurgate: name == "seqpair"})
+	target, truth, err := transcript.Enroll(transcript.Spec{Attack: name, Seed: seed, Expurgate: name == "seqpair"}, nil)
 	if err != nil {
 		return err
 	}

@@ -12,8 +12,9 @@
 //	puf-bench -golden testdata
 //
 // With -json the tool instead benchmarks the five end-to-end attacks
-// (the oracle-query hot path) plus CampaignAttacks (a pooled attack
-// campaign, reported as attacks_per_sec_per_core) via testing.Benchmark and
+// (the oracle-query hot path), CampaignAttacks (a pooled attack
+// campaign, reported as attacks_per_sec_per_core) and EnrollCanonical
+// (the five canonical devices' pooled enrollment) via testing.Benchmark and
 // writes a machine-readable perf artifact — the host's stamp (Go
 // version, GOOS/GOARCH, CPU model, GOMAXPROCS) and, per benchmark name,
 // ns/op, allocs/op and B/op — so the repository
@@ -623,7 +624,8 @@ func compareBaseline(w io.Writer, cur, base Artifact, nsGatePct float64) error {
 	return nil
 }
 
-// runJSONBench measures the five end-to-end attacks with testing.Benchmark
+// runJSONBench measures the five end-to-end attacks, the pooled attack
+// campaign and the canonical pooled enrollment with testing.Benchmark
 // and writes the artifact. It records no query counts: an iteration's
 // seed depends on b.N, so a count would vary between runs of the same
 // code (the transcript goldens pin query counts).
@@ -666,6 +668,33 @@ func runJSONBench(cfg benchConfig) error {
 			}
 		}
 	}
+	// EnrollCanonical: one op = the five canonical devices enrolled
+	// through transcript's pooled enrollment, each adopting its pooled
+	// carcass — the enrollment a campaign worker runs per seed, without
+	// the attack. The seeds cycle, so allocs/op does not depend on b.N
+	// once the pool is warm.
+	const enrollSeeds = 64
+	pool := campaign.NewPool()
+	enrollCanonical := func(i int) error {
+		for _, name := range transcript.Attacks() {
+			spec := transcript.Spec{Attack: name, Seed: seed + uint64(i%enrollSeeds), Expurgate: name == "seqpair"}
+			if _, _, err := transcript.Enroll(spec, pool); err != nil {
+				return fmt.Errorf("%s seed %d: %w", name, spec.Seed, err)
+			}
+		}
+		return nil
+	}
+	if err := enrollCanonical(0); err != nil { // warm the pool
+		return err
+	}
+	benchEnroll := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := enrollCanonical(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	benches := []struct {
 		name string
 		fn   func(b *testing.B)
@@ -676,6 +705,7 @@ func runJSONBench(cfg benchConfig) error {
 		{"AttackMasking", benchAttack("masking", 11)},
 		{"AttackChain", benchAttack("chain", 13)},
 		{"CampaignAttacks", benchCampaign},
+		{"EnrollCanonical", benchEnroll},
 	}
 	artifact := Artifact{Stamp: hostStamp(), Benchmarks: make(map[string]BenchRecord, len(benches))}
 	for _, bench := range benches {

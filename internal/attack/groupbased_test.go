@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/rng"
 )
 
@@ -97,13 +98,20 @@ func TestDesignPartitionMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkGroupBasedPairDecision times one §VI-C pair decision — build
+// BenchmarkGroupBasedPairDecision times §VI-C pair decisions — build
 // the attacker partition and both hypothesis arms, then run the two-arm
-// test on the device — against the canonical 4x10 group-based device,
-// cycling through the intra-group pairs of its enrolled grouping.
+// test on the device — against the canonical 4x10 group-based device.
+// One op is one pass over the fixed set of intra-group pairs of the
+// enrolled grouping, from the same state every time: the device is
+// re-enrolled from its seed into its own carcass (bit-identical to a
+// fresh enrollment) and the arm randomness reseeded, untimed, before
+// each pass. So every op spends the same queries, and queries/decision
+// does not depend on b.N.
 func BenchmarkGroupBasedPairDecision(b *testing.B) {
-	tgt := NewGroupBasedTarget(groupBasedDevice(b, 9))
-	im, err := tgt.ReadImage()
+	const seed = 9
+	d := groupBasedDevice(b, seed)
+	params := d.Params()
+	im, err := NewGroupBasedTarget(d).ReadImage()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -119,28 +127,42 @@ func BenchmarkGroupBasedPairDecision(b *testing.B) {
 			}
 		}
 	}
-	spec := tgt.Spec()
 	budget := NewBudget(0)
 	var gb gbScratch
-	sc := armScratch{code: spec.Code, inject: spec.Code.T(), src: rng.New(groupBasedSeed), compose: groupBasedImage}
+	sc := armScratch{code: d.Params().Code, inject: d.Params().Code.T(), compose: groupBasedImage}
 	ctx := context.Background()
-	decide := func(i int) {
-		p := pairs[i%len(pairs)]
-		if _, err := decidePairOrder(ctx, tgt, spec, original.Poly, DefaultDistinguisher(), budget, &gb, &sc, p[0], p[1]); err != nil {
+	var tgt Target
+	reset := func() {
+		if d, err = device.EnrollGroupBasedReuse(d, params, rng.New(seed), rng.New(seed+1)); err != nil {
 			b.Fatal(err)
 		}
+		// A fresh adapter: the old one's write cache keys on the NVM
+		// generation, which re-enrollment restarts.
+		tgt = NewGroupBasedTarget(d)
+		sc.src = rng.New(groupBasedSeed)
+	}
+	pass := func() int {
+		spec := tgt.Spec()
+		start := tgt.Queries()
+		for _, p := range pairs {
+			if _, err := decidePairOrder(ctx, tgt, spec, original.Poly, DefaultDistinguisher(), budget, &gb, &sc, p[0], p[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return tgt.Queries() - start
 	}
 	// Grow every scratch buffer before timing.
-	for i := range pairs {
-		decide(i)
-	}
+	reset()
+	want := pass()
 	b.ReportAllocs()
-	start := tgt.Queries()
 	b.ResetTimer()
-	i := 0
-	for b.Loop() {
-		decide(i)
-		i++
+	for range b.N {
+		b.StopTimer()
+		reset()
+		b.StartTimer()
+		if got := pass(); got != want {
+			b.Fatalf("a pass spent %d queries, the first %d: the reset state differs", got, want)
+		}
 	}
-	b.ReportMetric(float64(tgt.Queries()-start)/float64(i), "queries/op")
+	b.ReportMetric(float64(want)/float64(len(pairs)), "queries/decision")
 }

@@ -19,7 +19,7 @@ import (
 func BenchmarkDeviceApp(b *testing.B) {
 	transcriptQuery := func(attack string) func() (func(), error) {
 		return func() (func(), error) {
-			t, _, err := transcript.Enroll(transcript.Spec{Attack: attack, Seed: 1})
+			t, _, err := transcript.Enroll(transcript.Spec{Attack: attack, Seed: 1}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -150,6 +151,10 @@ func (q Poly2D) AddInto(r Poly2D, buf []float64) Poly2D {
 // the paper's "coefficients beta_{i,j} may be determined in a least mean
 // squares manner". The paper reports p = 2 and p = 3 as good values for a
 // 16x32 array.
+//
+// The design matrix depends only on (rows, cols, degree), so its
+// factored normal equations are built once per geometry and shared
+// (fitSolver); a fit then costs one A^T f and the recorded elimination.
 func Fit(rows, cols int, f []float64, degree int) (Poly2D, error) {
 	if len(f) != rows*cols {
 		return Poly2D{}, fmt.Errorf("distiller: %d samples for %dx%d array", len(f), rows, cols)
@@ -161,7 +166,45 @@ func Fit(rows, cols int, f []float64, degree int) (Poly2D, error) {
 	if len(f) < terms {
 		return Poly2D{}, fmt.Errorf("distiller: %d samples cannot determine %d coefficients", len(f), terms)
 	}
-	a := linalg.NewMatrix(len(f), terms)
+	s, err := fitSolver(rows, cols, degree)
+	if err != nil {
+		return Poly2D{}, fmt.Errorf("distiller: fit failed: %w", err)
+	}
+	beta, err := s.Solve(f)
+	if err != nil {
+		return Poly2D{}, fmt.Errorf("distiller: fit failed: %w", err)
+	}
+	return Poly2D{P: degree, Beta: beta}, nil
+}
+
+// fitGeometry keys the interned fit solvers.
+type fitGeometry struct{ rows, cols, degree int }
+
+// fitSolvers interns one factored least-squares solver per geometry, as
+// ecc.NewBCH interns one code per configuration: every device of one
+// geometry shares the design matrix and its elimination.
+var fitSolvers sync.Map // fitGeometry -> *linalg.LeastSquares
+
+// fitSolver returns the shared solver of Fit's design matrix for a
+// rows x cols array at degree p. Only successful factorizations are
+// cached; a singular geometry is rejected again on every call.
+func fitSolver(rows, cols, degree int) (*linalg.LeastSquares, error) {
+	key := fitGeometry{rows, cols, degree}
+	if s, ok := fitSolvers.Load(key); ok {
+		return s.(*linalg.LeastSquares), nil
+	}
+	s, err := linalg.NewLeastSquares(design(rows, cols, degree))
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := fitSolvers.LoadOrStore(key, s)
+	return actual.(*linalg.LeastSquares), nil
+}
+
+// design returns Fit's design matrix: one row per cell (row-major), one
+// column per monomial x^(i-j) * y^j in coefficient order.
+func design(rows, cols, degree int) *linalg.Matrix {
+	a := linalg.NewMatrix(rows*cols, NumTerms(degree))
 	np := degree + 1
 	xp, yp := make([]float64, cols*np), make([]float64, rows*np)
 	for c := 0; c < cols; c++ {
@@ -170,7 +213,7 @@ func Fit(rows, cols int, f []float64, degree int) (Poly2D, error) {
 	for r := 0; r < rows; r++ {
 		powers(yp[r*np:(r+1)*np], float64(r))
 	}
-	for idx := range f {
+	for idx := 0; idx < rows*cols; idx++ {
 		x, y := xp[idx%cols*np:], yp[idx/cols*np:]
 		for i := 0; i <= degree; i++ {
 			for j := 0; j <= i; j++ {
@@ -178,11 +221,7 @@ func Fit(rows, cols int, f []float64, degree int) (Poly2D, error) {
 			}
 		}
 	}
-	beta, err := linalg.LeastSquares(a, f)
-	if err != nil {
-		return Poly2D{}, fmt.Errorf("distiller: fit failed: %w", err)
-	}
-	return Poly2D{P: degree, Beta: beta}, nil
+	return a
 }
 
 // Distill subtracts the polynomial surface from a frequency map and

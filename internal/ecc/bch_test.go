@@ -19,7 +19,8 @@ func randMsg(r *rng.Source, k int) bitvec.Vector {
 
 // flipRandom flips exactly count distinct random positions of v in place.
 func flipRandom(r *rng.Source, v bitvec.Vector, count int) {
-	perm := r.Perm(v.Len())
+	perm := make([]int, v.Len())
+	r.Perm(perm)
 	for i := 0; i < count; i++ {
 		v.Flip(perm[i])
 	}

@@ -481,7 +481,7 @@ func seqPairSpec(seed uint64) transcript.Spec {
 // manufactured devices, once per strategy.
 func AblationStrategy(ctx context.Context, seed uint64) (StrategyCost, error) {
 	run := func(dist attack.Distinguisher) (int, bool, error) {
-		target, truth, err := transcript.Enroll(seqPairSpec(seed))
+		target, truth, err := transcript.Enroll(seqPairSpec(seed), nil)
 		if err != nil {
 			return 0, false, err
 		}
@@ -530,7 +530,7 @@ func AblationOffsetSize(ctx context.Context, seed uint64) ([]OffsetSizeRow, erro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		target, truth, err := transcript.Enroll(seqPairSpec(seed))
+		target, truth, err := transcript.Enroll(seqPairSpec(seed), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,8 @@ package groupbased
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+
+	"repro/internal/pairing"
 )
 
 // Grouping holds the partition of oscillators into groups: Assign[i] is
@@ -41,15 +42,12 @@ func GroupLimited(f []float64, thresholdMHz float64, maxSize int) Grouping {
 		panic(fmt.Sprintf("groupbased: max group size %d < 1", maxSize))
 	}
 	n := len(f)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return f[idx[a]] > f[idx[b]] })
+	idx := pairing.DescendingOrder(f)
 
 	assign := make([]int, n)
-	var lastFreq []float64 // frequency of the last member placed per group
-	var count []int
+	// Per group, sized for the worst case of n singletons: the
+	// frequency of the last member placed and the member count.
+	lastFreq, count := make([]float64, 0, n), make([]int, 0, n)
 	for _, ro := range idx {
 		placed := false
 		for g := range lastFreq {

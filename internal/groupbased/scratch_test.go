@@ -15,7 +15,8 @@ import (
 // groups of the given sizes, in id order, and the rest into singletons.
 func shapedGrouping(src *rng.Source, n int, sizes ...int) Grouping {
 	g := Grouping{Assign: make([]int, n)}
-	order, at := src.Perm(n), 0
+	order, at := make([]int, n), 0
+	src.Perm(order)
 	for id, size := range sizes {
 		for _, ro := range order[at : at+size] {
 			g.Assign[ro] = id

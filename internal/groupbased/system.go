@@ -182,13 +182,19 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	}
 	residuals := distiller.Distill(p.Rows, p.Cols, f, poly)
 	grouping := GroupLimited(residuals, p.ThresholdMHz, p.maxGroupSize())
-	stream := KendallStream(&grouping, residuals)
-	var sk ecc.Sketch
-	sk.Size(p.Code, stream.Len())
-	padded := sk.Stream()
-	padded.PutAt(0, stream)
-	offset := sk.Enroll(src)
-	key, err := PackKey(&grouping, padded)
+	// Code the grouping through the reconstruction scratch, as a device
+	// does per query: the member lists are laid out once, and the
+	// per-group orders go straight into the sketch's padded stream.
+	var sc Scratch
+	if err := sc.layout(grouping.Assign, a.N()); err != nil {
+		return Helper{}, bitvec.Vector{}, fmt.Errorf("groupbased: enrollment grouping: %w", err)
+	}
+	sc.sketch.Size(p.Code, sc.streamLen)
+	padded := sc.sketch.Stream()
+	sc.encode(residuals, padded)
+	offset := sc.sketch.Enroll(src)
+	sc.key = bitvec.New(sc.keyLen)
+	key, err := sc.packKeyInto(padded)
 	if err != nil {
 		return Helper{}, bitvec.Vector{}, fmt.Errorf("groupbased: enrollment self-check: %w", err)
 	}
@@ -400,10 +406,23 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 		sc.ro.Split()
 	}
 	sc.resid = sc.ro.Measure(nm)
-	// Kendall-code the per-group orders straight into the sketch's
-	// zero-padded stream (KendallStream without its allocation).
 	stream := sc.sketch.Stream()
 	sc.stream = stream
+	sc.encode(sc.resid, stream)
+	if stream.Len() != h.Offset.Len() {
+		return bitvec.Vector{}, fmt.Errorf("groupbased: stream/offset length mismatch %d vs %d", stream.Len(), h.Offset.Len())
+	}
+	corrected, _, ok := sc.sketch.Reproduce(h.Offset)
+	if !ok {
+		return bitvec.Vector{}, ErrReconstructFailed
+	}
+	return sc.packKeyInto(corrected)
+}
+
+// encode Kendall-codes the per-group orders of resid into stream, groups
+// in id order from bit 0 (KendallStream without its allocations), using
+// the laid-out member lists.
+func (sc *Scratch) encode(resid []float64, stream bitvec.Vector) {
 	at := 0
 	for id := range sc.numGroups() {
 		members := sc.group(id)
@@ -412,7 +431,7 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 			continue
 		case 2:
 			// The pair's one Kendall bit: label 1 precedes label 0.
-			stream.Set(at, sc.resid[members[1]] > sc.resid[members[0]])
+			stream.Set(at, resid[members[1]] > resid[members[0]])
 			at++
 			continue
 		}
@@ -423,20 +442,12 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 		vals = vals[:len(members)]
 		sc.groupVals = vals
 		for l, ro := range members {
-			vals[l] = sc.resid[ro]
+			vals[l] = resid[ro]
 		}
 		order := sc.perm.OrderInto(vals)
 		sc.perm.KendallEncodeAt(stream, at, order)
 		at += perm.KendallBits(len(members))
 	}
-	if stream.Len() != h.Offset.Len() {
-		return bitvec.Vector{}, fmt.Errorf("groupbased: stream/offset length mismatch %d vs %d", stream.Len(), h.Offset.Len())
-	}
-	corrected, _, ok := sc.sketch.Reproduce(h.Offset)
-	if !ok {
-		return bitvec.Vector{}, ErrReconstructFailed
-	}
-	return sc.packKeyInto(corrected)
 }
 
 // packKeyInto is PackKey into the scratch key buffer, using the cached

@@ -6,6 +6,9 @@
 // (p+1)(p+2)/2 coefficients; the paper uses p in {2, 3}, i.e. 6 or 10
 // unknowns), so the normal-equations approach with Gaussian elimination
 // and partial pivoting is numerically adequate and keeps the code simple.
+// The design matrix depends only on the array geometry and degree, so
+// the elimination is factored once per matrix and replayed per
+// right-hand side (LeastSquares).
 package linalg
 
 import (
@@ -36,13 +39,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // MulVec returns m * x.
 func (m *Matrix) MulVec(x []float64) []float64 {
@@ -92,19 +88,40 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// SolveSquare solves A x = b for square A using Gaussian elimination with
-// partial pivoting. A and b are not modified.
-func SolveSquare(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: SolveSquare on %dx%d matrix", a.Rows, a.Cols)
-	}
-	if len(b) != a.Rows {
-		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), a.Rows)
-	}
-	n := a.Rows
-	m := a.Clone()
-	rhs := append([]float64(nil), b...)
+// LeastSquares solves min_x ||A x - b||_2 for one fixed design matrix A
+// and any number of right-hand sides b, via the normal equations
+// A^T A x = A^T b. Everything that depends on A alone is done once, by
+// NewLeastSquares: A^T, A^T A and its Gaussian elimination with partial
+// pivoting, recorded as the pivot row of each column and the factor of
+// each row update. Solve computes A^T b and replays the recorded row
+// swaps and updates on it, then back-substitutes, so every
+// floating-point operation on b's side is the one a fresh elimination
+// of [A^T A | A^T b] would run, in the same order: the coefficients are
+// bit-identical to eliminating from scratch per b. A LeastSquares is
+// immutable after construction and safe for concurrent use.
+type LeastSquares struct {
+	at *Matrix // A^T
+	// u is the eliminated A^T A; back substitution reads its upper
+	// triangle.
+	u *Matrix
+	// pivot[col] is the row swapped into position col before column
+	// col is eliminated (col itself when none is); factor[col*n+r] is
+	// the multiple of row col subtracted from row r > col.
+	pivot  []int
+	factor []float64
+}
 
+// NewLeastSquares factors the normal equations of a. A must have at
+// least as many rows as columns; ErrSingular reports that A^T A has no
+// unique solution (a pivot below 1e-12 in magnitude).
+func NewLeastSquares(a *Matrix) (*LeastSquares, error) {
+	if a.Rows < a.Cols {
+		return nil, fmt.Errorf("linalg: underdetermined least squares %dx%d", a.Rows, a.Cols)
+	}
+	at := a.Transpose()
+	m := at.Mul(a)
+	n := m.Rows
+	s := &LeastSquares{at: at, u: m, pivot: make([]int, n), factor: make([]float64, n*n)}
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in this column at or below
 		// the diagonal.
@@ -118,59 +135,59 @@ func SolveSquare(a *Matrix, b []float64) ([]float64, error) {
 		if best < 1e-12 {
 			return nil, ErrSingular
 		}
+		s.pivot[col] = pivot
 		if pivot != col {
 			for j := 0; j < n; j++ {
 				m.Data[col*n+j], m.Data[pivot*n+j] = m.Data[pivot*n+j], m.Data[col*n+j]
 			}
-			rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
 		}
 		inv := 1 / m.At(col, col)
 		for r := col + 1; r < n; r++ {
 			factor := m.At(r, col) * inv
+			s.factor[col*n+r] = factor
 			if factor == 0 {
 				continue
 			}
 			for j := col; j < n; j++ {
 				m.Data[r*n+j] -= factor * m.At(col, j)
 			}
-			rhs[r] -= factor * rhs[col]
 		}
 	}
-	// Back substitution.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := rhs[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+	return s, nil
+}
+
+// Solve returns the least-squares solution x for the right-hand side b,
+// which must have one entry per row of A. x is freshly allocated and is
+// the only allocation.
+func (s *LeastSquares) Solve(b []float64) ([]float64, error) {
+	if len(b) != s.at.Cols {
+		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), s.at.Cols)
+	}
+	// A^T b, eliminated and then back-substituted in place: back
+	// substitution reads x[i] before writing it and only the already
+	// solved x[j], j > i, after.
+	x := s.at.MulVec(b)
+	n, u := len(x), s.u
+	for col := 0; col < n; col++ {
+		if p := s.pivot[col]; p != col {
+			x[col], x[p] = x[p], x[col]
 		}
-		x[i] = s / m.At(i, i)
+		for r := col + 1; r < n; r++ {
+			factor := s.factor[col*n+r]
+			if factor == 0 {
+				continue
+			}
+			x[r] -= factor * x[col]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		v := x[i]
+		for j := i + 1; j < n; j++ {
+			v -= u.At(i, j) * x[j]
+		}
+		x[i] = v / u.At(i, i)
 	}
 	return x, nil
-}
-
-// LeastSquares solves min_x ||A x - b||_2 via the normal equations
-// A^T A x = A^T b. A must have at least as many rows as columns.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("linalg: underdetermined least squares %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != a.Rows {
-		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), a.Rows)
-	}
-	at := a.Transpose()
-	ata := at.Mul(a)
-	atb := at.MulVec(b)
-	return SolveSquare(ata, atb)
-}
-
-// Residuals returns b - A x.
-func Residuals(a *Matrix, x, b []float64) []float64 {
-	ax := a.MulVec(x)
-	out := make([]float64, len(b))
-	for i := range b {
-		out[i] = b[i] - ax[i]
-	}
-	return out
 }
 
 func abs(v float64) float64 {

@@ -8,6 +8,27 @@ import (
 	"repro/internal/rng"
 )
 
+// solve factors a and solves for b: the one solve path, on the square
+// systems the SolveSquare tests pose (a nonsingular square A has the
+// exact solution as its least-squares solution).
+func solve(a *Matrix, b []float64) ([]float64, error) {
+	s, err := NewLeastSquares(a)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(b)
+}
+
+// residuals returns b - A x.
+func residuals(a *Matrix, x, b []float64) []float64 {
+	ax := a.MulVec(x)
+	out := make([]float64, len(b))
+	for i := range b {
+		out[i] = b[i] - ax[i]
+	}
+	return out
+}
+
 func TestSolveSquareIdentity(t *testing.T) {
 	n := 4
 	a := NewMatrix(n, n)
@@ -15,7 +36,7 @@ func TestSolveSquareIdentity(t *testing.T) {
 		a.Set(i, i, 1)
 	}
 	b := []float64{1, 2, 3, 4}
-	x, err := SolveSquare(a, b)
+	x, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +54,7 @@ func TestSolveSquareKnown(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, -1)
-	x, err := SolveSquare(a, []float64{5, 1})
+	x, err := solve(a, []float64{5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +64,22 @@ func TestSolveSquareKnown(t *testing.T) {
 }
 
 func TestSolveSquareNeedsPivoting(t *testing.T) {
-	// Zero on the first diagonal entry forces a row swap.
+	// A^T A = [[1, 3], [3, 25]]: the larger magnitude below the first
+	// diagonal entry forces a row swap.
 	a := NewMatrix(2, 2)
-	a.Set(0, 0, 0)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 0)
-	x, err := SolveSquare(a, []float64{3, 7})
+	a.Set(0, 0, 1)
+	a.Set(0, 1, 3)
+	a.Set(1, 0, 0)
+	a.Set(1, 1, 4)
+	s, err := NewLeastSquares(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.pivot[0] != 1 {
+		t.Fatalf("pivot of column 0 = %d, want a swap with row 1", s.pivot[0])
+	}
+	// x = (7, 3): b = (1*7 + 3*3, 4*3).
+	x, err := s.Solve([]float64{16, 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +94,24 @@ func TestSolveSquareSingular(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4)
-	if _, err := SolveSquare(a, []float64{1, 2}); err != ErrSingular {
+	if _, err := NewLeastSquares(a); err != ErrSingular {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestSolveSquareShapeErrors(t *testing.T) {
 	a := NewMatrix(2, 3)
-	if _, err := SolveSquare(a, []float64{1, 2}); err == nil {
-		t.Fatal("expected error for non-square")
+	if _, err := NewLeastSquares(a); err == nil {
+		t.Fatal("expected error for more unknowns than equations")
 	}
 	sq := NewMatrix(2, 2)
-	if _, err := SolveSquare(sq, []float64{1}); err == nil {
+	sq.Set(0, 0, 1)
+	sq.Set(1, 1, 1)
+	s, err := NewLeastSquares(sq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve([]float64{1}); err == nil {
 		t.Fatal("expected error for rhs mismatch")
 	}
 }
@@ -98,7 +134,7 @@ func TestSolveSquareRandomProperty(t *testing.T) {
 			want[i] = r.Norm()
 		}
 		b := a.MulVec(want)
-		x, err := SolveSquare(a, b)
+		x, err := solve(a, b)
 		if err != nil {
 			return false
 		}
@@ -124,7 +160,7 @@ func TestLeastSquaresExactFit(t *testing.T) {
 		a.Set(i, 1, x)
 		b[i] = 2 + 3*x
 	}
-	coef, err := LeastSquares(a, b)
+	coef, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +182,12 @@ func TestLeastSquaresMinimizesResidual(t *testing.T) {
 		a.Set(i, 1, x)
 		b[i] = 1 + 0.5*x + r.NormScaled(0, 0.3)
 	}
-	coef, err := LeastSquares(a, b)
+	coef, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	norm := func(x []float64) float64 {
-		res := Residuals(a, x, b)
+		res := residuals(a, x, b)
 		var s float64
 		for _, v := range res {
 			s += v * v
@@ -169,7 +205,7 @@ func TestLeastSquaresMinimizesResidual(t *testing.T) {
 
 func TestLeastSquaresUnderdetermined(t *testing.T) {
 	a := NewMatrix(2, 3)
-	if _, err := LeastSquares(a, []float64{1, 2}); err == nil {
+	if _, err := NewLeastSquares(a); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/bitvec"
 	"repro/internal/rng"
@@ -221,6 +220,28 @@ func UnmarshalMasking(data []byte) (MaskingHelper, error) {
 
 // --- Sequential pairing algorithm (LISA, paper §IV-C, Algorithm 1) ---
 
+// DescendingOrder returns the oscillator indices sorted by descending
+// frequency, the walk order of Algorithm 1 here and of the group-based
+// PUF's grouping (Algorithm 2). The order, ties included, is the one
+// sort.Slice gives with less f[a] > f[b]: slices.SortFunc runs the same
+// pdqsort and tests only cmp < 0.
+func DescendingOrder(f []float64) []int {
+	idx := make([]int, len(f))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if f[a] > f[b] {
+			return -1
+		}
+		if f[a] < f[b] {
+			return 1
+		}
+		return 0
+	})
+	return idx
+}
+
 // SeqPairHelper is the public helper data of the sequential pairing
 // algorithm: the list of selected pairs in key order.
 type SeqPairHelper struct {
@@ -234,13 +255,9 @@ type SeqPairHelper struct {
 // the policy; src is consulted only for RandomizedStorage.
 func EnrollSeqPair(f []float64, thresholdMHz float64, policy StoragePolicy, src *rng.Source) SeqPairHelper {
 	n := len(f)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return f[idx[a]] > f[idx[b]] })
+	idx := DescendingOrder(f)
 
-	var pairs []Pair
+	pairs := make([]Pair, 0, n/2) // at most one pair per bottom-half entry
 	i := 0
 	for j := (n+1)/2 + 1 - 1; j < n; j++ { // j from ceil(N/2)+1 .. N, zero-based
 		if i >= len(idx) || j >= len(idx) {

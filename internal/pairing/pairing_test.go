@@ -3,6 +3,8 @@ package pairing
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -316,4 +318,37 @@ func TestSnakePathPanics(t *testing.T) {
 		}
 	}()
 	SnakePath(0, 5)
+}
+
+// TestDescendingOrderMatchesSortSlice pins DescendingOrder to the order
+// sort.Slice gave Algorithms 1 and 2 before, ties included, on
+// counter-quantized frequency maps (CounterWindowUS > 0), where most
+// oscillators share a frequency with another one.
+func TestDescendingOrderMatchesSortSlice(t *testing.T) {
+	for _, window := range []float64{0.5, 1, 2} {
+		ties := 0
+		for seed := uint64(1); seed <= 25; seed++ {
+			cfg := silicon.DefaultConfig(8, 16)
+			cfg.CounterWindowUS = window
+			a := silicon.NewArray(cfg, rng.New(seed))
+			nm := a.NewNoise(rng.New(seed + 1))
+			f := a.MeasureIntoWith(make([]float64, a.N()), cfg.NominalEnv(), nm)
+			want := make([]int, len(f))
+			for i := range want {
+				want[i] = i
+			}
+			sort.Slice(want, func(a, b int) bool { return f[want[a]] > f[want[b]] })
+			if got := DescendingOrder(f); !slices.Equal(got, want) {
+				t.Fatalf("window %v seed %d: order %v, sort.Slice %v", window, seed, got, want)
+			}
+			for i := 1; i < len(want); i++ {
+				if f[want[i]] == f[want[i-1]] {
+					ties++
+				}
+			}
+		}
+		if ties < 25*64 {
+			t.Errorf("window %v: %d tied neighbors over 25 maps, want a tie-heavy input", window, ties)
+		}
+	}
 }

@@ -85,7 +85,8 @@ func TestRankUnrankRoundTrip(t *testing.T) {
 	f := func(seed uint64, sizeRaw uint8) bool {
 		n := int(sizeRaw)%8 + 1
 		r := rng.New(seed)
-		o := r.Perm(n)
+		o := make([]int, n)
+		r.Perm(o)
 		back := Unrank(Rank(o), n)
 		for i := range o {
 			if back[i] != o[i] {
@@ -133,7 +134,8 @@ func TestKendallAdjacentFlipChangesOneBit(t *testing.T) {
 	f := func(seed uint64, sizeRaw, posRaw uint8) bool {
 		n := int(sizeRaw)%6 + 2
 		r := rng.New(seed)
-		o := r.Perm(n)
+		o := make([]int, n)
+		r.Perm(o)
 		p := int(posRaw) % (n - 1)
 		flipped := append([]int(nil), o...)
 		flipped[p], flipped[p+1] = flipped[p+1], flipped[p]

@@ -195,18 +195,17 @@ func (r *Source) NormFill(buf []float64) {
 	}
 }
 
-// Perm returns a uniformly random permutation of [0, n) as a slice,
-// generated with the Fisher-Yates shuffle.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
+// Perm fills p with a uniformly random permutation of [0, len(p)),
+// generated with the Fisher-Yates shuffle; a caller drawing many
+// permutations of one length reuses one buffer.
+func (r *Source) Perm(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.

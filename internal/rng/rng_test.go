@@ -125,7 +125,8 @@ func TestNormScaled(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := New(17)
 	for n := 0; n <= 20; n++ {
-		p := r.Perm(n)
+		p := make([]int, n)
+		r.Perm(p)
 		if len(p) != n {
 			t.Fatalf("Perm(%d) has length %d", n, len(p))
 		}
@@ -144,8 +145,11 @@ func TestPermUniformFirstElement(t *testing.T) {
 	const n = 5
 	const trials = 50000
 	counts := make([]int, n)
+	p := make([]int, n)
 	for i := 0; i < trials; i++ {
-		counts[r.Perm(n)[0]]++
+		p[0] = -1 // Perm must overwrite a reused buffer
+		r.Perm(p)
+		counts[p[0]]++
 	}
 	want := float64(trials) / n
 	for i, c := range counts {

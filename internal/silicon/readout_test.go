@@ -137,8 +137,10 @@ func TestReadoutMatchesMeasureSparse(t *testing.T) {
 					for k := range pairs {
 						pairs[k] = [2]int{src.Intn(n), src.Intn(n)}
 					}
+					order := make([]int, n)
+					src.Perm(order)
 					group := make([]int, 0, 8)
-					for _, i := range src.Perm(n)[:2+src.Intn(6)] {
+					for _, i := range order[:2+src.Intn(6)] {
 						group = append(group, i)
 					}
 					k, c := checkReadout(t, a, env, off, pairs, [][]int{group}, nm, 10)

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
@@ -181,10 +182,11 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	fMin := a.MeasureAveraged(silicon.Environment{TempC: p.TminC, VoltageV: v}, nm, p.EnrollReps)
 	fMax := a.MeasureAveraged(silicon.Environment{TempC: p.TmaxC, VoltageV: v}, nm, p.EnrollReps)
 
-	pairs := pairing.ChainPairs(p.Rows, p.Cols, true)
+	pairs := chainPairs(p.Rows, p.Cols)
 	infos := make([]PairInfo, len(pairs))
 	refBits := make([]bool, len(pairs)) // low-temperature-side reference
-	var goodIdx, coopIdx []int
+	// Sized once: a pair lands in at most one class list.
+	goodIdx, coopIdx := make([]int, 0, len(pairs)), make([]int, 0, len(pairs))
 	for i, pr := range pairs {
 		d0 := fMin[pr.A] - fMin[pr.B]
 		d1 := fMax[pr.A] - fMax[pr.B]
@@ -205,14 +207,17 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	if len(goodIdx) == 0 && len(coopIdx) > 0 {
 		return Helper{}, bitvec.Vector{}, errors.New("tempco: no good pairs available for masking")
 	}
+	// One mask-order buffer and one candidate list serve every
+	// cooperating pair.
+	maskOrder, candidates := make([]int, len(goodIdx)), make([]int, 0, len(coopIdx))
 	for _, c := range coopIdx {
 		assigned := false
 		// Try masks in random order so failures do not bias selection.
-		maskOrder := src.Perm(len(goodIdx))
+		src.Perm(maskOrder)
 		for _, mi := range maskOrder {
 			g := goodIdx[mi]
 			want := refBits[c] != refBits[g] // rc XOR rg
-			var candidates []int
+			candidates = candidates[:0]
 			for _, j := range coopIdx {
 				if j == c {
 					continue
@@ -252,6 +257,19 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	return Helper{Pairs: infos, Offset: offset}, key, nil
 }
 
+// chainCache interns the disjoint chain pair list of each (rows, cols)
+// geometry: it is fixed by the architecture, and Enroll only reads it.
+var chainCache sync.Map // [2]int -> []pairing.Pair
+
+func chainPairs(rows, cols int) []pairing.Pair {
+	key := [2]int{rows, cols}
+	if pairs, ok := chainCache.Load(key); ok {
+		return pairs.([]pairing.Pair)
+	}
+	pairs, _ := chainCache.LoadOrStore(key, pairing.ChainPairs(rows, cols, true))
+	return pairs.([]pairing.Pair)
+}
+
 func intervalsIntersect(al, ah, bl, bh float64) bool {
 	return al <= bh && bl <= ah
 }
@@ -273,14 +291,20 @@ func responseFromBits(infos []PairInfo, bits []bool) bitvec.Vector {
 // keyBits extracts the key from the (corrected) stream: the bits of good
 // and cooperating pairs in pair order.
 func keyBits(infos []PairInfo, stream bitvec.Vector) bitvec.Vector {
-	key := bitvec.New(0)
+	n := 0
+	for _, info := range infos {
+		if info.Class != Bad {
+			n++
+		}
+	}
+	key := bitvec.New(n)
+	at := 0
 	for i, info := range infos {
 		if info.Class == Bad {
 			continue
 		}
-		b := bitvec.New(1)
-		b.Set(0, stream.Get(i))
-		key = key.Concat(b)
+		key.Set(at, stream.Get(i))
+		at++
 	}
 	return key
 }

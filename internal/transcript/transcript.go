@@ -181,9 +181,12 @@ func RunWith(ctx context.Context, spec Spec, cache Cache) (Transcript, error) {
 // Enroll manufactures spec's canonical reference device, the one Run
 // attacks, and returns it as an attack target together with its
 // enrolled key. Callers that run an attack under their own options (a
-// CLI, an ablation) start here instead of copying the device table.
-func Enroll(spec Spec) (attack.Target, bitvec.Vector, error) {
-	c, err := enroll(spec, nil)
+// CLI, an ablation) start here instead of copying the device table. A
+// non-nil cache makes it RunWith's pooled enrollment: the device adopts
+// the pooled carcass of the spec's fingerprint (and replaces it, so a
+// target from an earlier call on the same cache is no longer usable).
+func Enroll(spec Spec, cache Cache) (attack.Target, bitvec.Vector, error) {
+	c, err := enroll(spec, cache)
 	return c.target, c.truth, err
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/campaign"
 )
 
 // The bit-exact values a Run produces are pinned by the golden matrix in
@@ -115,8 +116,8 @@ func TestGoldenFilesCoverTheFullMatrix(t *testing.T) {
 
 // TestEnrollMatchesRun pins Enroll to the device Run attacks: for the
 // first golden spec of each attack, the default attack against the
-// Enroll'd target reproduces the golden transcript's key, query count
-// and enrolled-key digest.
+// Enroll'd target, unpooled and pooled, reproduces the golden
+// transcript's key, query count and enrolled-key digest.
 func TestEnrollMatchesRun(t *testing.T) {
 	for file, specs := range GoldenFiles() {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "transcripts", file))
@@ -131,20 +132,28 @@ func TestEnrollMatchesRun(t *testing.T) {
 		if !reflect.DeepEqual(want.Spec, spec) {
 			t.Fatalf("%s: first golden spec %+v, want %+v", file, want.Spec, spec)
 		}
-		target, truth, err := Enroll(spec)
-		if err != nil {
+		// Unpooled, and pooled into the carcass of the file's second
+		// seed: both are the device Run attacks.
+		pool := campaign.NewPool()
+		if _, _, err := Enroll(specs[1], pool); err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		rep, err := attack.Run(context.Background(), spec.Attack, target, attack.Options{Dist: attack.DefaultDistinguisher()})
-		if err != nil {
-			t.Fatalf("%s: %v", file, err)
-		}
-		sum := sha256.Sum256([]byte(truth.String()))
-		if got := hex.EncodeToString(sum[:]); got != want.EnrolledKeyDigest {
-			t.Errorf("%s: enrolled key digest %s, want %s", file, got, want.EnrolledKeyDigest)
-		}
-		if rep.Key.String() != want.Key || rep.Queries != want.Queries {
-			t.Errorf("%s: key %q in %d queries, want %q in %d", file, rep.Key, rep.Queries, want.Key, want.Queries)
+		for _, cache := range []Cache{nil, pool} {
+			target, truth, err := Enroll(spec, cache)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			rep, err := attack.Run(context.Background(), spec.Attack, target, attack.Options{Dist: attack.DefaultDistinguisher()})
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			sum := sha256.Sum256([]byte(truth.String()))
+			if got := hex.EncodeToString(sum[:]); got != want.EnrolledKeyDigest {
+				t.Errorf("%s pooled=%v: enrolled key digest %s, want %s", file, cache != nil, got, want.EnrolledKeyDigest)
+			}
+			if rep.Key.String() != want.Key || rep.Queries != want.Queries {
+				t.Errorf("%s pooled=%v: key %q in %d queries, want %q in %d", file, cache != nil, rep.Key, rep.Queries, want.Key, want.Queries)
+			}
 		}
 	}
 }
