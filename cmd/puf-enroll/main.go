@@ -1,6 +1,7 @@
-// Command puf-enroll manufactures a simulated RO array, enrolls the
-// selected key-generation construction on it, and dumps the public
-// helper NVM content (the attack surface) together with key statistics.
+// Command puf-enroll manufactures and enrolls a simulated device of the
+// selected key-generation construction through the device layer, and
+// dumps its public helper NVM content (the attack surface) together
+// with key statistics.
 //
 // Usage:
 //
@@ -13,12 +14,12 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/device"
 	"repro/internal/ecc"
 	"repro/internal/groupbased"
 	"repro/internal/pairing"
 	"repro/internal/perm"
 	"repro/internal/rng"
-	"repro/internal/silicon"
 	"repro/internal/tempco"
 )
 
@@ -46,14 +47,20 @@ func main() {
 }
 
 func enrollSeqPair(seed uint64, dumpHex bool) error {
-	arr := silicon.NewArray(silicon.DefaultConfig(8, 16), rng.New(seed))
-	src := rng.New(seed + 1)
-	f := arr.MeasureAveraged(arr.Config().NominalEnv(), arr.NewNoise(src), 20)
-	h := pairing.EnrollSeqPair(f, 0.8, pairing.RandomizedStorage, src)
-	resp := pairing.Responses(f, h.Pairs)
+	d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
+		Rows: 8, Cols: 16,
+		ThresholdMHz: 0.8,
+		Policy:       pairing.RandomizedStorage,
+		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
+		EnrollReps:   20,
+	}, rng.New(seed), rng.New(seed+1))
+	if err != nil {
+		return err
+	}
+	h := d.ReadHelper().Pairs
 	fmt.Printf("sequential pairing (LISA) on 8x16 array\n")
-	fmt.Printf("pairs selected : %d (max %d)\n", len(h.Pairs), arr.N()/2)
-	fmt.Printf("response       : %s\n", resp)
+	fmt.Printf("pairs selected : %d (max %d)\n", len(h.Pairs), d.Array().N()/2)
+	fmt.Printf("response       : %s\n", d.TrueKey())
 	blob := h.Append(nil)
 	fmt.Printf("helper NVM     : %d bytes (pair list)\n", len(blob))
 	if dumpHex {
@@ -71,14 +78,11 @@ func enrollTempCo(seed uint64, dumpHex bool) error {
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps: 25,
 	}
-	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
-	cfg.TempCoefSigmaMHzPerC = 0.03
-	arr := silicon.NewArray(cfg, rng.New(seed))
-	src := rng.New(seed + 1)
-	h, key, err := tempco.Enroll(arr, p, src, arr.NewNoise(src))
+	d, err := device.EnrollTempCoReuse(nil, p, rng.New(seed), rng.New(seed+1))
 	if err != nil {
 		return err
 	}
+	h, key := d.ReadHelper(), d.TrueKey()
 	good, bad, coop := tempco.CountClasses(h)
 	fmt.Printf("temperature-aware cooperative RO PUF on 8x16 array, range [%v, %v] C\n", p.TminC, p.TmaxC)
 	fmt.Printf("pairs          : %d good / %d bad / %d cooperating\n", good, bad, coop)
@@ -98,22 +102,20 @@ func enrollTempCo(seed uint64, dumpHex bool) error {
 }
 
 func enrollGroupBased(seed uint64, dumpHex bool) error {
-	p := groupbased.Params{
+	d, err := device.EnrollGroupBasedReuse(nil, groupbased.Params{
 		Rows: 8, Cols: 16,
 		Degree:       2,
 		ThresholdMHz: 0.5,
 		Code:         ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps:   15,
-	}
-	arr := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(seed))
-	src := rng.New(seed + 1)
-	h, key, err := groupbased.Enroll(arr, p, src, arr.NewNoise(src))
+	}, rng.New(seed), rng.New(seed+1))
 	if err != nil {
 		return err
 	}
+	h, key := d.ReadHelper(), d.TrueKey()
 	fmt.Printf("group-based RO PUF on 8x16 array (Fig. 4 pipeline)\n")
 	fmt.Printf("groups         : %d, entropy %.1f bits (of log2(128!) = %.1f)\n",
-		h.Grouping.NumGroups(), groupbased.Entropy(&h.Grouping), perm.Log2Factorial(arr.N()))
+		h.Grouping.NumGroups(), groupbased.Entropy(&h.Grouping), perm.Log2Factorial(d.Array().N()))
 	fmt.Printf("Kendall stream : %d bits; packed key: %d bits\n",
 		groupbased.StreamLen(&h.Grouping), key.Len())
 	fmt.Printf("key            : %s\n", key)

@@ -20,7 +20,7 @@ func main() {
 	code := ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})
 
 	// --- Fig. 6b: distiller + 1-out-of-k masking -----------------------
-	masked, err := device.EnrollDistillerPair(device.DistillerPairParams{
+	masked, err := device.EnrollDistillerPairReuse(nil, device.DistillerPairParams{
 		Rows: 4, Cols: 10,
 		Degree: 2,
 		Mode:   device.MaskedChain,
@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("  exact=%v in %d oracle queries\n\n", resM.Key.Equal(truthM), resM.Queries)
 
 	// --- Fig. 6c: distiller + overlapping neighbor chain ---------------
-	chain, err := device.EnrollDistillerPair(device.DistillerPairParams{
+	chain, err := device.EnrollDistillerPairReuse(nil, device.DistillerPairParams{
 		Rows: 4, Cols: 10,
 		Degree: 2,
 		Mode:   device.OverlappingChain,

@@ -26,7 +26,7 @@ func main() {
 		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
 		EnrollReps:   25,
 	}
-	dev, err := device.EnrollGroupBased(params, rng.New(70), rng.New(71))
+	dev, err := device.EnrollGroupBasedReuse(nil, params, rng.New(70), rng.New(71))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 		Code:         ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3, Expurgate: true}),
 		EnrollReps:   20,
 	}
-	dev, err := device.EnrollSeqPair(params, rng.New(42), rng.New(43))
+	dev, err := device.EnrollSeqPairReuse(nil, params, rng.New(42), rng.New(43))
 	if err != nil {
 		log.Fatal(err)
 	}

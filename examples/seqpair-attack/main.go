@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	dev, err := device.EnrollSeqPair(device.SeqPairParams{
+	dev, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,

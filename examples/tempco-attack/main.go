@@ -26,7 +26,7 @@ func main() {
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps: 25,
 	}
-	dev, err := device.EnrollTempCo(params, rng.New(50), rng.New(51))
+	dev, err := device.EnrollTempCoReuse(nil, params, rng.New(50), rng.New(51))
 	if err != nil {
 		log.Fatal(err)
 	}

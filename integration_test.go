@@ -24,7 +24,7 @@ import (
 func TestSeqPairAttackAtElevatedTemperature(t *testing.T) {
 	// The §VI-A attack makes no assumption about the environment; it
 	// must work unchanged on a device sitting at 45 °C and 1.25 V.
-	d, err := device.EnrollSeqPair(device.SeqPairParams{
+	d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,
@@ -51,7 +51,7 @@ func TestSeqPairAttackWithRepetitionCode(t *testing.T) {
 	// humble (7,1) repetition sketch falls the same way. The repetition
 	// code contains all-ones, but the padded final block breaks the
 	// complement pattern, so recovery resolves exactly here too.
-	d, err := device.EnrollSeqPair(device.SeqPairParams{
+	d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,
@@ -85,7 +85,7 @@ func TestTempCoHelperSurvivesNVMImage(t *testing.T) {
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps: 25,
 	}
-	d, err := device.EnrollTempCo(p, rng.New(321), rng.New(322))
+	d, err := device.EnrollTempCoReuse(nil, p, rng.New(321), rng.New(322))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAttackSurvivesHelperImageManipulationPath(t *testing.T) {
 	// parse again, write. Equivalent to the in-memory manipulation and
 	// the checksum recomputes trivially (it guards corruption, not
 	// attackers).
-	d, err := device.EnrollSeqPair(device.SeqPairParams{
+	d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,
@@ -215,7 +215,7 @@ func TestGroupBasedAttackLargerArray(t *testing.T) {
 
 func attackGroupArray(t *testing.T, rows, cols int, seed uint64) (bool, error) {
 	t.Helper()
-	d, err := device.EnrollGroupBased(groupParams(rows, cols), rng.New(seed), rng.New(seed+1))
+	d, err := device.EnrollGroupBasedReuse(nil, groupParams(rows, cols), rng.New(seed), rng.New(seed+1))
 	if err != nil {
 		return false, err
 	}
@@ -245,7 +245,7 @@ func TestSeqPairAttackWithGolayCode(t *testing.T) {
 	// code. Perfect codes never signal decode failure — the observable
 	// is purely the key mismatch after miscorrection — and the attack
 	// framework handles that regime unchanged.
-	d, err := device.EnrollSeqPair(device.SeqPairParams{
+	d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,

@@ -13,21 +13,18 @@ import (
 // device's typed helper structs and the sectioned NVM image and inverts
 // App() into the failure convention (Query true = failure).
 //
-// Two fast paths keep the adapters off the oracle-query hot loop's
-// allocation profile:
+// ReadImage marshals from the device's one read path, ReadHelper's
+// deep copy; an attack reads the image once, at its start.
 //
-//   - ReadImage marshals straight from the device's read-only helper
-//     view (HelperView) instead of deep-copying the whole NVM first and
-//     discarding the copy after serialization.
-//
-//   - WriteImage remembers the identity of the last image it installed
-//     together with the device's NVM generation. Re-installing the SAME
-//     image onto unchanged NVM — what the distinguisher does before
-//     every query of an arm's run — skips the parse/validate/clone
-//     pipeline. The skip is observable-equivalent: devices with a
-//     re-provision side effect (reprogrammed-key observables) still run
-//     it via ReprovisionKey, so key bindings and the measurement-noise
-//     sweeps are consumed bit-identically to a full write.
+// WriteImage keeps the adapters off the oracle-query hot loop's
+// allocation profile: it remembers the identity of the last image it
+// installed together with the device's NVM generation. Re-installing
+// the SAME image onto unchanged NVM — what the distinguisher does
+// before every query of an arm's run — skips the parse/validate/clone
+// pipeline. The skip is observable-equivalent: devices with a
+// re-provision side effect (reprogrammed-key observables) still run it
+// via ReprovisionKey, so key bindings and the measurement-noise sweeps
+// are consumed bit-identically to a full write.
 
 // writeCache is the shared memoization state of an adapter's WriteImage.
 type writeCache struct {
@@ -119,7 +116,7 @@ func (t *seqPairTarget) Spec() Spec {
 }
 
 func (t *seqPairTarget) ReadImage() (*helperdata.Image, error) {
-	h := t.d.HelperView()
+	h := t.d.ReadHelper()
 	return SeqPairImage(h.Pairs, h.Offset)
 }
 
@@ -153,7 +150,7 @@ func (t *tempCoTarget) Spec() Spec {
 }
 
 func (t *tempCoTarget) ReadImage() (*helperdata.Image, error) {
-	return TempCoImage(t.d.HelperView()), nil
+	return TempCoImage(t.d.ReadHelper()), nil
 }
 
 func (t *tempCoTarget) WriteImage(im *helperdata.Image) error {
@@ -186,7 +183,7 @@ func (t *groupBasedTarget) Spec() Spec {
 }
 
 func (t *groupBasedTarget) ReadImage() (*helperdata.Image, error) {
-	return GroupBasedImage(t.d.HelperView())
+	return GroupBasedImage(t.d.ReadHelper())
 }
 
 func (t *groupBasedTarget) WriteImage(im *helperdata.Image) error {
@@ -227,7 +224,7 @@ func (t *distillerTarget) Spec() Spec {
 }
 
 func (t *distillerTarget) ReadImage() (*helperdata.Image, error) {
-	h := t.d.HelperView()
+	h := t.d.ReadHelper()
 	if t.d.Params().Mode == device.MaskedChain {
 		return DistillerImage(h.Poly, &h.Masking, h.Offset)
 	}

@@ -14,7 +14,7 @@ import (
 
 func seqPairDevice(t testing.TB, seed uint64) *device.SeqPairDevice {
 	t.Helper()
-	d, err := device.EnrollSeqPair(device.SeqPairParams{
+	d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,
@@ -29,7 +29,7 @@ func seqPairDevice(t testing.TB, seed uint64) *device.SeqPairDevice {
 
 func groupBasedDevice(t testing.TB, seed uint64) *device.GroupBasedDevice {
 	t.Helper()
-	d, err := device.EnrollGroupBased(groupbased.Params{
+	d, err := device.EnrollGroupBasedReuse(nil, groupbased.Params{
 		Rows: 4, Cols: 10,
 		Degree:       2,
 		ThresholdMHz: 0.5,
@@ -45,7 +45,7 @@ func groupBasedDevice(t testing.TB, seed uint64) *device.GroupBasedDevice {
 
 func chainDevice(t testing.TB, seed uint64) *device.DistillerPairDevice {
 	t.Helper()
-	d, err := device.EnrollDistillerPair(device.DistillerPairParams{
+	d, err := device.EnrollDistillerPairReuse(nil, device.DistillerPairParams{
 		Rows: 4, Cols: 10,
 		Degree: 2, Mode: device.OverlappingChain,
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),

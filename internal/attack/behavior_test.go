@@ -33,7 +33,7 @@ func tempcoParams() tempco.Params {
 // seqPairDevice (plain narrow-sense BCH, complement ambiguity possible).
 func plainSeqPairDevice(t testing.TB, seed uint64) *device.SeqPairDevice {
 	t.Helper()
-	d, err := device.EnrollSeqPair(device.SeqPairParams{
+	d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,
@@ -133,7 +133,7 @@ func TestAttackSeqPairFixedSampleStrategy(t *testing.T) {
 
 func tempcoDevice(t *testing.T, seed uint64) *device.TempCoDevice {
 	t.Helper()
-	d, err := device.EnrollTempCo(tempcoParams(), rng.New(seed), rng.New(seed+1))
+	d, err := device.EnrollTempCoReuse(nil, tempcoParams(), rng.New(seed), rng.New(seed+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestAttackGroupBasedRecoversFullKey(t *testing.T) {
 
 func distillerDevice(t *testing.T, seed uint64, mode device.PairingMode) *device.DistillerPairDevice {
 	t.Helper()
-	d, err := device.EnrollDistillerPair(device.DistillerPairParams{
+	d, err := device.EnrollDistillerPairReuse(nil, device.DistillerPairParams{
 		Rows: 4, Cols: 10,
 		Degree:     2,
 		Mode:       mode,

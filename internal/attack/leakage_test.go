@@ -28,7 +28,7 @@ func TestDeterministicSelectionLeaksForFree(t *testing.T) {
 	p.Policy = tempco.DeterministicSelection
 	totalConstraints, correct := 0, 0
 	for seed := uint64(0); seed < 8; seed++ {
-		d, err := device.EnrollTempCo(p, rng.New(seed*100+1), rng.New(seed*100+2))
+		d, err := device.EnrollTempCoReuse(nil, p, rng.New(seed*100+1), rng.New(seed*100+2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestRandomSelectionDefeatsTheLeakage(t *testing.T) {
 	p.Policy = tempco.RandomSelection
 	totalConstraints, correct := 0, 0
 	for seed := uint64(0); seed < 12; seed++ {
-		d, err := device.EnrollTempCo(p, rng.New(seed*100+1), rng.New(seed*100+2))
+		d, err := device.EnrollTempCoReuse(nil, p, rng.New(seed*100+1), rng.New(seed*100+2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func measureAppAllocs(t *testing.T, app func() bool) float64 {
 }
 
 func TestAppAllocationsSeqPair(t *testing.T) {
-	d, err := EnrollSeqPair(SeqPairParams{
+	d, err := EnrollSeqPairReuse(nil, SeqPairParams{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.8,
 		Policy:       pairing.RandomizedStorage,
@@ -51,7 +51,7 @@ func TestAppAllocationsSeqPair(t *testing.T) {
 }
 
 func TestAppAllocationsTempCo(t *testing.T) {
-	d, err := EnrollTempCo(tempco.Params{
+	d, err := EnrollTempCoReuse(nil, tempco.Params{
 		Rows: 8, Cols: 16,
 		ThresholdMHz: 0.6,
 		TminC:        -25, TmaxC: 85,
@@ -68,7 +68,7 @@ func TestAppAllocationsTempCo(t *testing.T) {
 }
 
 func TestAppAllocationsGroupBased(t *testing.T) {
-	d, err := EnrollGroupBased(groupbased.Params{
+	d, err := EnrollGroupBasedReuse(nil, groupbased.Params{
 		Rows: 4, Cols: 10,
 		Degree:       2,
 		ThresholdMHz: 0.5,
@@ -96,7 +96,7 @@ func TestAppAllocationsDistillerPair(t *testing.T) {
 		if mode == MaskedChain {
 			p.K = 5
 		}
-		d, err := EnrollDistillerPair(p, rng.New(42), rng.New(43))
+		d, err := EnrollDistillerPairReuse(nil, p, rng.New(42), rng.New(43))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -136,7 +136,7 @@ func TestAppAllocationsFuzzy(t *testing.T) {
 // validated by the scratch layout the reconstruction then reuses.
 func TestAppAllocationsAcrossBlockCounts(t *testing.T) {
 	code := ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})
-	d, err := EnrollGroupBased(groupbased.Params{
+	d, err := EnrollGroupBasedReuse(nil, groupbased.Params{
 		Rows: 4, Cols: 10,
 		Degree:       2,
 		ThresholdMHz: 0.5,

@@ -16,7 +16,7 @@ import (
 // benchmark fails if it does, so a smoke run (-benchtime 1x) checks it.
 func BenchmarkWriteBindQuery(b *testing.B) {
 	code := ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})
-	gb, err := EnrollGroupBased(groupbased.Params{
+	gb, err := EnrollGroupBasedReuse(nil, groupbased.Params{
 		Rows: 4, Cols: 10,
 		Degree:       2,
 		ThresholdMHz: 0.5,
@@ -33,7 +33,7 @@ func BenchmarkWriteBindQuery(b *testing.B) {
 		benchArmRounds(b, gb, gb.TrueKey(), func(i int) error { return gb.WriteHelper(arms[i]) })
 	})
 	for _, mode := range []PairingMode{MaskedChain, OverlappingChain} {
-		d, err := EnrollDistillerPair(DistillerPairParams{
+		d, err := EnrollDistillerPairReuse(nil, DistillerPairParams{
 			Rows: 4, Cols: 10,
 			Degree:     2,
 			Mode:       mode,

@@ -29,6 +29,13 @@
 // and temperature-aware devices read through groupbased.Scratch and
 // tempco.Scratch.
 //
+// Every device builds its silicon and noise state through one
+// manufacture step, and the attacker reads its helper NVM through one
+// accessor, ReadHelper: a deep copy the caller owns, free to mutate and
+// write back. (TempCoDevice alone keeps a HelperView, a read-only view
+// of the device's own storage, for the benchmark driver under
+// perfbench/.)
+//
 // A device is one oracle driven by one goroutine, as the adversary holds
 // one device: its scratch and noise state are not concurrency-safe.
 // Concurrency comes from running many devices at once (campaign
@@ -41,6 +48,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
 	"repro/internal/pairing"
+	"repro/internal/rng"
 	"repro/internal/silicon"
 )
 
@@ -61,10 +69,15 @@ type Device interface {
 	SetEnvironment(env silicon.Environment)
 }
 
-// base carries the bookkeeping shared by every concrete device. The
-// query counter is atomic so that readers on other goroutines (progress
-// displays) never race with an App call in flight.
+// base carries what every concrete device shares: its silicon, its
+// measurement-noise state and the query bookkeeping. The query counter
+// is atomic so that readers on other goroutines (progress displays)
+// never race with an App call in flight.
 type base struct {
+	arr *silicon.Array
+	// noise is the per-oracle measurement-noise state (the counter-mode
+	// sweep counter).
+	noise   silicon.Noise
 	env     silicon.Environment
 	queries atomic.Int64
 	// nvmGen counts successful helper NVM writes. Adapters use it to
@@ -76,14 +89,25 @@ type base struct {
 
 func (b *base) Queries() int { return int(b.queries.Load()) }
 
-// reset returns the bookkeeping to freshly-enrolled state for the
-// device-pool reuse path. Field-by-field: base embeds an atomic counter
-// and must not be copied as a value.
-func (b *base) reset(env silicon.Environment) {
-	b.env = env
+// manufacture is every device's enrollment prologue: it draws the
+// device's silicon as a fresh instance of cfg from srcMfg, re-drawing
+// the previous array in place when the device is a pooled one (see
+// Array.Remanufactured), keys the noise state from srcRun's next draw,
+// and returns the bookkeeping to freshly-enrolled state at the
+// nominal environment, which it returns.
+func (b *base) manufacture(cfg silicon.Config, srcMfg, srcRun *rng.Source) silicon.Environment {
+	b.arr = b.arr.Remanufactured(cfg, srcMfg)
+	b.noise = *b.arr.NewNoise(srcRun)
+	// Field-by-field: base embeds an atomic counter and must not be
+	// copied as a value.
+	b.env = cfg.NominalEnv()
 	b.queries.Store(0)
 	b.nvmGen = 0
+	return b.env
 }
+
+// Array exposes the silicon instance for ground-truth evaluation only.
+func (b *base) Array() *silicon.Array { return b.arr }
 
 // addQuery records one oracle query.
 func (b *base) addQuery() { b.queries.Add(1) }
@@ -106,8 +130,8 @@ func keysEqual(a, b bitvec.Vector) bool { return a.Equal(b) }
 // copyOffset copies src into the device-owned offset buffer dst,
 // resizing dst within its capacity when the lengths differ (a write that
 // changes the block count), so a device that has held its largest offset
-// copies without allocating. Safe when src is dst itself (a device's
-// own HelperView written back): copying a vector onto itself is a no-op.
+// copies without allocating. Safe when src is dst itself: copying a
+// vector onto itself is a no-op.
 func copyOffset(dst, src bitvec.Vector) bitvec.Vector {
 	if dst.Len() != src.Len() {
 		dst = dst.Resized(src.Len())

@@ -25,7 +25,7 @@ func seqParams() SeqPairParams {
 }
 
 func TestSeqPairDeviceHonestApp(t *testing.T) {
-	d, err := EnrollSeqPair(seqParams(), rng.New(1), rng.New(2))
+	d, err := EnrollSeqPairReuse(nil, seqParams(), rng.New(1), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSeqPairDeviceHonestApp(t *testing.T) {
 }
 
 func TestSeqPairDeviceRejectsMalformedWrites(t *testing.T) {
-	d, err := EnrollSeqPair(seqParams(), rng.New(3), rng.New(4))
+	d, err := EnrollSeqPairReuse(nil, seqParams(), rng.New(3), rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestSeqPairDeviceRejectsMalformedWrites(t *testing.T) {
 func TestSeqPairSwapManipulationBehaviour(t *testing.T) {
 	// Within-pair swap of exactly one pair: 1 error, within the radius,
 	// app still works. Within-pair swaps of t+1 pairs: app fails.
-	d, err := EnrollSeqPair(seqParams(), rng.New(5), rng.New(6))
+	d, err := EnrollSeqPairReuse(nil, seqParams(), rng.New(5), rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTempCoDevice(t *testing.T) {
 		Code:       ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps: 25,
 	}
-	d, err := EnrollTempCo(p, rng.New(7), rng.New(8))
+	d, err := EnrollTempCoReuse(nil, p, rng.New(7), rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGroupBasedDeviceRebinding(t *testing.T) {
 		Code:         ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps:   15,
 	}
-	d, err := EnrollGroupBased(p, rng.New(9), rng.New(10))
+	d, err := EnrollGroupBasedReuse(nil, p, rng.New(9), rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestGroupBasedRejectedWritesLeaveDeviceIntact(t *testing.T) {
 		Code:         ecc.MustBCH(ecc.BCHConfig{M: 6, T: 3}),
 		EnrollReps:   15,
 	}
-	d, err := EnrollGroupBased(p, rng.New(9), rng.New(10))
+	d, err := EnrollGroupBasedReuse(nil, p, rng.New(9), rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := EnrollGroupBased(p, rng.New(9), rng.New(10))
+	twin, err := EnrollGroupBasedReuse(nil, p, rng.New(9), rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDistillerPairDeviceModes(t *testing.T) {
 			Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
 			EnrollReps: 15,
 		}
-		d, err := EnrollDistillerPair(p, rng.New(11), rng.New(12))
+		d, err := EnrollDistillerPairReuse(nil, p, rng.New(11), rng.New(12))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}

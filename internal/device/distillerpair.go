@@ -64,15 +64,12 @@ type DistillerPairHelperNVM struct {
 // Like GroupBasedDevice it uses the reprogrammed-key observable.
 type DistillerPairDevice struct {
 	base
-	arr      *silicon.Array
 	params   DistillerPairParams
 	basePair []pairing.Pair // fixed by the architecture, not helper data
 	nvm      DistillerPairHelperNVM
 	enrolled bitvec.Vector
 	bind     binding
-	// noise is the per-oracle measurement-noise state.
-	noise   *silicon.Noise
-	scratch distillerScratch
+	scratch  distillerScratch
 }
 
 // distillerScratch is the device's reusable reconstruction state:
@@ -125,49 +122,35 @@ func (d *DistillerPairDevice) refreshScratch() {
 	sc.helperValid = true
 }
 
-// EnrollDistillerPair manufactures and enrolls a device.
-func EnrollDistillerPair(p DistillerPairParams, srcMfg, srcRun *rng.Source) (*DistillerPairDevice, error) {
-	return EnrollDistillerPairReuse(nil, p, srcMfg, srcRun)
-}
-
-// EnrollDistillerPairReuse is EnrollDistillerPair adopting a previously
-// enrolled device's backing storage (see EnrollSeqPairReuse for the
-// device-pool contract): bit-identical to a fresh enrollment, prev may
-// be nil, and prev must be discarded by the caller — even on error.
+// EnrollDistillerPairReuse manufactures and enrolls a device, adopting
+// prev's backing storage when non-nil (see EnrollSeqPairReuse for the
+// device-pool contract): bit-identical to a fresh enrollment, and prev
+// must be discarded by the caller — even on error.
 func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, srcMfg, srcRun *rng.Source) (*DistillerPairDevice, error) {
 	if p.Code == nil || p.EnrollReps < 1 {
 		return nil, fmt.Errorf("device: invalid distiller-pair params")
 	}
+	d := prev
+	if d == nil {
+		d = &DistillerPairDevice{}
+	}
 	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 	cfg.Noise = p.Noise
-	var prevArr *silicon.Array
-	if prev != nil {
-		prevArr = prev.arr
-	}
-	arr := prevArr.Remanufactured(cfg, srcMfg)
-	env := arr.Config().NominalEnv()
-	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveraged(env, noise, p.EnrollReps)
+	env := d.manufacture(cfg, srcMfg, srcRun)
+	f := d.arr.MeasureAveraged(env, &d.noise, p.EnrollReps)
 	poly, err := distiller.Fit(p.Rows, p.Cols, f, p.Degree)
 	if err != nil {
 		return nil, err
 	}
 	resid := distiller.Distill(p.Rows, p.Cols, f, poly)
 
-	d := prev
-	if d == nil {
-		d = &DistillerPairDevice{}
-	}
 	// basePair is fixed by the architecture (geometry and mode), not by
 	// the silicon instance — keep prev's list when those match. The
 	// comparison is field-wise: params holds an ecc.Code interface whose
 	// dynamic type need not be comparable.
-	sameBase := prev != nil && d.basePair != nil &&
+	sameBase := d.basePair != nil &&
 		d.params.Rows == p.Rows && d.params.Cols == p.Cols && d.params.Mode == p.Mode
-	d.base.reset(env)
-	d.arr = arr
 	d.params = p
-	d.noise = noise
 	var mask pairing.MaskingHelper
 	switch p.Mode {
 	case MaskedChain:
@@ -230,11 +213,6 @@ func (d *DistillerPairDevice) ReadHelper() DistillerPairHelperNVM {
 	}
 }
 
-// HelperView returns the helper NVM sharing the device's storage — the
-// read-only fast path for marshaling consumers. Callers must not mutate
-// it or retain it across a WriteHelper.
-func (d *DistillerPairDevice) HelperView() DistillerPairHelperNVM { return d.nvm }
-
 // WriteHelper overwrites the helper NVM after structural validation and
 // re-binds the application key through ReprovisionKey, as in
 // GroupBasedDevice.
@@ -266,7 +244,7 @@ func (d *DistillerPairDevice) WriteHelper(h DistillerPairHelperNVM) error {
 // device accepts is measured before anything can fail, so the sweep is
 // always reserved; the helper-derived caches are rebuilt by the
 // reconstruction that first needs them.
-func (d *DistillerPairDevice) ReprovisionKey() { d.bind.reserve(d.noise, d.env) }
+func (d *DistillerPairDevice) ReprovisionKey() { d.bind.reserve(&d.noise, d.env) }
 
 // BindKey binds the application to a predicted key.
 func (d *DistillerPairDevice) BindKey(key bitvec.Vector) { d.bind.set(key, key.Len()) }
@@ -291,7 +269,7 @@ func (d *DistillerPairDevice) App() bool {
 	if env, nm, due := d.bind.due(); due {
 		d.bind.settle(d.reconstructScratch(env, nm))
 	}
-	recovered, n, ok := d.reconstructScratch(d.env, d.noise)
+	recovered, n, ok := d.reconstructScratch(d.env, &d.noise)
 	key := d.bind.key
 	return ok && n > 0 && key.Len() == n && recovered.HasPrefix(key)
 }
@@ -301,6 +279,3 @@ func (d *DistillerPairDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone(
 
 // Params exposes the public device specification.
 func (d *DistillerPairDevice) Params() DistillerPairParams { return d.params }
-
-// Array exposes the silicon for ground-truth evaluation only.
-func (d *DistillerPairDevice) Array() *silicon.Array { return d.arr }

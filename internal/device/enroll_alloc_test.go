@@ -18,11 +18,11 @@ import (
 // the design-matrix factorization, the chain pair lists and the BCH
 // tables are shared per geometry and code, and must stay out of it.
 var enrollAllocCeiling = map[string]float64{
-	"seqpair":    9,  // measured 7
-	"tempco":     25, // measured 20
-	"groupbased": 34, // measured 27
-	"masking":    13, // measured 10
-	"chain":      10, // measured 8
+	"seqpair":    9,  // measured 6
+	"tempco":     25, // measured 19
+	"groupbased": 34, // measured 26
+	"masking":    13, // measured 9
+	"chain":      10, // measured 7
 }
 
 // TestEnrollReuseAllocs pins the allocations of the pooled enrollment

@@ -16,13 +16,10 @@ import (
 // same manipulation surface, but no usable failure-rate side channel.
 type FuzzyDevice struct {
 	base
-	arr    *silicon.Array
 	params FuzzyParams
 	pairs  []pairing.Pair
 	nvm    fuzzy.Helper
 	key    fuzzy.Key
-	// noise is the per-oracle measurement-noise state.
-	noise *silicon.Noise
 	// read is the reusable reconstruction state of the fixed chain,
 	// its sketch sized at enrollment; per-device, not
 	// concurrency-safe.
@@ -41,26 +38,16 @@ func EnrollFuzzy(p FuzzyParams, srcMfg, srcRun *rng.Source) (*FuzzyDevice, error
 	if p.EnrollReps < 1 {
 		return nil, fmt.Errorf("device: enrollment reps %d < 1", p.EnrollReps)
 	}
-	arr := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), srcMfg)
-	env := arr.Config().NominalEnv()
-	pairs := pairing.ChainPairs(p.Rows, p.Cols, false)
-	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveraged(env, noise, p.EnrollReps)
-	resp := pairing.Responses(f, pairs)
+	d := &FuzzyDevice{params: p, pairs: pairing.ChainPairs(p.Rows, p.Cols, false)}
+	env := d.manufacture(silicon.DefaultConfig(p.Rows, p.Cols), srcMfg, srcRun)
+	f := d.arr.MeasureAveraged(env, &d.noise, p.EnrollReps)
+	resp := pairing.Responses(f, d.pairs)
 	h, key, err := fuzzy.Enroll(resp, p.Extractor, srcRun)
 	if err != nil {
 		return nil, err
 	}
-	d := &FuzzyDevice{
-		base:   base{env: env},
-		arr:    arr,
-		params: p,
-		pairs:  pairs,
-		nvm:    h,
-		key:    key,
-		noise:  noise,
-	}
-	d.read.sketch.Size(p.Extractor.Code, len(pairs))
+	d.nvm, d.key = h, key
+	d.read.sketch.Size(p.Extractor.Code, len(d.pairs))
 	return d, nil
 }
 
@@ -84,7 +71,7 @@ func (d *FuzzyDevice) WriteHelper(h fuzzy.Helper) error {
 // extractor's reproduce and hash, allocation-free in steady state.
 func (d *FuzzyDevice) App() bool {
 	d.addQuery()
-	d.read.fill(d.arr, d.env, d.noise, d.pairs)
+	d.read.fill(d.arr, d.env, &d.noise, d.pairs)
 	got, err := fuzzy.Reconstruct(&d.read.sketch, d.params.Extractor, d.nvm)
 	return err == nil && got == d.key
 }

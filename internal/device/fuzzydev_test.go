@@ -64,7 +64,7 @@ func TestFuzzyAppMatchesDenseReference(t *testing.T) {
 			cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 			cfg.NoiseSigmaMHz = sigma
 			d.arr = silicon.NewArray(cfg, rng.New(51))
-			d.noise = d.arr.NewNoise(rng.New(53))
+			d.noise = *d.arr.NewNoise(rng.New(53))
 			honest := d.ReadHelper()
 			edge := d.ReadHelper()
 			for at := 0; at < edge.W.Len(); at += code.N() {
@@ -77,7 +77,7 @@ func TestFuzzyAppMatchesDenseReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for q := range 60 {
-					ref := *d.noise
+					ref := d.noise
 					want := outcomeOf(d, denseFuzzyRead(d, &ref))
 					ok := d.App()
 					// The sketch still holds the stream App read.
@@ -88,8 +88,8 @@ func TestFuzzyAppMatchesDenseReference(t *testing.T) {
 					if wantOK := want.err == nil && want.key == d.key; ok != wantOK {
 						t.Fatalf("robust=%v σ=%v query %d: App %v, dense reference %v", robust, sigma, q, ok, wantOK)
 					}
-					if *d.noise != ref {
-						t.Fatalf("robust=%v σ=%v query %d: App left the noise at %+v, reference at %+v", robust, sigma, q, *d.noise, ref)
+					if d.noise != ref {
+						t.Fatalf("robust=%v σ=%v query %d: App left the noise at %+v, reference at %+v", robust, sigma, q, d.noise, ref)
 					}
 					if want.err != nil {
 						failures++

@@ -22,7 +22,6 @@ import (
 // the enrolled one.
 type GroupBasedDevice struct {
 	base
-	arr    *silicon.Array
 	params groupbased.Params
 	nvm    groupbased.Helper
 	// enrolled is the original key; bind holds the key the application
@@ -30,46 +29,31 @@ type GroupBasedDevice struct {
 	// paper's "maliciously reprogrammed keys" scenario).
 	enrolled bitvec.Vector
 	bind     binding
-	// noise is the per-oracle measurement-noise state.
-	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see
 	// groupbased.Scratch); per-device, not concurrency-safe.
 	scratch groupbased.Scratch
 }
 
-// EnrollGroupBased manufactures and enrolls a device.
-func EnrollGroupBased(p groupbased.Params, srcMfg, srcRun *rng.Source) (*GroupBasedDevice, error) {
-	return EnrollGroupBasedReuse(nil, p, srcMfg, srcRun)
-}
-
-// EnrollGroupBasedReuse is EnrollGroupBased adopting a previously
-// enrolled device's backing storage (see EnrollSeqPairReuse for the
-// device-pool contract): bit-identical to a fresh enrollment, prev may
-// be nil, and prev must be discarded by the caller — even on error.
+// EnrollGroupBasedReuse manufactures and enrolls a device, adopting
+// prev's backing storage when non-nil (see EnrollSeqPairReuse for the
+// device-pool contract): bit-identical to a fresh enrollment, and prev
+// must be discarded by the caller — even on error.
 func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, srcRun *rng.Source) (*GroupBasedDevice, error) {
-	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
-	cfg.Noise = p.Noise
-	var prevArr *silicon.Array
-	if prev != nil {
-		prevArr = prev.arr
-	}
-	arr := prevArr.Remanufactured(cfg, srcMfg)
-	noise := arr.NewNoise(srcRun)
-	h, key, err := groupbased.Enroll(arr, p, srcRun, noise)
-	if err != nil {
-		return nil, err
-	}
 	d := prev
 	if d == nil {
 		d = &GroupBasedDevice{}
 	}
-	d.base.reset(arr.Config().NominalEnv())
-	d.arr = arr
+	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
+	cfg.Noise = p.Noise
+	d.manufacture(cfg, srcMfg, srcRun)
+	h, key, err := groupbased.Enroll(d.arr, p, srcRun, &d.noise)
+	if err != nil {
+		return nil, err
+	}
 	d.params = p
 	d.nvm = h
 	d.enrolled = key
 	d.bind.reset(key)
-	d.noise = noise
 	d.scratch.InvalidateSilicon()
 	return d, nil
 }
@@ -82,11 +66,6 @@ func (d *GroupBasedDevice) ReadHelper() groupbased.Helper {
 		Offset:   d.nvm.Offset.Clone(),
 	}
 }
-
-// HelperView returns the helper NVM sharing the device's storage — the
-// read-only fast path for marshaling consumers. Callers must not mutate
-// it or retain it across a WriteHelper.
-func (d *GroupBasedDevice) HelperView() groupbased.Helper { return d.nvm }
 
 // WriteHelper overwrites the helper NVM after the honest device's
 // structural validation, and re-binds the application key through
@@ -105,10 +84,9 @@ func (d *GroupBasedDevice) WriteHelper(h groupbased.Helper) error {
 		return fmt.Errorf("device: offset length %d not a block multiple", h.Offset.Len())
 	}
 	// Copy into the device-owned NVM buffers in place: helper writes are
-	// the attack loops' second hot path, and HelperView callers must not
-	// hold a view across a write (its documented contract). Safe under
-	// aliasing — appending a slice's own contents onto itself from index
-	// zero rewrites it with identical values.
+	// the attack loops' second hot path. Safe under aliasing — appending
+	// a slice's own contents onto itself from index zero rewrites it
+	// with identical values.
 	d.nvm = groupbased.Helper{
 		Poly:     distiller.Poly2D{P: h.Poly.P, Beta: append(d.nvm.Poly.Beta[:0], h.Poly.Beta...)},
 		Grouping: groupbased.Grouping{Assign: append(d.nvm.Grouping.Assign[:0], h.Grouping.Assign...)},
@@ -139,7 +117,7 @@ func (d *GroupBasedDevice) ReprovisionKey() {
 		d.bind.reset(bitvec.Vector{})
 		return
 	}
-	d.bind.reserve(d.noise, d.env)
+	d.bind.reserve(&d.noise, d.env)
 }
 
 // BindKey lets the attacker bind the application to a predicted key
@@ -156,7 +134,7 @@ func (d *GroupBasedDevice) App() bool {
 		key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, env, nm, &d.scratch)
 		d.bind.settle(key, key.Len(), err == nil)
 	}
-	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
+	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, &d.noise, &d.scratch)
 	return err == nil && d.bind.key.Len() > 0 && keysEqual(got, d.bind.key)
 }
 
@@ -165,9 +143,6 @@ func (d *GroupBasedDevice) TrueKey() bitvec.Vector { return d.enrolled.Clone() }
 
 // Params exposes the public device specification.
 func (d *GroupBasedDevice) Params() groupbased.Params { return d.params }
-
-// Array exposes the silicon for ground-truth evaluation only.
-func (d *GroupBasedDevice) Array() *silicon.Array { return d.arr }
 
 func clonePoly(p distiller.Poly2D) distiller.Poly2D {
 	return distiller.Poly2D{P: p.P, Beta: append([]float64(nil), p.Beta...)}

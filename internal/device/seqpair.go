@@ -31,13 +31,9 @@ type SeqPairHelperNVM struct {
 // SeqPairDevice is a deployed LISA device.
 type SeqPairDevice struct {
 	base
-	arr    *silicon.Array
-	params SeqPairParams
-	nvm    SeqPairHelperNVM
-	key    bitvec.Vector // enrolled key (secret, drives the observable)
-	// noise is the per-oracle measurement-noise state (the counter-mode
-	// sweep counter).
-	noise   *silicon.Noise
+	params  SeqPairParams
+	nvm     SeqPairHelperNVM
+	key     bitvec.Vector // enrolled key (secret, drives the observable)
 	scratch seqPairScratch
 }
 
@@ -58,54 +54,41 @@ func (d *SeqPairDevice) refreshScratch() {
 	sc.helperValid = true
 }
 
-// EnrollSeqPair manufactures and enrolls a device. srcMfg drives
+// EnrollSeqPairReuse manufactures and enrolls a device. srcMfg drives
 // manufacturing variability, srcRun drives enrollment noise, helper
 // randomization and all subsequent reconstruction noise.
-func EnrollSeqPair(p SeqPairParams, srcMfg, srcRun *rng.Source) (*SeqPairDevice, error) {
-	return EnrollSeqPairReuse(nil, p, srcMfg, srcRun)
-}
-
-// EnrollSeqPairReuse is EnrollSeqPair adopting a previously enrolled
-// device's backing storage: the device struct, its silicon component
-// buffers (Array.Remanufactured), and the warm scratch capacity are
-// reused in place of fresh allocations — the campaign device-pool path.
-// The result is bit-identical to a fresh EnrollSeqPair on the same
-// sources. prev may be nil (a fresh enrollment); prev must not be used
-// again by the caller — on error it is left mid-remanufacture and must
-// be discarded, not reused.
+//
+// A non-nil prev is a previously enrolled device whose backing storage
+// is adopted in place of fresh allocations — the device struct, its
+// silicon component buffers (Array.Remanufactured) and the warm scratch
+// capacity — the campaign device-pool path. The result is bit-identical
+// to a fresh enrollment (prev nil) on the same sources. prev must not
+// be used again by the caller — on error it is left mid-remanufacture
+// and must be discarded, not reused.
 func EnrollSeqPairReuse(prev *SeqPairDevice, p SeqPairParams, srcMfg, srcRun *rng.Source) (*SeqPairDevice, error) {
 	if p.Code == nil || p.EnrollReps < 1 {
 		return nil, fmt.Errorf("device: invalid seqpair params %+v", p)
 	}
+	d := prev
+	if d == nil {
+		d = &SeqPairDevice{}
+	}
 	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 	cfg.Noise = p.Noise
-	var prevArr *silicon.Array
-	if prev != nil {
-		prevArr = prev.arr
-	}
-	arr := prevArr.Remanufactured(cfg, srcMfg)
-	env := arr.Config().NominalEnv()
-	noise := arr.NewNoise(srcRun)
-	f := arr.MeasureAveraged(env, noise, p.EnrollReps)
+	env := d.manufacture(cfg, srcMfg, srcRun)
+	f := d.arr.MeasureAveraged(env, &d.noise, p.EnrollReps)
 	helper := pairing.EnrollSeqPair(f, p.ThresholdMHz, p.Policy, srcRun)
 	if len(helper.Pairs) == 0 {
 		return nil, fmt.Errorf("device: enrollment selected no pairs (threshold %v too high)", p.ThresholdMHz)
 	}
 	resp := pairing.Responses(f, helper.Pairs)
-	d := prev
-	if d == nil {
-		d = &SeqPairDevice{}
-	}
 	sk := &d.scratch.sketch
 	sk.Size(p.Code, resp.Len())
 	sk.Stream().PutAt(0, resp)
 	off := sk.Enroll(srcRun).Clone()
-	d.base.reset(env)
-	d.arr = arr
 	d.params = p
 	d.nvm = SeqPairHelperNVM{Pairs: helper, Offset: off}
 	d.key = resp
-	d.noise = noise
 	// The remanufactured array lives at the same pointer, so the
 	// readout cannot detect the content change: reset it explicitly
 	// along with the helper-derived caches.
@@ -122,13 +105,6 @@ func (d *SeqPairDevice) ReadHelper() SeqPairHelperNVM {
 	}
 }
 
-// HelperView returns the helper NVM content sharing the device's own
-// storage: a read-only fast path for serialization-style consumers
-// (adapters marshaling the NVM into an image) that would otherwise
-// deep-copy and immediately discard. Callers must not mutate it and must
-// not retain it across a WriteHelper.
-func (d *SeqPairDevice) HelperView() SeqPairHelperNVM { return d.nvm }
-
 // WriteHelper overwrites the helper NVM (attacker write access). The
 // device applies its structural sanity checks at write time and rejects
 // malformed content; the paper's attacks pass these checks by design.
@@ -140,9 +116,8 @@ func (d *SeqPairDevice) WriteHelper(h SeqPairHelperNVM) error {
 		return fmt.Errorf("device: offset length %d, want %d", h.Offset.Len(), d.nvm.Offset.Len())
 	}
 	// Copy into the device-owned NVM buffers in place: helper writes are
-	// the attack loops' second hot path, and the buffers' lifetimes are
-	// the device's own (HelperView callers must not hold a view across a
-	// write, which is its documented contract).
+	// the attack loops' second hot path, and the buffers are the
+	// device's own (ReadHelper hands out copies).
 	d.nvm.Pairs.Pairs = append(d.nvm.Pairs.Pairs[:0], h.Pairs.Pairs...)
 	h.Offset.CopyInto(d.nvm.Offset)
 	d.scratch.helperValid = false
@@ -169,7 +144,7 @@ func (d *SeqPairDevice) App() bool {
 		d.refreshScratch()
 	}
 	pairs := d.nvm.Pairs.Pairs
-	recovered, ok := sc.reproduce(d.arr, d.env, d.noise, pairs, d.nvm.Offset)
+	recovered, ok := sc.reproduce(d.arr, d.env, &d.noise, pairs, d.nvm.Offset)
 	return ok && len(pairs) == d.key.Len() && recovered.HasPrefix(d.key)
 }
 

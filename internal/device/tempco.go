@@ -12,53 +12,37 @@ import (
 // TempCoDevice is a deployed temperature-aware cooperative RO PUF.
 type TempCoDevice struct {
 	base
-	arr    *silicon.Array
 	params tempco.Params
 	nvm    tempco.Helper
 	key    bitvec.Vector
-	// noise is the per-oracle measurement-noise state.
-	noise *silicon.Noise
 	// scratch is the reusable reconstruction state (see tempco.Scratch);
 	// per-device, not concurrency-safe.
 	scratch tempco.Scratch
 }
 
-// EnrollTempCo manufactures and enrolls a device. The silicon config gets
-// a widened temperature-slope spread so the cooperating population is
-// non-trivial, mirroring the operating conditions the HOST 2009 proposal
-// targets.
-func EnrollTempCo(p tempco.Params, srcMfg, srcRun *rng.Source) (*TempCoDevice, error) {
-	return EnrollTempCoReuse(nil, p, srcMfg, srcRun)
-}
-
-// EnrollTempCoReuse is EnrollTempCo adopting a previously enrolled
-// device's backing storage (see EnrollSeqPairReuse for the device-pool
-// contract): bit-identical to a fresh enrollment, prev may be nil, and
-// prev must be discarded by the caller — even on error.
+// EnrollTempCoReuse manufactures and enrolls a device, adopting prev's
+// backing storage when non-nil (see EnrollSeqPairReuse for the
+// device-pool contract): bit-identical to a fresh enrollment, and prev
+// must be discarded by the caller — even on error. The silicon config
+// gets a widened temperature-slope spread so the cooperating population
+// is non-trivial, mirroring the operating conditions the HOST 2009
+// proposal targets.
 func EnrollTempCoReuse(prev *TempCoDevice, p tempco.Params, srcMfg, srcRun *rng.Source) (*TempCoDevice, error) {
-	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
-	cfg.TempCoefSigmaMHzPerC = 0.03
-	cfg.Noise = p.Noise
-	var prevArr *silicon.Array
-	if prev != nil {
-		prevArr = prev.arr
-	}
-	arr := prevArr.Remanufactured(cfg, srcMfg)
-	noise := arr.NewNoise(srcRun)
-	h, key, err := tempco.Enroll(arr, p, srcRun, noise)
-	if err != nil {
-		return nil, err
-	}
 	d := prev
 	if d == nil {
 		d = &TempCoDevice{}
 	}
-	d.base.reset(cfg.NominalEnv())
-	d.arr = arr
+	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
+	cfg.TempCoefSigmaMHzPerC = 0.03
+	cfg.Noise = p.Noise
+	d.manufacture(cfg, srcMfg, srcRun)
+	h, key, err := tempco.Enroll(d.arr, p, srcRun, &d.noise)
+	if err != nil {
+		return nil, err
+	}
 	d.params = p
 	d.nvm = h
 	d.key = key
-	d.noise = noise
 	d.scratch.InvalidateSilicon()
 	return d, nil
 }
@@ -71,9 +55,10 @@ func (d *TempCoDevice) ReadHelper() tempco.Helper {
 	}
 }
 
-// HelperView returns the helper NVM sharing the device's storage — the
-// read-only fast path for marshaling consumers. Callers must not mutate
-// it or retain it across a WriteHelper.
+// HelperView returns the helper NVM sharing the device's storage.
+// Callers must not mutate it or retain it across a WriteHelper. It
+// exists only for the benchmark driver under perfbench/; every other
+// reader goes through ReadHelper.
 func (d *TempCoDevice) HelperView() tempco.Helper { return d.nvm }
 
 // WriteHelper overwrites the helper NVM after structural validation.
@@ -100,7 +85,7 @@ func (d *TempCoDevice) WriteHelper(h tempco.Helper) error {
 // SeqPairDevice.App for the determinism contract).
 func (d *TempCoDevice) App() bool {
 	d.addQuery()
-	got, err := tempco.Reconstruct(d.arr, d.params, &d.nvm, d.env, d.noise, &d.scratch)
+	got, err := tempco.Reconstruct(d.arr, d.params, &d.nvm, d.env, &d.noise, &d.scratch)
 	return err == nil && keysEqual(got, d.key)
 }
 
@@ -109,6 +94,3 @@ func (d *TempCoDevice) TrueKey() bitvec.Vector { return d.key.Clone() }
 
 // Params exposes the public device specification.
 func (d *TempCoDevice) Params() tempco.Params { return d.params }
-
-// Array exposes the silicon instance for ground-truth evaluation only.
-func (d *TempCoDevice) Array() *silicon.Array { return d.arr }

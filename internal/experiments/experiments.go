@@ -330,7 +330,7 @@ func FuzzyResistance(seed uint64, queries int) (FuzzyResistanceResult, error) {
 		if srcSeed > seed+100 {
 			return FuzzyResistanceResult{}, fmt.Errorf("experiments: could not populate both bit classes")
 		}
-		d, err := device.EnrollSeqPair(device.SeqPairParams{
+		d, err := device.EnrollSeqPairReuse(nil, device.SeqPairParams{
 			Rows: 8, Cols: 16,
 			ThresholdMHz: 0.8,
 			Policy:       pairing.RandomizedStorage,
@@ -341,19 +341,16 @@ func FuzzyResistance(seed uint64, queries int) (FuzzyResistanceResult, error) {
 			return FuzzyResistanceResult{}, err
 		}
 		truth := d.TrueKey()
-		h := d.ReadHelper()
-		// Common offset t, then swap pairs 0 and 1.
+		// Common offset t, then swap pairs 0 and 1, on ReadHelper's copy.
+		manip := d.ReadHelper()
+		pairs := manip.Pairs.Pairs
 		tcap := d.Code().T()
-		manip := device.SeqPairHelperNVM{
-			Pairs:  pairing.SeqPairHelper{Pairs: append([]pairing.Pair(nil), h.Pairs.Pairs...)},
-			Offset: h.Offset,
-		}
 		inj := 0
-		for pos := 2; pos < len(manip.Pairs.Pairs) && inj < tcap; pos++ {
-			manip.Pairs.Pairs[pos] = manip.Pairs.Pairs[pos].Swapped()
+		for pos := 2; pos < len(pairs) && inj < tcap; pos++ {
+			pairs[pos] = pairs[pos].Swapped()
 			inj++
 		}
-		manip.Pairs.Pairs[0], manip.Pairs.Pairs[1] = manip.Pairs.Pairs[1], manip.Pairs.Pairs[0]
+		pairs[0], pairs[1] = pairs[1], pairs[0]
 		if err := d.WriteHelper(manip); err != nil {
 			return FuzzyResistanceResult{}, err
 		}

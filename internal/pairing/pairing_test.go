@@ -322,17 +322,20 @@ func TestSnakePathPanics(t *testing.T) {
 
 // TestDescendingOrderMatchesSortSlice pins DescendingOrder to the order
 // sort.Slice gave Algorithms 1 and 2 before, ties included, on
-// counter-quantized frequency maps (CounterWindowUS > 0), where most
-// oscillators share a frequency with another one.
+// frequency maps floored to a coarse counter grid (count = floor(f ·
+// window) edges per window µs), where most oscillators share a
+// frequency with another one.
 func TestDescendingOrderMatchesSortSlice(t *testing.T) {
 	for _, window := range []float64{0.5, 1, 2} {
 		ties := 0
 		for seed := uint64(1); seed <= 25; seed++ {
 			cfg := silicon.DefaultConfig(8, 16)
-			cfg.CounterWindowUS = window
 			a := silicon.NewArray(cfg, rng.New(seed))
 			nm := a.NewNoise(rng.New(seed + 1))
 			f := a.MeasureIntoWith(make([]float64, a.N()), cfg.NominalEnv(), nm)
+			for i := range f {
+				f[i] = math.Floor(f[i]*window) / window
+			}
 			want := make([]int, len(f))
 			for i := range want {
 				want[i] = i

@@ -14,23 +14,19 @@ func noiseTestArray(rows, cols int) *Array {
 
 // TestMeasureIntoWithMatchesScalar pins the dense sweep to the counter
 // definition: oscillator i of sweep s reads the variate keyed by
-// (noise key, s, i), with and without counter quantization.
+// (noise key, s, i).
 func TestMeasureIntoWithMatchesScalar(t *testing.T) {
-	for _, window := range []float64{0, 2.5} {
-		cfg := DefaultConfig(6, 7)
-		cfg.CounterWindowUS = window
-		a := NewArray(cfg, rng.New(1))
-		env := Environment{TempC: 40, VoltageV: 1.15}
-		nm := a.NewNoise(rng.New(99))
-		dst := make([]float64, a.N())
-		for sweep := uint64(0); sweep < 3; sweep++ {
-			a.MeasureIntoWith(dst, env, nm)
-			for i, got := range dst {
-				z := rng.BlockNorm(nm.key, sweep, uint64(i))
-				want := quantizeWindow(a.TrueFreq(i, env)+cfg.NoiseSigmaMHz*z, window)
-				if got != want {
-					t.Fatalf("window=%v sweep %d osc %d: dense %v != scalar %v", window, sweep, i, got, want)
-				}
+	cfg := DefaultConfig(6, 7)
+	a := NewArray(cfg, rng.New(1))
+	env := Environment{TempC: 40, VoltageV: 1.15}
+	nm := a.NewNoise(rng.New(99))
+	dst := make([]float64, a.N())
+	for sweep := uint64(0); sweep < 3; sweep++ {
+		a.MeasureIntoWith(dst, env, nm)
+		for i, got := range dst {
+			z := rng.BlockNorm(nm.key, sweep, uint64(i))
+			if want := a.TrueFreq(i, env) + cfg.NoiseSigmaMHz*z; got != want {
+				t.Fatalf("sweep %d osc %d: dense %v != scalar %v", sweep, i, got, want)
 			}
 		}
 	}

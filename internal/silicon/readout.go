@@ -18,11 +18,10 @@ import (
 //
 // The argument is an interval per oscillator. A variate z satisfies
 // |z| < rng.NormMax, so with s = fl(σ·NormMax) every rounding of
-// base + σz lies in [base − s, base + s] after rounding. Counter
-// quantization, floor and subtracting an offset are all monotone, so
-// the compared value v = q(base + σz) − off lies in
-// [lo, hi] = [q(base − s) − off, q(base + s) − off], and so does the
-// noise-free q(base) − off. When lo_i > hi_j (or lo_j > hi_i) the
+// base + σz lies in [base − s, base + s] after rounding. Subtracting an
+// offset is monotone, so the compared value v = (base + σz) − off lies
+// in [lo, hi] = [(base − s) − off, (base + s) − off], and so does the
+// noise-free base − off. When lo_i > hi_j (or lo_j > hi_i) the
 // outcome of comparing i with j is the same for every draw; otherwise
 // both are noisy and measured exactly. A non-finite bound (a NaN or
 // infinite offset) never separates.
@@ -103,9 +102,9 @@ func (r *Readout) bounds() {
 		panic(fmt.Sprintf("silicon: Readout offsets length %d, want %d", len(r.off), n))
 	}
 	base, lo, hi := r.vals[:n], r.vals[n:2*n], r.vals[2*n:3*n]
-	s, window := r.a.cfg.NoiseSigmaMHz*rng.NormMax, r.a.cfg.CounterWindowUS
+	s := r.a.cfg.NoiseSigmaMHz * rng.NormMax
 	for i, b := range base {
-		l, h := quantizeWindow(b-s, window), quantizeWindow(b+s, window)
+		l, h := b-s, b+s
 		if r.off != nil {
 			l -= r.off[i]
 			h -= r.off[i]
@@ -120,7 +119,7 @@ func (r *Readout) bounds() {
 
 // quiet returns oscillator i's noise-free compared value.
 func (r *Readout) quiet(i int) float64 {
-	v := quantizeWindow(r.vals[i], r.a.cfg.CounterWindowUS)
+	v := r.vals[i]
 	if r.off != nil {
 		v -= r.off[i]
 	}
@@ -189,9 +188,9 @@ func (r *Readout) Measure(nm *Noise) []float64 {
 	n := len(r.mark)
 	base, cur := r.vals[:n], r.vals[3*n:]
 	nm.FillIndices(cur, r.noisy)
-	sigma, window := r.a.cfg.NoiseSigmaMHz, r.a.cfg.CounterWindowUS
+	sigma := r.a.cfg.NoiseSigmaMHz
 	for _, i := range r.noisy {
-		v := quantizeWindow(base[i]+sigma*cur[i], window)
+		v := base[i] + sigma*cur[i]
 		if r.off != nil {
 			v -= r.off[i]
 		}

@@ -8,14 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// readoutSigmas and readoutWindows span the noise levels and counter
-// windows the differential checks run at: σ = 0 (every comparison
-// fixed or tied), the canonical 0.05, the conformance levels 0.3 and
-// 0.5, and 2.0, where most comparisons are noisy.
-var (
-	readoutSigmas  = []float64{0, 0.05, 0.3, 0.5, 2.0}
-	readoutWindows = []float64{0, 0.37, 5}
-)
+// readoutSigmas spans the noise levels the differential checks run at:
+// σ = 0 (every comparison fixed or tied), the canonical 0.05, the
+// conformance levels 0.3 and 0.5, and 2.0, where most comparisons are
+// noisy.
+var readoutSigmas = []float64{0, 0.05, 0.3, 0.5, 2.0}
 
 // readoutOffsets builds the offset vectors of the differential checks
 // for an n-oscillator array: none, a smooth surface, huge values that
@@ -114,45 +111,42 @@ func checkReadout(t testing.TB, a *Array, env Environment, off []float64, pairs 
 }
 
 // TestReadoutMatchesMeasureSparse is the readout's exactness check:
-// over every noise level, counter window and offset kind, random pair
-// lists and groups compare exactly as under a full noisy measurement
-// of the same sweeps.
+// over every noise level and offset kind, random pair lists and groups
+// compare exactly as under a full noisy measurement of the same sweeps.
 func TestReadoutMatchesMeasureSparse(t *testing.T) {
 	src := rng.New(2024)
 	for _, sigma := range readoutSigmas {
-		for _, window := range readoutWindows {
-			cfg := DefaultConfig(8, 16)
-			cfg.NoiseSigmaMHz, cfg.CounterWindowUS = sigma, window
-			a := NewArray(cfg, rng.New(7))
-			n := a.N()
-			for name, off := range readoutOffsets(n) {
-				nm := a.NewNoise(rng.New(11))
-				noisy, compared := 0, 0
-				for round := 0; round < 12; round++ {
-					env := cfg.NominalEnv()
-					if round%3 == 1 {
-						env.TempC = 85
-					}
-					pairs := make([][2]int, 1+src.Intn(40))
-					for k := range pairs {
-						pairs[k] = [2]int{src.Intn(n), src.Intn(n)}
-					}
-					order := make([]int, n)
-					src.Perm(order)
-					group := make([]int, 0, 8)
-					for _, i := range order[:2+src.Intn(6)] {
-						group = append(group, i)
-					}
-					k, c := checkReadout(t, a, env, off, pairs, [][]int{group}, nm, 10)
-					noisy += k
-					compared += c
+		cfg := DefaultConfig(8, 16)
+		cfg.NoiseSigmaMHz = sigma
+		a := NewArray(cfg, rng.New(7))
+		n := a.N()
+		for name, off := range readoutOffsets(n) {
+			nm := a.NewNoise(rng.New(11))
+			noisy, compared := 0, 0
+			for round := 0; round < 12; round++ {
+				env := cfg.NominalEnv()
+				if round%3 == 1 {
+					env.TempC = 85
 				}
-				if name == "nil" && sigma == 0.05 && noisy == compared {
-					t.Errorf("σ=%v window=%v: every compared oscillator is noisy", sigma, window)
+				pairs := make([][2]int, 1+src.Intn(40))
+				for k := range pairs {
+					pairs[k] = [2]int{src.Intn(n), src.Intn(n)}
 				}
-				if name == "nil" && sigma == 2.0 && noisy == 0 {
-					t.Errorf("σ=%v window=%v: no oscillator is noisy", sigma, window)
+				order := make([]int, n)
+				src.Perm(order)
+				group := make([]int, 0, 8)
+				for _, i := range order[:2+src.Intn(6)] {
+					group = append(group, i)
 				}
+				k, c := checkReadout(t, a, env, off, pairs, [][]int{group}, nm, 10)
+				noisy += k
+				compared += c
+			}
+			if name == "nil" && sigma == 0.05 && noisy == compared {
+				t.Errorf("σ=%v: every compared oscillator is noisy", sigma)
+			}
+			if name == "nil" && sigma == 2.0 && noisy == 0 {
+				t.Errorf("σ=%v: no oscillator is noisy", sigma)
 			}
 		}
 	}
@@ -160,38 +154,36 @@ func TestReadoutMatchesMeasureSparse(t *testing.T) {
 
 // TestReadoutBoundsCoverNormMax pins the width of the readout's
 // intervals to the exactness argument: every oscillator's interval
-// must contain quantize(base ± σ·NormMax) − off, the extreme compared
-// values a variate can produce. A narrower bound passes the
-// differential checks, because draws beyond 3σ are too rare to sample,
-// yet lets a far draw flip a comparison the readout reads noise-free.
+// must contain base ± σ·NormMax − off, the extreme compared values a
+// variate can produce. A narrower bound passes the differential
+// checks, because draws beyond 3σ are too rare to sample, yet lets a
+// far draw flip a comparison the readout reads noise-free.
 func TestReadoutBoundsCoverNormMax(t *testing.T) {
 	for _, sigma := range readoutSigmas {
-		for _, window := range readoutWindows {
-			cfg := DefaultConfig(8, 16)
-			cfg.NoiseSigmaMHz, cfg.CounterWindowUS = sigma, window
-			a := NewArray(cfg, rng.New(7))
-			n := a.N()
-			env := cfg.NominalEnv()
-			base := make([]float64, n)
-			a.TrueFreqInto(base, env)
-			offs := readoutOffsets(n)
-			for _, name := range []string{"nil", "smooth"} {
-				off := offs[name]
-				var ro Readout
-				ro.SetOffsets(off)
-				ro.Stale(a, env)
-				lo, hi := ro.vals[n:2*n], ro.vals[2*n:3*n]
-				s := sigma * rng.NormMax
-				for i, b := range base {
-					wantLo, wantHi := quantizeWindow(b-s, window), quantizeWindow(b+s, window)
-					if off != nil {
-						wantLo -= off[i]
-						wantHi -= off[i]
-					}
-					if lo[i] > wantLo || hi[i] < wantHi {
-						t.Fatalf("σ=%v window=%v offsets=%s: osc %d interval [%v, %v] misses [%v, %v]",
-							sigma, window, name, i, lo[i], hi[i], wantLo, wantHi)
-					}
+		cfg := DefaultConfig(8, 16)
+		cfg.NoiseSigmaMHz = sigma
+		a := NewArray(cfg, rng.New(7))
+		n := a.N()
+		env := cfg.NominalEnv()
+		base := make([]float64, n)
+		a.TrueFreqInto(base, env)
+		offs := readoutOffsets(n)
+		for _, name := range []string{"nil", "smooth"} {
+			off := offs[name]
+			var ro Readout
+			ro.SetOffsets(off)
+			ro.Stale(a, env)
+			lo, hi := ro.vals[n:2*n], ro.vals[2*n:3*n]
+			s := sigma * rng.NormMax
+			for i, b := range base {
+				wantLo, wantHi := b-s, b+s
+				if off != nil {
+					wantLo -= off[i]
+					wantHi -= off[i]
+				}
+				if lo[i] > wantLo || hi[i] < wantHi {
+					t.Fatalf("σ=%v offsets=%s: osc %d interval [%v, %v] misses [%v, %v]",
+						sigma, name, i, lo[i], hi[i], wantLo, wantHi)
 				}
 			}
 		}
@@ -251,17 +243,16 @@ func TestReadoutFollowsChanges(t *testing.T) {
 }
 
 // FuzzReadout runs the differential check of
-// TestReadoutMatchesMeasureSparse on fuzzer-chosen noise level, window,
+// TestReadoutMatchesMeasureSparse on fuzzer-chosen noise level,
 // offsets and comparisons.
 func FuzzReadout(f *testing.F) {
-	f.Add(uint64(1), uint8(1), uint8(0), uint8(0), []byte{0, 1, 2, 3, 17, 18, 40, 41})
-	f.Add(uint64(2), uint8(3), uint8(1), uint8(1), []byte{5, 5, 9, 100, 127, 0})
-	f.Add(uint64(3), uint8(4), uint8(2), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	f.Add(uint64(4), uint8(0), uint8(2), uint8(2), []byte{})
-	f.Fuzz(func(t *testing.T, seed uint64, sigmaSel, windowSel, offSel uint8, comparisons []byte) {
+	f.Add(uint64(1), uint8(1), uint8(0), []byte{0, 1, 2, 3, 17, 18, 40, 41})
+	f.Add(uint64(2), uint8(3), uint8(1), []byte{5, 5, 9, 100, 127, 0})
+	f.Add(uint64(3), uint8(4), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add(uint64(4), uint8(0), uint8(2), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, sigmaSel, offSel uint8, comparisons []byte) {
 		cfg := DefaultConfig(8, 16)
 		cfg.NoiseSigmaMHz = readoutSigmas[int(sigmaSel)%len(readoutSigmas)]
-		cfg.CounterWindowUS = readoutWindows[int(windowSel)%len(readoutWindows)]
 		a := NewArray(cfg, rng.New(seed))
 		n := a.N()
 		offs := readoutOffsets(n)

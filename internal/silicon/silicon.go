@@ -8,8 +8,7 @@
 //   - systematic, spatially correlated variation modeled as a smooth
 //     polynomial surface over the die (Fig. 2 of the paper, after
 //     Sedcole & Cheung's FPGA measurements),
-//   - measurement noise for every frequency read-out, plus counter
-//     quantization,
+//   - measurement noise for every frequency read-out,
 //   - a linear temperature dependence with a per-RO slope spread, so
 //     that pairwise frequency curves cross over temperature exactly as in
 //     Fig. 3 of the paper (good / bad / cooperating pairs), and
@@ -78,12 +77,6 @@ type Config struct {
 	ReferenceTempC  float64
 	NominalVoltageV float64
 
-	// CounterWindowUS, when positive, enables counter quantization: a
-	// measurement counts rising edges during this many microseconds and
-	// the returned frequency is count / window (the paper's "counter
-	// values are discrete" remark, the root of the ∆f = 0 bias).
-	CounterWindowUS float64
-
 	// Noise names the measurement-noise contract (see noise.go). It is
 	// single-valued: the zero value NoiseCounter is the only accepted
 	// model.
@@ -135,7 +128,6 @@ func (c Config) Validate() error {
 		{"VoltCoefMHzPerV", c.VoltCoefMHzPerV},
 		{"ReferenceTempC", c.ReferenceTempC},
 		{"NominalVoltageV", c.NominalVoltageV},
-		{"CounterWindowUS", c.CounterWindowUS},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("silicon: %s = %v is not finite", f.name, f.v)
@@ -151,19 +143,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("silicon: unknown noise model %d", int(c.Noise))
 	}
 	return nil
-}
-
-// quantizeWindow applies counter quantization for a positive window:
-// count = floor(f_MHz * window_us) edges, scaled back — flooring toward
-// zero, the usual ripple-counter behaviour. It is the single source of
-// the quantization rule; the measurement loops hoist the window out of
-// Config (a plain float argument inlines, a large-struct method
-// receiver copies Config per call) and all feed through here.
-func quantizeWindow(f, window float64) float64 {
-	if window > 0 {
-		return math.Floor(f*window) / window
-	}
-	return f
 }
 
 // NominalEnv returns the enrollment environment of the config.
@@ -289,16 +268,15 @@ func (a *Array) TrueFreq(i int, env Environment) float64 {
 
 // MeasureIntoWith measures every oscillator once into a caller-owned
 // buffer of length N: one sweep of variates (nm.FillAll), then the
-// per-oscillator frequency model and counter quantization. It returns
-// dst.
+// per-oscillator frequency model. It returns dst.
 func (a *Array) MeasureIntoWith(dst []float64, env Environment, nm *Noise) []float64 {
 	if len(dst) != a.N() {
 		panic(fmt.Sprintf("silicon: MeasureIntoWith buffer length %d, want %d", len(dst), a.N()))
 	}
 	nm.FillAll(dst)
-	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
+	sigma := a.cfg.NoiseSigmaMHz
 	for i := range dst {
-		dst[i] = quantizeWindow(a.TrueFreq(i, env)+sigma*dst[i], window)
+		dst[i] = a.TrueFreq(i, env) + sigma*dst[i]
 	}
 	return dst
 }
@@ -316,9 +294,9 @@ func (a *Array) MeasureSparse(dst []float64, idxs []int, env Environment, nm *No
 		panic(fmt.Sprintf("silicon: MeasureSparse buffer length %d, want %d", len(dst), a.N()))
 	}
 	nm.FillIndices(dst, idxs)
-	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
+	sigma := a.cfg.NoiseSigmaMHz
 	for _, i := range idxs {
-		dst[i] = quantizeWindow(a.TrueFreq(i, env)+sigma*dst[i], window)
+		dst[i] = a.TrueFreq(i, env) + sigma*dst[i]
 	}
 	return dst
 }
@@ -348,11 +326,11 @@ func (a *Array) MeasureAveraged(env Environment, nm *Noise, reps int) []float64 
 	n := a.N()
 	dst, scratch := make([]float64, n), make([]float64, 2*n)
 	row, base := scratch[:n], a.TrueFreqInto(scratch[n:], env)
-	sigma, window := a.cfg.NoiseSigmaMHz, a.cfg.CounterWindowUS
+	sigma := a.cfg.NoiseSigmaMHz
 	for r := 0; r < reps; r++ {
 		nm.FillAll(row)
 		for i := range dst {
-			dst[i] += quantizeWindow(base[i]+sigma*row[i], window)
+			dst[i] += base[i] + sigma*row[i]
 		}
 	}
 	inv := 1 / float64(reps)

@@ -64,7 +64,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config, v float64) { c.VoltCoefMHzPerV = v },
 		func(c *Config, v float64) { c.ReferenceTempC = v },
 		func(c *Config, v float64) { c.NominalVoltageV = v },
-		func(c *Config, v float64) { c.CounterWindowUS = v },
 	} {
 		for _, v := range []float64{nan, inf, -inf} {
 			cfg := DefaultConfig(4, 4)
@@ -77,14 +76,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			t.Errorf("case %d: expected validation error for %+v", i, cfg)
 		}
 	}
-	// The default validates, and a non-positive counter window still
-	// means "no quantization".
-	for _, w := range []float64{0, -1, 0.37} {
-		cfg := DefaultConfig(8, 16)
-		cfg.CounterWindowUS = w
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("window %v: %v", w, err)
-		}
+	if err := DefaultConfig(8, 16).Validate(); err != nil {
+		t.Errorf("default config: %v", err)
 	}
 }
 
@@ -294,23 +287,6 @@ func TestMeasureAveragedReducesNoise(t *testing.T) {
 	}
 	if errAvg >= errSingle/2 {
 		t.Fatalf("averaging did not reduce error: single %v avg %v", errSingle/trials, errAvg/trials)
-	}
-}
-
-func TestCounterQuantization(t *testing.T) {
-	cfg := DefaultConfig(2, 2)
-	cfg.NoiseSigmaMHz = 0
-	cfg.CounterWindowUS = 10 // resolution 0.1 MHz
-	a := NewArray(cfg, rng.New(3))
-	env := cfg.NominalEnv()
-	for i, m := range a.MeasureIntoWith(make([]float64, a.N()), env, a.NewNoise(rng.New(4))) {
-		scaled := m * cfg.CounterWindowUS
-		if math.Abs(scaled-math.Round(scaled)) > 1e-9 {
-			t.Fatalf("measurement %v not on the counter grid", m)
-		}
-		if m > a.TrueFreq(i, env) {
-			t.Fatal("floor quantization must not exceed the true value (noiseless)")
-		}
 	}
 }
 
