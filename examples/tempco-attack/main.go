@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/device"
@@ -56,16 +58,16 @@ func main() {
 		det.Calibration.PNominal, det.Calibration.PElevated)
 	fmt.Printf("  recovered %d cooperating-pair relations relative to pair %d\n",
 		len(det.XorWithRef), det.RefIdx)
-	for x, differs := range det.XorWithRef {
+	for _, x := range slices.Sorted(maps.Keys(det.XorWithRef)) {
 		rel := "equals"
-		if differs {
+		if det.XorWithRef[x] {
 			rel = "differs from"
 		}
 		fmt.Printf("    bit of pair %3d %s bit of pair %d\n", x, rel, det.RefIdx)
 	}
 	fmt.Printf("  ABSOLUTELY recovered good-pair (mask) bits: %d\n", len(det.MaskBits))
-	for g, bit := range det.MaskBits {
-		fmt.Printf("    good pair %3d carries bit %d\n", g, b2i(bit))
+	for _, g := range slices.Sorted(maps.Keys(det.MaskBits)) {
+		fmt.Printf("    good pair %3d carries bit %d\n", g, b2i(det.MaskBits[g]))
 	}
 	fmt.Printf("  total oracle queries: %d (skipped %d pairs unstable at ambient)\n",
 		res.Queries, len(det.Skipped))

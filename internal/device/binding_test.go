@@ -267,14 +267,19 @@ func TestDeferredBindingMatchesRecordedOutcomes(t *testing.T) {
 			"write-env-app":     "|111|101|111|111|001|011 q=18",
 			"write-write-app":   "|111|010|011|110|000|010 q=18",
 		}},
-		{OverlappingChain, 0, 3, 75, map[string]string{
-			"env-write-env-app": "|101|000|000|000|111|111 q=18",
-			"reprovision":       "1010|00000000|00000000 q=20",
+		// At 75 C, where these vectors were first recorded, the current
+		// enrollment draw leaves a response bit that reconstructions
+		// there get wrong on every sweep the scripts draw; the written
+		// offset flips use the whole error budget, so three scripts
+		// read constant zeros. At 60 C every script's outcomes are mixed.
+		{OverlappingChain, 0, 3, 60, map[string]string{
+			"env-write-env-app": "|101|000|000|111|111|111 q=18",
+			"reprovision":       "1010|01011111|10101101 q=20",
 			"reuse":             "1|11111111|1111111111111111 q=24",
-			"write-app":         "101000001100100110111000 q=24",
-			"write-bind-app":    "|101000001100|001101110000 q=24",
-			"write-env-app":     "|101|000|110|100|101|100 q=18",
-			"write-write-app":   "|010|000|000|101|000|000 q=18",
+			"write-app":         "101010101111101101011011 q=24",
+			"write-bind-app":    "|101010101111|011010110110 q=24",
+			"write-env-app":     "|101|101|111|101|010|101 q=18",
+			"write-write-app":   "|010|000|110|010|011|000 q=18",
 		}},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {

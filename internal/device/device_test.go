@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/distiller"
 	"repro/internal/ecc"
 	"repro/internal/fuzzy"
 	"repro/internal/groupbased"
@@ -261,6 +262,55 @@ func TestDistillerPairDeviceModes(t *testing.T) {
 		}
 		if mode == OverlappingChain && len(d.BasePairs()) != 39 {
 			t.Fatalf("%v: %d base pairs, want 39", mode, len(d.BasePairs()))
+		}
+	}
+}
+
+// TestDistillerPairFirstAppReusesEnrolledSurface pins enrollment's
+// evaluation of the distiller surface into the device's grid: the
+// first App finds it unchanged (Grid.Eval reports no change), and the
+// App outcomes equal those of a twin whose grid is dropped after
+// enrollment, so that its first App evaluates the surface again. Each
+// device is enrolled into the previous one's carcass, the pool path.
+func TestDistillerPairFirstAppReusesEnrolledSurface(t *testing.T) {
+	edge := silicon.Environment{TempC: 95, VoltageV: 1.2}
+	for _, mode := range []PairingMode{MaskedChain, OverlappingChain} {
+		p := DistillerPairParams{
+			Rows: 4, Cols: 10,
+			Degree:     2,
+			Mode:       mode,
+			K:          2,
+			Code:       ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3}),
+			EnrollReps: 15,
+		}
+		var pooled *DistillerPairDevice
+		outcomes := map[bool]int{}
+		for seed := uint64(1); seed <= 8; seed++ {
+			var err error
+			pooled, err = EnrollDistillerPairReuse(pooled, p, rng.New(40+seed), rng.New(50+seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, changed := pooled.scratch.grid.Eval(pooled.nvm.Poly, p.Rows, p.Cols); changed {
+				t.Fatalf("%v seed %d: the first App would evaluate the enrolled surface again", mode, seed)
+			}
+			twin, err := EnrollDistillerPairReuse(nil, p, rng.New(40+seed), rng.New(50+seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin.scratch.grid = distiller.Grid{}
+			pooled.SetEnvironment(edge)
+			twin.SetEnvironment(edge)
+			got, want := appTrace(pooled, 16), appTrace(twin, 16)
+			if !tracesEqual(got, want) {
+				t.Fatalf("%v seed %d: App outcomes %v, with the surface evaluated again %v", mode, seed, got, want)
+			}
+			for _, ok := range got {
+				outcomes[ok]++
+			}
+		}
+		if outcomes[true] == 0 || outcomes[false] == 0 {
+			t.Fatalf("%v: outcomes %v; the comparison needs both", mode, outcomes)
 		}
 	}
 }

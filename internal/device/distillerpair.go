@@ -142,7 +142,11 @@ func EnrollDistillerPairReuse(prev *DistillerPairDevice, p DistillerPairParams, 
 	if err != nil {
 		return nil, err
 	}
-	resid := distiller.Distill(p.Rows, p.Cols, f, poly)
+	// The enrolled surface is evaluated once, into the device's grid:
+	// the first App finds it there unchanged.
+	grid, _ := d.scratch.grid.Eval(poly, p.Rows, p.Cols)
+	d.scratch.ro.SetOffsets(grid)
+	resid := distiller.DistillWithGrid(nil, f, grid)
 
 	// basePair is fixed by the architecture (geometry and mode), not by
 	// the silicon instance — keep prev's list when those match. The

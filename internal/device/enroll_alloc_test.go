@@ -20,9 +20,9 @@ import (
 var enrollAllocCeiling = map[string]float64{
 	"seqpair":    9,  // measured 6
 	"tempco":     25, // measured 19
-	"groupbased": 34, // measured 26
-	"masking":    13, // measured 9
-	"chain":      10, // measured 7
+	"groupbased": 13, // measured 10
+	"masking":    10, // measured 8
+	"chain":      8,  // measured 6
 }
 
 // TestEnrollReuseAllocs pins the allocations of the pooled enrollment

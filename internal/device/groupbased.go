@@ -46,7 +46,7 @@ func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, 
 	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
 	cfg.Noise = p.Noise
 	d.manufacture(cfg, srcMfg, srcRun)
-	h, key, err := groupbased.Enroll(d.arr, p, srcRun, &d.noise)
+	h, key, err := groupbased.Enroll(d.arr, p, srcRun, &d.noise, &d.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,6 @@ func EnrollGroupBasedReuse(prev *GroupBasedDevice, p groupbased.Params, srcMfg, 
 	d.nvm = h
 	d.enrolled = key
 	d.bind.reset(key)
-	d.scratch.InvalidateSilicon()
 	return d, nil
 }
 

@@ -17,7 +17,7 @@ import (
 // enroll runs Enroll the way the devices do: the noise key is src's
 // first draw, and src then drives the enrollment randomness.
 func enroll(a *silicon.Array, p Params, src *rng.Source) (Helper, bitvec.Vector, error) {
-	return Enroll(a, p, src, a.NewNoise(src))
+	return Enroll(a, p, src, a.NewNoise(src), new(Scratch))
 }
 
 // reconstruct runs one Reconstruct against fresh scratch, so each call
@@ -352,9 +352,10 @@ func BenchmarkEnroll8x16(b *testing.B) {
 	a := silicon.NewArray(silicon.DefaultConfig(p.Rows, p.Cols), rng.New(1))
 	src := rng.New(2)
 	nm := a.NewNoise(src)
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Enroll(a, p, src, nm); err != nil {
+		if _, _, err := Enroll(a, p, src, nm, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

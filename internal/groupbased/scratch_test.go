@@ -325,3 +325,54 @@ func TestReconstructMatchesNoisyReference(t *testing.T) {
 		t.Fatalf("%d noisy and %d quiet reads, %d of %d failed: every path must be exercised", noisy, quiet, failures, queries)
 	}
 }
+
+// TestEnrollSeedsScratch pins enrollment into a reconstruction scratch:
+// the enrolled surface is already in the scratch's grid (the first
+// Reconstruct's Grid.Eval reports no change), and every Reconstruct
+// with the enrolled helper returns what one with a fresh scratch
+// returns for the same sweep. The scratch is reused across enrollments
+// of re-drawn silicon under one array pointer, the device-pool path.
+func TestEnrollSeedsScratch(t *testing.T) {
+	p := testParams()
+	cfg := silicon.DefaultConfig(p.Rows, p.Cols)
+	edge := silicon.Environment{TempC: 90, VoltageV: 1.1}
+	var a *silicon.Array
+	var sc Scratch
+	failed, succeeded := 0, 0
+	for seed := uint64(1); seed <= 6; seed++ {
+		a = a.Remanufactured(cfg, rng.New(700+seed))
+		src := rng.New(800 + seed)
+		h, key, err := Enroll(a, p, src, a.NewNoise(src), &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, changed := sc.grid.Eval(h.Poly, p.Rows, p.Cols); changed {
+			t.Fatalf("seed %d: enrollment left the enrolled surface out of the scratch grid", seed)
+		}
+		nm := a.NewNoise(rng.New(900 + seed))
+		// Queries alternate nominal and edge, starting and ending at
+		// nominal: the next seed's first query reads the environment of
+		// this seed's last, where a readout holding the previous
+		// silicon's frequencies would still read them.
+		for q := 0; q < 15; q++ {
+			env := a.Config().NominalEnv()
+			if q%2 == 1 {
+				env = edge
+			}
+			twin := *nm
+			got, gotErr := Reconstruct(a, p, &h, env, nm, &sc)
+			want, wantErr := Reconstruct(a, p, &h, env, &twin, new(Scratch))
+			if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !got.Equal(want)) {
+				t.Fatalf("seed %d query %d: enrolled scratch gives %v/%v, fresh scratch %v/%v", seed, q, got, gotErr, want, wantErr)
+			}
+			if gotErr == nil && got.Equal(key) {
+				succeeded++
+			} else {
+				failed++
+			}
+		}
+	}
+	if failed == 0 || succeeded == 0 {
+		t.Fatalf("%d reconstructions recovered the key and %d did not; the comparison needs both", succeeded, failed)
+	}
+}

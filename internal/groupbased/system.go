@@ -170,7 +170,11 @@ func Entropy(g *Grouping) float64 {
 
 // Enroll manufactures the helper data and enrolled key of a device.
 // Measurement noise comes from nm; src drives the code-offset draw.
-func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Helper, bitvec.Vector, error) {
+// Enrollment runs in the caller's reconstruction scratch sc, as a query
+// does: the distiller surface is evaluated into its grid and the
+// grouping laid out once, so the first Reconstruct with the enrolled
+// helper reuses both. The returned helper and key are caller-owned.
+func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise, sc *Scratch) (Helper, bitvec.Vector, error) {
 	if err := p.Validate(); err != nil {
 		return Helper{}, bitvec.Vector{}, err
 	}
@@ -180,25 +184,28 @@ func Enroll(a *silicon.Array, p Params, src *rng.Source, nm *silicon.Noise) (Hel
 	if err != nil {
 		return Helper{}, bitvec.Vector{}, err
 	}
-	residuals := distiller.Distill(p.Rows, p.Cols, f, poly)
+	// a holds fresh silicon, possibly under a pointer sc has seen.
+	sc.InvalidateSilicon()
+	grid, _ := sc.grid.Eval(poly, p.Rows, p.Cols)
+	sc.ro.SetOffsets(grid)
+	residuals := distiller.DistillWithGrid(nil, f, grid)
 	grouping := GroupLimited(residuals, p.ThresholdMHz, p.maxGroupSize())
-	// Code the grouping through the reconstruction scratch, as a device
-	// does per query: the member lists are laid out once, and the
-	// per-group orders go straight into the sketch's padded stream.
-	var sc Scratch
-	if err := sc.layout(grouping.Assign, a.N()); err != nil {
+	// Code the grouping as a query does: the member lists are laid out
+	// once, and the per-group orders go straight into the sketch's
+	// padded stream.
+	if err := sc.Layout(&grouping, a.N()); err != nil {
 		return Helper{}, bitvec.Vector{}, fmt.Errorf("groupbased: enrollment grouping: %w", err)
 	}
 	sc.sketch.Size(p.Code, sc.streamLen)
 	padded := sc.sketch.Stream()
 	sc.encode(residuals, padded)
-	offset := sc.sketch.Enroll(src)
-	sc.key = bitvec.New(sc.keyLen)
+	offset := sc.sketch.Enroll(src).Clone()
+	sc.key = sc.key.Resized(sc.keyLen)
 	key, err := sc.packKeyInto(padded)
 	if err != nil {
 		return Helper{}, bitvec.Vector{}, fmt.Errorf("groupbased: enrollment self-check: %w", err)
 	}
-	return Helper{Poly: poly, Grouping: grouping, Offset: offset}, key, nil
+	return Helper{Poly: poly, Grouping: grouping, Offset: offset}, key.Clone(), nil
 }
 
 // Scratch carries the reusable buffers of Reconstruct. A zero value

@@ -9,6 +9,14 @@
 // per-sweep noise is embarrassingly parallel. Transcripts are pinned by
 // the goldens under testdata/transcripts/.
 //
+// An enrollment average of reps sweeps is drawn from its exact law: the
+// noise is unquantized and independent across sweeps and oscillators,
+// so the mean of reps sweeps is N(TrueFreq, σ²/reps) per oscillator,
+// and Array.MeasureAveraged returns one sweep scaled by σ/√reps. It
+// still reserves all reps sweep indices, so the noise of every later
+// measurement is the one a sweep-by-sweep average would have left, and
+// at reps = 1 it is bit-identical to one dense sweep (σ/√1 = σ).
+//
 // A Noise carries the per-oracle sweep counter and is NOT safe for
 // concurrent use; each device constructs its own via Array.NewNoise.
 package silicon

@@ -140,42 +140,94 @@ func TestNoiseForkIndependence(t *testing.T) {
 	}
 }
 
-// TestMeasureAveragedMatchesScalar pins the enrollment averaging
-// arithmetic: per oscillator, the sum of reps consecutive dense sweeps
-// accumulated in sweep order, then multiplied (not divided) by 1/reps.
-func TestMeasureAveragedMatchesScalar(t *testing.T) {
+// TestMeasureAveragedIsOneScaledSweep pins the averaged measurement bit
+// for bit: TrueFreq + (σ/√reps)·z, where z is the FillAll of the first
+// of reps reserved sweeps; one MeasureIntoWith sweep at reps = 1; and
+// the next sweep drawn after the call is start + reps.
+func TestMeasureAveragedIsOneScaledSweep(t *testing.T) {
 	a := noiseTestArray(8, 16)
 	env := Environment{TempC: 60, VoltageV: 1.22}
+	n := a.N()
 	for _, reps := range []int{1, 3, 25, 64} {
-		twin := a.NewNoise(rng.New(uint64(reps)))
-		ref := make([]float64, a.N())
-		sweep := make([]float64, a.N())
-		for r := 0; r < reps; r++ {
-			a.MeasureIntoWith(sweep, env, twin)
-			for i := range ref {
-				ref[i] += sweep[i]
-			}
-		}
-		inv := 1 / float64(reps)
-		for i := range ref {
-			ref[i] *= inv
-		}
 		nm := a.NewNoise(rng.New(uint64(reps)))
+		nm.sweep = 7
+		start := *nm
 		got := a.MeasureAveraged(env, nm, reps)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("reps %d osc %d: %v != reference %v", reps, i, got[i], ref[i])
+
+		first, z := start, make([]float64, n)
+		first.FillAll(z)
+		scale := a.Config().NoiseSigmaMHz / math.Sqrt(float64(reps))
+		for i := range got {
+			if want := a.TrueFreq(i, env) + scale*z[i]; got[i] != want {
+				t.Fatalf("reps %d osc %d: %v != TrueFreq + (σ/√reps)·z = %v", reps, i, got[i], want)
 			}
 		}
-		if nm.sweep != twin.sweep {
-			t.Fatalf("reps %d: averaging consumed %d sweeps, want %d", reps, nm.sweep, twin.sweep)
+		if reps == 1 {
+			one := start
+			ref := a.MeasureIntoWith(make([]float64, n), env, &one)
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("reps 1 osc %d: %v != one MeasureIntoWith sweep %v", i, got[i], ref[i])
+				}
+			}
+		}
+
+		next, want := make([]float64, n), make([]float64, n)
+		nm.FillAll(next)
+		after := Noise{key: start.key, sweep: start.sweep + uint64(reps)}
+		after.FillAll(want)
+		for i := range next {
+			if next[i] != want[i] {
+				t.Fatalf("reps %d: the next FillAll does not draw sweep start+reps (osc %d)", reps, i)
+			}
+		}
+	}
+}
+
+// TestMeasureAveragedDistribution checks the averaged measurement
+// against its exact law, N(TrueFreq, σ²/reps) per oscillator, over
+// 2000 noise keys × 32 oscillators per cell. The sample mean of
+// avg − TrueFreq must lie within 4 standard errors (σ/√(reps·m)) of 0,
+// and the sample variance within 5 standard deviations of σ²/reps under
+// the normal approximation of (m−1)s²/(σ²/reps) ~ χ²(m−1), i.e.
+// |s²·reps/σ² − 1| ≤ 5·√(2/(m−1)) (about 2.8% at m = 64000). Scaling the
+// sweep by σ (variance ratio reps) or by σ/reps (ratio 1/reps) fails
+// every cell with reps > 1.
+func TestMeasureAveragedDistribution(t *testing.T) {
+	const keys = 2000
+	for _, sigma := range []float64{0.05, 0.3, 0.5} {
+		cfg := DefaultConfig(4, 8)
+		cfg.NoiseSigmaMHz = sigma
+		a := NewArray(cfg, rng.New(1))
+		env := cfg.NominalEnv()
+		truth := a.TrueFreqInto(make([]float64, a.N()), env)
+		for _, reps := range []int{1, 9, 20, 25} {
+			src := rng.New(uint64(1000*reps) + uint64(sigma*100))
+			var sum, sumSq float64
+			for k := 0; k < keys; k++ {
+				avg := a.MeasureAveraged(env, a.NewNoise(src), reps)
+				for i, f := range avg {
+					d := f - truth[i]
+					sum += d
+					sumSq += d * d
+				}
+			}
+			m := float64(keys * a.N())
+			want := sigma * sigma / float64(reps)
+			mean := sum / m
+			variance := (sumSq - m*mean*mean) / (m - 1)
+			if se := math.Sqrt(want / m); math.Abs(mean) > 4*se {
+				t.Errorf("σ %v reps %d: mean error %.3g beyond 4 standard errors (%.3g)", sigma, reps, mean, 4*se)
+			}
+			if ratio, tol := variance/want, 5*math.Sqrt(2/(m-1)); math.Abs(ratio-1) > tol {
+				t.Errorf("σ %v reps %d: variance %.4g is %.4f × σ²/reps, outside 1 ± %.4f", sigma, reps, variance, ratio, tol)
+			}
 		}
 	}
 }
 
 // TestMeasureAveragedAllocsIndependentOfReps is the enrollment-path
-// allocs fence: the result and one sweep's working space, whatever the
-// number of sweeps.
+// allocs fence: the result and one sweep's variates, whatever reps.
 func TestMeasureAveragedAllocsIndependentOfReps(t *testing.T) {
 	a := noiseTestArray(8, 16)
 	env := a.Config().NominalEnv()

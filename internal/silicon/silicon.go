@@ -313,29 +313,35 @@ func (a *Array) TrueFreqInto(dst []float64, env Environment) []float64 {
 	return dst
 }
 
-// MeasureAveraged measures every oscillator `reps` times and returns the
-// per-oscillator means — the standard enrollment-time noise reduction.
-// It performs reps whole-array sweeps, each keyed by its own sweep
-// counter, accumulating per sweep and scaling by 1/reps. The noise-free
-// frequencies in env are computed once rather than once per sweep; the
-// result and one sweep's working space are its only allocations.
+// MeasureAveraged returns the per-oscillator mean of `reps` noisy
+// measurements in env, the standard enrollment-time noise reduction.
+//
+// It draws the mean from its exact distribution instead of averaging
+// reps sweeps. A measurement adds unquantized N(0, σ²) noise, and the
+// sweeps are keyed independently, so the mean of reps sweeps is
+// N(TrueFreq, σ²/reps) per oscillator, independently across
+// oscillators: one sweep z scaled by σ/√reps has that distribution at
+// 1/reps of the variates. The result is TrueFreq(i, env) + (σ/√reps)·z[i],
+// where z is the FillAll of the first of reps reserved sweeps.
+//
+// Sweep accounting: the call reserves reps sweep indices, as the
+// per-sweep average did, and draws only the first. nm therefore ends
+// reps sweeps further on, and every later measurement draws the same
+// noise it would have drawn after a reps-sweep average. At reps = 1
+// the result is bit-identical to one MeasureIntoWith sweep, since
+// σ/√1 = σ exactly. The result and the sweep's variates are its only
+// allocations.
 func (a *Array) MeasureAveraged(env Environment, nm *Noise, reps int) []float64 {
 	if reps < 1 {
 		panic("silicon: MeasureAveraged needs reps >= 1")
 	}
 	n := a.N()
-	dst, scratch := make([]float64, n), make([]float64, 2*n)
-	row, base := scratch[:n], a.TrueFreqInto(scratch[n:], env)
-	sigma := a.cfg.NoiseSigmaMHz
-	for r := 0; r < reps; r++ {
-		nm.FillAll(row)
-		for i := range dst {
-			dst[i] += base[i] + sigma*row[i]
-		}
-	}
-	inv := 1 / float64(reps)
+	dst, z := a.TrueFreqInto(make([]float64, n), env), make([]float64, n)
+	nm.FillAll(z)
+	nm.sweep += uint64(reps - 1)
+	scale := a.cfg.NoiseSigmaMHz / math.Sqrt(float64(reps))
 	for i := range dst {
-		dst[i] *= inv
+		dst[i] += scale * z[i]
 	}
 	return dst
 }
