@@ -8,7 +8,6 @@ import (
 	"repro/internal/distiller"
 	"repro/internal/ecc"
 	"repro/internal/helperdata"
-	"repro/internal/rng"
 )
 
 // armScratch is the arm builder of the reprogrammed-key attacks
@@ -17,17 +16,16 @@ import (
 // craft one code offset per hypothesis with the common error offset
 // folded into the hypothesis block, and bind the key each hypothesis
 // predicts. The builder holds the run's constants (code, injected error
-// count, the attack's codeword randomness, the image layout) and pools
-// what every decision rebuilds: the superposition's coefficients, the
-// hypothesis stream, the sketch, and per-arm offset blobs and predicted
-// keys (arms of one decision are alive together, so the pools are
-// indexed by arm). Images stay fresh per arm, because the adapters'
-// caches key on image identity; their blobs may come from the pools
-// because an arm's image is never re-installed after its decision.
+// count, the image layout) and pools what every decision rebuilds: the
+// superposition's coefficients, the hypothesis stream, the sketch (for
+// sizing and polish), and per-arm offset blobs and predicted keys (arms
+// of one decision are alive together, so the pools are indexed by arm).
+// Images stay fresh per arm, because the adapters' caches key on image
+// identity; their blobs may come from the pools because an arm's image
+// is never re-installed after its decision.
 type armScratch struct {
 	code    ecc.Code
 	inject  int
-	src     *rng.Source
 	compose func(poly, layout, offset []byte) *helperdata.Image
 
 	polyBeta []float64
@@ -63,6 +61,13 @@ func (sc *armScratch) decide(orig, pattern distiller.Poly2D, layout []byte) {
 // enumerates several bits at once. Injections skip the hypothesis bits.
 // The offset blob and the predicted key are pooled per arm; targets copy
 // the key at BindKey.
+//
+// The offset binds the injected stream to the zero codeword: it is the
+// padded, injected stream itself. Any codeword would do the same, since
+// every code here is linear and decodes from syndromes: Decode(c⊕e)
+// gives the same (corrected, ok) as Decode(e) and, when ok, c XOR its
+// output, so the device recovers injected XOR the decoded error
+// whatever c is (FuzzDecode pins this).
 func (sc *armScratch) add(stream bitvec.Vector, targetPos int, hypBits []int) error {
 	n := sc.code.N()
 	sk := &sc.sketch
@@ -94,14 +99,13 @@ func (sc *armScratch) add(stream bitvec.Vector, targetPos int, hypBits []int) er
 			return fmt.Errorf("attack: block %d lacks injectable bits", blk)
 		}
 	}
-	offset := sk.Enroll(sc.src)
 
 	arm := len(sc.arms)
 	for len(sc.offBlob) <= arm {
 		sc.offBlob = append(sc.offBlob, nil)
 		sc.predKey = append(sc.predKey, bitvec.Vector{})
 	}
-	blob, err := offset.AppendBinary(sc.offBlob[arm][:0])
+	blob, err := injected.AppendBinary(sc.offBlob[arm][:0])
 	if err != nil {
 		return err
 	}

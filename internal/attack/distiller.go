@@ -9,7 +9,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/distiller"
 	"repro/internal/pairing"
-	"repro/internal/rng"
 )
 
 func init() {
@@ -17,13 +16,11 @@ func init() {
 	Register(chainAttack{})
 }
 
-// The §VI-D tuning: the injected pattern's steepness, the secondary
-// gradient that pins every pair the pattern does not target, and the
-// seed of the attack's own randomness (codeword draws).
+// The §VI-D tuning: the injected pattern's steepness and the secondary
+// gradient that pins every pair the pattern does not target.
 const (
 	distillerPatternMHz = 500
 	distillerTiltMHz    = 80
-	distillerSeed       = 0xd15711
 )
 
 // MaskingDetails is the masking attack's Report payload.
@@ -41,8 +38,9 @@ type MaskingDetails struct {
 // while a small orthogonal tilt pins every other selected pair; the
 // attacker rewrites the masking helper to select pattern-determined
 // pairs elsewhere, recomputes the ECC offset for both hypotheses about
-// the target bit, and compares failure rates. Recovering all base-pair
-// bits reveals the original key through the public masking selections.
+// the target bit (over the zero codeword, see armScratch.add), and
+// compares failure rates. Recovering all base-pair bits reveals the
+// original key through the public masking selections.
 type maskingAttack struct{}
 
 func (maskingAttack) Name() string { return "masking" }
@@ -91,7 +89,7 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			usable, origMask.K, len(base))
 	}
 	bits := make([]bool, len(base))
-	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, src: rng.New(distillerSeed), compose: distillerImage}
+	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, compose: distillerImage}
 	// The rewritten selections cover every k-group of the chain.
 	selected, predicted := make([]int, len(base)/origMask.K), make([]bool, len(base)/origMask.K)
 	for target := 0; target < usable; target++ {
@@ -253,7 +251,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	}
 
 	tr.phase("boundaries")
-	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, src: rng.New(distillerSeed), compose: distillerImage}
+	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, compose: distillerImage}
 	predicted, determined := make([]bool, len(base)), make([]bool, len(base))
 	var unknownIdx []int
 	for bi, bd := range bounds {

@@ -10,17 +10,12 @@ import (
 	"repro/internal/distiller"
 	"repro/internal/groupbased"
 	"repro/internal/perm"
-	"repro/internal/rng"
 )
 
 func init() { Register(groupBasedAttack{}) }
 
-// The §VI-C tuning: the injected level plane's steepness and the seed
-// of the attack's own randomness (codeword draws).
-const (
-	groupBasedPatternMHz = 1000
-	groupBasedSeed       = 0xa77ac4
-)
+// The §VI-C tuning: the injected level plane's steepness.
+const groupBasedPatternMHz = 1000
 
 // GroupBasedDetails is the groupbased attack's Report payload.
 type GroupBasedDetails struct {
@@ -43,9 +38,9 @@ type GroupBasedDetails struct {
 // attacker-chosen groups ({a, b} plus forced pairs across distinct level
 // lines, leftovers as singletons), recomputes the code-offset redundancy
 // for both hypotheses about the one undetermined bit — with the common
-// error offset folded in — and compares failure rates. The recovered
-// pairwise relations reassemble each original group's frequency order
-// and hence the full key.
+// error offset folded in, over the zero codeword (armScratch.add) — and
+// compares failure rates. The recovered pairwise relations reassemble
+// each original group's frequency order and hence the full key.
 type groupBasedAttack struct{}
 
 func (groupBasedAttack) Name() string { return "groupbased" }
@@ -92,7 +87,7 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	rel := make(map[[2]int]bool)
 	done := 0
 	var gb gbScratch
-	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, src: rng.New(groupBasedSeed), compose: groupBasedImage}
+	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, compose: groupBasedImage}
 	for _, group := range members {
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {

@@ -104,9 +104,9 @@ func TestDesignPartitionMatchesReference(t *testing.T) {
 // One op is one pass over the fixed set of intra-group pairs of the
 // enrolled grouping, from the same state every time: the device is
 // re-enrolled from its seed into its own carcass (bit-identical to a
-// fresh enrollment) and the arm randomness reseeded, untimed, before
-// each pass. So every op spends the same queries, and queries/decision
-// does not depend on b.N.
+// fresh enrollment), untimed, before each pass; the arms are a pure
+// function of the decision. So every op spends the same queries, and
+// queries/decision does not depend on b.N.
 func BenchmarkGroupBasedPairDecision(b *testing.B) {
 	const seed = 9
 	d := groupBasedDevice(b, seed)
@@ -139,7 +139,6 @@ func BenchmarkGroupBasedPairDecision(b *testing.B) {
 		// A fresh adapter: the old one's write cache keys on the NVM
 		// generation, which re-enrollment restarts.
 		tgt = NewGroupBasedTarget(d)
-		sc.src = rng.New(groupBasedSeed)
 	}
 	pass := func() int {
 		spec := tgt.Spec()

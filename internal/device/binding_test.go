@@ -163,10 +163,19 @@ var bindingScripts = map[string]func(s *bindingScript){
 }
 
 // runBindingScripts runs every script on a fresh device of the rig and
-// compares the vectors against want.
+// compares the vectors against want. Every recorded vector must hold
+// both outcomes, since a constant vector is also what a device failing,
+// or passing, every App would give. reuse is exempt: after its
+// re-enrollment the device reconstructs against its own enrolled
+// helper, with the whole error budget left for noise, so all ones is
+// a legitimate record there.
 func runBindingScripts(t *testing.T, rig *bindingRig, want map[string]string) {
 	t.Helper()
 	for _, name := range slices.Sorted(maps.Keys(bindingScripts)) {
+		if outcomes, _, _ := strings.Cut(want[name], " q="); name != "reuse" &&
+			!(strings.Contains(outcomes, "0") && strings.Contains(outcomes, "1")) {
+			t.Errorf("%s: recorded vector %q does not hold both outcomes; move the rig's edge", name, want[name])
+		}
 		d := rig.fresh()
 		s := &bindingScript{t: t, rig: rig, d: d, nominal: d.Environment()}
 		bindingScripts[name](s)

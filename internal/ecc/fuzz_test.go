@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/rng"
 )
 
 // FuzzDecode feeds every code of workspaceCodes a message and an error
@@ -11,9 +12,10 @@ import (
 // so any length works); each byte of flips toggles received bit
 // flips[i] mod N, so short inputs give sparse patterns. Every pattern
 // must decode without panicking, the same on a fresh workspace as on
-// one that decoded the sent codeword first;
-// a pattern of at most t errors in every block must decode to the sent
-// codeword with exactly wt(e) corrections.
+// one that decoded the sent codeword first, and like the error pattern
+// alone (checkErrorPatternOnly), beyond the radius too; a pattern of at
+// most t errors in every block must decode to the sent codeword with
+// exactly wt(e) corrections.
 func FuzzDecode(f *testing.F) {
 	codes := workspaceCodes()
 	for i, c := range codes {
@@ -54,6 +56,7 @@ func FuzzDecode(f *testing.F) {
 		if gotCorrected != corrected || gotOK != ok || !dst.Equal(cw) {
 			t.Fatalf("%s: reused workspace (%d, %v) disagrees with a fresh one (%d, %v)", c, gotCorrected, gotOK, corrected, ok)
 		}
+		checkErrorPatternOnly(t, c, sent, e)
 
 		if !withinRadius(c, e) {
 			return
@@ -63,6 +66,40 @@ func FuzzDecode(f *testing.F) {
 				c, e.Weight(), ok, corrected, dst.Equal(sent))
 		}
 	})
+}
+
+// checkErrorPatternOnly checks that a decode depends on the error
+// pattern alone: sent⊕e and e decode with the same (corrected, ok) and,
+// when ok, to outputs that differ by exactly sent. Every code here is
+// linear and decodes from syndromes; the attacks' arm builder forges its
+// offsets over the zero codeword on this property.
+func checkErrorPatternOnly(t *testing.T, c Code, sent, e bitvec.Vector) {
+	t.Helper()
+	cw, corrected, ok := decode(c, sent.Xor(e))
+	ecw, eCorrected, eOK := decode(c, e)
+	if corrected != eCorrected || ok != eOK {
+		t.Fatalf("%s: sent⊕e decodes (%d, %v), e alone (%d, %v)", c, corrected, ok, eCorrected, eOK)
+	}
+	if ok && !cw.Equal(sent.Xor(ecw)) {
+		t.Fatalf("%s: decoding sent⊕e does not give sent XOR the decoding of e", c)
+	}
+}
+
+// TestDecodeDependsOnlyOnErrorPattern runs checkErrorPatternOnly over
+// every code of workspaceCodes (BCH plain, expurgated and shortened,
+// Golay, repetition, block composites) at error weights from zero to
+// well beyond the radius, each with random codewords.
+func TestDecodeDependsOnlyOnErrorPattern(t *testing.T) {
+	src := rng.New(28)
+	for _, c := range workspaceCodes() {
+		for weight := 0; weight <= min(c.N(), 2*c.T()+3); weight++ {
+			for trial := 0; trial < 25; trial++ {
+				e := bitvec.New(c.N())
+				flipRandom(src, e, weight)
+				checkErrorPatternOnly(t, c, encode(c, randMsg(src, c.K())), e)
+			}
+		}
+	}
 }
 
 // withinRadius reports whether the error pattern e puts at most t errors

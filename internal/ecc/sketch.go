@@ -58,8 +58,10 @@ func (s *Sketch) Stream() bitvec.Vector {
 
 // Enroll draws a message from src, one src.Bool() per message bit, and
 // returns the offset binding the stream to its codeword: stream XOR
-// Encode(msg). Enrollment and the attacks' forged helper data both
-// call it; the result is sketch-owned.
+// Encode(msg). It is enrollment's: the random codeword hides the
+// response. A forged offset needs none, since a decode depends on the
+// error pattern alone, so the attacks publish the stream itself (the
+// zero codeword). The result is sketch-owned.
 func (s *Sketch) Enroll(src *rng.Source) bitvec.Vector {
 	msg, out := resize(&s.msg, s.blk.K()), resize(&s.out, s.Len())
 	for i := 0; i < msg.Len(); i++ {

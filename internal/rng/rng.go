@@ -162,39 +162,6 @@ func (r *Source) NormScaled(mean, stddev float64) float64 {
 	return mean + stddev*r.Norm()
 }
 
-// NormFill fills buf with standard Gaussian variates. The stream is
-// consumed exactly as len(buf) sequential Norm calls would consume it —
-// including the polar method's spare caching across the call boundary —
-// so batched and one-at-a-time sampling are interchangeable without
-// perturbing replayability. Bulk callers (silicon measurement sweeps)
-// use it to amortize the per-call accept/reject loop.
-func (r *Source) NormFill(buf []float64) {
-	i := 0
-	if r.hasSpare && i < len(buf) {
-		buf[i] = r.spare
-		r.hasSpare = false
-		i++
-	}
-	for i < len(buf) {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		buf[i] = u * f
-		i++
-		if i < len(buf) {
-			buf[i] = v * f
-			i++
-		} else {
-			r.spare = v * f
-			r.hasSpare = true
-		}
-	}
-}
-
 // Perm fills p with a uniformly random permutation of [0, len(p)),
 // generated with the Fisher-Yates shuffle; a caller drawing many
 // permutations of one length reuses one buffer.

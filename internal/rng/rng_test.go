@@ -272,31 +272,3 @@ func TestStreamSeedIndependentOfOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestNormFillMatchesSequentialNorm pins the batched Gaussian path: for
-// any buffer length — odd or even, so the polar method's spare caching
-// crosses the call boundary both ways — NormFill must produce the exact
-// variates and leave the stream in the exact state of sequential Norm
-// calls.
-func TestNormFillMatchesSequentialNorm(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 64, 129} {
-		a, b := New(123), New(123)
-		// Desynchronize the spare cache on purpose: one leading Norm.
-		_ = a.Norm()
-		_ = b.Norm()
-		ref := make([]float64, n)
-		for i := range ref {
-			ref[i] = a.Norm()
-		}
-		got := make([]float64, n)
-		b.NormFill(got)
-		for i := range ref {
-			if ref[i] != got[i] {
-				t.Fatalf("n=%d: variate %d: NormFill %v != Norm %v", n, i, got[i], ref[i])
-			}
-		}
-		if a.Norm() != b.Norm() {
-			t.Fatalf("n=%d: stream state diverged after fill", n)
-		}
-	}
-}

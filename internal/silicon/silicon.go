@@ -273,10 +273,15 @@ func (a *Array) MeasureIntoWith(dst []float64, env Environment, nm *Noise) []flo
 	if len(dst) != a.N() {
 		panic(fmt.Sprintf("silicon: MeasureIntoWith buffer length %d, want %d", len(dst), a.N()))
 	}
+	return a.measureScaled(dst, env, nm, a.cfg.NoiseSigmaMHz)
+}
+
+// measureScaled draws nm's next sweep z into dst and turns it into
+// TrueFreq(i, env) + scale·z[i] in place.
+func (a *Array) measureScaled(dst []float64, env Environment, nm *Noise, scale float64) []float64 {
 	nm.FillAll(dst)
-	sigma := a.cfg.NoiseSigmaMHz
 	for i := range dst {
-		dst[i] = a.TrueFreq(i, env) + sigma*dst[i]
+		dst[i] = a.TrueFreq(i, env) + scale*dst[i]
 	}
 	return dst
 }
@@ -329,20 +334,14 @@ func (a *Array) TrueFreqInto(dst []float64, env Environment) []float64 {
 // reps sweeps further on, and every later measurement draws the same
 // noise it would have drawn after a reps-sweep average. At reps = 1
 // the result is bit-identical to one MeasureIntoWith sweep, since
-// σ/√1 = σ exactly. The result and the sweep's variates are its only
-// allocations.
+// σ/√1 = σ exactly. The result, which holds the sweep's variates until
+// they are scaled in place, is its only allocation.
 func (a *Array) MeasureAveraged(env Environment, nm *Noise, reps int) []float64 {
 	if reps < 1 {
 		panic("silicon: MeasureAveraged needs reps >= 1")
 	}
-	n := a.N()
-	dst, z := a.TrueFreqInto(make([]float64, n), env), make([]float64, n)
-	nm.FillAll(z)
+	dst := a.measureScaled(make([]float64, a.N()), env, nm, a.cfg.NoiseSigmaMHz/math.Sqrt(float64(reps)))
 	nm.sweep += uint64(reps - 1)
-	scale := a.cfg.NoiseSigmaMHz / math.Sqrt(float64(reps))
-	for i := range dst {
-		dst[i] += scale * z[i]
-	}
 	return dst
 }
 
