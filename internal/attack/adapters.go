@@ -17,51 +17,38 @@ import (
 // deep copy; an attack reads the image once, at its start.
 //
 // WriteImage keeps the adapters off the oracle-query hot loop's
-// allocation profile: it remembers the identity of the last image it
-// installed together with the device's NVM generation. Re-installing
-// the SAME image onto unchanged NVM — what the distinguisher does
-// before every query of an arm's run — skips the parse/validate/clone
-// pipeline. The skip is observable-equivalent: devices with a
-// re-provision side effect (reprogrammed-key observables) still run it
-// via ReprovisionKey, so key bindings and the measurement-noise sweeps
-// are consumed bit-identically to a full write.
+// allocation profile. It parses every image it installs into one typed
+// helper the adapter owns (the codecs' parse-into forms reuse its
+// storage) and hands that to the device's WriteHelper, which copies it
+// into the device's own NVM buffers; so the helper is free again as
+// soon as the write returns. It also remembers what it installed last:
+// the image's identity and write generation, and the device's NVM
+// generation after the write. Re-installing an image that has not been
+// written since onto unchanged NVM — what the distinguisher does before
+// every query of an arm's run — skips the parse/validate/copy pipeline.
+// A pooled arm image that was rewritten has a new generation, so its
+// next install is a full write. The skip is observable-equivalent:
+// devices with a re-provision side effect (reprogrammed-key observables)
+// still run it via ReprovisionKey, so key bindings and the
+// measurement-noise sweeps are consumed bit-identically to a full write.
 
-// writeCache is the shared memoization state of an adapter's WriteImage.
+// writeCache is the shared memoization state of an adapter's WriteImage:
+// the last installed image, its write generation then, and the device's
+// NVM generation after the write.
 type writeCache struct {
-	im  *helperdata.Image
-	gen uint64
+	im     *helperdata.Image
+	imGen  uint64
+	nvmGen uint64
 }
 
-// parseCache memoizes image → parsed-helper translations by image
-// identity, bounded to the handful of arm images a hypothesis test
-// alternates between. Images must be treated as immutable once written
-// (the contract all attacks in this package follow).
-type parseCache[T any] struct {
-	m map[*helperdata.Image]T
-}
-
-func (c *parseCache[T]) get(im *helperdata.Image) (T, bool) {
-	v, ok := c.m[im]
-	return v, ok
-}
-
-func (c *parseCache[T]) put(im *helperdata.Image, v T) {
-	if c.m == nil {
-		c.m = make(map[*helperdata.Image]T, 8)
-	} else if len(c.m) >= 16 {
-		clear(c.m)
-	}
-	c.m[im] = v
-}
-
-// installImage is the one write-cache protocol all four adapters share:
-// an identical re-install is skipped (running only the device's
+// installImage is the one write protocol all four adapters share: an
+// identical re-install is skipped (running only the device's
 // re-provision side effect, when it has one), otherwise the image is
-// parsed (through the bounded parse cache), written to the device, and
-// recorded. The func parameters are only invoked, never stored, so the
-// closures stay off the heap on the per-query hit path.
-func installImage[T any](cache *writeCache, parsed *parseCache[T], im *helperdata.Image,
-	gen func() uint64, parse func(*helperdata.Image) (T, error), write func(T) error,
+// parsed into the adapter-owned helper nvm, written to the device, and
+// recorded. The func parameters are only invoked, never stored, so they
+// stay off the heap.
+func installImage[T any](cache *writeCache, nvm *T, im *helperdata.Image,
+	gen func() uint64, parse func(*helperdata.Image, *T) error, write func(T) error,
 	reprovision func()) error {
 	if cache.hit(im, gen()) {
 		if reprovision != nil {
@@ -69,42 +56,31 @@ func installImage[T any](cache *writeCache, parsed *parseCache[T], im *helperdat
 		}
 		return nil
 	}
-	cache.clear()
-	nvm, ok := parsed.get(im)
-	if !ok {
-		var err error
-		if nvm, err = parse(im); err != nil {
-			return err
-		}
-		parsed.put(im, nvm)
-	}
-	if err := write(nvm); err != nil {
+	cache.im = nil
+	if err := parse(im, nvm); err != nil {
 		return err
 	}
-	cache.store(im, gen())
+	if err := write(*nvm); err != nil {
+		return err
+	}
+	*cache = writeCache{im: im, imGen: im.Gen(), nvmGen: gen()}
 	return nil
 }
 
 // hit reports whether installing im would re-write identical helper
-// content: same image identity, and the device NVM untouched since.
-func (c *writeCache) hit(im *helperdata.Image, gen uint64) bool {
-	return c.im != nil && c.im == im && c.gen == gen
+// content: same image, not written since, and the device NVM untouched
+// since.
+func (c *writeCache) hit(im *helperdata.Image, nvmGen uint64) bool {
+	return c.im != nil && c.im == im && c.imGen == im.Gen() && c.nvmGen == nvmGen
 }
-
-// store records a successful install.
-func (c *writeCache) store(im *helperdata.Image, gen uint64) {
-	c.im, c.gen = im, gen
-}
-
-func (c *writeCache) clear() { c.im = nil }
 
 // NewSeqPairTarget adapts a deployed LISA device.
 func NewSeqPairTarget(d *device.SeqPairDevice) Target { return &seqPairTarget{d: d} }
 
 type seqPairTarget struct {
-	d      *device.SeqPairDevice
-	cache  writeCache
-	parsed parseCache[device.SeqPairHelperNVM]
+	d     *device.SeqPairDevice
+	cache writeCache
+	nvm   device.SeqPairHelperNVM
 }
 
 func (t *seqPairTarget) Spec() Spec {
@@ -121,10 +97,9 @@ func (t *seqPairTarget) ReadImage() (*helperdata.Image, error) {
 }
 
 func (t *seqPairTarget) WriteImage(im *helperdata.Image) error {
-	return installImage(&t.cache, &t.parsed, im, t.d.NVMGeneration,
-		func(im *helperdata.Image) (device.SeqPairHelperNVM, error) {
-			pairs, offset, err := SeqPairFromImage(im)
-			return device.SeqPairHelperNVM{Pairs: pairs, Offset: offset}, err
+	return installImage(&t.cache, &t.nvm, im, t.d.NVMGeneration,
+		func(im *helperdata.Image, h *device.SeqPairHelperNVM) error {
+			return seqPairInto(im, &h.Pairs, &h.Offset)
 		},
 		t.d.WriteHelper, nil)
 }
@@ -136,9 +111,9 @@ func (t *seqPairTarget) Queries() int { return t.d.Queries() }
 func NewTempCoTarget(d *device.TempCoDevice) Target { return &tempCoTarget{d: d} }
 
 type tempCoTarget struct {
-	d      *device.TempCoDevice
-	cache  writeCache
-	parsed parseCache[tempco.Helper]
+	d     *device.TempCoDevice
+	cache writeCache
+	nvm   tempco.Helper
 }
 
 func (t *tempCoTarget) Spec() Spec {
@@ -154,8 +129,8 @@ func (t *tempCoTarget) ReadImage() (*helperdata.Image, error) {
 }
 
 func (t *tempCoTarget) WriteImage(im *helperdata.Image) error {
-	return installImage(&t.cache, &t.parsed, im, t.d.NVMGeneration,
-		TempCoFromImage, t.d.WriteHelper, nil)
+	return installImage(&t.cache, &t.nvm, im, t.d.NVMGeneration,
+		tempCoInto, t.d.WriteHelper, nil)
 }
 
 func (t *tempCoTarget) Query() bool  { return !t.d.App() }
@@ -166,9 +141,9 @@ func (t *tempCoTarget) Queries() int { return t.d.Queries() }
 func NewGroupBasedTarget(d *device.GroupBasedDevice) Target { return &groupBasedTarget{d: d} }
 
 type groupBasedTarget struct {
-	d      *device.GroupBasedDevice
-	cache  writeCache
-	parsed parseCache[groupbased.Helper]
+	d     *device.GroupBasedDevice
+	cache writeCache
+	nvm   groupbased.Helper
 }
 
 func (t *groupBasedTarget) Spec() Spec {
@@ -189,8 +164,8 @@ func (t *groupBasedTarget) ReadImage() (*helperdata.Image, error) {
 func (t *groupBasedTarget) WriteImage(im *helperdata.Image) error {
 	// The re-provision hook keeps a skipped identical write's observable
 	// side effects: key re-binding and the reconstruction's noise sweep.
-	return installImage(&t.cache, &t.parsed, im, t.d.NVMGeneration,
-		GroupBasedFromImage, t.d.WriteHelper, t.d.ReprovisionKey)
+	return installImage(&t.cache, &t.nvm, im, t.d.NVMGeneration,
+		groupBasedInto, t.d.WriteHelper, t.d.ReprovisionKey)
 }
 
 func (t *groupBasedTarget) Query() bool               { return !t.d.App() }
@@ -203,9 +178,9 @@ func (t *groupBasedTarget) BindKey(key bitvec.Vector) { t.d.BindKey(key) }
 func NewDistillerTarget(d *device.DistillerPairDevice) Target { return &distillerTarget{d: d} }
 
 type distillerTarget struct {
-	d      *device.DistillerPairDevice
-	cache  writeCache
-	parsed parseCache[device.DistillerPairHelperNVM]
+	d     *device.DistillerPairDevice
+	cache writeCache
+	nvm   device.DistillerPairHelperNVM
 }
 
 func (t *distillerTarget) Spec() Spec {
@@ -232,14 +207,10 @@ func (t *distillerTarget) ReadImage() (*helperdata.Image, error) {
 }
 
 func (t *distillerTarget) WriteImage(im *helperdata.Image) error {
-	return installImage(&t.cache, &t.parsed, im, t.d.NVMGeneration,
-		func(im *helperdata.Image) (device.DistillerPairHelperNVM, error) {
-			poly, mask, offset, err := DistillerFromImage(im)
-			nvm := device.DistillerPairHelperNVM{Poly: poly, Offset: offset}
-			if mask != nil {
-				nvm.Masking = *mask
-			}
-			return nvm, err
+	return installImage(&t.cache, &t.nvm, im, t.d.NVMGeneration,
+		func(im *helperdata.Image, h *device.DistillerPairHelperNVM) error {
+			_, err := distillerInto(im, &h.Poly, &h.Masking, &h.Offset)
+			return err
 		},
 		t.d.WriteHelper, t.d.ReprovisionKey)
 }

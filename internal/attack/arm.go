@@ -17,16 +17,16 @@ import (
 // folded into the hypothesis block, and bind the key each hypothesis
 // predicts. The builder holds the run's constants (code, injected error
 // count, the image layout) and pools what every decision rebuilds: the
-// superposition's coefficients, the hypothesis stream, the sketch (for
-// sizing and polish), and per-arm offset blobs and predicted keys (arms
-// of one decision are alive together, so the pools are indexed by arm).
-// Images stay fresh per arm, because the adapters' caches key on image
-// identity; their blobs may come from the pools because an arm's image
-// is never re-installed after its decision.
+// superposition's coefficients and its marshaled blob, the layout blob,
+// the hypothesis stream, the sketch (for sizing and polish), and one
+// armSlot per arm (arms of one decision are alive together, so the
+// slots are indexed by arm). A slot's image is rewritten by every
+// decision that uses the slot; its write generation tells the adapters'
+// write cache that it changed. A warm decision allocates nothing.
 type armScratch struct {
 	code    ecc.Code
 	inject  int
-	compose func(poly, layout, offset []byte) *helperdata.Image
+	compose func(im *helperdata.Image, poly, layout, offset []byte)
 
 	polyBeta []float64
 	poly     []byte // the decision's superimposed polynomial, marshaled
@@ -35,32 +35,75 @@ type armScratch struct {
 	// response, filled before add.
 	stream  bitvec.Vector
 	needBlk []bool
-	offBlob [][]byte
-	predKey []bitvec.Vector
+	slots   []*armSlot
 	sketch  ecc.Sketch
 	// arms holds the decision's hypotheses in the order add built them.
 	arms []Hypothesis
 }
 
+// armSlot is one pooled arm: its image, the section blob the arm
+// rewrites for each decision (the code offset of a binding arm, the
+// pair list or helper record blob of a plain-write one), the key a
+// binding arm binds, and the Hypothesis that installs them, made once
+// with the slot. Everything the image holds is rewritten, and stored
+// again, before the slot's next install.
+type armSlot struct {
+	im      *helperdata.Image
+	blob    []byte
+	predKey bitvec.Vector
+	hyp     Hypothesis
+}
+
+// newBindingSlot returns a slot whose Hypothesis writes the image and
+// binds the predicted key — the reprogrammed-key arm.
+func newBindingSlot() *armSlot {
+	s := &armSlot{im: helperdata.NewImage()}
+	s.hyp = s.bind
+	return s
+}
+
+// newWriteSlot returns a slot whose Hypothesis writes the image and
+// nothing else — the plain-write arm of the attacks whose observable is
+// the enrolled key (seqpair, tempco).
+func newWriteSlot() *armSlot {
+	s := &armSlot{im: helperdata.NewImage()}
+	s.hyp = s.write
+	return s
+}
+
+func (s *armSlot) bind(t Target) error {
+	if err := t.WriteImage(s.im); err != nil {
+		return err
+	}
+	if kb, ok := t.(KeyBinder); ok {
+		kb.BindKey(s.predKey)
+		return nil
+	}
+	return fmt.Errorf("attack: target %T cannot bind keys", t)
+}
+
+func (s *armSlot) write(t Target) error { return t.WriteImage(s.im) }
+
 // decide starts a decision: it superimposes pattern on the original
 // polynomial (which is only read), marshals the sum once for every arm
 // image, and drops the previous decision's arms. layout is the
-// decision's pairing-layout blob, shared by every arm image.
+// decision's pairing-layout blob, shared by every arm image (nil for
+// none); callers append it into sc.layout[:0], so its buffer is pooled
+// too.
 func (sc *armScratch) decide(orig, pattern distiller.Poly2D, layout []byte) {
 	poly := orig.AddInto(pattern, sc.polyBeta)
 	sc.polyBeta = poly.Beta
-	sc.poly = poly.Marshal()
+	sc.poly = poly.Append(sc.poly[:0])
 	sc.layout = layout
 	sc.arms = sc.arms[:0]
 }
 
-// add crafts the next arm of the decision and appends its binding
-// hypothesis to sc.arms. The code offset binds stream with the common
-// error offset folded into every ECC block that holds a hypothesis bit:
-// the block of targetPos, and those of hypBits when the decision
-// enumerates several bits at once. Injections skip the hypothesis bits.
-// The offset blob and the predicted key are pooled per arm; targets copy
-// the key at BindKey.
+// add crafts the next arm of the decision into its slot and appends its
+// binding hypothesis to sc.arms. The code offset binds stream with the
+// common error offset folded into every ECC block that holds a
+// hypothesis bit: the block of targetPos, and those of hypBits when the
+// decision enumerates several bits at once. Injections skip the
+// hypothesis bits. Targets copy the predicted key at BindKey.
 //
 // The offset binds the injected stream to the zero codeword: it is the
 // padded, injected stream itself. Any codeword would do the same, since
@@ -101,20 +144,21 @@ func (sc *armScratch) add(stream bitvec.Vector, targetPos int, hypBits []int) er
 	}
 
 	arm := len(sc.arms)
-	for len(sc.offBlob) <= arm {
-		sc.offBlob = append(sc.offBlob, nil)
-		sc.predKey = append(sc.predKey, bitvec.Vector{})
+	for len(sc.slots) <= arm {
+		sc.slots = append(sc.slots, newBindingSlot())
 	}
-	blob, err := injected.AppendBinary(sc.offBlob[arm][:0])
+	slot := sc.slots[arm]
+	blob, err := injected.AppendBinary(slot.blob[:0])
 	if err != nil {
 		return err
 	}
-	sc.offBlob[arm] = blob
+	slot.blob = blob
 	// The device recovers the stream the offset binds, the INJECTED
 	// one, so that is the key the attacker predicts.
-	predKey := scratchVec(&sc.predKey[arm], stream.Len())
+	predKey := scratchVec(&slot.predKey, stream.Len())
 	injected.SliceInto(0, stream.Len(), predKey)
-	sc.arms = append(sc.arms, bindingHypothesis(sc.compose(sc.poly, sc.layout, blob), predKey))
+	sc.compose(slot.im, sc.poly, sc.layout, blob)
+	sc.arms = append(sc.arms, slot.hyp)
 	return nil
 }
 
@@ -133,29 +177,6 @@ func (sc *armScratch) polish(key, offset bitvec.Vector) bitvec.Vector {
 		return corrected.Slice(0, key.Len())
 	}
 	return key
-}
-
-// bindingHypothesis writes an image and binds the predicted key — the
-// reprogrammed-key arm the arm builder hands out.
-func bindingHypothesis(im *helperdata.Image, predKey bitvec.Vector) Hypothesis {
-	return func(t Target) error {
-		if err := t.WriteImage(im); err != nil {
-			return err
-		}
-		if kb, ok := t.(KeyBinder); ok {
-			kb.BindKey(predKey)
-			return nil
-		}
-		return fmt.Errorf("attack: target %T cannot bind keys", t)
-	}
-}
-
-// writeHypothesis writes an image and nothing else — the plain-write arm
-// of the attacks whose observable is the enrolled key (seqpair, tempco).
-// The image is built once, outside the arm, so re-installs across the
-// arm's query run hit the adapters' identical-image write cache.
-func writeHypothesis(im *helperdata.Image) Hypothesis {
-	return func(t Target) error { return t.WriteImage(im) }
 }
 
 // scratchVec returns *v resized to n bits, reallocating only on growth.

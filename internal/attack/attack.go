@@ -22,15 +22,16 @@
 //
 // Inside the package each mechanism exists once. image.go is the only
 // place that names a helper NVM section: attacks and adapters compose
-// and parse images through it. The arm builder (armScratch, arm.go)
-// makes every arm of the reprogrammed-key attacks (groupbased, masking,
-// chain): it superimposes the decision's pattern on the enrolled
-// polynomial, crafts each hypothesis's code offset with the common
-// error offset folded in, and hands out the bindingHypothesis that
-// writes the image and binds the predicted key. The attacks whose
-// observable is the enrolled key (seqpair, tempco) write plain arms
-// through writeHypothesis. Options.clampInject resolves the common
-// offset's size for all five.
+// and parse images through it. Every arm lives in a pooled armSlot
+// (arm.go): one image, rewritten for each decision, and the Hypothesis
+// that installs it. The arm builder (armScratch) makes every arm of the
+// reprogrammed-key attacks (groupbased, masking, chain): it
+// superimposes the decision's pattern on the enrolled polynomial,
+// crafts each hypothesis's code offset with the common error offset
+// folded in, and hands out binding slots, which write the image and
+// bind the predicted key. The attacks whose observable is the enrolled
+// key (seqpair, tempco) rewrite two plain write slots per decision.
+// Options.clampInject resolves the common offset's size for all five.
 package attack
 
 import (

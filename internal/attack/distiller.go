@@ -160,7 +160,7 @@ func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly dist
 
 	// Both arms share the superimposed polynomial and the rewritten
 	// masking selections; arm h hypothesizes target bit h.
-	sc.decide(origPoly, pattern, pairing.MaskingHelper{K: k, Selected: selected}.Marshal())
+	sc.decide(origPoly, pattern, pairing.MaskingHelper{K: k, Selected: selected}.Append(sc.layout[:0]))
 	for _, hypBit := range [2]bool{false, true} {
 		stream := scratchVec(&sc.stream, groups)
 		for g := 0; g < groups; g++ {

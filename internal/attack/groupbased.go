@@ -218,7 +218,7 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, origPoly distille
 	// its compact coding, so the key the device packs is the stream
 	// itself.
 	grouping := groupbased.Grouping{Assign: gb.assign}
-	sc.decide(origPoly, pattern, grouping.Marshal())
+	sc.decide(origPoly, pattern, grouping.Append(sc.layout[:0]))
 	for _, hypBit := range [2]bool{false, true} {
 		stream := scratchVec(&sc.stream, pairs)
 		stream.Set(0, hypBit)

@@ -15,14 +15,20 @@ import (
 // helperdata sections it uses and how each blob is encoded (via the
 // construction packages' own codecs). It is the only place in the
 // package that names a section. Attacks and device adapters compose and
-// parse images through these functions, the arms of the hot attack
-// loops included (they pass the blobs they pool to the lower-case
-// composers), so the bytes an attack writes are exactly the bytes an
-// adapter parses — the paper's §VII-C demand for a precise storage
-// format applies to the attacker's tooling too. Every composer hands
-// the image blobs it owns no longer (SetOwned): a freshly marshaled
-// blob, or an arm's pooled blob, whose image is never re-installed
-// after its decision.
+// parse images through these functions, so the bytes an attack writes
+// are exactly the bytes an adapter parses — the paper's §VII-C demand
+// for a precise storage format applies to the attacker's tooling too.
+//
+// Each layout has one composer and one parser. The lower-case composers
+// write marshaled blobs into a given image with SetOwned: the exported
+// ones into a fresh image, the arms of the hot attack loops into the
+// pooled image of an arm slot, whose blobs come from pooled buffers the
+// arm rewrites before it stores them again (each store advances the
+// image's write generation, which the adapters' write cache keys on).
+// The lower-case parsers decode into caller-owned helpers through the
+// codecs' parse-into forms, reusing their storage: the adapters parse
+// every write into one helper they own, and the exported parsers wrap
+// them with fresh destinations.
 
 // section reads one named section or fails loudly. The read is zero-copy
 // (SectionRO): every consumer below parses the bytes into typed helper
@@ -35,13 +41,13 @@ func section(im *helperdata.Image, name string) ([]byte, error) {
 	return data, nil
 }
 
-// offsetFromImage decodes the ECC code-offset section.
-func offsetFromImage(im *helperdata.Image) (bitvec.Vector, error) {
+// offsetInto decodes the ECC code-offset section into *dst.
+func offsetInto(im *helperdata.Image, dst *bitvec.Vector) error {
 	data, err := section(im, helperdata.SectionOffset)
 	if err != nil {
-		return bitvec.Vector{}, err
+		return err
 	}
-	return bitvec.UnmarshalVector(data)
+	return bitvec.UnmarshalVectorInto(dst, data)
 }
 
 // --- sequential pairing (LISA) ---
@@ -53,32 +59,37 @@ func SeqPairImage(pairs pairing.SeqPairHelper, offset bitvec.Vector) (*helperdat
 	if err != nil {
 		return nil, err
 	}
-	return seqPairImage(pairs.Append(nil), off), nil
+	im := helperdata.NewImage()
+	seqPairImage(im, pairs.Append(nil), off)
+	return im, nil
 }
 
-// seqPairImage composes the LISA image from marshaled blobs.
-func seqPairImage(pairs, offset []byte) *helperdata.Image {
-	im := helperdata.NewImage()
+// seqPairImage writes the LISA sections into im from marshaled blobs.
+func seqPairImage(im *helperdata.Image, pairs, offset []byte) {
 	im.SetOwned(helperdata.SectionSeqPairs, pairs)
 	im.SetOwned(helperdata.SectionOffset, offset)
-	return im
 }
 
 // SeqPairFromImage decomposes a LISA helper NVM image.
 func SeqPairFromImage(im *helperdata.Image) (pairing.SeqPairHelper, bitvec.Vector, error) {
-	data, err := section(im, helperdata.SectionSeqPairs)
-	if err != nil {
-		return pairing.SeqPairHelper{}, bitvec.Vector{}, err
-	}
-	pairs, err := pairing.UnmarshalSeqPair(data)
-	if err != nil {
-		return pairing.SeqPairHelper{}, bitvec.Vector{}, err
-	}
-	offset, err := offsetFromImage(im)
-	if err != nil {
+	var pairs pairing.SeqPairHelper
+	var offset bitvec.Vector
+	if err := seqPairInto(im, &pairs, &offset); err != nil {
 		return pairing.SeqPairHelper{}, bitvec.Vector{}, err
 	}
 	return pairs, offset, nil
+}
+
+// seqPairInto decomposes a LISA image into *pairs and *offset.
+func seqPairInto(im *helperdata.Image, pairs *pairing.SeqPairHelper, offset *bitvec.Vector) error {
+	data, err := section(im, helperdata.SectionSeqPairs)
+	if err != nil {
+		return err
+	}
+	if err := pairing.UnmarshalSeqPairInto(pairs, data); err != nil {
+		return err
+	}
+	return offsetInto(im, offset)
 }
 
 // --- temperature-aware cooperative ---
@@ -87,17 +98,32 @@ func SeqPairFromImage(im *helperdata.Image) (pairing.SeqPairHelper, bitvec.Vecto
 // tempco codec serializes pair records and offset as one blob.
 func TempCoImage(h tempco.Helper) *helperdata.Image {
 	im := helperdata.NewImage()
-	im.SetOwned(helperdata.SectionTempCo, h.Marshal())
+	tempCoImage(im, h.Marshal())
 	return im
+}
+
+// tempCoImage writes the temperature-aware section into im from its
+// marshaled blob.
+func tempCoImage(im *helperdata.Image, blob []byte) {
+	im.SetOwned(helperdata.SectionTempCo, blob)
 }
 
 // TempCoFromImage decomposes a temperature-aware helper NVM image.
 func TempCoFromImage(im *helperdata.Image) (tempco.Helper, error) {
-	data, err := section(im, helperdata.SectionTempCo)
-	if err != nil {
+	var h tempco.Helper
+	if err := tempCoInto(im, &h); err != nil {
 		return tempco.Helper{}, err
 	}
-	return tempco.UnmarshalHelper(data)
+	return h, nil
+}
+
+// tempCoInto decomposes a temperature-aware image into *dst.
+func tempCoInto(im *helperdata.Image, dst *tempco.Helper) error {
+	data, err := section(im, helperdata.SectionTempCo)
+	if err != nil {
+		return err
+	}
+	return tempco.UnmarshalHelperInto(dst, data)
 }
 
 // --- group-based ---
@@ -109,37 +135,42 @@ func GroupBasedImage(h groupbased.Helper) (*helperdata.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return groupBasedImage(h.Poly.Marshal(), h.Grouping.Marshal(), off), nil
+	im := helperdata.NewImage()
+	groupBasedImage(im, h.Poly.Marshal(), h.Grouping.Marshal(), off)
+	return im, nil
 }
 
-// groupBasedImage composes the group-based image from marshaled blobs
-// (an arm builder's compose function).
-func groupBasedImage(poly, grouping, offset []byte) *helperdata.Image {
-	im := helperdata.NewImage()
+// groupBasedImage writes the group-based sections into im from
+// marshaled blobs (an arm builder's compose function).
+func groupBasedImage(im *helperdata.Image, poly, grouping, offset []byte) {
 	im.SetOwned(helperdata.SectionPolynomial, poly)
 	im.SetOwned(helperdata.SectionGrouping, grouping)
 	im.SetOwned(helperdata.SectionOffset, offset)
-	return im
 }
 
 // GroupBasedFromImage decomposes a group-based helper NVM image.
 func GroupBasedFromImage(im *helperdata.Image) (groupbased.Helper, error) {
 	var h groupbased.Helper
+	err := groupBasedInto(im, &h)
+	return h, err
+}
+
+// groupBasedInto decomposes a group-based image into *dst.
+func groupBasedInto(im *helperdata.Image, dst *groupbased.Helper) error {
 	data, err := section(im, helperdata.SectionPolynomial)
 	if err != nil {
-		return h, err
+		return err
 	}
-	if h.Poly, err = distiller.Unmarshal(data); err != nil {
-		return h, err
+	if err := distiller.UnmarshalInto(&dst.Poly, data); err != nil {
+		return err
 	}
 	if data, err = section(im, helperdata.SectionGrouping); err != nil {
-		return h, err
+		return err
 	}
-	if h.Grouping, err = groupbased.UnmarshalGrouping(data); err != nil {
-		return h, err
+	if err := groupbased.UnmarshalGroupingInto(&dst.Grouping, data); err != nil {
+		return err
 	}
-	h.Offset, err = offsetFromImage(im)
-	return h, err
+	return offsetInto(im, &dst.Offset)
 }
 
 // --- distiller + pairing (masking / overlapping chain) ---
@@ -155,44 +186,58 @@ func DistillerImage(poly distiller.Poly2D, mask *pairing.MaskingHelper, offset b
 	if mask != nil {
 		maskBlob = mask.Marshal()
 	}
-	return distillerImage(poly.Marshal(), maskBlob, off), nil
+	im := helperdata.NewImage()
+	distillerImage(im, poly.Marshal(), maskBlob, off)
+	return im, nil
 }
 
-// distillerImage composes the distiller + pairing image from marshaled
-// blobs (an arm builder's compose function); a nil mask leaves out the
-// masking section.
-func distillerImage(poly, mask, offset []byte) *helperdata.Image {
-	im := helperdata.NewImage()
+// distillerImage writes the distiller + pairing sections into im from
+// marshaled blobs (an arm builder's compose function); a nil mask
+// leaves out (or removes) the masking section.
+func distillerImage(im *helperdata.Image, poly, mask, offset []byte) {
 	im.SetOwned(helperdata.SectionPolynomial, poly)
 	if mask != nil {
 		im.SetOwned(helperdata.SectionMasking, mask)
+	} else {
+		im.Delete(helperdata.SectionMasking)
 	}
 	im.SetOwned(helperdata.SectionOffset, offset)
-	return im
 }
 
 // DistillerFromImage decomposes a distiller + pairing helper NVM image;
 // the masking helper is nil when the image carries no masking section.
 func DistillerFromImage(im *helperdata.Image) (distiller.Poly2D, *pairing.MaskingHelper, bitvec.Vector, error) {
+	var poly distiller.Poly2D
+	var mask pairing.MaskingHelper
+	var offset bitvec.Vector
+	hasMask, err := distillerInto(im, &poly, &mask, &offset)
+	if err != nil {
+		return distiller.Poly2D{}, nil, bitvec.Vector{}, err
+	}
+	if !hasMask {
+		return poly, nil, offset, nil
+	}
+	return poly, &mask, offset, nil
+}
+
+// distillerInto decomposes a distiller + pairing image into *poly,
+// *mask and *offset and reports whether it carries a masking section;
+// without one, *mask is left as the empty helper (K 0, no selections).
+func distillerInto(im *helperdata.Image, poly *distiller.Poly2D, mask *pairing.MaskingHelper, offset *bitvec.Vector) (bool, error) {
 	data, err := section(im, helperdata.SectionPolynomial)
 	if err != nil {
-		return distiller.Poly2D{}, nil, bitvec.Vector{}, err
+		return false, err
 	}
-	poly, err := distiller.Unmarshal(data)
-	if err != nil {
-		return distiller.Poly2D{}, nil, bitvec.Vector{}, err
+	if err := distiller.UnmarshalInto(poly, data); err != nil {
+		return false, err
 	}
-	var mask *pairing.MaskingHelper
-	if raw, ok := im.SectionRO(helperdata.SectionMasking); ok {
-		m, err := pairing.UnmarshalMasking(raw)
-		if err != nil {
-			return distiller.Poly2D{}, nil, bitvec.Vector{}, err
+	raw, hasMask := im.SectionRO(helperdata.SectionMasking)
+	if hasMask {
+		if err := pairing.UnmarshalMaskingInto(mask, raw); err != nil {
+			return false, err
 		}
-		mask = &m
+	} else {
+		*mask = pairing.MaskingHelper{Selected: mask.Selected[:0]}
 	}
-	offset, err := offsetFromImage(im)
-	if err != nil {
-		return distiller.Poly2D{}, nil, bitvec.Vector{}, err
-	}
-	return poly, mask, offset, nil
+	return hasMask, offsetInto(im, offset)
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/ecc"
-	"repro/internal/helperdata"
 	"repro/internal/pairing"
 )
 
@@ -69,46 +68,9 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
 
-	// imageWith derives a helper image from the original by swapping the
-	// within-pair order at positions `invert` and swapping the list
-	// positions of pairs a and b (a == b means no position swap). Every
-	// arm of the sweep shares the untouched offset blob, marshaled once.
-	// The manipulated list is built in one reused slice and encoded into
-	// buf (appended from its start), so the relation sweep can pool one
-	// buffer for its transient swap arms.
-	offsetBytes, err := origOffset.MarshalBinary()
+	arms, err := newSeqPairArms(original, origOffset)
 	if err != nil {
 		return Report{}, err
-	}
-	var list []pairing.Pair
-	imageWith := func(buf []byte, invert []int, a, b int) (*helperdata.Image, []byte) {
-		list = append(list[:0], original.Pairs...)
-		for _, i := range invert {
-			list[i] = list[i].Swapped()
-		}
-		list[a], list[b] = list[b], list[a]
-		buf = pairing.SeqPairHelper{Pairs: list}.Append(buf)
-		return seqPairImage(buf, offsetBytes), buf
-	}
-	install := func(invert []int, a, b int) Hypothesis {
-		im, _ := imageWith(nil, invert, a, b)
-		return writeHypothesis(im)
-	}
-	// The reference arm's injection set — and so its image — repeats
-	// across most relation decisions; memoize it per distinct set so the
-	// adapters' parse cache sees a stable image identity.
-	refArms := make(map[int]Hypothesis)
-	refInstall := func(inj []int, j int) Hypothesis {
-		key := j
-		if j > opts.InjectErrors {
-			key = -1
-		}
-		if h, ok := refArms[key]; ok {
-			return h
-		}
-		h := install(inj, 0, 0)
-		refArms[key] = h
-		return h
 	}
 
 	// injectionSet fills dst (from its start) with opts.InjectErrors
@@ -136,7 +98,7 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 			break
 		}
 	}
-	cal, err := calibrate(ctx, t, install(calNom, 0, 0), install(calElev, 0, 0), calibrationQueries, budget)
+	cal, err := calibrate(ctx, t, arms.arm(0, calNom, 0, 0), arms.arm(1, calElev, 0, 0), calibrationQueries, budget)
 	if err != nil {
 		return Report{}, err
 	}
@@ -144,26 +106,19 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 
 	// Relation recovery: for each j, arm A = injections + position swap
 	// of pairs 0 and j, arm B = injections only (H0-like reference).
-	// The swap arm of decision j is never re-installed after the
-	// decision, so its pair-list blob comes from a pooled buffer; the
-	// memoized reference arms keep their own blobs.
 	tr.phase("relations")
 	relations := make([]bool, m)
 	var inj []int
-	var swapBuf []byte
 	for j := 1; j < m; j++ {
 		inj = injectionSet(inj, 0, j)
-		swapIm, buf := imageWith(swapBuf[:0], inj, 0, j)
-		swapBuf = buf
-		swapArm := writeHypothesis(swapIm)
 		// Arms ordered so index 0 = "bits equal" (swap is a no-op on
 		// the key, failure stays nominal) — for the swap arm. The
 		// reference arm identifies the nominal level; Best picks the
 		// arm behaving nominally. If the swap arm is nominal, bits are
 		// equal.
 		best, _, err := dist.BestHypotheses(ctx, t, []Hypothesis{
-			swapArm,            // swap arm
-			refInstall(inj, j), // reference arm
+			arms.arm(0, inj, 0, j), // swap arm
+			arms.arm(1, inj, 0, 0), // reference arm
 		}, budget)
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: pair %d: %w", j, err)
@@ -192,6 +147,43 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	rep.Ambiguous = ambiguous
 	rep.Details = SeqPairDetails{Relations: relations, Calibration: cal}
 	return rep, nil
+}
+
+// seqPairArms builds the seqpair attack's arms from the enrolled helper
+// into two pooled write slots; every decision rewrites both. Each arm
+// swaps the within-pair order at some positions (the value-independent
+// error injector) and, for the swap arm, the list positions of two
+// pairs. Every arm shares the untouched offset blob, marshaled once.
+type seqPairArms struct {
+	original []pairing.Pair
+	offset   []byte
+	list     []pairing.Pair
+	slots    [2]*armSlot
+}
+
+func newSeqPairArms(original pairing.SeqPairHelper, offset bitvec.Vector) (*seqPairArms, error) {
+	blob, err := offset.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return &seqPairArms{original: original.Pairs, offset: blob,
+		slots: [2]*armSlot{newWriteSlot(), newWriteSlot()}}, nil
+}
+
+// arm rewrites slot's image into the original helper with the
+// within-pair order swapped at positions invert and the list positions
+// of pairs a and b swapped (a == b means no position swap), and returns
+// the slot's Hypothesis. The slot's previous arm is gone.
+func (s *seqPairArms) arm(slot int, invert []int, a, b int) Hypothesis {
+	s.list = append(s.list[:0], s.original...)
+	for _, i := range invert {
+		s.list[i] = s.list[i].Swapped()
+	}
+	s.list[a], s.list[b] = s.list[b], s.list[a]
+	sl := s.slots[slot]
+	sl.blob = pairing.SeqPairHelper{Pairs: s.list}.Append(sl.blob[:0])
+	seqPairImage(sl.im, sl.blob, s.offset)
+	return sl.hyp
 }
 
 // resolveComplement implements the paper's final decision: "the

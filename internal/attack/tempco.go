@@ -3,6 +3,7 @@ package attack
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/tempco"
 )
@@ -127,22 +128,22 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 	// injectionPool lists value-independent deterministic error
 	// injectors in the given ECC block: stable cooperating pairs get
 	// their interval shifted to force a wrong compensation; good pairs
-	// get relabeled as cooperating with a below-ambient interval.
-	injectionPool := func(blk int, avoid map[int]bool) []int {
-		var out []int
+	// get relabeled as cooperating with a below-ambient interval. The
+	// list is appended to dst, so the decision loops reuse one buffer.
+	injectionPool := func(dst []int, blk int, avoid ...int) []int {
 		for _, k := range coop {
-			if k/blockLen != blk || avoid[k] || protected[k] || inInterval[k] {
+			if k/blockLen != blk || slices.Contains(avoid, k) || protected[k] || inInterval[k] {
 				continue
 			}
-			out = append(out, k)
+			dst = append(dst, k)
 		}
 		for _, k := range good {
-			if k/blockLen != blk || avoid[k] || protected[k] || k == maskAnchor {
+			if k/blockLen != blk || slices.Contains(avoid, k) || protected[k] || k == maskAnchor {
 				continue
 			}
-			out = append(out, k)
+			dst = append(dst, k)
 		}
-		return out
+		return dst
 	}
 
 	// applyInjection mutates one helper record so that pair k's
@@ -170,13 +171,16 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 		}
 	}
 
-	// install returns the hypothesis writing a helper with the requester
-	// forced into cooperation via helping pair x plus the listed
-	// injections. The manipulated pair list lives in a pooled buffer:
-	// TempCoImage marshals it into the image's own blob before install
-	// returns, so the buffer is free for the next arm.
+	// install rewrites one of the two pooled write slots (a decision's
+	// substitution and reference arms, calibration's nominal and
+	// elevated arms) into a helper with the requester forced into
+	// cooperation via helping pair x plus the listed injections, and
+	// returns the slot's hypothesis. The manipulated pair list lives in
+	// one pooled buffer, marshaled into the slot's blob before install
+	// returns.
+	slots := [2]*armSlot{newWriteSlot(), newWriteSlot()}
 	var pairsBuf []tempco.PairInfo
-	install := func(req, x int, inject []int) Hypothesis {
+	install := func(slot, req, x int, inject []int) Hypothesis {
 		pairsBuf = append(pairsBuf[:0], original.Pairs...)
 		h := tempco.Helper{Pairs: pairsBuf, Offset: original.Offset}
 		h.Pairs[req].Tl = ambient - 1
@@ -185,18 +189,22 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 		for _, k := range inject {
 			applyInjection(&h, k)
 		}
-		return writeHypothesis(TempCoImage(h))
+		sl := slots[slot]
+		sl.blob = h.Append(sl.blob[:0])
+		tempCoImage(sl.im, sl.blob)
+		return sl.hyp
 	}
 
 	// Requester selection, now that pool viability can be evaluated:
 	// two passes, preferring requesters stable at ambient.
+	var pool []int
 	for _, stableOnly := range []bool{true, false} {
 		for _, c := range coop {
 			if !usableRequester(c) || (stableOnly && inInterval[c]) {
 				continue
 			}
 			hi := original.Pairs[c].HelpIdx
-			pool := injectionPool(c/blockLen, map[int]bool{c: true, hi: true})
+			pool = injectionPool(pool[:0], c/blockLen, c, hi)
 			if len(pool) >= opts.InjectErrors+1 {
 				requester, refHelper = c, hi
 				break
@@ -211,13 +219,13 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 	}
 
 	blk := requester / blockLen
-	basePool := injectionPool(blk, map[int]bool{requester: true, refHelper: true})
+	basePool := injectionPool(nil, blk, requester, refHelper)
 
 	// Calibration: offset and offset+1 rates.
 	tr.phase("calibrate")
 	cal, err := calibrate(ctx, t,
-		install(requester, refHelper, basePool[:opts.InjectErrors]),
-		install(requester, refHelper, basePool[:opts.InjectErrors+1]),
+		install(0, requester, refHelper, basePool[:opts.InjectErrors]),
+		install(1, requester, refHelper, basePool[:opts.InjectErrors+1]),
 		calibrationQueries, budget)
 	if err != nil {
 		return Report{}, err
@@ -237,15 +245,15 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 			skipped = append(skipped, x)
 			continue
 		}
-		pool := injectionPool(blk, map[int]bool{requester: true, refHelper: true, x: true})
+		pool = injectionPool(pool[:0], blk, requester, refHelper, x)
 		if len(pool) < opts.InjectErrors {
 			skipped = append(skipped, x)
 			continue
 		}
 		inj := pool[:opts.InjectErrors]
 		best, _, err := dist.BestHypotheses(ctx, t, []Hypothesis{
-			install(requester, x, inj),         // substitution arm
-			install(requester, refHelper, inj), // reference arm
+			install(0, requester, x, inj),         // substitution arm
+			install(1, requester, refHelper, inj), // reference arm
 		}, budget)
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: pair %d: %w", x, err)
@@ -299,13 +307,14 @@ func (tempCoAttack) secondRequester(
 	dist Distinguisher,
 	budget *Budget,
 	opts Options,
-	install func(req, x int, inject []int) Hypothesis,
-	injectionPool func(blk int, avoid map[int]bool) []int,
+	install func(slot, req, x int, inject []int) Hypothesis,
+	injectionPool func(dst []int, blk int, avoid ...int) []int,
 	xorWithRef map[int]bool,
 	coop []int,
 	inInterval, protected map[int]bool,
 	requester, refHelper, blockLen int,
 ) (bool, bool, error) {
+	var pool []int
 	for _, second := range coop {
 		if second == requester || second == refHelper || inInterval[second] || protected[second] {
 			continue
@@ -316,14 +325,14 @@ func (tempCoAttack) secondRequester(
 			continue
 		}
 		blk2 := second / blockLen
-		pool := injectionPool(blk2, map[int]bool{second: true, ref2: true, requester: true, refHelper: true})
+		pool = injectionPool(pool[:0], blk2, second, ref2, requester, refHelper)
 		if len(pool) < opts.InjectErrors {
 			continue
 		}
 		inj := pool[:opts.InjectErrors]
 		best, _, err := dist.BestHypotheses(ctx, t, []Hypothesis{
-			install(second, requester, inj), // substitution arm
-			install(second, ref2, inj),      // reference arm
+			install(0, second, requester, inj), // substitution arm
+			install(1, second, ref2, inj),      // reference arm
 		}, budget)
 		if err != nil {
 			return false, false, err

@@ -368,16 +368,31 @@ func (v Vector) Bytes() []byte {
 // packed into words eight at a time; stray bits beyond n in the final
 // byte are ignored, as are bytes beyond the (n+7)/8 needed.
 func FromBytes(data []byte, n int) (Vector, error) {
+	var v Vector
+	err := FromBytesInto(&v, data, n)
+	return v, err
+}
+
+// FromBytesInto is FromBytes into *dst, whose word storage it reuses
+// when the capacity suffices, so a parser that keeps its destination
+// allocates nothing once the buffer has grown. On error *dst is left
+// unchanged.
+func FromBytesInto(dst *Vector, data []byte, n int) error {
 	need := (n + 7) / 8
 	if len(data) < need {
-		return Vector{}, fmt.Errorf("bitvec: need %d bytes for %d bits, have %d", need, n, len(data))
+		return fmt.Errorf("bitvec: need %d bytes for %d bits, have %d", need, n, len(data))
 	}
-	v := New(n)
+	if words := (n + 63) / 64; dst.words == nil || cap(dst.words) < words {
+		*dst = New(n)
+	} else {
+		*dst = Vector{n: n, words: dst.words[:words]}
+		clear(dst.words)
+	}
 	for i := 0; i < need; i++ {
-		v.words[i>>3] |= uint64(data[i]) << ((uint(i) & 7) * 8)
+		dst.words[i>>3] |= uint64(data[i]) << ((uint(i) & 7) * 8)
 	}
-	v.maskTail()
-	return v, nil
+	dst.maskTail()
+	return nil
 }
 
 // Ones returns an all-ones vector of length n.
@@ -435,14 +450,23 @@ func (v Vector) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalVector is the inverse of MarshalBinary. Trailing bytes beyond
 // the declared length are rejected: helper images must be unambiguous.
 func UnmarshalVector(data []byte) (Vector, error) {
+	var v Vector
+	err := UnmarshalVectorInto(&v, data)
+	return v, err
+}
+
+// UnmarshalVectorInto is UnmarshalVector parsing into *dst, whose word
+// storage it reuses (see FromBytesInto). On error *dst is left
+// unchanged.
+func UnmarshalVectorInto(dst *Vector, data []byte) error {
 	if len(data) < 4 {
-		return Vector{}, fmt.Errorf("bitvec: %d-byte header truncated", len(data))
+		return fmt.Errorf("bitvec: %d-byte header truncated", len(data))
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	if rest := len(data) - 4; rest != (n+7)/8 {
-		return Vector{}, fmt.Errorf("bitvec: %d data bytes for %d bits", rest, n)
+		return fmt.Errorf("bitvec: %d data bytes for %d bits", rest, n)
 	}
-	return FromBytes(data[4:], n)
+	return FromBytesInto(dst, data[4:], n)
 }
 
 // SupportIndices returns the positions of all set bits in increasing order.

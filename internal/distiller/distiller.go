@@ -388,27 +388,45 @@ func PerpendicularPlane(x1, y1, x2, y2 int, amp float64) Poly2D {
 // Marshal serializes the polynomial for helper NVM: degree then
 // little-endian float64 coefficients.
 func (q Poly2D) Marshal() []byte {
-	buf := make([]byte, 0, 2+8*len(q.Beta))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(q.P))
+	return q.Append(make([]byte, 0, 2+8*len(q.Beta)))
+}
+
+// Append appends the Marshal encoding to dst and returns the extended
+// slice, so a pooled buffer can carry it.
+func (q Poly2D) Append(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(q.P))
 	for _, b := range q.Beta {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b))
 	}
-	return buf
+	return dst
 }
 
 // Unmarshal parses NVM bytes into a polynomial.
 func Unmarshal(data []byte) (Poly2D, error) {
+	var q Poly2D
+	err := UnmarshalInto(&q, data)
+	return q, err
+}
+
+// UnmarshalInto is Unmarshal parsing into *dst, whose coefficient
+// storage it reuses when the capacity suffices. On error *dst is left
+// unchanged.
+func UnmarshalInto(dst *Poly2D, data []byte) error {
 	if len(data) < 2 {
-		return Poly2D{}, fmt.Errorf("distiller: helper truncated")
+		return fmt.Errorf("distiller: helper truncated")
 	}
 	p := int(binary.LittleEndian.Uint16(data))
 	want := 2 + 8*NumTerms(p)
 	if len(data) != want {
-		return Poly2D{}, fmt.Errorf("distiller: helper length %d, want %d for degree %d", len(data), want, p)
+		return fmt.Errorf("distiller: helper length %d, want %d for degree %d", len(data), want, p)
 	}
-	q := NewPoly2D(p)
-	for i := range q.Beta {
-		q.Beta[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[2+8*i:]))
+	if n := NumTerms(p); cap(dst.Beta) < n {
+		*dst = NewPoly2D(p)
+	} else {
+		*dst = Poly2D{P: p, Beta: dst.Beta[:n]}
 	}
-	return q, nil
+	for i := range dst.Beta {
+		dst.Beta[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[2+8*i:]))
+	}
+	return nil
 }

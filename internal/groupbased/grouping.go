@@ -158,28 +158,45 @@ func (g *Grouping) CheckThreshold(f []float64, thresholdMHz float64) error {
 // Marshal serializes the grouping for NVM: oscillator count then one
 // uint16 group id per oscillator.
 func (g *Grouping) Marshal() []byte {
-	buf := make([]byte, 0, 2+2*len(g.Assign))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(g.Assign)))
+	return g.Append(make([]byte, 0, 2+2*len(g.Assign)))
+}
+
+// Append appends the Marshal encoding to dst and returns the extended
+// slice, so a pooled buffer can carry it.
+func (g *Grouping) Append(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(g.Assign)))
 	for _, a := range g.Assign {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(a))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(a))
 	}
-	return buf
+	return dst
 }
 
 // UnmarshalGrouping parses NVM bytes into a grouping.
 func UnmarshalGrouping(data []byte) (Grouping, error) {
+	var g Grouping
+	err := UnmarshalGroupingInto(&g, data)
+	return g, err
+}
+
+// UnmarshalGroupingInto is UnmarshalGrouping parsing into *dst, whose
+// assignment storage it reuses when the capacity suffices. On error
+// *dst is left unchanged.
+func UnmarshalGroupingInto(dst *Grouping, data []byte) error {
 	if len(data) < 2 {
-		return Grouping{}, fmt.Errorf("groupbased: grouping helper truncated")
+		return fmt.Errorf("groupbased: grouping helper truncated")
 	}
 	n := int(binary.LittleEndian.Uint16(data))
 	if len(data) != 2+2*n {
-		return Grouping{}, fmt.Errorf("groupbased: grouping helper length %d, want %d", len(data), 2+2*n)
+		return fmt.Errorf("groupbased: grouping helper length %d, want %d", len(data), 2+2*n)
 	}
-	g := Grouping{Assign: make([]int, n)}
-	for i := range g.Assign {
-		g.Assign[i] = int(binary.LittleEndian.Uint16(data[2+2*i:]))
+	if dst.Assign == nil || cap(dst.Assign) < n {
+		dst.Assign = make([]int, n)
 	}
-	return g, nil
+	dst.Assign = dst.Assign[:n]
+	for i := range dst.Assign {
+		dst.Assign[i] = int(binary.LittleEndian.Uint16(data[2+2*i:]))
+	}
+	return nil
 }
 
 // PairsToGrouping builds a grouping from an explicit list of groups given

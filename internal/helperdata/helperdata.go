@@ -48,11 +48,18 @@ const (
 
 // Image is an in-memory helper NVM image: named byte sections. The
 // backing store is a small name-sorted slice rather than a map — real
-// images hold a handful of sections, attacks build one image per
-// hypothesis arm, and the sorted slice makes an image two allocations
-// with cheaper lookups than map hashing at these sizes.
+// images hold a handful of sections, and the sorted slice makes an
+// image two allocations with cheaper lookups than map hashing at these
+// sizes.
+//
+// An image counts its section writes (Gen). A consumer that memoizes
+// what it derived from an image keys on the image's identity together
+// with its generation, so an image may be rewritten and installed again:
+// attack arm builders pool one image per arm slot and rewrite it for
+// every decision.
 type Image struct {
 	sections []section
+	gen      uint64
 }
 
 // section is one named blob.
@@ -82,6 +89,7 @@ func (im *Image) find(name string) (int, bool) {
 
 // put stores data under name, keeping the list sorted.
 func (im *Image) put(name string, data []byte) {
+	im.gen++
 	i, found := im.find(name)
 	if found {
 		im.sections[i].data = data
@@ -94,15 +102,18 @@ func (im *Image) put(name string, data []byte) {
 
 // Set stores a section, copying the data. Empty names are rejected at
 // Marshal time; overwriting an existing section is allowed (that is what
-// the attacker does).
+// the attacker does), also on an image already installed: the write
+// advances Gen.
 func (im *Image) Set(name string, data []byte) {
 	im.put(name, append([]byte(nil), data...))
 }
 
 // SetOwned stores a section WITHOUT copying: the image takes ownership
-// of data and the caller must not mutate it afterwards. Attack arm
-// builders use it to share one marshaled blob (e.g. an unchanged ECC
-// offset) across the many images of a hypothesis sweep.
+// of data and the caller must not mutate it until the section is
+// overwritten again (by a write that advances Gen). Attack arm builders
+// use it to share one marshaled blob (e.g. an unchanged ECC offset)
+// across the arms of a hypothesis sweep, and to store pooled blobs they
+// rewrite before each re-store.
 func (im *Image) SetOwned(name string, data []byte) {
 	im.put(name, data)
 }
@@ -140,8 +151,15 @@ func (im *Image) Names() []string {
 func (im *Image) Delete(name string) {
 	if i, ok := im.find(name); ok {
 		im.sections = append(im.sections[:i], im.sections[i+1:]...)
+		im.gen++
 	}
 }
+
+// Gen returns the image's write generation: the number of section
+// writes (Set, SetOwned, and Delete of a present section) so far. Equal
+// generations of one image mean equal content, provided owned blobs are
+// not mutated in place.
+func (im *Image) Gen() uint64 { return im.gen }
 
 // Len returns the number of sections.
 func (im *Image) Len() int { return len(im.sections) }

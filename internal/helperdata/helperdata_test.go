@@ -195,3 +195,32 @@ func TestEqualSemantics(t *testing.T) {
 		t.Fatal("different names compared equal")
 	}
 }
+
+// TestGenCountsSectionWrites pins the write generation consumers key
+// their memoization on: every Set, SetOwned and Delete of a present
+// section advances it; reads and a Delete of an absent section do not.
+func TestGenCountsSectionWrites(t *testing.T) {
+	im := NewImage()
+	if im.Gen() != 0 {
+		t.Fatalf("fresh image at generation %d", im.Gen())
+	}
+	steps := []struct {
+		name    string
+		write   func()
+		advance bool
+	}{
+		{"Set new", func() { im.Set(SectionOffset, []byte{1}) }, true},
+		{"Set same bytes", func() { im.Set(SectionOffset, []byte{1}) }, true},
+		{"SetOwned", func() { im.SetOwned(SectionGrouping, []byte{2}) }, true},
+		{"read", func() { im.Section(SectionOffset); im.SectionRO(SectionGrouping); im.Names() }, false},
+		{"Delete absent", func() { im.Delete(SectionMasking) }, false},
+		{"Delete present", func() { im.Delete(SectionGrouping) }, true},
+	}
+	for _, s := range steps {
+		before := im.Gen()
+		s.write()
+		if got := im.Gen() != before; got != s.advance {
+			t.Fatalf("%s: generation %d -> %d, want advance=%v", s.name, before, im.Gen(), s.advance)
+		}
+	}
+}

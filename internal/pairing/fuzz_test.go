@@ -2,13 +2,15 @@ package pairing
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // The pairing helpers arrive from attacker-writable NVM. The fuzz
 // targets feed arbitrary bytes to their parsers: a parser must never
-// panic, and any input it accepts must re-marshal to bytes that decode
-// to an equal value.
+// panic, any input it accepts must re-marshal to bytes that decode to an
+// equal value, and a parse into a destination left over from a longer
+// value must equal the fresh parse (no stale entry leaks through).
 
 func FuzzUnmarshalSeqPair(f *testing.F) {
 	f.Add(SeqPairHelper{Pairs: []Pair{}}.Append(nil))
@@ -18,8 +20,16 @@ func FuzzUnmarshalSeqPair(f *testing.F) {
 	f.Add([]byte{1})                // truncated count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := UnmarshalSeqPair(data)
+		dirty := SeqPairHelper{Pairs: slices.Repeat([]Pair{{A: -1, B: -1}}, len(h.Pairs)+3)}
+		errInto := UnmarshalSeqPairInto(&dirty, data)
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("fresh parse error %v, parse-into error %v", err, errInto)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(dirty, h) {
+			t.Fatalf("parse into a dirty helper gave %+v, fresh parse %+v", dirty, h)
 		}
 		back, err := UnmarshalSeqPair(h.Append(nil))
 		if err != nil {
@@ -39,8 +49,16 @@ func FuzzUnmarshalMasking(f *testing.F) {
 	f.Add([]byte{2, 0, 1})          // truncated header
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := UnmarshalMasking(data)
+		dirty := MaskingHelper{K: -1, Selected: slices.Repeat([]int{-1}, len(h.Selected)+3)}
+		errInto := UnmarshalMaskingInto(&dirty, data)
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("fresh parse error %v, parse-into error %v", err, errInto)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(dirty, h) {
+			t.Fatalf("parse into a dirty helper gave %+v, fresh parse %+v", dirty, h)
 		}
 		back, err := UnmarshalMasking(h.Marshal())
 		if err != nil {

@@ -192,30 +192,54 @@ func (h MaskingHelper) SelectedPairsInto(dst []Pair, basePairs []Pair) ([]Pair, 
 
 // Marshal serializes the masking helper for NVM.
 func (h MaskingHelper) Marshal() []byte {
-	buf := make([]byte, 0, 4+2*len(h.Selected))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(h.K))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.Selected)))
+	return h.Append(make([]byte, 0, 4+2*len(h.Selected)))
+}
+
+// Append appends the Marshal encoding to dst and returns the extended
+// slice, so a pooled buffer can carry it.
+func (h MaskingHelper) Append(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(h.K))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Selected)))
 	for _, s := range h.Selected {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(s))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(s))
 	}
-	return buf
+	return dst
 }
 
 // UnmarshalMasking parses NVM bytes into a masking helper.
 func UnmarshalMasking(data []byte) (MaskingHelper, error) {
+	var h MaskingHelper
+	err := UnmarshalMaskingInto(&h, data)
+	return h, err
+}
+
+// UnmarshalMaskingInto is UnmarshalMasking parsing into *dst, whose
+// selection storage it reuses when the capacity suffices. On error *dst
+// is left unchanged.
+func UnmarshalMaskingInto(dst *MaskingHelper, data []byte) error {
 	if len(data) < 4 {
-		return MaskingHelper{}, fmt.Errorf("pairing: masking helper truncated (%d bytes)", len(data))
+		return fmt.Errorf("pairing: masking helper truncated (%d bytes)", len(data))
 	}
-	h := MaskingHelper{K: int(binary.LittleEndian.Uint16(data))}
 	n := int(binary.LittleEndian.Uint16(data[2:]))
 	if len(data) != 4+2*n {
-		return MaskingHelper{}, fmt.Errorf("pairing: masking helper length %d, want %d", len(data), 4+2*n)
+		return fmt.Errorf("pairing: masking helper length %d, want %d", len(data), 4+2*n)
 	}
-	h.Selected = make([]int, n)
-	for i := 0; i < n; i++ {
-		h.Selected[i] = int(binary.LittleEndian.Uint16(data[4+2*i:]))
+	dst.K = int(binary.LittleEndian.Uint16(data))
+	dst.Selected = resize(dst.Selected, n)
+	for i := range dst.Selected {
+		dst.Selected[i] = int(binary.LittleEndian.Uint16(data[4+2*i:]))
 	}
-	return h, nil
+	return nil
+}
+
+// resize returns buf with length n, reusing its storage when the
+// capacity suffices. A nil buf always gets fresh (non-nil) storage, so a
+// parse into a zero destination equals the allocating parse.
+func resize[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // --- Sequential pairing algorithm (LISA, paper §IV-C, Algorithm 1) ---
@@ -280,17 +304,25 @@ func EnrollSeqPair(f []float64, thresholdMHz float64, policy StoragePolicy, src 
 // pairs. An attacker-manipulated helper that swaps the POSITIONS of two
 // pairs, or the ORDER within one pair, still passes — which is the point
 // of the attack.
+//
+// The used-oscillator set is a word bitset on the stack for arrays of up
+// to 1024 oscillators, so a helper write validates without allocating.
 func (h SeqPairHelper) Validate(n int) error {
-	used := make([]bool, n)
+	var stack [16]uint64
+	used := stack[:]
+	if words := (n + 63) / 64; words > len(stack) {
+		used = make([]uint64, words)
+	}
 	for _, p := range h.Pairs {
 		for _, v := range [2]int{p.A, p.B} { // array literal: no per-pair allocation
 			if v < 0 || v >= n {
 				return fmt.Errorf("pairing: index %d outside array of %d", v, n)
 			}
-			if used[v] {
+			w, bit := v/64, uint64(1)<<(v%64)
+			if used[w]&bit != 0 {
 				return fmt.Errorf("pairing: oscillator %d reused across pairs", v)
 			}
-			used[v] = true
+			used[w] |= bit
 		}
 	}
 	return nil
@@ -310,17 +342,26 @@ func (h SeqPairHelper) Append(dst []byte) []byte {
 
 // UnmarshalSeqPair parses NVM bytes into a sequential-pairing helper.
 func UnmarshalSeqPair(data []byte) (SeqPairHelper, error) {
+	var h SeqPairHelper
+	err := UnmarshalSeqPairInto(&h, data)
+	return h, err
+}
+
+// UnmarshalSeqPairInto is UnmarshalSeqPair parsing into *dst, whose pair
+// storage it reuses when the capacity suffices. On error *dst is left
+// unchanged.
+func UnmarshalSeqPairInto(dst *SeqPairHelper, data []byte) error {
 	if len(data) < 2 {
-		return SeqPairHelper{}, fmt.Errorf("pairing: seqpair helper truncated")
+		return fmt.Errorf("pairing: seqpair helper truncated")
 	}
 	n := int(binary.LittleEndian.Uint16(data))
 	if len(data) != 2+4*n {
-		return SeqPairHelper{}, fmt.Errorf("pairing: seqpair helper length %d, want %d", len(data), 2+4*n)
+		return fmt.Errorf("pairing: seqpair helper length %d, want %d", len(data), 2+4*n)
 	}
-	h := SeqPairHelper{Pairs: make([]Pair, n)}
-	for i := range h.Pairs {
-		h.Pairs[i].A = int(binary.LittleEndian.Uint16(data[2+4*i:]))
-		h.Pairs[i].B = int(binary.LittleEndian.Uint16(data[4+4*i:]))
+	dst.Pairs = resize(dst.Pairs, n)
+	for i := range dst.Pairs {
+		dst.Pairs[i].A = int(binary.LittleEndian.Uint16(data[2+4*i:]))
+		dst.Pairs[i].B = int(binary.LittleEndian.Uint16(data[4+4*i:]))
 	}
-	return h, nil
+	return nil
 }

@@ -271,6 +271,31 @@ func TestSeqPairValidateCatchesManipulation(t *testing.T) {
 	}
 }
 
+// TestSeqPairValidateBitset pins the used-oscillator bitset: reuse is
+// caught in every word, on the stack-sized path and beyond it, and a
+// validation on the stack path allocates nothing (it runs on every
+// seqpair helper write).
+func TestSeqPairValidateBitset(t *testing.T) {
+	for _, n := range []int{64, 1024, 1025, 3000} {
+		last := n - 1
+		ok := SeqPairHelper{Pairs: []Pair{{0, last}, {last - 1, 1}}}
+		if n > 128 {
+			ok.Pairs = append(ok.Pairs, Pair{63, 64}) // straddles a word boundary
+		}
+		if err := ok.Validate(n); err != nil {
+			t.Fatalf("n=%d: distinct oscillators rejected: %v", n, err)
+		}
+		reused := SeqPairHelper{Pairs: []Pair{{0, last}, {last, 1}}}
+		if err := reused.Validate(n); err == nil {
+			t.Fatalf("n=%d: oscillator %d reused across pairs accepted", n, last)
+		}
+	}
+	h := EnrollSeqPair(freqs(7, 1024), 0.5, RandomizedStorage, rng.New(8))
+	if got := testing.AllocsPerRun(20, func() { _ = h.Validate(1024) }); got != 0 {
+		t.Fatalf("Validate allocates %.1f/op at 1024 oscillators, want 0", got)
+	}
+}
+
 func TestSeqPairMarshalRoundTrip(t *testing.T) {
 	h := SeqPairHelper{Pairs: []Pair{{3, 7}, {1, 30}, {12, 5}}}
 	back, err := UnmarshalSeqPair(h.Append(nil))

@@ -27,7 +27,7 @@ func sameHelper(a, b Helper) bool {
 // FuzzUnmarshalHelper feeds arbitrary bytes, standing in for
 // attacker-written NVM, to the helper parser: it must never panic, and
 // any input it accepts must re-marshal to bytes that decode to an equal
-// helper.
+// helper, and parse into a used destination as it parses fresh.
 func FuzzUnmarshalHelper(f *testing.F) {
 	valid := Helper{
 		Pairs: []PairInfo{
@@ -46,8 +46,22 @@ func FuzzUnmarshalHelper(f *testing.F) {
 	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff})  // huge offset length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := UnmarshalHelper(data)
+		// A destination left over from a longer helper must parse to the
+		// fresh result: no stale record or offset word leaks through.
+		dirty := Helper{Offset: bitvec.Ones(h.Offset.Len() + 70)}
+		for range len(h.Pairs) + 3 {
+			dirty.Pairs = append(dirty.Pairs, PairInfo{Pair: pairing.Pair{A: -1, B: -1}, Class: Cooperating,
+				Tl: math.NaN(), Th: math.NaN(), MaskIdx: -2, HelpIdx: -2})
+		}
+		errInto := UnmarshalHelperInto(&dirty, data)
+		if (err == nil) != (errInto == nil) {
+			t.Fatalf("fresh parse error %v, parse-into error %v", err, errInto)
+		}
 		if err != nil {
 			return
+		}
+		if !sameHelper(dirty, h) || dirty.Offset.Weight() != h.Offset.Weight() {
+			t.Fatalf("parse into a dirty helper gave %+v, fresh parse %+v", dirty, h)
 		}
 		back, err := UnmarshalHelper(h.Marshal())
 		if err != nil {

@@ -505,35 +505,57 @@ const helperRecord = 2 + 2 + 1 + 8 + 8 + 2 + 2
 // pair, then the offset as a uint32 bit length and its packed bytes,
 // into one buffer sized up front.
 func (h Helper) Marshal() []byte {
-	buf := make([]byte, 0, 2+len(h.Pairs)*helperRecord+4+(h.Offset.Len()+7)/8)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.Pairs)))
+	return h.Append(make([]byte, 0, 2+len(h.Pairs)*helperRecord+4+(h.Offset.Len()+7)/8))
+}
+
+// Append appends the Marshal encoding to dst and returns the extended
+// slice, so a pooled buffer can carry it.
+func (h Helper) Append(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Pairs)))
 	for _, info := range h.Pairs {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(info.Pair.A))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(info.Pair.B))
-		buf = append(buf, byte(info.Class))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(info.Tl))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(info.Th))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(info.MaskIdx)))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(int16(info.HelpIdx)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(info.Pair.A))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(info.Pair.B))
+		dst = append(dst, byte(info.Class))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(info.Tl))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(info.Th))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(int16(info.MaskIdx)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(int16(info.HelpIdx)))
 	}
 	// bitvec's binary format is exactly the length-prefixed packing.
-	buf, _ = h.Offset.AppendBinary(buf)
-	return buf
+	dst, _ = h.Offset.AppendBinary(dst)
+	return dst
 }
 
 // UnmarshalHelper parses NVM bytes into a helper.
 func UnmarshalHelper(data []byte) (Helper, error) {
+	var h Helper
+	err := UnmarshalHelperInto(&h, data)
+	return h, err
+}
+
+// UnmarshalHelperInto is UnmarshalHelper parsing into *dst, whose pair
+// and offset storage it reuses when the capacity suffices. On error
+// *dst is left unchanged.
+func UnmarshalHelperInto(dst *Helper, data []byte) error {
 	if len(data) < 2 {
-		return Helper{}, errors.New("tempco: helper truncated")
+		return errors.New("tempco: helper truncated")
 	}
 	n := int(binary.LittleEndian.Uint16(data))
 	at := 2
 	if len(data) < at+n*helperRecord+4 {
-		return Helper{}, errors.New("tempco: helper truncated")
+		return errors.New("tempco: helper truncated")
 	}
-	h := Helper{Pairs: make([]PairInfo, n)}
-	for i := range h.Pairs {
-		p := &h.Pairs[i]
+	obits := int(binary.LittleEndian.Uint32(data[at+n*helperRecord:]))
+	// The offset parses first, so a rejected one leaves *dst unchanged.
+	if err := bitvec.FromBytesInto(&dst.Offset, data[at+n*helperRecord+4:], obits); err != nil {
+		return fmt.Errorf("tempco: offset: %w", err)
+	}
+	if dst.Pairs == nil || cap(dst.Pairs) < n {
+		dst.Pairs = make([]PairInfo, n)
+	}
+	dst.Pairs = dst.Pairs[:n]
+	for i := range dst.Pairs {
+		p := &dst.Pairs[i]
 		p.Pair.A = int(binary.LittleEndian.Uint16(data[at:]))
 		p.Pair.B = int(binary.LittleEndian.Uint16(data[at+2:]))
 		p.Class = PairClass(data[at+4])
@@ -543,12 +565,5 @@ func UnmarshalHelper(data []byte) (Helper, error) {
 		p.HelpIdx = int(int16(binary.LittleEndian.Uint16(data[at+23:])))
 		at += helperRecord
 	}
-	obits := int(binary.LittleEndian.Uint32(data[at:]))
-	at += 4
-	v, err := bitvec.FromBytes(data[at:], obits)
-	if err != nil {
-		return Helper{}, fmt.Errorf("tempco: offset: %w", err)
-	}
-	h.Offset = v
-	return h, nil
+	return nil
 }
