@@ -93,7 +93,7 @@ func enrollTempCo(seed uint64, dumpHex bool) error {
 				i, info.Tl, info.Th, info.HelpIdx, info.MaskIdx)
 		}
 	}
-	blob := h.Marshal()
+	blob := h.Append(nil)
 	fmt.Printf("helper NVM     : %d bytes\n", len(blob))
 	if dumpHex {
 		fmt.Println(hex.EncodeToString(blob))
@@ -119,11 +119,12 @@ func enrollGroupBased(seed uint64, dumpHex bool) error {
 	fmt.Printf("Kendall stream : %d bits; packed key: %d bits\n",
 		groupbased.StreamLen(&h.Grouping), key.Len())
 	fmt.Printf("key            : %s\n", key)
+	poly, groups := h.Poly.Append(nil), h.Grouping.Append(nil)
 	fmt.Printf("helper NVM     : poly %d B + groups %d B + offset %d bits\n",
-		len(h.Poly.Marshal()), len(h.Grouping.Marshal()), h.Offset.Len())
+		len(poly), len(groups), h.Offset.Len())
 	if dumpHex {
-		fmt.Println("poly   :", hex.EncodeToString(h.Poly.Marshal()))
-		fmt.Println("groups :", hex.EncodeToString(h.Grouping.Marshal()))
+		fmt.Println("poly   :", hex.EncodeToString(poly))
+		fmt.Println("groups :", hex.EncodeToString(groups))
 		fmt.Println("offset :", hex.EncodeToString(h.Offset.Bytes()))
 	}
 	return nil

@@ -92,7 +92,7 @@ func TestTempCoHelperSurvivesNVMImage(t *testing.T) {
 	h := d.ReadHelper()
 
 	im := helperdata.NewImage()
-	im.Set(helperdata.SectionTempCo, h.Marshal())
+	im.Set(helperdata.SectionTempCo, h.Append(nil))
 	raw, err := im.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -101,12 +101,12 @@ func TestTempCoHelperSurvivesNVMImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, ok := back.Section(helperdata.SectionTempCo)
+	blob, ok := back.SectionRO(helperdata.SectionTempCo)
 	if !ok {
 		t.Fatal("section missing after round trip")
 	}
-	h2, err := tempco.UnmarshalHelper(blob)
-	if err != nil {
+	var h2 tempco.Helper
+	if err := tempco.UnmarshalHelperInto(&h2, blob); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WriteHelper(h2); err != nil {
@@ -143,7 +143,7 @@ func TestAttackSurvivesHelperImageManipulationPath(t *testing.T) {
 
 	im := helperdata.NewImage()
 	im.Set(helperdata.SectionSeqPairs, h.Pairs.Append(nil))
-	im.Set(helperdata.SectionOffset, h.Offset.Bytes())
+	im.Set(helperdata.SectionOffset, h.Offset.Append(nil))
 	raw, err := im.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +154,9 @@ func TestAttackSurvivesHelperImageManipulationPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := parsed.Section(helperdata.SectionSeqPairs)
-	pairsHelper, err := pairing.UnmarshalSeqPair(blob)
-	if err != nil {
+	blob, _ := parsed.SectionRO(helperdata.SectionSeqPairs)
+	var pairsHelper pairing.SeqPairHelper
+	if err := pairing.UnmarshalSeqPairInto(&pairsHelper, blob); err != nil {
 		t.Fatal(err)
 	}
 	tcap := d.Code().T()
@@ -174,14 +174,14 @@ func TestAttackSurvivesHelperImageManipulationPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob2, _ := final.Section(helperdata.SectionSeqPairs)
-	manipPairs, err := pairing.UnmarshalSeqPair(blob2)
-	if err != nil {
+	blob2, _ := final.SectionRO(helperdata.SectionSeqPairs)
+	var manipPairs pairing.SeqPairHelper
+	if err := pairing.UnmarshalSeqPairInto(&manipPairs, blob2); err != nil {
 		t.Fatal(err)
 	}
-	offBytes, _ := final.Section(helperdata.SectionOffset)
-	offset, err := bitvec.FromBytes(offBytes, h.Offset.Len())
-	if err != nil {
+	offBytes, _ := final.SectionRO(helperdata.SectionOffset)
+	var offset bitvec.Vector
+	if err := bitvec.UnmarshalVectorInto(&offset, offBytes); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.WriteHelper(device.SeqPairHelperNVM{Pairs: manipPairs, Offset: offset}); err != nil {

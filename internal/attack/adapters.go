@@ -13,8 +13,9 @@ import (
 // device's typed helper structs and the sectioned NVM image and inverts
 // App() into the failure convention (Query true = failure).
 //
-// ReadImage marshals from the device's one read path, ReadHelper's
-// deep copy; an attack reads the image once, at its start.
+// ReadImage encodes the device's one read path, ReadHelper's deep copy,
+// into a fresh image through the layout's composer (one Append(nil) per
+// blob); an attack reads the image once, at its start.
 //
 // WriteImage keeps the adapters off the oracle-query hot loop's
 // allocation profile. It parses every image it installs into one typed
@@ -93,7 +94,9 @@ func (t *seqPairTarget) Spec() Spec {
 
 func (t *seqPairTarget) ReadImage() (*helperdata.Image, error) {
 	h := t.d.ReadHelper()
-	return SeqPairImage(h.Pairs, h.Offset)
+	im := helperdata.NewImage()
+	seqPairImage(im, h.Pairs.Append(nil), h.Offset.Append(nil))
+	return im, nil
 }
 
 func (t *seqPairTarget) WriteImage(im *helperdata.Image) error {
@@ -125,7 +128,9 @@ func (t *tempCoTarget) Spec() Spec {
 }
 
 func (t *tempCoTarget) ReadImage() (*helperdata.Image, error) {
-	return TempCoImage(t.d.ReadHelper()), nil
+	im := helperdata.NewImage()
+	tempCoImage(im, t.d.ReadHelper().Append(nil))
+	return im, nil
 }
 
 func (t *tempCoTarget) WriteImage(im *helperdata.Image) error {
@@ -158,7 +163,10 @@ func (t *groupBasedTarget) Spec() Spec {
 }
 
 func (t *groupBasedTarget) ReadImage() (*helperdata.Image, error) {
-	return GroupBasedImage(t.d.ReadHelper())
+	h := t.d.ReadHelper()
+	im := helperdata.NewImage()
+	groupBasedImage(im, h.Poly.Append(nil), h.Grouping.Append(nil), h.Offset.Append(nil))
+	return im, nil
 }
 
 func (t *groupBasedTarget) WriteImage(im *helperdata.Image) error {
@@ -200,10 +208,13 @@ func (t *distillerTarget) Spec() Spec {
 
 func (t *distillerTarget) ReadImage() (*helperdata.Image, error) {
 	h := t.d.ReadHelper()
+	var mask []byte
 	if t.d.Params().Mode == device.MaskedChain {
-		return DistillerImage(h.Poly, &h.Masking, h.Offset)
+		mask = h.Masking.Append(nil)
 	}
-	return DistillerImage(h.Poly, nil, h.Offset)
+	im := helperdata.NewImage()
+	distillerImage(im, h.Poly.Append(nil), mask, h.Offset.Append(nil))
+	return im, nil
 }
 
 func (t *distillerTarget) WriteImage(im *helperdata.Image) error {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/helperdata"
+	"repro/internal/tempco"
 )
 
 // TestRewrittenImageReinstalls pins the write cache's key: an image
@@ -15,11 +16,7 @@ import (
 // tempco, whose offset lives inside its one helper blob, that blob).
 func TestRewrittenImageReinstalls(t *testing.T) {
 	offsetSection := func(im *helperdata.Image, off bitvec.Vector) {
-		blob, err := off.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		im.SetOwned(helperdata.SectionOffset, blob)
+		im.SetOwned(helperdata.SectionOffset, off.Append(nil))
 	}
 	seq := seqPairDevice(t, 3)
 	tc := tempcoDevice(t, 50)
@@ -33,12 +30,12 @@ func TestRewrittenImageReinstalls(t *testing.T) {
 	}{
 		{"seqpair", NewSeqPairTarget(seq), offsetSection, func() bitvec.Vector { return seq.ReadHelper().Offset }},
 		{"tempco", NewTempCoTarget(tc), func(im *helperdata.Image, off bitvec.Vector) {
-			h, err := TempCoFromImage(im)
-			if err != nil {
+			var h tempco.Helper
+			if err := tempCoInto(im, &h); err != nil {
 				t.Fatal(err)
 			}
 			h.Offset = off
-			im.SetOwned(helperdata.SectionTempCo, h.Marshal())
+			im.SetOwned(helperdata.SectionTempCo, h.Append(nil))
 		}, func() bitvec.Vector { return tc.ReadHelper().Offset }},
 		{"groupbased", NewGroupBasedTarget(gb), offsetSection, func() bitvec.Vector { return gb.ReadHelper().Offset }},
 		{"distiller", NewDistillerTarget(mask), offsetSection, func() bitvec.Vector { return mask.ReadHelper().Offset }},

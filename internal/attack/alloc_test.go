@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/device"
-	"repro/internal/distiller"
 	"repro/internal/ecc"
 	"repro/internal/groupbased"
 	"repro/internal/pairing"
@@ -143,14 +142,7 @@ func warmDecisionAllocs(t *testing.T, tgt Target, nvmGen func() uint64, build fu
 func TestWarmDecisionAllocationsGroupBased(t *testing.T) {
 	d := groupBasedDevice(t, 42)
 	tgt := NewGroupBasedTarget(d)
-	im, err := tgt.ReadImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	original, err := GroupBasedFromImage(im)
-	if err != nil {
-		t.Fatal(err)
-	}
+	original := d.ReadHelper()
 	spec := tgt.Spec()
 	var group []int
 	for _, g := range original.Grouping.Members() {
@@ -184,14 +176,8 @@ func TestWarmDecisionAllocationsGroupBased(t *testing.T) {
 func TestWarmDecisionAllocationsMasking(t *testing.T) {
 	d := maskingDevice(t, 42)
 	tgt := NewDistillerTarget(d)
-	im, err := tgt.ReadImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	poly, mask, _, err := DistillerFromImage(im)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := d.ReadHelper()
+	poly, mask := h.Poly, h.Masking
 	spec := tgt.Spec()
 	base := pairing.ChainPairs(spec.Rows, spec.Cols, true)
 	pattern := valleyForPair(func(ro int) (int, int) { return ro % spec.Cols, ro / spec.Cols }, base[1])
@@ -217,17 +203,10 @@ func TestWarmDecisionAllocationsMasking(t *testing.T) {
 func TestWarmDecisionAllocationsChain(t *testing.T) {
 	d := chainDevice(t, 42)
 	tgt := NewDistillerTarget(d)
-	im, err := tgt.ReadImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	poly, _, _, err := DistillerFromImage(im)
-	if err != nil {
-		t.Fatal(err)
-	}
+	poly := d.ReadHelper().Poly
 	spec := tgt.Spec()
 	n := len(pairing.ChainPairs(spec.Rows, spec.Cols, false))
-	pattern := distiller.QuadraticValleyX(0.5, distillerPatternMHz).AddInto(distiller.Plane(0, 0, distillerTiltMHz), nil)
+	pattern := valley(true, 0.5)
 	// Two undetermined bits, one per row: four arms.
 	unknown := []int{0, spec.Cols - 1}
 	sc := armScratch{code: spec.Code, inject: spec.Code.T(), compose: distillerImage}
@@ -255,18 +234,9 @@ func TestWarmDecisionAllocationsChain(t *testing.T) {
 func TestWarmSwapArmAllocationsSeqPair(t *testing.T) {
 	d := seqPairDevice(t, 42)
 	tgt := NewSeqPairTarget(d)
-	im, err := tgt.ReadImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	original, offset, err := SeqPairFromImage(im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arms, err := newSeqPairArms(original, offset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := d.ReadHelper()
+	original := h.Pairs
+	arms := newSeqPairArms(original, h.Offset)
 	inj := []int{1, 2, 3}
 	j := 4
 	var swap [1]Hypothesis

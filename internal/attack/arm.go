@@ -17,7 +17,7 @@ import (
 // folded into the hypothesis block, and bind the key each hypothesis
 // predicts. The builder holds the run's constants (code, injected error
 // count, the image layout) and pools what every decision rebuilds: the
-// superposition's coefficients and its marshaled blob, the layout blob,
+// superposition's coefficients and its encoded blob, the layout blob,
 // the hypothesis stream, the sketch (for sizing and polish), and one
 // armSlot per arm (arms of one decision are alive together, so the
 // slots are indexed by arm). A slot's image is rewritten by every
@@ -29,7 +29,7 @@ type armScratch struct {
 	compose func(im *helperdata.Image, poly, layout, offset []byte)
 
 	polyBeta []float64
-	poly     []byte // the decision's superimposed polynomial, marshaled
+	poly     []byte // the decision's superimposed polynomial, encoded
 	layout   []byte // the decision's grouping or masking blob, or nil
 	// stream is the callers' buffer for the next arm's predicted
 	// response, filled before add.
@@ -85,7 +85,7 @@ func (s *armSlot) bind(t Target) error {
 func (s *armSlot) write(t Target) error { return t.WriteImage(s.im) }
 
 // decide starts a decision: it superimposes pattern on the original
-// polynomial (which is only read), marshals the sum once for every arm
+// polynomial (which is only read), encodes the sum once for every arm
 // image, and drops the previous decision's arms. layout is the
 // decision's pairing-layout blob, shared by every arm image (nil for
 // none); callers append it into sc.layout[:0], so its buffer is pooled
@@ -148,16 +148,12 @@ func (sc *armScratch) add(stream bitvec.Vector, targetPos int, hypBits []int) er
 		sc.slots = append(sc.slots, newBindingSlot())
 	}
 	slot := sc.slots[arm]
-	blob, err := injected.AppendBinary(slot.blob[:0])
-	if err != nil {
-		return err
-	}
-	slot.blob = blob
+	slot.blob = injected.Append(slot.blob[:0])
 	// The device recovers the stream the offset binds, the INJECTED
 	// one, so that is the key the attacker predicts.
 	predKey := scratchVec(&slot.predKey, stream.Len())
 	injected.SliceInto(0, stream.Len(), predKey)
-	sc.compose(slot.im, sc.poly, sc.layout, blob)
+	sc.compose(slot.im, sc.poly, sc.layout, slot.blob)
 	sc.arms = append(sc.arms, slot.hyp)
 	return nil
 }

@@ -54,7 +54,7 @@ import (
 // through Target.ReadImage.
 type Spec struct {
 	// Construction names the deployed scheme; it must match the Name of
-	// the attack being run.
+	// the attack being run (Run rejects a mismatch).
 	Construction string
 	// Rows, Cols give the RO array geometry (row-major index i sits at
 	// x = i % Cols, y = i / Cols). Zero when an attack needs no
@@ -261,11 +261,16 @@ func Attacks() []Attack {
 	return out
 }
 
-// Run dispatches one attack by registry name.
+// Run dispatches one attack by registry name. It is the one place that
+// checks the target's construction against the attack: a mismatch is
+// rejected before the attack reads the image or spends a query.
 func Run(ctx context.Context, name string, t Target, opts Options) (Report, error) {
 	a, ok := Lookup(name)
 	if !ok {
 		return Report{}, fmt.Errorf("attack: unknown attack %q (have %v)", name, Names())
+	}
+	if c := t.Spec().Construction; c != name {
+		return Report{}, fmt.Errorf("attack: target construction %q, want %q", c, name)
 	}
 	return a.Run(ctx, t, opts)
 }

@@ -3,13 +3,16 @@ package attack
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/ecc"
 	"repro/internal/groupbased"
+	"repro/internal/helperdata"
 	"repro/internal/pairing"
 	"repro/internal/rng"
+	"repro/internal/tempco"
 )
 
 func seqPairDevice(t testing.TB, seed uint64) *device.SeqPairDevice {
@@ -79,36 +82,106 @@ func TestRegistryHasAllFiveAttacks(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMismatchedConstruction runs every attack against every
+// adapter of another construction (the distiller device in either
+// pairing mode included): Run must reject each before the attack spends
+// a query.
+func TestRunRejectsMismatchedConstruction(t *testing.T) {
+	targets := []Target{
+		NewSeqPairTarget(seqPairDevice(t, 3)),
+		NewTempCoTarget(tempcoDevice(t, 50)),
+		NewGroupBasedTarget(groupBasedDevice(t, 3)),
+		NewDistillerTarget(maskingDevice(t, 3)),
+		NewDistillerTarget(chainDevice(t, 3)),
+	}
+	for _, name := range Names() {
+		for _, tgt := range targets {
+			construction := tgt.Spec().Construction
+			if construction == name {
+				continue
+			}
+			before := tgt.Queries()
+			if _, err := Run(context.Background(), name, tgt, Options{Dist: DefaultDistinguisher()}); err == nil {
+				t.Errorf("%s attack accepted a %s target", name, construction)
+			}
+			if spent := tgt.Queries() - before; spent != 0 {
+				t.Errorf("%s attack spent %d queries on a %s target before rejecting it", name, spent, construction)
+			}
+		}
+	}
+}
+
+// TestImageRoundTrips checks every adapter's image against its device:
+// the layout parser applied to ReadImage gives exactly the device's
+// ReadHelper, the image installs back, and an image of another layout
+// (each case gets the next case's, which lacks a section it needs) is
+// rejected rather than silently accepted.
 func TestImageRoundTrips(t *testing.T) {
-	// seqpair
-	sd := seqPairDevice(t, 3)
-	st := NewSeqPairTarget(sd)
-	im, err := st.ReadImage()
-	if err != nil {
-		t.Fatal(err)
+	seq := seqPairDevice(t, 3)
+	tc := tempcoDevice(t, 50)
+	gb := groupBasedDevice(t, 3)
+	mask := maskingDevice(t, 3)
+	chain := chainDevice(t, 3)
+	distillerParse := func(im *helperdata.Image) (any, error) {
+		var h device.DistillerPairHelperNVM
+		_, err := distillerInto(im, &h.Poly, &h.Masking, &h.Offset)
+		return h, err
 	}
-	raw, err := im.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		tgt    Target
+		parse  func(*helperdata.Image) (any, error)
+		helper func() any
+	}{
+		{"seqpair", NewSeqPairTarget(seq), func(im *helperdata.Image) (any, error) {
+			var h device.SeqPairHelperNVM
+			err := seqPairInto(im, &h.Pairs, &h.Offset)
+			return h, err
+		}, func() any { return seq.ReadHelper() }},
+		{"tempco", NewTempCoTarget(tc), func(im *helperdata.Image) (any, error) {
+			var h tempco.Helper
+			err := tempCoInto(im, &h)
+			return h, err
+		}, func() any { return tc.ReadHelper() }},
+		{"groupbased", NewGroupBasedTarget(gb), func(im *helperdata.Image) (any, error) {
+			var h groupbased.Helper
+			err := groupBasedInto(im, &h)
+			return h, err
+		}, func() any { return gb.ReadHelper() }},
+		{"masking", NewDistillerTarget(mask), distillerParse, func() any { return mask.ReadHelper() }},
+		{"chain", NewDistillerTarget(chain), distillerParse, func() any { return chain.ReadHelper() }},
 	}
-	t.Logf("seqpair NVM image: %d bytes, sections %v", len(raw), im.Names())
-	if err := st.WriteImage(im); err != nil {
-		t.Fatalf("round-trip write rejected: %v", err)
+	images := make([]*helperdata.Image, len(cases))
+	for i, c := range cases {
+		im, err := c.tgt.ReadImage()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		images[i] = im
 	}
-	// groupbased
-	gd := groupBasedDevice(t, 3)
-	gt := NewGroupBasedTarget(gd)
-	gim, err := gt.ReadImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gt.WriteImage(gim); err != nil {
-		t.Fatalf("round-trip write rejected: %v", err)
-	}
-	// A seqpair image written to a groupbased device must fail parsing,
-	// not get silently accepted.
-	if err := gt.WriteImage(im); err == nil {
-		t.Fatal("cross-construction image accepted")
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			im := images[i]
+			raw, err := im.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("NVM image: %d bytes, sections %v", len(raw), im.Names())
+			got, err := c.parse(im)
+			if err != nil {
+				t.Fatalf("parse of ReadImage: %v", err)
+			}
+			if want := c.helper(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("parse of ReadImage differs from ReadHelper:\n got %+v\nwant %+v", got, want)
+			}
+			if err := c.tgt.WriteImage(im); err != nil {
+				t.Fatalf("round-trip write rejected: %v", err)
+			}
+			foreign := cases[(i+1)%len(cases)].name
+			if err := c.tgt.WriteImage(images[(i+1)%len(cases)]); err == nil {
+				t.Fatalf("%s image accepted by the %s adapter", foreign, c.name)
+			}
+		})
 	}
 }
 

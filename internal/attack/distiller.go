@@ -50,9 +50,6 @@ func (maskingAttack) Description() string {
 
 func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report, error) {
 	spec := t.Spec()
-	if spec.Construction != a.Name() {
-		return Report{}, fmt.Errorf("attack: target construction %q, want masked chain", spec.Construction)
-	}
 	if spec.Rows <= 0 || spec.Cols <= 0 {
 		return Report{}, fmt.Errorf("attack: masking needs array geometry in the spec, got %dx%d", spec.Rows, spec.Cols)
 	}
@@ -63,11 +60,14 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	if err != nil {
 		return Report{}, err
 	}
-	origPoly, origMask, origOffset, err := DistillerFromImage(originalImage)
+	var origPoly distiller.Poly2D
+	var origMask pairing.MaskingHelper
+	var origOffset bitvec.Vector
+	hasMask, err := distillerInto(originalImage, &origPoly, &origMask, &origOffset)
 	if err != nil {
 		return Report{}, err
 	}
-	if origMask == nil {
+	if !hasMask {
 		return Report{}, fmt.Errorf("attack: helper image carries no masking section")
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
@@ -178,9 +178,6 @@ func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly dist
 	if err != nil {
 		return false, err
 	}
-	if best < 0 {
-		return false, ErrNoArms
-	}
 	return best == 1, nil
 }
 
@@ -208,9 +205,6 @@ func (chainAttack) Description() string {
 
 func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, error) {
 	spec := t.Spec()
-	if spec.Construction != a.Name() {
-		return Report{}, fmt.Errorf("attack: target construction %q, want overlapping chain", spec.Construction)
-	}
 	if spec.Rows <= 0 || spec.Cols <= 0 {
 		return Report{}, fmt.Errorf("attack: chain needs array geometry in the spec, got %dx%d", spec.Rows, spec.Cols)
 	}
@@ -221,8 +215,10 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	if err != nil {
 		return Report{}, err
 	}
-	origPoly, _, origOffset, err := DistillerFromImage(originalImage)
-	if err != nil {
+	var origPoly distiller.Poly2D
+	var origMask pairing.MaskingHelper
+	var origOffset bitvec.Vector
+	if _, err := distillerInto(originalImage, &origPoly, &origMask, &origOffset); err != nil {
 		return Report{}, err
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
@@ -255,12 +251,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	predicted, determined := make([]bool, len(base)), make([]bool, len(base))
 	var unknownIdx []int
 	for bi, bd := range bounds {
-		var pattern distiller.Poly2D
-		if bd.vertical {
-			pattern = distiller.QuadraticValleyX(bd.at, distillerPatternMHz).AddInto(distiller.Plane(0, 0, distillerTiltMHz), nil)
-		} else {
-			pattern = distiller.QuadraticValleyY(bd.at, distillerPatternMHz).AddInto(distiller.Plane(0, distillerTiltMHz, 0), nil)
-		}
+		pattern := valley(bd.vertical, bd.at)
 		pval := func(ro int) float64 {
 			x, y := pos(ro)
 			return pattern.Eval(float64(x), float64(y))
@@ -312,9 +303,6 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 		if err != nil {
 			return Report{}, err
 		}
-		if best < 0 {
-			return Report{}, ErrNoArms
-		}
 		for p, idx := range unknownIdx {
 			known[idx] = best>>uint(p)&1 == 1
 		}
@@ -346,14 +334,23 @@ func valleyForPair(pos func(int) (int, int), tp pairing.Pair) distiller.Poly2D {
 	xb, yb := pos(tp.B)
 	if ya == yb {
 		// Horizontal pair: valley in x centered between them, tilt in y.
-		return distiller.QuadraticValleyX((float64(xa)+float64(xb))/2, distillerPatternMHz).
-			AddInto(distiller.Plane(0, 0, distillerTiltMHz), nil)
+		return valley(true, (float64(xa)+float64(xb))/2)
 	}
 	if xa == xb {
-		return distiller.QuadraticValleyY((float64(ya)+float64(yb))/2, distillerPatternMHz).
-			AddInto(distiller.Plane(0, distillerTiltMHz, 0), nil)
+		return valley(false, (float64(ya)+float64(yb))/2)
 	}
 	// Diagonal pairs do not occur on neighbor chains; fall back to the
 	// perpendicular plane (levels tie along the perpendicular axis).
 	return distiller.PerpendicularPlane(xa, ya, xb, yb, distillerPatternMHz)
+}
+
+// valley builds the Fig. 6 pattern both distiller attacks use: a
+// quadratic valley centered at `at` along x (vertical: a line between
+// columns) or along y, plus the orthogonal tilt that pins every pair the
+// valley does not target.
+func valley(vertical bool, at float64) distiller.Poly2D {
+	if vertical {
+		return distiller.QuadraticValleyX(at, distillerPatternMHz).AddInto(distiller.Plane(0, 0, distillerTiltMHz), nil)
+	}
+	return distiller.QuadraticValleyY(at, distillerPatternMHz).AddInto(distiller.Plane(0, distillerTiltMHz, 0), nil)
 }

@@ -18,8 +18,9 @@ import (
 // the adversary holds.
 
 // ErrNoArms reports a hypothesis test over an empty arm set — a malformed
-// attack configuration rather than a statistical outcome. Attacks return
-// it (wrapped) instead of crashing a long-running campaign.
+// attack configuration rather than a statistical outcome.
+// BestHypotheses returns it, so an attack passes it up (wrapped) instead
+// of crashing a long-running campaign.
 var ErrNoArms = errors.New("attack: no hypothesis arms to distinguish")
 
 // Arm is one observation source for failure-rate estimation: a closure
@@ -123,15 +124,15 @@ func (d Distinguisher) normalized() Distinguisher {
 // failure rate on t and the number of queries spent, installing each
 // hypothesis before every query. ctx is checked and the budget charged
 // before every query; on cancellation or exhaustion it returns (-1,
-// queries so far, err). An empty set returns (-1, 0, nil), which callers
-// treat as ErrNoArms; a single hypothesis wins without a query.
+// queries so far, err). An empty set returns (-1, 0, ErrNoArms); a
+// single hypothesis wins without a query.
 //
 // Sequential runs the arms' SPRTs one after another and stops at the
 // first arm accepted at the nominal rate — Wald's early exit — falling
 // back to a fixed-sample pass when none is.
 func (d Distinguisher) BestHypotheses(ctx context.Context, t Target, hyps []Hypothesis, b *Budget) (best, queries int, err error) {
 	if len(hyps) == 0 {
-		return -1, 0, nil
+		return -1, 0, ErrNoArms
 	}
 	d = d.normalized()
 	if len(hyps) == 1 {

@@ -128,9 +128,9 @@ func TestBestSingleArm(t *testing.T) {
 
 func TestBestEmptyArmSet(t *testing.T) {
 	tgt := &bernoulliTarget{r: rng.New(5)}
-	i, q := best(t, DefaultDistinguisher(), tgt, nil)
-	if i != -1 || q != 0 {
-		t.Fatalf("empty arm set: best=%d q=%d, want (-1, 0)", i, q)
+	i, q, err := DefaultDistinguisher().BestHypotheses(context.Background(), tgt, nil, nil)
+	if i != -1 || q != 0 || !errors.Is(err, ErrNoArms) || tgt.queries != 0 {
+		t.Fatalf("empty arm set: best=%d q=%d err=%v (%d served), want (-1, 0, ErrNoArms)", i, q, err, tgt.queries)
 	}
 }
 

@@ -60,8 +60,8 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	if err != nil {
 		return Report{}, err
 	}
-	original, err := GroupBasedFromImage(originalImage)
-	if err != nil {
+	var original groupbased.Helper
+	if err := groupBasedInto(originalImage, &original); err != nil {
 		return Report{}, err
 	}
 	// The image is untrusted input: its group assignment must cover the
@@ -232,9 +232,6 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, origPoly distille
 	best, _, err := dist.BestHypotheses(ctx, t, sc.arms, budget)
 	if err != nil {
 		return false, err
-	}
-	if best < 0 {
-		return false, ErrNoArms
 	}
 	return best == 1, nil
 }

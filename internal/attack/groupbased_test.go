@@ -111,14 +111,7 @@ func BenchmarkGroupBasedPairDecision(b *testing.B) {
 	const seed = 9
 	d := groupBasedDevice(b, seed)
 	params := d.Params()
-	im, err := NewGroupBasedTarget(d).ReadImage()
-	if err != nil {
-		b.Fatal(err)
-	}
-	original, err := GroupBasedFromImage(im)
-	if err != nil {
-		b.Fatal(err)
-	}
+	original := d.ReadHelper()
 	var pairs [][2]int
 	for _, g := range original.Grouping.Members() {
 		for i := range g {
@@ -133,6 +126,7 @@ func BenchmarkGroupBasedPairDecision(b *testing.B) {
 	ctx := context.Background()
 	var tgt Target
 	reset := func() {
+		var err error
 		if d, err = device.EnrollGroupBasedReuse(d, params, rng.New(seed), rng.New(seed+1)); err != nil {
 			b.Fatal(err)
 		}

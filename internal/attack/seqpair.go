@@ -46,8 +46,9 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	if err != nil {
 		return Report{}, err
 	}
-	original, origOffset, err := SeqPairFromImage(originalImage)
-	if err != nil {
+	var original pairing.SeqPairHelper
+	var origOffset bitvec.Vector
+	if err := seqPairInto(originalImage, &original, &origOffset); err != nil {
 		return Report{}, err
 	}
 	defer func() { _ = t.WriteImage(originalImage) }() // leave the device as found
@@ -68,10 +69,7 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
 
-	arms, err := newSeqPairArms(original, origOffset)
-	if err != nil {
-		return Report{}, err
-	}
+	arms := newSeqPairArms(original, origOffset)
 
 	// injectionSet fills dst (from its start) with opts.InjectErrors
 	// positions inside block 0 avoiding the two pairs under test (-1 =
@@ -123,9 +121,6 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: pair %d: %w", j, err)
 		}
-		if best < 0 {
-			return Report{}, fmt.Errorf("attack: pair %d: %w", j, ErrNoArms)
-		}
 		relations[j] = best != 0 // swap arm elevated => bits differ
 		tr.step("relations", j, m-1)
 	}
@@ -153,7 +148,7 @@ func (a seqPairAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 // into two pooled write slots; every decision rewrites both. Each arm
 // swaps the within-pair order at some positions (the value-independent
 // error injector) and, for the swap arm, the list positions of two
-// pairs. Every arm shares the untouched offset blob, marshaled once.
+// pairs. Every arm shares the untouched offset blob, encoded once.
 type seqPairArms struct {
 	original []pairing.Pair
 	offset   []byte
@@ -161,13 +156,9 @@ type seqPairArms struct {
 	slots    [2]*armSlot
 }
 
-func newSeqPairArms(original pairing.SeqPairHelper, offset bitvec.Vector) (*seqPairArms, error) {
-	blob, err := offset.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return &seqPairArms{original: original.Pairs, offset: blob,
-		slots: [2]*armSlot{newWriteSlot(), newWriteSlot()}}, nil
+func newSeqPairArms(original pairing.SeqPairHelper, offset bitvec.Vector) *seqPairArms {
+	return &seqPairArms{original: original.Pairs, offset: offset.Append(nil),
+		slots: [2]*armSlot{newWriteSlot(), newWriteSlot()}}
 }
 
 // arm rewrites slot's image into the original helper with the

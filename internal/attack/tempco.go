@@ -62,8 +62,8 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 	if err != nil {
 		return Report{}, err
 	}
-	original, err := TempCoFromImage(originalImage)
-	if err != nil {
+	var original tempco.Helper
+	if err := tempCoInto(originalImage, &original); err != nil {
 		return Report{}, err
 	}
 	defer func() { _ = t.WriteImage(originalImage) }()
@@ -176,7 +176,7 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 	// elevated arms) into a helper with the requester forced into
 	// cooperation via helping pair x plus the listed injections, and
 	// returns the slot's hypothesis. The manipulated pair list lives in
-	// one pooled buffer, marshaled into the slot's blob before install
+	// one pooled buffer, encoded into the slot's blob before install
 	// returns.
 	slots := [2]*armSlot{newWriteSlot(), newWriteSlot()}
 	var pairsBuf []tempco.PairInfo
@@ -258,9 +258,6 @@ func (a tempCoAttack) Run(ctx context.Context, t Target, opts Options) (Report, 
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: pair %d: %w", x, err)
 		}
-		if best < 0 {
-			return Report{}, fmt.Errorf("attack: pair %d: %w", x, ErrNoArms)
-		}
 		xorWithRef[x] = best != 0
 		tr.step("relations", n+1, len(coop))
 	}
@@ -336,10 +333,6 @@ func (tempCoAttack) secondRequester(
 		}, budget)
 		if err != nil {
 			return false, false, err
-		}
-		if best < 0 {
-			// Degenerate arm set: leave the requester's relation unknown.
-			return false, false, nil
 		}
 		// best!=0 => r_requester != r_ref2; translate into the
 		// refHelper frame via rel2 = r_ref2 XOR r_refHelper.

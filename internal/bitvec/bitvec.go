@@ -364,37 +364,6 @@ func (v Vector) Bytes() []byte {
 	return out
 }
 
-// FromBytes is the inverse of Bytes for a vector of length n. Bytes are
-// packed into words eight at a time; stray bits beyond n in the final
-// byte are ignored, as are bytes beyond the (n+7)/8 needed.
-func FromBytes(data []byte, n int) (Vector, error) {
-	var v Vector
-	err := FromBytesInto(&v, data, n)
-	return v, err
-}
-
-// FromBytesInto is FromBytes into *dst, whose word storage it reuses
-// when the capacity suffices, so a parser that keeps its destination
-// allocates nothing once the buffer has grown. On error *dst is left
-// unchanged.
-func FromBytesInto(dst *Vector, data []byte, n int) error {
-	need := (n + 7) / 8
-	if len(data) < need {
-		return fmt.Errorf("bitvec: need %d bytes for %d bits, have %d", need, n, len(data))
-	}
-	if words := (n + 63) / 64; dst.words == nil || cap(dst.words) < words {
-		*dst = New(n)
-	} else {
-		*dst = Vector{n: n, words: dst.words[:words]}
-		clear(dst.words)
-	}
-	for i := 0; i < need; i++ {
-		dst.words[i>>3] |= uint64(data[i]) << ((uint(i) & 7) * 8)
-	}
-	dst.maskTail()
-	return nil
-}
-
 // Ones returns an all-ones vector of length n.
 func Ones(n int) Vector {
 	v := New(n)
@@ -419,54 +388,64 @@ func (v Vector) String() string {
 	return b.String()
 }
 
-// MarshalBinary serializes the vector as a little-endian uint32 bit
-// length followed by the Bytes packing, so the exact length survives a
-// round trip through byte-oriented storage (helper NVM sections).
-func (v Vector) MarshalBinary() ([]byte, error) {
-	return v.AppendBinary(make([]byte, 0, 4+(v.n+7)/8))
-}
-
-// AppendBinary appends the MarshalBinary wire format to b and returns the
-// extended slice, packing words directly without an intermediate Bytes
-// allocation — the scratch-buffer serialization primitive of the attack
-// loops' helper-image builders.
-func (v Vector) AppendBinary(b []byte) ([]byte, error) {
-	b = binary.LittleEndian.AppendUint32(b, uint32(v.n))
+// Append appends the vector's NVM encoding to dst and returns the
+// extended slice: a little-endian uint32 bit length followed by the
+// Bytes packing, so the exact length survives byte-oriented storage
+// (helper NVM sections). Full words are packed eight bytes at a time;
+// Append(nil) allocates exactly once.
+func (v Vector) Append(dst []byte) []byte {
 	remaining := (v.n + 7) / 8
+	if need := len(dst) + 4 + remaining; cap(dst) < need {
+		// One exact allocation in every build: slices.Grow would take
+		// two under the race detector, which disables the append-make
+		// fusion it relies on.
+		dst = append(make([]byte, 0, need), dst...)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(v.n))
 	for _, word := range v.words {
 		if remaining >= 8 {
-			b = binary.LittleEndian.AppendUint64(b, word)
+			dst = binary.LittleEndian.AppendUint64(dst, word)
 			remaining -= 8
 			continue
 		}
 		for ; remaining > 0; remaining-- {
-			b = append(b, byte(word))
+			dst = append(dst, byte(word))
 			word >>= 8
 		}
 	}
-	return b, nil
+	return dst
 }
 
-// UnmarshalVector is the inverse of MarshalBinary. Trailing bytes beyond
-// the declared length are rejected: helper images must be unambiguous.
-func UnmarshalVector(data []byte) (Vector, error) {
-	var v Vector
-	err := UnmarshalVectorInto(&v, data)
-	return v, err
-}
-
-// UnmarshalVectorInto is UnmarshalVector parsing into *dst, whose word
-// storage it reuses (see FromBytesInto). On error *dst is left
-// unchanged.
+// UnmarshalVectorInto parses Append's encoding into *dst, reusing its
+// word storage when the capacity suffices, so a parser that keeps its
+// destination allocates nothing once the buffer has grown. It accepts
+// exactly the encodings Append produces: trailing bytes beyond the
+// declared length and set bits past it in the final byte are rejected,
+// so two different sections never parse to the same vector. On error
+// *dst is left unchanged.
 func UnmarshalVectorInto(dst *Vector, data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("bitvec: %d-byte header truncated", len(data))
 	}
 	n := int(binary.LittleEndian.Uint32(data))
-	if rest := len(data) - 4; rest != (n+7)/8 {
-		return fmt.Errorf("bitvec: %d data bytes for %d bits", rest, n)
+	data = data[4:]
+	need := (n + 7) / 8
+	if len(data) != need {
+		return fmt.Errorf("bitvec: %d data bytes for %d bits", len(data), n)
 	}
-	return FromBytesInto(dst, data[4:], n)
+	if tail := n % 8; tail != 0 && data[need-1]>>tail != 0 {
+		return fmt.Errorf("bitvec: set bits past length %d", n)
+	}
+	if words := (n + 63) / 64; dst.words == nil || cap(dst.words) < words {
+		*dst = New(n)
+	} else {
+		*dst = Vector{n: n, words: dst.words[:words]}
+		clear(dst.words)
+	}
+	for i, b := range data {
+		dst.words[i>>3] |= uint64(b) << ((uint(i) & 7) * 8)
+	}
+	return nil
 }
 
 // SupportIndices returns the positions of all set bits in increasing order.

@@ -1,6 +1,8 @@
 package bitvec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -125,18 +127,32 @@ func TestBytesRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			v.Set(i, r.Bool())
 		}
-		back, err := FromBytes(v.Bytes(), n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		back := bytesRoundTrip(t, v)
 		if !back.Equal(v) {
 			t.Fatalf("n=%d: round trip mismatch", n)
 		}
 	}
 }
 
-func TestFromBytesShortInput(t *testing.T) {
-	if _, err := FromBytes([]byte{0xff}, 9); err == nil {
+// bytesRoundTrip checks that Append is the length header followed by
+// the Bytes packing and parses that encoding back.
+func bytesRoundTrip(t *testing.T, v Vector) Vector {
+	t.Helper()
+	enc := binary.LittleEndian.AppendUint32(nil, uint32(v.Len()))
+	enc = append(enc, v.Bytes()...)
+	if got := v.Append(nil); !bytes.Equal(got, enc) {
+		t.Fatalf("n=%d: Append % x, want header+Bytes % x", v.Len(), got, enc)
+	}
+	var back Vector
+	if err := UnmarshalVectorInto(&back, enc); err != nil {
+		t.Fatalf("n=%d: %v", v.Len(), err)
+	}
+	return back
+}
+
+func TestUnmarshalVectorShortInput(t *testing.T) {
+	var v Vector
+	if err := UnmarshalVectorInto(&v, []byte{9, 0, 0, 0, 0xff}); err == nil {
 		t.Fatal("expected error for short input")
 	}
 }
@@ -267,7 +283,7 @@ func BenchmarkWeight1024(b *testing.B) {
 }
 
 // TestWordLevelOpsMatchBitLevel cross-checks the word-level kernels
-// (SliceInto, PutAt, Concat, Bytes/FromBytes, XorInto, CopyInto,
+// (SliceInto, PutAt, Concat, Bytes/UnmarshalVectorInto, XorInto, CopyInto,
 // NextSet, HasPrefix) against naive per-bit references across lengths
 // straddling word boundaries.
 func TestWordLevelOpsMatchBitLevel(t *testing.T) {
@@ -286,10 +302,9 @@ func TestWordLevelOpsMatchBitLevel(t *testing.T) {
 	for _, n := range lengths {
 		v := randomVec(n)
 
-		// Bytes/FromBytes round trip.
-		back, err := FromBytes(v.Bytes(), n)
-		if err != nil || !back.Equal(v) {
-			t.Fatalf("n=%d: Bytes/FromBytes round trip failed (%v)", n, err)
+		// Bytes/Append/UnmarshalVectorInto round trip.
+		if back := bytesRoundTrip(t, v); !back.Equal(v) {
+			t.Fatalf("n=%d: Bytes round trip failed", n)
 		}
 
 		// Slice against per-bit reference, and SliceInto equality.

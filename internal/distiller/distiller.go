@@ -385,15 +385,14 @@ func PerpendicularPlane(x1, y1, x2, y2 int, amp float64) Poly2D {
 
 // --- NVM serialization ---
 
-// Marshal serializes the polynomial for helper NVM: degree then
-// little-endian float64 coefficients.
-func (q Poly2D) Marshal() []byte {
-	return q.Append(make([]byte, 0, 2+8*len(q.Beta)))
-}
-
-// Append appends the Marshal encoding to dst and returns the extended
-// slice, so a pooled buffer can carry it.
+// Append appends the polynomial's helper NVM encoding to dst and
+// returns the extended slice: the degree, then the little-endian
+// float64 coefficients. Append(nil) allocates exactly once.
 func (q Poly2D) Append(dst []byte) []byte {
+	if need := len(dst) + 2 + 8*len(q.Beta); cap(dst) < need {
+		// One allocation in every build (see bitvec.Vector.Append).
+		dst = append(make([]byte, 0, need), dst...)
+	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(q.P))
 	for _, b := range q.Beta {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b))
@@ -401,16 +400,9 @@ func (q Poly2D) Append(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal parses NVM bytes into a polynomial.
-func Unmarshal(data []byte) (Poly2D, error) {
-	var q Poly2D
-	err := UnmarshalInto(&q, data)
-	return q, err
-}
-
-// UnmarshalInto is Unmarshal parsing into *dst, whose coefficient
-// storage it reuses when the capacity suffices. On error *dst is left
-// unchanged.
+// UnmarshalInto parses Append's encoding into *dst, reusing its
+// coefficient storage when the capacity suffices. It accepts exactly
+// the encodings Append produces. On error *dst is left unchanged.
 func UnmarshalInto(dst *Poly2D, data []byte) error {
 	if len(data) < 2 {
 		return fmt.Errorf("distiller: helper truncated")

@@ -340,9 +340,12 @@ func TestPerpendicularPlanePanicsOnCoincident(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	q := QuadraticValleyX(3.25, -7.5)
-	back, err := Unmarshal(q.Marshal())
-	if err != nil {
+	var back Poly2D
+	if err := UnmarshalInto(&back, q.Append(nil)); err != nil {
 		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { q.Append(nil) }); allocs != 1 {
+		t.Fatalf("Append(nil) allocates %.0f/op, want 1", allocs)
 	}
 	if back.P != q.P {
 		t.Fatalf("degree %d", back.P)
@@ -352,10 +355,10 @@ func TestMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("coefficient %d mismatch", i)
 		}
 	}
-	if _, err := Unmarshal(nil); err == nil {
+	if err := UnmarshalInto(&back, nil); err == nil {
 		t.Fatal("nil must fail")
 	}
-	if _, err := Unmarshal(q.Marshal()[:10]); err == nil {
+	if err := UnmarshalInto(&back, q.Append(nil)[:10]); err == nil {
 		t.Fatal("truncated must fail")
 	}
 }

@@ -118,16 +118,19 @@ func TestPairsToGrouping(t *testing.T) {
 
 func TestGroupingMarshalRoundTrip(t *testing.T) {
 	g := Group([]float64{5, 3, 9, 1, 7}, 1)
-	back, err := UnmarshalGrouping(g.Marshal())
-	if err != nil {
+	var back Grouping
+	if err := UnmarshalGroupingInto(&back, g.Append(nil)); err != nil {
 		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { g.Append(nil) }); allocs != 1 {
+		t.Fatalf("Append(nil) allocates %.0f/op, want 1", allocs)
 	}
 	for i := range g.Assign {
 		if back.Assign[i] != g.Assign[i] {
 			t.Fatalf("round trip %v vs %v", back.Assign, g.Assign)
 		}
 	}
-	if _, err := UnmarshalGrouping([]byte{9}); err == nil {
+	if err := UnmarshalGroupingInto(&back, []byte{9}); err == nil {
 		t.Error("truncated must fail")
 	}
 }

@@ -155,15 +155,14 @@ func (g *Grouping) CheckThreshold(f []float64, thresholdMHz float64) error {
 	return nil
 }
 
-// Marshal serializes the grouping for NVM: oscillator count then one
-// uint16 group id per oscillator.
-func (g *Grouping) Marshal() []byte {
-	return g.Append(make([]byte, 0, 2+2*len(g.Assign)))
-}
-
-// Append appends the Marshal encoding to dst and returns the extended
-// slice, so a pooled buffer can carry it.
+// Append appends the grouping's NVM encoding to dst and returns the
+// extended slice: the oscillator count, then one uint16 group id per
+// oscillator. Append(nil) allocates exactly once.
 func (g *Grouping) Append(dst []byte) []byte {
+	if need := len(dst) + 2 + 2*len(g.Assign); cap(dst) < need {
+		// One allocation in every build (see bitvec.Vector.Append).
+		dst = append(make([]byte, 0, need), dst...)
+	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(g.Assign)))
 	for _, a := range g.Assign {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(a))
@@ -171,16 +170,9 @@ func (g *Grouping) Append(dst []byte) []byte {
 	return dst
 }
 
-// UnmarshalGrouping parses NVM bytes into a grouping.
-func UnmarshalGrouping(data []byte) (Grouping, error) {
-	var g Grouping
-	err := UnmarshalGroupingInto(&g, data)
-	return g, err
-}
-
-// UnmarshalGroupingInto is UnmarshalGrouping parsing into *dst, whose
-// assignment storage it reuses when the capacity suffices. On error
-// *dst is left unchanged.
+// UnmarshalGroupingInto parses Append's encoding into *dst, reusing its
+// assignment storage when the capacity suffices. It accepts exactly the
+// encodings Append produces. On error *dst is left unchanged.
 func UnmarshalGroupingInto(dst *Grouping, data []byte) error {
 	if len(data) < 2 {
 		return fmt.Errorf("groupbased: grouping helper truncated")

@@ -118,15 +118,6 @@ func (im *Image) SetOwned(name string, data []byte) {
 	im.put(name, data)
 }
 
-// Section returns a copy of a section's content and whether it exists.
-func (im *Image) Section(name string) ([]byte, bool) {
-	i, ok := im.find(name)
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), im.sections[i].data...), true
-}
-
 // SectionRO returns a section's content WITHOUT copying, for read-only
 // parsing on hot paths. The caller must not mutate or retain the slice
 // beyond the parse.

@@ -87,19 +87,17 @@ func TestMarshalRejectsBadSections(t *testing.T) {
 
 func TestSectionAccessors(t *testing.T) {
 	im := NewImage()
-	im.Set("a", []byte{9})
-	if _, ok := im.Section("missing"); ok {
+	src := []byte{9}
+	im.Set("a", src)
+	if _, ok := im.SectionRO("missing"); ok {
 		t.Fatal("missing section reported present")
 	}
-	d, ok := im.Section("a")
+	// Set copies: a later change to the caller's slice does not reach
+	// the image.
+	src[0] = 0
+	d, ok := im.SectionRO("a")
 	if !ok || len(d) != 1 || d[0] != 9 {
 		t.Fatal("section content wrong")
-	}
-	// The returned slice is a copy.
-	d[0] = 0
-	d2, _ := im.Section("a")
-	if d2[0] != 9 {
-		t.Fatal("Section leaked internal storage")
 	}
 	im.Delete("a")
 	if im.Len() != 0 {
@@ -115,8 +113,8 @@ func TestBundlesConstructionHelpers(t *testing.T) {
 	pairsHelper := pairing.SeqPairHelper{Pairs: []pairing.Pair{{A: 0, B: 3}, {A: 1, B: 4}}}
 
 	im := NewImage()
-	im.Set(SectionPolynomial, poly.Marshal())
-	im.Set(SectionGrouping, g.Marshal())
+	im.Set(SectionPolynomial, poly.Append(nil))
+	im.Set(SectionGrouping, g.Append(nil))
 	im.Set(SectionSeqPairs, pairsHelper.Append(nil))
 	raw, err := im.Marshal()
 	if err != nil {
@@ -127,17 +125,17 @@ func TestBundlesConstructionHelpers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pb, _ := back.Section(SectionPolynomial)
-	poly2, err := distiller.Unmarshal(pb)
-	if err != nil {
+	pb, _ := back.SectionRO(SectionPolynomial)
+	var poly2 distiller.Poly2D
+	if err := distiller.UnmarshalInto(&poly2, pb); err != nil {
 		t.Fatal(err)
 	}
 	if poly2.Eval(3, 1) != poly.Eval(3, 1) {
 		t.Fatal("polynomial did not survive the image")
 	}
-	gb, _ := back.Section(SectionGrouping)
-	g2, err := groupbased.UnmarshalGrouping(gb)
-	if err != nil {
+	gb, _ := back.SectionRO(SectionGrouping)
+	var g2 groupbased.Grouping
+	if err := groupbased.UnmarshalGroupingInto(&g2, gb); err != nil {
 		t.Fatal(err)
 	}
 	for i := range g.Assign {
@@ -145,9 +143,9 @@ func TestBundlesConstructionHelpers(t *testing.T) {
 			t.Fatal("grouping did not survive the image")
 		}
 	}
-	sb, _ := back.Section(SectionSeqPairs)
-	p2, err := pairing.UnmarshalSeqPair(sb)
-	if err != nil {
+	sb, _ := back.SectionRO(SectionSeqPairs)
+	var p2 pairing.SeqPairHelper
+	if err := pairing.UnmarshalSeqPairInto(&p2, sb); err != nil {
 		t.Fatal(err)
 	}
 	if p2.Pairs[1] != pairsHelper.Pairs[1] {
@@ -212,7 +210,7 @@ func TestGenCountsSectionWrites(t *testing.T) {
 		{"Set new", func() { im.Set(SectionOffset, []byte{1}) }, true},
 		{"Set same bytes", func() { im.Set(SectionOffset, []byte{1}) }, true},
 		{"SetOwned", func() { im.SetOwned(SectionGrouping, []byte{2}) }, true},
-		{"read", func() { im.Section(SectionOffset); im.SectionRO(SectionGrouping); im.Names() }, false},
+		{"read", func() { im.SectionRO(SectionOffset); im.SectionRO(SectionGrouping); im.Names() }, false},
 		{"Delete absent", func() { im.Delete(SectionMasking) }, false},
 		{"Delete present", func() { im.Delete(SectionGrouping) }, true},
 	}

@@ -190,14 +190,14 @@ func (h MaskingHelper) SelectedPairsInto(dst []Pair, basePairs []Pair) ([]Pair, 
 	return dst, nil
 }
 
-// Marshal serializes the masking helper for NVM.
-func (h MaskingHelper) Marshal() []byte {
-	return h.Append(make([]byte, 0, 4+2*len(h.Selected)))
-}
-
-// Append appends the Marshal encoding to dst and returns the extended
-// slice, so a pooled buffer can carry it.
+// Append appends the masking helper's NVM encoding to dst and returns
+// the extended slice: k, the group count, then one uint16 selection per
+// group. Append(nil) allocates exactly once.
 func (h MaskingHelper) Append(dst []byte) []byte {
+	if need := len(dst) + 4 + 2*len(h.Selected); cap(dst) < need {
+		// One allocation in every build (see bitvec.Vector.Append).
+		dst = append(make([]byte, 0, need), dst...)
+	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(h.K))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Selected)))
 	for _, s := range h.Selected {
@@ -206,16 +206,9 @@ func (h MaskingHelper) Append(dst []byte) []byte {
 	return dst
 }
 
-// UnmarshalMasking parses NVM bytes into a masking helper.
-func UnmarshalMasking(data []byte) (MaskingHelper, error) {
-	var h MaskingHelper
-	err := UnmarshalMaskingInto(&h, data)
-	return h, err
-}
-
-// UnmarshalMaskingInto is UnmarshalMasking parsing into *dst, whose
-// selection storage it reuses when the capacity suffices. On error *dst
-// is left unchanged.
+// UnmarshalMaskingInto parses Append's encoding into *dst, reusing its
+// selection storage when the capacity suffices. It accepts exactly the
+// encodings Append produces. On error *dst is left unchanged.
 func UnmarshalMaskingInto(dst *MaskingHelper, data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("pairing: masking helper truncated (%d bytes)", len(data))
@@ -234,7 +227,7 @@ func UnmarshalMaskingInto(dst *MaskingHelper, data []byte) error {
 
 // resize returns buf with length n, reusing its storage when the
 // capacity suffices. A nil buf always gets fresh (non-nil) storage, so a
-// parse into a zero destination equals the allocating parse.
+// parse into a zero destination equals a parse into a used one.
 func resize[T any](buf []T, n int) []T {
 	if buf == nil || cap(buf) < n {
 		return make([]T, n)
@@ -331,7 +324,10 @@ func (h SeqPairHelper) Validate(n int) error {
 // Append appends the pair list's NVM encoding to dst and returns the
 // extended slice; Append(nil) allocates exactly the encoded size.
 func (h SeqPairHelper) Append(dst []byte) []byte {
-	dst = slices.Grow(dst, 2+4*len(h.Pairs))
+	if need := len(dst) + 2 + 4*len(h.Pairs); cap(dst) < need {
+		// One allocation in every build (see bitvec.Vector.Append).
+		dst = append(make([]byte, 0, need), dst...)
+	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Pairs)))
 	for _, p := range h.Pairs {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(p.A))
@@ -340,16 +336,9 @@ func (h SeqPairHelper) Append(dst []byte) []byte {
 	return dst
 }
 
-// UnmarshalSeqPair parses NVM bytes into a sequential-pairing helper.
-func UnmarshalSeqPair(data []byte) (SeqPairHelper, error) {
-	var h SeqPairHelper
-	err := UnmarshalSeqPairInto(&h, data)
-	return h, err
-}
-
-// UnmarshalSeqPairInto is UnmarshalSeqPair parsing into *dst, whose pair
-// storage it reuses when the capacity suffices. On error *dst is left
-// unchanged.
+// UnmarshalSeqPairInto parses Append's encoding into *dst, reusing its
+// pair storage when the capacity suffices. It accepts exactly the
+// encodings Append produces. On error *dst is left unchanged.
 func UnmarshalSeqPairInto(dst *SeqPairHelper, data []byte) error {
 	if len(data) < 2 {
 		return fmt.Errorf("pairing: seqpair helper truncated")

@@ -162,9 +162,12 @@ func TestMaskingHelperValidation(t *testing.T) {
 
 func TestMaskingMarshalRoundTrip(t *testing.T) {
 	h := MaskingHelper{K: 5, Selected: []int{0, 4, 2, 3}}
-	back, err := UnmarshalMasking(h.Marshal())
-	if err != nil {
+	var back MaskingHelper
+	if err := UnmarshalMaskingInto(&back, h.Append(nil)); err != nil {
 		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { h.Append(nil) }); allocs != 1 {
+		t.Fatalf("Append(nil) allocates %.0f/op, want 1", allocs)
 	}
 	if back.K != h.K || len(back.Selected) != len(h.Selected) {
 		t.Fatalf("round trip %+v", back)
@@ -174,10 +177,10 @@ func TestMaskingMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %+v", back)
 		}
 	}
-	if _, err := UnmarshalMasking([]byte{1}); err == nil {
+	if err := UnmarshalMaskingInto(&back, []byte{1}); err == nil {
 		t.Fatal("truncated data must fail")
 	}
-	if _, err := UnmarshalMasking(h.Marshal()[:5]); err == nil {
+	if err := UnmarshalMaskingInto(&back, h.Append(nil)[:5]); err == nil {
 		t.Fatal("short data must fail")
 	}
 }
@@ -298,9 +301,12 @@ func TestSeqPairValidateBitset(t *testing.T) {
 
 func TestSeqPairMarshalRoundTrip(t *testing.T) {
 	h := SeqPairHelper{Pairs: []Pair{{3, 7}, {1, 30}, {12, 5}}}
-	back, err := UnmarshalSeqPair(h.Append(nil))
-	if err != nil {
+	var back SeqPairHelper
+	if err := UnmarshalSeqPairInto(&back, h.Append(nil)); err != nil {
 		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { h.Append(nil) }); allocs != 1 {
+		t.Fatalf("Append(nil) allocates %.0f/op, want 1", allocs)
 	}
 	// Append extends dst in place: a prefix survives, and the encoding
 	// after it is the same bytes.
@@ -315,10 +321,10 @@ func TestSeqPairMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %+v", back)
 		}
 	}
-	if _, err := UnmarshalSeqPair(nil); err == nil {
+	if err := UnmarshalSeqPairInto(&back, nil); err == nil {
 		t.Fatal("nil data must fail")
 	}
-	if _, err := UnmarshalSeqPair(h.Append(nil)[:7]); err == nil {
+	if err := UnmarshalSeqPairInto(&back, h.Append(nil)[:7]); err == nil {
 		t.Fatal("short data must fail")
 	}
 }

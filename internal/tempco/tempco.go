@@ -501,16 +501,15 @@ func CountClasses(h Helper) (good, bad, coop int) {
 // (int16).
 const helperRecord = 2 + 2 + 1 + 8 + 8 + 2 + 2
 
-// Marshal serializes the helper for NVM: the pair count, one record per
-// pair, then the offset as a uint32 bit length and its packed bytes,
-// into one buffer sized up front.
-func (h Helper) Marshal() []byte {
-	return h.Append(make([]byte, 0, 2+len(h.Pairs)*helperRecord+4+(h.Offset.Len()+7)/8))
-}
-
-// Append appends the Marshal encoding to dst and returns the extended
-// slice, so a pooled buffer can carry it.
+// Append appends the helper's NVM encoding to dst and returns the
+// extended slice: the pair count, one record per pair, then the offset
+// in bitvec's encoding (a uint32 bit length and its packed bytes).
+// Append(nil) allocates exactly once.
 func (h Helper) Append(dst []byte) []byte {
+	if need := len(dst) + 2 + len(h.Pairs)*helperRecord + 4 + (h.Offset.Len()+7)/8; cap(dst) < need {
+		// One allocation in every build (see bitvec.Vector.Append).
+		dst = append(make([]byte, 0, need), dst...)
+	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(h.Pairs)))
 	for _, info := range h.Pairs {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(info.Pair.A))
@@ -521,33 +520,24 @@ func (h Helper) Append(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(int16(info.MaskIdx)))
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(int16(info.HelpIdx)))
 	}
-	// bitvec's binary format is exactly the length-prefixed packing.
-	dst, _ = h.Offset.AppendBinary(dst)
-	return dst
+	return h.Offset.Append(dst)
 }
 
-// UnmarshalHelper parses NVM bytes into a helper.
-func UnmarshalHelper(data []byte) (Helper, error) {
-	var h Helper
-	err := UnmarshalHelperInto(&h, data)
-	return h, err
-}
-
-// UnmarshalHelperInto is UnmarshalHelper parsing into *dst, whose pair
-// and offset storage it reuses when the capacity suffices. On error
-// *dst is left unchanged.
+// UnmarshalHelperInto parses Append's encoding into *dst, reusing its
+// pair and offset storage when the capacity suffices. It accepts
+// exactly the encodings Append produces (the offset ends the blob, so
+// trailing bytes are rejected). On error *dst is left unchanged.
 func UnmarshalHelperInto(dst *Helper, data []byte) error {
 	if len(data) < 2 {
 		return errors.New("tempco: helper truncated")
 	}
 	n := int(binary.LittleEndian.Uint16(data))
 	at := 2
-	if len(data) < at+n*helperRecord+4 {
+	if len(data) < at+n*helperRecord {
 		return errors.New("tempco: helper truncated")
 	}
-	obits := int(binary.LittleEndian.Uint32(data[at+n*helperRecord:]))
 	// The offset parses first, so a rejected one leaves *dst unchanged.
-	if err := bitvec.FromBytesInto(&dst.Offset, data[at+n*helperRecord+4:], obits); err != nil {
+	if err := bitvec.UnmarshalVectorInto(&dst.Offset, data[at+n*helperRecord:]); err != nil {
 		return fmt.Errorf("tempco: offset: %w", err)
 	}
 	if dst.Pairs == nil || cap(dst.Pairs) < n {

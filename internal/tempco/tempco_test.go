@@ -451,8 +451,8 @@ func TestHelperMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalHelper(h.Marshal())
-	if err != nil {
+	var back Helper
+	if err := UnmarshalHelperInto(&back, h.Append(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Pairs) != len(h.Pairs) {
@@ -470,14 +470,14 @@ func TestHelperMarshalRoundTrip(t *testing.T) {
 	if !back.Offset.Equal(h.Offset) {
 		t.Fatal("offset mismatch")
 	}
-	if _, err := UnmarshalHelper(h.Marshal()[:10]); err == nil {
+	if err := UnmarshalHelperInto(&back, h.Append(nil)[:10]); err == nil {
 		t.Fatal("truncated helper must fail")
 	}
 }
 
-// TestHelperMarshalBytesUnchanged pins the presized Marshal to the
-// field-by-field append encoding it replaced, and checks that it
-// allocates its buffer exactly once.
+// TestHelperMarshalBytesUnchanged pins the presized Append to the
+// field-by-field append encoding, and checks that Append(nil) allocates
+// its buffer exactly once.
 func TestHelperMarshalBytesUnchanged(t *testing.T) {
 	reference := func(h Helper) []byte {
 		buf := binary.LittleEndian.AppendUint16(nil, uint16(len(h.Pairs)))
@@ -501,15 +501,15 @@ func TestHelperMarshalBytesUnchanged(t *testing.T) {
 		}
 		for _, trim := range []int{0, 1, 9} {
 			h.Offset = h.Offset.Slice(0, h.Offset.Len()-trim)
-			if got, want := h.Marshal(), reference(h); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d trim %d: Marshal differs from the reference encoding", seed, trim)
+			if got, want := h.Append(nil), reference(h); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d trim %d: Append differs from the reference encoding", seed, trim)
 			}
 		}
-		if allocs := testing.AllocsPerRun(10, func() { h.Marshal() }); allocs != 1 {
-			t.Fatalf("Marshal allocates %.0f/op, want 1", allocs)
+		if allocs := testing.AllocsPerRun(10, func() { h.Append(nil) }); allocs != 1 {
+			t.Fatalf("Append(nil) allocates %.0f/op, want 1", allocs)
 		}
 	}
-	if got := (Helper{}).Marshal(); !bytes.Equal(got, reference(Helper{})) {
+	if got := (Helper{}).Append(nil); !bytes.Equal(got, reference(Helper{})) {
 		t.Fatalf("empty helper: %x", got)
 	}
 }
