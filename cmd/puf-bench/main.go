@@ -188,7 +188,7 @@ func run(cfg benchConfig) int {
 	}
 
 	if cfg.jsonMode {
-		if err := runJSONBench(cfg); err != nil {
+		if err := runJSONBench(cfg, measureBenches); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 			return 1
 		}
@@ -537,24 +537,20 @@ func medianRecord(recs []BenchRecord) BenchRecord {
 	}
 }
 
-// checkBaseline compares a fresh artifact against the committed one
-// at path; see compareBaseline.
-func checkBaseline(cur Artifact, path string, nsGatePct float64) error {
+// loadBaseline reads and parses the committed artifact at path.
+func loadBaseline(path string) (Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return Artifact{}, err
 	}
 	var base Artifact
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
+		return Artifact{}, fmt.Errorf("parse %s: %w", path, err)
 	}
 	if len(base.Benchmarks) == 0 {
-		return fmt.Errorf("parse %s: no benchmarks", path)
+		return Artifact{}, fmt.Errorf("parse %s: no benchmarks", path)
 	}
-	if err := compareBaseline(os.Stdout, cur, base, nsGatePct); err != nil {
-		return fmt.Errorf("regressed beyond the baseline %s: %w", path, err)
-	}
-	return nil
+	return base, nil
 }
 
 // compareBaseline prints the comparison of cur against base to w and
@@ -625,12 +621,47 @@ func compareBaseline(w io.Writer, cur, base Artifact, nsGatePct float64) error {
 	return nil
 }
 
-// runJSONBench measures the five end-to-end attacks, the pooled attack
-// campaign and the canonical pooled enrollment with testing.Benchmark
-// and writes the artifact. It records no query counts: an iteration's
-// seed depends on b.N, so a count would vary between runs of the same
-// code (the transcript goldens pin query counts).
-func runJSONBench(cfg benchConfig) error {
+// runJSONBench runs measure and writes its artifact to cfg.jsonOut.
+// With a baseline it reads and parses the baseline before anything
+// runs, so an artifact written over the baseline's path (the default
+// -json-out is the committed BENCH_attacks.json) is compared against
+// the bytes that were there, not against itself.
+func runJSONBench(cfg benchConfig, measure func(benchConfig) (Artifact, error)) error {
+	var base Artifact
+	if cfg.baseline != "" {
+		var err error
+		if base, err = loadBaseline(cfg.baseline); err != nil {
+			return err
+		}
+	}
+	artifact, err := measure(cfg)
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(artifact, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(cfg.jsonOut, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%v)\n", cfg.jsonOut, artifact.Stamp)
+	if cfg.baseline == "" {
+		return nil
+	}
+	if err := compareBaseline(os.Stdout, artifact, base, cfg.nsGatePct); err != nil {
+		return fmt.Errorf("regressed beyond the baseline %s: %w", cfg.baseline, err)
+	}
+	return nil
+}
+
+// measureBenches measures the five end-to-end attacks, the pooled
+// attack campaign and the canonical pooled enrollment with
+// testing.Benchmark. It records no query counts: an iteration's seed
+// depends on b.N, so a count would vary between runs of the same code
+// (the transcript goldens pin query counts).
+func measureBenches(cfg benchConfig) (Artifact, error) {
 	count := cfg.count
 	if count < 1 {
 		count = 1
@@ -689,7 +720,7 @@ func runJSONBench(cfg benchConfig) error {
 		return nil
 	}
 	if err := enrollCanonical(0); err != nil { // warm the pool
-		return err
+		return Artifact{}, err
 	}
 	benchEnroll := func(b *testing.B) {
 		b.ReportAllocs()
@@ -719,7 +750,7 @@ func runJSONBench(cfg benchConfig) error {
 			if res.N == 0 {
 				// testing.Benchmark swallows b.Fatal; a zero-iteration
 				// result means the attack under measurement failed.
-				return fmt.Errorf("%s failed to complete a single iteration", bench.name)
+				return Artifact{}, fmt.Errorf("%s failed to complete a single iteration", bench.name)
 			}
 			recs = append(recs, BenchRecord{
 				NsPerOp:     res.NsPerOp(),
@@ -740,17 +771,5 @@ func runJSONBench(cfg benchConfig) error {
 		fmt.Printf("%-18s %12d ns/op %10d allocs/op %10d B/op (median of %d)\n",
 			bench.name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, count)
 	}
-	data, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(cfg.jsonOut, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%v)\n", cfg.jsonOut, artifact.Stamp)
-	if cfg.baseline != "" {
-		return checkBaseline(artifact, cfg.baseline, cfg.nsGatePct)
-	}
-	return nil
+	return artifact, nil
 }

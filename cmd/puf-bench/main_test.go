@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,5 +43,33 @@ func TestCheckBaseline(t *testing.T) {
 				t.Fatalf("output lacks %q:\n%s", c.contains, out.String())
 			}
 		})
+	}
+}
+
+// TestBaselineReadBeforeWrite runs the -json flow with -json-out naming
+// the baseline file itself (the default -json-out is the committed
+// BENCH_attacks.json). The gate must compare against the bytes that
+// were there before the run, so an allocs regression still fails, and
+// the new artifact must still be written.
+func TestBaselineReadBeforeWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_attacks.json")
+	if err := os.WriteFile(path, []byte(`{"benchmarks": {"AttackSeqPair": {"ns_per_op": 1000, "allocs_per_op": 100}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	measure := func(benchConfig) (Artifact, error) {
+		return Artifact{Benchmarks: map[string]BenchRecord{
+			"AttackSeqPair": {NsPerOp: 1000, AllocsPerOp: 200},
+		}}, nil
+	}
+	err := runJSONBench(benchConfig{jsonOut: path, baseline: path, nsGatePct: 15}, measure)
+	if err == nil || !strings.Contains(err.Error(), "allocs/op 100 -> 200") {
+		t.Fatalf("err = %v, want the allocs regression against the committed baseline", err)
+	}
+	written, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := written.Benchmarks["AttackSeqPair"].AllocsPerOp; got != 200 {
+		t.Fatalf("artifact at -json-out holds %d allocs/op, want this run's 200", got)
 	}
 }

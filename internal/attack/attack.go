@@ -263,7 +263,9 @@ func Attacks() []Attack {
 
 // Run dispatches one attack by registry name. It is the one place that
 // checks the target's construction against the attack: a mismatch is
-// rejected before the attack reads the image or spends a query.
+// rejected before the attack reads the image or spends a query. A run
+// that fails reports only what it observed: no key, and the queries it
+// made.
 func Run(ctx context.Context, name string, t Target, opts Options) (Report, error) {
 	a, ok := Lookup(name)
 	if !ok {
@@ -272,7 +274,12 @@ func Run(ctx context.Context, name string, t Target, opts Options) (Report, erro
 	if c := t.Spec().Construction; c != name {
 		return Report{}, fmt.Errorf("attack: target construction %q, want %q", c, name)
 	}
-	return a.Run(ctx, t, opts)
+	start := t.Queries()
+	rep, err := a.Run(ctx, t, opts)
+	if err != nil {
+		return Report{Attack: name, Queries: t.Queries() - start}, err
+	}
+	return rep, nil
 }
 
 // ------------------------------------------------------------ tracer --

@@ -123,9 +123,10 @@ func (d Distinguisher) normalized() Distinguisher {
 // BestHypotheses returns the index of the hypothesis with the lowest
 // failure rate on t and the number of queries spent, installing each
 // hypothesis before every query. ctx is checked and the budget charged
-// before every query; on cancellation or exhaustion it returns (-1,
-// queries so far, err). An empty set returns (-1, 0, ErrNoArms); a
-// single hypothesis wins without a query.
+// before every query, after its install; on cancellation, exhaustion or
+// a rejected install it returns (-1, queries so far, err). An empty
+// set returns (-1, 0, ErrNoArms); a single hypothesis wins without a
+// query.
 //
 // Sequential runs the arms' SPRTs one after another and stops at the
 // first arm accepted at the nominal rate — Wald's early exit — falling
@@ -157,14 +158,27 @@ func (d Distinguisher) BestHypotheses(ctx context.Context, t Target, hyps []Hypo
 	return d.fixedBestHyp(ctx, t, hyps, b)
 }
 
-// observe installs a hypothesis and performs one oracle query. An
-// install failure counts as an observed failure (a helper the device
-// rejects can never look nominal).
-func observe(t Target, h Hypothesis) bool {
+// install writes a hypothesis's arm into t. A rejected install is not
+// an observation: the caller ends its decision, and the attack, with the
+// returned error, which wraps the device's.
+func install(t Target, h Hypothesis) error {
 	if err := h(t); err != nil {
-		return true
+		return fmt.Errorf("attack: arm install rejected: %w", err)
 	}
-	return t.Query()
+	return nil
+}
+
+// observe installs a hypothesis and performs one oracle query. The
+// query gate comes after the install, so the budget is charged only for
+// a query that is made.
+func observe(ctx context.Context, t Target, h Hypothesis, b *Budget) (failed bool, err error) {
+	if err := install(t, h); err != nil {
+		return false, err
+	}
+	if err := queryGate(ctx, b); err != nil {
+		return false, err
+	}
+	return t.Query(), nil
 }
 
 // sprtHyp runs one hypothesis's SPRT to a decision (or MaxQueries) and
@@ -173,10 +187,11 @@ func (d Distinguisher) sprtHyp(ctx context.Context, t Target, h Hypothesis, b *B
 	s := stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta)
 	decision := stats.SPRTContinue
 	for decision == stats.SPRTContinue && s.N() < d.MaxQueries {
-		if err := queryGate(ctx, b); err != nil {
+		failed, err := observe(ctx, t, h, b)
+		if err != nil {
 			return false, s.N(), err
 		}
-		decision = s.Observe(observe(t, h))
+		decision = s.Observe(failed)
 	}
 	return decision == stats.SPRTAcceptH0, s.N(), nil
 }
@@ -189,10 +204,11 @@ func (d Distinguisher) fixedBestHyp(ctx context.Context, t Target, hyps []Hypoth
 	for i := range hyps {
 		fails := 0
 		for q := 0; q < d.Queries; q++ {
-			if err := queryGate(ctx, b); err != nil {
+			failed, err := observe(ctx, t, hyps[i], b)
+			if err != nil {
 				return -1, total + q, err
 			}
-			if observe(t, hyps[i]) {
+			if failed {
 				fails++
 			}
 		}
@@ -256,11 +272,12 @@ const calibrationQueries = 24
 // calibrate measures the two reference rates. nominal and elevated
 // install the attack's common offset and offset+1 deterministic errors
 // respectively, built with value-independent manipulations; each is
-// installed once and then queried n times. An install failure aborts.
+// installed once and then queried n times. An install failure aborts,
+// as it does in a decision.
 func calibrate(ctx context.Context, t Target, nominal, elevated Hypothesis, n int, b *Budget) (Calibration, error) {
 	var rates [2]float64
 	for i, h := range [2]Hypothesis{nominal, elevated} {
-		if err := h(t); err != nil {
+		if err := install(t, h); err != nil {
 			return Calibration{}, err
 		}
 		p, err := estimateRate(ctx, t.Query, n, b)

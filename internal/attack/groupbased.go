@@ -208,8 +208,8 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, origPoly distille
 	pairs := designPartition(gb, rows*cols, a, b, levels)
 
 	// The partition covers every oscillator exactly once by
-	// construction, so the legacy PairsToGrouping validation cannot
-	// fire; the grouping borrows the scratch assignment directly.
+	// construction, and the device's Grouping.Validate checks it on
+	// install, so the grouping borrows the scratch assignment directly.
 	//
 	// The attacker's grouping is groups 0..pairs-1 of two members
 	// followed by singletons, so its Kendall stream has one bit per

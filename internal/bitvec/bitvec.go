@@ -41,20 +41,6 @@ func (v Vector) Resized(n int) Vector {
 	return out
 }
 
-// FromBits builds a vector from a slice of bits given as 0/1 bytes.
-func FromBits(bits []byte) Vector {
-	v := New(len(bits))
-	for i, b := range bits {
-		if b > 1 {
-			panic(fmt.Sprintf("bitvec: bit value %d out of range", b))
-		}
-		if b == 1 {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
 // FromString parses a string of '0' and '1' runes, most significant first
 // in reading order: position 0 of the vector is the first rune.
 func FromString(s string) (Vector, error) {
@@ -71,8 +57,8 @@ func FromString(s string) (Vector, error) {
 	return v, nil
 }
 
-// MustFromString is FromString that panics on error; intended for tests
-// and package-level constants.
+// MustFromString is FromString that panics on error. It stays exported
+// as a fixture for test files in other packages.
 func MustFromString(s string) Vector {
 	v, err := FromString(s)
 	if err != nil {
@@ -174,30 +160,13 @@ func (v Vector) XorInto(u, dst Vector) {
 	}
 }
 
-// Xor returns v XOR u. The lengths must match.
+// Xor returns v XOR u. The lengths must match. It stays exported for
+// the ecc linearity and fuzz tests; production code uses XorInto.
 func (v Vector) Xor(u Vector) Vector {
 	v.sameLen(u)
 	w := v.Clone()
 	for i := range w.words {
 		w.words[i] ^= u.words[i]
-	}
-	return w
-}
-
-// XorInPlace sets v to v XOR u.
-func (v Vector) XorInPlace(u Vector) {
-	v.sameLen(u)
-	for i := range v.words {
-		v.words[i] ^= u.words[i]
-	}
-}
-
-// And returns v AND u.
-func (v Vector) And(u Vector) Vector {
-	v.sameLen(u)
-	w := v.Clone()
-	for i := range w.words {
-		w.words[i] &= u.words[i]
 	}
 	return w
 }
@@ -335,15 +304,6 @@ func (v Vector) Concat(u Vector) Vector {
 	return w
 }
 
-// Bits returns the vector as a slice of 0/1 bytes.
-func (v Vector) Bits() []byte {
-	out := make([]byte, v.n)
-	for i := range out {
-		out[i] = v.Bit(i)
-	}
-	return out
-}
-
 // Bytes packs the vector into bytes, bit i at byte i/8, LSB-first within
 // each byte. The final partial byte, if any, is zero-padded. Full words
 // are emitted eight bytes at a time.
@@ -364,7 +324,8 @@ func (v Vector) Bytes() []byte {
 	return out
 }
 
-// Ones returns an all-ones vector of length n.
+// Ones returns an all-ones vector of length n. It stays exported as a
+// fixture for test files in other packages.
 func Ones(n int) Vector {
 	v := New(n)
 	for i := range v.words {
@@ -448,19 +409,10 @@ func UnmarshalVectorInto(dst *Vector, data []byte) error {
 	return nil
 }
 
-// SupportIndices returns the positions of all set bits in increasing order.
-func (v Vector) SupportIndices() []int {
-	idx := make([]int, 0, v.Weight())
-	for i := v.NextSet(0); i >= 0; i = v.NextSet(i + 1) {
-		idx = append(idx, i)
-	}
-	return idx
-}
-
 // NextSet returns the index of the first set bit at or after from, or -1
 // when no set bit remains. The allocation-free iteration primitive
 // (`for i := v.NextSet(0); i >= 0; i = v.NextSet(i+1)`) behind
-// SupportIndices and the ECC syndrome loops.
+// the ECC syndrome loops.
 func (v Vector) NextSet(from int) int {
 	if from < 0 {
 		from = 0

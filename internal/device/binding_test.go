@@ -30,7 +30,10 @@ import (
 // rebinder is the write/rebind surface shared by the two
 // reprogrammed-key device types.
 type rebinder interface {
-	Device
+	App() bool
+	Queries() int
+	Environment() silicon.Environment
+	SetEnvironment(env silicon.Environment)
 	ReprovisionKey()
 	BindKey(key bitvec.Vector)
 }

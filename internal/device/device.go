@@ -52,23 +52,6 @@ import (
 	"repro/internal/silicon"
 )
 
-// Device is the common attacker-visible surface. Construction-specific
-// helper types are exposed by the concrete device types; this interface
-// carries the query bookkeeping shared by all of them.
-type Device interface {
-	// App triggers one key reconstruction and reports whether the
-	// key-dependent application behaves correctly.
-	App() bool
-	// Queries returns the number of App calls so far.
-	Queries() int
-	// Environment returns the current operating condition.
-	Environment() silicon.Environment
-	// SetEnvironment changes the operating condition (the attacker may
-	// control ambient temperature in lab conditions; attacks that do
-	// not assume this leave it untouched).
-	SetEnvironment(env silicon.Environment)
-}
-
 // base carries what every concrete device shares: its silicon, its
 // measurement-noise state and the query bookkeeping. The query counter
 // is atomic so that readers on other goroutines (progress displays)
@@ -120,8 +103,12 @@ func (b *base) bumpNVM() { b.nvmGen++ }
 // did not change.
 func (b *base) NVMGeneration() uint64 { return b.nvmGen }
 
+// Environment returns the current operating condition.
 func (b *base) Environment() silicon.Environment { return b.env }
 
+// SetEnvironment changes the operating condition. It stays exported for
+// the device tests and integration_test.go, which move a device off the
+// nominal point; no attack assumes control of the environment.
 func (b *base) SetEnvironment(env silicon.Environment) { b.env = env }
 
 // keysEqual compares a reconstructed key against the enrolled reference.

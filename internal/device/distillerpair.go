@@ -203,11 +203,6 @@ func (d *DistillerPairDevice) response(resid []float64, mask pairing.MaskingHelp
 	}
 }
 
-// BasePairs returns the architecture's fixed pair list (public).
-func (d *DistillerPairDevice) BasePairs() []pairing.Pair {
-	return append([]pairing.Pair(nil), d.basePair...)
-}
-
 // ReadHelper returns a deep copy of the helper NVM.
 func (d *DistillerPairDevice) ReadHelper() DistillerPairHelperNVM {
 	return DistillerPairHelperNVM{

@@ -13,7 +13,7 @@ import (
 // appTrace runs n App queries and returns the outcome sequence — the
 // full observable of one device lifetime, compared bit-for-bit between
 // the fresh and reuse enrollment paths.
-func appTrace(d Device, n int) []bool {
+func appTrace(d interface{ App() bool }, n int) []bool {
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = d.App()

@@ -47,13 +47,8 @@ func NewPoly2D(p int) Poly2D {
 // term returns the flat index of coefficient (i, j).
 func term(i, j int) int { return i*(i+1)/2 + j }
 
-// Coeff returns beta[i,j]. It panics outside the triangle j <= i <= P.
-func (q Poly2D) Coeff(i, j int) float64 {
-	q.checkIJ(i, j)
-	return q.Beta[term(i, j)]
-}
-
-// SetCoeff assigns beta[i,j].
+// SetCoeff assigns beta[i,j]. It panics outside the triangle
+// j <= i <= P.
 func (q *Poly2D) SetCoeff(i, j int, v float64) {
 	q.checkIJ(i, j)
 	q.Beta[term(i, j)] = v

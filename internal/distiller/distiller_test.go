@@ -25,7 +25,7 @@ func TestCoeffIndexing(t *testing.T) {
 	for i := 0; i <= 3; i++ {
 		for j := 0; j <= i; j++ {
 			q.SetCoeff(i, j, v)
-			if q.Coeff(i, j) != v {
+			if q.Beta[term(i, j)] != v {
 				t.Fatalf("coeff (%d,%d) round trip", i, j)
 			}
 			v++
@@ -50,7 +50,7 @@ func TestCoeffPanicsOutsideTriangle(t *testing.T) {
 					t.Errorf("(%d,%d): expected panic", ij[0], ij[1])
 				}
 			}()
-			q.Coeff(ij[0], ij[1])
+			q.SetCoeff(ij[0], ij[1], 1)
 		}()
 	}
 }

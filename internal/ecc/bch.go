@@ -266,9 +266,6 @@ func (b *BCH) K() int { return b.k }
 // T returns the design correction radius.
 func (b *BCH) T() int { return b.t }
 
-// Generator returns a copy of the generator polynomial (GF(2) coefficients).
-func (b *BCH) Generator() galois.Poly { return b.gen.Clone() }
-
 // Encode returns the codeword of msg in a fresh vector. It is
 // EncodeInto with a fresh Workspace.
 func (b *BCH) Encode(msg bitvec.Vector) bitvec.Vector {

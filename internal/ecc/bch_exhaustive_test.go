@@ -25,7 +25,7 @@ func TestBCHDecodeExhaustiveSmall(t *testing.T) {
 		t.Run(b.String(), func(t *testing.T) {
 			n := b.N()
 			gen := uint64(0)
-			for i, c := range b.Generator() {
+			for i, c := range b.gen {
 				if c != 0 {
 					gen |= 1 << i
 				}

@@ -35,7 +35,7 @@ func referenceEncode(b *BCH, msg bitvec.Vector) bitvec.Vector {
 	for i := 0; i < b.k; i++ {
 		shifted[parityLen+i] = galois.Elem(msg.Bit(i))
 	}
-	_, rem := b.field.PolyDivMod(shifted, b.gen)
+	rem := polyMod(b.field, shifted, b.gen)
 	out := bitvec.New(b.n)
 	for i := 0; i < parityLen && i < len(rem); i++ {
 		out.Set(i, rem[i] != 0)
@@ -44,6 +44,20 @@ func referenceEncode(b *BCH, msg bitvec.Vector) bitvec.Vector {
 		out.Set(parityLen+i, msg.Get(i))
 	}
 	return out
+}
+
+// polyMod returns p mod q by polynomial long division over f. q must
+// be nonzero.
+func polyMod(f *galois.Field, p, q galois.Poly) galois.Poly {
+	dq := q.Degree()
+	rem := append(galois.Poly(nil), p...)
+	for d := rem.Degree(); d >= dq; d = rem.Degree() {
+		c := f.Div(rem[d], q[dq])
+		for i := 0; i <= dq; i++ {
+			rem[d-dq+i] = f.Add(rem[d-dq+i], f.Mul(c, q[i]))
+		}
+	}
+	return rem[:dq]
 }
 
 // checkAgainstReference compares b's syndromes with direct evaluation

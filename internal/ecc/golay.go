@@ -22,7 +22,8 @@ import (
 // complement ambiguity applies to block-aligned Golay deployments.
 type Golay struct{}
 
-// NewGolay returns the (23, 12, 7) Golay code.
+// NewGolay returns the (23, 12, 7) Golay code. It stays exported for
+// the integration tests' perfect-code regime; no construction uses it.
 func NewGolay() *Golay { return &Golay{} }
 
 // golayB is the standard 12x12 matrix of the [I | B] generator of the

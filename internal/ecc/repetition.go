@@ -16,6 +16,8 @@ type Repetition struct {
 }
 
 // NewRepetition returns the (2t+1, 1) repetition code. It panics if t < 0.
+// It stays exported for the integration tests' code-agnostic claim; no
+// construction uses it.
 func NewRepetition(t int) *Repetition {
 	if t < 0 {
 		panic("ecc: negative correction radius")

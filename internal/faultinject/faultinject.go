@@ -144,6 +144,7 @@ var armMu sync.Mutex
 // Enable arms a plan, replacing any previous one and resetting all
 // invocation counters. It returns an error when a rule is malformed
 // (probabilities outside [0,1] or summing past 1, duplicate points).
+// Only the chaos tests in campaignd arm plans.
 func Enable(p Plan) error {
 	inj := &injector{points: make(map[string]*pointState, len(p.Rules))}
 	for _, r := range p.Rules {
@@ -168,14 +169,15 @@ func Enable(p Plan) error {
 }
 
 // Disable disarms fault injection; every point returns to the no-op
-// fast path.
+// fast path. Only the chaos tests in campaignd call it.
 func Disable() {
 	armMu.Lock()
 	armed.Store(nil)
 	armMu.Unlock()
 }
 
-// Enabled reports whether a plan is armed.
+// Enabled reports whether a plan is armed. The chaos tests in campaignd
+// check it.
 func Enabled() bool { return armed.Load() != nil }
 
 // Fire evaluates the named injection point once. Disabled, or for a
@@ -241,7 +243,8 @@ func decide(seed, n uint64, r Rule) (Kind, float64) {
 }
 
 // Stats snapshots every armed point's activity (nil when disabled).
-// Points are keyed by name; the map is a copy.
+// Points are keyed by name; the map is a copy. The chaos tests in
+// campaignd read it.
 func Stats() map[string]PointStats {
 	inj := armed.Load()
 	if inj == nil {
@@ -260,6 +263,7 @@ func Stats() map[string]PointStats {
 }
 
 // Points lists the armed injection points, sorted (nil when disabled).
+// The chaos tests in campaignd read it.
 func Points() []string {
 	inj := armed.Load()
 	if inj == nil {

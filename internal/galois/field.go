@@ -137,14 +137,6 @@ func (f *Field) Mul(a, b Elem) Elem {
 	return f.exp[f.log[a]+f.log[b]]
 }
 
-// Inv returns the multiplicative inverse of a. It panics on zero.
-func (f *Field) Inv(a Elem) Elem {
-	if a == 0 {
-		panic("galois: inverse of zero")
-	}
-	return f.exp[f.n-f.log[a]]
-}
-
 // Div returns a / b. It panics if b is zero.
 func (f *Field) Div(a, b Elem) Elem {
 	if b == 0 {
@@ -154,22 +146,6 @@ func (f *Field) Div(a, b Elem) Elem {
 		return 0
 	}
 	return f.exp[f.log[a]+f.n-f.log[b]]
-}
-
-// Pow returns a^k for k >= 0, with a^0 = 1 (including 0^0 = 1 by
-// convention, which is what polynomial evaluation needs).
-func (f *Field) Pow(a Elem, k int) Elem {
-	if k == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	e := (f.log[a] * k) % f.n
-	if e < 0 {
-		e += f.n
-	}
-	return f.exp[e]
 }
 
 // MinimalPolynomial returns the minimal polynomial over GF(2) of alpha^i,

@@ -24,25 +24,6 @@ func (p Poly) trim() Poly {
 	return p[:d+1]
 }
 
-// Clone returns an independent copy of p.
-func (p Poly) Clone() Poly {
-	q := make(Poly, len(p))
-	copy(q, p)
-	return q
-}
-
-// PolyAdd returns p + q (characteristic 2, so also p - q).
-func PolyAdd(p, q Poly) Poly {
-	if len(q) > len(p) {
-		p, q = q, p
-	}
-	out := p.Clone()
-	for i, c := range q {
-		out[i] ^= c
-	}
-	return out.trim()
-}
-
 // PolyMul returns p * q over the field f.
 func (f *Field) PolyMul(p, q Poly) Poly {
 	if p.IsZero() || q.IsZero() {
@@ -61,31 +42,6 @@ func (f *Field) PolyMul(p, q Poly) Poly {
 		}
 	}
 	return out.trim()
-}
-
-// PolyDivMod returns quotient and remainder of p divided by q.
-// It panics if q is zero.
-func (f *Field) PolyDivMod(p, q Poly) (quot, rem Poly) {
-	dq := q.Degree()
-	if dq == -1 {
-		panic("galois: polynomial division by zero")
-	}
-	rem = p.Clone().trim()
-	if rem.Degree() < dq {
-		return nil, rem
-	}
-	quot = make(Poly, rem.Degree()-dq+1)
-	lead := q[dq]
-	for rem.Degree() >= dq {
-		d := rem.Degree()
-		c := f.Div(rem[d], lead)
-		quot[d-dq] = c
-		for i := 0; i <= dq; i++ {
-			rem[d-dq+i] ^= f.Mul(c, q[i])
-		}
-		rem = rem.trim()
-	}
-	return quot, rem
 }
 
 // CopyInto copies p into the caller-owned buffer dst, growing it only
@@ -134,17 +90,4 @@ func (f *Field) Eval(p Poly, x Elem) Elem {
 		acc = f.Add(f.Mul(acc, x), p[i])
 	}
 	return acc
-}
-
-// FormalDerivative returns p'(x). In characteristic 2 the even-power terms
-// vanish and odd powers keep their coefficient shifted down.
-func FormalDerivative(p Poly) Poly {
-	if len(p) <= 1 {
-		return nil
-	}
-	out := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i += 2 {
-		out[i-1] = p[i]
-	}
-	return out.trim()
 }

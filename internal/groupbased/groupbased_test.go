@@ -2,7 +2,8 @@ package groupbased
 
 import (
 	"errors"
-
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -34,23 +35,61 @@ func TestGroupRespectsThreshold(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.NormScaled(0, 2)
 		}
-		g := Group(vals, 0.5)
-		return g.CheckThreshold(vals, 0.5) == nil && g.Validate(n) == nil
+		g := GroupLimited(vals, 0.5, len(vals))
+		return checkThreshold(&g, vals, 0.5) == nil && g.Validate(n) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
+// checkThreshold verifies Algorithm 2's invariant against a frequency
+// snapshot: every pair within a group must differ by more than the
+// threshold.
+func checkThreshold(g *Grouping, f []float64, thresholdMHz float64) error {
+	for id, members := range g.Members() {
+		for i := 0; i < len(members); i++ {
+			for j := i + 1; j < len(members); j++ {
+				d := math.Abs(f[members[i]] - f[members[j]])
+				if d <= thresholdMHz {
+					return fmt.Errorf("group %d pair (%d,%d) discrepancy %v <= %v",
+						id, members[i], members[j], d, thresholdMHz)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// kendallStream is the allocating reference for Scratch.encode: the
+// per-group frequency orders of a residual snapshot Kendall-coded and
+// concatenated, groups in id order, singleton groups contributing no
+// bits. Labels are positions in the ascending-index member list.
+func kendallStream(g *Grouping, residuals []float64) bitvec.Vector {
+	out := bitvec.New(0)
+	for _, members := range g.Members() {
+		if len(members) < 2 {
+			continue
+		}
+		vals := make([]float64, len(members))
+		for l, ro := range members {
+			vals[l] = residuals[ro]
+		}
+		out = out.Concat(perm.KendallEncode(perm.OrderOf(vals)))
+	}
+	return out
+}
+
 func TestGroupKnownExample(t *testing.T) {
 	// Frequencies 10, 8, 6, 4 with threshold 1: all fit in one group
 	// (consecutive gaps of 2 > 1).
-	g := Group([]float64{10, 8, 6, 4}, 1)
+	f := []float64{10, 8, 6, 4}
+	g := GroupLimited(f, 1, len(f))
 	if g.NumGroups() != 1 {
 		t.Fatalf("%d groups, want 1", g.NumGroups())
 	}
 	// Threshold 3: 10 and 6 pair (gap 4), 8 and 4 pair (gap 4).
-	g2 := Group([]float64{10, 8, 6, 4}, 3)
+	g2 := GroupLimited(f, 3, len(f))
 	if g2.NumGroups() != 2 {
 		t.Fatalf("%d groups, want 2", g2.NumGroups())
 	}
@@ -63,7 +102,7 @@ func TestGroupGreedyPrefersFirstGroup(t *testing.T) {
 	// Algorithm 2 walks groups in order and takes the first that fits,
 	// keeping early groups large.
 	vals := []float64{100, 90, 80, 70, 60, 50}
-	g := Group(vals, 5)
+	g := GroupLimited(vals, 5, len(vals))
 	// Every consecutive gap is 10 > 5, so one big group.
 	if g.NumGroups() != 1 {
 		t.Fatalf("%d groups, want 1", g.NumGroups())
@@ -73,8 +112,8 @@ func TestGroupGreedyPrefersFirstGroup(t *testing.T) {
 func TestGroupingEntropyFavorsFewLargeGroups(t *testing.T) {
 	// Paper §V-B: few large groups beat many small ones. One group of 4
 	// (log2 4! = 4.58) vs two groups of 2 (2 * log2 2 = 2).
-	one, _ := PairsToGrouping(4, [][]int{{0, 1, 2, 3}})
-	two, _ := PairsToGrouping(4, [][]int{{0, 1}, {2, 3}})
+	one := Grouping{Assign: []int{0, 0, 0, 0}}
+	two := Grouping{Assign: []int{0, 0, 1, 1}}
 	if Entropy(&one) <= Entropy(&two) {
 		t.Fatalf("entropy %v <= %v", Entropy(&one), Entropy(&two))
 	}
@@ -97,27 +136,9 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestPairsToGrouping(t *testing.T) {
-	g, err := PairsToGrouping(4, [][]int{{0, 2}, {1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Assign[0] != 0 || g.Assign[2] != 0 || g.Assign[1] != 1 || g.Assign[3] != 1 {
-		t.Fatalf("assign %v", g.Assign)
-	}
-	if _, err := PairsToGrouping(4, [][]int{{0, 1}, {1, 2}}); err == nil {
-		t.Error("overlap must fail")
-	}
-	if _, err := PairsToGrouping(4, [][]int{{0, 1}}); err == nil {
-		t.Error("uncovered oscillator must fail")
-	}
-	if _, err := PairsToGrouping(4, [][]int{{0, 5}}); err == nil {
-		t.Error("out-of-range must fail")
-	}
-}
-
 func TestGroupingMarshalRoundTrip(t *testing.T) {
-	g := Group([]float64{5, 3, 9, 1, 7}, 1)
+	f := []float64{5, 3, 9, 1, 7}
+	g := GroupLimited(f, 1, len(f))
 	var back Grouping
 	if err := UnmarshalGroupingInto(&back, g.Append(nil)); err != nil {
 		t.Fatal(err)
@@ -136,7 +157,7 @@ func TestGroupingMarshalRoundTrip(t *testing.T) {
 }
 
 func TestKendallStreamLength(t *testing.T) {
-	g, _ := PairsToGrouping(7, [][]int{{0, 1, 2, 3}, {4, 5}, {6}})
+	g := Grouping{Assign: []int{0, 0, 0, 0, 1, 1, 2}}
 	if StreamLen(&g) != 6+1+0 {
 		t.Fatalf("stream length %d, want 7", StreamLen(&g))
 	}
@@ -144,7 +165,7 @@ func TestKendallStreamLength(t *testing.T) {
 		t.Fatalf("key length %d, want 6", KeyLen(&g))
 	}
 	res := []float64{4, 3, 2, 1, 10, 20, 0}
-	s := KendallStream(&g, res)
+	s := kendallStream(&g, res)
 	if s.Len() != 7 {
 		t.Fatalf("stream %s", s)
 	}
@@ -159,9 +180,9 @@ func TestKendallStreamLength(t *testing.T) {
 }
 
 func TestPackKeyMatchesCompactCoding(t *testing.T) {
-	g, _ := PairsToGrouping(4, [][]int{{0, 1, 2, 3}})
+	g := Grouping{Assign: []int{0, 0, 0, 0}}
 	res := []float64{1, 2, 4, 3} // order CDBA in labels: residuals desc = RO2,RO3,RO1,RO0 = labels 2,3,1,0
-	stream := KendallStream(&g, res)
+	stream := kendallStream(&g, res)
 	key, err := PackKey(&g, stream)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +194,7 @@ func TestPackKeyMatchesCompactCoding(t *testing.T) {
 }
 
 func TestPackKeyRejectsInvalidStream(t *testing.T) {
-	g, _ := PairsToGrouping(3, [][]int{{0, 1, 2}})
+	g := Grouping{Assign: []int{0, 0, 0}}
 	// Cyclic tournament 010 is not a valid Kendall coding.
 	if _, err := PackKey(&g, bitvec.MustFromString("010")); !errors.Is(err, ErrReconstructFailed) {
 		t.Fatalf("err = %v, want ErrReconstructFailed", err)
@@ -310,14 +331,12 @@ func TestAttackerRepartitionReprogramsKey(t *testing.T) {
 	attack := h
 	attack.Poly = h.Poly.AddInto(distiller.Plane(0, 1000, 0), nil)
 
-	var groups [][]int
-	for y := 0; y < p.Rows; y++ {
-		for x := 0; x+1 < p.Cols; x += 2 {
-			groups = append(groups, []int{y*p.Cols + x, y*p.Cols + x + 1})
-		}
+	// Horizontal pairs (x, x+1), x even, numbered in row-major order.
+	g := Grouping{Assign: make([]int, a.N())}
+	for ro := range g.Assign {
+		g.Assign[ro] = ro / 2
 	}
-	g, err := PairsToGrouping(a.N(), groups)
-	if err != nil {
+	if err := g.Validate(a.N()); err != nil {
 		t.Fatal(err)
 	}
 	attack.Grouping = g
@@ -346,7 +365,7 @@ func BenchmarkGroup512(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Group(vals, 0.3)
+		_ = GroupLimited(vals, 0.3, len(vals))
 	}
 }
 

@@ -24,19 +24,16 @@ type Grouping struct {
 	Assign []int
 }
 
-// Group runs Algorithm 2 of the paper on a frequency (or residual)
-// snapshot: walk oscillators in descending order; place each into the
-// first group whose most recent member is more than thresholdMHz faster.
-// The result maximizes sum log2(|Gj|!) greedily ("having few large groups
-// is more beneficial than having many small groups").
-func Group(f []float64, thresholdMHz float64) Grouping {
-	return GroupLimited(f, thresholdMHz, len(f))
-}
-
-// GroupLimited is Group with a cap on the group size. The paper notes the
+// GroupLimited runs Algorithm 2 of the paper on a frequency (or
+// residual) snapshot: walk oscillators in descending order; place each
+// into the first group whose most recent member is more than
+// thresholdMHz faster. The result maximizes sum log2(|Gj|!) greedily
+// ("having few large groups is more beneficial than having many small
+// groups"). maxSize caps the group size: the paper notes the
 // Kendall-coding workload "increases quadratically with the group size
 // |Gj|", so practical implementations bound it; a full group behaves like
 // a threshold miss and the oscillator falls through to the next group.
+// maxSize = len(f) is the uncapped algorithm.
 func GroupLimited(f []float64, thresholdMHz float64, maxSize int) Grouping {
 	if maxSize < 1 {
 		panic(fmt.Sprintf("groupbased: max group size %d < 1", maxSize))
@@ -134,27 +131,6 @@ func (g *Grouping) Validate(n int) error {
 	return nil
 }
 
-// CheckThreshold verifies the grouping invariant against a frequency
-// snapshot: every pair within a group must exceed the threshold. Used by
-// tests and by the enrollment self-check, not at reconstruction.
-func (g *Grouping) CheckThreshold(f []float64, thresholdMHz float64) error {
-	for id, members := range g.Members() {
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				d := f[members[i]] - f[members[j]]
-				if d < 0 {
-					d = -d
-				}
-				if d <= thresholdMHz {
-					return fmt.Errorf("groupbased: group %d pair (%d,%d) discrepancy %v <= %v",
-						id, members[i], members[j], d, thresholdMHz)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Append appends the grouping's NVM encoding to dst and returns the
 // extended slice: the oscillator count, then one uint16 group id per
 // oscillator. Append(nil) allocates exactly once.
@@ -189,31 +165,4 @@ func UnmarshalGroupingInto(dst *Grouping, data []byte) error {
 		dst.Assign[i] = int(binary.LittleEndian.Uint16(data[2+2*i:]))
 	}
 	return nil
-}
-
-// PairsToGrouping builds a grouping from an explicit list of groups given
-// as member slices — the attacker's repartitioning primitive (Fig. 6a:
-// "we repartition the groups so that they all contain two ROs").
-func PairsToGrouping(n int, groups [][]int) (Grouping, error) {
-	g := Grouping{Assign: make([]int, n)}
-	for i := range g.Assign {
-		g.Assign[i] = -1
-	}
-	for id, members := range groups {
-		for _, ro := range members {
-			if ro < 0 || ro >= n {
-				return Grouping{}, fmt.Errorf("groupbased: oscillator %d outside array of %d", ro, n)
-			}
-			if g.Assign[ro] != -1 {
-				return Grouping{}, fmt.Errorf("groupbased: oscillator %d in two groups", ro)
-			}
-			g.Assign[ro] = id
-		}
-	}
-	for ro, a := range g.Assign {
-		if a == -1 {
-			return Grouping{}, fmt.Errorf("groupbased: oscillator %d unassigned", ro)
-		}
-	}
-	return g, nil
 }

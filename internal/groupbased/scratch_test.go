@@ -69,7 +69,7 @@ func checkLayout(t *testing.T, sc *Scratch, g *Grouping) {
 // random groupings with group sizes 1..6. The scratch layout must equal
 // the Grouping methods, and every Reconstruct — offsets bound to the
 // grouping, some with a block corrupted past t — must return the key or
-// the error of the KendallStream → ecc.Sketch → PackKey reference on
+// the error of the kendallStream → ecc.Sketch → PackKey reference on
 // the residuals it measured.
 func TestScratchMatchesGroupingReference(t *testing.T) {
 	p := testParams()
@@ -88,7 +88,7 @@ func TestScratchMatchesGroupingReference(t *testing.T) {
 	failures := 0
 	for trial := 0; trial < trials; trial++ {
 		g := randomGrouping(src, a.N(), 6)
-		sk, _ := sketchFor(p.Code, KendallStream(&g, enrolled))
+		sk, _ := sketchFor(p.Code, kendallStream(&g, enrolled))
 		h.Grouping = g
 		h.Offset = sk.Enroll(src)
 		if trial%3 == 2 {
@@ -103,7 +103,7 @@ func TestScratchMatchesGroupingReference(t *testing.T) {
 		checkLayout(t, &sc, &g)
 		for range queries {
 			key, err := Reconstruct(a, p, &h, env, nm, &sc)
-			ref, _ := sketchFor(p.Code, KendallStream(&g, sc.resid))
+			ref, _ := sketchFor(p.Code, kendallStream(&g, sc.resid))
 			var wantKey bitvec.Vector
 			wantErr := error(ErrReconstructFailed)
 			if corrected, _, ok := ref.Reproduce(h.Offset); ok {
@@ -243,12 +243,12 @@ func sketchFor(code ecc.Code, stream bitvec.Vector) (*ecc.Sketch, bitvec.Vector)
 
 // noisyReconstruct is the reference Reconstruct: every oscillator
 // measured with noise, the residuals distilled, and the Grouping-method
-// pipeline KendallStream → ecc.Sketch → PackKey, in a fresh sketch. It
+// pipeline kendallStream → ecc.Sketch → PackKey, in a fresh sketch. It
 // also returns the padded stream before error correction.
 func noisyReconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment, nm *silicon.Noise) (bitvec.Vector, bitvec.Vector, error) {
 	f := a.MeasureIntoWith(make([]float64, a.N()), env, nm)
 	resid := distiller.Distill(p.Rows, p.Cols, f, h.Poly)
-	sk, stream := sketchFor(p.Code, KendallStream(&h.Grouping, resid))
+	sk, stream := sketchFor(p.Code, kendallStream(&h.Grouping, resid))
 	corrected, _, ok := sk.Reproduce(h.Offset)
 	if !ok {
 		return bitvec.Vector{}, stream, ErrReconstructFailed
@@ -282,7 +282,7 @@ func TestReconstructMatchesNoisyReference(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			if trial > 0 {
 				g := randomGrouping(src, a.N(), 6)
-				sk, _ := sketchFor(p.Code, KendallStream(&g, enrolled))
+				sk, _ := sketchFor(p.Code, kendallStream(&g, enrolled))
 				h.Grouping = g
 				h.Offset = sk.Enroll(src)
 				if trial%4 == 3 {

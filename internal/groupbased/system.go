@@ -82,31 +82,6 @@ type Helper struct {
 // attacks count.
 var ErrReconstructFailed = errors.New("groupbased: key reconstruction failed")
 
-// KendallStream codes the per-group frequency orders of a residual
-// snapshot into the concatenated Kendall bitstream (groups in id order;
-// singleton groups contribute no bits).
-func KendallStream(g *Grouping, residuals []float64) bitvec.Vector {
-	out := bitvec.New(0)
-	for _, members := range g.Members() {
-		if len(members) < 2 {
-			continue
-		}
-		out = out.Concat(perm.KendallEncode(groupOrder(members, residuals)))
-	}
-	return out
-}
-
-// groupOrder returns the descending-residual order of a group's members
-// in label space: labels are positions in the ascending-index member
-// list.
-func groupOrder(members []int, residuals []float64) []int {
-	vals := make([]float64, len(members))
-	for l, ro := range members {
-		vals[l] = residuals[ro]
-	}
-	return perm.OrderOf(vals)
-}
-
 // PackKey converts an error-corrected Kendall stream into the secret key:
 // per group, decode the Kendall bits to an order and append its compact
 // coding (the entropy-packing step of Fig. 4). An invalid (non-
@@ -427,8 +402,8 @@ func Reconstruct(a *silicon.Array, p Params, h *Helper, env silicon.Environment,
 }
 
 // encode Kendall-codes the per-group orders of resid into stream, groups
-// in id order from bit 0 (KendallStream without its allocations), using
-// the laid-out member lists.
+// in id order from bit 0 (the allocation-free form of the tests'
+// kendallStream reference), using the laid-out member lists.
 func (sc *Scratch) encode(resid []float64, stream bitvec.Vector) {
 	at := 0
 	for id := range sc.numGroups() {

@@ -157,6 +157,8 @@ func (im *Image) Len() int { return len(im.sections) }
 
 // Marshal serializes the image with its trailing CRC. Sections are
 // emitted in sorted name order so equal images produce equal bytes.
+// The devices hold images in memory; Marshal and Unmarshal stay exported
+// for the NVM round trips of the integration and attack tests.
 func (im *Image) Marshal() ([]byte, error) {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, magic...)

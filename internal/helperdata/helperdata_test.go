@@ -109,7 +109,8 @@ func TestSectionAccessors(t *testing.T) {
 // full group-based helper set into one NVM image and back.
 func TestBundlesConstructionHelpers(t *testing.T) {
 	poly := distiller.QuadraticValleyX(4.5, 2)
-	g := groupbased.Group([]float64{9, 7, 5, 3, 1}, 1)
+	f := []float64{9, 7, 5, 3, 1}
+	g := groupbased.GroupLimited(f, 1, len(f))
 	pairsHelper := pairing.SeqPairHelper{Pairs: []pairing.Pair{{A: 0, B: 3}, {A: 1, B: 4}}}
 
 	im := NewImage()

@@ -126,31 +126,6 @@ func CompactEncode(o []int) bitvec.Vector {
 	return out
 }
 
-// CompactDecode inverts CompactEncode for permutations of length n. It
-// returns an error when the encoded rank is out of range (n! is not a
-// power of two, so some bit patterns are invalid — the paper's "many bit
-// vectors are never used" remark about coding non-uniformity).
-func CompactDecode(v bitvec.Vector, n int) ([]int, error) {
-	if v.Len() != CompactBits(n) {
-		return nil, fmt.Errorf("perm: compact coding length %d, want %d", v.Len(), CompactBits(n))
-	}
-	var r uint64
-	for i := 0; i < v.Len(); i++ {
-		r <<= 1
-		if v.Get(i) {
-			r |= 1
-		}
-	}
-	var fact uint64 = 1
-	for i := 2; i <= n; i++ {
-		fact *= uint64(i)
-	}
-	if r >= fact {
-		return nil, fmt.Errorf("perm: rank %d out of range for n=%d", r, n)
-	}
-	return Unrank(r, n), nil
-}
-
 // KendallEncode returns the Kendall coding of order o: one bit per
 // unordered pair (i, j) with i < j in label order, listed
 // lexicographically ((0,1), (0,2), ..., (n-2,n-1)); the bit is 1 exactly
@@ -353,23 +328,12 @@ func (s *Scratch) CompactEncodeAt(dst bitvec.Vector, at int, o []int) {
 	}
 }
 
-// KendallDistance returns the Kendall tau distance between two orders:
-// the number of pairwise disagreements, equal to the Hamming distance of
-// their Kendall codings and to the minimum number of adjacent flips
-// transforming one into the other. The paper's reliability argument rests
-// on this metric: a single neighbor flip costs exactly one coding bit.
-func KendallDistance(a, b []int) int {
-	if len(a) != len(b) {
-		panic("perm: kendall distance of different-length orders")
-	}
-	return KendallEncode(a).HammingDistance(KendallEncode(b))
-}
-
 // OrderOf returns the descending-frequency order of values: element 0 of
 // the result is the index of the largest value. Ties break toward the
 // lower index, mirroring a hardware comparator that must output
 // something when counter values are equal (the paper's ∆f = 0 bias
-// remark).
+// remark). It stays exported as the reference order of the groupbased
+// tests; production code uses Scratch.OrderInto.
 func OrderOf(values []float64) []int {
 	n := len(values)
 	o := make([]int, n)

@@ -65,10 +65,16 @@ func TestTableI(t *testing.T) {
 func TestTableIDecodesBack(t *testing.T) {
 	for _, row := range tableI {
 		want := orderFromLabels(row.order)
-		co, err := CompactDecode(CompactEncode(want), 4)
-		if err != nil {
-			t.Fatalf("%s: compact decode: %v", row.order, err)
+		// The compact coding is the rank, most significant bit first.
+		var rank uint64
+		cv := CompactEncode(want)
+		for i := 0; i < cv.Len(); i++ {
+			rank = rank<<1 | uint64(cv.Bit(i))
 		}
+		if rank != Rank(want) {
+			t.Fatalf("%s: compact coding holds rank %d, want %d", row.order, rank, Rank(want))
+		}
+		co := Unrank(rank, 4)
 		ko, err := KendallDecode(KendallEncode(want), 4)
 		if err != nil {
 			t.Fatalf("%s: kendall decode: %v", row.order, err)
@@ -149,11 +155,14 @@ func TestKendallAdjacentFlipChangesOneBit(t *testing.T) {
 func TestKendallDistanceProperties(t *testing.T) {
 	a := []int{0, 1, 2, 3}
 	d := []int{3, 2, 1, 0}
-	if KendallDistance(a, a) != 0 {
-		t.Fatal("self distance nonzero")
+	// The Hamming distance of two Kendall codings counts the pairs the
+	// orders disagree on: zero for equal orders, every pair for a
+	// reversal.
+	if got := KendallEncode(a).HammingDistance(KendallEncode(a)); got != 0 {
+		t.Fatalf("self distance = %d, want 0", got)
 	}
-	if KendallDistance(a, d) != 6 {
-		t.Fatalf("reversal distance = %d, want 6", KendallDistance(a, d))
+	if got := KendallEncode(a).HammingDistance(KendallEncode(d)); got != 6 {
+		t.Fatalf("reversal distance = %d, want 6", got)
 	}
 }
 
@@ -164,18 +173,6 @@ func TestKendallDecodeRejectsNonTransitive(t *testing.T) {
 	v := bitvec.MustFromString("010")
 	if _, err := KendallDecode(v, 3); err == nil {
 		t.Fatal("expected rejection of cyclic tournament")
-	}
-}
-
-func TestCompactDecodeRejectsOutOfRange(t *testing.T) {
-	// n=4: ranks 24..31 are invalid 5-bit patterns.
-	v := bitvec.MustFromString("11000") // rank 24
-	if _, err := CompactDecode(v, 4); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	short := bitvec.MustFromString("1100")
-	if _, err := CompactDecode(short, 4); err == nil {
-		t.Fatal("expected length error")
 	}
 }
 

@@ -46,18 +46,13 @@ func NewBlockSweep(key, ctr uint64) BlockSweep {
 	return BlockSweep(blockMix(blockMix(key+blockGolden) + blockGolden + ctr))
 }
 
-// BlockNormPair returns the two standard Gaussian variates of counter
-// block (key, ctr, blk) via the Marsaglia polar method — the same
-// transform (and the same per-variate cost) as the sequential stream's
-// Source.Norm, but drawing its uniforms from a splitmix chain seeded
-// by the block address instead of a shared stream. The rejection
-// retries stay inside the block's own chain, so the result is a pure
-// function of (key, ctr, blk) no matter how many attempts it takes.
-func BlockNormPair(key, ctr, blk uint64) (z0, z1 float64) {
-	return NewBlockSweep(key, ctr).NormPair(blk)
-}
-
-// NormPair is BlockNormPair against the sweep's precomputed state.
+// NormPair returns the two standard Gaussian variates of counter block
+// blk of the sweep via the Marsaglia polar method — the same transform
+// (and the same per-variate cost) as the sequential stream's
+// Source.Norm, but drawing its uniforms from a splitmix chain seeded by
+// the block address instead of a shared stream. The rejection retries
+// stay inside the block's own chain, so the result is a pure function
+// of (key, ctr, blk) no matter how many attempts it takes.
 func (s BlockSweep) NormPair(blk uint64) (z0, z1 float64) {
 	w := blockMix(uint64(s) + blockGolden + blk)
 	for {
@@ -117,8 +112,9 @@ func (s BlockSweep) FillNorm(dst []float64) {
 // BlockNorm returns the standard Gaussian variate keyed by (key, ctr,
 // idx): element idx of the infinite Gaussian field addressed by (ctr,
 // idx). Adjacent even/odd indices share a polar block; callers filling
-// runs of indices should use BlockNormPair directly to get both halves
-// for one transform.
+// runs of indices should use BlockSweep.NormPair or FillNorm to get both
+// halves for one transform. It stays exported as the reference for
+// silicon/noise_test.go.
 func BlockNorm(key, ctr, idx uint64) float64 {
 	return NewBlockSweep(key, ctr).Norm(idx)
 }

@@ -33,7 +33,7 @@ func TestBlockNormPure(t *testing.T) {
 // even and odd indices of one block are exactly the two polar outputs.
 func TestBlockNormPairHalves(t *testing.T) {
 	for blk := uint64(0); blk < 128; blk++ {
-		z0, z1 := BlockNormPair(3, 5, blk)
+		z0, z1 := NewBlockSweep(3, 5).NormPair(blk)
 		if got := BlockNorm(3, 5, 2*blk); got != z0 {
 			t.Fatalf("block %d even half mismatch", blk)
 		}

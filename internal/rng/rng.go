@@ -174,11 +174,3 @@ func (r *Source) Perm(p []int) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

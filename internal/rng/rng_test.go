@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -171,29 +170,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("parent and child agree on %d of 64 outputs", same)
-	}
-}
-
-func TestShuffleProperty(t *testing.T) {
-	f := func(seed uint64, size uint8) bool {
-		n := int(size%32) + 1
-		r := New(seed)
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = i
-		}
-		r.Shuffle(n, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := make([]bool, n)
-		for _, v := range xs {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

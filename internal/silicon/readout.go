@@ -175,7 +175,8 @@ func (r *Readout) Split() {
 	r.splitOK = true
 }
 
-// Noisy returns how many oscillators a query draws noise for.
+// Noisy returns how many oscillators a query draws noise for. It stays
+// exported for the groupbased, device and tempco readout tests.
 func (r *Readout) Noisy() int { return len(r.noisy) }
 
 // Measure takes one measurement sweep from nm and returns every

@@ -243,14 +243,9 @@ func (a *Array) Rows() int { return a.cfg.Rows }
 // Cols returns the layout column count.
 func (a *Array) Cols() int { return a.cfg.Cols }
 
-// Pos maps an oscillator index to its (x, y) = (column, row) grid
-// position; indices scan row-major, matching the univariate labeling of
-// the paper's Section II.
-func (a *Array) Pos(i int) (x, y int) {
-	return i % a.cfg.Cols, i / a.cfg.Cols
-}
-
-// Index maps a grid position back to the oscillator index.
+// Index maps a grid position (x, y) = (column, row) to the oscillator
+// index; indices scan row-major, matching the univariate labeling of the
+// paper's Section II.
 func (a *Array) Index(x, y int) int {
 	if x < 0 || x >= a.cfg.Cols || y < 0 || y >= a.cfg.Rows {
 		panic(fmt.Sprintf("silicon: position (%d,%d) outside %dx%d", x, y, a.cfg.Cols, a.cfg.Rows))
@@ -358,16 +353,4 @@ func (a *Array) RandomComponent(i int) float64 { return a.random[i] }
 // given environment.
 func (a *Array) PairDeltaF(i, j int, env Environment) float64 {
 	return a.TrueFreq(i, env) - a.TrueFreq(j, env)
-}
-
-// CrossoverTemp returns the temperature at which oscillators i and j swap
-// order, and ok=false when their temperature slopes are (numerically)
-// identical so no crossover exists.
-func (a *Array) CrossoverTemp(i, j int) (float64, bool) {
-	dSlope := a.tempCoef[i] - a.tempCoef[j]
-	if math.Abs(dSlope) < 1e-12 {
-		return 0, false
-	}
-	dBase := a.base[i] - a.base[j]
-	return a.cfg.ReferenceTempC - dBase/dSlope, true
 }

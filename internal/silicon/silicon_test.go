@@ -18,14 +18,12 @@ func TestLayoutIndexing(t *testing.T) {
 		t.Fatalf("layout (%d,%d,%d)", a.N(), a.Rows(), a.Cols())
 	}
 	for i := 0; i < a.N(); i++ {
-		x, y := a.Pos(i)
-		if a.Index(x, y) != i {
-			t.Fatalf("Pos/Index mismatch at %d", i)
+		if a.Index(i%a.Cols(), i/a.Cols()) != i {
+			t.Fatalf("Index is not row-major at %d", i)
 		}
 	}
-	x, y := a.Pos(17)
-	if x != 1 || y != 1 {
-		t.Fatalf("Pos(17) = (%d,%d), want (1,1) for 16 columns", x, y)
+	if got := a.Index(1, 1); got != 17 {
+		t.Fatalf("Index(1,1) = %d, want 17 for 16 columns", got)
 	}
 }
 
@@ -290,15 +288,19 @@ func TestMeasureAveragedReducesNoise(t *testing.T) {
 	}
 }
 
+// TestCrossoverTemp checks the temperature model's linearity through
+// PairDeltaF: two oscillators with different slopes swap order at the
+// temperature where their linear models meet.
 func TestCrossoverTemp(t *testing.T) {
 	a := testArray(23)
 	found := false
 	for i := 0; i < a.N() && !found; i++ {
 		for j := i + 1; j < a.N(); j++ {
-			tc, ok := a.CrossoverTemp(i, j)
-			if !ok {
+			dSlope := a.tempCoef[i] - a.tempCoef[j]
+			if math.Abs(dSlope) < 1e-12 {
 				continue
 			}
+			tc := a.cfg.ReferenceTempC - (a.base[i]-a.base[j])/dSlope
 			// At the crossover the delta must vanish.
 			env := Environment{TempC: tc, VoltageV: a.Config().NominalVoltageV}
 			if math.Abs(a.PairDeltaF(i, j, env)) > 1e-6 {

@@ -105,7 +105,8 @@ func (s *SPRT) Reset() {
 }
 
 // ExpectedSamples returns Wald's approximation of the expected sample
-// size when the true failure rate is p.
+// size when the true failure rate is p. No caller yet: it stays exported
+// for the query-budget work on the SPRT (ROADMAP item 6).
 func (s *SPRT) ExpectedSamples(p float64) float64 {
 	mean := p*s.llr1 + (1-p)*s.llr0
 	if math.Abs(mean) < 1e-15 {

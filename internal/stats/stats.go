@@ -1,8 +1,7 @@
 // Package stats implements the statistical machinery behind the paper's
-// attack framework (Section VI, Figure 5): binomial error models for the
-// error count at the ECC input, failure-rate estimation, fixed-sample and
-// sequential hypothesis tests, and histogram utilities for reproducing
-// the PDFs of Figure 5.
+// attack framework (Section VI, Figure 5): failure-rate estimation,
+// fixed-sample and sequential hypothesis tests, and histogram utilities
+// for reproducing the error-count PDFs of Figure 5.
 package stats
 
 import (
@@ -10,88 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// BinomialPMF returns P(X = k) for X ~ Binomial(n, p). Computation is in
-// log space to stay stable for large n.
-func BinomialPMF(n int, p float64, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p >= 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	logPMF := logChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
-	return math.Exp(logPMF)
-}
-
-// BinomialCDF returns P(X <= k).
-func BinomialCDF(n int, p float64, k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	var sum float64
-	for i := 0; i <= k; i++ {
-		sum += BinomialPMF(n, p, i)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-// BinomialTail returns P(X > k) = 1 - CDF(k).
-func BinomialTail(n int, p float64, k int) float64 {
-	return 1 - BinomialCDF(n, p, k)
-}
-
-// logChoose returns log C(n, k) via log-gamma.
-func logChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	return logGamma(float64(n)+1) - logGamma(float64(k)+1) - logGamma(float64(n-k)+1)
-}
-
-// logGamma is the Lanczos approximation of the log-gamma function,
-// accurate to ~1e-13 for positive arguments, which is ample for binomial
-// coefficients.
-func logGamma(x float64) float64 {
-	// Lanczos coefficients, g = 7, n = 9.
-	coeffs := [...]float64{
-		0.99999999999980993,
-		676.5203681218851,
-		-1259.1392167224028,
-		771.32342877765313,
-		-176.61502916214059,
-		12.507343278686905,
-		-0.13857109526572012,
-		9.9843695780195716e-6,
-		1.5056327351493116e-7,
-	}
-	if x < 0.5 {
-		// Reflection formula.
-		return math.Log(math.Pi/math.Sin(math.Pi*x)) - logGamma(1-x)
-	}
-	x--
-	a := coeffs[0]
-	t := x + 7.5
-	for i := 1; i < len(coeffs); i++ {
-		a += coeffs[i] / (x + float64(i))
-	}
-	return 0.5*math.Log(2*math.Pi) + (x+0.5)*math.Log(t) - t + math.Log(a)
-}
 
 // NormalCDF returns the standard normal CDF at z.
 func NormalCDF(z float64) float64 {

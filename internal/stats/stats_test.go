@@ -3,85 +3,11 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/rng"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestBinomialPMFSmall(t *testing.T) {
-	// Binomial(4, 0.5): probabilities 1/16, 4/16, 6/16, 4/16, 1/16.
-	want := []float64{1.0 / 16, 4.0 / 16, 6.0 / 16, 4.0 / 16, 1.0 / 16}
-	for k, w := range want {
-		if got := BinomialPMF(4, 0.5, k); !almostEqual(got, w, 1e-12) {
-			t.Errorf("PMF(4,0.5,%d) = %v, want %v", k, got, w)
-		}
-	}
-}
-
-func TestBinomialPMFEdges(t *testing.T) {
-	if BinomialPMF(5, 0.3, -1) != 0 || BinomialPMF(5, 0.3, 6) != 0 {
-		t.Error("out-of-range k must be 0")
-	}
-	if BinomialPMF(5, 0, 0) != 1 || BinomialPMF(5, 0, 1) != 0 {
-		t.Error("p=0 edge wrong")
-	}
-	if BinomialPMF(5, 1, 5) != 1 || BinomialPMF(5, 1, 4) != 0 {
-		t.Error("p=1 edge wrong")
-	}
-}
-
-func TestBinomialPMFSumsToOne(t *testing.T) {
-	for _, n := range []int{1, 10, 100, 500} {
-		for _, p := range []float64{0.01, 0.3, 0.5, 0.9} {
-			var sum float64
-			for k := 0; k <= n; k++ {
-				sum += BinomialPMF(n, p, k)
-			}
-			if !almostEqual(sum, 1, 1e-9) {
-				t.Errorf("n=%d p=%v: PMF sums to %v", n, p, sum)
-			}
-		}
-	}
-}
-
-func TestBinomialCDFTailComplement(t *testing.T) {
-	f := func(nRaw uint8, pRaw, kRaw uint8) bool {
-		n := int(nRaw)%50 + 1
-		p := float64(pRaw) / 256
-		k := int(kRaw) % (n + 1)
-		return almostEqual(BinomialCDF(n, p, k)+BinomialTail(n, p, k), 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBinomialCDFMonotone(t *testing.T) {
-	n, p := 30, 0.2
-	prev := 0.0
-	for k := 0; k <= n; k++ {
-		c := BinomialCDF(n, p, k)
-		if c < prev-1e-12 {
-			t.Fatalf("CDF decreasing at k=%d", k)
-		}
-		prev = c
-	}
-	if !almostEqual(prev, 1, 1e-9) {
-		t.Fatalf("CDF(n) = %v", prev)
-	}
-}
-
-func TestLogGammaFactorials(t *testing.T) {
-	fact := 1.0
-	for n := 1; n <= 15; n++ {
-		fact *= float64(n)
-		if got := math.Exp(logGamma(float64(n) + 1)); !almostEqual(got/fact, 1, 1e-10) {
-			t.Errorf("Gamma(%d+1) = %v, want %v", n, got, fact)
-		}
-	}
-}
 
 func TestNormalCDFKnown(t *testing.T) {
 	cases := map[float64]float64{

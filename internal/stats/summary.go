@@ -15,7 +15,8 @@ func Mean(xs []float64) float64 {
 }
 
 // Stddev returns the sample standard deviation of xs (Bessel-corrected;
-// 0 for fewer than two observations).
+// 0 for fewer than two observations). It stays exported as the batch
+// reference for the Welford tests here and in the campaign package.
 func Stddev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0

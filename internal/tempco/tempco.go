@@ -83,7 +83,8 @@ const (
 	// DeterministicSelection takes the first satisfying candidate in
 	// index order. The paper: this "exposes the following information
 	// for all non-selected candidates: rcj != rci". Included for the
-	// leakage ablation.
+	// leakage ablation: no task selects it; the attack package's leakage
+	// test does.
 	DeterministicSelection
 )
 

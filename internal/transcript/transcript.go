@@ -408,12 +408,3 @@ func Marshal(trs []Transcript) ([]byte, error) {
 	}
 	return append(data, '\n'), nil
 }
-
-// Unmarshal parses a golden file.
-func Unmarshal(data []byte) ([]Transcript, error) {
-	var out []Transcript
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

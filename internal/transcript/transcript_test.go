@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,15 @@ import (
 // testdata/transcripts/ at the repository root (TestGoldenTranscripts);
 // these tests cover the harness surface itself — error paths, the
 // serialization round trip, and the shape of the golden matrix.
+
+// unmarshal parses a golden file.
+func unmarshal(data []byte) ([]Transcript, error) {
+	var out []Transcript
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 func TestRunRejectsUnknownAttack(t *testing.T) {
 	_, err := Run(context.Background(), Spec{Attack: "nonexistent", Seed: 1})
@@ -73,7 +83,7 @@ func TestMarshalRoundTrips(t *testing.T) {
 	if len(data) == 0 || data[len(data)-1] != '\n' {
 		t.Fatal("marshaled transcripts must end in a newline")
 	}
-	back, err := Unmarshal(data)
+	back, err := unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +134,7 @@ func TestEnrollMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden, err := Unmarshal(data)
+		golden, err := unmarshal(data)
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
