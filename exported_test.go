@@ -33,8 +33,7 @@ var keptExported = map[string]string{
 	"repro/internal/helperdata.Unmarshal":          "NVM round trips in the integration and attack tests",
 	"repro/internal/perm.OrderOf":                  "the groupbased tests' kendallStream reference",
 	"repro/internal/rng.BlockNorm":                 "the reference in silicon/noise_test.go",
-	"repro/internal/silicon.Readout.Noisy":         "the groupbased, device and tempco readout tests",
-	"repro/internal/stats.SPRT.ExpectedSamples":    "the query-budget work on the SPRT (ROADMAP item 6)",
+	"repro/internal/stats.SPRT.ExpectedSamples":    "TestSPRTExpectedSamplesWald, ahead of the query-budget work on the SPRT (ROADMAP item 6)",
 	"repro/internal/stats.Stddev":                  "the batch reference for the campaign and Welford tests",
 	"repro/internal/tempco.DeterministicSelection": "the attack package's leakage test",
 }

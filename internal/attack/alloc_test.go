@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/device"
 	"repro/internal/ecc"
-	"repro/internal/groupbased"
 	"repro/internal/pairing"
 	"repro/internal/rng"
 )
@@ -152,19 +151,13 @@ func TestWarmDecisionAllocationsGroupBased(t *testing.T) {
 		}
 	}
 	a, b := group[0], group[1]
-	var gb gbScratch
-	pattern, levels := levelPlane(&gb, spec.Cols, spec.Rows, a%spec.Cols, a/spec.Cols, b%spec.Cols, b/spec.Cols, groupBasedPatternMHz)
-	pairs := designPartition(&gb, spec.Rows*spec.Cols, a, b, levels)
 	sc := armScratch{code: spec.Code, inject: spec.Code.T(), compose: groupBasedImage}
+	// The plan table is loaded once per run; the plan lookup is part of
+	// every decision.
+	plans := pairPlanSlots(spec.Rows, spec.Cols)
 	got := warmDecisionAllocs(t, tgt, d.NVMGeneration, func() []Hypothesis {
-		grouping := groupbased.Grouping{Assign: gb.assign}
-		sc.decide(original.Poly, pattern, grouping.Append(sc.layout[:0]))
-		for _, hyp := range [2]bool{false, true} {
-			stream := scratchVec(&sc.stream, pairs)
-			stream.Set(0, hyp)
-			if err := sc.add(stream, 0, nil); err != nil {
-				t.Fatal(err)
-			}
+		if err := pairArms(&sc, original.Poly, pairPlanFor(plans, spec.Rows, spec.Cols, a, b)); err != nil {
+			t.Fatal(err)
 		}
 		return sc.arms
 	})
@@ -180,18 +173,15 @@ func TestWarmDecisionAllocationsMasking(t *testing.T) {
 	poly, mask := h.Poly, h.Masking
 	spec := tgt.Spec()
 	base := pairing.ChainPairs(spec.Rows, spec.Cols, true)
-	pattern := valleyForPair(func(ro int) (int, int) { return ro % spec.Cols, ro / spec.Cols }, base[1])
-	selected := append([]int(nil), mask.Selected...)
-	selected[0] = 1 % mask.K
 	sc := armScratch{code: spec.Code, inject: spec.Code.T(), compose: distillerImage}
+	plans := maskPlans.slots(maskKey{spec.Rows, spec.Cols, mask.K}, len(base))
 	got := warmDecisionAllocs(t, tgt, d.NVMGeneration, func() []Hypothesis {
-		sc.decide(poly, pattern, pairing.MaskingHelper{K: mask.K, Selected: selected}.Append(sc.layout[:0]))
-		for _, hyp := range [2]bool{false, true} {
-			stream := scratchVec(&sc.stream, len(selected))
-			stream.Set(0, hyp)
-			if err := sc.add(stream, 0, nil); err != nil {
-				t.Fatal(err)
-			}
+		plan := maskPlanFor(plans, spec.Rows, spec.Cols, mask.K, base, 1)
+		if plan.err != nil {
+			t.Fatal(plan.err)
+		}
+		if err := maskArms(&sc, poly, plan, 1/mask.K); err != nil {
+			t.Fatal(err)
 		}
 		return sc.arms
 	})
@@ -206,12 +196,13 @@ func TestWarmDecisionAllocationsChain(t *testing.T) {
 	poly := d.ReadHelper().Poly
 	spec := tgt.Spec()
 	n := len(pairing.ChainPairs(spec.Rows, spec.Cols, false))
-	pattern := valley(true, 0.5)
 	// Two undetermined bits, one per row: four arms.
 	unknown := []int{0, spec.Cols - 1}
 	sc := armScratch{code: spec.Code, inject: spec.Code.T(), compose: distillerImage}
+	plans := boundaryPlans.slots(geometry{spec.Rows, spec.Cols}, spec.Rows+spec.Cols-2)
 	got := warmDecisionAllocs(t, tgt, d.NVMGeneration, func() []Hypothesis {
-		sc.decide(poly, pattern, nil)
+		// The first column boundary.
+		sc.decide(poly, boundaryPlanFor(plans, spec.Rows, spec.Cols, 0, true, 0.5).pattern, nil)
 		for hyp := range 1 << len(unknown) {
 			stream := scratchVec(&sc.stream, n)
 			for p, idx := range unknown {
@@ -252,40 +243,40 @@ func TestWarmSwapArmAllocationsSeqPair(t *testing.T) {
 
 func TestRunAllocationCeilingGroupBased(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewGroupBasedTarget(groupBasedDevice(t, 9)) }, "groupbased")
-	// Measured: 340.
-	if got > 425 {
-		t.Fatalf("groupbased enroll+run allocates %.0f, ceiling 425", got)
+	// Measured: 212.
+	if got > 265 {
+		t.Fatalf("groupbased enroll+run allocates %.0f, ceiling 265", got)
 	}
 }
 
 func TestRunAllocationCeilingMasking(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewDistillerTarget(maskingDevice(t, 11)) }, "masking")
-	// Measured: 173.
-	if got > 216 {
-		t.Fatalf("masking enroll+run allocates %.0f, ceiling 216", got)
+	// Measured: 92.
+	if got > 115 {
+		t.Fatalf("masking enroll+run allocates %.0f, ceiling 115", got)
 	}
 }
 
 func TestRunAllocationCeilingChain(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewDistillerTarget(chainDevice(t, 13)) }, "chain")
-	// Measured: 259.
-	if got > 324 {
-		t.Fatalf("chain enroll+run allocates %.0f, ceiling 324", got)
+	// Measured: 187.
+	if got > 234 {
+		t.Fatalf("chain enroll+run allocates %.0f, ceiling 234", got)
 	}
 }
 
 func TestRunAllocationCeilingSeqPair(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewSeqPairTarget(seqPairDevice(t, 7)) }, "seqpair")
-	// Measured: 90.
-	if got > 112 {
-		t.Fatalf("seqpair enroll+run allocates %.0f, ceiling 112", got)
+	// Measured: 66.
+	if got > 82 {
+		t.Fatalf("seqpair enroll+run allocates %.0f, ceiling 82", got)
 	}
 }
 
 func TestRunAllocationCeilingTempCo(t *testing.T) {
 	got := runAllocs(t, func() Target { return NewTempCoTarget(tempcoDevice(t, 50)) }, "tempco")
-	// Measured: 132.
-	if got > 165 {
-		t.Fatalf("tempco enroll+run allocates %.0f, ceiling 165", got)
+	// Measured: 102.
+	if got > 127 {
+		t.Fatalf("tempco enroll+run allocates %.0f, ceiling 127", got)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // folded into the hypothesis block, and bind the key each hypothesis
 // predicts. The builder holds the run's constants (code, injected error
 // count, the image layout) and pools what every decision rebuilds: the
-// superposition's coefficients and its encoded blob, the layout blob,
-// the hypothesis stream, the sketch (for sizing and polish), and one
+// superposition's coefficients and its encoded blob, the hypothesis
+// stream, the sketch (for sizing and polish), and one
 // armSlot per arm (arms of one decision are alive together, so the
 // slots are indexed by arm). A slot's image is rewritten by every
 // decision that uses the slot; its write generation tells the adapters'
@@ -30,7 +30,7 @@ type armScratch struct {
 
 	polyBeta []float64
 	poly     []byte // the decision's superimposed polynomial, encoded
-	layout   []byte // the decision's grouping or masking blob, or nil
+	layout   []byte // the decision plan's grouping or masking blob, or nil
 	// stream is the callers' buffer for the next arm's predicted
 	// response, filled before add.
 	stream  bitvec.Vector
@@ -85,11 +85,10 @@ func (s *armSlot) bind(t Target) error {
 func (s *armSlot) write(t Target) error { return t.WriteImage(s.im) }
 
 // decide starts a decision: it superimposes pattern on the original
-// polynomial (which is only read), encodes the sum once for every arm
+// polynomial (both only read), encodes the sum once for every arm
 // image, and drops the previous decision's arms. layout is the
 // decision's pairing-layout blob, shared by every arm image (nil for
-// none); callers append it into sc.layout[:0], so its buffer is pooled
-// too.
+// none); it comes from an interned plan, so it is only read.
 func (sc *armScratch) decide(orig, pattern distiller.Poly2D, layout []byte) {
 	poly := orig.AddInto(pattern, sc.polyBeta)
 	sc.polyBeta = poly.Beta

@@ -274,6 +274,9 @@ func Run(ctx context.Context, name string, t Target, opts Options) (Report, erro
 	if c := t.Spec().Construction; c != name {
 		return Report{}, fmt.Errorf("attack: target construction %q, want %q", c, name)
 	}
+	// Normalized once here, the distinguisher makes its sequential test
+	// once per run rather than once per decision.
+	opts.Dist = opts.Dist.normalized()
 	start := t.Queries()
 	rep, err := a.Run(ctx, t, opts)
 	if err != nil {

@@ -90,10 +90,10 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	}
 	bits := make([]bool, len(base))
 	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, compose: distillerImage}
-	// The rewritten selections cover every k-group of the chain.
-	selected, predicted := make([]int, len(base)/origMask.K), make([]bool, len(base)/origMask.K)
+	plans := maskPlans.slots(maskKey{spec.Rows, spec.Cols, origMask.K}, len(base))
 	for target := 0; target < usable; target++ {
-		bit, err := decideMaskedPairBit(ctx, t, spec, origPoly, origMask.K, base, opts.Dist, budget, &sc, selected, predicted, target)
+		plan := maskPlanFor(plans, spec.Rows, spec.Cols, origMask.K, base, target)
+		bit, err := decideMaskedPairBit(ctx, t, origPoly, opts.Dist, budget, &sc, plan, target/origMask.K)
 		if err != nil {
 			return Report{}, fmt.Errorf("attack: base pair %d: %w", target, err)
 		}
@@ -117,68 +117,103 @@ func (a maskingAttack) Run(ctx context.Context, t Target, opts Options) (Report,
 	return rep, nil
 }
 
-// decideMaskedPairBit isolates one base pair and recovers its residual
-// sign bit. The pattern superimposes onto the ORIGINAL enrollment
-// polynomial (not whatever a previous arm left in NVM). selected and
-// predicted hold one entry per masking group and are overwritten.
-func decideMaskedPairBit(ctx context.Context, t Target, spec Spec, origPoly distiller.Poly2D, k int, base []pairing.Pair, dist Distinguisher, budget *Budget, sc *armScratch, selected []int, predicted []bool, target int) (bool, error) {
-	pos := func(ro int) (int, int) { return ro % spec.Cols, ro / spec.Cols }
-	tp := base[target]
-	pattern := valleyForPair(pos, tp)
+// maskKey keys the masking plans: the geometry and the masking group
+// size.
+type maskKey struct{ rows, cols, k int }
 
-	pval := func(ro int) float64 {
-		x, y := pos(ro)
-		return pattern.Eval(float64(x), float64(y))
-	}
+// maskPlan is the interned plan of one masking decision: the valley
+// isolating the target pair, the rewritten masking selections,
+// encoded, and the forced response bit of every other group; err is
+// set instead when some group has no pattern-determined pair.
+// Immutable once published.
+type maskPlan struct {
+	pattern   distiller.Poly2D
+	layout    []byte
+	predicted []bool
+	err       error
+}
 
-	// Rewrite the masking selections: the target's group selects the
-	// target; every other group selects its pair with the largest
-	// pattern separation (a fully determined bit).
-	groups := len(selected)
-	targetGroup := target / k
-	for g := 0; g < groups; g++ {
-		if g == targetGroup {
-			selected[g] = target % k
-			continue
-		}
-		bestIdx, bestSep := -1, 0.0
-		for i := 0; i < k; i++ {
-			pr := base[g*k+i]
-			if sep := math.Abs(pval(pr.A) - pval(pr.B)); sep > bestSep {
-				bestIdx, bestSep = i, sep
+// maskPlans holds the masking plans per maskKey, slot = target base
+// pair.
+var maskPlans planTable[maskKey, maskPlan]
+
+// maskPlanFor returns the plan of the decision on base pair target,
+// building it on first use: the target's group selects the target;
+// every other group selects its pair with the largest pattern
+// separation (a fully determined bit), read from one evaluation of the
+// pattern on the array. The rewritten selections cover every k-group
+// of the chain.
+func maskPlanFor(plans *planSlots[maskPlan], rows, cols, k int, base []pairing.Pair, target int) *maskPlan {
+	return plans.get(target, func() *maskPlan {
+		pattern := valleyForPair(func(ro int) (int, int) { return ro % cols, ro / cols }, base[target])
+		vals := pattern.EvalGrid(rows, cols, nil)
+		groups := len(base) / k
+		selected := make([]int, groups)
+		plan := &maskPlan{pattern: pattern, predicted: make([]bool, groups)}
+		for g := range groups {
+			if g == target/k {
+				selected[g] = target % k
+				continue
 			}
-		}
-		if bestIdx < 0 || bestSep < 1 {
-			return false, fmt.Errorf("attack: group %d has no pattern-determined pair", g)
-		}
-		selected[g] = bestIdx
-		pr := base[g*k+bestIdx]
-		// Response bit = [residual'(A) > residual'(B)] and residual' =
-		// residual - P, so the pair with the smaller pattern value wins.
-		predicted[g] = pval(pr.A) < pval(pr.B)
-	}
-
-	// Both arms share the superimposed polynomial and the rewritten
-	// masking selections; arm h hypothesizes target bit h.
-	sc.decide(origPoly, pattern, pairing.MaskingHelper{K: k, Selected: selected}.Append(sc.layout[:0]))
-	for _, hypBit := range [2]bool{false, true} {
-		stream := scratchVec(&sc.stream, groups)
-		for g := 0; g < groups; g++ {
-			if g == targetGroup {
-				stream.Set(g, hypBit)
-			} else {
-				stream.Set(g, predicted[g])
+			bestIdx, bestSep := -1, 0.0
+			for i := 0; i < k; i++ {
+				pr := base[g*k+i]
+				if sep := math.Abs(vals[pr.A] - vals[pr.B]); sep > bestSep {
+					bestIdx, bestSep = i, sep
+				}
 			}
+			if bestIdx < 0 || bestSep < 1 {
+				plan.err = fmt.Errorf("attack: group %d has no pattern-determined pair", g)
+				return plan
+			}
+			selected[g] = bestIdx
+			pr := base[g*k+bestIdx]
+			// Response bit = [residual'(A) > residual'(B)] and residual'
+			// = residual - P, so the pair with the smaller pattern value
+			// wins.
+			plan.predicted[g] = vals[pr.A] < vals[pr.B]
 		}
-		if err := sc.add(stream, targetGroup, nil); err != nil {
-			return false, err
-		}
+		plan.layout = pairing.MaskingHelper{K: k, Selected: selected}.Append(nil)
+		return plan
+	})
+}
+
+// decideMaskedPairBit isolates one base pair, in masking group
+// targetGroup, and recovers its residual sign bit. The pattern
+// superimposes onto the ORIGINAL enrollment polynomial (not whatever a
+// previous arm left in NVM).
+func decideMaskedPairBit(ctx context.Context, t Target, origPoly distiller.Poly2D, dist Distinguisher, budget *Budget, sc *armScratch, plan *maskPlan, targetGroup int) (bool, error) {
+	if plan.err != nil {
+		return false, plan.err
+	}
+	if err := maskArms(sc, origPoly, plan, targetGroup); err != nil {
+		return false, err
 	}
 	best, _, err := dist.BestHypotheses(ctx, t, sc.arms, budget)
 	if err != nil {
 		return false, err
 	}
 	return best == 1, nil
+}
+
+// maskArms builds the decision's two arms into sc: both share the
+// superimposed polynomial and the rewritten masking selections; arm h
+// hypothesizes target bit h.
+func maskArms(sc *armScratch, origPoly distiller.Poly2D, plan *maskPlan, targetGroup int) error {
+	sc.decide(origPoly, plan.pattern, plan.layout)
+	for _, hypBit := range [2]bool{false, true} {
+		stream := scratchVec(&sc.stream, len(plan.predicted))
+		for g, bit := range plan.predicted {
+			if g == targetGroup {
+				bit = hypBit
+			}
+			stream.Set(g, bit)
+		}
+		if err := sc.add(stream, targetGroup, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ChainDetails is the chain attack's Report payload.
@@ -228,7 +263,6 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	startQueries := t.Queries()
 	tr := newTracer(a.Name(), t, opts)
 
-	pos := func(ro int) (int, int) { return ro % spec.Cols, ro / spec.Cols }
 	base := pairing.ChainPairs(spec.Rows, spec.Cols, false)
 	known := make(map[int]bool, len(base)) // chain index -> bit
 	maxHyp := 0
@@ -248,19 +282,16 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 
 	tr.phase("boundaries")
 	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, compose: distillerImage}
+	plans := boundaryPlans.slots(geometry{spec.Rows, spec.Cols}, len(bounds))
 	predicted, determined := make([]bool, len(base)), make([]bool, len(base))
 	var unknownIdx []int
 	for bi, bd := range bounds {
-		pattern := valley(bd.vertical, bd.at)
-		pval := func(ro int) float64 {
-			x, y := pos(ro)
-			return pattern.Eval(float64(x), float64(y))
-		}
+		plan := boundaryPlanFor(plans, spec.Rows, spec.Cols, bi, bd.vertical, bd.at)
 		// Classify chain pairs: determined (predicted) vs undetermined.
 		unknownIdx = unknownIdx[:0]
 		clear(determined)
 		for i, pr := range base {
-			sep := pval(pr.A) - pval(pr.B)
+			sep := plan.vals[pr.A] - plan.vals[pr.B]
 			if math.Abs(sep) > 1 {
 				determined[i] = true
 				predicted[i] = sep < 0 // smaller pattern value wins
@@ -279,7 +310,7 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 		}
 
 		// Arm hyp carries undetermined bit p as bit p of hyp.
-		sc.decide(origPoly, pattern, nil)
+		sc.decide(origPoly, plan.pattern, nil)
 		for hyp := 0; hyp < 1<<len(unknownIdx); hyp++ {
 			stream := scratchVec(&sc.stream, len(base))
 			for i := range base {
@@ -324,6 +355,28 @@ func (a chainAttack) Run(ctx context.Context, t Target, opts Options) (Report, e
 	rep.Key = key
 	rep.Details = ChainDetails{MaxHypotheses: maxHyp}
 	return rep, nil
+}
+
+// boundaryPlan is the interned plan of one chain decision: the valley
+// along the boundary and its value at every oscillator (EvalGrid, bit
+// for bit Eval at the oscillator's coordinates). Immutable once
+// published.
+type boundaryPlan struct {
+	pattern distiller.Poly2D
+	vals    []float64
+}
+
+// boundaryPlans holds the chain plans per geometry, slot = boundary:
+// the column boundaries, then the row boundaries.
+var boundaryPlans planTable[geometry, boundaryPlan]
+
+// boundaryPlanFor returns the plan of boundary bi, the valley along x
+// (vertical) or y centered at at, building it on first use.
+func boundaryPlanFor(plans *planSlots[boundaryPlan], rows, cols, bi int, vertical bool, at float64) *boundaryPlan {
+	return plans.get(bi, func() *boundaryPlan {
+		pattern := valley(vertical, at)
+		return &boundaryPlan{pattern: pattern, vals: pattern.EvalGrid(rows, cols, nil)}
+	})
 }
 
 // valleyForPair builds the Fig. 6b pattern for one target pair: a

@@ -78,6 +78,13 @@ type Distinguisher struct {
 	Alpha, Beta float64
 	// MaxQueries caps a single SPRT run; 0 means 64 * Queries.
 	MaxQueries int
+
+	// sprt is the sequential test of (P0, P1, Alpha, Beta), made by
+	// normalized when sprtFor differs from them: every arm's test
+	// starts from a copy, so its logarithms are taken once per
+	// normalized distinguisher, not once per arm.
+	sprt    stats.SPRT
+	sprtFor [4]float64
 }
 
 // DefaultDistinguisher returns a sequential distinguisher with
@@ -116,6 +123,9 @@ func (d Distinguisher) normalized() Distinguisher {
 	}
 	if d.MaxQueries <= 0 {
 		d.MaxQueries = 64 * d.Queries
+	}
+	if params := [4]float64{d.P0, d.P1, d.Alpha, d.Beta}; d.sprtFor != params {
+		d.sprt, d.sprtFor = stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta), params
 	}
 	return d
 }
@@ -184,7 +194,7 @@ func observe(ctx context.Context, t Target, h Hypothesis, b *Budget) (failed boo
 // sprtHyp runs one hypothesis's SPRT to a decision (or MaxQueries) and
 // reports whether it accepted the nominal rate and the queries spent.
 func (d Distinguisher) sprtHyp(ctx context.Context, t Target, h Hypothesis, b *Budget) (accepted bool, n int, err error) {
-	s := stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta)
+	s := d.sprt
 	decision := stats.SPRTContinue
 	for decision == stats.SPRTContinue && s.N() < d.MaxQueries {
 		failed, err := observe(ctx, t, h, b)

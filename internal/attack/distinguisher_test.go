@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/helperdata"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // bernoulliArm returns an Arm failing with probability p.
@@ -193,5 +194,28 @@ func TestEstimateFailureRate(t *testing.T) {
 func TestStrategyString(t *testing.T) {
 	if FixedSample.String() != "fixed-sample" || Sequential.String() != "sequential" {
 		t.Fatal("strings wrong")
+	}
+}
+
+// TestNormalizedMakesTheSPRTOfItsRates pins the sequential test a
+// normalized distinguisher carries for its arms: the test of its
+// current rates and error probabilities, made again when a field
+// changes after normalization (Calibration.Apply sets the rates of a
+// normalized distinguisher), and left alone by a renormalization.
+func TestNormalizedMakesTheSPRTOfItsRates(t *testing.T) {
+	d := DefaultDistinguisher().normalized()
+	if want := stats.MakeSPRT(d.P0, d.P1, d.Alpha, d.Beta); d.sprt != want {
+		t.Fatalf("normalized default carries %+v, want %+v", d.sprt, want)
+	}
+	if again := d.normalized(); again != d {
+		t.Fatal("renormalizing changed the distinguisher")
+	}
+	d = Calibration{PNominal: 0.1, PElevated: 0.7}.Apply(d)
+	if want := stats.MakeSPRT(0.1, 0.7, d.Alpha, d.Beta); d.sprt != want {
+		t.Fatalf("after calibration the test is %+v, want %+v", d.sprt, want)
+	}
+	d.Beta = 0.05
+	if want := stats.MakeSPRT(0.1, 0.7, d.Alpha, 0.05); d.normalized().sprt != want {
+		t.Fatal("a changed Beta kept the old test")
 	}
 }

@@ -86,13 +86,14 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	// rel[a][b] = true when residual(b) > residual(a); keyed a < b.
 	rel := make(map[[2]int]bool)
 	done := 0
-	var gb gbScratch
 	sc := armScratch{code: spec.Code, inject: opts.InjectErrors, compose: groupBasedImage}
+	plans := pairPlanSlots(spec.Rows, spec.Cols)
 	for _, group := range members {
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
 				a, b := group[i], group[j]
-				bit, err := decidePairOrder(ctx, t, spec, original.Poly, opts.Dist, budget, &gb, &sc, a, b)
+				plan := pairPlanFor(plans, spec.Rows, spec.Cols, a, b)
+				bit, err := decidePairOrder(ctx, t, original.Poly, opts.Dist, budget, &sc, plan)
 				if err != nil {
 					return Report{}, fmt.Errorf("attack: pair (%d,%d): %w", a, b, err)
 				}
@@ -169,10 +170,48 @@ func (a groupBasedAttack) Run(ctx context.Context, t Target, opts Options) (Repo
 	return rep, nil
 }
 
-// gbScratch carries the attacker's partition state of one groupbased
-// Run: every pair decision rebuilds the same level keys, grouping and
-// forced bits, so the run allocates them once. The arms themselves come
-// from the run's armScratch.
+// geometry keys the plan tables of the attacks that take the array's
+// shape from the spec.
+type geometry struct{ rows, cols int }
+
+// pairPlan is the interned plan of one groupbased pair decision: the
+// level plane through both targets, the attacker's grouping, encoded,
+// and the forced Kendall bit of every two-member group (predicted[0],
+// the target pair's, is the hypothesis and unused). Its group count is
+// len(predicted). Immutable once published.
+type pairPlan struct {
+	pattern   distiller.Poly2D
+	layout    []byte
+	predicted []bool
+}
+
+// pairPlans holds the pair plans per geometry.
+var pairPlans planTable[geometry, pairPlan]
+
+// pairPlanSlots returns the pair plans of a rows x cols array, slot
+// a*n+b for targets a, b of its n oscillators.
+func pairPlanSlots(rows, cols int) *planSlots[pairPlan] {
+	n := rows * cols
+	return pairPlans.slots(geometry{rows, cols}, n*n)
+}
+
+// pairPlanFor returns the plan of the decision on targets (a, b),
+// building it with levelPlane and designPartition on first use.
+func pairPlanFor(plans *planSlots[pairPlan], rows, cols, a, b int) *pairPlan {
+	return plans.get(a*rows*cols+b, func() *pairPlan {
+		var gb gbScratch
+		pattern, levels := levelPlane(&gb, cols, rows, a%cols, a/cols, b%cols, b/cols, groupBasedPatternMHz)
+		pairs := designPartition(&gb, rows*cols, a, b, levels)
+		return &pairPlan{
+			pattern:   pattern,
+			layout:    (&groupbased.Grouping{Assign: gb.assign}).Append(nil),
+			predicted: slices.Clone(gb.predicted[:pairs]),
+		}
+	})
+}
+
+// gbScratch carries the attacker's partition state while a pair plan
+// is built: the level keys, grouping and forced bits.
 type gbScratch struct {
 	levels    []int
 	assign    []int
@@ -197,37 +236,11 @@ type partitionScratch struct {
 	levelAt []int
 }
 
-// decidePairOrder recovers [residual(b) > residual(a)] for one target
-// pair via the two-hypothesis helper manipulation.
-func decidePairOrder(ctx context.Context, t Target, spec Spec, origPoly distiller.Poly2D, dist Distinguisher, budget *Budget, gb *gbScratch, sc *armScratch, a, b int) (bool, error) {
-	cols, rows := spec.Cols, spec.Rows
-	xa, ya := a%cols, a/cols
-	xb, yb := b%cols, b/cols
-
-	pattern, levels := levelPlane(gb, cols, rows, xa, ya, xb, yb, groupBasedPatternMHz)
-	pairs := designPartition(gb, rows*cols, a, b, levels)
-
-	// The partition covers every oscillator exactly once by
-	// construction, and the device's Grouping.Validate checks it on
-	// install, so the grouping borrows the scratch assignment directly.
-	//
-	// The attacker's grouping is groups 0..pairs-1 of two members
-	// followed by singletons, so its Kendall stream has one bit per
-	// pair, group id's bit at position id: group 0 is the target pair,
-	// its bit the hypothesis. A two-member group's Kendall bit is also
-	// its compact coding, so the key the device packs is the stream
-	// itself.
-	grouping := groupbased.Grouping{Assign: gb.assign}
-	sc.decide(origPoly, pattern, grouping.Append(sc.layout[:0]))
-	for _, hypBit := range [2]bool{false, true} {
-		stream := scratchVec(&sc.stream, pairs)
-		stream.Set(0, hypBit)
-		for id := 1; id < pairs; id++ {
-			stream.Set(id, gb.predicted[id])
-		}
-		if err := sc.add(stream, 0, nil); err != nil {
-			return false, err
-		}
+// decidePairOrder recovers [residual(b) > residual(a)] for the target
+// pair of plan via the two-hypothesis helper manipulation.
+func decidePairOrder(ctx context.Context, t Target, origPoly distiller.Poly2D, dist Distinguisher, budget *Budget, sc *armScratch, plan *pairPlan) (bool, error) {
+	if err := pairArms(sc, origPoly, plan); err != nil {
+		return false, err
 	}
 	best, _, err := dist.BestHypotheses(ctx, t, sc.arms, budget)
 	if err != nil {
@@ -236,10 +249,31 @@ func decidePairOrder(ctx context.Context, t Target, spec Spec, origPoly distille
 	return best == 1, nil
 }
 
+// pairArms builds the decision's two arms into sc. The attacker's
+// grouping is groups 0..pairs-1 of two members followed by singletons,
+// so its Kendall stream has one bit per pair, group id's bit at
+// position id: group 0 is the target pair, its bit the hypothesis. A
+// two-member group's Kendall bit is also its compact coding, so the
+// key the device packs is the stream itself.
+func pairArms(sc *armScratch, origPoly distiller.Poly2D, plan *pairPlan) error {
+	sc.decide(origPoly, plan.pattern, plan.layout)
+	for _, hypBit := range [2]bool{false, true} {
+		stream := scratchVec(&sc.stream, len(plan.predicted))
+		stream.Set(0, hypBit)
+		for id := 1; id < len(plan.predicted); id++ {
+			stream.Set(id, plan.predicted[id])
+		}
+		if err := sc.add(stream, 0, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // levelPlane returns the steep plane whose level lines pass through both
 // targets, together with the integer level key of every oscillator
 // (equal keys = equal pattern values, exactly). The level slice lives in
-// the run scratch.
+// the plan builder's scratch.
 func levelPlane(sc *gbScratch, cols, rows, xa, ya, xb, yb int, amp float64) (distiller.Poly2D, []int) {
 	pattern := distiller.PerpendicularPlane(xa, ya, xb, yb, amp)
 	nx, ny := -(yb - ya), xb-xa
@@ -251,10 +285,11 @@ func levelPlane(sc *gbScratch, cols, rows, xa, ya, xb, yb int, amp float64) (dis
 	return pattern, levels
 }
 
-// designPartition builds the attacker's partition straight into the run
-// scratch: group 0 is the target pair; remaining oscillators are paired
-// across DISTINCT level lines so every forced pair's order is dominated
-// by the pattern; oscillators left over become singletons. The group ids
+// designPartition builds the attacker's partition straight into the
+// plan builder's scratch: group 0 is the target pair; remaining
+// oscillators are paired across DISTINCT level lines so every forced
+// pair's order is dominated by the pattern; oscillators left over
+// become singletons. The group ids
 // land in sc.assign and sc.predicted[id] gives the forced Kendall bit of
 // two-member group id: with labels ordered by ascending RO index, the
 // bit is 1 when the higher-index member has the LOWER pattern level (its

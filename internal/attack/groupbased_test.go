@@ -121,7 +121,6 @@ func BenchmarkGroupBasedPairDecision(b *testing.B) {
 		}
 	}
 	budget := NewBudget(0)
-	var gb gbScratch
 	sc := armScratch{code: d.Params().Code, inject: d.Params().Code.T(), compose: groupBasedImage}
 	ctx := context.Background()
 	var tgt Target
@@ -137,8 +136,10 @@ func BenchmarkGroupBasedPairDecision(b *testing.B) {
 	pass := func() int {
 		spec := tgt.Spec()
 		start := tgt.Queries()
+		plans := pairPlanSlots(spec.Rows, spec.Cols)
 		for _, p := range pairs {
-			if _, err := decidePairOrder(ctx, tgt, spec, original.Poly, DefaultDistinguisher(), budget, &gb, &sc, p[0], p[1]); err != nil {
+			plan := pairPlanFor(plans, spec.Rows, spec.Cols, p[0], p[1])
+			if _, err := decidePairOrder(ctx, tgt, original.Poly, DefaultDistinguisher(), budget, &sc, plan); err != nil {
 				b.Fatal(err)
 			}
 		}

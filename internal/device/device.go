@@ -29,6 +29,14 @@
 // and temperature-aware devices read through groupbased.Scratch and
 // tempco.Scratch.
 //
+// An App whose readout drew noise for no oscillator reconstructed from
+// noise-free values, so its outcome is a pure function of the helper
+// NVM, the environment and the bound key. The four attacked devices
+// keep that outcome (quietApp) and replay it for the next App that
+// finds all three unchanged and no re-binding due: the query is
+// counted and the sweep it would have drawn is skipped, exactly as
+// the reconstruction would have left the noise state.
+//
 // Every device builds its silicon and noise state through one
 // manufacture step, and the attacker reads its helper NVM through one
 // accessor, ReadHelper: a deep copy the caller owns, free to mutate and
@@ -68,6 +76,51 @@ type base struct {
 	// skip re-parsing an identical image (see attack's write cache). It
 	// is maintained by the owning goroutine only.
 	nvmGen uint64
+	// quiet is the last quiet App's outcome (see replay).
+	quiet quietApp
+}
+
+// quietApp is the outcome of an App whose reconstruction drew one
+// measurement sweep with noise for no oscillator, and what it was a
+// function of: the NVM generation, the environment and the bound key's
+// generation (always 0 for a device whose key is the enrolled one).
+type quietApp struct {
+	valid   bool
+	nvmGen  uint64
+	env     silicon.Environment
+	keyGen  uint64
+	outcome bool
+}
+
+// replay returns the stored quiet outcome when the NVM, the
+// environment and the bound key (keyGen) are those it was stored
+// under; the caller has counted the query and checked that no
+// re-binding is due. A hit skips the sweep the reconstruction would
+// have drawn, so later queries see the noise they would have seen.
+func (b *base) replay(keyGen uint64) (outcome, hit bool) {
+	q := &b.quiet
+	if !q.valid || q.nvmGen != b.nvmGen || q.env != b.env || q.keyGen != keyGen {
+		return false, false
+	}
+	b.noise.Reserve()
+	return q.outcome, true
+}
+
+// record returns outcome, the result of an App's reconstruction that
+// started from noise state from and whose readout drew noise for noisy
+// oscillators. It stores the outcome for replay when noisy is 0 and
+// the reconstruction drew exactly one sweep; one that failed before
+// measuring drew none and is not stored.
+func (b *base) record(from silicon.Noise, noisy int, keyGen uint64, outcome bool) bool {
+	from.Reserve() // the noise state one sweep after from
+	b.quiet = quietApp{
+		valid:   noisy == 0 && b.noise == from,
+		nvmGen:  b.nvmGen,
+		env:     b.env,
+		keyGen:  keyGen,
+		outcome: outcome,
+	}
+	return outcome
 }
 
 func (b *base) Queries() int { return int(b.queries.Load()) }
@@ -85,7 +138,10 @@ func (b *base) manufacture(cfg silicon.Config, srcMfg, srcRun *rng.Source) silic
 	// copied as a value.
 	b.env = cfg.NominalEnv()
 	b.queries.Store(0)
+	// A pooled device restarts its NVM generations at 0, so an outcome
+	// stored for the previous silicon would match again.
 	b.nvmGen = 0
+	b.quiet = quietApp{}
 	return b.env
 }
 
@@ -183,9 +239,11 @@ func (r *pairRead) reproduce(a *silicon.Array, env silicon.Environment, nm *sili
 // later write simply drops the reservation.
 type binding struct {
 	// key is the bound key; zero length makes every App fail. buf is the
-	// reusable storage behind copied keys.
+	// reusable storage behind copied keys. gen counts changes of the
+	// key's content, which keys the device's quiet-App replay.
 	key bitvec.Vector
 	buf bitvec.Vector
+	gen uint64
 	// pending marks a reserved re-binding: reconstruct at env with
 	// noise, whose next sweep is the reserved one.
 	pending bool
@@ -195,12 +253,22 @@ type binding struct {
 
 // reset binds key without copying it (the device-owned enrolled key)
 // and drops any reservation.
-func (b *binding) reset(key bitvec.Vector) { b.key, b.pending = key, false }
+func (b *binding) reset(key bitvec.Vector) {
+	b.key, b.pending = key, false
+	b.gen++
+}
 
 // set binds a copy of the first n bits of src, reallocating its storage
 // only on growth: BindKey runs once per oracle query on the
 // reprogrammed-key attack path, so binding must not clone per call.
+// Binding the key already bound only drops the reservation and keeps
+// gen, so an arm that binds its key before every query keeps its
+// replays.
 func (b *binding) set(src bitvec.Vector, n int) {
+	if b.key.Len() == n && src.HasPrefix(b.key) {
+		b.pending = false
+		return
+	}
 	if b.buf.Len() != n {
 		b.buf = b.buf.Resized(n)
 	}

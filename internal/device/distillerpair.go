@@ -262,15 +262,20 @@ func (d *DistillerPairDevice) reconstructScratch(env silicon.Environment, nm *si
 }
 
 // App reconstructs and compares against the bound key (settling a
-// reserved re-binding first), running in the device's scratch buffers.
+// reserved re-binding first), running in the device's scratch buffers;
+// with no re-binding due it may replay the last quiet App (see
+// base.replay).
 func (d *DistillerPairDevice) App() bool {
 	d.addQuery()
 	if env, nm, due := d.bind.due(); due {
 		d.bind.settle(d.reconstructScratch(env, nm))
+	} else if out, hit := d.replay(d.bind.gen); hit {
+		return out
 	}
+	from := d.noise
 	recovered, n, ok := d.reconstructScratch(d.env, &d.noise)
 	key := d.bind.key
-	return ok && n > 0 && key.Len() == n && recovered.HasPrefix(key)
+	return d.record(from, d.scratch.ro.Noisy(), d.bind.gen, ok && n > 0 && key.Len() == n && recovered.HasPrefix(key))
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).

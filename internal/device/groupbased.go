@@ -126,15 +126,19 @@ func (d *GroupBasedDevice) BindKey(key bitvec.Vector) { d.bind.set(key, key.Len(
 
 // App reconstructs with the current helper and compares against the
 // currently bound application key (settling a reserved re-binding
-// first), running in the device's scratch buffers.
+// first), running in the device's scratch buffers; with no re-binding
+// due it may replay the last quiet App (see base.replay).
 func (d *GroupBasedDevice) App() bool {
 	d.addQuery()
 	if env, nm, ok := d.bind.due(); ok {
 		key, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, env, nm, &d.scratch)
 		d.bind.settle(key, key.Len(), err == nil)
+	} else if out, hit := d.replay(d.bind.gen); hit {
+		return out
 	}
+	from := d.noise
 	got, err := groupbased.Reconstruct(d.arr, d.params, &d.nvm, d.env, &d.noise, &d.scratch)
-	return err == nil && d.bind.key.Len() > 0 && keysEqual(got, d.bind.key)
+	return d.record(from, d.scratch.Noisy(), d.bind.gen, err == nil && d.bind.key.Len() > 0 && keysEqual(got, d.bind.key))
 }
 
 // TrueKey returns the original enrolled key (evaluation-only).

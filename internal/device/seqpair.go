@@ -133,19 +133,24 @@ func (d *SeqPairDevice) NumPairs() int { return len(d.nvm.Pairs.Pairs) }
 func (d *SeqPairDevice) Code() ecc.Code { return d.params.Code }
 
 // App reconstructs the key from current NVM and fresh measurements and
-// compares it with the enrolled reference. The reconstruction runs
+// compares it with the enrolled reference, or replays the outcome of
+// the last quiet App (see base.replay). The reconstruction runs
 // entirely in the device's scratch buffers (a readout of the stored
 // pairs' oscillators, decode-into ECC), allocation-free in steady
 // state.
 func (d *SeqPairDevice) App() bool {
 	d.addQuery()
+	if out, hit := d.replay(0); hit {
+		return out
+	}
 	sc := &d.scratch
 	if !sc.helperValid {
 		d.refreshScratch()
 	}
 	pairs := d.nvm.Pairs.Pairs
+	from := d.noise
 	recovered, ok := sc.reproduce(d.arr, d.env, &d.noise, pairs, d.nvm.Offset)
-	return ok && len(pairs) == d.key.Len() && recovered.HasPrefix(d.key)
+	return d.record(from, sc.ro.Noisy(), 0, ok && len(pairs) == d.key.Len() && recovered.HasPrefix(d.key))
 }
 
 // TrueKey returns the enrolled key. Evaluation-only: attacks never call

@@ -82,11 +82,16 @@ func (d *TempCoDevice) WriteHelper(h tempco.Helper) error {
 
 // App reconstructs at the current ambient temperature and compares with
 // the enrolled key, running in the device's scratch buffers (see
-// SeqPairDevice.App for the determinism contract).
+// SeqPairDevice.App for the determinism contract and the replay of a
+// quiet App).
 func (d *TempCoDevice) App() bool {
 	d.addQuery()
+	if out, hit := d.replay(0); hit {
+		return out
+	}
+	from := d.noise
 	got, err := tempco.Reconstruct(d.arr, d.params, &d.nvm, d.env, &d.noise, &d.scratch)
-	return err == nil && keysEqual(got, d.key)
+	return d.record(from, d.scratch.Noisy(), 0, err == nil && keysEqual(got, d.key))
 }
 
 // TrueKey returns the enrolled key (evaluation-only).

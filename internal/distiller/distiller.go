@@ -71,19 +71,56 @@ func (q Poly2D) Eval(x, y float64) float64 {
 	xp, yp := buf[:q.P+1], buf[q.P+1:2*(q.P+1)]
 	powers(xp, x)
 	powers(yp, y)
-	return q.sum(xp, yp)
+	xe, ye := q.exponents()
+	return q.sum(xp, yp, xe, ye)
 }
 
 // sum adds up beta[i,j] * x^(i-j) * y^j over the triangle, given the
-// powers xp[k] = x^k and yp[k] = y^k for k <= P.
-func (q Poly2D) sum(xp, yp []float64) float64 {
+// powers xp[k] = x^k and yp[k] = y^k for k <= P and q's per-term
+// exponent tables (exponents). It is one pass over Beta in storage
+// order, which is the order of the nested loop over i and then j, with
+// each term associated as (beta * x^(i-j)) * y^j: the same products
+// summed in the same order, so the same bits.
+func (q Poly2D) sum(xp, yp []float64, xe, ye []uint16) float64 {
 	var s float64
-	for i := 0; i <= q.P; i++ {
-		for j := 0; j <= i; j++ {
-			s += q.Beta[term(i, j)] * xp[i-j] * yp[j]
-		}
+	xe, ye = xe[:len(q.Beta)], ye[:len(q.Beta)]
+	for k, b := range q.Beta {
+		s += b * xp[xe[k]] * yp[ye[k]]
 	}
 	return s
+}
+
+// tabledDegree bounds the degrees whose exponent tables are shared;
+// a higher degree builds its own per evaluation.
+const tabledDegree = 15
+
+// termX[k] and termY[k] are the exponents of x and y in coefficient k:
+// i-j and j for k = term(i, j). Storage order walks the triangle the
+// same way at every degree, so one table serves all degrees up to
+// tabledDegree.
+var termX, termY = triangle(NumTerms(tabledDegree))
+
+// triangle returns the exponent tables of the first n coefficients.
+func triangle(n int) (xe, ye []uint16) {
+	xe, ye = make([]uint16, n), make([]uint16, n)
+	i, j := 0, 0
+	for k := range n {
+		xe[k], ye[k] = uint16(i-j), uint16(j)
+		if j == i {
+			i, j = i+1, 0
+		} else {
+			j++
+		}
+	}
+	return xe, ye
+}
+
+// exponents returns q's per-term exponent tables for sum.
+func (q Poly2D) exponents() (xe, ye []uint16) {
+	if n := len(q.Beta); n <= len(termX) {
+		return termX[:n], termY[:n]
+	}
+	return triangle(len(q.Beta))
 }
 
 // powers fills dst[k] = x^k for k < len(dst), one multiply per entry, in
@@ -254,10 +291,11 @@ func (q Poly2D) EvalGrid(rows, cols int, dst []float64) []float64 {
 	for c := 0; c < cols; c++ {
 		powers(xp[c*np:(c+1)*np], float64(c))
 	}
+	xe, ye := q.exponents()
 	for r := 0; r < rows; r++ {
 		powers(yp, float64(r))
 		for c := 0; c < cols; c++ {
-			dst[r*cols+c] = q.sum(xp[c*np:(c+1)*np], yp)
+			dst[r*cols+c] = q.sum(xp[c*np:(c+1)*np], yp, xe, ye)
 		}
 	}
 	return dst

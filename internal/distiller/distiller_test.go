@@ -418,3 +418,55 @@ func TestGridEvalCachesByContent(t *testing.T) {
 		}
 	}
 }
+
+// nestedSum is the surface sum as a nested loop over the triangle,
+// term(i, j) computed per term: the bit-for-bit oracle of Poly2D.sum.
+func nestedSum(q Poly2D, xp, yp []float64) float64 {
+	var s float64
+	for i := 0; i <= q.P; i++ {
+		for j := 0; j <= i; j++ {
+			s += q.Beta[term(i, j)] * xp[i-j] * yp[j]
+		}
+	}
+	return s
+}
+
+// TestSumMatchesNestedLoop pins the flat, table-driven sum against the
+// nested loop bit for bit, at every degree up to past the shared
+// exponent table (so both the shared and the per-call tables run), at
+// random reals and at integer grid points.
+func TestSumMatchesNestedLoop(t *testing.T) {
+	r := rng.New(31)
+	uniform := func() float64 { return 2e3*r.Float64() - 1e3 }
+	for p := 0; p <= tabledDegree+2; p++ {
+		q := NewPoly2D(p)
+		for i := range q.Beta {
+			q.Beta[i] = uniform()
+		}
+		xp, yp := make([]float64, p+1), make([]float64, p+1)
+		for trial := 0; trial < 200; trial++ {
+			x, y := uniform()/100, uniform()/100
+			if trial%2 == 0 {
+				x, y = float64(trial%10), float64(trial%4)
+			}
+			powers(xp, x)
+			powers(yp, y)
+			xe, ye := q.exponents()
+			got, want := q.sum(xp, yp, xe, ye), nestedSum(q, xp, yp)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("degree %d at (%v, %v): sum %v, nested loop %v", p, x, y, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkEvalGrid4x10Degree2 times the device's surface evaluation
+// on the attacked 4x10 array at the enrolled degree.
+func BenchmarkEvalGrid4x10Degree2(b *testing.B) {
+	q := QuadraticValleyX(4.5, 500).AddInto(Plane(3, 1, 80), nil)
+	grid := q.EvalGrid(4, 10, nil)
+	b.ReportAllocs()
+	for b.Loop() {
+		grid = q.EvalGrid(4, 10, grid)
+	}
+}

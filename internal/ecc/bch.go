@@ -2,7 +2,9 @@ package ecc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/galois"
@@ -26,6 +28,12 @@ import (
 // and shared read-only by every Workspace. Fields too large to table
 // fall back to bit-serial loops: Exp per set bit for the syndromes and a
 // generator LFSR for the parity.
+//
+// A decode is a function of the received word's coset alone (Lin &
+// Costello, ch. 3): two words with equal syndromes differ by a
+// codeword, so they have the same correction pattern, count and
+// outcome. Each code therefore caches corrections by coset (see
+// DecodeInto), shared by every Workspace that decodes with it.
 type BCH struct {
 	field      *galois.Field
 	fullN      int // 2^m - 1
@@ -46,6 +54,40 @@ type BCH struct {
 	// x^(deg g) * v(x) * x^(8q) modulo g, pw = len(genLow) words.
 	// Both tables are nil for fields too large to table.
 	parTab []uint64
+	// coset is the correction cache: cosetSlots direct-mapped slots,
+	// each packing a coset key and its decode (see cosetLayout). It is
+	// nil when the field is untabled or a slot cannot hold a key and t
+	// positions, so such codes decode uncached.
+	coset []atomic.Uint64
+	cl    cosetLayout
+}
+
+// cosetBits sizes the correction cache: 2^cosetBits slots per code
+// (32 KiB).
+const (
+	cosetBits  = 12
+	cosetSlots = 1 << cosetBits
+)
+
+// cosetLayout packs one cache slot, from bit 0: a valid bit, ok, the
+// correction count (countBits), t error positions of posBits each, and
+// the key — the odd syndromes S1, S3, .. S(2t-1) of m bits each, then
+// the received word's parity for an expurgated code. The even
+// syndromes are squares of the odd ones, so the odd ones fix the coset.
+type cosetLayout struct {
+	countBits, posBits, keyShift int
+}
+
+// newCosetLayout returns the layout of a code with t odd syndromes of m
+// bits, and ok=false when a slot cannot hold it in 64 bits.
+func newCosetLayout(m, t int, expurgated bool) (cosetLayout, bool) {
+	l := cosetLayout{countBits: bits.Len(uint(t)), posBits: m}
+	l.keyShift = 2 + l.countBits + t*l.posBits
+	keyBits := t * m
+	if expurgated {
+		keyBits++
+	}
+	return l, l.keyShift+keyBits <= 64
 }
 
 // maxTableBytes bounds the byte tables of one code (4 MiB); larger
@@ -164,6 +206,10 @@ func newBCH(cfg BCHConfig) (*BCH, error) {
 	synRows, parRows := (b.n+7)/8*256, (b.k+7)/8*256
 	if 4*synRows*b.t+8*parRows*len(genLow) <= maxTableBytes {
 		b.buildTables()
+		if cl, ok := newCosetLayout(cfg.M, cfg.T, cfg.Expurgate); ok {
+			b.cl = cl
+			b.coset = make([]atomic.Uint64, cosetSlots)
+		}
 	}
 	return b, nil
 }
@@ -353,6 +399,16 @@ func (b *BCH) syndromesInto(buf []galois.Elem, received bitvec.Vector) []galois.
 // count, when an error lands in a shortened position, or when the
 // corrected word still has nonzero syndromes. Expurgated codes also
 // check overall parity, which detects one extra error.
+//
+// Every one of those outcomes is a function of the received word's
+// coset: its syndromes, plus its parity for an expurgated code. So a
+// nonzero coset is first looked up in the code's correction cache; a
+// hit flips the stored error positions into dst (or leaves dst = the
+// received word on a stored failure) and skips Berlekamp-Massey and
+// the Chien search. A miss decodes and stores the result. The cache is
+// direct-mapped and lock-free: a slot is one atomic word holding its
+// own key, so a reader sees either a whole entry or none, and a
+// colliding coset simply replaces it.
 func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.n)
 	checkLen("decode buffer", dst.Len(), b.n)
@@ -374,7 +430,62 @@ func (b *BCH) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool)
 		}
 		return 0, true
 	}
+	if b.coset == nil {
+		return b.locate(ws, synd, received, dst)
+	}
+	key := b.cosetKey(synd, received)
+	slot := &b.coset[(key*0x9e3779b97f4a7c15)>>(64-cosetBits)]
+	if v := slot.Load(); v&1 != 0 && v>>b.cl.keyShift == key {
+		return b.cl.apply(v, dst)
+	}
+	corrected, ok := b.locate(ws, synd, received, dst)
+	slot.Store(b.cl.pack(key, ws.positions[:corrected], ok))
+	return corrected, ok
+}
 
+// cosetKey packs the odd syndromes of a decode, and the received
+// word's parity for an expurgated code, into a cache key. A syndrome,
+// like a position, is m bits wide.
+func (b *BCH) cosetKey(synd []galois.Elem, received bitvec.Vector) uint64 {
+	var key uint64
+	for r := b.t - 1; r >= 0; r-- {
+		key = key<<b.cl.posBits | uint64(synd[2*r])
+	}
+	if b.expurgated {
+		key = key<<1 | uint64(received.Weight()&1)
+	}
+	return key
+}
+
+// pack returns the slot holding key's decode: the error positions (all
+// of them on ok, none on failure) and ok.
+func (l cosetLayout) pack(key uint64, positions []int, ok bool) uint64 {
+	v := key<<l.keyShift | uint64(len(positions))<<2 | 1
+	if ok {
+		v |= 2
+	}
+	for i, p := range positions {
+		v |= uint64(p) << (2 + l.countBits + i*l.posBits)
+	}
+	return v
+}
+
+// apply replays a slot's decode onto dst, which holds the received
+// word: it flips the stored positions and returns (corrected, ok).
+func (l cosetLayout) apply(v uint64, dst bitvec.Vector) (int, bool) {
+	count := int(v>>2) & (1<<l.countBits - 1)
+	for i := 0; i < count; i++ {
+		dst.Flip(int(v>>(2+l.countBits+i*l.posBits)) & (1<<l.posBits - 1))
+	}
+	return count, v&2 != 0
+}
+
+// locate is the decode of a word with nonzero syndromes synd, dst
+// holding the received word: Berlekamp-Massey, the Chien search and
+// the re-verification. On ok, dst holds the correction and
+// ws.positions its corrected error positions; on failure dst holds the
+// received word.
+func (b *BCH) locate(ws *Workspace, synd []galois.Elem, received, dst bitvec.Vector) (int, bool) {
 	lambda := b.berlekampMassey(ws, synd)
 	degree := lambda.Degree()
 	if degree < 1 || degree > b.t {

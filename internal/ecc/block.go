@@ -52,31 +52,19 @@ func (b *block) EncodeInto(ws *Workspace, msg, dst bitvec.Vector) {
 // back into dst word-level. corrected sums over blocks and ok is the
 // conjunction of per-block outcomes; a failed block contributes its
 // received bits to dst and decoding continues, so the total correction
-// count stays meaningful.
-//
-// The inner decode is skipped for a block whose word equals the last
-// word the workspace decoded at the same block index under the same
-// inner code: the stored output word and (corrected, ok) are used
-// instead. A decode is a pure function of (inner code, word), so the
-// result is bit-identical with or without the memo; the attacks' SPRT
-// re-asks the same helper image until it decides, which is why most
-// blocks repeat. See Workspace for the storage.
+// count stays meaningful. A block whose coset the inner code has met
+// before costs its syndromes and a cache read (see BCH.DecodeInto).
 func (b *block) DecodeInto(ws *Workspace, received, dst bitvec.Vector) (int, bool) {
 	checkLen("received word", received.Len(), b.N())
 	checkLen("decode buffer", dst.Len(), b.N())
 	in := b.inner.N()
 	recv := resize(&ws.blockRecv, in)
 	out := resize(&ws.blockOut, in)
-	memo := ws.memo.prepare(b)
 	total := 0
 	allOK := true
 	for i := 0; i < b.blocks; i++ {
 		received.SliceInto(i*in, (i+1)*in, recv)
-		corrected, ok, hit := memo.get(i, recv, out)
-		if !hit {
-			corrected, ok = b.inner.DecodeInto(ws, recv, out)
-			memo.put(i, recv, out, corrected, ok)
-		}
+		corrected, ok := b.inner.DecodeInto(ws, recv, out)
 		dst.PutAt(i*in, out)
 		total += corrected
 		allOK = allOK && ok

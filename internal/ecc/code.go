@@ -31,10 +31,9 @@ import (
 
 // Code is a binary block code with bounded-distance decoding.
 //
-// Implementations must be comparable with == (every code here is a
-// pointer type), and DecodeInto must be a pure function of the received
-// word: a Sketch's per-block decode memo keys its entries on the inner
-// code's identity and the word's content alone.
+// DecodeInto must be a pure function of the received word: BCH's coset
+// cache keys a decode on the word's syndromes (and parity) alone, and
+// every caller may rely on a repeated word decoding the same.
 type Code interface {
 	// N returns the codeword length in bits.
 	N() int

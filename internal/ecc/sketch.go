@@ -23,8 +23,9 @@ import (
 // for concurrent use: the vectors it hands out are sketch-owned and
 // stay valid until the next Size, Stream, Enroll or Reproduce. Size,
 // Stream, Enroll and Reproduce allocate nothing once the sketch has
-// seen its largest geometry; devices keep one per oracle, so the
-// workspace's per-block decode memo is one per device.
+// seen its largest geometry; devices keep one per oracle. The decode
+// results a sketch reuses across calls live on the interned code (see
+// BCH.DecodeInto), shared by every sketch of that code.
 type Sketch struct {
 	blk block
 	ws  Workspace

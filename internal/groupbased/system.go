@@ -223,6 +223,11 @@ type Scratch struct {
 	lastAssign  []int
 }
 
+// Noisy returns how many oscillators the last reconstruction's
+// readout drew noise for (silicon.Readout.Noisy): with none, its
+// outcome was a pure function of the helper and the environment.
+func (sc *Scratch) Noisy() int { return sc.ro.Noisy() }
+
 // Invalidate drops the helper-derived caches; the next Prepare or
 // Reconstruct revalidates and rebuilds them.
 func (sc *Scratch) Invalidate() { sc.helperValid = false }

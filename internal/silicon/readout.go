@@ -175,8 +175,9 @@ func (r *Readout) Split() {
 	r.splitOK = true
 }
 
-// Noisy returns how many oscillators a query draws noise for. It stays
-// exported for the groupbased, device and tempco readout tests.
+// Noisy returns how many oscillators a query draws noise for. A device
+// whose query drew none replays that query's outcome until its helper,
+// environment or bound key changes.
 func (r *Readout) Noisy() int { return len(r.noisy) }
 
 // Measure takes one measurement sweep from nm and returns every

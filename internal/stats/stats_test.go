@@ -222,3 +222,37 @@ func TestSPRTDecisionString(t *testing.T) {
 		t.Fatal("String values wrong")
 	}
 }
+
+// TestSPRTExpectedSamplesWald pins ExpectedSamples to Wald's average
+// sample numbers, computed by hand from E[N] = (L·ln B + (1-L)·ln A) /
+// E[z] with ln A = ln((1-β)/α), ln B = ln(β/(1-α)), L = 1-α at p0 and
+// β at p1: for the attacks' default test (p0 0.05, p1 0.95, α = β =
+// 0.01; E[z] = ∓0.9·ln 19) and an asymmetric one. At zero drift the
+// approximation diverges.
+func TestSPRTExpectedSamplesWald(t *testing.T) {
+	def := MakeSPRT(0.05, 0.95, 0.01, 0.01)
+	asym := MakeSPRT(0.1, 0.6, 0.05, 0.1)
+	for _, c := range []struct {
+		name string
+		s    SPRT
+		p    float64
+		want float64
+	}{
+		{"default at p0", def, 0.05, 1.6993304949864592},
+		{"default at p1", def, 0.95, 1.6993304949864592},
+		{"default at zero drift", def, 0.5, math.Inf(1)},
+		{"asymmetric at p0", asym, 0.1, 3.621479864821729},
+		{"asymmetric at p1", asym, 0.6, 3.1653887442240904},
+	} {
+		got := c.s.ExpectedSamples(c.p)
+		if math.IsInf(c.want, 1) {
+			if !math.IsInf(got, 1) {
+				t.Errorf("%s: ExpectedSamples = %v, want +Inf", c.name, got)
+			}
+			continue
+		}
+		if math.Abs(got-c.want) > 1e-9*c.want {
+			t.Errorf("%s: ExpectedSamples = %.12f, Wald's value %.12f", c.name, got, c.want)
+		}
+	}
+}

@@ -340,6 +340,11 @@ type Scratch struct {
 	key    bitvec.Vector
 }
 
+// Noisy returns how many oscillators the last reconstruction's
+// readout drew noise for (silicon.Readout.Noisy): with none, its
+// outcome was a pure function of the helper and the environment.
+func (sc *Scratch) Noisy() int { return sc.ro.Noisy() }
+
 // Invalidate drops the helper-derived caches.
 func (sc *Scratch) Invalidate() { sc.helperValid = false }
 
