@@ -1,14 +1,18 @@
 package repro
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,10 +22,10 @@ import (
 // "importpath.Name" for functions, types, variables and constants and
 // "importpath.Type.Method" for methods.
 var keptExported = map[string]string{
-	"repro/internal/bitvec.MustFromString":         "fixture for test files in other packages",
-	"repro/internal/bitvec.Ones":                   "fixture for test files in other packages",
+	"repro/internal/bitvec.MustFromString":         "fixture for the ecc, groupbased, metrics, perm and tempco tests",
+	"repro/internal/bitvec.Ones":                   "fixture for the attack, ecc and tempco tests",
 	"repro/internal/bitvec.Vector.Xor":             "the ecc linearity and fuzz tests",
-	"repro/internal/device.base.SetEnvironment":    "the device tests and integration_test.go move a device off the nominal point",
+	"repro/internal/device.base.SetEnvironment":    "integration_test.go moves a device off the nominal point",
 	"repro/internal/ecc.NewGolay":                  "the integration tests' perfect-code regime",
 	"repro/internal/ecc.NewRepetition":             "the integration tests' code-agnostic claim",
 	"repro/internal/faultinject.Enable":            "the campaignd chaos tests arm plans",
@@ -29,204 +33,204 @@ var keptExported = map[string]string{
 	"repro/internal/faultinject.Enabled":           "the campaignd chaos tests",
 	"repro/internal/faultinject.Stats":             "the campaignd chaos tests",
 	"repro/internal/faultinject.Points":            "the campaignd chaos tests",
-	"repro/internal/helperdata.Image.Marshal":      "NVM round trips in the integration and attack tests",
-	"repro/internal/helperdata.Unmarshal":          "NVM round trips in the integration and attack tests",
+	"repro/internal/helperdata.Image.Marshal":      "NVM round trips in integration_test.go",
+	"repro/internal/helperdata.Unmarshal":          "NVM round trips in integration_test.go",
 	"repro/internal/perm.OrderOf":                  "the groupbased tests' kendallStream reference",
 	"repro/internal/rng.BlockNorm":                 "the reference in silicon/noise_test.go",
-	"repro/internal/stats.SPRT.ExpectedSamples":    "TestSPRTExpectedSamplesWald, ahead of the query-budget work on the SPRT (ROADMAP item 6)",
 	"repro/internal/stats.Stddev":                  "the batch reference for the campaign and Welford tests",
 	"repro/internal/tempco.DeterministicSelection": "the attack package's leakage test",
 }
 
-// stdlibMethods are method names that satisfy standard-library
-// interfaces; the standard library calls them, not this module.
-var stdlibMethods = map[string]bool{
-	"Error": true, "String": true, "Unwrap": true, "ServeHTTP": true,
-}
+// stdlibInterfaces declares the standard-library interfaces whose
+// methods the standard library itself calls (fmt, errors, net/http); a
+// method that implements one has that caller.
+const stdlibInterfaces = `package stdlib
+
+import (
+	"fmt"
+	"net/http"
+)
+
+type (
+	errorer   = error
+	stringer  = fmt.Stringer
+	handler   = http.Handler
+	unwrapper interface{ Unwrap() error }
+)
+`
 
 type exportedDecl struct {
-	key  string // importpath.Name or importpath.Type.Method
-	pkg  string // import path
-	name string
-	recv string // receiver type name; "" for a top-level name
-	pos  token.Position
+	key string // importpath.Name or importpath.Type.Method
+	obj types.Object
+	pos token.Position
 }
 
-// exportedSurface parses every non-test Go file under root (the module)
-// and under root/perfbench (the benchmark module, which only contributes
-// references), without comments, and returns the module's exported
-// declarations with the ones referenced nowhere but at their own
-// declaration. A function, type, variable or constant counts as
-// referenced by its name inside its package or qualified by its package
-// elsewhere; a method by any selector or interface method of its name.
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportedSurface type-checks, as one universe, the non-test Go files of
+// every package under root: the module, examples/ included, and
+// perfbench/, the benchmark module, which only contributes uses. It
+// returns the module's exported declarations and the ones no use
+// resolves to. A use of a method resolves to it only through its own
+// receiver type (a type embedding it included), or through a method of
+// an interface that the receiver type implements: an interface the
+// code calls, or one in stdlibInterfaces.
 func exportedSurface(t *testing.T, root string) (decls []exportedDecl, unused []exportedDecl) {
 	t.Helper()
-	fset := token.NewFileSet()
-	type parsed struct {
-		pkg  string
-		file *ast.File
-	}
-	var files []parsed
+	dirs := map[string]*build.Package{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
+		if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(path, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
+		rel, err := filepath.Rel(root, path)
 		if err != nil {
 			return err
 		}
-		pkg := "repro"
+		importPath := "repro"
 		if rel != "." {
-			pkg += "/" + filepath.ToSlash(rel)
+			importPath += "/" + filepath.ToSlash(rel)
 		}
-		files = append(files, parsed{pkg, f})
+		dirs[importPath] = bp
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	declIdents := map[*ast.Ident]bool{}
-	for _, p := range files {
-		if p.pkg == "repro/perfbench" || strings.HasPrefix(p.pkg, "repro/perfbench/") {
-			continue
+	fset := token.NewFileSet()
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	std := importer.Default()
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if _, ok := dirs[path]; ok {
+			return check(path)
 		}
-		for _, d := range p.file.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				recv := ""
-				if d.Recv != nil && len(d.Recv.List) == 1 {
-					recv = receiverName(d.Recv.List[0].Type)
-				}
-				key := p.pkg + "." + d.Name.Name
-				if recv != "" {
-					key = p.pkg + "." + recv + "." + d.Name.Name
-				}
-				decls = append(decls, exportedDecl{key, p.pkg, d.Name.Name, recv, fset.Position(d.Name.Pos())})
-				declIdents[d.Name] = true
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					var names []*ast.Ident
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						names = []*ast.Ident{s.Name}
-					case *ast.ValueSpec:
-						names = s.Names
-					}
-					for _, n := range names {
-						if !n.IsExported() {
-							continue
-						}
-						decls = append(decls, exportedDecl{p.pkg + "." + n.Name, p.pkg, n.Name, "", fset.Position(n.Pos())})
-						declIdents[n] = true
-					}
-				}
+		return std.Import(path)
+	})}
+	check = func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		bp := dirs[path]
+		var files []*ast.File
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
 			}
+			files = append(files, f)
+		}
+		p, err := conf.Check(path, fset, files, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = p
+		return p, nil
+	}
+	for path := range dirs {
+		if _, err := check(path); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// bare[pkg][name] counts unqualified uses inside a package;
-	// qualified[pkg][name] counts pkg.Name uses from importing files;
-	// selected[name] counts every x.Name selector and interface method.
-	bare := map[string]map[string]int{}
-	qualified := map[string]map[string]int{}
-	selected := map[string]int{}
-	inc := func(m map[string]map[string]int, pkg, name string) {
-		if m[pkg] == nil {
-			m[pkg] = map[string]int{}
+	// The declarations: package-level names and the methods of concrete
+	// types, outside perfbench.
+	for id, obj := range info.Defs {
+		if obj == nil || !obj.Exported() {
+			continue
 		}
-		m[pkg][name]++
+		path := obj.Pkg().Path()
+		if path == "repro/perfbench" || strings.HasPrefix(path, "repro/perfbench/") {
+			continue
+		}
+		key := path + "." + obj.Name()
+		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			recv := fn.Signature().Recv().Type()
+			if types.IsInterface(recv) {
+				continue
+			}
+			if ptr, ok := recv.(*types.Pointer); ok {
+				recv = ptr.Elem()
+			}
+			key = path + "." + recv.(*types.Named).Obj().Name() + "." + obj.Name()
+		} else if obj.Parent() != obj.Pkg().Scope() {
+			continue // a field, a local or a type parameter
+		}
+		decls = append(decls, exportedDecl{key, obj, fset.Position(id.Pos())})
 	}
-	for _, p := range files {
-		imports := map[string]string{}
-		for _, im := range p.file.Imports {
-			path, _ := strconv.Unquote(im.Path.Value)
-			alias := path[strings.LastIndex(path, "/")+1:]
-			if im.Name != nil {
-				alias = im.Name.Name
+
+	used := map[types.Object]bool{}
+	var ifaceMethods []*types.Func
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			obj = fn
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods = append(ifaceMethods, fn)
 			}
-			imports[alias] = path
 		}
-		sels := map[*ast.Ident]bool{}
-		ast.Inspect(p.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				sels[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if path, ok := imports[x.Name]; ok {
-						inc(qualified, path, n.Sel.Name)
-						return true
-					}
-				}
-				selected[n.Sel.Name]++
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						selected[name.Name]++
-					}
-				}
-			case *ast.Ident:
-				if !sels[n] && !declIdents[n] {
-					inc(bare, p.pkg, n.Name)
-				}
-			}
-			return true
-		})
+		used[obj] = true
+	}
+	stdFile, err := parser.ParseFile(fset, "stdlib.go", stdlibInterfaces, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdPkg, err := conf.Check("stdlib", fset, []*ast.File{stdFile}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range stdPkg.Scope().Names() {
+		iface := stdPkg.Scope().Lookup(name).Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			ifaceMethods = append(ifaceMethods, iface.Method(i))
+		}
+	}
+	// implements reports whether a value of fn's receiver type, or a
+	// pointer to it, satisfies the interface declaring m.
+	implements := func(fn, m *types.Func) bool {
+		if fn.Name() != m.Name() {
+			return false
+		}
+		iface := m.Signature().Recv().Type().Underlying().(*types.Interface)
+		recv := fn.Signature().Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		return types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)
 	}
 
 	for _, d := range decls {
-		var uses int
-		if d.recv != "" {
-			uses = selected[d.name]
-			if stdlibMethods[d.name] {
-				uses++
+		if used[d.obj] {
+			continue
+		}
+		if fn, ok := d.obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			if slices.ContainsFunc(ifaceMethods, func(m *types.Func) bool { return implements(fn, m) }) {
+				continue
 			}
-		} else {
-			uses = bare[d.pkg][d.name] + qualified[d.pkg][d.name]
 		}
-		if uses == 0 {
-			unused = append(unused, d)
-		}
+		unused = append(unused, d)
 	}
 	sort.Slice(unused, func(i, j int) bool { return unused[i].key < unused[j].key })
 	return decls, unused
 }
 
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
-}
-
 // TestEveryExportedNameHasACaller fails on an exported declaration that
-// no non-test code of this module or of perfbench references, unless
+// no non-test code of this module or of perfbench uses, unless
 // keptExported names it with a reason.
 func TestEveryExportedNameHasACaller(t *testing.T) {
 	root, err := os.Getwd()

@@ -183,17 +183,8 @@ func scratchVec(v *bitvec.Vector, n int) bitvec.Vector {
 	return *v
 }
 
-// resizeInts returns *buf resized to n elements, reallocating only on
+// resizeBools returns *buf resized to n elements, reallocating only on
 // growth. Contents are unspecified.
-func resizeInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// resizeBools is resizeInts for boolean flags.
 func resizeBools(buf *[]bool, n int) []bool {
 	if cap(*buf) < n {
 		*buf = make([]bool, n)

@@ -145,7 +145,7 @@ var maskPlans planTable[maskKey, maskPlan]
 // of the chain.
 func maskPlanFor(plans *planSlots[maskPlan], rows, cols, k int, base []pairing.Pair, target int) *maskPlan {
 	return plans.get(target, func() *maskPlan {
-		pattern := valleyForPair(func(ro int) (int, int) { return ro % cols, ro / cols }, base[target])
+		pattern := valleyForPair(cols, base[target])
 		vals := pattern.EvalGrid(rows, cols, nil)
 		groups := len(base) / k
 		selected := make([]int, groups)
@@ -379,12 +379,12 @@ func boundaryPlanFor(plans *planSlots[boundaryPlan], rows, cols, bi int, vertica
 	})
 }
 
-// valleyForPair builds the Fig. 6b pattern for one target pair: a
-// quadratic valley centered between the pair's oscillators along their
-// separation axis plus an orthogonal tilt.
-func valleyForPair(pos func(int) (int, int), tp pairing.Pair) distiller.Poly2D {
-	xa, ya := pos(tp.A)
-	xb, yb := pos(tp.B)
+// valleyForPair builds the Fig. 6b pattern for one target pair of an
+// array cols wide: a quadratic valley centered between the pair's
+// oscillators along their separation axis plus an orthogonal tilt.
+func valleyForPair(cols int, tp pairing.Pair) distiller.Poly2D {
+	xa, ya := tp.A%cols, tp.A/cols
+	xb, yb := tp.B%cols, tp.B/cols
 	if ya == yb {
 		// Horizontal pair: valley in x centered between them, tilt in y.
 		return valley(true, (float64(xa)+float64(xb))/2)

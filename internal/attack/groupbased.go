@@ -1,9 +1,9 @@
 package attack
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/bitvec"
@@ -196,44 +196,17 @@ func pairPlanSlots(rows, cols int) *planSlots[pairPlan] {
 }
 
 // pairPlanFor returns the plan of the decision on targets (a, b),
-// building it with levelPlane and designPartition on first use.
+// building it with levelPlane and partition on first use.
 func pairPlanFor(plans *planSlots[pairPlan], rows, cols, a, b int) *pairPlan {
 	return plans.get(a*rows*cols+b, func() *pairPlan {
-		var gb gbScratch
-		pattern, levels := levelPlane(&gb, cols, rows, a%cols, a/cols, b%cols, b/cols, groupBasedPatternMHz)
-		pairs := designPartition(&gb, rows*cols, a, b, levels)
+		pattern, levels := levelPlane(cols, rows, a%cols, a/cols, b%cols, b/cols, groupBasedPatternMHz)
+		assign, predicted := partition(rows*cols, a, b, levels)
 		return &pairPlan{
 			pattern:   pattern,
-			layout:    (&groupbased.Grouping{Assign: gb.assign}).Append(nil),
-			predicted: slices.Clone(gb.predicted[:pairs]),
+			layout:    (&groupbased.Grouping{Assign: assign}).Append(nil),
+			predicted: predicted,
 		}
 	})
-}
-
-// gbScratch carries the attacker's partition state while a pair plan
-// is built: the level keys, grouping and forced bits.
-type gbScratch struct {
-	levels    []int
-	assign    []int
-	predicted []bool
-	part      partitionScratch
-}
-
-// partitionScratch holds designPartition's level classes and its
-// size-bucketed selection state.
-type partitionScratch struct {
-	// ros lists the non-target oscillators by ascending level, ascending
-	// index within a level; class c owns ros[start[c]:start[c]+size[c]]
-	// and gives up its highest index first.
-	ros   []int
-	start []int
-	size  []int
-	// bySize[s*words:(s+1)*words] is the bitset of the classes holding s
-	// members; count[s] is its population.
-	bySize []uint64
-	count  []int
-	// levelAt counts, then indexes, the oscillators per level.
-	levelAt []int
 }
 
 // decidePairOrder recovers [residual(b) > residual(a)] for the target
@@ -272,12 +245,11 @@ func pairArms(sc *armScratch, origPoly distiller.Poly2D, plan *pairPlan) error {
 
 // levelPlane returns the steep plane whose level lines pass through both
 // targets, together with the integer level key of every oscillator
-// (equal keys = equal pattern values, exactly). The level slice lives in
-// the plan builder's scratch.
-func levelPlane(sc *gbScratch, cols, rows, xa, ya, xb, yb int, amp float64) (distiller.Poly2D, []int) {
+// (equal keys = equal pattern values, exactly).
+func levelPlane(cols, rows, xa, ya, xb, yb int, amp float64) (distiller.Poly2D, []int) {
 	pattern := distiller.PerpendicularPlane(xa, ya, xb, yb, amp)
 	nx, ny := -(yb - ya), xb-xa
-	levels := resizeInts(&sc.levels, rows*cols)
+	levels := make([]int, rows*cols)
 	for i := range levels {
 		x, y := i%cols, i/cols
 		levels[i] = nx*x + ny*y
@@ -285,116 +257,60 @@ func levelPlane(sc *gbScratch, cols, rows, xa, ya, xb, yb int, amp float64) (dis
 	return pattern, levels
 }
 
-// designPartition builds the attacker's partition straight into the
-// plan builder's scratch: group 0 is the target pair; remaining
-// oscillators are paired across DISTINCT level lines so every forced
-// pair's order is dominated by the pattern; oscillators left over
-// become singletons. The group ids
-// land in sc.assign and sc.predicted[id] gives the forced Kendall bit of
+// partition builds the attacker's partition of n oscillators: group 0
+// is the target pair (a, b); the remaining oscillators are paired across
+// DISTINCT level lines so every forced pair's order is dominated by the
+// pattern; oscillators left over become singletons. assign holds every
+// oscillator's group id, and predicted[id] the forced Kendall bit of
 // two-member group id: with labels ordered by ascending RO index, the
 // bit is 1 when the higher-index member has the LOWER pattern level (its
-// distilled residual is larger). It returns the number of two-member
-// groups p: ids 0..p-1 are the pairs, ids p.. the singletons.
+// distilled residual is larger). len(predicted) is the number of
+// two-member groups p: ids 0..p-1 are the pairs, ids p.. the singletons.
 //
 // Pairing repeatedly takes the highest remaining index of the two
 // currently largest level classes, ties going to the lower level; this
 // admits a perfect rainbow matching whenever no class holds more than
-// half the remainder, and gracefully leaves singletons otherwise. The
-// classes come from a counting sort by level and the two largest from
-// per-size bitsets of classes, so a partition costs O(n) plus a word
-// scan per pair.
-func designPartition(sc *gbScratch, n, a, b int, levels []int) int {
-	ps := &sc.part
-	assign := resizeInts(&sc.assign, n)
-	// predicted[id] is written for every two-member group id before it
-	// is read, so stale entries from the previous pair are never seen.
-	predicted := resizeBools(&sc.predicted, n)
-	assign[a], assign[b] = 0, 0
-
-	// Counting sort of the remaining oscillators by level, stable in
-	// ascending index; every non-empty level becomes one class.
-	lo, hi := levels[0], levels[0]
-	for _, l := range levels {
-		lo, hi = min(lo, l), max(hi, l)
-	}
-	levelAt := resizeInts(&ps.levelAt, hi-lo+1)
-	clear(levelAt)
-	for i, l := range levels {
+// half the remainder, and gracefully leaves singletons otherwise. Each
+// pair rescans the classes, which is cheap enough for a plan built once.
+func partition(n, a, b int, levels []int) (assign []int, predicted []bool) {
+	assign = make([]int, n)
+	predicted = make([]bool, n)
+	var ros []int
+	for i := range n {
 		if i != a && i != b {
-			levelAt[l-lo]++
+			ros = append(ros, i)
 		}
 	}
-	ps.start, ps.size = ps.start[:0], ps.size[:0]
-	largest, at := 0, 0
-	for l, c := range levelAt {
-		levelAt[l] = at
-		if c > 0 {
-			ps.start = append(ps.start, at)
-			ps.size = append(ps.size, c)
-			largest = max(largest, c)
+	// One class per level, in ascending level and ascending index within
+	// a level; a class gives up its highest index first.
+	slices.SortStableFunc(ros, func(x, y int) int { return cmp.Compare(levels[x], levels[y]) })
+	var classes [][]int
+	for at := 0; at < len(ros); {
+		end := at
+		for end < len(ros) && levels[ros[end]] == levels[ros[at]] {
+			end++
 		}
-		at += c
+		classes = append(classes, ros[at:end])
+		at = end
 	}
-	ros := resizeInts(&ps.ros, at)
-	for i, l := range levels {
-		if i != a && i != b {
-			ros[levelAt[l-lo]] = i
-			levelAt[l-lo]++
-		}
-	}
-
-	// Bucket the classes by size.
-	words := (len(ps.size) + 63) / 64
-	bySize := slices.Grow(ps.bySize[:0], (largest+1)*words)[:(largest+1)*words]
-	clear(bySize)
-	ps.bySize = bySize
-	count := resizeInts(&ps.count, largest+1)
-	clear(count)
-	for c, s := range ps.size {
-		bySize[s*words+c/64] |= 1 << (c % 64)
-		count[s]++
-	}
-	bucket := func(s int) []uint64 { return bySize[s*words : (s+1)*words] }
-	// take pops class c's highest remaining index and moves the class
-	// one size bucket down.
-	take := func(c int) int {
-		s := ps.size[c]
-		bucket(s)[c/64] &^= 1 << (c % 64)
-		count[s]--
-		s--
-		ps.size[c] = s
-		if s > 0 {
-			bucket(s)[c/64] |= 1 << (c % 64)
-			count[s]++
-		}
-		return ros[ps.start[c]+s]
-	}
-
-	// top bounds the largest class size and second the second-largest;
-	// both only shrink, so their downward scans are amortised O(n).
-	id, top, second := 1, largest, largest
+	id := 1
 	for {
-		for top > 0 && count[top] == 0 {
-			top--
+		c1, c2 := -1, -1
+		for c, class := range classes {
+			switch {
+			case len(class) == 0:
+			case c1 == -1 || len(class) > len(classes[c1]):
+				c1, c2 = c, c1
+			case c2 == -1 || len(class) > len(classes[c2]):
+				c2 = c
+			}
 		}
-		if top == 0 {
+		if c2 == -1 {
 			break
 		}
-		c1 := firstClass(bucket(top), 0)
-		var c2 int
-		if count[top] >= 2 {
-			c2 = firstClass(bucket(top), c1+1)
-		} else {
-			second = min(second, top-1)
-			for second > 0 && count[second] == 0 {
-				second--
-			}
-			if second == 0 {
-				break
-			}
-			c2 = firstClass(bucket(second), 0)
-		}
-		ro1, ro2 := take(c1), take(c2)
+		last1, last2 := len(classes[c1])-1, len(classes[c2])-1
+		ro1, ro2 := classes[c1][last1], classes[c2][last2]
+		classes[c1], classes[c2] = classes[c1][:last1], classes[c2][:last2]
 		assign[ro1], assign[ro2] = id, id
 		// Canonical label order is ascending RO index; label B (the
 		// higher index) precedes when its pattern value is lower.
@@ -402,27 +318,15 @@ func designPartition(sc *gbScratch, n, a, b int, levels []int) int {
 		predicted[id] = levels[high] < levels[low]
 		id++
 	}
-	pairs := id
+	predicted = predicted[:id]
 	// Leftovers become singleton groups, by level then index.
-	for c, start := range ps.start {
-		for _, ro := range ros[start : start+ps.size[c]] {
+	for _, class := range classes {
+		for _, ro := range class {
 			assign[ro] = id
 			id++
 		}
 	}
-	return pairs
-}
-
-// firstClass returns the lowest class index at or above from in a class
-// bitset; the caller guarantees one exists.
-func firstClass(set []uint64, from int) int {
-	w := from / 64
-	word := set[w] &^ (1<<(from%64) - 1)
-	for word == 0 {
-		w++
-		word = set[w]
-	}
-	return w*64 + bits.TrailingZeros64(word)
+	return assign, predicted
 }
 
 // orderFromRelations reconstructs a group's descending order (in label

@@ -11,7 +11,9 @@ import (
 // force every bit but the target's; all of that is a function of the
 // array geometry and the decision's target, never of the device. So
 // every run of one geometry (campaign workers included) shares one
-// plan per target, built by the first decision that needs it.
+// plan per target. The first decision that needs a plan builds it (a
+// groupbased plan's level plane and attacker partition included);
+// every later decision only loads it.
 //
 // A table holds one slot set per key K (the geometry, plus masking's
 // k), created at the key's first use; the caller loads it once per

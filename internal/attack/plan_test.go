@@ -13,7 +13,7 @@ import (
 // campaign workers starting the groupbased attack at once do. Under
 // -race it checks the publication; every goroutine must get the same
 // slot set and the same plan pointers, and each plan must hold what a
-// serial levelPlane + designPartition gives for its targets.
+// serial levelPlane + partition gives for its targets.
 func TestPlanTableConcurrentFirstUse(t *testing.T) {
 	const rows, cols, goroutines = 4, 10, 4
 	const n = rows * cols
@@ -45,12 +45,11 @@ func TestPlanTableConcurrentFirstUse(t *testing.T) {
 			if plan == nil {
 				t.Fatalf("pair (%d,%d): no plan published", a, b)
 			}
-			var gb gbScratch
-			pattern, levels := levelPlane(&gb, cols, rows, a%cols, a/cols, b%cols, b/cols, groupBasedPatternMHz)
-			pairs := designPartition(&gb, n, a, b, levels)
+			pattern, levels := levelPlane(cols, rows, a%cols, a/cols, b%cols, b/cols, groupBasedPatternMHz)
+			assign, predicted := partition(n, a, b, levels)
 			if !slices.Equal(plan.pattern.Beta, pattern.Beta) ||
-				!slices.Equal(plan.layout, (&groupbased.Grouping{Assign: gb.assign}).Append(nil)) ||
-				!slices.Equal(plan.predicted, gb.predicted[:pairs]) {
+				!slices.Equal(plan.layout, (&groupbased.Grouping{Assign: assign}).Append(nil)) ||
+				!slices.Equal(plan.predicted, predicted) {
 				t.Fatalf("pair (%d,%d): the plan differs from a serial build", a, b)
 			}
 		}

@@ -227,16 +227,6 @@ func (v Vector) Equal(u Vector) bool {
 	return true
 }
 
-// IsZero reports whether every bit is zero.
-func (v Vector) IsZero() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Slice returns a copy of bits [from, to).
 func (v Vector) Slice(from, to int) Vector {
 	if from < 0 || to > v.n || from > to {

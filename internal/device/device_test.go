@@ -342,3 +342,37 @@ func TestFuzzyDeviceResistsManipulationSideChannel(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzyWriteHelperBumpsNVMGeneration pins base.NVMGeneration's
+// contract on the fuzzy device: it advances once per accepted helper
+// write and not on a rejected one.
+func TestFuzzyWriteHelperBumpsNVMGeneration(t *testing.T) {
+	p := FuzzyParams{
+		Rows: 4, Cols: 10,
+		Extractor:  fuzzy.Params{Code: ecc.MustBCH(ecc.BCHConfig{M: 5, T: 3})},
+		EnrollReps: 2,
+	}
+	d, err := EnrollFuzzy(p, rng.New(13), rng.New(14))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := d.NVMGeneration(); g != 0 {
+		t.Fatalf("enrolled device at generation %d, want 0", g)
+	}
+	for want := uint64(1); want <= 2; want++ {
+		if err := d.WriteHelper(d.ReadHelper()); err != nil {
+			t.Fatal(err)
+		}
+		if g := d.NVMGeneration(); g != want {
+			t.Fatalf("after %d writes: generation %d", want, g)
+		}
+	}
+	bad := d.ReadHelper()
+	bad.W = bitvec.New(bad.W.Len() + 1)
+	if err := d.WriteHelper(bad); err == nil {
+		t.Fatal("a helper of the wrong length was accepted")
+	}
+	if g := d.NVMGeneration(); g != 2 {
+		t.Fatalf("a rejected write moved the generation to %d", g)
+	}
+}

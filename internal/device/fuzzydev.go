@@ -3,7 +3,6 @@ package device
 import (
 	"fmt"
 
-	"repro/internal/ecc"
 	"repro/internal/fuzzy"
 	"repro/internal/pairing"
 	"repro/internal/rng"
@@ -63,6 +62,7 @@ func (d *FuzzyDevice) WriteHelper(h fuzzy.Helper) error {
 		return fmt.Errorf("device: helper length %d, want %d", h.W.Len(), d.nvm.W.Len())
 	}
 	d.nvm = fuzzy.Helper{W: copyOffset(d.nvm.W, h.W), Tag: append(d.nvm.Tag[:0], h.Tag...)}
+	d.bumpNVM()
 	return nil
 }
 
@@ -75,9 +75,3 @@ func (d *FuzzyDevice) App() bool {
 	got, err := fuzzy.Reconstruct(&d.read.sketch, d.params.Extractor, d.nvm)
 	return err == nil && got == d.key
 }
-
-// TrueKey returns the enrolled key (evaluation-only).
-func (d *FuzzyDevice) TrueKey() fuzzy.Key { return d.key }
-
-// Code exposes the ECC of the extractor (public specification).
-func (d *FuzzyDevice) Code() ecc.Code { return d.params.Extractor.Code }

@@ -252,7 +252,7 @@ func steep(p distiller.Poly2D) distiller.Poly2D {
 func residuals(b *base, p distiller.Poly2D) []float64 {
 	a := b.arr
 	f := a.TrueFreqInto(make([]float64, a.N()), b.env)
-	return distiller.DistillWithGrid(nil, f, p.EvalGrid(a.Rows(), a.Cols(), nil))
+	return distiller.DistillWithGrid(nil, f, p.EvalGrid(a.Config().Rows, a.Config().Cols, nil))
 }
 
 func TestQuietAppReplaySeqPair(t *testing.T) {

@@ -60,21 +60,6 @@ func (q Poly2D) checkIJ(i, j int) {
 	}
 }
 
-// Eval evaluates the polynomial at (x, y).
-func (q Poly2D) Eval(x, y float64) float64 {
-	// Degrees below 8 keep both power tables on the stack.
-	var stack [2 * 8]float64
-	buf := stack[:]
-	if 2*(q.P+1) > len(buf) {
-		buf = make([]float64, 2*(q.P+1))
-	}
-	xp, yp := buf[:q.P+1], buf[q.P+1:2*(q.P+1)]
-	powers(xp, x)
-	powers(yp, y)
-	xe, ye := q.exponents()
-	return q.sum(xp, yp, xe, ye)
-}
-
 // sum adds up beta[i,j] * x^(i-j) * y^j over the triangle, given the
 // powers xp[k] = x^k and yp[k] = y^k for k <= P and q's per-term
 // exponent tables (exponents). It is one pass over Beta in storage
@@ -271,8 +256,8 @@ func Distill(rows, cols int, f []float64, q Poly2D) []float64 {
 // too small. The surface depends solely on the helper coefficients, so
 // reconstruction hot loops evaluate it once per helper write and reuse
 // the grid across measurements. The x powers are computed once per
-// column and the y powers once per row; every cell is bit-identical to
-// Eval at its coordinates.
+// column and the y powers once per row; every cell is the sum a
+// single-point evaluation at its coordinates forms, bit for bit.
 func (q Poly2D) EvalGrid(rows, cols int, dst []float64) []float64 {
 	n := rows * cols
 	if cap(dst) < n {

@@ -17,7 +17,7 @@ func TestRepetitionBasics(t *testing.T) {
 	if !encode(r, one).Equal(bitvec.Ones(7)) {
 		t.Fatal("Encode(1) != ones")
 	}
-	if !encode(r, zero).IsZero() {
+	if encode(r, zero).Weight() != 0 {
 		t.Fatal("Encode(0) != zeros")
 	}
 	if !isCodeword(r, bitvec.Ones(7)) {

@@ -43,11 +43,9 @@ type Elem uint32
 
 // Field is GF(2^m) with precomputed log and antilog tables.
 type Field struct {
-	m    int
-	n    int // 2^m - 1, the multiplicative group order
-	poly uint32
-	exp  []Elem // exp[i] = alpha^i, for i in [0, 2n); doubled to skip mod
-	log  []int  // log[x] = i such that alpha^i = x, for x in [1, 2^m)
+	n   int    // 2^m - 1, the multiplicative group order
+	exp []Elem // exp[i] = alpha^i, for i in [0, 2n); doubled to skip mod
+	log []int  // log[x] = i such that alpha^i = x, for x in [1, 2^m)
 }
 
 // fieldCache interns one Field per extension degree. A Field is
@@ -76,11 +74,9 @@ func newField(m int) *Field {
 		panic(fmt.Sprintf("galois: unsupported extension degree m=%d", m))
 	}
 	f := &Field{
-		m:    m,
-		n:    1<<m - 1,
-		poly: poly,
-		exp:  make([]Elem, 2*(1<<m-1)),
-		log:  make([]int, 1<<m),
+		n:   1<<m - 1,
+		exp: make([]Elem, 2*(1<<m-1)),
+		log: make([]int, 1<<m),
 	}
 	x := uint32(1)
 	for i := 0; i < f.n; i++ {
@@ -95,14 +91,8 @@ func newField(m int) *Field {
 	return f
 }
 
-// M returns the extension degree m.
-func (f *Field) M() int { return f.m }
-
 // Order returns the multiplicative group order 2^m - 1.
 func (f *Field) Order() int { return f.n }
-
-// Alpha returns the primitive element alpha (the class of x).
-func (f *Field) Alpha() Elem { return f.exp[1] }
 
 // Exp returns alpha^i for any integer i (negative allowed). Exponents
 // in [0, 2^(m+1)-2) are a plain table read, without the reduction.

@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// Eval evaluates p at x by Horner's rule: the reference the field's
+// polynomial arithmetic is checked against.
+func (f *Field) Eval(p Poly, x Elem) Elem {
+	var acc Elem
+	for i := len(p) - 1; i >= 0; i-- {
+		acc = f.Add(f.Mul(acc, x), p[i])
+	}
+	return acc
+}
+
 func TestFieldConstruction(t *testing.T) {
 	for m := 2; m <= 16; m++ {
 		f := NewField(m)

@@ -44,19 +44,6 @@ func (f *Field) PolyMul(p, q Poly) Poly {
 	return out.trim()
 }
 
-// CopyInto copies p into the caller-owned buffer dst, growing it only
-// when its capacity is insufficient, and returns the (possibly regrown)
-// slice. The scratch-buffer counterpart of Clone for decoder workspaces
-// that run the Berlekamp-Massey recursion without per-step allocation.
-func (p Poly) CopyInto(dst Poly) Poly {
-	if cap(dst) < len(p) {
-		dst = make(Poly, len(p))
-	}
-	dst = dst[:len(p)]
-	copy(dst, p)
-	return dst
-}
-
 // SubScaledShiftInto writes c - coef * x^shift * q (characteristic 2, so
 // also c + coef * x^shift * q) into dst and returns it trimmed of
 // trailing zeros. dst must not alias c or q; it is regrown only when too
@@ -81,13 +68,4 @@ func (f *Field) SubScaledShiftInto(dst, c, q Poly, coef Elem, shift int) Poly {
 		}
 	}
 	return dst.trim()
-}
-
-// Eval evaluates p at x using Horner's rule.
-func (f *Field) Eval(p Poly, x Elem) Elem {
-	var acc Elem
-	for i := len(p) - 1; i >= 0; i-- {
-		acc = f.Add(f.Mul(acc, x), p[i])
-	}
-	return acc
 }

@@ -170,7 +170,7 @@ func TestKendallStreamLength(t *testing.T) {
 		t.Fatalf("stream %s", s)
 	}
 	// Group 0 residuals descend with index: order ABCD -> 000000.
-	if !s.Slice(0, 6).IsZero() {
+	if s.Slice(0, 6).Weight() != 0 {
 		t.Fatalf("group 0 bits %s, want zeros", s.Slice(0, 6))
 	}
 	// Group 1: RO5 > RO4, so label B precedes A -> bit 1.

@@ -152,13 +152,10 @@ func (im *Image) Delete(name string) {
 // not mutated in place.
 func (im *Image) Gen() uint64 { return im.gen }
 
-// Len returns the number of sections.
-func (im *Image) Len() int { return len(im.sections) }
-
 // Marshal serializes the image with its trailing CRC. Sections are
 // emitted in sorted name order so equal images produce equal bytes.
 // The devices hold images in memory; Marshal and Unmarshal stay exported
-// for the NVM round trips of the integration and attack tests.
+// for the NVM round trips of integration_test.go.
 func (im *Image) Marshal() ([]byte, error) {
 	buf := make([]byte, 0, 64)
 	buf = append(buf, magic...)
@@ -231,25 +228,4 @@ func Unmarshal(raw []byte) (*Image, error) {
 		return nil, fmt.Errorf("helperdata: %d trailing bytes", len(body)-at)
 	}
 	return im, nil
-}
-
-// Equal reports whether two images have identical sections. Both
-// section lists are name-sorted, so the comparison is a single pairwise
-// walk.
-func (im *Image) Equal(other *Image) bool {
-	if im.Len() != other.Len() {
-		return false
-	}
-	for i := range im.sections {
-		a, b := &im.sections[i], &other.sections[i]
-		if a.name != b.name || len(a.data) != len(b.data) {
-			return false
-		}
-		for j := range a.data {
-			if a.data[j] != b.data[j] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -19,8 +19,7 @@ import "math"
 // Source is a deterministic 64-bit pseudo-random source.
 //
 // It is intentionally NOT safe for concurrent use; callers that need
-// parallel streams should derive independent child sources with Split,
-// which consumes state from the parent in a deterministic way.
+// parallel streams seed one Source per stream from StreamSeed.
 type Source struct {
 	s [4]uint64
 	// cached spare Gaussian variate from the polar method
@@ -75,15 +74,9 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Split returns a new Source whose stream is statistically independent of
-// the parent's subsequent output. The parent is advanced.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}
-
 // StreamSeed derives the seed of logical stream `stream` under a campaign
-// base seed. Unlike Split it carries no hidden state: stream i's seed
-// depends only on (base, i), so a pool of workers can evaluate streams in
+// base seed. It carries no hidden state: stream i's seed depends only on
+// (base, i), so a pool of workers can evaluate streams in
 // any order — or any degree of parallelism — and still reproduce the
 // exact per-stream random sequences of a serial run. The derivation is
 // one SplitMix64 step over a golden-ratio spaced state, the same

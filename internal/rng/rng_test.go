@@ -158,21 +158,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(31)
-	child := parent.Split()
-	// The child stream must not simply mirror the parent stream.
-	same := 0
-	for i := 0; i < 64; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("parent and child agree on %d of 64 outputs", same)
-	}
-}
-
 func TestBoolBalance(t *testing.T) {
 	r := New(41)
 	trues := 0

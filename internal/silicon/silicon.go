@@ -237,22 +237,6 @@ func (a *Array) Config() Config { return a.cfg }
 // N returns the oscillator count.
 func (a *Array) N() int { return len(a.base) }
 
-// Rows returns the layout row count.
-func (a *Array) Rows() int { return a.cfg.Rows }
-
-// Cols returns the layout column count.
-func (a *Array) Cols() int { return a.cfg.Cols }
-
-// Index maps a grid position (x, y) = (column, row) to the oscillator
-// index; indices scan row-major, matching the univariate labeling of the
-// paper's Section II.
-func (a *Array) Index(x, y int) int {
-	if x < 0 || x >= a.cfg.Cols || y < 0 || y >= a.cfg.Rows {
-		panic(fmt.Sprintf("silicon: position (%d,%d) outside %dx%d", x, y, a.cfg.Cols, a.cfg.Rows))
-	}
-	return y*a.cfg.Cols + x
-}
-
 // TrueFreq returns the noise-free frequency of oscillator i in the given
 // environment: base + tempCoef*(T - Tref) + voltCoef*(V - Vnom).
 func (a *Array) TrueFreq(i int, env Environment) float64 {

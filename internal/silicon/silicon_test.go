@@ -12,32 +12,20 @@ func testArray(seed uint64) *Array {
 	return NewArray(DefaultConfig(8, 16), rng.New(seed))
 }
 
+// TestLayoutIndexing pins the row-major labeling of the paper's Section
+// II: oscillator i sits at (x, y) = (i mod Cols, i div Cols), where its
+// systematic component is taken.
 func TestLayoutIndexing(t *testing.T) {
 	a := testArray(1)
-	if a.N() != 128 || a.Rows() != 8 || a.Cols() != 16 {
-		t.Fatalf("layout (%d,%d,%d)", a.N(), a.Rows(), a.Cols())
+	cfg := a.Config()
+	if a.N() != 128 || cfg.Rows != 8 || cfg.Cols != 16 {
+		t.Fatalf("layout (%d,%d,%d)", a.N(), cfg.Rows, cfg.Cols)
 	}
 	for i := 0; i < a.N(); i++ {
-		if a.Index(i%a.Cols(), i/a.Cols()) != i {
-			t.Fatalf("Index is not row-major at %d", i)
+		x, y := i%cfg.Cols, i/cfg.Cols
+		if got, want := a.SystematicComponent(i), cfg.systematicAt(x, y); got != want {
+			t.Fatalf("oscillator %d: systematic %v, want %v at (%d,%d)", i, got, want, x, y)
 		}
-	}
-	if got := a.Index(1, 1); got != 17 {
-		t.Fatalf("Index(1,1) = %d, want 17 for 16 columns", got)
-	}
-}
-
-func TestIndexPanicsOutside(t *testing.T) {
-	a := testArray(1)
-	for _, pos := range [][2]int{{-1, 0}, {16, 0}, {0, 8}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("(%d,%d): expected panic", pos[0], pos[1])
-				}
-			}()
-			a.Index(pos[0], pos[1])
-		}()
 	}
 }
 
@@ -153,17 +141,18 @@ func TestSystematicGradientShape(t *testing.T) {
 	cfg.GradientYMHz = 0
 	cfg.BowlMHz = 0
 	a := NewArray(cfg, rng.New(1))
+	at := func(x, y int) float64 { return a.SystematicComponent(y*cfg.Cols + x) }
 	for y := 0; y < 4; y++ {
 		for x := 1; x < 10; x++ {
-			if a.SystematicComponent(a.Index(x, y)) <= a.SystematicComponent(a.Index(x-1, y)) {
+			if at(x, y) <= at(x-1, y) {
 				t.Fatalf("systematic not increasing at (%d,%d)", x, y)
 			}
 		}
 	}
 	for x := 0; x < 10; x++ {
-		v0 := a.SystematicComponent(a.Index(x, 0))
+		v0 := at(x, 0)
 		for y := 1; y < 4; y++ {
-			if math.Abs(a.SystematicComponent(a.Index(x, y))-v0) > 1e-12 {
+			if math.Abs(at(x, y)-v0) > 1e-12 {
 				t.Fatalf("systematic varies along y at x=%d", x)
 			}
 		}
@@ -176,8 +165,8 @@ func TestBowlIsRadial(t *testing.T) {
 	cfg.GradientYMHz = 0
 	cfg.BowlMHz = 2
 	a := NewArray(cfg, rng.New(1))
-	center := a.SystematicComponent(a.Index(2, 2))
-	corner := a.SystematicComponent(a.Index(0, 0))
+	center := a.SystematicComponent(2*cfg.Cols + 2)
+	corner := a.SystematicComponent(0)
 	if center >= corner {
 		t.Fatalf("bowl: center %v >= corner %v", center, corner)
 	}

@@ -97,65 +97,3 @@ func (s *SPRT) Decision() SPRTDecision {
 
 // N returns the number of observations consumed so far.
 func (s *SPRT) N() int { return s.n }
-
-// Reset clears the test state for reuse.
-func (s *SPRT) Reset() {
-	s.llr = 0
-	s.n = 0
-}
-
-// ExpectedSamples returns Wald's approximation of the expected sample
-// size when the true failure rate is p (Wald, Sequential Analysis,
-// 1947, ch. 3): E[N] = (L·lower + (1-L)·upper) / E[z], where E[z] is
-// the mean log-likelihood increment under p and L the operating
-// characteristic, the probability of accepting H0. L comes from the h
-// != 0 with p·e^(h·llr1) + (1-p)·e^(h·llr0) = 1, as
-// L = (e^(h·upper) - 1) / (e^(h·upper) - e^(h·lower)); at p0 and p1,
-// h is 1 and -1 and L is 1-alpha and beta. At zero drift, E[z] = 0,
-// the approximation diverges and it returns +Inf. It stays exported
-// for the query-budget work on the SPRT (ROADMAP item 6).
-func (s *SPRT) ExpectedSamples(p float64) float64 {
-	mean := p*s.llr1 + (1-p)*s.llr0
-	if math.Abs(mean) < 1e-15 {
-		return math.Inf(1)
-	}
-	accept := 0.0 // L, the probability of accepting H0
-	if h, ok := s.waldH(p, mean); ok {
-		a, b := math.Exp(h*s.upper), math.Exp(h*s.lower)
-		accept = (a - 1) / (a - b)
-	} else if mean < 0 {
-		accept = 1 // p = 0: every observation is a success
-	}
-	return (accept*s.lower + (1-accept)*s.upper) / mean
-}
-
-// waldH returns the nonzero root h of p·e^(h·llr1) + (1-p)·e^(h·llr0)
-// = 1, which has the sign opposite to the drift mean, by bracketing
-// and bisection. ok is false at p = 0 or 1, where no root exists.
-func (s *SPRT) waldH(p, mean float64) (h float64, ok bool) {
-	g := func(h float64) float64 { return p*math.Exp(h*s.llr1) + (1-p)*math.Exp(h*s.llr0) - 1 }
-	dir := 1.0
-	if mean > 0 {
-		dir = -1
-	}
-	// g < 0 just past 0 in direction dir and g > 0 far out.
-	lo, hi := 0.0, dir
-	for g(hi) <= 0 {
-		if math.Abs(hi) > 1e6 {
-			return 0, false
-		}
-		lo, hi = hi, 2*hi
-	}
-	for range 200 {
-		mid := (lo + hi) / 2
-		if mid == lo || mid == hi {
-			break
-		}
-		if g(mid) <= 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, true
-}

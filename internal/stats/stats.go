@@ -88,9 +88,6 @@ func (h *Histogram) Add(v int) {
 	h.total++
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
 // P returns the empirical probability of value v.
 func (h *Histogram) P(v int) float64 {
 	if h.total == 0 {
@@ -113,18 +110,6 @@ func (h *Histogram) TailP(v int) float64 {
 		}
 	}
 	return float64(n) / float64(h.total)
-}
-
-// Mean returns the empirical mean.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var s float64
-	for v, c := range h.counts {
-		s += float64(v) * float64(c)
-	}
-	return s / float64(h.total)
 }
 
 // Support returns the observed values in increasing order.

@@ -92,17 +92,11 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{1, 2, 2, 3, 3, 3} {
 		h.Add(v)
 	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
 	if !almostEqual(h.P(3), 0.5, 1e-12) || !almostEqual(h.P(1), 1.0/6, 1e-12) {
 		t.Fatal("P wrong")
 	}
 	if !almostEqual(h.TailP(2), 0.5, 1e-12) {
 		t.Fatalf("TailP(2) = %v", h.TailP(2))
-	}
-	if !almostEqual(h.Mean(), 14.0/6, 1e-12) {
-		t.Fatalf("mean = %v", h.Mean())
 	}
 	sup := h.Support()
 	if len(sup) != 3 || sup[0] != 1 || sup[2] != 3 {
@@ -112,7 +106,7 @@ func TestHistogram(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.P(0) != 0 || h.TailP(0) != 0 || h.Mean() != 0 {
+	if h.P(0) != 0 || h.TailP(0) != 0 {
 		t.Fatal("empty histogram must return zeros")
 	}
 }
@@ -189,11 +183,18 @@ func TestSPRTCheaperThanFixedSample(t *testing.T) {
 	}
 }
 
+// TestSPRTReset pins how an SPRT is reset, as every attack arm does: an
+// SPRT is a value, so running a copy leaves the fresh original untouched
+// and assigning the original back starts the test over.
 func TestSPRTReset(t *testing.T) {
-	s := MakeSPRT(0.1, 0.5, 0.05, 0.05)
+	fresh := MakeSPRT(0.1, 0.5, 0.05, 0.05)
+	s := fresh
 	s.Observe(true)
 	s.Observe(true)
-	s.Reset()
+	if s.N() != 2 || fresh.N() != 0 || fresh.Decision() != SPRTContinue {
+		t.Fatal("running a copy moved the original")
+	}
+	s = fresh
 	if s.N() != 0 || s.Decision() != SPRTContinue {
 		t.Fatal("reset failed")
 	}
@@ -221,6 +222,63 @@ func TestSPRTDecisionString(t *testing.T) {
 	if SPRTContinue.String() != "continue" || SPRTAcceptH0.String() != "accept-H0" || SPRTAcceptH1.String() != "accept-H1" {
 		t.Fatal("String values wrong")
 	}
+}
+
+// ExpectedSamples returns Wald's approximation of the expected sample
+// size when the true failure rate is p (Wald, Sequential Analysis,
+// 1947, ch. 3): E[N] = (L·lower + (1-L)·upper) / E[z], where E[z] is
+// the mean log-likelihood increment under p and L the operating
+// characteristic, the probability of accepting H0. L comes from the h
+// != 0 with p·e^(h·llr1) + (1-p)·e^(h·llr0) = 1, as
+// L = (e^(h·upper) - 1) / (e^(h·upper) - e^(h·lower)); at p0 and p1,
+// h is 1 and -1 and L is 1-alpha and beta. At zero drift, E[z] = 0,
+// the approximation diverges and it returns +Inf. It lives here,
+// beside its test, until the SPRT's query-budget work gives it a
+// production caller.
+func (s *SPRT) ExpectedSamples(p float64) float64 {
+	mean := p*s.llr1 + (1-p)*s.llr0
+	if math.Abs(mean) < 1e-15 {
+		return math.Inf(1)
+	}
+	accept := 0.0 // L, the probability of accepting H0
+	if h, ok := s.waldH(p, mean); ok {
+		a, b := math.Exp(h*s.upper), math.Exp(h*s.lower)
+		accept = (a - 1) / (a - b)
+	} else if mean < 0 {
+		accept = 1 // p = 0: every observation is a success
+	}
+	return (accept*s.lower + (1-accept)*s.upper) / mean
+}
+
+// waldH returns the nonzero root h of p·e^(h·llr1) + (1-p)·e^(h·llr0)
+// = 1, which has the sign opposite to the drift mean, by bracketing
+// and bisection. ok is false at p = 0 or 1, where no root exists.
+func (s *SPRT) waldH(p, mean float64) (h float64, ok bool) {
+	g := func(h float64) float64 { return p*math.Exp(h*s.llr1) + (1-p)*math.Exp(h*s.llr0) - 1 }
+	dir := 1.0
+	if mean > 0 {
+		dir = -1
+	}
+	// g < 0 just past 0 in direction dir and g > 0 far out.
+	lo, hi := 0.0, dir
+	for g(hi) <= 0 {
+		if math.Abs(hi) > 1e6 {
+			return 0, false
+		}
+		lo, hi = hi, 2*hi
+	}
+	for range 200 {
+		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
+		if g(mid) <= 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2, true
 }
 
 // TestSPRTExpectedSamplesWald pins ExpectedSamples to Wald's average
